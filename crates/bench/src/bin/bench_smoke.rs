@@ -53,7 +53,7 @@
 //! `bench_smoke redundancy` measures the cost of the replication layer
 //! on the serving workload. Overhead is isolated on the quiet N=1 path
 //! — replicated admission with one replica makes decisions byte-
-//! identical to the legacy serve path (a gate checks the outcome logs
+//! identical to the unreplicated config (a gate checks the outcome logs
 //! match), so the wall-time ratio prices only the routing machinery
 //! (interleaved rounds, median of per-round ratios, gated at ≤ 1.15x).
 //! It also cross-checks that a diverse replica pair beats the single
@@ -795,9 +795,10 @@ struct RedundancyOverhead {
     chaos_plan: String,
     /// Serves per timing round (one round = this many full replays).
     serves_per_round: usize,
+    /// Serves per second of the unreplicated config.
     legacy_serves_per_sec: f64,
     replicated_n1_serves_per_sec: f64,
-    /// Quiet N=1-replicated wall time over legacy wall time, median of
+    /// Quiet N=1-replicated wall time over unreplicated wall time, median of
     /// interleaved per-round ratios (1.0 = free): the cost of routing
     /// every request through the replication machinery with every
     /// decision unchanged. Acceptance bar: 1.15.
@@ -860,7 +861,7 @@ fn run_redundancy_smoke(reps: usize) {
         }),
         ..ServiceConfig::default()
     };
-    let serve_legacy_quiet = || {
+    let serve_unreplicated_quiet = || {
         ServiceEngine::new(ServiceConfig {
             servers_per_family: 4,
             ..ServiceConfig::default()
@@ -947,16 +948,16 @@ fn run_redundancy_smoke(reps: usize) {
     }
 
     // Gate 4: the quiet N=1-replicated path is behaviourally identical
-    // to the legacy serve path — otherwise the overhead ratio is not
+    // to the unreplicated config — otherwise the overhead ratio is not
     // pricing the machinery alone.
-    let legacy = serve_legacy_quiet();
+    let unreplicated = serve_unreplicated_quiet();
     let replicated = serve_replicated_quiet();
-    if legacy.outcomes != replicated.outcomes || legacy.quality != replicated.quality {
+    if unreplicated.outcomes != replicated.outcomes || unreplicated.quality != replicated.quality {
         eprintln!("FAIL: N=1 replication changed quiet-path serving decisions");
         std::process::exit(1);
     }
 
-    // Interleave legacy and replicated rounds and gate on the median of
+    // Interleave unreplicated and replicated rounds and gate on the median of
     // the per-round ratios — separate batches would let machine-load
     // drift masquerade as overhead (same discipline as the anticipation
     // smoke).
@@ -968,13 +969,13 @@ fn run_redundancy_smoke(reps: usize) {
         }
         start.elapsed().as_secs_f64()
     };
-    let mut legacy_times = Vec::with_capacity(reps);
+    let mut unreplicated_times = Vec::with_capacity(reps);
     let mut replicated_times = Vec::with_capacity(reps);
     let mut ratios = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let b = round(&serve_legacy_quiet);
+        let b = round(&serve_unreplicated_quiet);
         let t = round(&serve_replicated_quiet);
-        legacy_times.push(b);
+        unreplicated_times.push(b);
         replicated_times.push(t);
         ratios.push(t / b);
     }
@@ -982,7 +983,7 @@ fn run_redundancy_smoke(reps: usize) {
         v.sort_by(f64::total_cmp);
         v[v.len() / 2]
     };
-    let legacy_secs = median(&mut legacy_times);
+    let unreplicated_secs = median(&mut unreplicated_times);
     let replicated_secs = median(&mut replicated_times);
     let overhead = median(&mut ratios);
     if overhead > 1.15 {
@@ -996,7 +997,7 @@ fn run_redundancy_smoke(reps: usize) {
             seed: SEED,
             chaos_plan: chaos_spec.to_string(),
             serves_per_round: SERVES_PER_ROUND,
-            legacy_serves_per_sec: SERVES_PER_ROUND as f64 / legacy_secs,
+            legacy_serves_per_sec: SERVES_PER_ROUND as f64 / unreplicated_secs,
             replicated_n1_serves_per_sec: SERVES_PER_ROUND as f64 / replicated_secs,
             replication_overhead: overhead,
             resilience_loss_single: r_single,

@@ -2,15 +2,18 @@
 //! requests, and per-family retry budgets.
 //!
 //! The paper's §3 names *redundancy* and *diversity* as the first two
-//! passive resilience strategies; this module makes them executable.
-//! Each request family owns a [`ReplicaSet`] of `N` backend replicas,
-//! a [`ReplicaRouter`] picks a primary by deterministic load-aware
-//! scoring and fails over on backend failure, a **hedged** secondary
-//! attempt launches when the primary's projected completion eats too
-//! much of the deadline (first success wins, the loser's unfinished
-//! work is reclaimed), and a per-family [`RetryBudget`] token bucket
-//! caps failover+hedge volume so retry storms cannot amplify a partial
-//! outage into a metastable collapse.
+//! passive resilience strategies; this module holds their building
+//! blocks. Each request family owns a [`ReplicaSet`] of `N` backend
+//! replicas, a [`ReplicaRouter`] ranks them by deterministic load-aware
+//! scoring, and a per-family [`RetryBudget`] token bucket caps
+//! failover+hedge volume so retry storms cannot amplify a partial
+//! outage into a metastable collapse. The serve loop in
+//! [`crate::engine`] drives them: it routes each primary, launches a
+//! **hedged** secondary attempt when the primary's projected completion
+//! eats too much of the deadline (first success wins, the loser's
+//! unfinished work is reclaimed), and fails over on backend failure.
+//! An unreplicated serve runs through the same loop as a set of one,
+//! which never hedges or fails over.
 //!
 //! **Determinism contract.** Every routing, hedging, failover, and
 //! budget decision reads only logical-clock state: seeded per-replica
@@ -29,31 +32,25 @@
 //! dies as a unit with probability `p`; a fully diverse set loses all
 //! copies only with probability `p^N` — the redundancy-vs-diversity
 //! tradeoff of §4.4, measured instead of asserted.
+//!
+//! [`FaultPlan::replica_fault`]: resilience_core::faults::FaultPlan::replica_fault
+//! [`FaultPlan::correlated_hit`]: resilience_core::faults::FaultPlan::correlated_hit
 
-use resilience_core::faults::{FaultKind, FaultPlan};
-use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
-use resilience_core::rng::derive_seed;
-use resilience_core::runtime::ParallelTrials;
-use resilience_telemetry::causal::{
-    AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
-};
-use resilience_telemetry::{DeficitCause, Event, Telemetry};
-
-use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
-use crate::brownout::BrownoutController;
-use crate::bulkhead::{Bulkhead, Job};
-use crate::engine::{last_open_tick, FamilyStats, ServiceEngine, ServiceReport};
-use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason};
+use crate::breaker::{BreakerState, CircuitBreaker};
+use crate::bulkhead::Bulkhead;
 
 /// Tuning of the replication layer. All quantities are logical-clock
 /// units; replication redistributes the family's existing capacity
-/// across replicas (it never adds servers), so `N = 1` is the exact
-/// single-backend serve path.
+/// across replicas (it never adds servers). `N = 1` splits nothing,
+/// so under a quiet plan it decides exactly as the unreplicated config;
+/// under chaos it draws per-replica faults, which damage different
+/// requests than the unreplicated per-slot draws.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicationConfig {
-    /// Replicas per family (`N`). Each replica gets
+    /// Replicas per family (`N`). For `N > 1` each replica gets
     /// `(servers_per_family / N).max(1)` servers and
-    /// `(queue_capacity / N).max(1)` queue slots.
+    /// `(queue_capacity / N).max(1)` queue slots; a set of one keeps
+    /// the family's capacity exactly.
     pub replicas: usize,
     /// Diversity-class assignment: replica `i` belongs to class
     /// `diversity_classes[i % len]`. Empty (the default) gives every
@@ -189,8 +186,10 @@ impl ReplicaSet {
             "a replica set needs at least one replica"
         );
         let n = rcfg.replicas;
-        let servers = (servers_per_family / n).max(1);
-        let queue = (queue_capacity / n).max(1);
+        // A split never leaves a replica with nothing; a set of one is
+        // the family's compartment exactly.
+        let share = |total: usize| if n == 1 { total } else { (total / n).max(1) };
+        let (servers, queue) = (share(servers_per_family), share(queue_capacity));
         ReplicaSet {
             bulkheads: (0..n)
                 .map(|_| Bulkhead::new(queue, servers, rate_per_server))
@@ -216,6 +215,15 @@ impl ReplicaSet {
     pub fn class_of(&self, replica: u32) -> u32 {
         self.classes[replica as usize]
     }
+
+    /// Jobs queued and queue slots, summed over the replicas: the
+    /// family-level load the brownout dimmer and the occupancy events
+    /// see, so splitting a queue into N slices does not N-fold it.
+    pub(crate) fn queue_depth(&self) -> (usize, usize) {
+        self.bulkheads.iter().fold((0, 0), |(queued, capacity), b| {
+            (queued + b.queued(), capacity + b.capacity())
+        })
+    }
 }
 
 /// The deterministic load-aware scorer. Stateless: ranking reads only
@@ -228,15 +236,18 @@ pub struct ReplicaRouter;
 
 impl ReplicaRouter {
     /// Replicas eligible for a new attempt — `allowed` by their breaker
-    /// gate and with queue room — ranked best-first by the lexicographic
-    /// key (breaker health, total backlog, queued jobs, replica index).
-    /// The trailing index makes the order a total one, so ties never
-    /// depend on anything but logical state.
-    pub fn rank(set: &ReplicaSet, allowed: &[bool], tick: u64) -> Vec<u32> {
-        let mut eligible: Vec<u32> = (0..set.len() as u32)
-            .filter(|&r| allowed[r as usize] && !set.bulkheads[r as usize].queue_full())
-            .collect();
-        eligible.sort_by_key(|&r| {
+    /// gate and with queue room — ranked best-first into `ranked` by the
+    /// lexicographic key (breaker health, total backlog, queued jobs,
+    /// replica index). The trailing index makes the order a total one,
+    /// so ties never depend on anything but logical state. `ranked` is
+    /// cleared first, so one buffer serves every admission.
+    pub fn rank(set: &ReplicaSet, allowed: &[bool], tick: u64, ranked: &mut Vec<u32>) {
+        ranked.clear();
+        ranked.extend(
+            (0..set.len() as u32)
+                .filter(|&r| allowed[r as usize] && !set.bulkheads[r as usize].queue_full()),
+        );
+        ranked.sort_by_key(|&r| {
             let probe = set.bulkheads[r as usize].peek_backlog();
             let health = match set.breakers[r as usize].peek_state(tick) {
                 BreakerState::Closed => 0u8,
@@ -245,12 +256,12 @@ impl ReplicaRouter {
             };
             (health, probe.backlog, probe.queued, r)
         });
-        eligible
     }
 }
 
 /// Which replica served one request and how: the per-request entry of
-/// [`ServiceReport::replica_log`], bit-identical for any thread budget.
+/// [`ServiceReport::replica_log`](crate::ServiceReport::replica_log),
+/// bit-identical for any thread budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct ReplicaOutcome {
     /// Request id.
@@ -290,1116 +301,10 @@ pub struct ReplicaFamilyStats {
     pub budget_exhausted: u64,
 }
 
-/// One dispatched attempt of an in-flight request.
-#[derive(Debug, Clone, Copy)]
-struct AttemptSlot {
-    replica: u32,
-    fidelity: Fidelity,
-    fault: Option<FaultKind>,
-    correlated: bool,
-    is_hedge: bool,
-    is_failover: bool,
-    /// Tick the attempt entered its bulkhead queue.
-    enqueued: u64,
-    /// Scheduled work before fault inflation.
-    base_work: u64,
-    /// Scheduled work after fault inflation.
-    work: u64,
-}
-
-impl AttemptSlot {
-    fn kind(&self) -> AttemptKind {
-        if self.is_hedge {
-            AttemptKind::Hedge
-        } else if self.is_failover {
-            AttemptKind::Failover
-        } else {
-            AttemptKind::Primary
-        }
-    }
-
-    /// Causal sketch of this attempt with the given resolution.
-    fn sketch(&self, rate: u64, completed: Option<u64>, won: bool, failed: bool) -> AttemptSketch {
-        AttemptSketch {
-            replica: self.replica,
-            kind: self.kind(),
-            enqueued: self.enqueued,
-            base_work: self.base_work,
-            work: self.work,
-            rate,
-            completed,
-            won,
-            failed,
-        }
-    }
-}
-
-/// An in-flight replicated request: up to two racing attempts, plus the
-/// causal history of attempts that already died (kept only so the
-/// request's final span tree can cover every attempt it ran).
-#[derive(Debug, Clone)]
-struct Flight {
-    request: Request,
-    attempts: Vec<AttemptSlot>,
-    /// Dead attempts with their completion tick, in death order.
-    spent: Vec<(AttemptSlot, u64)>,
-    hedged: bool,
-    failed_over: bool,
-}
-
-impl ServiceEngine {
-    /// The replicated serve path: dispatched by `serve_inner` when
-    /// [`ServiceConfig::replication`](crate::ServiceConfig::replication)
-    /// is set. Mirrors the single-backend tick loop exactly — for
-    /// `N = 1` under a quiet plan the outcome log is identical to the
-    /// legacy path's — and layers routing, hedging, failover, and the
-    /// retry budget on top.
-    pub(crate) fn serve_replicated(
-        &self,
-        trace: &RequestTrace,
-        plan: &FaultPlan,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> ServiceReport {
-        let cfg = &self.config;
-        let rcfg = cfg
-            .replication
-            .clone()
-            .expect("serve_replicated requires a replication config");
-        let n_replicas = rcfg.replicas;
-        let n_families = trace.families.len().max(1);
-        let pool = ParallelTrials::new(cfg.threads);
-        let backend_master = derive_seed(trace.seed, 0xbac0);
-
-        let cached_values: Vec<u64> = (0..n_families)
-            .map(|fam| {
-                let seed = derive_seed(backend_master, 0xcafe + fam as u64);
-                Self::backend_value(&pool, seed, 64)
-            })
-            .collect();
-
-        let mut sets: Vec<ReplicaSet> = (0..n_families)
-            .map(|_| {
-                ReplicaSet::new(
-                    &rcfg,
-                    cfg.servers_per_family,
-                    cfg.rate_per_server,
-                    cfg.queue_capacity,
-                    cfg.breaker_threshold,
-                    cfg.breaker_cooldown,
-                )
-            })
-            .collect();
-        let mut budgets: Vec<RetryBudget> = (0..n_families)
-            .map(|_| RetryBudget::new(rcfg.budget_capacity, rcfg.budget_refill_milli))
-            .collect();
-        let mut rstats: Vec<ReplicaFamilyStats> = (0..n_families)
-            .map(|_| ReplicaFamilyStats {
-                replicas: n_replicas as u32,
-                ..ReplicaFamilyStats::default()
-            })
-            .collect();
-        let mut brownout = BrownoutController::new(cfg.brownout.clone());
-
-        let mut outcomes: Vec<Option<RequestOutcome>> = vec![None; trace.len()];
-        let mut replica_entries: Vec<Option<ReplicaOutcome>> = vec![None; trace.len()];
-        let mut per_family = vec![FamilyStats::default(); n_families];
-        let mut flights: Vec<Option<Flight>> = vec![None; trace.len()];
-        let mut quality = QualityTrajectory::new(1.0);
-        let mut next_arrival = 0usize;
-
-        let mut tick = 0u64;
-        let mut pending = trace.len() as u64;
-        let total_work: u64 = trace.requests.iter().map(|r| r.cost).sum();
-        let delay_work = plan.delay.as_millis() as u64 * cfg.rate_per_server;
-        // Up to three dispatches per request (primary, hedge, failover),
-        // each possibly gray-inflated — the ceiling only guards against
-        // non-convergence bugs, so it is deliberately generous.
-        let tick_ceiling = trace
-            .horizon()
-            .saturating_add(
-                total_work
-                    .saturating_mul(3)
-                    .saturating_mul(plan.gray_factor.max(1)),
-            )
-            .saturating_add((trace.len() as u64).saturating_mul(3 * delay_work))
-            .saturating_add(cfg.breaker_cooldown + 1000);
-
-        // Telemetry cursors, per (family, replica) for breakers and per
-        // family for the summed bulkhead occupancy.
-        let mut seen_transitions = vec![vec![0usize; n_replicas]; n_families];
-        let mut seen_brownout = 0usize;
-        let mut last_queued: Vec<Option<usize>> = vec![None; n_families];
-
-        while pending > 0 {
-            assert!(
-                tick <= tick_ceiling,
-                "replicated service engine failed to converge by tick {tick}"
-            );
-            let mut deficit = 0.0f64;
-            let mut hard = 0u64;
-            let mut adjudicated = 0u64;
-
-            // --- 0. Refill every family's retry budget. --------------
-            for budget in budgets.iter_mut() {
-                budget.tick();
-            }
-
-            // --- 1. Advance service; adjudicate completions. ---------
-            // Replicas advance in (family, replica, server) order — a
-            // pure function of logical state, so when both attempts of
-            // a hedged request complete on the same tick the winner is
-            // always the lower replica index.
-            for fam in 0..n_families {
-                for r in 0..n_replicas {
-                    for job in sets[fam].bulkheads[r].tick() {
-                        let idx = usize::try_from(job.id).expect("request id fits usize");
-                        if flights[idx].is_none() {
-                            // The sibling attempt won earlier this same
-                            // tick; this completion is an orphan and
-                            // must not touch the breaker again.
-                            continue;
-                        }
-                        let resolved = self.resolve_completion(
-                            &pool,
-                            backend_master,
-                            &cached_values,
-                            plan,
-                            trace,
-                            &rcfg,
-                            &mut sets,
-                            &mut budgets,
-                            &mut rstats,
-                            &mut flights,
-                            &mut replica_entries,
-                            telemetry.as_deref_mut(),
-                            fam,
-                            r as u32,
-                            idx,
-                            delay_work,
-                            tick,
-                        );
-                        if let Some((disposition, penalty)) = resolved {
-                            match &disposition {
-                                Disposition::Served { fidelity, .. } => match fidelity {
-                                    Fidelity::Full => per_family[fam].served_full += 1,
-                                    Fidelity::Reduced => per_family[fam].served_reduced += 1,
-                                    Fidelity::Cached => per_family[fam].served_cached += 1,
-                                },
-                                Disposition::Failed { .. } => {
-                                    per_family[fam].failed += 1;
-                                    hard += 1;
-                                }
-                                Disposition::Shed { .. } => {
-                                    unreachable!("completions are never shed")
-                                }
-                            }
-                            outcomes[idx] = Some(RequestOutcome {
-                                id: job.id,
-                                family: fam,
-                                decided_at: tick,
-                                disposition,
-                            });
-                            deficit += penalty;
-                            adjudicated += 1;
-                            pending -= 1;
-                        }
-                    }
-                }
-            }
-
-            // --- 2. Admit this tick's arrivals, in trace order. ------
-            while next_arrival < trace.len() && trace.requests[next_arrival].arrival == tick {
-                let request = trace.requests[next_arrival];
-                next_arrival += 1;
-                let fam = request.family.min(n_families - 1);
-                per_family[fam].arrivals += 1;
-                let idx = usize::try_from(request.id).expect("request id fits usize");
-                let immediate = self.admit_replicated(
-                    plan,
-                    trace,
-                    &rcfg,
-                    &mut sets[fam],
-                    &mut budgets[fam],
-                    &mut rstats[fam],
-                    &brownout,
-                    &request,
-                    cached_values[fam],
-                    delay_work,
-                    tick,
-                    fam,
-                    &mut flights[idx],
-                    telemetry.as_deref_mut(),
-                );
-                if let Some((disposition, penalty, gate)) = immediate {
-                    if let Disposition::Shed { .. } = disposition {
-                        per_family[fam].shed += 1;
-                        hard += 1;
-                    } else {
-                        per_family[fam].served_cached += 1;
-                    }
-                    if let Some(tel) = telemetry.as_deref_mut() {
-                        match &disposition {
-                            Disposition::Shed { reason } => {
-                                tel.tracer.record(
-                                    tick,
-                                    Event::RequestShed {
-                                        id: request.id,
-                                        family: fam as u32,
-                                        reason: reason.to_string(),
-                                    },
-                                );
-                                tel.trajectory.charge(DeficitCause::Shed, penalty);
-                            }
-                            Disposition::Served { latency, .. } => {
-                                tel.tracer.record(
-                                    tick,
-                                    Event::RequestServed {
-                                        id: request.id,
-                                        family: fam as u32,
-                                        fidelity: Fidelity::Cached.to_string(),
-                                        latency: *latency,
-                                    },
-                                );
-                                tel.tracer
-                                    .record(tick, Event::CacheHit { family: fam as u32 });
-                                tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                            }
-                            Disposition::Failed { .. } => {
-                                unreachable!("admission never fails a request")
-                            }
-                        }
-                        let outcome = match &disposition {
-                            Disposition::Shed { reason } => SketchOutcome::Shed {
-                                reason: reason.to_string(),
-                            },
-                            Disposition::Served { latency, .. } => SketchOutcome::Served {
-                                fidelity: Fidelity::Cached.to_string(),
-                                latency: *latency,
-                                fallback: false,
-                            },
-                            Disposition::Failed { .. } => unreachable!(),
-                        };
-                        tel.causal.record(&RequestSketch {
-                            trial: 0,
-                            id: request.id,
-                            family: fam as u32,
-                            arrival: request.arrival,
-                            deadline: request.deadline,
-                            decided_at: tick,
-                            outcome,
-                            attempts: Vec::new(),
-                            gate,
-                        });
-                        tel.incidents.observe(fam as u32, request.id);
-                    }
-                    outcomes[idx] = Some(RequestOutcome {
-                        id: request.id,
-                        family: fam,
-                        decided_at: tick,
-                        disposition,
-                    });
-                    deficit += penalty;
-                    adjudicated += 1;
-                    pending -= 1;
-                }
-            }
-
-            // --- 3. Sample Q(t); feed the self-scored controller. ----
-            let q = if adjudicated == 0 {
-                FULL_QUALITY
-            } else {
-                FULL_QUALITY * (1.0 - deficit / adjudicated as f64)
-            };
-            quality.push(q);
-            // Family-level pressure: aggregate queued over aggregate
-            // capacity, so the dimmer sees the same signal the
-            // unreplicated family would — splitting a queue into N
-            // slices must not N-fold the brownout pressure. For N = 1
-            // this is exactly the legacy per-family occupancy.
-            let occupancy = sets
-                .iter()
-                .map(|s| {
-                    let queued: usize = s.bulkheads.iter().map(Bulkhead::queued).sum();
-                    let capacity: usize = s.bulkheads.iter().map(Bulkhead::capacity).sum();
-                    if capacity == 0 {
-                        if queued == 0 {
-                            0.0
-                        } else {
-                            1.0
-                        }
-                    } else {
-                        queued as f64 / capacity as f64
-                    }
-                })
-                .fold(0.0f64, f64::max);
-            let hard_deficit = if adjudicated == 0 {
-                0.0
-            } else {
-                hard as f64 / adjudicated as f64
-            };
-            if cfg.degradation {
-                brownout.observe(tick, hard_deficit, occupancy);
-            }
-            if let Some(tel) = telemetry.as_deref_mut() {
-                for (fam, set) in sets.iter().enumerate() {
-                    for (r, breaker) in set.breakers.iter().enumerate() {
-                        let all = breaker.transitions();
-                        for t in &all[seen_transitions[fam][r]..] {
-                            tel.tracer.record(
-                                tick,
-                                Event::BreakerTransition {
-                                    family: fam as u32,
-                                    from: t.from.to_string(),
-                                    to: t.to.to_string(),
-                                },
-                            );
-                        }
-                        seen_transitions[fam][r] = all.len();
-                    }
-                }
-                for &(_, level) in &brownout.history()[seen_brownout..] {
-                    tel.tracer
-                        .record(tick, Event::BrownoutLevelChange { level });
-                }
-                seen_brownout = brownout.history().len();
-                for (fam, set) in sets.iter().enumerate() {
-                    let queued: usize = set.bulkheads.iter().map(Bulkhead::queued).sum();
-                    if last_queued[fam] != Some(queued) {
-                        let capacity: usize = set.bulkheads.iter().map(Bulkhead::capacity).sum();
-                        tel.tracer.record(
-                            tick,
-                            Event::BulkheadOccupancy {
-                                family: fam as u32,
-                                queued: queued as u32,
-                                capacity: capacity as u32,
-                            },
-                        );
-                        last_queued[fam] = Some(queued);
-                    }
-                }
-                let observed = tel.trajectory.end_tick(adjudicated);
-                debug_assert_eq!(observed.to_bits(), q.to_bits());
-            }
-            tick += 1;
-        }
-
-        for (fam, budget) in budgets.iter().enumerate() {
-            rstats[fam].budget_spent = budget.spent();
-            rstats[fam].budget_exhausted = budget.exhausted();
-        }
-        let outcomes: Vec<RequestOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every request adjudicated"))
-            .collect();
-        // Per-family breaker transitions, merged across replicas in
-        // (tick, replica) order — the same total order the telemetry
-        // cursor walk would produce.
-        let breaker_transitions: Vec<Vec<BreakerTransition>> = sets
-            .iter()
-            .map(|set| {
-                let mut merged: Vec<(u64, u32, BreakerTransition)> = Vec::new();
-                for (r, b) in set.breakers.iter().enumerate() {
-                    for t in b.transitions() {
-                        merged.push((t.tick, r as u32, *t));
-                    }
-                }
-                merged.sort_by_key(|(tick, r, _)| (*tick, *r));
-                merged.into_iter().map(|(_, _, t)| t).collect()
-            })
-            .collect();
-        let report = ServiceReport {
-            outcomes,
-            per_family,
-            breaker_transitions,
-            brownout_history: brownout.history().to_vec(),
-            mode_transitions: Vec::new(),
-            warning_scores: Vec::new(),
-            alert_ticks: 0,
-            emergency_ticks: 0,
-            replica_log: replica_entries.into_iter().flatten().collect(),
-            replica_stats: rstats,
-            quality,
-            ticks: tick,
-        };
-        if let Some(tel) = telemetry {
-            crate::engine::record_service_metrics(&mut tel.metrics, &report);
-            if !tel.causal.is_empty() {
-                resilience_telemetry::record_causal_metrics(&mut tel.metrics, &tel.causal);
-                let incidents = tel.incidents.finalize(&tel.causal, &report.warning_scores);
-                resilience_telemetry::record_incident_metrics(&mut tel.metrics, &incidents);
-            }
-        }
-        report
-    }
-
-    /// Admission control for one arrival on a replica set. Mirrors the
-    /// single-backend gate order exactly (breaker → brownout level →
-    /// queue room → deadline feasibility), then routes the primary and
-    /// possibly launches a hedge. Returns an immediate disposition, or
-    /// `None` when the request was dispatched (the flight slot is
-    /// filled).
-    #[allow(clippy::too_many_arguments)]
-    fn admit_replicated(
-        &self,
-        plan: &FaultPlan,
-        trace: &RequestTrace,
-        rcfg: &ReplicationConfig,
-        set: &mut ReplicaSet,
-        budget: &mut RetryBudget,
-        rstats: &mut ReplicaFamilyStats,
-        brownout: &BrownoutController,
-        request: &Request,
-        cached_value: u64,
-        delay_work: u64,
-        tick: u64,
-        fam: usize,
-        flight_slot: &mut Option<Flight>,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> Option<(Disposition, f64, Option<ShedGate>)> {
-        let cfg = &self.config;
-        let deadline = request.deadline;
-
-        // Breaker gates first, every replica in index order (the gate
-        // is mutating: a half-open breaker admits exactly one probe).
-        let allowed: Vec<bool> = (0..set.len())
-            .map(|r| set.breakers[r].allow(tick))
-            .collect();
-        if !allowed.iter().any(|&a| a) {
-            return Some(if cfg.degradation {
-                (
-                    Disposition::Served {
-                        fidelity: Fidelity::Cached,
-                        latency: 0,
-                        value: cached_value,
-                    },
-                    cfg.cached_penalty,
-                    None,
-                )
-            } else {
-                // Dwell anchor: the lock-out became total when the
-                // *last* replica's breaker opened.
-                let open_since = set.breakers.iter().filter_map(last_open_tick).max();
-                (
-                    Disposition::Shed {
-                        reason: ShedReason::BreakerOpen,
-                    },
-                    1.0,
-                    Some(ShedGate::BreakerOpen { open_since }),
-                )
-            });
-        }
-
-        let level = if cfg.degradation { brownout.level() } else { 0 };
-        if cfg.degradation && level >= 2 {
-            return Some((
-                Disposition::Served {
-                    fidelity: Fidelity::Cached,
-                    latency: 0,
-                    value: cached_value,
-                },
-                cfg.cached_penalty,
-                None,
-            ));
-        }
-        let mut candidates: Vec<Fidelity> = Vec::with_capacity(2);
-        if level == 0 {
-            candidates.push(Fidelity::Full);
-        }
-        if cfg.degradation && level <= 1 {
-            candidates.push(Fidelity::Reduced);
-        }
-
-        // Family-aggregate drain rate: the blame model for gate sheds
-        // reasons about the family's total capacity, as the single-path
-        // extractor does.
-        let aggregate_rate = cfg.rate_per_server * cfg.servers_per_family as u64;
-        let ranked = ReplicaRouter::rank(set, &allowed, tick);
-        if ranked.is_empty() {
-            let backlog = set.bulkheads.iter().map(Bulkhead::backlog).sum::<u64>();
-            return Some((
-                Disposition::Shed {
-                    reason: ShedReason::QueueFull,
-                },
-                1.0,
-                Some(ShedGate::QueueFull {
-                    backlog,
-                    aggregate_rate,
-                }),
-            ));
-        }
-        let mut last_candidate = (0u64, 0u64); // (base work, inflated work)
-        for fidelity in candidates {
-            for &r in &ranked {
-                let (work, fault, correlated) = attempt_work(
-                    cfg, plan, trace, rcfg, request, fam, r, fidelity, delay_work,
-                );
-                let est = set.bulkheads[r as usize].estimated_completion_ticks(work);
-                if est > deadline {
-                    last_candidate = (Self::effective_work(cfg, request.cost, fidelity), work);
-                    continue;
-                }
-                set.bulkheads[r as usize].admit(Job {
-                    id: request.id,
-                    work,
-                });
-                set.breakers[r as usize].on_admitted();
-                rstats.routed += 1;
-                if correlated {
-                    rstats.correlated_hits += 1;
-                }
-                if fault == Some(FaultKind::Gray) {
-                    rstats.gray_slots += 1;
-                }
-                if let Some(tel) = telemetry.as_deref_mut() {
-                    tel.tracer.record(
-                        tick,
-                        Event::ReplicaRouted {
-                            id: request.id,
-                            family: fam as u32,
-                            replica: r,
-                        },
-                    );
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestAdmitted {
-                            id: request.id,
-                            family: fam as u32,
-                            fidelity: fidelity.to_string(),
-                        },
-                    );
-                }
-                let mut flight = Flight {
-                    request: *request,
-                    attempts: vec![AttemptSlot {
-                        replica: r,
-                        fidelity,
-                        fault,
-                        correlated,
-                        is_hedge: false,
-                        is_failover: false,
-                        enqueued: tick,
-                        base_work: Self::effective_work(cfg, request.cost, fidelity),
-                        work,
-                    }],
-                    spent: Vec::new(),
-                    hedged: false,
-                    failed_over: false,
-                };
-                self.maybe_hedge(
-                    plan,
-                    trace,
-                    rcfg,
-                    set,
-                    budget,
-                    rstats,
-                    &mut flight,
-                    fam,
-                    r,
-                    est,
-                    deadline,
-                    delay_work,
-                    tick,
-                    telemetry,
-                );
-                *flight_slot = Some(flight);
-                return None;
-            }
-        }
-        let backlog = set.bulkheads.iter().map(Bulkhead::backlog).sum::<u64>();
-        Some((
-            Disposition::Shed {
-                reason: ShedReason::DeadlineUnmeetable,
-            },
-            1.0,
-            Some(ShedGate::DeadlineUnmeetable {
-                backlog,
-                aggregate_rate,
-                base_work: last_candidate.0,
-                work: last_candidate.1,
-            }),
-        ))
-    }
-
-    /// Launch a hedge attempt when the primary's projected completion
-    /// eats more than `hedge_fraction_milli` of the deadline. Probe
-    /// safety: both the primary and the hedge target must *peek*
-    /// Closed — hedging a half-open probe (or onto one) could cancel
-    /// the probe and wedge the breaker's half-open state forever.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_hedge(
-        &self,
-        plan: &FaultPlan,
-        trace: &RequestTrace,
-        rcfg: &ReplicationConfig,
-        set: &mut ReplicaSet,
-        budget: &mut RetryBudget,
-        rstats: &mut ReplicaFamilyStats,
-        flight: &mut Flight,
-        fam: usize,
-        primary: u32,
-        primary_est: u64,
-        deadline: u64,
-        delay_work: u64,
-        tick: u64,
-        mut telemetry: Option<&mut Telemetry>,
-    ) -> bool {
-        if set.len() < 2
-            || primary_est.saturating_mul(1000)
-                <= rcfg.hedge_fraction_milli.saturating_mul(deadline)
-            || set.breakers[primary as usize].peek_state(tick) != BreakerState::Closed
-        {
-            return false;
-        }
-        let fidelity = flight.attempts[0].fidelity;
-        let target = self.pick_spare(
-            plan,
-            trace,
-            rcfg,
-            set,
-            flight.request,
-            fam,
-            fidelity,
-            delay_work,
-            deadline,
-            tick,
-            &[primary],
-        );
-        let Some((s, work, fault, correlated)) = target else {
-            return false;
-        };
-        if !budget.try_spend() {
-            if let Some(tel) = telemetry.as_deref_mut() {
-                tel.tracer.record(
-                    tick,
-                    Event::RetryBudgetExhausted {
-                        family: fam as u32,
-                        kind: "hedge".to_string(),
-                    },
-                );
-            }
-            return false;
-        }
-        set.bulkheads[s as usize].admit(Job {
-            id: flight.request.id,
-            work,
-        });
-        set.breakers[s as usize].on_admitted();
-        rstats.routed += 1;
-        rstats.hedges_launched += 1;
-        if correlated {
-            rstats.correlated_hits += 1;
-        }
-        if fault == Some(FaultKind::Gray) {
-            rstats.gray_slots += 1;
-        }
-        if let Some(tel) = telemetry {
-            tel.tracer.record(
-                tick,
-                Event::HedgeLaunched {
-                    id: flight.request.id,
-                    family: fam as u32,
-                    replica: s,
-                },
-            );
-        }
-        flight.attempts.push(AttemptSlot {
-            replica: s,
-            fidelity,
-            fault,
-            correlated,
-            is_hedge: true,
-            is_failover: false,
-            enqueued: tick,
-            base_work: Self::effective_work(&self.config, flight.request.cost, fidelity),
-            work,
-        });
-        flight.hedged = true;
-        true
-    }
-
-    /// Pick a spare replica for a hedge or failover: peek-Closed (never
-    /// disturb a half-open probe), queue room, and a completion estimate
-    /// inside `deadline` ticks from now — ranked by the router's
-    /// load-aware key. Returns the replica with its attempt's work and
-    /// fault draws.
-    #[allow(clippy::too_many_arguments)]
-    fn pick_spare(
-        &self,
-        plan: &FaultPlan,
-        trace: &RequestTrace,
-        rcfg: &ReplicationConfig,
-        set: &ReplicaSet,
-        request: Request,
-        fam: usize,
-        fidelity: Fidelity,
-        delay_work: u64,
-        deadline: u64,
-        tick: u64,
-        exclude: &[u32],
-    ) -> Option<(u32, u64, Option<FaultKind>, bool)> {
-        let cfg = &self.config;
-        let closed: Vec<bool> = (0..set.len())
-            .map(|r| {
-                !exclude.contains(&(r as u32))
-                    && set.breakers[r].peek_state(tick) == BreakerState::Closed
-            })
-            .collect();
-        for r in ReplicaRouter::rank(set, &closed, tick) {
-            let (work, fault, correlated) = attempt_work(
-                cfg, plan, trace, rcfg, &request, fam, r, fidelity, delay_work,
-            );
-            if set.bulkheads[r as usize].estimated_completion_ticks(work) <= deadline {
-                return Some((r, work, fault, correlated));
-            }
-        }
-        None
-    }
-
-    /// Adjudicate one completed attempt of a replicated request.
-    /// Returns the request's final disposition and penalty, or `None`
-    /// when the request stays in flight (a sibling attempt is still
-    /// racing, or a failover was dispatched).
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_completion(
-        &self,
-        pool: &ParallelTrials,
-        backend_master: u64,
-        cached_values: &[u64],
-        plan: &FaultPlan,
-        trace: &RequestTrace,
-        rcfg: &ReplicationConfig,
-        sets: &mut [ReplicaSet],
-        budgets: &mut [RetryBudget],
-        rstats: &mut [ReplicaFamilyStats],
-        flights: &mut [Option<Flight>],
-        replica_entries: &mut [Option<ReplicaOutcome>],
-        mut telemetry: Option<&mut Telemetry>,
-        fam: usize,
-        replica: u32,
-        idx: usize,
-        delay_work: u64,
-        tick: u64,
-    ) -> Option<(Disposition, f64)> {
-        let cfg = &self.config;
-        let flight = flights[idx].as_mut().expect("caller checked the flight");
-        let request = flight.request;
-        let latency = tick.saturating_sub(request.arrival);
-        let pos = flight
-            .attempts
-            .iter()
-            .position(|a| a.replica == replica)
-            .expect("completed job has a live attempt slot");
-        let slot = flight.attempts[pos];
-        let dead = slot.correlated
-            || matches!(slot.fault, Some(FaultKind::Panic) | Some(FaultKind::Poison));
-
-        if !dead {
-            sets[fam].breakers[replica as usize].record_success(tick);
-            let trials =
-                Self::effective_work(cfg, request.cost, slot.fidelity) * cfg.trials_per_work_unit;
-            let value = Self::backend_value(pool, derive_seed(backend_master, request.id), trials);
-            // First success wins: reclaim the loser's unfinished work.
-            let mut reclaimed = 0u64;
-            for (i, other) in flight.attempts.iter().enumerate() {
-                if i != pos {
-                    if let Some(job) =
-                        sets[fam].bulkheads[other.replica as usize].cancel(request.id)
-                    {
-                        reclaimed += job.work;
-                    }
-                }
-            }
-            rstats[fam].reclaimed_work += reclaimed;
-            if slot.is_hedge {
-                rstats[fam].hedges_won += 1;
-            }
-            let penalty = match slot.fidelity {
-                Fidelity::Full => 0.0,
-                Fidelity::Reduced => cfg.reduced_penalty,
-                Fidelity::Cached => cfg.cached_penalty,
-            };
-            if let Some(tel) = telemetry.as_deref_mut() {
-                if slot.is_hedge {
-                    tel.tracer.record(
-                        tick,
-                        Event::HedgeWon {
-                            id: request.id,
-                            family: fam as u32,
-                            replica,
-                            reclaimed,
-                        },
-                    );
-                }
-                tel.tracer.record(
-                    tick,
-                    Event::RequestServed {
-                        id: request.id,
-                        family: fam as u32,
-                        fidelity: slot.fidelity.to_string(),
-                        latency,
-                    },
-                );
-                tel.tracer
-                    .record(tick, Event::CacheMiss { family: fam as u32 });
-                tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                // Causal sketch over every attempt the request ran:
-                // dead ones failed at their death tick, the winner won
-                // now, cancelled losers carry no completion tick.
-                let mut sketches: Vec<AttemptSketch> = flight
-                    .spent
-                    .iter()
-                    .map(|(s, died)| s.sketch(cfg.rate_per_server, Some(*died), false, true))
-                    .collect();
-                for (i, other) in flight.attempts.iter().enumerate() {
-                    sketches.push(if i == pos {
-                        other.sketch(cfg.rate_per_server, Some(tick), true, false)
-                    } else {
-                        other.sketch(cfg.rate_per_server, None, false, false)
-                    });
-                }
-                sketches.sort_by_key(|a| (a.enqueued, a.replica));
-                tel.causal.record(&RequestSketch {
-                    trial: 0,
-                    id: request.id,
-                    family: fam as u32,
-                    arrival: request.arrival,
-                    deadline: request.deadline,
-                    decided_at: tick,
-                    outcome: SketchOutcome::Served {
-                        fidelity: slot.fidelity.to_string(),
-                        latency,
-                        fallback: false,
-                    },
-                    attempts: sketches,
-                    gate: None,
-                });
-                tel.incidents.observe(fam as u32, request.id);
-            }
-            replica_entries[idx] = Some(ReplicaOutcome {
-                id: request.id,
-                replica,
-                hedged: flight.hedged,
-                hedge_won: slot.is_hedge,
-                failed_over: flight.failed_over,
-            });
-            flights[idx] = None;
-            return Some((
-                Disposition::Served {
-                    fidelity: slot.fidelity,
-                    latency,
-                    value,
-                },
-                penalty,
-            ));
-        }
-
-        // The attempt died. Record the failure, drop the slot, and
-        // decide: keep racing, fail over, or fall back.
-        sets[fam].breakers[replica as usize].record_failure(tick);
-        flight.attempts.remove(pos);
-        flight.spent.push((slot, tick));
-        if !flight.attempts.is_empty() {
-            // The sibling attempt is still racing — the request's fate
-            // rides on it now.
-            return None;
-        }
-        let cause = if slot.correlated {
-            "correlated-failure"
-        } else if slot.fault == Some(FaultKind::Panic) {
-            "backend-panic"
-        } else {
-            "poisoned-result"
-        };
-        if !flight.failed_over {
-            // Target first, token second: a hopeless failover (no
-            // viable replica) must not drain the budget.
-            let remaining = request
-                .arrival
-                .saturating_add(request.deadline)
-                .saturating_sub(tick);
-            let target = self.pick_spare(
-                plan,
-                trace,
-                rcfg,
-                &sets[fam],
-                request,
-                fam,
-                slot.fidelity,
-                delay_work,
-                remaining,
-                tick,
-                &[replica],
-            );
-            if let Some((t, work, fault, correlated)) = target {
-                if budgets[fam].try_spend() {
-                    sets[fam].bulkheads[t as usize].admit(Job {
-                        id: request.id,
-                        work,
-                    });
-                    sets[fam].breakers[t as usize].on_admitted();
-                    rstats[fam].routed += 1;
-                    rstats[fam].failovers += 1;
-                    if correlated {
-                        rstats[fam].correlated_hits += 1;
-                    }
-                    if fault == Some(FaultKind::Gray) {
-                        rstats[fam].gray_slots += 1;
-                    }
-                    if let Some(tel) = telemetry.as_deref_mut() {
-                        tel.tracer.record(
-                            tick,
-                            Event::ReplicaFailover {
-                                id: request.id,
-                                family: fam as u32,
-                                from_replica: replica,
-                                to_replica: t,
-                            },
-                        );
-                    }
-                    flight.failed_over = true;
-                    flight.attempts.push(AttemptSlot {
-                        replica: t,
-                        fidelity: slot.fidelity,
-                        fault,
-                        correlated,
-                        is_hedge: false,
-                        is_failover: true,
-                        enqueued: tick,
-                        base_work: Self::effective_work(cfg, request.cost, slot.fidelity),
-                        work,
-                    });
-                    return None;
-                }
-                if let Some(tel) = telemetry.as_deref_mut() {
-                    tel.tracer.record(
-                        tick,
-                        Event::RetryBudgetExhausted {
-                            family: fam as u32,
-                            kind: "failover".to_string(),
-                        },
-                    );
-                }
-            }
-        }
-        // No replica left to try: degrade to the cached answer (the
-        // same graceful fallback as the single-backend path) or fail
-        // hard with degradation off.
-        let spent_slots: Vec<(AttemptSlot, u64)> = if telemetry.is_some() {
-            flight.spent.clone()
-        } else {
-            Vec::new()
-        };
-        flights[idx] = None;
-        let sketch_of = |outcome: SketchOutcome| {
-            let mut sketches: Vec<AttemptSketch> = spent_slots
-                .iter()
-                .map(|(s, died)| s.sketch(cfg.rate_per_server, Some(*died), false, true))
-                .collect();
-            sketches.sort_by_key(|a| (a.enqueued, a.replica));
-            RequestSketch {
-                trial: 0,
-                id: request.id,
-                family: fam as u32,
-                arrival: request.arrival,
-                deadline: request.deadline,
-                decided_at: tick,
-                outcome,
-                attempts: sketches,
-                gate: None,
-            }
-        };
-        if cfg.degradation {
-            if let Some(tel) = telemetry.as_deref_mut() {
-                tel.tracer.record(
-                    tick,
-                    Event::RequestServed {
-                        id: request.id,
-                        family: fam as u32,
-                        fidelity: Fidelity::Cached.to_string(),
-                        latency,
-                    },
-                );
-                tel.tracer
-                    .record(tick, Event::CacheHit { family: fam as u32 });
-                tel.trajectory
-                    .charge(DeficitCause::Degraded, cfg.cached_penalty);
-                tel.causal.record(&sketch_of(SketchOutcome::Served {
-                    fidelity: Fidelity::Cached.to_string(),
-                    latency,
-                    fallback: true,
-                }));
-                tel.incidents.observe(fam as u32, request.id);
-            }
-            Some((
-                Disposition::Served {
-                    fidelity: Fidelity::Cached,
-                    latency,
-                    value: cached_values[fam],
-                },
-                cfg.cached_penalty,
-            ))
-        } else {
-            if let Some(tel) = telemetry {
-                tel.tracer.record(
-                    tick,
-                    Event::RequestFailed {
-                        id: request.id,
-                        family: fam as u32,
-                        cause: cause.to_string(),
-                    },
-                );
-                tel.trajectory.charge(DeficitCause::Failed, 1.0);
-                tel.causal.record(&sketch_of(SketchOutcome::Failed {
-                    cause: cause.to_string(),
-                }));
-                tel.incidents.observe(fam as u32, request.id);
-            }
-            Some((
-                Disposition::Failed {
-                    cause: cause.to_string(),
-                },
-                1.0,
-            ))
-        }
-    }
-}
-
-/// The work, fault draw, and correlated-blast draw of one attempt of
-/// `request` on `replica` at `fidelity` — a pure function of the plan,
-/// the trace identity, and the replica's diversity class. Delay faults
-/// add the plan's fixed delay work; gray faults inflate the effective
-/// work by `gray_factor`.
-#[allow(clippy::too_many_arguments)]
-fn attempt_work(
-    cfg: &crate::ServiceConfig,
-    plan: &FaultPlan,
-    trace: &RequestTrace,
-    rcfg: &ReplicationConfig,
-    request: &Request,
-    fam: usize,
-    replica: u32,
-    fidelity: Fidelity,
-    delay_work: u64,
-) -> (u64, Option<FaultKind>, bool) {
-    let family_label = &trace.families[fam];
-    let fault = plan
-        .replica_fault(family_label, trace.seed, request.id, replica)
-        .map(|f| f.kind);
-    let correlated =
-        plan.correlated_hit(family_label, trace.seed, request.id, rcfg.class_of(replica));
-    let effective = ServiceEngine::effective_work(cfg, request.cost, fidelity);
-    let work = effective
-        + match fault {
-            Some(FaultKind::Delay) => delay_work,
-            Some(FaultKind::Gray) => effective.saturating_mul(plan.gray_factor.max(1) - 1),
-            _ => 0,
-        };
-    (work, fault, correlated)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bulkhead::Job;
 
     #[test]
     fn retry_budget_refills_on_the_tick_clock() {
@@ -1467,7 +372,8 @@ mod tests {
         }
         let allowed = vec![true, true, true];
         let before: Vec<_> = set.bulkheads.iter().map(Bulkhead::peek_backlog).collect();
-        let ranked = ReplicaRouter::rank(&set, &allowed, 6);
+        let mut ranked = Vec::new();
+        ReplicaRouter::rank(&set, &allowed, 6, &mut ranked);
         assert_eq!(
             ranked,
             vec![1, 0, 2],

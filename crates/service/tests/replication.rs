@@ -5,8 +5,10 @@
 //! byte-identical for threads 1 vs 4; `R(N=2) < R(N=1)` under
 //! correlated faults at equal aggregate capacity; and retry-budget
 //! exhaustion must degrade to single-attempt serving instead of
-//! hard-failing.
+//! hard-failing. Anticipation composes with replication in the same
+//! serve loop: an anticipatory replicated storm replays byte-for-byte.
 
+use resilience_anticipate::AnticipationConfig;
 use resilience_core::faults::FaultPlan;
 use resilience_service::{
     ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
@@ -87,11 +89,13 @@ fn replicated_report_is_byte_identical_for_any_thread_budget() {
     }
 }
 
+/// `replicas: 1` and the unreplicated config run the same serve loop;
+/// they differ only in the fault key, which a quiet plan never reads.
 #[test]
 fn n1_replication_under_a_quiet_plan_matches_the_legacy_path_exactly() {
     let trace = RequestTrace::generate(&TraceSpec::new(500, 42));
     let plan = FaultPlan::none();
-    let legacy = run(
+    let unreplicated = run(
         ServiceConfig {
             servers_per_family: 4,
             ..ServiceConfig::default()
@@ -102,13 +106,13 @@ fn n1_replication_under_a_quiet_plan_matches_the_legacy_path_exactly() {
     let replicated = run(replicated_config(1, vec![], 1), &trace, &plan);
     // The replicated machinery must be pure overhead on the quiet
     // N = 1 path: every externally visible decision is identical.
-    assert_eq!(legacy.outcomes, replicated.outcomes);
-    assert_eq!(legacy.per_family, replicated.per_family);
-    assert_eq!(legacy.quality, replicated.quality);
-    assert_eq!(legacy.brownout_history, replicated.brownout_history);
-    assert_eq!(legacy.ticks, replicated.ticks);
+    assert_eq!(unreplicated.outcomes, replicated.outcomes);
+    assert_eq!(unreplicated.per_family, replicated.per_family);
+    assert_eq!(unreplicated.quality, replicated.quality);
+    assert_eq!(unreplicated.brownout_history, replicated.brownout_history);
+    assert_eq!(unreplicated.ticks, replicated.ticks);
     assert!(replicated.replication_active());
-    assert!(!legacy.replication_active());
+    assert!(!unreplicated.replication_active());
     assert_eq!(replicated.hedges_launched(), 0, "no one to hedge against");
     assert_eq!(replicated.failovers(), 0);
 }
@@ -235,4 +239,47 @@ fn replica_log_is_consistent_with_the_outcome_log() {
         hedges_won,
         "per-request hedge wins must reconcile with the family tallies"
     );
+}
+
+#[test]
+fn anticipation_composes_with_replication_under_a_correlated_storm() {
+    // A sustained overload, surged four times again mid-trace: the
+    // anticipation loop must escalate while the replica router hedges
+    // and fails over underneath it.
+    let trace = RequestTrace::generate(&TraceSpec {
+        base_rate: 6.0,
+        surge_factor: 4.0,
+        ..TraceSpec::new(600, 42)
+    });
+    let plan = correlated_chaos();
+    let anticipatory = |threads| {
+        let mut anticipation = AnticipationConfig::default();
+        anticipation.switch.emergency_on = 0.40;
+        ServiceConfig {
+            anticipation: Some(anticipation),
+            ..replicated_config(2, vec![], threads)
+        }
+    };
+    let report = run(anticipatory(1), &trace, &plan);
+    let other = run(anticipatory(2), &trace, &plan);
+    assert_eq!(
+        serde_json::to_string(&report).expect("report serializes"),
+        serde_json::to_string(&other).expect("report serializes"),
+        "the anticipatory replicated report must be byte-identical at threads 1 and 2"
+    );
+    assert!(report.emergency_ticks > 0, "the storm must reach Emergency");
+    assert!(
+        report.hedges_launched() > 0 && report.failovers() > 0,
+        "the router must hedge and fail over under the anticipation loop"
+    );
+    for (fam, stats) in report.replica_stats.iter().enumerate() {
+        assert_eq!(
+            stats.hedges_launched + stats.failovers,
+            stats.budget_spent,
+            "family {fam}: every extra attempt costs exactly one token"
+        );
+    }
+    assert_eq!(report.total(), 600, "every request adjudicated");
+    assert_eq!(report.outcomes.len(), 600);
+    assert_eq!(report.failed(), 0, "degradation still absorbs every fault");
 }

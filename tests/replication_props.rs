@@ -6,6 +6,7 @@
 //! consistency.
 
 use proptest::prelude::*;
+use systems_resilience::anticipate::AnticipationConfig;
 use systems_resilience::core::faults::FaultPlan;
 use systems_resilience::service::{
     ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
@@ -37,7 +38,8 @@ proptest! {
     /// The replicated report replays bit-identically for threads 1, 2,
     /// and 4 under arbitrary chaos mixes, replication factors, and
     /// diversity wirings — routing, hedging, failover, and budget
-    /// decisions must all live on the logical clock.
+    /// decisions must all live on the logical clock. The same holds
+    /// with anticipation steering a diverse pair through a storm.
     #[test]
     fn replicated_reports_are_thread_invariant(
         trace_seed in any::<u64>(),
@@ -63,6 +65,31 @@ proptest! {
             prop_assert!(
                 baseline == other,
                 "replicated report diverged at threads={threads}"
+            );
+        }
+
+        let storm = RequestTrace::generate(&TraceSpec {
+            base_rate: 6.0,
+            surge_factor: 4.0,
+            ..TraceSpec::new(200, trace_seed)
+        });
+        let anticipatory = |threads| {
+            let mut anticipation = AnticipationConfig::default();
+            anticipation.switch.emergency_on = 0.40;
+            ServiceEngine::new(ServiceConfig {
+                servers_per_family: 4,
+                threads,
+                anticipation: Some(anticipation),
+                replication: Some(ReplicationConfig::default()),
+                ..ServiceConfig::default()
+            })
+            .serve(&storm, &plan)
+        };
+        let baseline = anticipatory(1);
+        for threads in [2usize, 4] {
+            prop_assert!(
+                baseline == anticipatory(threads),
+                "anticipatory replicated report diverged at threads={threads}"
             );
         }
     }
@@ -149,23 +176,23 @@ proptest! {
         prop_assert!(wins <= launched, "wins cannot exceed launches");
     }
 
-    /// `N = 1` replication under a quiet plan is the legacy serve path:
-    /// identical outcomes, tallies, and quality trajectory for any
-    /// trace seed — the replication machinery must be pure plumbing
-    /// when there is nothing to route around.
+    /// `N = 1` replication under a quiet plan decides exactly as the
+    /// unreplicated config: identical outcomes, tallies, and quality
+    /// trajectory for any trace seed — the replication machinery must
+    /// be pure plumbing when there is nothing to route around.
     #[test]
     fn n1_quiet_replication_is_the_legacy_path(trace_seed in any::<u64>()) {
         let trace = RequestTrace::generate(&TraceSpec::new(200, trace_seed));
         let plan = FaultPlan::none();
-        let legacy = ServiceEngine::new(ServiceConfig {
+        let unreplicated = ServiceEngine::new(ServiceConfig {
             servers_per_family: 4,
             ..ServiceConfig::default()
         })
         .serve(&trace, &plan);
         let replicated = serve(1, Vec::new(), 1, &trace, &plan);
-        prop_assert!(legacy.outcomes == replicated.outcomes, "outcome log diverged");
-        prop_assert!(legacy.per_family == replicated.per_family);
-        prop_assert!(legacy.quality == replicated.quality);
-        prop_assert_eq!(legacy.ticks, replicated.ticks);
+        prop_assert!(unreplicated.outcomes == replicated.outcomes, "outcome log diverged");
+        prop_assert!(unreplicated.per_family == replicated.per_family);
+        prop_assert!(unreplicated.quality == replicated.quality);
+        prop_assert_eq!(unreplicated.ticks, replicated.ticks);
     }
 }
