@@ -10,7 +10,8 @@
 //! sets split the family's servers and queue slots, never add to
 //! them):
 //!
-//! - `N=1`: the stock single-backend serve path.
+//! - `N=1`: a replica set of one — one backend holding the whole
+//!   family capacity, with its own per-replica fault draws.
 //! - `N=2 homogeneous`: two replicas wired to the same diversity
 //!   class — one correlated draw fells both.
 //! - `N=2 diverse`: two replicas in distinct classes — a correlated
