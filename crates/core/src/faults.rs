@@ -732,7 +732,8 @@ pub struct RunReport {
     /// Trials that failed at least once but ultimately completed —
     /// recoveries within the budget, the paper's *k*-recoverable shocks.
     pub recovered: u64,
-    /// Trials abandoned after exhausting the retry budget.
+    /// Trials abandoned after exhausting the retry budget, in trial
+    /// order within each supervised run.
     pub lost: Vec<LostTrial>,
     /// Fraction of trial slots healthy over logical time (one sample per
     /// adjudicated attempt, in deterministic `(attempt, trial)` order),
