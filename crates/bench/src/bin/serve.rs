@@ -27,45 +27,31 @@
 //! Every service decision runs on a logical clock, so the entire
 //! per-request outcome log — not just the aggregates — is bit-identical
 //! for any `--threads` value (the `serve_cli` e2e test spawns this
-//! binary at several budgets and diffs the logs). `--compare` runs the
-//! same trace and chaos plan with degradation on and off, self-checks
-//! the graceful-degradation acceptance criteria (no hard failures with
-//! brownout on, shed rate below 100%, finite R, strictly lower R with
-//! degradation on), and prints the comparison JSON checked in as
-//! `BENCH_4.json` — exiting non-zero if any criterion fails, so CI
-//! running this binary doubles as an overload-behaviour smoke.
-//! `--compare-modes` does the same for the anticipation layer: the same
-//! trace and chaos plan served reactively (stock defense stack) and
-//! anticipatorily (early-warning detector + Normal/Alert/Emergency mode
-//! controller), self-checking that anticipation strictly shrinks the
-//! resilience triangle with zero hard failures. `--compare-redundancy`
-//! serves the same moderate-load trace under correlated chaos through
-//! three replication wirings at equal aggregate capacity — a single
-//! backend, a homogeneous replica pair (shared diversity class), and a
-//! diverse pair — self-checking that the diverse pair strictly beats
-//! both, that nothing hard-fails, and that the retry budget's token
-//! accounting reconciles exactly with the hedge+failover volume.
+//! binary at several budgets and diffs the logs).
+//!
+//! Each `--compare*` flag runs one of the self-checking comparisons in
+//! [`resilience_bench::harness`] — one trace and chaos plan through every
+//! arm, exiting 1 if an acceptance gate fails, so CI running this binary
+//! doubles as a smoke test — and prints its JSON (`--compare` is the
+//! source of `BENCH_4.json`). A comparison fixes its own arms and
+//! output, so `--log`, `--json` and `--degradation` are rejected with
+//! one.
 
 // Drivers surface failures as `die(...)` usage errors or documented
 // panics, never bare `unwrap()`.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
+use resilience_bench::harness::{
+    build_profile, compare_degradation, compare_modes, compare_redundancy, emit,
+    redundancy_trace_spec, serve_arm, DegradationArms, ModeArms, RedundancyArms, REDUNDANCY_CHAOS,
+    SERVE_CHAOS,
+};
 use resilience_core::faults::{FaultConfig, FaultPlan};
 use resilience_service::{
-    BreakerState, ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport,
-    TraceSpec,
+    BreakerState, ReplicaFamilyStats, RequestTrace, ServiceConfig, ServiceReport, TraceSpec,
 };
 use resilience_telemetry::Telemetry;
 use serde::Serialize;
-
-/// The chaos plan used when `--compare` is given without an explicit
-/// `--fault-plan`: enough damage that the ablation arm visibly bleeds.
-const DEFAULT_CHAOS: &str = "seed=11,panic=0.1,delay=0.05,poison=0.1,permanent=0.05";
-
-/// The chaos plan used when `--compare-redundancy` is given without an
-/// explicit `--fault-plan`: correlated blasts plus panics and gray
-/// slowness — the mix that makes diversity measurable.
-const REDUNDANCY_CHAOS: &str = "seed=11,panic=0.05,gray=0.1,correlated=0.25";
 
 #[derive(Serialize)]
 struct Workload {
@@ -250,11 +236,7 @@ fn arm(report: &ServiceReport) -> Arm {
 
 fn meta(threads: usize) -> Meta {
     Meta {
-        profile: if cfg!(debug_assertions) {
-            "debug"
-        } else {
-            "release"
-        },
+        profile: build_profile(),
         threads,
         determinism: "logical clock; outcome log is bit-identical for any thread budget",
     }
@@ -338,9 +320,17 @@ fn write_file(path: &str, contents: &str, flag: &str) {
         .unwrap_or_else(|e| die(&format!("cannot write {flag} {path}: {e}")));
 }
 
-fn fail(msg: &str) -> ! {
-    eprintln!("FAIL: {msg}");
-    std::process::exit(1);
+/// The value after `flag`, or a usage error naming what it needs.
+fn next_arg(it: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    it.next()
+        .unwrap_or_else(|| die(&format!("{flag} needs {what}")))
+}
+
+/// The integer after `flag`, or a usage error naming the bad value.
+fn int_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let raw = next_arg(it, flag, "an integer");
+    raw.parse()
+        .unwrap_or_else(|_| die(&format!("{flag} needs an integer, got `{raw}`")))
 }
 
 fn env_threads() -> usize {
@@ -356,97 +346,71 @@ fn main() {
     let mut seed = 42u64;
     let mut threads = env_threads();
     let mut fault_spec: Option<String> = None;
-    let mut degradation = true;
+    let mut degradation: Option<bool> = None;
     let mut json = false;
     let mut log = false;
-    let mut compare = false;
-    let mut compare_modes = false;
-    let mut compare_redundancy = false;
+    let mut compares: Vec<String> = Vec::new();
     let mut telemetry_out = TelemetryOut::default();
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut it = args.into_iter();
+    let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         match flag.as_str() {
-            "--requests" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--requests needs an integer"));
-                requests = raw
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--requests needs an integer, got `{raw}`")));
-            }
-            "--seed" => {
-                let raw = it.next().unwrap_or_else(|| die("--seed needs an integer"));
-                seed = raw
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--seed needs an integer, got `{raw}`")));
-            }
+            "--requests" => requests = int_arg(&mut it, &flag),
+            "--seed" => seed = int_arg(&mut it, &flag),
             "--threads" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--threads needs an integer"));
-                threads = raw
-                    .parse()
-                    .unwrap_or_else(|_| die(&format!("--threads needs an integer, got `{raw}`")));
+                threads = int_arg(&mut it, &flag);
                 if threads == 0 {
                     die("--threads must be at least 1");
                 }
             }
-            "--fault-plan" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--fault-plan needs a key=value spec"));
-                fault_spec = Some(raw);
-            }
+            "--fault-plan" => fault_spec = Some(next_arg(&mut it, &flag, "a key=value spec")),
             "--degradation" => {
-                let raw = it
-                    .next()
-                    .unwrap_or_else(|| die("--degradation needs on|off"));
-                degradation = match raw.as_str() {
+                degradation = Some(match next_arg(&mut it, &flag, "on|off").as_str() {
                     "on" => true,
                     "off" => false,
                     other => die(&format!("--degradation needs on|off, got `{other}`")),
-                };
+                });
             }
             "--json" => json = true,
             "--log" => log = true,
-            "--compare" => compare = true,
-            "--compare-modes" => compare_modes = true,
-            "--compare-redundancy" => compare_redundancy = true,
-            "--metrics-out" => {
-                telemetry_out.metrics = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--metrics-out needs a path")),
-                );
+            "--compare" | "--compare-modes" | "--compare-redundancy" => {
+                if !compares.contains(&flag) {
+                    compares.push(flag);
+                }
             }
-            "--prom-out" => {
-                telemetry_out.prom =
-                    Some(it.next().unwrap_or_else(|| die("--prom-out needs a path")));
-            }
-            "--trace-out" => {
-                telemetry_out.trace =
-                    Some(it.next().unwrap_or_else(|| die("--trace-out needs a path")));
-            }
+            "--metrics-out" => telemetry_out.metrics = Some(next_arg(&mut it, &flag, "a path")),
+            "--prom-out" => telemetry_out.prom = Some(next_arg(&mut it, &flag, "a path")),
+            "--trace-out" => telemetry_out.trace = Some(next_arg(&mut it, &flag, "a path")),
             "--postmortem-out" => {
-                telemetry_out.postmortem = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--postmortem-out needs a path")),
-                );
+                telemetry_out.postmortem = Some(next_arg(&mut it, &flag, "a path"));
             }
             "--help" | "-h" => die("load driver for the serving layer"),
             other => die(&format!("unknown flag `{other}`")),
         }
     }
 
-    let chaos_spec = fault_spec.unwrap_or_else(|| {
-        if compare_redundancy {
-            REDUNDANCY_CHAOS.to_string()
-        } else if compare || compare_modes {
-            DEFAULT_CHAOS.to_string()
-        } else {
-            String::new()
+    // One comparison at a time, and none of the single-run flags with
+    // it: a comparison fixes its own arms and prints its own JSON.
+    let compare = match compares.as_slice() {
+        [] => None,
+        [one] => Some(one.as_str()),
+        [a, b, ..] => die(&format!("{a} and {b} are mutually exclusive")),
+    };
+    if let Some(cmp) = compare {
+        for (flag, given) in [
+            ("--log", log),
+            ("--json", json),
+            ("--degradation", degradation.is_some()),
+        ] {
+            if given {
+                die(&format!("{flag} has no effect with {cmp}"));
+            }
         }
+    }
+    let chaos_spec = fault_spec.unwrap_or_else(|| match compare {
+        None => String::new(),
+        Some("--compare-redundancy") => REDUNDANCY_CHAOS.to_string(),
+        Some(_) => SERVE_CHAOS.to_string(),
     });
     let plan: FaultPlan = if chaos_spec.is_empty() {
         FaultPlan::none()
@@ -456,17 +420,8 @@ fn main() {
             .plan
     };
 
-    // The redundancy sweep runs at the moderate-load operating point
-    // where failovers (which re-run the dead attempt's work) still land
-    // inside deadlines — the stock surge shape would price capacity
-    // fragmentation, not redundancy.
-    let spec = if compare_redundancy {
-        TraceSpec {
-            base_rate: 0.8,
-            surge_factor: 2.5,
-            deadline: (30, 70),
-            ..TraceSpec::new(requests, seed)
-        }
+    let spec = if compare == Some("--compare-redundancy") {
+        redundancy_trace_spec(requests, seed)
     } else {
         TraceSpec::new(requests, seed)
     };
@@ -479,301 +434,140 @@ fn main() {
         surge_factor: spec.surge_factor,
         chaos_plan: chaos_spec.clone(),
     };
-    let run = |degradation: bool| {
-        ServiceEngine::new(ServiceConfig {
-            threads,
-            degradation,
-            ..ServiceConfig::default()
-        })
-        .serve(&trace, &plan)
-    };
-    // One traced run (the production arm) feeds every telemetry output;
-    // recording observes, never steers, so the report is identical to
-    // the untraced run's.
-    let run_traced = |degradation: bool, tel: &mut Telemetry| {
-        ServiceEngine::new(ServiceConfig {
-            threads,
-            degradation,
-            ..ServiceConfig::default()
-        })
-        .serve_traced(&trace, &plan, tel)
-    };
+    // Telemetry always observes a comparison's featured arm — the
+    // configuration under test — so the summary's queue-wait quantiles
+    // are always measured (tracing never steers); expositions are only
+    // written when requested.
+    let mut tel = Telemetry::new(1.0);
 
-    if compare_redundancy {
-        if compare || compare_modes {
-            die("--compare-redundancy is mutually exclusive with --compare/--compare-modes");
-        }
-        // Equal aggregate capacity in every arm: replica sets split the
-        // family's 4 servers and 16 queue slots, they never add to them.
-        let arm_config = |replicas: usize, classes: Vec<u32>| ServiceConfig {
-            threads,
-            servers_per_family: 4,
-            replication: Some(ReplicationConfig {
-                replicas,
-                diversity_classes: classes,
-                ..ReplicationConfig::default()
-            }),
-            ..ServiceConfig::default()
-        };
-        // Telemetry always observes the diverse arm — the configuration
-        // under test — so the summary's queue-wait quantiles are always
-        // measured (tracing never steers); expositions are only written
-        // when requested.
-        let mut tel = Telemetry::new(1.0);
-        let diverse =
-            ServiceEngine::new(arm_config(2, vec![])).serve_traced(&trace, &plan, &mut tel);
-        if telemetry_out.any() {
-            telemetry_out.write(&tel, &diverse);
-        }
-        let single = ServiceEngine::new(arm_config(1, vec![])).serve(&trace, &plan);
-        let homogeneous = ServiceEngine::new(arm_config(2, vec![0])).serve(&trace, &plan);
-        // Acceptance criteria — redundancy must shrink the resilience
-        // triangle, diversity must carry the win, the budget must
-        // reconcile, and nothing may hard-fail.
-        for (name, report) in [
-            ("single", &single),
-            ("homogeneous", &homogeneous),
-            ("diverse", &diverse),
-        ] {
-            if report.failed() != 0 {
-                fail(&format!(
-                    "{} hard failures in the {name} arm; faults must become fallbacks",
-                    report.failed()
-                ));
-            }
-            if report.shed_rate() >= 1.0 {
-                fail(&format!("{name} arm shed rate reached 100%"));
-            }
-            if !report.resilience_loss().is_finite() {
-                fail(&format!("non-finite resilience loss in the {name} arm"));
-            }
-        }
-        if diverse.resilience_loss() >= single.resilience_loss() {
-            fail(&format!(
-                "the diverse pair did not shrink the resilience triangle: R_diverse={} R_single={}",
-                diverse.resilience_loss(),
-                single.resilience_loss()
-            ));
-        }
-        if diverse.resilience_loss() >= homogeneous.resilience_loss() {
-            fail(&format!(
-                "diversity did not carry the win: R_diverse={} R_homogeneous={}",
-                diverse.resilience_loss(),
-                homogeneous.resilience_loss()
-            ));
-        }
-        if diverse.failovers() == 0 {
-            fail("correlated chaos never exercised failover in the diverse arm");
-        }
-        let mut stats = RedundancyStats {
-            replicas: 2,
-            hedges_launched: 0,
-            hedges_won: 0,
-            failovers: 0,
-            correlated_hits: 0,
-            gray_slots: 0,
-            reclaimed_work: 0,
-            retry_budget_spent: 0,
-            retry_budget_exhausted: 0,
-        };
-        for (fam, s) in diverse.replica_stats.iter().enumerate() {
-            if s.hedges_launched + s.failovers != s.budget_spent {
-                fail(&format!(
-                    "family {fam}: retry-budget accounting does not reconcile: \
-                     hedges={} failovers={} spent={}",
-                    s.hedges_launched, s.failovers, s.budget_spent
-                ));
-            }
-            stats.hedges_launched += s.hedges_launched;
-            stats.hedges_won += s.hedges_won;
-            stats.failovers += s.failovers;
-            stats.correlated_hits += s.correlated_hits;
-            stats.gray_slots += s.gray_slots;
-            stats.reclaimed_work += s.reclaimed_work;
-            stats.retry_budget_spent += s.budget_spent;
-            stats.retry_budget_exhausted += s.budget_exhausted;
-        }
-        let output = RedundancyCompareOutput {
-            workload,
-            comparison: RedundancyComparison {
-                resilience_loss_single: single.resilience_loss(),
-                resilience_loss_homogeneous: homogeneous.resilience_loss(),
-                resilience_loss_diverse: diverse.resilience_loss(),
-                resilience_improvement: single.resilience_loss() / diverse.resilience_loss(),
-                diversity_improvement: homogeneous.resilience_loss() / diverse.resilience_loss(),
-                goodput_gain: diverse.goodput() - single.goodput(),
-            },
-            redundancy: stats,
-            single: arm(&single),
-            homogeneous: arm(&homogeneous),
-            diverse: arm(&diverse),
-            queue_wait: queue_wait_quantiles(&tel),
-            meta: meta(threads),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializes")
-        );
-        return;
-    }
-
-    if compare_modes {
-        if compare {
-            die("--compare and --compare-modes are mutually exclusive");
-        }
-        let anticipatory_config = ServiceConfig {
-            threads,
-            anticipation: Some(resilience_anticipate::AnticipationConfig::default()),
-            ..ServiceConfig::default()
-        };
-        // Telemetry always observes the anticipatory arm — the
-        // configuration under test — so the summary's queue-wait
-        // quantiles are always measured (tracing never steers);
-        // expositions are only written when requested.
-        let mut tel = Telemetry::new(1.0);
-        let ant = ServiceEngine::new(anticipatory_config).serve_traced(&trace, &plan, &mut tel);
-        if telemetry_out.any() {
-            telemetry_out.write(&tel, &ant);
-        }
-        let react = run(true);
-        // Acceptance criteria — anticipation must see collapse coming
-        // without trading availability for the early warning.
-        if ant.failed() != 0 {
-            fail(&format!(
-                "{} hard failures with anticipation on; pre-dimming must not drop requests",
-                ant.failed()
-            ));
-        }
-        if ant.shed_rate() >= 1.0 || react.shed_rate() >= 1.0 {
-            fail("shed rate reached 100%: the service served nothing");
-        }
-        if !ant.resilience_loss().is_finite() || !react.resilience_loss().is_finite() {
-            fail("non-finite resilience loss");
-        }
-        if ant.resilience_loss() >= react.resilience_loss() {
-            fail(&format!(
-                "anticipation did not shrink the resilience triangle: R_ant={} R_react={}",
-                ant.resilience_loss(),
-                react.resilience_loss()
-            ));
-        }
-        let output = ModeCompareOutput {
-            workload,
-            comparison: ModeComparison {
-                resilience_loss_reactive: react.resilience_loss(),
-                resilience_loss_anticipatory: ant.resilience_loss(),
-                resilience_improvement: react.resilience_loss() / ant.resilience_loss(),
-                goodput_gain: ant.goodput() - react.goodput(),
-            },
-            anticipation: ModeStats {
-                alert_ticks: ant.alert_ticks,
-                emergency_ticks: ant.emergency_ticks,
-                mode_transitions: ant.mode_transitions.len(),
-            },
-            reactive: arm(&react),
-            anticipatory: arm(&ant),
-            queue_wait: queue_wait_quantiles(&tel),
-            meta: meta(threads),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializes")
-        );
-        return;
-    }
-
-    if compare {
-        // Telemetry always observes the degradation-on arm so the
-        // summary's queue-wait quantiles are always measured (tracing
-        // never steers); expositions are only written when requested.
-        let mut tel = Telemetry::new(1.0);
-        let on = run_traced(true, &mut tel);
-        if telemetry_out.any() {
+    match compare {
+        Some("--compare") => {
+            let DegradationArms { on, off } =
+                compare_degradation(&trace, &plan, threads, Some(&mut tel));
             telemetry_out.write(&tel, &on);
+            emit(&CompareOutput {
+                workload,
+                comparison: Comparison {
+                    resilience_loss_on: on.resilience_loss(),
+                    resilience_loss_off: off.resilience_loss(),
+                    resilience_improvement: off.resilience_loss() / on.resilience_loss(),
+                    goodput_gain: on.goodput() - off.goodput(),
+                },
+                degradation_on: arm(&on),
+                degradation_off: arm(&off),
+                queue_wait: queue_wait_quantiles(&tel),
+                meta: meta(threads),
+            });
         }
-        let off = run(false);
-        // Acceptance criteria — this binary is its own smoke test.
-        if on.failed() != 0 {
-            fail(&format!(
-                "{} hard failures with degradation on; faults must become fallbacks",
-                on.failed()
-            ));
+        Some("--compare-modes") => {
+            let ModeArms {
+                reactive: react,
+                anticipatory: ant,
+            } = compare_modes(&trace, &plan, threads, Some(&mut tel));
+            telemetry_out.write(&tel, &ant);
+            emit(&ModeCompareOutput {
+                workload,
+                comparison: ModeComparison {
+                    resilience_loss_reactive: react.resilience_loss(),
+                    resilience_loss_anticipatory: ant.resilience_loss(),
+                    resilience_improvement: react.resilience_loss() / ant.resilience_loss(),
+                    goodput_gain: ant.goodput() - react.goodput(),
+                },
+                anticipation: ModeStats {
+                    alert_ticks: ant.alert_ticks,
+                    emergency_ticks: ant.emergency_ticks,
+                    mode_transitions: ant.mode_transitions.len(),
+                },
+                reactive: arm(&react),
+                anticipatory: arm(&ant),
+                queue_wait: queue_wait_quantiles(&tel),
+                meta: meta(threads),
+            });
         }
-        if on.shed_rate() >= 1.0 || off.shed_rate() >= 1.0 {
-            fail("shed rate reached 100%: the service served nothing");
+        Some(_) => {
+            // --compare-redundancy
+            let RedundancyArms {
+                single,
+                homogeneous,
+                diverse,
+            } = compare_redundancy(&trace, &plan, threads, Some(&mut tel));
+            telemetry_out.write(&tel, &diverse);
+            let total = |field: fn(&ReplicaFamilyStats) -> u64| {
+                diverse.replica_stats.iter().map(field).sum()
+            };
+            let stats = RedundancyStats {
+                replicas: 2,
+                hedges_launched: diverse.hedges_launched(),
+                hedges_won: total(|s| s.hedges_won),
+                failovers: diverse.failovers(),
+                correlated_hits: total(|s| s.correlated_hits),
+                gray_slots: total(|s| s.gray_slots),
+                reclaimed_work: total(|s| s.reclaimed_work),
+                retry_budget_spent: total(|s| s.budget_spent),
+                retry_budget_exhausted: total(|s| s.budget_exhausted),
+            };
+            emit(&RedundancyCompareOutput {
+                workload,
+                comparison: RedundancyComparison {
+                    resilience_loss_single: single.resilience_loss(),
+                    resilience_loss_homogeneous: homogeneous.resilience_loss(),
+                    resilience_loss_diverse: diverse.resilience_loss(),
+                    resilience_improvement: single.resilience_loss() / diverse.resilience_loss(),
+                    diversity_improvement: homogeneous.resilience_loss()
+                        / diverse.resilience_loss(),
+                    goodput_gain: diverse.goodput() - single.goodput(),
+                },
+                redundancy: stats,
+                single: arm(&single),
+                homogeneous: arm(&homogeneous),
+                diverse: arm(&diverse),
+                queue_wait: queue_wait_quantiles(&tel),
+                meta: meta(threads),
+            });
         }
-        if !on.resilience_loss().is_finite() || !off.resilience_loss().is_finite() {
-            fail("non-finite resilience loss");
+        None => {
+            let degradation = degradation.unwrap_or(true);
+            let config = ServiceConfig {
+                threads,
+                degradation,
+                ..ServiceConfig::default()
+            };
+            let traced = telemetry_out.any().then_some(&mut tel);
+            let report = serve_arm(config, &trace, &plan, traced);
+            telemetry_out.write(&tel, &report);
+            if log {
+                for outcome in &report.outcomes {
+                    println!("{outcome}");
+                }
+            }
+            let summary = arm(&report);
+            if json {
+                emit(&SingleOutput {
+                    workload,
+                    degradation,
+                    arm: summary,
+                    meta: meta(threads),
+                });
+            } else if !log {
+                println!(
+                    "serve: {} requests seed={} degradation={} | served={} (full={} reduced={} cached={}) \
+                     shed={} failed={} | goodput={:.3} shed_rate={:.3} mean_latency={:.1} ticks={} R={:.1}",
+                    report.total(),
+                    seed,
+                    if degradation { "on" } else { "off" },
+                    report.served(),
+                    summary.served_full,
+                    summary.served_reduced,
+                    summary.served_cached,
+                    report.shed(),
+                    report.failed(),
+                    report.goodput(),
+                    report.shed_rate(),
+                    report.mean_latency(),
+                    report.ticks,
+                    report.resilience_loss(),
+                );
+            }
         }
-        if on.resilience_loss() >= off.resilience_loss() {
-            fail(&format!(
-                "degradation did not shrink the resilience triangle: R_on={} R_off={}",
-                on.resilience_loss(),
-                off.resilience_loss()
-            ));
-        }
-        let output = CompareOutput {
-            workload,
-            comparison: Comparison {
-                resilience_loss_on: on.resilience_loss(),
-                resilience_loss_off: off.resilience_loss(),
-                resilience_improvement: off.resilience_loss() / on.resilience_loss(),
-                goodput_gain: on.goodput() - off.goodput(),
-            },
-            degradation_on: arm(&on),
-            degradation_off: arm(&off),
-            queue_wait: queue_wait_quantiles(&tel),
-            meta: meta(threads),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializes")
-        );
-        return;
-    }
-
-    let report = if telemetry_out.any() {
-        let mut tel = Telemetry::new(1.0);
-        let report = run_traced(degradation, &mut tel);
-        telemetry_out.write(&tel, &report);
-        report
-    } else {
-        run(degradation)
-    };
-    if log {
-        for outcome in &report.outcomes {
-            println!("{outcome}");
-        }
-    }
-    if json {
-        let output = SingleOutput {
-            workload,
-            degradation,
-            arm: arm(&report),
-            meta: meta(threads),
-        };
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&output).expect("serializes")
-        );
-    } else if !log {
-        println!(
-            "serve: {} requests seed={} degradation={} | served={} (full={} reduced={} cached={}) \
-             shed={} failed={} | goodput={:.3} shed_rate={:.3} mean_latency={:.1} ticks={} R={:.1}",
-            report.total(),
-            seed,
-            if degradation { "on" } else { "off" },
-            report.served(),
-            arm(&report).served_full,
-            arm(&report).served_reduced,
-            arm(&report).served_cached,
-            report.shed(),
-            report.failed(),
-            report.goodput(),
-            report.shed_rate(),
-            report.mean_latency(),
-            report.ticks,
-            report.resilience_loss(),
-        );
     }
 }

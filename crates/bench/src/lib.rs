@@ -16,7 +16,9 @@
 //! (`resilience_core::runtime`) guarantees bit-identical output for any
 //! `--threads` value.
 //!
-//! Criterion benchmarks for the hot kernels live in `benches/`.
+//! Criterion benchmarks for the hot kernels live in `benches/`; the
+//! self-checking drivers (`serve --compare*`, `bench_smoke`) share the
+//! [`harness`] module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@
 
 pub mod checkpoint;
 pub mod experiments;
+pub mod harness;
 pub mod table;
 
 pub use checkpoint::{CheckpointEntry, ExperimentCheckpoint, ReportEntry, ReportJournal};

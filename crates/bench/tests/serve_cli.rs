@@ -109,3 +109,31 @@ fn threads_env_var_is_honoured_and_harmless() {
     assert!(out.status.success());
     assert_eq!(via_flag, String::from_utf8_lossy(&out.stdout));
 }
+
+#[test]
+fn single_run_flag_under_compare_exits_2_naming_it() {
+    // A comparison fixes its own arms and output, so a single-run flag
+    // beside it would be silently ignored; it is rejected instead.
+    let out = serve()
+        .args(["--compare-modes", "--log"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--log"), "stderr: {stderr}");
+    assert!(out.stdout.is_empty(), "nothing may run: {stderr}");
+}
+
+#[test]
+fn two_comparisons_exit_2_naming_both() {
+    let out = serve()
+        .args(["--compare", "--compare-redundancy"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--compare ") && stderr.contains("--compare-redundancy"),
+        "stderr: {stderr}"
+    );
+}
