@@ -22,6 +22,14 @@ pub fn seeded_rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
 }
 
+/// The first `u64` that [`seeded_rng`]`(seed)` yields, computed from one
+/// ChaCha8 block without building the generator: the draw of a trial
+/// that takes exactly one `u64`.
+#[inline]
+pub fn first_draw(seed: u64) -> u64 {
+    rand_chacha::chacha8_first_u64(seed)
+}
+
 /// Derive a sub-seed from a master seed and a stream index.
 ///
 /// Used to give each replicate / agent / trial its own independent stream

@@ -45,9 +45,12 @@
 //! **Determinism contract.** Every decision reads only logical-clock
 //! state: arrival ticks, work units, seeded fault lookups, and breaker/
 //! dimmer/mode state derived from them. The only parallelism is inside
-//! the backend computation, which uses [`ParallelTrials`] and is
-//! therefore bit-identical for any thread budget. Consequently the
-//! entire per-request outcome log — dispositions, latencies, *and*
+//! the backend computation, which folds its trials in 4096-trial chunks
+//! in ascending order through [`ParallelTrials::run_ranges`] and is
+//! therefore bit-identical for any thread budget. The thread budget fans
+//! out only a backend call larger than one chunk: opening a thread scope
+//! costs more than a serve-sized call, so those run inline. Consequently
+//! the entire per-request outcome log — dispositions, latencies, *and*
 //! backend values — replays exactly for any `threads`, which is what
 //! the replay tests assert.
 //!
@@ -60,14 +63,13 @@
 //! `bruneau::resilience_loss` over this trajectory — the service scores
 //! its own resilience triangle.
 
-use rand::Rng;
 use resilience_anticipate::{
     AnticipationConfig, AnticipationController, LossWindow, ModeTransition, OperatingMode,
 };
 use resilience_core::bruneau::resilience_loss;
 use resilience_core::faults::{FaultKind, FaultPlan};
 use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
-use resilience_core::rng::derive_seed;
+use resilience_core::rng::{derive_seed, first_draw};
 use resilience_core::runtime::ParallelTrials;
 use resilience_telemetry::causal::{
     AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
@@ -109,7 +111,10 @@ pub struct ServiceConfig {
     pub cached_penalty: f64,
     /// Monte Carlo trials per work unit in the backend computation.
     pub trials_per_work_unit: u64,
-    /// Physical worker threads for backend computations.
+    /// Physical worker threads for backend computations. Only a backend
+    /// call of more than one 4096-trial chunk fans out over them; a
+    /// serve-sized call runs inline, since a thread scope costs more
+    /// than the call.
     pub threads: usize,
     /// The anticipation loop: early-warning detection over the live
     /// deficit stream plus Normal/Alert/Emergency policy switching.
@@ -373,19 +378,30 @@ impl ServiceEngine {
         }
     }
 
-    /// The backend computation: an XOR fold of seeded Monte Carlo
-    /// draws on the physical thread pool — bit-identical for any thread
-    /// budget by the runtime's determinism contract.
+    /// The backend computation: an XOR fold of one seeded Monte Carlo
+    /// draw per trial, in [`BACKEND_CHUNK`]-sized ranges folded in chunk
+    /// order — bit-identical for any thread budget.
     fn backend_value(pool: &ParallelTrials, seed: u64, trials: u64) -> u64 {
-        pool.run(
+        pool.run_ranges(
             trials,
-            seed,
-            |idx, rng| idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rng.gen::<u64>(),
+            BACKEND_CHUNK,
+            |range| {
+                range.fold(0u64, |acc, idx| {
+                    acc ^ idx.wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                        ^ first_draw(derive_seed(seed, idx))
+                })
+            },
             0u64,
             |acc, x| acc ^ x,
         )
     }
 }
+
+/// Trials per chunk of a backend computation. Only a call larger than
+/// one chunk fans out over the thread budget: a serve's calls (16 to
+/// ~2000 trials) run inline, because opening a thread scope costs more
+/// than the whole call.
+const BACKEND_CHUNK: u64 = 4096;
 
 /// One dispatched attempt of an in-flight request.
 #[derive(Debug, Clone, Copy)]
@@ -1716,4 +1732,35 @@ fn last_open_tick(breaker: &CircuitBreaker) -> Option<u64> {
         .rev()
         .find(|t| t.to == BreakerState::Open)
         .map(|t| t.tick)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::Rng;
+
+    /// The chunked one-block fold equals the per-trial generator fold it
+    /// replaced, across chunk edges and the multi-chunk fan-out path.
+    #[test]
+    fn chunked_backend_matches_per_trial_fold() {
+        for trials in [0, 1, 4095, 4096, 4097, 3 * BACKEND_CHUNK + 17] {
+            for seed in [0, 42, u64::MAX] {
+                let per_trial = ParallelTrials::new(1).run(
+                    trials,
+                    seed,
+                    |idx, rng| idx.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ rng.gen::<u64>(),
+                    0u64,
+                    |acc, x| acc ^ x,
+                );
+                for threads in 1..=4 {
+                    let pool = ParallelTrials::new(threads);
+                    assert_eq!(
+                        ServiceEngine::backend_value(&pool, seed, trials),
+                        per_trial,
+                        "trials {trials}, seed {seed}, threads {threads}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -2,12 +2,16 @@
 //! parallel runtime hangs its determinism contract on: trial `i` of a
 //! batch is seeded with `derive_seed(master, i)`, so collisions between
 //! streams (or between experiments' stream bases) would silently correlate
-//! Monte Carlo trials.
+//! Monte Carlo trials. Also pins `first_draw`, the one-block kernel the
+//! service backend draws each trial's single `u64` with, to the first
+//! draw of the trial's seeded generator.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use systems_resilience::core::derive_seed;
+use rand::Rng;
+use systems_resilience::core::rng::first_draw;
+use systems_resilience::core::{derive_seed, seeded_rng};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -58,5 +62,23 @@ proptest! {
     #[test]
     fn deterministic(master in any::<u64>(), stream in any::<u64>()) {
         prop_assert_eq!(derive_seed(master, stream), derive_seed(master, stream));
+    }
+
+    /// The one-block kernel a single-draw trial uses is exactly the
+    /// first `u64` of that trial's seeded generator.
+    #[test]
+    fn first_draw_is_the_generators_first_u64(seed in any::<u64>()) {
+        prop_assert_eq!(first_draw(seed), seeded_rng(seed).gen::<u64>());
+    }
+}
+
+#[test]
+fn first_draw_matches_generator_at_edge_seeds() {
+    for seed in [0, u64::MAX, 1 << 63] {
+        assert_eq!(
+            first_draw(seed),
+            seeded_rng(seed).gen::<u64>(),
+            "seed {seed:#x}"
+        );
     }
 }
