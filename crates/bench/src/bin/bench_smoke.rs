@@ -378,9 +378,9 @@ struct ClusterScale {
 /// bit-identity of experiment tables and serialized cascade logs.
 fn run_cluster_smoke(reps: usize) {
     use resilience_bench::experiments::c01_cluster_attack;
-    use resilience_cluster::{AttackSpec, ClusterConfig, ClusterEngine, CsrTopology, TopologyKind};
+    use resilience_cluster::{AttackSpec, ClusterConfig, ClusterEngine, TopologyKind};
     use resilience_core::FaultPlan;
-    use resilience_networks::AttackStrategy;
+    use resilience_networks::{AttackStrategy, Graph};
 
     // Gate 1: the attack-vs-random experiment table is bit-identical
     // across thread budgets.
@@ -438,7 +438,7 @@ fn run_cluster_smoke(reps: usize) {
     const M_NODES: usize = 1_000_000;
     const M_TICKS: u64 = 5;
     let m_kind = TopologyKind::ScaleFree { m: 3 };
-    let m_topology_secs = median_secs(reps, || CsrTopology::generate(&m_kind, M_NODES, 0xC3));
+    let m_topology_secs = median_secs(reps, || Graph::generate(&m_kind, M_NODES, 0xC3));
     let mut m_config = ClusterConfig::new(M_NODES, m_kind);
     m_config.ticks = M_TICKS;
     m_config.headroom = 1.0;

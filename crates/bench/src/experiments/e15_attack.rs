@@ -64,7 +64,9 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
              random removals yet shatters under hub attack — its \
              random-vs-targeted robustness gap ({ba_gap:.3}) is ~{:.1}× the \
              Erdős–Rényi control's ({er_gap:.3}), reproducing the Barabási \
-             asymmetry",
+             asymmetry (the control is drawn by O(edges) geometric \
+             skip-sampling, the generator the cluster runs share, and its \
+             draws precede the random-removal shuffles on one stream)",
             ba_gap / er_gap.max(1e-9)
         ),
     }

@@ -14,8 +14,8 @@
 //! pure function of `(topology, loads, initial frontier)`. No RNG, no
 //! thread-dependent ordering.
 
-use crate::topology::CsrTopology;
 use resilience_dcsp::BitWords;
+use resilience_networks::Graph;
 use serde::{Deserialize, Serialize};
 
 /// Outcome of one cascade (a maximal sequence of topple waves).
@@ -69,7 +69,7 @@ impl CascadeScratch {
 /// On return every overloaded node reachable from the trigger has
 /// toppled: cleared from `alive`, load redistributed onward.
 pub fn propagate(
-    topology: &CsrTopology,
+    topology: &Graph,
     alive: &mut BitWords,
     load: &mut [f64],
     capacity: &[f64],
@@ -139,8 +139,8 @@ mod tests {
     use super::*;
 
     /// Star: hub 0 linked to 1..=4.
-    fn star() -> CsrTopology {
-        CsrTopology::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)])
+    fn star() -> Graph {
+        Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)])
     }
 
     #[test]
@@ -172,7 +172,7 @@ mod tests {
     fn overload_topples_in_waves() {
         // Chain 0-1-2-3 with tight capacities: killing 0 overloads 1,
         // whose shed overloads 2, etc.
-        let top = CsrTopology::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let top = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
         let mut alive = BitWords::new_filled(4);
         let mut load = vec![1.0, 1.0, 1.0, 1.0];
         let capacity = vec![1.5, 1.5, 1.5, 10.0];
@@ -199,7 +199,7 @@ mod tests {
 
     #[test]
     fn isolated_death_sheds_load() {
-        let top = CsrTopology::from_edges(3, &[(0, 1)]);
+        let top = Graph::from_edges(3, &[(0, 1)]);
         let mut alive = BitWords::new_filled(3);
         let mut load = vec![1.0, 1.0, 2.5];
         let capacity = vec![5.0, 5.0, 5.0];
@@ -220,12 +220,12 @@ mod tests {
 
     #[test]
     fn cascade_is_deterministic() {
-        let top = CsrTopology::generate(&crate::TopologyKind::ScaleFree { m: 3 }, 2_000, 9);
+        let top = Graph::generate(&crate::TopologyKind::ScaleFree { m: 3 }, 2_000, 9);
         let run = || {
             let mut alive = BitWords::new_filled(2_000);
             let mut load: Vec<f64> = (0..2_000).map(|v| top.degree(v) as f64 / 6.0).collect();
             let capacity: Vec<f64> = load.iter().map(|l| 1.05 * l).collect();
-            let order = top.degrees_desc();
+            let order = top.nodes_by_degree_desc();
             let mut frontier: Vec<u32> = order[..20].to_vec();
             frontier.sort_unstable();
             for &v in &frontier {

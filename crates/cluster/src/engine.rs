@@ -32,12 +32,11 @@
 use crate::burn::{select_most_stressed, BurnPolicy};
 use crate::cascade::{propagate, CascadeScratch, CascadeStats};
 use crate::node::NodeFleet;
-use crate::topology::{CsrTopology, TopologyKind};
 use rand::Rng;
 use resilience_anticipate::OperatingMode;
 use resilience_core::{resilience_loss, seeded_rng, FaultKind, FaultPlan, RecoveryPolicy};
 use resilience_dcsp::BitWords;
-use resilience_networks::AttackStrategy;
+use resilience_networks::{AttackStrategy, Graph, TopologyKind};
 use resilience_telemetry::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 use serde::{Deserialize, Serialize};
 
@@ -260,7 +259,7 @@ impl ClusterReport {
 /// `&self`).
 #[derive(Debug, Clone)]
 pub struct ClusterEngine {
-    topology: CsrTopology,
+    topology: Graph,
     template: NodeFleet,
     attack_order: Vec<u32>,
     config: ClusterConfig,
@@ -270,14 +269,14 @@ impl ClusterEngine {
     /// Generate the topology from `topology_seed` and provision the
     /// fleet.
     pub fn new(config: ClusterConfig, topology_seed: u64) -> Self {
-        let topology = CsrTopology::generate(&config.topology, config.n, topology_seed);
+        let topology = Graph::generate(&config.topology, config.n, topology_seed);
         Self::with_topology(config, topology)
     }
 
     /// Provision over an existing topology.
-    pub fn with_topology(config: ClusterConfig, topology: CsrTopology) -> Self {
+    pub fn with_topology(config: ClusterConfig, topology: Graph) -> Self {
         let template = NodeFleet::provision(&topology, config.headroom);
-        let attack_order = topology.degrees_desc();
+        let attack_order = topology.nodes_by_degree_desc();
         ClusterEngine {
             topology,
             template,
@@ -287,7 +286,7 @@ impl ClusterEngine {
     }
 
     /// The generated topology.
-    pub fn topology(&self) -> &CsrTopology {
+    pub fn topology(&self) -> &Graph {
         &self.topology
     }
 
@@ -622,7 +621,7 @@ impl ClusterEngine {
 
             // 9. Score the tick.
             let alive_count = alive.count() as u64;
-            let giant = self.topology.giant_component(&alive).giant_size() as u64;
+            let giant = self.topology.giant_component(|v| alive.get(v)) as u64;
             report.min_giant = report.min_giant.min(giant);
             let disconnected = alive_count.saturating_sub(giant);
             obs.charge(DeficitCause::Retry, scheduled.len() as f64);
@@ -646,7 +645,7 @@ impl ClusterEngine {
         }
 
         report.final_alive = alive.count() as u64;
-        report.final_giant = self.topology.giant_component(&alive).giant_size() as u64;
+        report.final_giant = self.topology.giant_component(|v| alive.get(v)) as u64;
         if report.min_giant == u64::MAX {
             report.min_giant = report.final_giant;
         }

@@ -10,8 +10,11 @@
 //! distributions at criticality, and prescribed-burn policies scored
 //! as ΔR.
 //!
-//! * [`CsrTopology`] — compressed-sparse-row adjacency at million-node
-//!   scale; scale-free, Erdős–Rényi, and Watts–Strogatz generators.
+//! * Topology — the cluster runs on [`resilience_networks::Graph`], the
+//!   workspace's one compressed-sparse-row graph, drawn by
+//!   `Graph::generate` from a seeded [`TopologyKind`] (scale-free,
+//!   Erdős–Rényi or Watts–Strogatz) and scored each tick by its
+//!   giant-component routine.
 //! * [`NodeFleet`] — structure-of-arrays per-node service state
 //!   (baseline demand, Motter–Lai capacity, load, MAPE-K bookkeeping).
 //! * [`propagate`] — deterministic cascade waves over word-packed
@@ -58,7 +61,6 @@ pub mod cascade;
 pub mod engine;
 pub mod node;
 pub mod telemetry;
-pub mod topology;
 
 pub use burn::{select_most_stressed, BurnPolicy};
 pub use cascade::{propagate, CascadeScratch, CascadeStats};
@@ -70,4 +72,7 @@ pub use node::{NodeFleet, NEVER};
 pub use telemetry::{
     record_cluster_events, record_cluster_incidents, record_cluster_metrics, CASCADE_SIZE_BOUNDS,
 };
-pub use topology::{CsrTopology, GiantView, TopologyKind};
+// `Graph` keeps its old cluster-side name for the reference benchmark
+// (`refbench/`), which is pinned to this import path; everything in the
+// workspace itself names `resilience_networks::Graph`.
+pub use resilience_networks::{Graph as CsrTopology, TopologyKind};

@@ -8,8 +8,8 @@
 //! revival executes. Millions of nodes means no per-node structs: five
 //! flat arrays, indexed by node id.
 
-use crate::topology::CsrTopology;
 use resilience_core::RecoveryPolicy;
+use resilience_networks::Graph;
 
 /// Sentinel for "no revival scheduled".
 pub const NEVER: u64 = u64::MAX;
@@ -36,7 +36,7 @@ impl NodeFleet {
     /// Provision a fleet over `topology` with overload headroom
     /// `headroom` (the Motter–Lai α). Isolated nodes get the mean
     /// baseline of 1 so they still represent a unit of demand.
-    pub fn provision(topology: &CsrTopology, headroom: f64) -> Self {
+    pub fn provision(topology: &Graph, headroom: f64) -> Self {
         let n = topology.len();
         let mean_degree = topology.mean_degree().max(1.0);
         let mut baseline = Vec::with_capacity(n);
@@ -99,7 +99,7 @@ impl NodeFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{CsrTopology, TopologyKind};
+    use resilience_networks::{Graph, TopologyKind};
     use std::time::Duration;
 
     fn policy() -> RecoveryPolicy {
@@ -113,7 +113,7 @@ mod tests {
 
     #[test]
     fn provisioning_tracks_degree() {
-        let top = CsrTopology::generate(&TopologyKind::ScaleFree { m: 2 }, 300, 5);
+        let top = Graph::generate(&TopologyKind::ScaleFree { m: 2 }, 300, 5);
         let fleet = NodeFleet::provision(&top, 0.25);
         assert_eq!(fleet.len(), 300);
         let mean: f64 = fleet.baseline.iter().sum::<f64>() / 300.0;
@@ -126,7 +126,7 @@ mod tests {
 
     #[test]
     fn recovery_budget_and_backoff() {
-        let top = CsrTopology::from_edges(2, &[(0, 1)]);
+        let top = Graph::from_edges(2, &[(0, 1)]);
         let mut fleet = NodeFleet::provision(&top, 0.5);
         let p = policy();
         // First failure: backoff 2 ticks → revival at now + 3.

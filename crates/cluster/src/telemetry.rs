@@ -209,9 +209,9 @@ pub fn record_cluster_metrics(registry: &mut MetricsRegistry, report: &ClusterRe
 mod tests {
     use super::*;
     use crate::engine::{AttackSpec, ClusterConfig, ClusterEngine};
-    use crate::topology::TopologyKind;
     use resilience_core::FaultPlan;
     use resilience_networks::AttackStrategy;
+    use resilience_networks::TopologyKind;
 
     fn sample_report() -> ClusterReport {
         let mut config = ClusterConfig::new(300, TopologyKind::ScaleFree { m: 3 });

@@ -70,9 +70,8 @@ pub fn attack_sweep<R: Rng + ?Sized>(
             nodes
         }
         AttackStrategy::TargetedByDegree => {
-            let mut nodes = graph.nodes_by_degree_desc();
-            nodes.truncate(max_removals);
-            nodes
+            let nodes = graph.nodes_by_degree_desc();
+            nodes[..max_removals].iter().map(|&v| v as usize).collect()
         }
     };
     AttackCurve {
@@ -146,11 +145,7 @@ mod tests {
     #[test]
     fn targeted_removes_hubs_first() {
         let mut rng = seeded_rng(113);
-        let mut g = Graph::new(5);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
-        g.add_edge(0, 4);
+        let g = Graph::from_edges(5, &[(0, 1), (0, 2), (0, 3), (0, 4)]);
         // Star: removing the hub disconnects everything.
         let c = attack_sweep(&g, AttackStrategy::TargetedByDegree, 1, &mut rng);
         assert!((c.giant[0] - 1.0).abs() < 1e-12);

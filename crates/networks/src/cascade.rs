@@ -149,7 +149,7 @@ pub fn sir_epidemic<R: Rng + ?Sized>(
         }
         Immunization::Hubs { count } => {
             for &v in graph.nodes_by_degree_desc().iter().take(count.min(n)) {
-                state[v] = State::Immune;
+                state[v as usize] = State::Immune;
             }
         }
     }

@@ -1,54 +1,129 @@
-//! Graph generators: Barabási–Albert scale-free networks, Erdős–Rényi
-//! random graphs, and reference lattices.
+//! Graph generators, one per family: Barabási–Albert scale-free
+//! networks, Erdős–Rényi random graphs, Watts–Strogatz small worlds, and
+//! the planted-partition and complete reference graphs.
+//!
+//! Each generator draws an edge list from the caller's RNG and hands it
+//! to [`Graph::from_edges`]. [`Graph::generate`] picks the generator for
+//! a [`TopologyKind`] and seeds it, so a topology is a pure function of
+//! `(kind, n, seed)`.
 
 use rand::Rng;
+use resilience_core::seeded_rng;
+use serde::{Deserialize, Serialize};
 
 use crate::graph::Graph;
 
-/// Barabási–Albert preferential attachment: start from a small complete
-/// seed of `m + 1` nodes, then attach each new node to `m` distinct
-/// existing nodes chosen with probability proportional to degree (via the
-/// repeated-endpoint trick). Produces the power-law degree distribution
-/// behind §5.1's scale-free robustness claims.
+/// Which generator family to draw a topology from.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub enum TopologyKind {
+    /// Barabási–Albert preferential attachment: each new node attaches
+    /// `m` edges to existing nodes with probability proportional to
+    /// degree. Produces a power-law degree tail (hubs).
+    ScaleFree {
+        /// Edges attached by each arriving node (`m ≥ 1`).
+        m: usize,
+    },
+    /// Erdős–Rényi `G(n, p)` with `p` chosen to hit `mean_degree`.
+    /// Degree distribution is binomial — no hubs.
+    Random {
+        /// Expected mean degree (`p = mean_degree / (n − 1)`).
+        mean_degree: f64,
+    },
+    /// Watts–Strogatz small-world: ring lattice of degree `k` with each
+    /// far endpoint rewired with probability `beta`.
+    SmallWorld {
+        /// Ring degree (each node links `k/2` to each side; even, ≥ 2).
+        k: usize,
+        /// Rewiring probability in `[0, 1]`.
+        beta: f64,
+    },
+}
+
+impl TopologyKind {
+    /// Short label for tables and metric names.
+    pub fn label(&self) -> &'static str {
+        match self {
+            TopologyKind::ScaleFree { .. } => "scale_free",
+            TopologyKind::Random { .. } => "random",
+            TopologyKind::SmallWorld { .. } => "small_world",
+        }
+    }
+}
+
+impl Graph {
+    /// Generate a topology of `n` nodes from `kind`, deterministically
+    /// from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX` nodes or the kind's parameters
+    /// are degenerate (`m == 0`, odd or too small `k`, negative
+    /// `mean_degree`, `beta ∉ [0, 1]`).
+    pub fn generate(kind: &TopologyKind, n: usize, seed: u64) -> Self {
+        let mut rng = seeded_rng(seed);
+        match *kind {
+            TopologyKind::ScaleFree { m } => barabasi_albert(n, m, &mut rng),
+            TopologyKind::Random { mean_degree } => {
+                assert!(mean_degree >= 0.0, "mean_degree must be non-negative");
+                let p = (mean_degree / n.saturating_sub(1).max(1) as f64).min(1.0);
+                erdos_renyi(n, p, &mut rng)
+            }
+            TopologyKind::SmallWorld { k, beta } => watts_strogatz(n, k, beta, &mut rng),
+        }
+    }
+}
+
+/// Barabási–Albert preferential attachment, endpoint-multiset form.
+///
+/// Seeded with a clique of `m + 1` nodes (all `n` if `n ≤ m + 1`); every
+/// later node attaches `m` edges whose far endpoints are drawn uniformly
+/// from the flat vector of all previous edge endpoints — sampling a node
+/// with probability proportional to its degree. Duplicate targets within
+/// one arrival are redrawn, so the graph is simple. Produces the
+/// power-law degree distribution behind §5.1's scale-free robustness
+/// claims.
 ///
 /// # Panics
 ///
-/// Panics if `m == 0` or `n < m + 1`.
+/// Panics if `m == 0`.
 pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, m: usize, rng: &mut R) -> Graph {
-    assert!(m > 0, "attachment count m must be positive");
-    assert!(n > m, "need more nodes than the seed size");
-    let mut g = Graph::new(n);
-    // Complete seed on m+1 nodes.
-    let seed = m + 1;
-    // Endpoint multiset: each edge contributes both endpoints, so sampling
-    // uniformly from it is degree-proportional sampling.
-    let mut endpoints: Vec<u32> = Vec::with_capacity(4 * n * m);
-    for a in 0..seed {
-        for b in (a + 1)..seed {
-            g.add_edge(a, b);
+    assert!(m >= 1, "scale-free m must be >= 1");
+    let core = (m + 1).min(n);
+    let mut edges: Vec<(u32, u32)> =
+        Vec::with_capacity(core * core / 2 + n.saturating_sub(core) * m);
+    let mut endpoints: Vec<u32> = Vec::with_capacity(2 * edges.capacity());
+    for a in 0..core {
+        for b in (a + 1)..core {
+            edges.push((a as u32, b as u32));
             endpoints.push(a as u32);
             endpoints.push(b as u32);
         }
     }
-    for v in seed..n {
-        let mut targets = Vec::with_capacity(m);
+    let mut targets: Vec<u32> = Vec::with_capacity(m);
+    for v in core..n {
+        targets.clear();
         while targets.len() < m {
-            let t = endpoints[rng.gen_range(0..endpoints.len())] as usize;
-            if t != v && !targets.contains(&t) {
+            let t = endpoints[rng.gen_range(0..endpoints.len())];
+            if !targets.contains(&t) {
                 targets.push(t);
             }
         }
         for &t in &targets {
-            g.add_edge(v, t);
+            edges.push((v as u32, t));
             endpoints.push(v as u32);
-            endpoints.push(t as u32);
+            endpoints.push(t);
         }
     }
-    g
+    // Free the multiset before the CSR arrays are allocated: at scale it
+    // is as large as the edge list, and would otherwise raise peak memory.
+    drop(endpoints);
+    Graph::from_edges(n, &edges)
 }
 
-/// Erdős–Rényi `G(n, p)`: each pair independently connected with
-/// probability `p`.
+/// Erdős–Rényi `G(n, p)` by geometric skip-sampling over the strictly
+/// lower-triangular pair order `(1,0), (2,0), (2,1), (3,0), …`: instead
+/// of flipping `n·(n−1)/2` coins, jump straight to the next successful
+/// pair, so generation is `O(edges)` and viable at million-node scale.
 ///
 /// # Panics
 ///
@@ -58,84 +133,90 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
         (0.0..=1.0).contains(&p),
         "edge probability must be in [0,1]"
     );
-    let mut g = Graph::new(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            if rng.gen_bool(p) {
-                g.add_edge(a, b);
+    let mut edges = Vec::new();
+    if n < 2 || p <= 0.0 {
+        return Graph::from_edges(n, &edges);
+    }
+    edges.reserve((p * n as f64 * (n - 1) as f64 / 2.0) as usize + 16);
+    if p >= 1.0 {
+        for a in 1..n as u32 {
+            for b in 0..a {
+                edges.push((a, b));
             }
         }
+        return Graph::from_edges(n, &edges);
     }
-    g
+    let log_q = (1.0 - p).ln();
+    // (v, w) walks the lower triangle; skip ~ Geometric(p) pairs ahead.
+    let mut v: u64 = 1;
+    let mut w: i64 = -1;
+    loop {
+        let u: f64 = rng.gen::<f64>();
+        let skip = ((1.0 - u).ln() / log_q).floor().max(0.0) as i64;
+        w += 1 + skip;
+        while w >= v as i64 && (v as usize) < n {
+            w -= v as i64;
+            v += 1;
+        }
+        if v as usize >= n {
+            return Graph::from_edges(n, &edges);
+        }
+        edges.push((v as u32, w as u32));
+    }
 }
 
-/// A ring lattice where each node connects to its `k` nearest neighbors on
-/// each side.
+/// Watts–Strogatz small world: a ring lattice where each node links to
+/// its `k/2` nearest neighbors on each side, then each far endpoint is
+/// rewired to a uniform node with probability `beta` (redrawn while it
+/// hits the node itself or the ring neighbor it replaces; parallel edges
+/// elsewhere are tolerated, as in the classical model's large-n limit).
+/// `beta = 0` is the lattice and draws nothing.
 ///
 /// # Panics
 ///
-/// Panics if `2k ≥ n` (the ring would wrap onto itself).
+/// Panics if `k` is odd or below 2, or `beta ∉ [0, 1]`.
+pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {
+    assert!(
+        k >= 2 && k.is_multiple_of(2),
+        "small-world k must be even and >= 2"
+    );
+    assert!((0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
+    let half = (k / 2).min(n.saturating_sub(1));
+    let mut edges = Vec::with_capacity(n * half);
+    for v in 0..n {
+        for d in 1..=half {
+            let w = (v + d) % n;
+            if beta > 0.0 && rng.gen::<f64>() < beta {
+                let mut t = rng.gen_range(0..n);
+                let mut guard = 0;
+                while (t == v || t == w) && guard < 64 {
+                    t = rng.gen_range(0..n);
+                    guard += 1;
+                }
+                if t != v {
+                    edges.push((v as u32, t as u32));
+                    continue;
+                }
+            }
+            edges.push((v as u32, w as u32));
+        }
+    }
+    Graph::from_edges(n, &edges)
+}
+
+/// A ring lattice where each node connects to its `k` nearest neighbors
+/// on each side: Watts–Strogatz of ring degree `2k` at `beta = 0`.
+///
+/// # Panics
+///
+/// Panics if `k == 0` or `2k ≥ n` (the ring would wrap onto itself).
 pub fn ring_lattice(n: usize, k: usize) -> Graph {
     assert!(
         n > 2 * k,
         "ring of {n} nodes cannot host {k} neighbors per side"
     );
-    let mut g = Graph::new(n);
-    for v in 0..n {
-        for d in 1..=k {
-            let w = (v + d) % n;
-            g.add_edge(v, w);
-        }
-    }
-    g
-}
-
-/// Watts–Strogatz small world: a ring lattice with each edge's far
-/// endpoint rewired to a uniformly random node with probability `beta`
-/// (avoiding self-loops; rewiring avoids duplicating an existing pair
-/// where possible). `beta = 0` is the lattice; `beta = 1` approaches a
-/// random graph. The edge count is always exactly `n·k` — in the rare
-/// collision where a rewired edge already claimed a lattice pair, the
-/// pair is kept as a parallel edge rather than dropped.
-///
-/// # Panics
-///
-/// Panics if `2k ≥ n` or `beta ∉ [0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {
-    assert!(
-        n > 2 * k,
-        "ring of {n} nodes cannot host {k} neighbors per side"
-    );
-    assert!(
-        (0.0..=1.0).contains(&beta),
-        "rewiring probability must be in [0,1]"
-    );
-    let mut g = Graph::new(n);
-    for v in 0..n {
-        for d in 1..=k {
-            let w = (v + d) % n;
-            if beta > 0.0 && rng.gen_bool(beta) {
-                // Rewire the far endpoint.
-                let mut attempts = 0;
-                loop {
-                    let t = rng.gen_range(0..n);
-                    if t != v && !g.has_edge(v, t) {
-                        g.add_edge(v, t);
-                        break;
-                    }
-                    attempts += 1;
-                    if attempts > 4 * n {
-                        // Dense corner case: fall back to the lattice edge.
-                        g.add_edge(v, w);
-                        break;
-                    }
-                }
-            } else {
-                g.add_edge(v, w);
-            }
-        }
-    }
-    g
+    // β = 0 never draws, so the seed is immaterial.
+    watts_strogatz(n, 2 * k, 0.0, &mut seeded_rng(0))
 }
 
 /// Planted-partition (stochastic block) graph: `blocks` equal communities
@@ -156,8 +237,8 @@ pub fn planted_partition<R: Rng + ?Sized>(
     assert!(blocks > 0, "need at least one block");
     assert!((0.0..=1.0).contains(&p_in), "p_in must be in [0,1]");
     assert!((0.0..=1.0).contains(&p_out), "p_out must be in [0,1]");
-    let mut g = Graph::new(n);
     let block_of = |v: usize| v * blocks / n.max(1);
+    let mut edges = Vec::new();
     for a in 0..n {
         for b in (a + 1)..n {
             let p = if block_of(a) == block_of(b) {
@@ -166,28 +247,27 @@ pub fn planted_partition<R: Rng + ?Sized>(
                 p_out
             };
             if p > 0.0 && rng.gen_bool(p) {
-                g.add_edge(a, b);
+                edges.push((a as u32, b as u32));
             }
         }
     }
-    g
+    Graph::from_edges(n, &edges)
 }
 
 /// The complete graph `K_n`.
 pub fn complete(n: usize) -> Graph {
-    let mut g = Graph::new(n);
-    for a in 0..n {
-        for b in (a + 1)..n {
-            g.add_edge(a, b);
+    let mut edges = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for a in 0..n as u32 {
+        for b in (a + 1)..n as u32 {
+            edges.push((a, b));
         }
     }
-    g
+    Graph::from_edges(n, &edges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilience_core::seeded_rng;
 
     #[test]
     fn ba_node_and_edge_counts() {
@@ -231,10 +311,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "more nodes than the seed")]
-    fn ba_rejects_tiny_n() {
+    fn ba_small_n_is_a_clique() {
         let mut rng = seeded_rng(104);
-        let _ = barabasi_albert(3, 3, &mut rng);
+        let g = barabasi_albert(3, 3, &mut rng);
+        assert_eq!(g.edge_count(), 3);
+        assert!(g.degrees().iter().all(|&d| d == 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "m must be >= 1")]
+    fn ba_rejects_zero_m() {
+        let mut rng = seeded_rng(104);
+        let _ = barabasi_albert(10, 0, &mut rng);
     }
 
     #[test]
@@ -268,27 +356,23 @@ mod tests {
     #[test]
     fn watts_strogatz_zero_beta_is_the_lattice() {
         let mut rng = seeded_rng(107);
-        let ws = watts_strogatz(20, 2, 0.0, &mut rng);
-        let ring = ring_lattice(20, 2);
-        assert_eq!(ws.edge_count(), ring.edge_count());
-        assert!(ws.degrees().iter().all(|&d| d == 4));
+        assert_eq!(watts_strogatz(20, 4, 0.0, &mut rng), ring_lattice(20, 2));
     }
 
     #[test]
     fn watts_strogatz_preserves_edge_count() {
         let mut rng = seeded_rng(108);
         for beta in [0.1, 0.5, 1.0] {
-            let ws = watts_strogatz(60, 3, beta, &mut rng);
+            let ws = watts_strogatz(60, 6, beta, &mut rng);
             assert_eq!(ws.edge_count(), 60 * 3, "beta {beta}");
-            // No self-loop panic occurred, degrees stay reasonable.
-            assert!(ws.degrees().iter().all(|&d| d >= 1));
+            assert!((ws.mean_degree() - 6.0).abs() < 1e-9);
         }
     }
 
     #[test]
     fn watts_strogatz_rewiring_spreads_degrees() {
         let mut rng = seeded_rng(109);
-        let rewired = watts_strogatz(200, 2, 1.0, &mut rng);
+        let rewired = watts_strogatz(200, 4, 1.0, &mut rng);
         let degrees = rewired.degrees();
         let min = *degrees.iter().min().unwrap();
         let max = *degrees.iter().max().unwrap();
@@ -296,10 +380,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rewiring probability")]
+    #[should_panic(expected = "beta must be in")]
     fn watts_strogatz_rejects_bad_beta() {
         let mut rng = seeded_rng(110);
-        let _ = watts_strogatz(10, 1, 1.5, &mut rng);
+        let _ = watts_strogatz(10, 2, 1.5, &mut rng);
+    }
+
+    #[test]
+    #[should_panic(expected = "even and >= 2")]
+    fn watts_strogatz_rejects_odd_k() {
+        let mut rng = seeded_rng(110);
+        let _ = watts_strogatz(10, 3, 0.1, &mut rng);
     }
 
     #[test]
@@ -348,5 +439,56 @@ mod tests {
         let g = complete(5);
         assert_eq!(g.edge_count(), 10);
         assert!(g.degrees().iter().all(|&d| d == 4));
+    }
+
+    #[test]
+    fn generation_is_deterministic() {
+        for kind in [
+            TopologyKind::ScaleFree { m: 3 },
+            TopologyKind::Random { mean_degree: 6.0 },
+            TopologyKind::SmallWorld { k: 6, beta: 0.1 },
+        ] {
+            let a = Graph::generate(&kind, 500, 42);
+            let b = Graph::generate(&kind, 500, 42);
+            let c = Graph::generate(&kind, 500, 43);
+            assert_eq!(a, b, "{kind:?} not deterministic");
+            assert_ne!(a, c, "{kind:?} ignores its seed");
+        }
+    }
+
+    #[test]
+    fn scale_free_edge_count_and_hubs() {
+        let n = 2_000;
+        let m = 3;
+        let g = Graph::generate(&TopologyKind::ScaleFree { m }, n, 7);
+        // m+1 clique seed + m edges per arrival.
+        let expected = (m + 1) * m / 2 + (n - m - 1) * m;
+        assert_eq!(g.edge_count(), expected);
+        let order = g.nodes_by_degree_desc();
+        let top_degree = g.degree(order[0] as usize);
+        assert!(
+            top_degree > 10 * m,
+            "expected a hub, max degree {top_degree}"
+        );
+        // Degrees descend along the attack order.
+        assert!(g.degree(order[0] as usize) >= g.degree(order[n / 2] as usize));
+    }
+
+    #[test]
+    fn random_graph_hits_mean_degree() {
+        let g = Graph::generate(&TopologyKind::Random { mean_degree: 8.0 }, 10_000, 11);
+        let mean = g.mean_degree();
+        assert!((mean - 8.0).abs() < 0.5, "mean degree {mean}");
+        // Binomial degrees: the maximum stays within a small multiple of
+        // the mean (no hubs).
+        let max_deg = *g.degrees().iter().max().unwrap();
+        assert!(max_deg < 40, "unexpected hub of degree {max_deg}");
+    }
+
+    #[test]
+    fn small_world_keeps_ring_degree() {
+        let g = Graph::generate(&TopologyKind::SmallWorld { k: 6, beta: 0.05 }, 2_000, 3);
+        assert_eq!(g.edge_count(), 2_000 * 3);
+        assert!((g.mean_degree() - 6.0).abs() < 1e-9);
     }
 }

@@ -1,105 +1,156 @@
-//! A compact undirected graph.
+//! The workspace's one undirected graph, in compressed-sparse-row form.
+//!
+//! [`Graph`] stores the neighbor lists of all nodes in one flat array
+//! indexed by per-node offsets — two allocations total, cache-dense
+//! iteration at million-node scale, and `degree(v)` is a subtraction.
+//! Every generator in [`crate::generators`] builds an edge list and
+//! hands it to [`Graph::from_edges`].
 
 use serde::{Deserialize, Serialize};
 
-/// An undirected graph stored as adjacency lists over `u32` node ids.
+use crate::union_find::UnionFind;
+
+/// An undirected graph over nodes `0..n` in compressed-sparse-row form.
 ///
-/// Parallel edges are permitted by the representation but the provided
-/// generators avoid them; self-loops are rejected.
+/// `neighbors(v)` is the slice `adjacency[offsets[v]..offsets[v+1]]`.
+/// Each undirected edge appears once in each endpoint's list. Neighbor
+/// lists are sorted ascending, so iteration order — and therefore every
+/// float accumulation a cascade performs — is a pure function of the
+/// edge set, independent of generator internals or thread budget.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Graph {
-    adj: Vec<Vec<u32>>,
-    edges: usize,
+    offsets: Vec<u64>,
+    adjacency: Vec<u32>,
 }
 
 impl Graph {
-    /// An edgeless graph with `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Graph {
-            adj: vec![Vec::new(); n],
-            edges: 0,
+    /// Build the CSR arrays from an undirected edge list over `n` nodes
+    /// (counting sort: one pass to size each neighbor list, one pass to
+    /// scatter). Self-loops are dropped; parallel edges are kept.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX` nodes or an endpoint is out of
+    /// range.
+    pub fn from_edges(n: usize, edges: &[(u32, u32)]) -> Self {
+        assert!(n <= u32::MAX as usize, "node ids are u32");
+        let mut degree = vec![0u64; n];
+        for &(a, b) in edges {
+            if a == b {
+                continue;
+            }
+            degree[a as usize] += 1;
+            degree[b as usize] += 1;
         }
+        let mut offsets = vec![0u64; n + 1];
+        for v in 0..n {
+            offsets[v + 1] = offsets[v] + degree[v];
+        }
+        let mut adjacency = vec![0u32; offsets[n] as usize];
+        let mut cursor: Vec<u64> = offsets[..n].to_vec();
+        for &(a, b) in edges {
+            if a == b {
+                continue;
+            }
+            adjacency[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+            adjacency[cursor[b as usize] as usize] = a;
+            cursor[b as usize] += 1;
+        }
+        for v in 0..n {
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            adjacency[lo..hi].sort_unstable();
+        }
+        Graph { offsets, adjacency }
     }
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.adj.len()
+        self.offsets.len() - 1
     }
 
     /// Whether the graph has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.adj.is_empty()
+        self.len() == 0
     }
 
-    /// Number of edges.
+    /// Number of undirected edges.
     pub fn edge_count(&self) -> usize {
-        self.edges
+        self.adjacency.len() / 2
     }
 
-    /// Add an undirected edge.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-range endpoints or a self-loop.
-    pub fn add_edge(&mut self, a: usize, b: usize) {
-        assert!(
-            a < self.adj.len() && b < self.adj.len(),
-            "endpoint out of range"
-        );
-        assert_ne!(a, b, "self-loops are not allowed");
-        self.adj[a].push(b as u32);
-        self.adj[b].push(a as u32);
-        self.edges += 1;
-    }
-
-    /// Whether an edge `a—b` exists.
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        a < self.adj.len() && self.adj[a].iter().any(|&x| x as usize == b)
-    }
-
-    /// Neighbors of `v`.
+    /// Neighbors of `v`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `v` is out of range.
     pub fn neighbors(&self, v: usize) -> &[u32] {
-        &self.adj[v]
+        &self.adjacency[self.offsets[v] as usize..self.offsets[v + 1] as usize]
     }
 
     /// Degree of `v`.
     pub fn degree(&self, v: usize) -> usize {
-        self.adj[v].len()
+        (self.offsets[v + 1] - self.offsets[v]) as usize
     }
 
     /// All degrees.
     pub fn degrees(&self) -> Vec<usize> {
-        self.adj.iter().map(Vec::len).collect()
+        (0..self.len()).map(|v| self.degree(v)).collect()
     }
 
-    /// Mean degree (`0` for an empty graph).
+    /// Mean degree (`2·edges / n`; `0` for an empty graph).
     pub fn mean_degree(&self) -> f64 {
-        if self.adj.is_empty() {
+        if self.is_empty() {
             0.0
         } else {
-            2.0 * self.edges as f64 / self.adj.len() as f64
+            self.adjacency.len() as f64 / self.len() as f64
         }
     }
 
-    /// Nodes sorted by descending degree (hubs first) — the targeted-attack
-    /// order of §5.1.
-    pub fn nodes_by_degree_desc(&self) -> Vec<usize> {
-        let mut nodes: Vec<usize> = (0..self.adj.len()).collect();
-        nodes.sort_by_key(|&v| std::cmp::Reverse(self.adj[v].len()));
-        nodes
+    /// Node ids sorted by descending degree, ties broken by ascending id
+    /// (hubs first) — the deterministic victim order of §5.1's targeted
+    /// attack.
+    pub fn nodes_by_degree_desc(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        order.sort_by_key(|&v| (std::cmp::Reverse(self.degree(v as usize)), v));
+        order
     }
 
     /// Degree distribution as `(degree, count)` pairs, ascending.
     pub fn degree_distribution(&self) -> Vec<(usize, usize)> {
         let mut counts = std::collections::BTreeMap::new();
-        for v in 0..self.adj.len() {
+        for v in 0..self.len() {
             *counts.entry(self.degree(v)).or_insert(0usize) += 1;
         }
         counts.into_iter().collect()
+    }
+
+    /// Size of the largest connected component among the nodes for
+    /// which `alive` holds (0 if none do).
+    ///
+    /// Each alive edge is unioned once, from its higher endpoint; the
+    /// union–find tracks the largest component as it merges, so no
+    /// second pass over the nodes is needed.
+    pub fn giant_component(&self, alive: impl Fn(usize) -> bool) -> usize {
+        let mut uf = UnionFind::new(self.len());
+        let mut any_alive = false;
+        for v in 0..self.len() {
+            if !alive(v) {
+                continue;
+            }
+            any_alive = true;
+            for &w in self.neighbors(v) {
+                let w = w as usize;
+                if w < v && alive(w) {
+                    uf.union(v, w);
+                }
+            }
+        }
+        if any_alive {
+            uf.largest_component()
+        } else {
+            0
+        }
     }
 }
 
@@ -108,60 +159,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn build_and_query() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(1, 2);
-        assert_eq!(g.len(), 4);
-        assert_eq!(g.edge_count(), 2);
-        assert!(g.has_edge(0, 1));
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
-        assert_eq!(g.degree(1), 2);
-        assert_eq!(g.degree(3), 0);
-        assert_eq!(g.neighbors(1), &[0, 2]);
-        assert!((g.mean_degree() - 1.0).abs() < 1e-12);
+    fn csr_matches_edge_list() {
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 3)]);
+        assert_eq!(g.len(), 5);
+        assert_eq!(g.edge_count(), 4); // self-loop dropped
+        assert_eq!(g.neighbors(0), &[1, 2]);
+        assert_eq!(g.neighbors(2), &[0, 1, 3]);
+        assert_eq!(g.neighbors(4), &[] as &[u32]);
+        assert_eq!(g.degree(2), 3);
+        assert!((g.mean_degree() - 1.6).abs() < 1e-12);
     }
 
     #[test]
-    #[should_panic(expected = "self-loops")]
-    fn rejects_self_loop() {
-        let mut g = Graph::new(2);
-        g.add_edge(1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic]
     fn rejects_bad_endpoint() {
-        let mut g = Graph::new(2);
-        g.add_edge(0, 5);
+        let _ = Graph::from_edges(2, &[(0, 5)]);
     }
 
     #[test]
     fn hubs_first_ordering() {
-        let mut g = Graph::new(4);
-        g.add_edge(0, 1);
-        g.add_edge(0, 2);
-        g.add_edge(0, 3);
-        g.add_edge(1, 2);
-        let order = g.nodes_by_degree_desc();
-        assert_eq!(order[0], 0); // the hub
-        assert_eq!(*order.last().unwrap(), 3); // the leaf
+        let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
+        // Hub first; the degree-2 tie between 1 and 2 breaks by id.
+        assert_eq!(g.nodes_by_degree_desc(), vec![0, 1, 2, 3]);
     }
 
     #[test]
     fn degree_distribution_counts() {
-        let mut g = Graph::new(3);
-        g.add_edge(0, 1);
-        let dist = g.degree_distribution();
-        assert_eq!(dist, vec![(0, 1), (1, 2)]);
+        let g = Graph::from_edges(3, &[(0, 1)]);
+        assert_eq!(g.degree_distribution(), vec![(0, 1), (1, 2)]);
     }
 
     #[test]
     fn empty_graph() {
-        let g = Graph::new(0);
+        let g = Graph::from_edges(0, &[]);
         assert!(g.is_empty());
         assert_eq!(g.mean_degree(), 0.0);
         assert!(g.nodes_by_degree_desc().is_empty());
+        assert_eq!(g.giant_component(|_| true), 0);
+    }
+
+    #[test]
+    fn giant_component_tracks_alive_set() {
+        // Path 0-1-2-3 plus isolated 4.
+        let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
+        let mut alive = [true; 5];
+        assert_eq!(g.giant_component(|v| alive[v]), 4);
+        alive[1] = false; // split the path
+        assert_eq!(g.giant_component(|v| alive[v]), 2);
+        alive = [false, false, false, false, true];
+        assert_eq!(g.giant_component(|v| alive[v]), 1);
+        assert_eq!(g.giant_component(|_| false), 0);
     }
 }

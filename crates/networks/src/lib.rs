@@ -1,9 +1,13 @@
 //! Network and lattice substrates for the Systems Resilience project
 //! (the paper's §4.5 and §5.1).
 //!
-//! * [`graph`] / [`generators`] — compact undirected graphs;
-//!   Barabási–Albert preferential attachment (scale-free) and Erdős–Rényi
-//!   G(n, p) generators, plus lattices.
+//! * [`graph`] / [`generators`] — the workspace's one graph type, a
+//!   compressed-sparse-row [`Graph`] with sorted neighbor lists and a
+//!   union–find giant-component routine over an `alive` predicate; one
+//!   generator per family (Barabási–Albert, skip-sampled Erdős–Rényi,
+//!   Watts–Strogatz, planted partition, complete), and
+//!   [`Graph::generate`] for a seeded [`TopologyKind`]. The cluster
+//!   simulator (`crates/cluster`) runs on the same graph.
 //! * [`percolation`] / [`attack`] — "network-based systems that possess the
 //!   scale-free property are extremely robust against random failures …
 //!   However, … a spreading virus deliberately designed to attack the hubs
@@ -51,6 +55,7 @@ pub use cascade::{CascadeOutcome, SirOutcome, ThresholdCascade};
 pub use forest_fire::{ForestFire, ForestPolicy, ForestReport};
 pub use generators::{
     barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, watts_strogatz,
+    TopologyKind,
 };
 pub use graph::Graph;
 pub use percolation::{giant_component_fraction, giant_component_size};

@@ -11,28 +11,7 @@ use crate::union_find::UnionFind;
 /// Size of the largest connected component among the `alive` nodes.
 pub fn giant_component_size(graph: &Graph, alive: &[bool]) -> usize {
     assert_eq!(alive.len(), graph.len(), "alive mask must cover every node");
-    let mut uf = UnionFind::new(graph.len());
-    let mut any_alive = false;
-    for v in 0..graph.len() {
-        if !alive[v] {
-            continue;
-        }
-        any_alive = true;
-        for &w in graph.neighbors(v) {
-            let w = w as usize;
-            if w < v && alive[w] {
-                uf.union(v, w);
-            }
-        }
-    }
-    if !any_alive {
-        return 0;
-    }
-    (0..graph.len())
-        .filter(|&v| alive[v])
-        .map(|v| uf.component_size(v))
-        .max()
-        .unwrap_or(0)
+    graph.giant_component(|v| alive[v])
 }
 
 /// Largest-component size as a *fraction* of all nodes.
@@ -53,35 +32,35 @@ pub fn removal_curve(graph: &Graph, removal_order: &[usize]) -> Vec<f64> {
         "cannot remove more nodes than exist"
     );
     let mut uf = UnionFind::new(n);
-    // Insert the never-removed nodes first.
-    let mut giant = 0usize;
-    let insert = |uf: &mut UnionFind, alive: &mut Vec<bool>, v: usize, giant: &mut usize| {
+    let mut alive = vec![false; n];
+    // Insert `v`, returning the size of the component it joins.
+    let mut insert = |v: usize| {
         alive[v] = true;
-        *giant = (*giant).max(1);
         for &w in graph.neighbors(v) {
             let w = w as usize;
             if alive[w] {
                 uf.union(v, w);
             }
         }
-        *giant = (*giant).max(uf.component_size(v));
+        uf.component_size(v)
     };
-    {
-        let survivors: Vec<usize> = (0..n).filter(|&v| !removal_order.contains(&v)).collect();
-        let mut alive2 = vec![false; n];
-        for &v in &survivors {
-            insert(&mut uf, &mut alive2, v, &mut giant);
-        }
-        // Replay removals backwards, recording the curve back-to-front.
-        let mut curve = vec![0.0; removal_order.len() + 1];
-        let denom = n.max(1) as f64;
-        curve[removal_order.len()] = giant as f64 / denom;
-        for (k, &v) in removal_order.iter().enumerate().rev() {
-            insert(&mut uf, &mut alive2, v, &mut giant);
-            curve[k] = giant as f64 / denom;
-        }
-        curve
+    // Insert the never-removed nodes first.
+    let mut removed = vec![false; n];
+    for &v in removal_order {
+        removed[v] = true;
     }
+    let mut giant = 0usize;
+    for v in (0..n).filter(|&v| !removed[v]) {
+        giant = giant.max(insert(v));
+    }
+    // Replay removals backwards, recording the curve back-to-front.
+    let denom = n.max(1) as f64;
+    let mut curve = vec![giant as f64 / denom; removal_order.len() + 1];
+    for (k, &v) in removal_order.iter().enumerate().rev() {
+        giant = giant.max(insert(v));
+        curve[k] = giant as f64 / denom;
+    }
+    curve
 }
 
 #[cfg(test)]
