@@ -146,14 +146,21 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
         }
         return Graph::from_edges(n, &edges);
     }
-    let log_q = (1.0 - p).ln();
+    // For p below ~1e-16, `1 − p` rounds to 1 and its log to 0, which
+    // would make every skip 0 (the complete graph); `ln_1p` stays exact
+    // there. Larger p stays on `(1 − p).ln()` so pinned topologies keep
+    // their draws.
+    let mut log_q = (1.0 - p).ln();
+    if log_q == 0.0 {
+        log_q = (-p).ln_1p();
+    }
     // (v, w) walks the lower triangle; skip ~ Geometric(p) pairs ahead.
     let mut v: u64 = 1;
     let mut w: i64 = -1;
     loop {
         let u: f64 = rng.gen::<f64>();
         let skip = ((1.0 - u).ln() / log_q).floor().max(0.0) as i64;
-        w += 1 + skip;
+        w = w.saturating_add(1).saturating_add(skip);
         while w >= v as i64 && (v as usize) < n {
             w -= v as i64;
             v += 1;
@@ -165,23 +172,30 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
     }
 }
 
-/// Watts–Strogatz small world: a ring lattice where each node links to
-/// its `k/2` nearest neighbors on each side, then each far endpoint is
-/// rewired to a uniform node with probability `beta` (redrawn while it
-/// hits the node itself or the ring neighbor it replaces; parallel edges
-/// elsewhere are tolerated, as in the classical model's large-n limit).
-/// `beta = 0` is the lattice and draws nothing.
+/// Watts–Strogatz small world: a ring lattice of total degree
+/// `ring_degree` (each node links to its `ring_degree / 2` nearest
+/// neighbors on each side — note [`ring_lattice`] takes the per-side
+/// count instead), then each far endpoint is rewired to a uniform node
+/// with probability `beta` (redrawn while it hits the node itself or the
+/// ring neighbor it replaces; parallel edges elsewhere are tolerated, as
+/// in the classical model's large-n limit). `beta = 0` is the lattice and
+/// draws nothing.
 ///
 /// # Panics
 ///
-/// Panics if `k` is odd or below 2, or `beta ∉ [0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut R) -> Graph {
+/// Panics if `ring_degree` is odd or below 2, or `beta ∉ [0, 1]`.
+pub fn watts_strogatz<R: Rng + ?Sized>(
+    n: usize,
+    ring_degree: usize,
+    beta: f64,
+    rng: &mut R,
+) -> Graph {
     assert!(
-        k >= 2 && k.is_multiple_of(2),
-        "small-world k must be even and >= 2"
+        ring_degree >= 2 && ring_degree.is_multiple_of(2),
+        "small-world ring degree k must be even and >= 2"
     );
     assert!((0.0..=1.0).contains(&beta), "beta must be in [0, 1]");
-    let half = (k / 2).min(n.saturating_sub(1));
+    let half = (ring_degree / 2).min(n.saturating_sub(1));
     let mut edges = Vec::with_capacity(n * half);
     for v in 0..n {
         for d in 1..=half {
@@ -205,7 +219,9 @@ pub fn watts_strogatz<R: Rng + ?Sized>(n: usize, k: usize, beta: f64, rng: &mut 
 }
 
 /// A ring lattice where each node connects to its `k` nearest neighbors
-/// on each side: Watts–Strogatz of ring degree `2k` at `beta = 0`.
+/// on each side, so every degree is `2k`: [`watts_strogatz`] at ring
+/// degree `2k` (that function takes the total degree, not the per-side
+/// count) and `beta = 0`.
 ///
 /// # Panics
 ///
@@ -347,6 +363,15 @@ mod tests {
     }
 
     #[test]
+    fn er_vanishing_probability_is_nearly_edgeless() {
+        // `1 − p` rounds to 1 here; the skip must still be geometric.
+        let mut rng = seeded_rng(114);
+        assert_eq!(erdos_renyi(1_000, 1e-18, &mut rng).edge_count(), 0);
+        let kind = TopologyKind::Random { mean_degree: 1e-12 };
+        assert_eq!(Graph::generate(&kind, 100_000, 7).edge_count(), 0);
+    }
+
+    #[test]
     fn ring_lattice_regular() {
         let g = ring_lattice(10, 2);
         assert!(g.degrees().iter().all(|&d| d == 4));
@@ -365,7 +390,7 @@ mod tests {
         for beta in [0.1, 0.5, 1.0] {
             let ws = watts_strogatz(60, 6, beta, &mut rng);
             assert_eq!(ws.edge_count(), 60 * 3, "beta {beta}");
-            assert!((ws.mean_degree() - 6.0).abs() < 1e-9);
+            assert!(ws.degrees().iter().all(|&d| d >= 1));
         }
     }
 

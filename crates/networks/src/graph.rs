@@ -36,6 +36,10 @@ impl Graph {
         assert!(n <= u32::MAX as usize, "node ids are u32");
         let mut degree = vec![0u64; n];
         for &(a, b) in edges {
+            assert!(
+                (a as usize) < n && (b as usize) < n,
+                "edge ({a}, {b}) endpoint out of range for {n} nodes"
+            );
             if a == b {
                 continue;
             }
@@ -171,7 +175,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "out of range")]
     fn rejects_bad_endpoint() {
         let _ = Graph::from_edges(2, &[(0, 5)]);
     }
@@ -209,5 +213,9 @@ mod tests {
         alive = [false, false, false, false, true];
         assert_eq!(g.giant_component(|v| alive[v]), 1);
         assert_eq!(g.giant_component(|_| false), 0);
+        // A clique stays one component whichever nodes survive.
+        let k6 = crate::generators::complete(6);
+        assert_eq!(k6.giant_component(|_| true), 6);
+        assert_eq!(k6.giant_component(|v| v != 2), 5);
     }
 }

@@ -58,6 +58,5 @@ pub use generators::{
     TopologyKind,
 };
 pub use graph::Graph;
-pub use percolation::{giant_component_fraction, giant_component_size};
 pub use sandpile::{InterventionPolicy, Sandpile, SandpileReport};
 pub use union_find::UnionFind;

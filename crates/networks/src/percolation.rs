@@ -1,26 +1,13 @@
-//! Giant-component analysis under node removal.
+//! Giant-component curves under node removal.
 //!
 //! Removing nodes and asking how large the biggest connected cluster
-//! remains is the standard robustness probe for the §5.1 claims. Removal
-//! curves are computed *additively*: nodes are inserted in reverse removal
-//! order into a union–find, so a whole sweep costs near-linear time.
+//! remains is the standard robustness probe for the §5.1 claims. A single
+//! alive set is measured by [`Graph::giant_component`]; a whole removal
+//! sweep is computed *additively* here: nodes are inserted in reverse
+//! removal order into a union–find, so the sweep costs near-linear time.
 
 use crate::graph::Graph;
 use crate::union_find::UnionFind;
-
-/// Size of the largest connected component among the `alive` nodes.
-pub fn giant_component_size(graph: &Graph, alive: &[bool]) -> usize {
-    assert_eq!(alive.len(), graph.len(), "alive mask must cover every node");
-    graph.giant_component(|v| alive[v])
-}
-
-/// Largest-component size as a *fraction* of all nodes.
-pub fn giant_component_fraction(graph: &Graph, alive: &[bool]) -> f64 {
-    if graph.is_empty() {
-        return 0.0;
-    }
-    giant_component_size(graph, alive) as f64 / graph.len() as f64
-}
 
 /// Giant-component fraction after removing each prefix of `removal_order`:
 /// `result[k]` = fraction with the first `k` nodes removed. Computed by
@@ -69,34 +56,6 @@ mod tests {
     use crate::generators::{complete, ring_lattice};
 
     #[test]
-    fn intact_complete_graph_is_one_component() {
-        let g = complete(6);
-        let alive = vec![true; 6];
-        assert_eq!(giant_component_size(&g, &alive), 6);
-        assert!((giant_component_fraction(&g, &alive) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dead_nodes_break_components() {
-        // Path 0-1-2-3 (ring minus nothing: use a ring of 4, k=1).
-        let g = ring_lattice(5, 1);
-        let mut alive = vec![true; 5];
-        alive[0] = false;
-        // Remaining path 1-2-3-4.
-        assert_eq!(giant_component_size(&g, &alive), 4);
-        alive[2] = false;
-        // {1}, {3,4}.
-        assert_eq!(giant_component_size(&g, &alive), 2);
-    }
-
-    #[test]
-    fn all_dead_is_zero() {
-        let g = complete(4);
-        assert_eq!(giant_component_size(&g, &[false; 4]), 0);
-        assert_eq!(giant_component_fraction(&g, &[false; 4]), 0.0);
-    }
-
-    #[test]
     fn removal_curve_is_monotone_decreasing() {
         let g = complete(8);
         let order: Vec<usize> = (0..5).collect();
@@ -116,23 +75,16 @@ mod tests {
         let order = vec![0, 3, 7, 9, 1];
         let curve = removal_curve(&g, &order);
         for k in 0..=order.len() {
-            let mut alive = vec![true; 12];
+            let mut alive = [true; 12];
             for &v in &order[..k] {
                 alive[v] = false;
             }
-            let direct = giant_component_fraction(&g, &alive);
+            let direct = g.giant_component(|v| alive[v]) as f64 / 12.0;
             assert!(
                 (curve[k] - direct).abs() < 1e-12,
                 "k={k}: curve {} vs direct {direct}",
                 curve[k]
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "alive mask")]
-    fn mask_length_checked() {
-        let g = complete(3);
-        let _ = giant_component_size(&g, &[true; 2]);
     }
 }
