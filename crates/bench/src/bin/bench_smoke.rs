@@ -8,7 +8,7 @@
 //! - `faults`: supervision overhead, quiet and under chaos (`BENCH_3.json`);
 //! - `telemetry`: telemetry-derivation overhead, ≤ 1.3x (`BENCH_5.json`);
 //! - `cluster`: million-node cascade scale (`BENCH_6.json`);
-//! - `dcsp`: symmetry reduction > 2.8x, 2^30 frontiers (`BENCH_7.json`);
+//! - `dcsp`: symmetry reduction > 2.8x, 2^30 orbit summaries (`BENCH_7.json`);
 //! - `anticipate`: `serve --compare-modes` + detector overhead (`BENCH_8.json`);
 //! - `redundancy`: `serve --compare-redundancy` + N=1 overhead (`BENCH_9.json`);
 //! - `obs`: causal-tracing overhead, blame and incidents (`BENCH_10.json`).
@@ -31,12 +31,14 @@ use serde::Serialize;
 use resilience_bench::harness::{
     anticipatory_config, build_profile, canned_plan, compare_modes, compare_redundancy, emit, gate,
     gate_budget_reconciles, interleaved, median_secs, redundancy_trace_spec, replicated_config,
-    serve_arm, timed, ModeArms, RedundancyArms, REDUNDANCY_CHAOS, SERVE_CHAOS,
+    serve_arm, ModeArms, RedundancyArms, REDUNDANCY_CHAOS, SERVE_CHAOS,
 };
-use resilience_core::{AllOnes, AtLeastOnes, Config, FaultConfig, RunContext, Supervision};
+use resilience_core::{
+    AllOnes, AtLeastOnes, Config, FaultConfig, PredicateConstraint, RunContext, Supervision,
+};
 use resilience_dcsp::maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, TransitionSystem,
+    analyze_bit_dcsp_frontiers, FrontierSummary, TransitionSystem,
 };
 use resilience_dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
@@ -911,30 +913,34 @@ struct SymmetrySpeed {
 }
 
 #[derive(Serialize)]
-struct CompressedScale {
-    /// The quiet 2^30 instance: AtLeastOnes(30, 4), five BFS levels.
+struct OrbitScale {
+    /// The quiet 2^30 instance: AtLeastOnes(30, 4), five BFS levels,
+    /// summarized on its 31 popcount orbits.
     quiet_2pow30_levels: usize,
-    quiet_2pow30_threads1_secs: f64,
-    quiet_2pow30_threads4_secs: f64,
-    quiet_2pow30_states_per_sec: f64,
-    quiet_2pow30_thread_scaling: Option<f64>,
-    /// Bytes of the compressed engine's whole working set at 2^30: three
-    /// word-packed bitsets (frontier ping-pong pair + visited).
-    quiet_2pow30_arena_bytes: u64,
-    /// What the dense path would need per state at 2^24 (its hard cap):
-    /// raw u32 BFS levels + `Vec<Option<usize>>` levels + per-state
-    /// policy action, ~36 bytes/state. The 2^30 arena must fit inside
-    /// this — 64x the states in less memory.
-    dense_2pow24_bytes_estimate: u64,
+    quiet_2pow30_secs: f64,
+    /// The adversarial 2^26 instance: AtLeastOnes(26, 18) at damage 2.
     adversarial_2pow26_levels: usize,
-    adversarial_2pow26_threads1_secs: f64,
-    adversarial_2pow26_threads4_secs: f64,
-    adversarial_2pow26_thread_scaling: Option<f64>,
+    adversarial_2pow26_secs: f64,
 }
 
-/// `bench_smoke dcsp`: symmetry-reduction and compressed-frontier scale
-/// numbers (2^30 states, beyond the dense path's 2^24 cap) +
-/// equivalence and thread-invariance gates.
+/// A symmetry-free twin of `AtLeastOnes(n, need)`: the same fit set with
+/// no declared symmetry, so the maintainability checkers take their
+/// dense per-state path on it.
+fn dense_twin(need: usize) -> PredicateConstraint {
+    PredicateConstraint::new("at-least", move |c: &Config| c.count_ones() >= need)
+}
+
+/// Gate that an orbit summary covers all `2^n_bits` states.
+fn gate_covers_space(summary: &FrontierSummary, what: &str) {
+    gate(
+        summary.frontier_sizes.iter().sum::<u64>() + summary.hopeless == summary.total_states(),
+        format!("{what} counts do not sum to the state space"),
+    );
+}
+
+/// `bench_smoke dcsp`: symmetry-reduction speed, orbit-summary scale
+/// numbers (2^30 states, beyond the dense path's 2^24 cap) and their
+/// equivalence gates.
 fn run_dcsp_smoke(reps: usize) {
     let greedy = GreedyRepair::new();
     let ctx1 = RunContext::with_threads(0, 1);
@@ -974,43 +980,41 @@ fn run_dcsp_smoke(reps: usize) {
         ),
     );
 
-    // Gate 2: the compressed engine agrees with the dense path at the
-    // largest size the dense path still reaches comfortably.
-    let env20 = AtLeastOnes::new(20, 13);
-    let dense20 = analyze_bit_dcsp(20, &env20);
-    let comp20 = analyze_bit_dcsp_frontiers(20, &env20, 4);
+    // Gate 2: the orbit summary agrees with the dense path, run on the
+    // symmetry-free twin, at the largest size it still reaches
+    // comfortably.
+    let orbit20 = analyze_bit_dcsp_frontiers(20, &AtLeastOnes::new(20, 13))
+        .expect("orbits reach 2^63 states");
+    let dense20 = analyze_bit_dcsp(20, &dense_twin(13));
     gate(
-        comp20.frontier_sizes == dense20.frontier_sizes()
-            && comp20.hopeless == dense20.hopeless_states().len() as u64,
-        "compressed frontiers differ from the dense analysis at 2^20",
+        orbit20.frontier_sizes == dense20.frontier_sizes()
+            && orbit20.hopeless == dense20.hopeless_states().len() as u64,
+        "orbit summary differs from the dense analysis at 2^20",
     );
 
-    // The headline run: 2^30 states — 64x beyond the dense cap — in a
-    // three-bitset arena. Timed once per thread budget (a rep is seconds,
-    // and the thread-invariance gate already runs both budgets).
+    // The headline rows: 2^30 quiet and 2^26 adversarial states, beyond
+    // the dense cap. Their level counts are pinned, and every state must
+    // land in a level or the hopeless count.
     const BIG: usize = 30;
     let env30 = AtLeastOnes::new(BIG, 4);
-    let (big1, big1_secs) = timed(|| analyze_bit_dcsp_frontiers(BIG, &env30, 1));
-    let (big4, big4_secs) = timed(|| analyze_bit_dcsp_frontiers(BIG, &env30, 4));
+    let big = analyze_bit_dcsp_frontiers(BIG, &env30).expect("orbits reach 2^63 states");
     gate(
-        big1 == big4,
-        "2^30 frontier summary depends on thread count",
+        big.frontier_sizes.len() == 5,
+        "2^30 quiet summary does not have five levels",
     );
-    let arena_bytes = 3 * (1u64 << (BIG - 6)) * 8;
-    let dense24_bytes = (1u64 << 24) * 36;
-    gate(
-        arena_bytes <= dense24_bytes,
-        "compressed 2^30 arena exceeds the dense 2^24 footprint",
-    );
-
-    // Adversarial level sets at 2^26 — also beyond the dense cap.
+    gate_covers_space(&big, "2^30 quiet summary");
+    let big_secs = median_secs(reps, || analyze_bit_dcsp_frontiers(BIG, &env30));
     let env26 = AtLeastOnes::new(26, 18);
-    let (adv1, adv1_secs) = timed(|| analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 1));
-    let (adv4, adv4_secs) = timed(|| analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 4));
+    let adv =
+        analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 1).expect("orbits reach 2^63 states");
     gate(
-        adv1 == adv4,
-        "2^26 adversarial summary depends on thread count",
+        adv.frontier_sizes.len() == 1,
+        "2^26 adversarial summary does not have one level",
     );
+    gate_covers_space(&adv, "2^26 adversarial summary");
+    let adv_secs = median_secs(reps, || {
+        analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 1)
+    });
 
     let cases = sym_report.cases as f64;
     let symmetry = SymmetrySpeed {
@@ -1024,26 +1028,19 @@ fn run_dcsp_smoke(reps: usize) {
         symmetric_vs_reference_speedup: speedup,
         symmetric_thread_scaling: thread_scaling(sym1_secs, sym4_secs),
     };
-    let compressed = CompressedScale {
-        quiet_2pow30_levels: big1.frontier_sizes.len(),
-        quiet_2pow30_threads1_secs: big1_secs,
-        quiet_2pow30_threads4_secs: big4_secs,
-        quiet_2pow30_states_per_sec: (1u64 << BIG) as f64 / big1_secs,
-        quiet_2pow30_thread_scaling: thread_scaling(big1_secs, big4_secs),
-        quiet_2pow30_arena_bytes: arena_bytes,
-        dense_2pow24_bytes_estimate: dense24_bytes,
-        adversarial_2pow26_levels: adv1.frontier_sizes.len(),
-        adversarial_2pow26_threads1_secs: adv1_secs,
-        adversarial_2pow26_threads4_secs: adv4_secs,
-        adversarial_2pow26_thread_scaling: thread_scaling(adv1_secs, adv4_secs),
+    let orbits = OrbitScale {
+        quiet_2pow30_levels: big.frontier_sizes.len(),
+        quiet_2pow30_secs: big_secs,
+        adversarial_2pow26_levels: adv.frontier_sizes.len(),
+        adversarial_2pow26_secs: adv_secs,
     };
     emit_smoke(
         vec![
             ("symmetry", symmetry.serialize()),
-            ("compressed", compressed.serialize()),
+            ("orbits", orbits.serialize()),
         ],
         reps,
-        "median wall seconds per run; the 2^30 and 2^26 rows are single timed runs",
+        "median wall seconds per run",
     );
 }
 
@@ -1110,9 +1107,10 @@ fn run_engine_smoke(reps: usize) {
     let csr_secs = median_secs(reps, || ts12.analyze());
     let ref_secs = median_secs(reps, || ts12.analyze_reference());
 
-    // Implicit model checking at 2^20 states.
+    // Implicit model checking at 2^20 states, on the dense path (the
+    // twin declares no symmetry, so no orbit quotient applies).
     let n = 20usize;
-    let env20 = AtLeastOnes::new(n, n - n / 3);
+    let env20 = dense_twin(n - n / 3);
     let states20 = (1u64 << n) as f64;
     let bfs_secs = median_secs(reps, || analyze_bit_dcsp(n, &env20));
     thread_invariant("implicit adversarial report", |threads| {

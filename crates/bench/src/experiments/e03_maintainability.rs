@@ -72,16 +72,18 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
         ]);
     }
     // Beyond the dense implicit path's 2^24 cap the per-state level array
-    // itself no longer fits; the compressed-frontier engine streams
-    // word-packed bitset frontiers and keeps only per-depth counts, which
-    // is all this table reports anyway. Equivalence with the dense
-    // analysis is pinned by `tests/symmetry_equivalence.rs`.
+    // itself no longer fits. `AtLeastOnes` is fully symmetric, so both
+    // analyses are solved on the 27 popcount orbits and summarized as
+    // per-depth counts, which is all this table reports anyway.
+    // Equivalence with the dense analysis is pinned by
+    // `tests/symmetry_equivalence.rs`.
     {
         let n = 26usize;
         let need = n - n / 3;
         let env = AtLeastOnes::new(n, need);
-        let summary = analyze_bit_dcsp_frontiers(n, &env, ctx.threads());
-        let adversarial = analyze_bit_dcsp_adversarial_frontiers(n, &env, 2, ctx.threads());
+        let summary = analyze_bit_dcsp_frontiers(n, &env).expect("orbits reach 2^63 states");
+        let adversarial = analyze_bit_dcsp_adversarial_frontiers(n, &env, 2, ctx.threads())
+            .expect("orbits reach 2^63 states");
         let states = 1usize << n;
         let edges = states * n;
         check_scaling(n as f64, &mut prev_per_state, &mut polynomial_scaling);
@@ -91,7 +93,7 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
             format!("{:?}", summary.min_k()),
             format!("{:?}", adversarial.min_k()),
             format!("{}", summary.hopeless),
-            format!("{edges} edges (compressed)"),
+            format!("{edges} edges (orbits)"),
         ]);
     }
     ExperimentTable {
@@ -117,7 +119,7 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
              per-state edge count stays near-linear as the space grows \
              1048576× to 2^26 states — the implicit rows never materialize \
              the transition system, generating bit-flip moves on the fly, and \
-             the 2^26 row streams word-packed compressed frontiers instead of \
+             the 2^26 row is solved on its 27 popcount orbits instead of \
              per-state levels (polynomial scaling: {polynomial_scaling}); the \
              adversarial variant reports None as expected — an environment \
              allowed a 2-bit counter-move after every 1-bit repair can keep \
@@ -145,11 +147,11 @@ mod tests {
         assert_eq!(row20[0], "20");
         assert_eq!(row20[2], format!("{:?}", Some(20 - 20 / 3)));
         assert_eq!(row20[3], "None");
-        // The compressed row continues the pattern past the dense cap.
+        // The orbit row continues the pattern past the dense cap.
         let row26 = &t.rows[8];
         assert_eq!(row26[0], "26");
         assert_eq!(row26[2], format!("{:?}", Some(26 - 26 / 3)));
         assert_eq!(row26[3], "None");
-        assert!(row26[5].contains("compressed"));
+        assert!(row26[5].contains("orbits"));
     }
 }

@@ -53,8 +53,7 @@ pub enum CoreError {
     /// A state-space construction would exceed the addressable (or
     /// budgeted) number of states for the chosen representation — e.g.
     /// the dense per-state level array of the implicit maintainability
-    /// checker. Callers should route oversized instances to a compressed
-    /// representation instead.
+    /// checker, or the `u64` state count of its orbit summary.
     StateSpaceTooLarge {
         /// Requested state-space width in bits (`2^n_bits` states).
         n_bits: usize,
@@ -93,8 +92,8 @@ impl fmt::Display for CoreError {
             CoreError::StateSpaceTooLarge { n_bits, limit } => {
                 write!(
                     f,
-                    "state space 2^{n_bits} exceeds the dense representation \
-                     limit of 2^{limit} states; use the compressed-frontier path"
+                    "state space 2^{n_bits} exceeds the representation limit \
+                     of 2^{limit} states"
                 )
             }
         }

@@ -1,7 +1,7 @@
 //! Word-packed bitsets — the frontier/marker machinery of the
 //! maintainability model checker, extracted so every layer that tracks
-//! large boolean populations (BFS frontiers, cluster alive-sets,
-//! visited markers) shares one implementation.
+//! large boolean populations (BFS frontiers, normal sets, cluster
+//! alive-sets, visited markers) shares one implementation.
 //!
 //! A [`BitWords`] is a fixed-capacity set over `0..len` backed by
 //! `u64` words. The dense-iteration idiom the model checker relies on
@@ -11,65 +11,6 @@
 //! [`BitWords::words_mut`] for callers that batch at word granularity.
 
 use serde::{Deserialize, Serialize};
-
-/// Butterfly masks for the six in-word XOR strides: `XOR_MASKS[b]` marks
-/// the bit positions `p` with `p & (1 << b) == 0`.
-const XOR_MASKS: [u64; 6] = [
-    0x5555_5555_5555_5555,
-    0x3333_3333_3333_3333,
-    0x0f0f_0f0f_0f0f_0f0f,
-    0x00ff_00ff_00ff_00ff,
-    0x0000_ffff_0000_ffff,
-    0x0000_0000_ffff_ffff,
-];
-
-/// Permute the 64 bits of `w` by the involution `p ↦ p ^ m` (`m < 64`):
-/// bit `p` of the result is bit `p ^ m` of the input. This is the
-/// word-level "batch flip" of the implicit model checkers — one call
-/// moves 64 states across a single-bit (or multi-bit) XOR edge at once.
-pub fn word_xor_permute(mut w: u64, m: usize) -> u64 {
-    debug_assert!(m < 64, "in-word permute stride {m} out of range");
-    for (b, &mask) in XOR_MASKS.iter().enumerate() {
-        if m >> b & 1 == 1 {
-            let d = 1 << b;
-            w = ((w >> d) & mask) | ((w & mask) << d);
-        }
-    }
-    w
-}
-
-/// Membership word of `{p ^ m : p ∈ src}` at destination word index `w`:
-/// bit `o` of the result says whether state `64·w + o ^ m` is in `src`.
-/// The word count must be closed under XOR with `m >> 6` (always true
-/// when `src` covers a power-of-two state space containing `m`).
-pub fn xor_shifted_word(src: &[u64], w: usize, m: usize) -> u64 {
-    word_xor_permute(src[w ^ (m >> 6)], m & 63)
-}
-
-/// In-place union with the XOR-translate of `src`: for every destination
-/// word, OR in [`xor_shifted_word`]. `dst` and `src` must have the same
-/// power-of-two capacity covering `m`.
-pub fn or_xor_shifted(dst: &mut [u64], src: &[u64], m: usize) {
-    debug_assert_eq!(dst.len(), src.len(), "capacity mismatch");
-    for (w, slot) in dst.iter_mut().enumerate() {
-        *slot |= xor_shifted_word(src, w, m);
-    }
-}
-
-/// In-place intersection with the XOR-translate of `src` — the erosion
-/// step of the compressed adversarial fixed point. Same capacity
-/// contract as [`or_xor_shifted`].
-pub fn and_xor_shifted(dst: &mut [u64], src: &[u64], m: usize) {
-    debug_assert_eq!(dst.len(), src.len(), "capacity mismatch");
-    for (w, slot) in dst.iter_mut().enumerate() {
-        *slot &= xor_shifted_word(src, w, m);
-    }
-}
-
-/// Count of set bits across a raw word slice.
-pub fn count_words(words: &[u64]) -> u64 {
-    words.iter().map(|w| u64::from(w.count_ones())).sum()
-}
 
 /// A fixed-capacity set of `usize` indices packed 64 per word.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -289,53 +230,6 @@ mod tests {
         b.clear_all();
         assert!(b.none_set());
         assert_eq!(b.count(), 0);
-    }
-
-    #[test]
-    fn xor_permute_matches_per_bit_reference() {
-        let samples = [
-            0u64,
-            u64::MAX,
-            0x0123_4567_89ab_cdef,
-            0xdead_beef_f00d_cafe,
-            1,
-            1 << 63,
-        ];
-        for &w in &samples {
-            for m in 0..64usize {
-                let fast = word_xor_permute(w, m);
-                for p in 0..64usize {
-                    let want = w >> (p ^ m) & 1;
-                    assert_eq!(fast >> p & 1, want, "w={w:#x} m={m} p={p}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn xor_shift_ops_match_explicit_translation() {
-        // 512-state space (8 words); arbitrary mask mixing word and
-        // in-word components.
-        let n = 512usize;
-        let mut src = BitWords::new(n);
-        for s in [0usize, 1, 63, 64, 100, 255, 300, 511] {
-            src.set(s);
-        }
-        for m in [1usize, 5, 64, 65, 130, 511] {
-            let mut translated = BitWords::new(n);
-            for s in 0..n {
-                if src.get(s ^ m) {
-                    translated.set(s);
-                }
-            }
-            let mut ored = vec![0u64; n / 64];
-            or_xor_shifted(&mut ored, src.words(), m);
-            assert_eq!(&ored, translated.words(), "or m={m}");
-            let mut anded = vec![u64::MAX; n / 64];
-            and_xor_shifted(&mut anded, src.words(), m);
-            assert_eq!(&anded, translated.words(), "and m={m}");
-            assert_eq!(count_words(&ored), translated.count() as u64);
-        }
     }
 
     proptest! {

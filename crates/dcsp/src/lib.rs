@@ -64,9 +64,8 @@ pub use bitwords::BitWords;
 pub use cost::{CostConstraint, CostFunction, WeightedClauses, WeightedMismatch};
 pub use maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_auto, analyze_bit_dcsp_frontiers, try_analyze_bit_dcsp,
-    try_analyze_bit_dcsp_adversarial, FrontierSummary, MaintainabilityReport, MaintenancePolicy,
-    TransitionSystem,
+    analyze_bit_dcsp_frontiers, try_analyze_bit_dcsp, try_analyze_bit_dcsp_adversarial,
+    FrontierSummary, MaintainabilityReport, MaintenancePolicy, TransitionSystem,
 };
 pub use problem::{DcspSystem, EpisodeRecord};
 pub use recoverability::{

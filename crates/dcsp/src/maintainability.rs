@@ -30,26 +30,33 @@
 //! is capped at 20 bits; the *implicit* checkers [`analyze_bit_dcsp`] and
 //! [`analyze_bit_dcsp_adversarial`] generate single-bit-flip moves on the
 //! fly and scale past `2^20` states while producing byte-identical
-//! reports. The implicit dense paths cap at 24 bits (typed
-//! [`CoreError::StateSpaceTooLarge`] via the `try_` variants); beyond
-//! that, the *compressed-frontier* engines
-//! ([`analyze_bit_dcsp_frontiers`],
-//! [`analyze_bit_dcsp_adversarial_frontiers`]) trade the per-state level
-//! array and policy for word-packed frontier bitsets and streamed
-//! per-depth counts ([`FrontierSummary`]), reaching `2^30` states in less
-//! memory than the dense `2^24` run; [`analyze_bit_dcsp_auto`] routes by
-//! size.
+//! reports, up to 24 bits (typed [`CoreError::StateSpaceTooLarge`] via
+//! the `try_` variants beyond).
+//!
+//! When the constraint declares full variable symmetry — one
+//! interchangeability class over exactly the `n` state bits
+//! ([`Constraint::symmetry_classes`]) — fitness depends only on a state's
+//! popcount, and so do both analyses. The implicit checkers then solve on
+//! the `n + 1` popcount *orbits* (the count view of state): a flip moves
+//! orbit `p` to `p ± 1`, and damaging `j` set and `k` clear bits moves it
+//! to `p − j + k`. The Jacobi iterates are orbit-constant, so the orbit
+//! fixed point is the dense one; it is expanded to the per-state report.
+//! The frontier summaries ([`analyze_bit_dcsp_frontiers`],
+//! [`analyze_bit_dcsp_adversarial_frontiers`]) weight each orbit by
+//! `C(n, p)` instead of expanding, so they reach `2^63` states; without a
+//! declared symmetry they summarize the dense report.
 //!
 //! Policy tie-breaking is canonical in every analysis path: among the
 //! controllable successors achieving the optimal value, the one inserted
-//! first is chosen (for bit DCSPs, the lowest flipped bit). This makes the
-//! fast paths, the retained references, and the implicit generators agree
-//! exactly, which the test suite checks.
+//! first is chosen (for bit DCSPs, the lowest flipped bit — on orbits,
+//! `min(tz(s), tz(!s))` over the directions that reach the target). This
+//! makes the fast paths, the retained references, and the implicit
+//! generators agree exactly, which the test suite checks.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
 
-use crate::bitwords::{count_words, xor_shifted_word, BitWords};
+use crate::bitwords::BitWords;
 use resilience_core::{Config, Constraint, CoreError};
 
 /// "Unreachable / unbounded" sentinel for adversarial values. Kept well
@@ -680,11 +687,136 @@ fn normal_bitset(n_bits: usize, env: &dyn Constraint) -> BitWords {
     normal
 }
 
-/// Largest `n_bits` the dense implicit analyses accept: beyond `2^24`
-/// states the per-state level and policy arrays dominate memory (the
-/// compressed [`analyze_bit_dcsp_frontiers`] path reaches `2^30` in less
-/// space than the dense `2^24` run).
+/// Largest `n_bits` the per-state reports accept: beyond `2^24` states
+/// the level and policy arrays alone pass half a GiB.
 const DENSE_BIT_LIMIT: usize = 24;
+
+/// Largest `n_bits` an orbit summary accepts: its `2^n_bits` state count
+/// must fit in a `u64`.
+const ORBIT_BIT_LIMIT: usize = 63;
+
+fn too_large(n_bits: usize, limit: usize) -> Result<(), CoreError> {
+    if n_bits > limit {
+        return Err(CoreError::StateSpaceTooLarge { n_bits, limit });
+    }
+    Ok(())
+}
+
+/// Whether `env` declares full variable symmetry over an `n_bits`-bit
+/// state: one interchangeability class covering exactly `n_bits`
+/// variables ([`Constraint::symmetry_classes`]). Fitness is then a
+/// function of the popcount alone.
+fn fully_symmetric(n_bits: usize, env: &dyn Constraint) -> bool {
+    env.symmetry_classes()
+        .is_some_and(|c| c.len() == n_bits && c.iter().all(|&x| x == c[0]))
+}
+
+/// Fitness per popcount orbit of a fully symmetric constraint: `n_bits + 1`
+/// probes of the prefix configurations `0^n`, `10^(n−1)`, ….
+fn orbit_fitness(n_bits: usize, env: &dyn Constraint) -> Vec<bool> {
+    let mut probe = Config::zeros(n_bits);
+    let mut fit = vec![env.is_fit(&probe)];
+    for b in 0..n_bits {
+        probe.flip(b);
+        fit.push(env.is_fit(&probe));
+    }
+    fit
+}
+
+/// The adversarial min-max fixed point on popcount orbits, returned as
+/// per-orbit values and worst-case replies (`INF` = unbounded). A flip
+/// moves orbit `p` to `p ± 1`; damaging `j` set and `k` clear bits of a
+/// normal state in orbit `p` lands in orbit `p − j + k`, for
+/// `1 ≤ j + k ≤ max_damage`, `j ≤ p`, `k ≤ n − p`. The Jacobi sweeps are
+/// those of [`try_analyze_bit_dcsp_adversarial`] restricted to
+/// orbit-constant vectors, so the fixed point is the dense one. With
+/// `max_damage = 0` the ball is empty and the fixed point is the quiet
+/// BFS distance along the orbit path `0..=n`.
+fn orbit_fixed_point(fit: &[bool], max_damage: usize) -> (Vec<usize>, Vec<usize>) {
+    let n = fit.len() - 1;
+    let worst_of = |v: &[usize]| -> Vec<usize> {
+        (0..=n)
+            .map(|p| {
+                if !fit[p] {
+                    return v[p];
+                }
+                let mut w = 0;
+                for j in 0..=max_damage.min(p) {
+                    for k in 0..=(max_damage - j).min(n - p) {
+                        if j + k > 0 {
+                            w = w.max(v[p - j + k]);
+                        }
+                    }
+                }
+                w
+            })
+            .collect()
+    };
+    let mut v: Vec<usize> = fit.iter().map(|&f| if f { 0 } else { INF }).collect();
+    loop {
+        let worst = worst_of(&v);
+        let next: Vec<usize> = (0..=n)
+            .map(|p| {
+                let down = p.checked_sub(1).map_or(INF, |q| worst[q]);
+                let up = if p < n { worst[p + 1] } else { INF };
+                let best = down.min(up);
+                if fit[p] {
+                    0
+                } else if best >= INF {
+                    v[p]
+                } else {
+                    v[p].min(best + 1)
+                }
+            })
+            .collect();
+        if next == v {
+            return (v, worst);
+        }
+        v = next;
+    }
+}
+
+/// Expand orbit values to the per-state report. Level of `s` is
+/// `v[popcount(s)]`; the policy flips the lowest bit whose flip reaches
+/// an orbit whose worst case is the target `v − 1` — `tz(s)` for the
+/// orbit below, `tz(!s)` for the one above — which is the dense path's
+/// "lowest flipped bit" tie-break.
+fn expand_orbits(n_bits: usize, v: &[usize], worst: &[usize]) -> MaintainabilityReport {
+    let n = v.len() - 1;
+    // Per orbit: level, and whether a set-bit (down) or clear-bit (up)
+    // flip reaches the target.
+    let orbit: Vec<(Option<usize>, bool, bool)> = (0..=n)
+        .map(|p| match v[p] {
+            x if x >= INF => (None, false, false),
+            0 => (Some(0), false, false),
+            x => (
+                Some(x),
+                p > 0 && worst[p - 1] == x - 1,
+                p < n && worst[p + 1] == x - 1,
+            ),
+        })
+        .collect();
+    let n_states = 1usize << n_bits;
+    let levels = (0..n_states)
+        .map(|s| orbit[s.count_ones() as usize].0)
+        .collect();
+    let action = (0..n_states)
+        .map(|s| {
+            let (_, down, up) = orbit[s.count_ones() as usize];
+            let (tz_set, tz_clear) = (s.trailing_zeros(), (!s).trailing_zeros());
+            match (down, up) {
+                (true, true) => Some(s ^ (1 << tz_set.min(tz_clear))),
+                (true, false) => Some(s ^ (1 << tz_set)),
+                (false, true) => Some(s ^ (1 << tz_clear)),
+                (false, false) => None,
+            }
+        })
+        .collect();
+    MaintainabilityReport {
+        levels,
+        policy: MaintenancePolicy { action },
+    }
+}
 
 /// K-maintainability of an `n`-bit DCSP without materializing the
 /// transition system: states are configurations, controllable moves are
@@ -693,15 +825,15 @@ const DENSE_BIT_LIMIT: usize = 24;
 /// report identical to
 /// `TransitionSystem::from_bit_dcsp(n_bits, env, _).analyze()` while
 /// scaling past `2^20` states (the quiet analysis ignores exogenous edges,
-/// so no damage bound is taken).
+/// so no damage bound is taken). A fully symmetric `env` is solved on
+/// its `n_bits + 1` popcount orbits and expanded (see the module doc).
 ///
 /// # Panics
 ///
 /// Panics if `n_bits > 24` (the per-state level and policy arrays for
 /// `2^24` states already cost hundreds of MiB). Use
 /// [`try_analyze_bit_dcsp`] for a typed error, or
-/// [`analyze_bit_dcsp_auto`] to route oversized instances through the
-/// compressed-frontier path automatically.
+/// [`analyze_bit_dcsp_frontiers`] for a per-depth summary.
 pub fn analyze_bit_dcsp(n_bits: usize, env: &dyn Constraint) -> MaintainabilityReport {
     match try_analyze_bit_dcsp(n_bits, env) {
         Ok(report) => report,
@@ -710,22 +842,20 @@ pub fn analyze_bit_dcsp(n_bits: usize, env: &dyn Constraint) -> MaintainabilityR
 }
 
 /// [`analyze_bit_dcsp`] with the size cap surfaced as a typed error
-/// ([`CoreError::StateSpaceTooLarge`]) instead of a panic, so callers can
-/// fall back to the compressed path.
+/// ([`CoreError::StateSpaceTooLarge`]) instead of a panic.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// dense limit of 24 bits.
+/// per-state report limit of 24 bits.
 pub fn try_analyze_bit_dcsp(
     n_bits: usize,
     env: &dyn Constraint,
 ) -> Result<MaintainabilityReport, CoreError> {
-    if n_bits > DENSE_BIT_LIMIT {
-        return Err(CoreError::StateSpaceTooLarge {
-            n_bits,
-            limit: DENSE_BIT_LIMIT,
-        });
+    too_large(n_bits, DENSE_BIT_LIMIT)?;
+    if fully_symmetric(n_bits, env) {
+        let (v, worst) = orbit_fixed_point(&orbit_fitness(n_bits, env), 0);
+        return Ok(expand_orbits(n_bits, &v, &worst));
     }
     let n_states = 1usize << n_bits;
     let normal = normal_bitset(n_bits, env);
@@ -781,13 +911,14 @@ pub fn try_analyze_bit_dcsp(
 /// fixed point runs as thread-chunked Jacobi sweeps; output is identical
 /// for any `threads` and to
 /// `TransitionSystem::from_bit_dcsp(n_bits, env, max_damage)
-///     .analyze_adversarial()`.
+///     .analyze_adversarial()`. A fully symmetric `env` is solved on its
+/// popcount orbits instead (`threads` is then unused).
 ///
 /// # Panics
 ///
 /// Panics if `n_bits > 24`. Use [`try_analyze_bit_dcsp_adversarial`] for
-/// a typed error, or [`analyze_bit_dcsp_adversarial_frontiers`] for the
-/// compressed path.
+/// a typed error, or [`analyze_bit_dcsp_adversarial_frontiers`] for a
+/// per-depth summary.
 pub fn analyze_bit_dcsp_adversarial(
     n_bits: usize,
     env: &dyn Constraint,
@@ -806,27 +937,25 @@ pub fn analyze_bit_dcsp_adversarial(
 /// # Errors
 ///
 /// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// dense limit of 24 bits.
+/// per-state report limit of 24 bits.
 pub fn try_analyze_bit_dcsp_adversarial(
     n_bits: usize,
     env: &dyn Constraint,
     max_damage: usize,
     threads: usize,
 ) -> Result<MaintainabilityReport, CoreError> {
-    if n_bits > DENSE_BIT_LIMIT {
-        return Err(CoreError::StateSpaceTooLarge {
-            n_bits,
-            limit: DENSE_BIT_LIMIT,
-        });
+    too_large(n_bits, DENSE_BIT_LIMIT)?;
+    if fully_symmetric(n_bits, env) {
+        let (v, worst) = orbit_fixed_point(&orbit_fitness(n_bits, env), max_damage);
+        return Ok(expand_orbits(n_bits, &v, &worst));
     }
     let threads = threads.max(1);
     let n_states = 1usize << n_bits;
     let normal = normal_bitset(n_bits, env);
     // All damage patterns as XOR masks (order irrelevant: only the max
     // over the ball is taken).
-    let masks: Vec<usize> = (1..n_states)
-        .filter(|m| (m.count_ones() as usize) <= max_damage)
-        .collect();
+    let mut masks = Vec::new();
+    damage_masks(n_bits, max_damage, 0, 0, &mut masks);
     let mut v = vec![INF; n_states];
     for (s, value) in v.iter_mut().enumerate() {
         if normal.get(s) {
@@ -902,13 +1031,25 @@ pub fn try_analyze_bit_dcsp_adversarial(
     })
 }
 
-/// Compressed-frontier summary of an implicit maintainability analysis:
-/// per-depth frontier sizes and the hopeless-state count, streamed level
-/// by level instead of materialized as a per-state array. This is the
-/// whole observable output of the frontier engines — everything a
-/// [`MaintainabilityReport`] derives about *sizes* (min-k, k-maintainable,
-/// frontier histogram) without the per-state levels and policy whose
-/// storage caps the dense path at `2^24` states.
+/// Collect every non-zero damage mask of popcount ≤ `max_damage` over
+/// `n_bits` bits (ascending-bit DFS; order is irrelevant downstream —
+/// only the max over the whole ball is taken).
+fn damage_masks(n_bits: usize, max_damage: usize, from: usize, cur: usize, out: &mut Vec<usize>) {
+    if max_damage == 0 {
+        return;
+    }
+    for b in from..n_bits {
+        let m = cur | (1 << b);
+        out.push(m);
+        damage_masks(n_bits, max_damage - 1, b + 1, m, out);
+    }
+}
+
+/// Per-depth summary of a maintainability analysis: frontier sizes and
+/// the hopeless-state count, without per-state levels or policy. This is
+/// everything a [`MaintainabilityReport`] derives about *sizes* (min-k,
+/// k-maintainable, frontier histogram), so it reaches state spaces whose
+/// per-state report would not fit in memory.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
 pub struct FrontierSummary {
     /// Number of state bits; the space has `2^n_bits` states.
@@ -943,268 +1084,89 @@ impl FrontierSummary {
     pub fn total_states(&self) -> u64 {
         1u64 << self.n_bits
     }
-}
 
-/// Fill `out` (word-packed over `2^n_bits` states, state `s` = bit
-/// `s % 64` of word `s / 64`) with the fitness of every state, chunked
-/// over `threads`.
-///
-/// Fast path: when the constraint declares a single interchangeability
-/// class covering every bit ([`Constraint::symmetry_classes`]), fitness
-/// is a function of the popcount alone, so `n_bits + 1` probes of prefix
-/// configurations build a lookup table and each state costs one hardware
-/// popcount instead of a `Config` round-trip — this is what makes the
-/// `2^30` normal-set construction tractable.
-fn normal_words(n_bits: usize, env: &dyn Constraint, threads: usize, out: &mut [u64]) {
-    let popcount_table = env.symmetry_classes().and_then(|classes| {
-        (classes.len() == n_bits && classes.iter().all(|&c| c == classes[0])).then(|| {
-            let mut probe = Config::zeros(n_bits);
-            let mut table = vec![env.is_fit(&probe)];
-            for b in 0..n_bits {
-                probe.flip(b);
-                table.push(env.is_fit(&probe));
-            }
-            table
-        })
-    });
-    run_chunks(out, threads, |start, chunk| {
-        let mut probe = Config::zeros(n_bits);
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            let base = ((start + i) as u64) << 6;
-            let mut word = 0u64;
-            for bit in 0..64u64 {
-                let s = base | bit;
-                let fit = match &popcount_table {
-                    Some(table) => table[s.count_ones() as usize],
-                    None => {
-                        probe.set_from_u64(s);
-                        env.is_fit(&probe)
-                    }
-                };
-                if fit {
-                    word |= 1 << bit;
-                }
-            }
-            *slot = word;
+    fn of_report(n_bits: usize, report: &MaintainabilityReport) -> Self {
+        FrontierSummary {
+            n_bits,
+            frontier_sizes: report.frontier_sizes(),
+            hopeless: report.hopeless_states().len() as u64,
         }
-    });
+    }
+
+    /// Weight each orbit value by its size `C(n, p)`.
+    fn of_orbits(n_bits: usize, v: &[usize]) -> Self {
+        let mut frontier_sizes = Vec::new();
+        let mut hopeless = 0u64;
+        let mut choose = 1u64;
+        for (p, &x) in v.iter().enumerate() {
+            if x >= INF {
+                hopeless += choose;
+            } else {
+                if x >= frontier_sizes.len() {
+                    frontier_sizes.resize(x + 1, 0);
+                }
+                frontier_sizes[x] += choose;
+            }
+            // C(n, p + 1) = C(n, p) · (n − p) / (p + 1), exact in u128.
+            choose = (u128::from(choose) * (n_bits - p) as u128 / (p as u128 + 1)) as u64;
+        }
+        FrontierSummary {
+            n_bits,
+            frontier_sizes,
+            hopeless,
+        }
+    }
 }
 
-/// K-maintainability frontiers of an `n`-bit DCSP on the compressed
-/// path: three word-packed bitsets (current frontier, next frontier,
-/// visited — `2^n / 8` bytes each, carved from a single arena) replace
-/// the dense per-state level array, and neighbor generation is a
-/// word-level XOR gather — bit `p` of a frontier word maps to bit
-/// `p ^ m` under flip mask `m`, so low flips permute bits inside a word
-/// and high flips re-index words
-/// ([`crate::bitwords::word_xor_permute`]). Each gather advances 64
-/// sibling states per instruction. Levels are streamed into per-depth
-/// counts, never stored per state, which lifts the implicit ceiling from
-/// `2^24` dense states to `2^30` — in less memory than the dense `2^24`
-/// run.
+/// The quiet analysis of [`analyze_bit_dcsp`] as a [`FrontierSummary`].
+/// A fully symmetric `env` is summarized on its popcount orbits, each
+/// weighted by `C(n_bits, p)`, up to 63 bits; any other constraint falls
+/// back to the dense report, up to 24 bits.
 ///
-/// The per-depth counts equal
-/// [`MaintainabilityReport::frontier_sizes`] of the dense path on the
-/// same instance, for any `threads` (chunk boundaries cannot affect a
-/// BFS level: every next-frontier word is a pure function of the current
-/// frontier).
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics unless `6 <= n_bits <= 30` (below 6 bits a state space does
-/// not fill one word; above 30 the bitsets pass 128 MiB each — use the
-/// dense path below and sampling above).
+/// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
+/// limit of the path it takes (63 on orbits, 24 dense).
 pub fn analyze_bit_dcsp_frontiers(
     n_bits: usize,
     env: &dyn Constraint,
-    threads: usize,
-) -> FrontierSummary {
-    assert!(
-        (6..=30).contains(&n_bits),
-        "compressed frontiers support 6..=30 bits"
-    );
-    let threads = threads.max(1);
-    let n_states = 1usize << n_bits;
-    let words = n_states >> 6;
-    // One arena, three equal buffers: A/B ping-pong as current/next
-    // frontier, the third accumulates visited states.
-    let mut arena = vec![0u64; 3 * words];
-    let (buf_a, rest) = arena.split_at_mut(words);
-    let (buf_b, visited) = rest.split_at_mut(words);
-    normal_words(n_bits, env, threads, visited);
-    buf_a.copy_from_slice(visited);
-    let first = count_words(visited);
-    if first == 0 {
-        return FrontierSummary {
-            n_bits,
-            frontier_sizes: Vec::new(),
-            hopeless: n_states as u64,
-        };
-    }
-    let mut frontier_sizes = vec![first];
-    let mut reached = first;
-    let mut depth = 0usize;
-    loop {
-        let (cur, next) = if depth.is_multiple_of(2) {
-            (&*buf_a, &mut *buf_b)
-        } else {
-            (&*buf_b, &mut *buf_a)
-        };
-        run_chunks(next, threads, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let w = start + i;
-                let mut acc = 0u64;
-                for b in 0..n_bits {
-                    acc |= xor_shifted_word(cur, w, 1usize << b);
-                }
-                *slot = acc & !visited[w];
-            }
-        });
-        let next = if depth.is_multiple_of(2) {
-            &*buf_b
-        } else {
-            &*buf_a
-        };
-        let mut newly = 0u64;
-        for (v, n) in visited.iter_mut().zip(next.iter()) {
-            *v |= *n;
-            newly += n.count_ones() as u64;
-        }
-        if newly == 0 {
-            break;
-        }
-        frontier_sizes.push(newly);
-        reached += newly;
-        depth += 1;
-    }
-    FrontierSummary {
-        n_bits,
-        frontier_sizes,
-        hopeless: n_states as u64 - reached,
-    }
+) -> Result<FrontierSummary, CoreError> {
+    summarize(n_bits, env, 0, || try_analyze_bit_dcsp(n_bits, env))
 }
 
-/// Collect every non-zero damage mask of popcount ≤ `max_damage` over
-/// `n_bits` bits (ascending-bit DFS; order is irrelevant downstream —
-/// only intersections over the whole ball are taken).
-fn damage_masks(n_bits: usize, max_damage: usize, from: usize, cur: usize, out: &mut Vec<usize>) {
-    if max_damage == 0 {
-        return;
-    }
-    for b in from..n_bits {
-        let m = cur | (1 << b);
-        out.push(m);
-        damage_masks(n_bits, max_damage - 1, b + 1, m, out);
-    }
-}
-
-/// Adversarial K-maintainability frontiers on the compressed path: the
-/// min-max fixed point of [`analyze_bit_dcsp_adversarial`] computed as
-/// monotone level sets from below instead of per-state value iteration.
-/// With `V_d` = states of adversarial value ≤ `d`:
+/// The adversarial analysis of [`analyze_bit_dcsp_adversarial`] as a
+/// [`FrontierSummary`], on the same two paths as
+/// [`analyze_bit_dcsp_frontiers`] (`threads` only reaches the dense one).
 ///
-/// * `V_0` = the normal set;
-/// * `W_d` (states whose worst-case environment reply stays in `V_d`) =
-///   non-normal members of `V_d`, plus normal states whose whole damage
-///   ball lies in `V_d` — an *erosion* of `V_d` by the mask set;
-/// * `V_{d+1}` = normal ∪ one-flip *dilation* of `W_d`.
+/// # Errors
 ///
-/// Erosion and dilation are word-level XOR gathers, so each level is a
-/// few linear passes over three `2^n / 8`-byte bitsets. The per-depth
-/// counts `|V_d| − |V_{d−1}|` equal the dense adversarial report's
-/// [`MaintainabilityReport::frontier_sizes`], for any `threads`.
-///
-/// # Panics
-///
-/// Panics unless `6 <= n_bits <= 30`.
+/// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
+/// limit of the path it takes (63 on orbits, 24 dense).
 pub fn analyze_bit_dcsp_adversarial_frontiers(
     n_bits: usize,
     env: &dyn Constraint,
     max_damage: usize,
     threads: usize,
-) -> FrontierSummary {
-    assert!(
-        (6..=30).contains(&n_bits),
-        "compressed frontiers support 6..=30 bits"
-    );
-    let threads = threads.max(1);
-    let n_states = 1usize << n_bits;
-    let words = n_states >> 6;
-    let mut masks = Vec::new();
-    damage_masks(n_bits, max_damage, 0, 0, &mut masks);
-    let mut arena = vec![0u64; 3 * words];
-    let (normal, rest) = arena.split_at_mut(words);
-    let (vd, scratch) = rest.split_at_mut(words);
-    normal_words(n_bits, env, threads, normal);
-    vd.copy_from_slice(normal);
-    let first = count_words(vd);
-    if first == 0 {
-        return FrontierSummary {
-            n_bits,
-            frontier_sizes: Vec::new(),
-            hopeless: n_states as u64,
-        };
-    }
-    let mut frontier_sizes = vec![first];
-    let mut reached = first;
-    loop {
-        // W_d into `scratch`: erosion of V_d by the damage ball on the
-        // normal states, V_d itself elsewhere.
-        run_chunks(scratch, threads, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let w = start + i;
-                let mut ero = vd[w];
-                for &m in &masks {
-                    ero &= xor_shifted_word(vd, w, m);
-                }
-                *slot = (vd[w] & !normal[w]) | (normal[w] & ero);
-            }
-        });
-        // V_{d+1} in place: normal ∪ V_d ∪ one-flip dilation of W_d (the
-        // V_d term is index-local, so in-place writes are safe).
-        run_chunks(vd, threads, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let w = start + i;
-                let mut acc = *slot | normal[w];
-                for b in 0..n_bits {
-                    acc |= xor_shifted_word(scratch, w, 1usize << b);
-                }
-                *slot = acc;
-            }
-        });
-        let total = count_words(vd);
-        let newly = total - reached;
-        if newly == 0 {
-            break;
-        }
-        frontier_sizes.push(newly);
-        reached = total;
-    }
-    FrontierSummary {
-        n_bits,
-        frontier_sizes,
-        hopeless: n_states as u64 - reached,
-    }
+) -> Result<FrontierSummary, CoreError> {
+    summarize(n_bits, env, max_damage, || {
+        try_analyze_bit_dcsp_adversarial(n_bits, env, max_damage, threads)
+    })
 }
 
-/// Route an implicit quiet analysis to the right engine for its size:
-/// dense ([`try_analyze_bit_dcsp`], full report summarized) up to 24
-/// bits, compressed frontiers above. `threads` only affects the
-/// compressed branch; the summary is identical either way on instances
-/// both engines accept.
-pub fn analyze_bit_dcsp_auto(
+/// The orbit summary when `env` is fully symmetric, else the summary of
+/// the `dense` report.
+fn summarize(
     n_bits: usize,
     env: &dyn Constraint,
-    threads: usize,
-) -> FrontierSummary {
-    match try_analyze_bit_dcsp(n_bits, env) {
-        Ok(report) => FrontierSummary {
-            n_bits,
-            frontier_sizes: report.frontier_sizes(),
-            hopeless: report.hopeless_states().len() as u64,
-        },
-        Err(_) => analyze_bit_dcsp_frontiers(n_bits, env, threads),
+    max_damage: usize,
+    dense: impl FnOnce() -> Result<MaintainabilityReport, CoreError>,
+) -> Result<FrontierSummary, CoreError> {
+    if !fully_symmetric(n_bits, env) {
+        return dense().map(|report| FrontierSummary::of_report(n_bits, &report));
     }
+    too_large(n_bits, ORBIT_BIT_LIMIT)?;
+    let (v, _) = orbit_fixed_point(&orbit_fitness(n_bits, env), max_damage);
+    Ok(FrontierSummary::of_orbits(n_bits, &v))
 }
 
 #[cfg(test)]
@@ -1476,25 +1438,18 @@ mod tests {
         );
     }
 
+    /// "At least `need` ones" with no declared symmetry, so it takes the
+    /// dense path.
+    fn at_least_twin(need: usize) -> PredicateConstraint {
+        PredicateConstraint::new("at-least", move |c: &Config| c.count_ones() >= need)
+    }
+
     #[test]
-    fn compressed_frontiers_match_dense_quiet_analysis() {
-        let all = AllOnes::new(10);
-        let atleast = AtLeastOnes::new(10, 6);
-        let envs: [&dyn Constraint; 2] = [&all, &atleast];
-        for env in envs {
-            let dense = analyze_bit_dcsp(10, env);
-            for threads in [1usize, 3, 4] {
-                let summary = analyze_bit_dcsp_frontiers(10, env, threads);
-                assert_eq!(summary.frontier_sizes, dense.frontier_sizes());
-                assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
-                assert_eq!(summary.min_k(), dense.min_k(), "threads={threads}");
-                assert_eq!(summary.total_states(), 1 << 10);
-            }
-        }
+    fn empty_normal_set_is_all_hopeless() {
         // Single-bit flips reach every state, so hopeless states require
         // an empty normal set.
         let never = ExplicitSet::new(Vec::<Config>::new());
-        let summary = analyze_bit_dcsp_frontiers(6, &never, 2);
+        let summary = analyze_bit_dcsp_frontiers(6, &never).expect("in range");
         assert_eq!(summary.hopeless, 64);
         assert_eq!(summary.min_k(), None);
         assert!(!summary.is_k_maintainable(100));
@@ -1502,57 +1457,36 @@ mod tests {
     }
 
     #[test]
-    fn compressed_adversarial_matches_dense_level_histogram() {
-        for (n, need, d) in [(6usize, 4usize, 1usize), (8, 6, 2), (10, 7, 1)] {
-            let env = AtLeastOnes::new(n, need);
-            let dense = analyze_bit_dcsp_adversarial(n, &env, d, 1);
-            let hopeless = dense.hopeless_states().len() as u64;
-            for threads in [1usize, 4] {
-                let summary = analyze_bit_dcsp_adversarial_frontiers(n, &env, d, threads);
-                assert_eq!(
-                    summary.frontier_sizes,
-                    dense.frontier_sizes(),
-                    "n={n} need={need} d={d} threads={threads}"
-                );
-                assert_eq!(summary.hopeless, hopeless);
-                assert_eq!(summary.min_k(), dense.min_k());
+    fn frontier_summaries_reject_oversized_widths() {
+        // Zero bits: one state, normal iff the empty configuration fits.
+        let summary = analyze_bit_dcsp_frontiers(0, &AllOnes::new(0)).expect("one state");
+        assert_eq!((summary.frontier_sizes, summary.hopeless), (vec![1], 0));
+        let adv =
+            analyze_bit_dcsp_adversarial_frontiers(0, &at_least_twin(1), 2, 1).expect("one state");
+        assert_eq!((adv.frontier_sizes, adv.hopeless), (vec![], 1));
+        // Orbits reach 63 bits; 2^64 states do not fit the count.
+        let top = analyze_bit_dcsp_frontiers(63, &AtLeastOnes::new(63, 60)).expect("orbits");
+        assert_eq!(
+            top.frontier_sizes.iter().sum::<u64>() + top.hopeless,
+            1 << 63
+        );
+        let err = analyze_bit_dcsp_frontiers(64, &AllOnes::new(64)).expect_err("2^64");
+        assert!(matches!(
+            err,
+            CoreError::StateSpaceTooLarge {
+                n_bits: 64,
+                limit: 63
             }
-        }
-        // Hostile case: AllOnes with any damage keeps knocking the system
-        // out of its single normal state; values stay finite because the
-        // environment only strikes normal states and repair outruns a
-        // bounded ball — compare against the dense oracle either way.
-        let env = AllOnes::new(7);
-        let dense = analyze_bit_dcsp_adversarial(7, &env, 2, 1);
-        let summary = analyze_bit_dcsp_adversarial_frontiers(7, &env, 2, 2);
-        assert_eq!(summary.frontier_sizes, dense.frontier_sizes());
-        assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
-    }
-
-    #[test]
-    fn auto_routes_by_size() {
-        let env = AtLeastOnes::new(9, 5);
-        let auto = analyze_bit_dcsp_auto(9, &env, 2);
-        let dense = analyze_bit_dcsp(9, &env);
-        assert_eq!(auto.frontier_sizes, dense.frontier_sizes());
-        assert_eq!(auto.hopeless, 0);
-        // The compressed branch agrees with the dense-derived summary.
-        assert_eq!(auto, analyze_bit_dcsp_frontiers(9, &env, 2));
-    }
-
-    #[test]
-    fn popcount_fast_path_matches_generic_probing() {
-        // AtLeastOnes declares full symmetry (popcount table); an
-        // equivalent PredicateConstraint does not, so it takes the
-        // per-state probe path. Same fit set → same normal words.
-        let n = 8;
-        let words = (1usize << n) >> 6;
-        let sym = AtLeastOnes::new(n, 5);
-        let opaque = PredicateConstraint::new("at-least-5", move |c: &Config| c.count_ones() >= 5);
-        let mut a = vec![0u64; words];
-        let mut b = vec![0u64; words];
-        normal_words(n, &sym, 2, &mut a);
-        normal_words(n, &opaque, 2, &mut b);
-        assert_eq!(a, b);
+        ));
+        // Without a declared symmetry the dense limit applies.
+        let err = analyze_bit_dcsp_adversarial_frontiers(25, &at_least_twin(20), 1, 1)
+            .expect_err("dense path");
+        assert!(matches!(
+            err,
+            CoreError::StateSpaceTooLarge {
+                n_bits: 25,
+                limit: 24
+            }
+        ));
     }
 }

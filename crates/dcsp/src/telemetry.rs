@@ -108,12 +108,10 @@ pub fn record_maintainability(
     );
 }
 
-/// Record one compressed-frontier maintainability run
-/// ([`FrontierSummary`]): the same [`Event::FrontierLevel`] stream and
-/// `dcsp_maintainability_*` metric family as
-/// [`record_maintainability`] — a dense report and a compressed summary
-/// of the same instance produce byte-identical telemetry, which
-/// `tests/symmetry_equivalence.rs` checks.
+/// Record one summarized maintainability run ([`FrontierSummary`]): the
+/// same [`Event::FrontierLevel`] stream and `dcsp_maintainability_*`
+/// metric family as [`record_maintainability`] — a dense report and an
+/// orbit summary of the same instance produce byte-identical telemetry.
 pub fn record_frontier_summary(
     tracer: &mut Tracer,
     registry: &mut MetricsRegistry,
@@ -158,7 +156,7 @@ mod tests {
         is_k_recoverable_exhaustive_stats, is_k_recoverable_symmetric_stats,
     };
     use crate::repair::GreedyRepair;
-    use resilience_core::{AtLeastOnes, Config, RunContext};
+    use resilience_core::{AtLeastOnes, Config, PredicateConstraint, RunContext};
 
     #[test]
     fn verification_telemetry_reconciles_with_the_report() {
@@ -226,10 +224,12 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_compressed_maintainability_telemetry_agree() {
-        let env = AtLeastOnes::new(8, 5);
-        let report = analyze_bit_dcsp(8, &env);
-        let summary = analyze_bit_dcsp_frontiers(8, &env, 2);
+    fn dense_and_orbit_maintainability_telemetry_agree() {
+        // The predicate twin declares no symmetry, so it takes the dense
+        // path; `AtLeastOnes` is summarized on popcount orbits.
+        let twin = PredicateConstraint::new("at-least-5", |c: &Config| c.count_ones() >= 5);
+        let report = analyze_bit_dcsp(8, &twin);
+        let summary = analyze_bit_dcsp_frontiers(8, &AtLeastOnes::new(8, 5)).expect("in range");
         let mut tracer_a = Tracer::new();
         let mut registry_a = MetricsRegistry::new();
         record_maintainability(&mut tracer_a, &mut registry_a, &report);
