@@ -14,8 +14,8 @@
 //! * window variance is maintained with the sliding-window Welford
 //!   update (replace-one-element form), window lag-1 autocorrelation
 //!   with an incremental adjacent-pair cross-sum — O(1) per sample, no
-//!   rescan of the window (the property suite pins both against a
-//!   naive O(n·w) reference);
+//!   rescan of the window (the tests pin both against a from-scratch
+//!   `resilience_core::TimeSeries` recomputation);
 //! * the two indicators blend into a composite warning score in
 //!   `[0, 1]`, and a hysteretic latch with confirmation runs on both
 //!   flanks turns the score into a warning flag that a single spike
@@ -287,33 +287,10 @@ impl EarlyWarning {
     }
 }
 
-/// Naive O(w) reference for the window indicators: recompute the
-/// residual-window mean, variance, and lag-1 autocorrelation from
-/// scratch. Public so the workspace property suite can drive it against
-/// the incremental path on arbitrary streams.
-pub fn naive_window_indicators(residuals: &[f64]) -> (f64, f64) {
-    let n = residuals.len();
-    if n < 2 {
-        return (0.0, 0.0);
-    }
-    let mean = residuals.iter().sum::<f64>() / n as f64;
-    let m2: f64 = residuals.iter().map(|r| (r - mean) * (r - mean)).sum();
-    let variance = m2 / (n - 1) as f64;
-    let autocorr = if n >= 3 && m2 > 1e-18 {
-        let num: f64 = residuals
-            .windows(2)
-            .map(|p| (p[0] - mean) * (p[1] - mean))
-            .sum();
-        (num / m2).clamp(-1.0, 1.0)
-    } else {
-        0.0
-    };
-    (variance, autocorr)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilience_core::TimeSeries;
 
     fn config() -> EarlyWarningConfig {
         EarlyWarningConfig {
@@ -336,8 +313,10 @@ mod tests {
     }
 
     /// Replay the detector's own detrend chain to recover the residual
-    /// window, then apply the naive indicator reference.
-    fn naive_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
+    /// window, then read its indicators off a `TimeSeries`: sample
+    /// variance is the population variance · n/(n−1), and the
+    /// autocorrelation is gated and clamped where the detector does.
+    fn reference_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
         let mut trend = 0.0;
         let mut residuals = Vec::new();
         for (i, &x) in samples.iter().enumerate() {
@@ -349,27 +328,38 @@ mod tests {
                 trend += alpha * (x - trend);
             }
         }
-        let tail = &residuals[residuals.len().saturating_sub(window)..];
-        naive_window_indicators(tail)
+        let tail =
+            TimeSeries::from_values(residuals[residuals.len().saturating_sub(window)..].to_vec());
+        let n = tail.len() as f64;
+        if tail.len() < 2 {
+            return (0.0, 0.0);
+        }
+        let m2 = tail.variance() * n;
+        let autocorr = if tail.len() >= 3 && m2 > 1e-18 {
+            tail.lag1_autocorrelation().clamp(-1.0, 1.0)
+        } else {
+            0.0
+        };
+        (m2 / (n - 1.0), autocorr)
     }
 
     #[test]
-    fn incremental_indicators_match_naive_reference() {
+    fn incremental_indicators_match_time_series_reference() {
         let cfg = config();
         for seed in 1..6u64 {
             let samples = stream(seed, 200);
             let mut detector = EarlyWarning::new(cfg.clone());
             for (i, &x) in samples.iter().enumerate() {
                 let snap = detector.observe(x);
-                let (var, ac) = naive_indicators(&samples[..=i], cfg.detrend_alpha, cfg.window);
+                let (var, ac) = reference_indicators(&samples[..=i], cfg.detrend_alpha, cfg.window);
                 assert!(
                     (snap.variance - var).abs() <= 1e-9 * var.max(1.0),
-                    "seed {seed} sample {i}: variance {} vs naive {var}",
+                    "seed {seed} sample {i}: variance {} vs reference {var}",
                     snap.variance
                 );
                 assert!(
                     (snap.autocorr - ac).abs() <= 1e-7,
-                    "seed {seed} sample {i}: autocorr {} vs naive {ac}",
+                    "seed {seed} sample {i}: autocorr {} vs reference {ac}",
                     snap.autocorr
                 );
             }

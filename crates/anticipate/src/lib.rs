@@ -19,8 +19,9 @@
 //!   on both flanks) turns the composite score into a warning flag a
 //!   single spike cannot flap.
 //! * [`modes`] — [`AnticipationController`]: explicit Normal / Alert /
-//!   Emergency operating modes (§3.4.6) driven by the warning score,
-//!   each carrying a policy set — brownout pre-dim floor, breaker
+//!   Emergency operating modes (§3.4.6) driven by the warning score on
+//!   the core hysteresis ladder (`resilience_core::modes`), each
+//!   carrying a policy set — brownout pre-dim floor, breaker
 //!   cooldown widening, admission deadline tightening, and the
 //!   provisioning rule.
 //! * [`provision`] — [`LossWindow`]: the Taleb caveat made executable.
@@ -31,10 +32,12 @@
 //!   tail-quantile-based provisioning when the tail is heavy.
 //!
 //! Everything here is a pure function of the samples fed in: no clocks,
-//! no randomness, no thread-dependence. Consumers (the serving layer's
-//! anticipatory path, the cluster engine's per-node mode switching)
-//! drive it from their logical tick loops, so warning scores and mode
-//! transition logs replay bit-identically for any thread budget.
+//! no randomness, no thread-dependence. The serving layer's
+//! anticipatory path drives it from its logical tick loop, so warning
+//! scores and mode transition logs replay bit-identically for any
+//! thread budget. (The cluster engine borrows only [`OperatingMode`]:
+//! its per-node ladders read raw neighborhood pressure, not a
+//! detector.)
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +47,7 @@ pub mod detector;
 pub mod modes;
 pub mod provision;
 
-pub use detector::{naive_window_indicators, EarlyWarning, EarlyWarningConfig, WarningSnapshot};
+pub use detector::{EarlyWarning, EarlyWarningConfig, WarningSnapshot};
 pub use modes::{
     AnticipationConfig, AnticipationController, ModePolicy, ModeSwitchConfig, ModeTransition,
     OperatingMode,

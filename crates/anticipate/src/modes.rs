@@ -5,22 +5,25 @@
 //! normal operation and an explicitly different one in emergencies.
 //! [`AnticipationController`] makes that executable for the serving
 //! layer: the online [`EarlyWarning`] detector scores the live deficit
-//! stream, and the score drives a three-state machine with hysteresis
-//! bands and a dwell time — the same anti-flap discipline as the
-//! brownout dimmer. Each mode carries a [`ModePolicy`]: how far to
-//! pre-dim the brownout floor, how much to widen breaker cooldowns, how
-//! much to tighten admission deadlines, and which provisioning rule
-//! (sample mean vs heavy-tail quantile) to trust.
+//! stream, and the score drives the workspace's one hysteresis ladder
+//! (`resilience_core::modes`) over three levels. Bands compare
+//! inclusively (`>= on`, `<= off`), the dwell gates escalation and
+//! release alike (a mode's first change is exempt), and the detector's
+//! warning latch holds the ladder at Alert or above. Each mode carries
+//! a [`ModePolicy`]: how far to pre-dim the brownout floor, how much to
+//! widen breaker cooldowns, how much to tighten admission deadlines,
+//! and which provisioning rule (sample mean vs heavy-tail quantile) to
+//! trust.
 //!
-//! The transition log is bounded by
-//! [`ModeSwitchConfig::transition_cap`] — the first `cap` transitions
-//! are retained and later ones only counted — so a pathological run
-//! cannot grow memory without bound, and the truncation point is a pure
-//! function of the transition sequence (byte-identical across thread
-//! budgets).
+//! The transition log is the core [`CappedLog`]: the first
+//! [`LOG_CAP`](resilience_core::modes::LOG_CAP) transitions are retained
+//! and later ones only counted, so a pathological run cannot grow
+//! memory without bound, and the truncation point is a pure function of
+//! the transition sequence (byte-identical across thread budgets).
 
 use std::fmt;
 
+use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
 use serde::{Deserialize, Serialize};
 
 use crate::detector::{EarlyWarning, EarlyWarningConfig, WarningSnapshot};
@@ -43,6 +46,18 @@ impl fmt::Display for OperatingMode {
             OperatingMode::Normal => write!(f, "normal"),
             OperatingMode::Alert => write!(f, "alert"),
             OperatingMode::Emergency => write!(f, "emergency"),
+        }
+    }
+}
+
+impl OperatingMode {
+    /// The mode at ladder `level` (0 = Normal, 1 = Alert, 2 and above =
+    /// Emergency).
+    pub fn from_level(level: u8) -> Self {
+        match level {
+            0 => OperatingMode::Normal,
+            1 => OperatingMode::Alert,
+            _ => OperatingMode::Emergency,
         }
     }
 }
@@ -87,14 +102,8 @@ pub struct ModeSwitchConfig {
     pub emergency_on: f64,
     /// Leave Emergency for Alert at or below this score.
     pub emergency_off: f64,
-    /// Minimum ticks between mode changes.
+    /// Minimum ticks between mode changes, in either direction.
     pub dwell: u64,
-    /// Retained transition-log length: the first `transition_cap`
-    /// transitions are kept, later ones are only counted (see
-    /// [`AnticipationController::truncated_transitions`]). Bounds
-    /// memory on arbitrarily long traces while keeping the log a pure
-    /// function of the transition sequence.
-    pub transition_cap: usize,
 }
 
 impl Default for ModeSwitchConfig {
@@ -105,8 +114,19 @@ impl Default for ModeSwitchConfig {
             emergency_on: 0.85,
             emergency_off: 0.50,
             dwell: 8,
-            transition_cap: 4096,
         }
+    }
+}
+
+impl ModeSwitchConfig {
+    /// The three-level ladder these bands describe: inclusive bands,
+    /// dwell on both directions.
+    pub fn ladder(&self) -> Ladder {
+        let rungs = vec![
+            Rung::new(self.alert_on, self.alert_off),
+            Rung::new(self.emergency_on, self.emergency_off),
+        ];
+        Ladder::new(rungs, self.dwell, Escalation::DwellGated)
     }
 }
 
@@ -201,18 +221,16 @@ impl AnticipationConfig {
     }
 }
 
-/// The anticipation state machine: detector + mode switch + bounded
+/// The anticipation state machine: detector + mode ladder + capped
 /// transition log. Pure function of the sample sequence fed to
 /// [`observe`](Self::observe).
 #[derive(Debug, Clone)]
 pub struct AnticipationController {
     config: AnticipationConfig,
     detector: EarlyWarning,
-    mode: OperatingMode,
-    last_change: u64,
-    changed: bool,
-    transitions: Vec<ModeTransition>,
-    truncated: u64,
+    ladder: Ladder,
+    state: LadderState,
+    transitions: CappedLog<ModeTransition>,
     alert_ticks: u64,
     emergency_ticks: u64,
 }
@@ -220,15 +238,12 @@ pub struct AnticipationController {
 impl AnticipationController {
     /// A controller starting in Normal with a cold detector.
     pub fn new(config: AnticipationConfig) -> Self {
-        let detector = EarlyWarning::new(config.detector.clone());
         AnticipationController {
+            detector: EarlyWarning::new(config.detector.clone()),
+            ladder: config.switch.ladder(),
             config,
-            detector,
-            mode: OperatingMode::Normal,
-            last_change: 0,
-            changed: false,
-            transitions: Vec::new(),
-            truncated: 0,
+            state: LadderState::default(),
+            transitions: CappedLog::default(),
             alert_ticks: 0,
             emergency_ticks: 0,
         }
@@ -241,12 +256,12 @@ impl AnticipationController {
 
     /// Current operating mode.
     pub fn mode(&self) -> OperatingMode {
-        self.mode
+        OperatingMode::from_level(self.state.level())
     }
 
     /// The policy set of the current mode.
     pub fn policy(&self) -> &ModePolicy {
-        self.config.policy(self.mode)
+        self.config.policy(self.mode())
     }
 
     /// The detector's current readout.
@@ -260,20 +275,20 @@ impl AnticipationController {
     }
 
     /// Retained mode transitions, in tick order (at most
-    /// [`ModeSwitchConfig::transition_cap`]).
+    /// [`LOG_CAP`](resilience_core::modes::LOG_CAP)).
     pub fn transitions(&self) -> &[ModeTransition] {
-        &self.transitions
+        self.transitions.entries()
     }
 
     /// Retained transitions into Emergency, in tick order — each is an
     /// incident-flight-recorder trigger point.
     pub fn escalations(&self) -> impl Iterator<Item = &ModeTransition> {
-        self.transitions.iter().filter(|t| t.is_escalation())
+        self.transitions().iter().filter(|t| t.is_escalation())
     }
 
     /// Transitions beyond the cap that were counted but not retained.
     pub fn truncated_transitions(&self) -> u64 {
-        self.truncated
+        self.transitions.truncated()
     }
 
     /// Ticks spent in Alert so far.
@@ -288,63 +303,30 @@ impl AnticipationController {
 
     /// Feed one tick's signal sample; returns the mode in force after
     /// the update. Mode moves one step per tick at most, honors the
-    /// dwell, and requires a warm detector to escalate — a cold start
-    /// can never jump straight to Emergency.
+    /// dwell in both directions, and requires a warm detector to
+    /// escalate — a cold start can never jump straight to Emergency.
     pub fn observe(&mut self, tick: u64, sample: f64) -> OperatingMode {
         let snap = self.detector.observe(sample);
-        let sw = &self.config.switch;
-        let dwelled = !self.changed || tick.saturating_sub(self.last_change) >= sw.dwell;
-        let target = if dwelled {
-            match self.mode {
-                OperatingMode::Normal => {
-                    if snap.score >= sw.alert_on || snap.active {
-                        Some(OperatingMode::Alert)
-                    } else {
-                        None
-                    }
-                }
-                OperatingMode::Alert => {
-                    if snap.score >= sw.emergency_on {
-                        Some(OperatingMode::Emergency)
-                    } else if snap.score <= sw.alert_off && !snap.active {
-                        Some(OperatingMode::Normal)
-                    } else {
-                        None
-                    }
-                }
-                OperatingMode::Emergency => {
-                    if snap.score <= sw.emergency_off {
-                        Some(OperatingMode::Alert)
-                    } else {
-                        None
-                    }
-                }
-            }
-        } else {
-            None
-        };
-        if let Some(to) = target {
-            let from = self.mode;
-            self.mode = to;
-            self.last_change = tick;
-            self.changed = true;
-            if self.transitions.len() < sw.transition_cap {
-                self.transitions.push(ModeTransition {
-                    tick,
-                    from,
-                    to,
-                    score_milli: score_milli(snap.score),
-                });
-            } else {
-                self.truncated += 1;
-            }
+        // The warning latch holds the ladder at Alert or above.
+        let hold = u8::from(snap.active);
+        if let Some((from, to)) = self
+            .ladder
+            .step_held(&mut self.state, tick, snap.score, hold)
+        {
+            self.transitions.push(ModeTransition {
+                tick,
+                from: OperatingMode::from_level(from),
+                to: OperatingMode::from_level(to),
+                score_milli: score_milli(snap.score),
+            });
         }
-        match self.mode {
+        let mode = self.mode();
+        match mode {
             OperatingMode::Normal => {}
             OperatingMode::Alert => self.alert_ticks += 1,
             OperatingMode::Emergency => self.emergency_ticks += 1,
         }
-        self.mode
+        mode
     }
 }
 
@@ -356,6 +338,7 @@ pub fn score_milli(score: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilience_core::modes::LOG_CAP;
 
     fn controller() -> AnticipationController {
         let mut config = AnticipationConfig::default();
@@ -430,18 +413,17 @@ mod tests {
         config.detector.window = 8;
         config.detector.confirm = 1;
         config.switch.dwell = 0;
-        config.switch.transition_cap = 3;
         let mut c = AnticipationController::new(config);
-        // Alternate stress and calm to generate many transitions.
+        // Alternate stress and calm until the log overflows.
         let mut t = 0;
-        for _ in 0..12 {
+        while c.truncated_transitions() == 0 && t < 1_000_000 {
             t = stress(&mut c, 40, t);
             for _ in 0..60 {
                 c.observe(t, 0.0);
                 t += 1;
             }
         }
-        assert_eq!(c.transitions().len(), 3, "log capped at 3");
+        assert_eq!(c.transitions().len(), LOG_CAP, "log capped");
         assert!(c.truncated_transitions() > 0, "overflow counted");
     }
 

@@ -3,7 +3,7 @@
 
 use rand::Rng;
 
-use resilience_core::modes::{Mode, ModeController, NeverSwitch, SwitchPolicy, ThresholdPolicy};
+use resilience_core::modes::{Escalation, Ladder, LadderState};
 use resilience_core::seeded_rng;
 use resilience_stats::distributions::{Gaussian, Pareto, Sampler};
 use resilience_stats::heavy_tail::{InsuranceExperiment, MeanStability};
@@ -70,9 +70,10 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
 
     // (c) Mode switching under X-events with aftershock clustering
     // (parallel: one derived stream per wealth trajectory).
-    let (never_ruin, never_wealth) = mode_switch_sim(&NeverSwitch, 400, ctx.derive(1302), ctx);
-    let policy = ThresholdPolicy::new(8.0, 1.0);
-    let (switch_ruin, switch_wealth) = mode_switch_sim(&policy, 400, ctx.derive(1303), ctx);
+    let never = Ladder::new(Vec::new(), 0, Escalation::Immediate);
+    let (never_ruin, never_wealth) = mode_switch_sim(&never, 400, ctx.derive(1302), ctx);
+    let ladder = Ladder::two_level(8.0, 1.0).expect("valid");
+    let (switch_ruin, switch_wealth) = mode_switch_sim(&ladder, 400, ctx.derive(1303), ctx);
     rows.push(vec![
         "never switch modes".into(),
         format!("ruin prob {never_ruin:.3}"),
@@ -117,8 +118,8 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
 /// earns 2.0/step with full loss exposure; in Emergency mode it earns
 /// 0.5/step with 25% exposure (hunkered down). X-events start aftershock
 /// windows during which large losses cluster.
-fn mode_switch_sim<P: SwitchPolicy + Sync>(
-    policy: &P,
+fn mode_switch_sim(
+    ladder: &Ladder,
     trials: usize,
     master_seed: u64,
     ctx: &RunContext,
@@ -129,9 +130,9 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
         master_seed,
         |_, rng| {
             let mut wealth = 50.0;
-            let mut controller = ModeController::new(PolicyRef(policy));
+            let mut mode = LadderState::default();
             let mut aftershocks = 0usize;
-            for _ in 0..600 {
+            for step in 0..600 {
                 // New X-event?
                 if rng.gen_bool(0.01) {
                     aftershocks = 25;
@@ -142,10 +143,10 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
                 } else {
                     0.2 * pareto.sample(rng).min(5.0)
                 };
-                let mode = controller.observe(raw_loss);
-                let (income, exposure) = match mode {
-                    Mode::Normal => (2.0, 1.0),
-                    Mode::Emergency => (0.5, 0.25),
+                ladder.step(&mut mode, step, raw_loss);
+                let (income, exposure) = match mode.level() {
+                    0 => (2.0, 1.0),
+                    _ => (0.5, 0.25),
                 };
                 wealth += income - exposure * raw_loss;
                 if wealth < 0.0 {
@@ -164,15 +165,6 @@ fn mode_switch_sim<P: SwitchPolicy + Sync>(
         ruins as f64 / trials as f64,
         wealth_sum / (trials - ruins).max(1) as f64,
     )
-}
-
-/// Adapter: lets a borrowed policy drive a [`ModeController`].
-struct PolicyRef<'a, P: SwitchPolicy>(&'a P);
-
-impl<P: SwitchPolicy> SwitchPolicy for PolicyRef<'_, P> {
-    fn next_mode(&self, current: Mode, damage: f64) -> Mode {
-        self.0.next_mode(current, damage)
-    }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! to an emergency policy (back off the forcing) when the indicators
 //! trend up — trading a little yield for avoiding the collapse.
 
-use resilience_core::modes::{Mode, ModeController, ThresholdPolicy};
+use resilience_core::modes::{Ladder, LadderState};
 use resilience_core::TimeSeries;
 use resilience_stats::bistable::BistableProcess;
 use resilience_stats::ews::{early_warning_signals, EwsConfig};
@@ -40,6 +40,7 @@ fn run_policy(
         indicator_window: 2_000,
         stride: 100,
     };
+    let ladder = Ladder::two_level(0.5, 0.2).expect("valid");
     // Replicates are independent managed trajectories — run them on the
     // context's thread budget, one derived stream each.
     let (tips, peak_sum, switch_sum) = ctx.run_trials(
@@ -50,13 +51,14 @@ fn run_policy(
             let mut forcing = -0.25;
             let mut peak: f64 = forcing;
             let mut history = TimeSeries::new();
-            let mut controller = ModeController::new(ThresholdPolicy::new(0.5, 0.2));
+            let mut mode = LadderState::default();
+            let mut switches = 0usize;
             let mut tipped = false;
             for t in 0..horizon {
                 // Managerial policy.
-                match controller.mode() {
-                    Mode::Normal => forcing += ramp,
-                    Mode::Emergency => forcing = (forcing - relief).max(-0.25),
+                match mode.level() {
+                    0 => forcing += ramp,
+                    _ => forcing = (forcing - relief).max(-0.25),
                 }
                 x = process.step(x, forcing, rng);
                 history.push(x);
@@ -74,11 +76,12 @@ fn run_policy(
                     if let Some(report) = early_warning_signals(&recent, recent.len(), &ews_config)
                     {
                         let signal = report.variance_trend.max(report.autocorrelation_trend);
-                        controller.observe(signal.max(0.0));
+                        let shift = ladder.step(&mut mode, t, signal.max(0.0));
+                        switches += usize::from(shift.is_some());
                     }
                 }
             }
-            (tipped, peak, controller.switch_count() as f64)
+            (tipped, peak, switches as f64)
         },
         (0usize, 0.0f64, 0.0f64),
         |(tips, peaks, switches), (tipped, peak, switch_count)| {

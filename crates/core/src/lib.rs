@@ -77,7 +77,7 @@ pub use faults::{
     AttemptRecord, AttemptSegment, FailureCause, FaultConfig, FaultKind, FaultPlan, LostTrial,
     RecoveryPolicy, RunReport, Supervision, TrialCheckpoint,
 };
-pub use modes::{BiasedPerception, Mode, ModeController, SwitchPolicy, ThresholdPolicy};
+pub use modes::{CappedLog, Escalation, Ladder, LadderState, Rung, LOG_CAP};
 pub use quality::QualityTrajectory;
 pub use rng::{derive_seed, seeded_rng};
 pub use runtime::{ParallelTrials, RunContext};

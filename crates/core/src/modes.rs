@@ -1,4 +1,4 @@
-//! Mode switching (the paper's §3.4.6).
+//! Mode switching (the paper's §3.4.6): one hysteresis ladder.
 //!
 //! "In the normal mode, the system works within the designed realm and
 //! follows the designed set of policy, for example, pursuing maximum
@@ -7,180 +7,223 @@
 //! the emergency mode, in which the system and the people behave based on a
 //! different set of policies."
 //!
-//! [`ModeController`] is a small state machine driven by an observed damage
-//! signal; [`SwitchPolicy`] decides when to switch. [`ThresholdPolicy`]
-//! implements hysteresis so the system does not flap between modes.
+//! Every mode machine in the workspace (E13/E19, the anticipation
+//! controller, the brownout dimmer, the cluster's node modes) is a
+//! [`Ladder`]: levels `0..=rungs.len()`, where [`Rung`] `i` joins level
+//! `i` to `i + 1`. A signal at or above the rung's `up` escalates; one at
+//! or below its `down` releases; a strict threshold is converted exactly
+//! with [`Rung::strict`]. A step moves at most one rung, tests escalation
+//! before release, and honours a minimum `dwell` between changes. The
+//! rules are data and each instance keeps its own [`LadderState`].
+//! [`CappedLog`] is the one bounded transition log. DESIGN.md's
+//! "Hysteresis ladder" lists each caller's configuration.
+//!
+//! # Example
+//!
+//! A two-level ladder, and the §3.4.4 perception bias as the caller
+//! scaling its input ("people may overestimate the threat … and may
+//! overreact"):
+//!
+//! ```
+//! use resilience_core::modes::{Ladder, LadderState};
+//! let ladder = Ladder::two_level(10.0, 3.0).expect("valid");
+//! let mut state = LadderState::default();
+//! for (damage, level) in [(2.0, 0), (25.0, 1), (5.0, 1), (1.0, 0)] {
+//!     ladder.step(&mut state, 0, damage); // shock, hysteresis, all clear
+//!     assert_eq!(state.level(), level);
+//! }
+//! // An alarmist perceives damage × 3: a moderate 5.0 reads as 15.
+//! let (mut calm, mut alarmist) = (LadderState::default(), LadderState::default());
+//! ladder.step(&mut calm, 0, 5.0);
+//! ladder.step(&mut alarmist, 0, 5.0 * 3.0);
+//! assert_eq!((calm.level(), alarmist.level()), (0, 1));
+//! ```
 
-use serde::{Deserialize, Serialize};
+use crate::error::{invalid_param, CoreError};
 
-/// Operating mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum Mode {
-    /// Designed operating envelope; optimize the designed objective.
-    #[default]
-    Normal,
-    /// Extreme-event regime; optimize survival/mutual aid instead.
-    Emergency,
-}
+/// Retained length of every transition log (see [`CappedLog`]).
+pub const LOG_CAP: usize = 4096;
 
-/// Decides the next mode from the current mode and an observed damage
-/// signal (0 = unharmed, larger = worse).
-pub trait SwitchPolicy: Send + Sync {
-    /// Compute the next mode.
-    fn next_mode(&self, current: Mode, damage: f64) -> Mode;
-}
-
-/// Hysteretic threshold policy: enter `Emergency` when damage exceeds
-/// `enter`, return to `Normal` only when it falls below `exit` (`exit <
-/// enter`), preventing mode flapping near the boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ThresholdPolicy {
-    enter: f64,
-    exit: f64,
-}
-
-impl ThresholdPolicy {
-    /// Create a hysteretic policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `exit > enter` or either is negative/non-finite.
-    pub fn new(enter: f64, exit: f64) -> Self {
-        assert!(
-            enter.is_finite() && exit.is_finite() && enter >= 0.0 && exit >= 0.0,
-            "thresholds must be finite and non-negative"
-        );
-        assert!(
-            exit <= enter,
-            "exit threshold must not exceed enter threshold"
-        );
-        ThresholdPolicy { enter, exit }
-    }
-
-    /// The damage level that triggers emergency mode.
-    pub fn enter_threshold(&self) -> f64 {
-        self.enter
-    }
-
-    /// The damage level below which normal mode resumes.
-    pub fn exit_threshold(&self) -> f64 {
-        self.exit
-    }
-}
-
-impl SwitchPolicy for ThresholdPolicy {
-    fn next_mode(&self, current: Mode, damage: f64) -> Mode {
-        match current {
-            Mode::Normal if damage > self.enter => Mode::Emergency,
-            Mode::Emergency if damage < self.exit => Mode::Normal,
-            m => m,
-        }
-    }
-}
-
-/// A policy that never switches — the "no active resilience" control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct NeverSwitch;
-
-impl SwitchPolicy for NeverSwitch {
-    fn next_mode(&self, current: Mode, _damage: f64) -> Mode {
-        current
-    }
-}
-
-/// Cognitive bias in threat perception (the paper's §3.4.4): the wrapped
-/// policy sees the damage signal scaled by `bias`.
-///
-/// "Active resilience may introduce a new source of errors unique to human
-/// intelligence — cognitive errors. People may overestimate the threat of
-/// certain types, such as terrorism, and may overreact." A `bias > 1`
-/// models exactly that overestimation: the controller enters emergency
-/// mode (and pays its costs) for damage that objectively does not warrant
-/// it; `bias < 1` models complacency.
+/// The band between two adjacent levels.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BiasedPerception<P> {
-    inner: P,
-    bias: f64,
+pub struct Rung {
+    /// Escalate across this rung when the signal is at or above `up`.
+    pub up: f64,
+    /// Release back across this rung when the signal is at or below
+    /// `down`.
+    pub down: f64,
 }
 
-impl<P: SwitchPolicy> BiasedPerception<P> {
-    /// Wrap `inner` so it perceives `damage × bias`.
+impl Rung {
+    /// The rung for inclusive comparisons (`>= up`, `<= down`).
+    pub fn new(up: f64, down: f64) -> Self {
+        Rung { up, down }
+    }
+
+    /// The rung for strict comparisons (`> above`, `< below`), exactly:
+    /// `x > a` holds iff `x >= a.next_up()`, for every float `x`.
+    pub fn strict(above: f64, below: f64) -> Self {
+        Rung::new(above.next_up(), below.next_down())
+    }
+}
+
+/// Which directions the dwell gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Escalation {
+    /// Both escalation and release wait out the dwell.
+    DwellGated,
+    /// Escalation fires at once; only release waits out the dwell.
+    Immediate,
+}
+
+/// Hysteresis rules: rungs, dwell and escalation rule.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Ladder {
+    rungs: Vec<Rung>,
+    dwell: u64,
+    escalation: Escalation,
+}
+
+/// One instance's position on a [`Ladder`].
+///
+/// The default state sits at level 0 and has never changed, so the
+/// dwell cannot block its first change.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LadderState {
+    level: u8,
+    changed_at: Option<u64>,
+}
+
+impl LadderState {
+    /// Level 0, with the dwell counted from `tick` as if the state had
+    /// just changed there.
+    pub fn settled_at(tick: u64) -> Self {
+        LadderState {
+            level: 0,
+            changed_at: Some(tick),
+        }
+    }
+
+    /// The current level (0 = normal).
+    pub fn level(&self) -> u8 {
+        self.level
+    }
+}
+
+impl Ladder {
+    /// A ladder over `rungs` (bottom first). No rungs is a ladder that
+    /// never switches.
     ///
     /// # Panics
     ///
-    /// Panics if `bias` is negative or non-finite.
-    pub fn new(inner: P, bias: f64) -> Self {
-        assert!(bias.is_finite() && bias >= 0.0, "bias must be non-negative");
-        BiasedPerception { inner, bias }
-    }
-
-    /// The perception bias factor.
-    pub fn bias(&self) -> f64 {
-        self.bias
-    }
-}
-
-impl<P: SwitchPolicy> SwitchPolicy for BiasedPerception<P> {
-    fn next_mode(&self, current: Mode, damage: f64) -> Mode {
-        self.inner.next_mode(current, damage * self.bias)
-    }
-}
-
-/// Mode state machine with a history of transitions.
-///
-/// # Example
-///
-/// ```
-/// use resilience_core::modes::{Mode, ModeController, ThresholdPolicy};
-/// let mut ctl = ModeController::new(ThresholdPolicy::new(10.0, 3.0));
-/// assert_eq!(ctl.observe(2.0), Mode::Normal);
-/// assert_eq!(ctl.observe(25.0), Mode::Emergency); // shock!
-/// assert_eq!(ctl.observe(5.0), Mode::Emergency);  // hysteresis holds
-/// assert_eq!(ctl.observe(1.0), Mode::Normal);     // all clear
-/// ```
-#[derive(Debug, Clone)]
-pub struct ModeController<P> {
-    mode: Mode,
-    policy: P,
-    transitions: Vec<(usize, Mode)>,
-    step: usize,
-}
-
-impl<P: SwitchPolicy> ModeController<P> {
-    /// Start in [`Mode::Normal`] under `policy`.
-    pub fn new(policy: P) -> Self {
-        ModeController {
-            mode: Mode::Normal,
-            policy,
-            transitions: Vec::new(),
-            step: 0,
+    /// Panics on more than 255 rungs: levels are `u8`.
+    pub fn new(rungs: Vec<Rung>, dwell: u64, escalation: Escalation) -> Self {
+        assert!(rungs.len() <= usize::from(u8::MAX), "at most 255 rungs");
+        Ladder {
+            rungs,
+            dwell,
+            escalation,
         }
     }
 
-    /// Current mode.
-    pub fn mode(&self) -> Mode {
-        self.mode
-    }
-
-    /// Feed one damage observation; returns the (possibly new) mode.
-    pub fn observe(&mut self, damage: f64) -> Mode {
-        self.step += 1;
-        let next = self.policy.next_mode(self.mode, damage);
-        if next != self.mode {
-            self.mode = next;
-            self.transitions.push((self.step, next));
+    /// Normal/emergency without dwell: enter level 1 when the signal
+    /// exceeds `enter`, return to 0 when it falls below `exit`.
+    ///
+    /// Both thresholds must be finite and non-negative with
+    /// `exit <= enter`; otherwise the error names the offending one.
+    pub fn two_level(enter: f64, exit: f64) -> Result<Self, CoreError> {
+        for (name, value) in [("enter", enter), ("exit", exit)] {
+            if !(value.is_finite() && value >= 0.0) {
+                let reason = format!("threshold must be finite and non-negative, got {value}");
+                return Err(invalid_param(name, reason));
+            }
         }
-        self.mode
+        if exit > enter {
+            let reason = format!("exit threshold {exit} exceeds enter threshold {enter}");
+            return Err(invalid_param("exit", reason));
+        }
+        let rungs = vec![Rung::strict(enter, exit)];
+        Ok(Ladder::new(rungs, 0, Escalation::Immediate))
     }
 
-    /// Recorded `(step, new_mode)` transitions.
-    pub fn transitions(&self) -> &[(usize, Mode)] {
-        &self.transitions
+    /// Feed one observation at `tick`; returns `(from, to)` when the
+    /// level moved.
+    pub fn step(&self, state: &mut LadderState, tick: u64, signal: f64) -> Option<(u8, u8)> {
+        self.step_held(state, tick, signal, 0)
     }
 
-    /// Number of mode switches so far.
-    pub fn switch_count(&self) -> usize {
-        self.transitions.len()
+    /// [`step`](Self::step) with a latch holding the ladder at level
+    /// `hold` or above: below it the ladder escalates whatever the
+    /// signal, and it never releases below it.
+    pub fn step_held(
+        &self,
+        state: &mut LadderState,
+        tick: u64,
+        signal: f64,
+        hold: u8,
+    ) -> Option<(u8, u8)> {
+        let from = state.level;
+        let at = usize::from(from);
+        let dwelled = state
+            .changed_at
+            .is_none_or(|t| tick.saturating_sub(t) >= self.dwell);
+        let to = if at < self.rungs.len()
+            && (signal >= self.rungs[at].up || from < hold)
+            && (dwelled || self.escalation == Escalation::Immediate)
+        {
+            from + 1
+        } else if at > 0 && from > hold && dwelled && signal <= self.rungs[at - 1].down {
+            from - 1
+        } else {
+            return None;
+        };
+        state.level = to;
+        state.changed_at = Some(tick);
+        Some((from, to))
+    }
+}
+
+/// A transition log that keeps the first [`LOG_CAP`] entries and only
+/// counts the rest, so a long run cannot grow memory without bound and
+/// the truncation point depends only on the entry sequence.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CappedLog<T> {
+    entries: Vec<T>,
+    truncated: u64,
+}
+
+impl<T> Default for CappedLog<T> {
+    fn default() -> Self {
+        CappedLog {
+            entries: Vec::new(),
+            truncated: 0,
+        }
+    }
+}
+
+impl<T> CappedLog<T> {
+    /// Record `entry`, or count it once the log is full.
+    pub fn push(&mut self, entry: T) {
+        if self.entries.len() < LOG_CAP {
+            self.entries.push(entry);
+        } else {
+            self.truncated += 1;
+        }
+    }
+
+    /// The retained entries, in push order.
+    pub fn entries(&self) -> &[T] {
+        &self.entries
+    }
+
+    /// Entries counted but not retained.
+    pub fn truncated(&self) -> u64 {
+        self.truncated
+    }
+
+    /// The retained entries and the truncated count.
+    pub fn into_parts(self) -> (Vec<T>, u64) {
+        (self.entries, self.truncated)
     }
 }
 
@@ -188,95 +231,121 @@ impl<P: SwitchPolicy> ModeController<P> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn default_mode_is_normal() {
-        assert_eq!(Mode::default(), Mode::Normal);
+    fn levels(ladder: &Ladder, mut state: LadderState, signals: &[f64]) -> Vec<u8> {
+        (0u64..)
+            .zip(signals)
+            .map(|(tick, &s)| {
+                ladder.step(&mut state, tick, s);
+                state.level()
+            })
+            .collect()
     }
 
     #[test]
-    fn threshold_policy_switches_with_hysteresis() {
-        let p = ThresholdPolicy::new(10.0, 3.0);
-        assert_eq!(p.next_mode(Mode::Normal, 5.0), Mode::Normal);
-        assert_eq!(p.next_mode(Mode::Normal, 11.0), Mode::Emergency);
-        // Damage between exit and enter: stay in emergency.
-        assert_eq!(p.next_mode(Mode::Emergency, 5.0), Mode::Emergency);
-        assert_eq!(p.next_mode(Mode::Emergency, 2.0), Mode::Normal);
-        assert_eq!(p.enter_threshold(), 10.0);
-        assert_eq!(p.exit_threshold(), 3.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "exit threshold")]
-    fn threshold_policy_validates_order() {
-        let _ = ThresholdPolicy::new(3.0, 10.0);
-    }
-
-    #[test]
-    fn never_switch_stays_put() {
-        let p = NeverSwitch;
-        assert_eq!(p.next_mode(Mode::Normal, 1e9), Mode::Normal);
-        assert_eq!(p.next_mode(Mode::Emergency, 0.0), Mode::Emergency);
-    }
-
-    #[test]
-    fn controller_records_transitions() {
-        let mut c = ModeController::new(ThresholdPolicy::new(10.0, 3.0));
-        assert_eq!(c.mode(), Mode::Normal);
-        assert_eq!(c.observe(1.0), Mode::Normal);
-        assert_eq!(c.observe(20.0), Mode::Emergency);
-        assert_eq!(c.observe(8.0), Mode::Emergency); // hysteresis holds
-        assert_eq!(c.observe(1.0), Mode::Normal);
-        assert_eq!(c.switch_count(), 2);
-        assert_eq!(c.transitions(), &[(2, Mode::Emergency), (4, Mode::Normal)]);
-    }
-
-    #[test]
-    fn overestimation_bias_causes_overreaction() {
-        // §3.4.4: the same moderate damage stream triggers emergency mode
-        // only through the biased lens.
-        let calibrated = ThresholdPolicy::new(10.0, 3.0);
-        let alarmist = BiasedPerception::new(ThresholdPolicy::new(10.0, 3.0), 3.0);
-        let mut calm = ModeController::new(calibrated);
-        let mut jumpy = ModeController::new(alarmist);
-        for _ in 0..20 {
-            calm.observe(5.0);
-            jumpy.observe(5.0);
-        }
-        assert_eq!(calm.mode(), Mode::Normal);
-        assert_eq!(jumpy.mode(), Mode::Emergency);
-        assert_eq!(calm.switch_count(), 0);
-        assert!(jumpy.switch_count() >= 1);
-    }
-
-    #[test]
-    fn complacency_bias_ignores_real_threats() {
-        let complacent = BiasedPerception::new(ThresholdPolicy::new(10.0, 3.0), 0.1);
-        assert_eq!(complacent.next_mode(Mode::Normal, 50.0), Mode::Normal);
-        assert_eq!(complacent.bias(), 0.1);
-        // An unbiased lens would have switched.
-        assert_eq!(
-            ThresholdPolicy::new(10.0, 3.0).next_mode(Mode::Normal, 50.0),
-            Mode::Emergency
+    fn two_level_switches_strictly_with_hysteresis() {
+        let ladder = Ladder::two_level(10.0, 3.0).expect("valid");
+        // At a threshold is not past it: 10.0 holds Normal, 3.0 holds
+        // Emergency.
+        let got = levels(
+            &ladder,
+            LadderState::default(),
+            &[10.0, 11.0, 3.0, 5.0, 2.9],
         );
+        assert_eq!(got, [0, 1, 1, 1, 0]);
     }
 
     #[test]
-    #[should_panic(expected = "bias")]
-    fn negative_bias_rejected() {
-        let _ = BiasedPerception::new(NeverSwitch, -1.0);
+    fn two_level_rejects_bad_bands_naming_them() {
+        let name = |r: Result<Ladder, CoreError>| match r {
+            Err(CoreError::InvalidParameter { name, .. }) => name,
+            other => panic!("expected InvalidParameter, got {other:?}"),
+        };
+        assert_eq!(name(Ladder::two_level(3.0, 10.0)), "exit");
+        assert_eq!(name(Ladder::two_level(f64::NAN, 1.0)), "enter");
+        assert_eq!(name(Ladder::two_level(-1.0, -2.0)), "enter");
+        assert_eq!(name(Ladder::two_level(1.0, f64::INFINITY)), "exit");
     }
 
     #[test]
     fn hysteresis_prevents_flapping() {
-        // Damage oscillating in the dead band (3..10) causes no switches
-        // after the initial excursion.
-        let mut c = ModeController::new(ThresholdPolicy::new(10.0, 3.0));
-        c.observe(20.0);
-        for _ in 0..100 {
-            c.observe(5.0);
-            c.observe(9.0);
+        let ladder = Ladder::two_level(10.0, 3.0).expect("valid");
+        let mut state = LadderState::default();
+        let mut switches = usize::from(ladder.step(&mut state, 0, 20.0).is_some());
+        for tick in 1..200 {
+            let damage = if tick % 2 == 0 { 5.0 } else { 9.0 };
+            switches += usize::from(ladder.step(&mut state, tick, damage).is_some());
         }
-        assert_eq!(c.switch_count(), 1);
-        assert_eq!(c.mode(), Mode::Emergency);
+        assert_eq!((switches, state.level()), (1, 1));
+    }
+
+    #[test]
+    fn no_rungs_never_switches() {
+        let never = Ladder::new(Vec::new(), 0, Escalation::Immediate);
+        let got = levels(&never, LadderState::default(), &[1e9, f64::INFINITY, 0.0]);
+        assert_eq!(got, [0, 0, 0]);
+    }
+
+    #[test]
+    fn one_rung_per_step_and_escalation_before_release() {
+        // Overlapping bands: 0.5 both escalates and releases; escalation
+        // wins until the top, where only release applies.
+        let ladder = Ladder::new(
+            vec![Rung { up: 0.5, down: 0.5 }; 2],
+            0,
+            Escalation::Immediate,
+        );
+        let got = levels(&ladder, LadderState::default(), &[1.0, 0.5, 0.5, 0.0]);
+        assert_eq!(got, [1, 2, 1, 0]);
+    }
+
+    #[test]
+    fn dwell_gates_by_rule_and_initial_state() {
+        let band = Rung { up: 0.5, down: 0.1 };
+        let gated = Ladder::new(vec![band; 2], 3, Escalation::DwellGated);
+        let immediate = Ladder::new(vec![band; 2], 3, Escalation::Immediate);
+        let surge = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+        // First change exempt, then every change waits three ticks.
+        assert_eq!(
+            levels(&gated, LadderState::default(), &surge),
+            [1, 1, 1, 2, 2, 2, 1, 1]
+        );
+        // Counted from tick 0: even the first change waits.
+        assert_eq!(
+            levels(&gated, LadderState::settled_at(0), &surge),
+            [0, 0, 0, 1, 1, 1, 0, 0]
+        );
+        // Escalation at once; release still waits.
+        assert_eq!(
+            levels(&immediate, LadderState::default(), &surge),
+            [1, 2, 2, 2, 1, 1, 1, 0]
+        );
+    }
+
+    #[test]
+    fn hold_escalates_and_blocks_release_below_it() {
+        let ladder = Ladder::new(
+            vec![Rung { up: 0.4, down: 0.1 }, Rung { up: 0.8, down: 0.5 }],
+            0,
+            Escalation::DwellGated,
+        );
+        let mut state = LadderState::default();
+        assert_eq!(ladder.step_held(&mut state, 0, 0.0, 1), Some((0, 1)));
+        assert_eq!(ladder.step_held(&mut state, 1, 0.0, 1), None);
+        assert_eq!(ladder.step_held(&mut state, 2, 0.9, 1), Some((1, 2)));
+        assert_eq!(ladder.step_held(&mut state, 3, 0.0, 1), Some((2, 1)));
+        assert_eq!(ladder.step_held(&mut state, 4, 0.0, 0), Some((1, 0)));
+    }
+
+    #[test]
+    fn capped_log_keeps_the_first_entries_and_counts_the_rest() {
+        let mut log = CappedLog::default();
+        for i in 0..LOG_CAP + 17 {
+            log.push(i);
+        }
+        assert_eq!(log.entries().len(), LOG_CAP);
+        assert_eq!(log.entries().last(), Some(&(LOG_CAP - 1)));
+        assert_eq!(log.truncated(), 17);
+        let (kept, truncated) = log.into_parts();
+        assert_eq!((kept.len(), truncated), (LOG_CAP, 17));
     }
 }

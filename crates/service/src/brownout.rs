@@ -20,10 +20,12 @@
 //! * **2 — cached**: responses come from precomputed per-family tables;
 //!   the backends see no new work at all.
 //!
-//! Level changes are hysteretic (raise above `raise_above`, lower below
-//! `lower_below`, with a minimum dwell) so the dimmer cannot flap, and
-//! every input is a logical-clock quantity — the level sequence replays
-//! exactly for any thread budget.
+//! Level changes run on the workspace's one hysteresis ladder
+//! (`resilience_core::modes`): both rungs share one strict band pair
+//! (raise above `raise_above`, lower below `lower_below`), and the
+//! dwell gates both directions, counted from tick 0, so the dimmer
+//! cannot flap. Every input is a logical-clock quantity — the level
+//! sequence replays exactly for any thread budget.
 //!
 //! The anticipation layer can impose a *floor* and a *ceiling* on the
 //! dimmer ([`BrownoutController::set_floor`],
@@ -34,6 +36,8 @@
 //! dimmer (ceiling 0) so quality is only spent when the warning score
 //! says collapse is actually approaching. The reactive machinery
 //! underneath keeps tracking pressure unchanged either way.
+
+use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
 
 /// Configuration of the brownout controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,13 +52,6 @@ pub struct BrownoutConfig {
     pub dwell: u64,
     /// Trial divisor at level 1 (reduced fidelity).
     pub reduced_divisor: u64,
-    /// Retained history length: the first `history_cap` effective-level
-    /// changes are kept, later ones only counted (see
-    /// [`BrownoutController::truncated_history`]), so an arbitrarily
-    /// long trace cannot grow memory without bound. The truncation
-    /// point depends only on the change sequence itself — byte-identical
-    /// across thread budgets.
-    pub history_cap: usize,
 }
 
 impl Default for BrownoutConfig {
@@ -65,7 +62,6 @@ impl Default for BrownoutConfig {
             lower_below: 0.03,
             dwell: 8,
             reduced_divisor: 4,
-            history_cap: 4096,
         }
     }
 }
@@ -73,28 +69,27 @@ impl Default for BrownoutConfig {
 /// The dimmer state machine.
 #[derive(Debug, Clone)]
 pub struct BrownoutController {
-    config: BrownoutConfig,
-    level: u8,
+    alpha: f64,
+    ladder: Ladder,
+    state: LadderState,
     floor: u8,
     ceiling: u8,
     pressure: f64,
-    last_change: u64,
-    history: Vec<(u64, u8)>,
-    truncated: u64,
+    history: CappedLog<(u64, u8)>,
 }
 
 impl BrownoutController {
     /// A controller at level 0 (full fidelity) with zero pressure.
     pub fn new(config: BrownoutConfig) -> Self {
+        let band = Rung::strict(config.raise_above, config.lower_below);
         BrownoutController {
-            config,
-            level: 0,
+            alpha: config.alpha,
+            ladder: Ladder::new(vec![band; 2], config.dwell, Escalation::DwellGated),
+            state: LadderState::settled_at(0),
             floor: 0,
             ceiling: 2,
             pressure: 0.0,
-            last_change: 0,
-            history: Vec::new(),
-            truncated: 0,
+            history: CappedLog::default(),
         }
     }
 
@@ -102,7 +97,7 @@ impl BrownoutController {
     /// 2 = cached): the reactive level, raised to any anticipatory
     /// floor in force, then clamped to any anticipatory ceiling.
     pub fn level(&self) -> u8 {
-        self.level.max(self.floor).min(self.ceiling)
+        self.state.level().max(self.floor).min(self.ceiling)
     }
 
     /// The anticipatory floor currently in force.
@@ -126,7 +121,7 @@ impl BrownoutController {
         self.floor = floor.min(2);
         let after = self.level();
         if after != before {
-            self.push_history(tick, after);
+            self.history.push((tick, after));
         }
     }
 
@@ -142,7 +137,7 @@ impl BrownoutController {
         self.ceiling = ceiling.min(2);
         let after = self.level();
         if after != before {
-            self.push_history(tick, after);
+            self.history.push((tick, after));
         }
     }
 
@@ -152,22 +147,15 @@ impl BrownoutController {
     }
 
     /// `(tick, new effective level)` for the first
-    /// [`BrownoutConfig::history_cap`] changes, in tick order.
+    /// [`LOG_CAP`](resilience_core::modes::LOG_CAP) changes, in tick
+    /// order.
     pub fn history(&self) -> &[(u64, u8)] {
-        &self.history
+        self.history.entries()
     }
 
     /// Level changes beyond the cap that were counted but not retained.
     pub fn truncated_history(&self) -> u64 {
-        self.truncated
-    }
-
-    fn push_history(&mut self, tick: u64, level: u8) {
-        if self.history.len() < self.config.history_cap {
-            self.history.push((tick, level));
-        } else {
-            self.truncated += 1;
-        }
+        self.history.truncated()
     }
 
     /// Feed one tick of self-measurement: `deficit` is the tick's
@@ -178,24 +166,17 @@ impl BrownoutController {
     /// moves the dimmer one level with hysteresis and dwell.
     pub fn observe(&mut self, tick: u64, deficit: f64, occupancy: f64) {
         let raw = deficit.max(occupancy).clamp(0.0, 1.0);
-        self.pressure = self.config.alpha * raw + (1.0 - self.config.alpha) * self.pressure;
-        let dwelled = tick.saturating_sub(self.last_change) >= self.config.dwell;
-        if !dwelled {
-            return;
-        }
+        self.pressure = self.alpha * raw + (1.0 - self.alpha) * self.pressure;
         let before = self.level();
-        if self.pressure > self.config.raise_above && self.level < 2 {
-            self.level += 1;
-            self.last_change = tick;
-        } else if self.pressure < self.config.lower_below && self.level > 0 {
-            self.level -= 1;
-            self.last_change = tick;
-        } else {
-            return;
-        }
-        let after = self.level();
-        if after != before {
-            self.push_history(tick, after);
+        if self
+            .ladder
+            .step(&mut self.state, tick, self.pressure)
+            .is_some()
+        {
+            let after = self.level();
+            if after != before {
+                self.history.push((tick, after));
+            }
         }
     }
 }
@@ -203,6 +184,7 @@ impl BrownoutController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use resilience_core::modes::LOG_CAP;
 
     fn controller() -> BrownoutController {
         BrownoutController::new(BrownoutConfig {
@@ -316,16 +298,14 @@ mod tests {
 
     #[test]
     fn history_is_capped_deterministically() {
-        let mut c = BrownoutController::new(BrownoutConfig {
-            history_cap: 3,
-            ..BrownoutConfig::default()
-        });
+        let mut c = controller();
         // Flap the floor to generate many effective-level changes.
-        for i in 0..10u64 {
+        let flaps = LOG_CAP as u64 / 2 + 10;
+        for i in 0..flaps {
             c.set_floor(2 * i, 2);
             c.set_floor(2 * i + 1, 0);
         }
-        assert_eq!(c.history().len(), 3, "log capped at 3");
-        assert_eq!(c.truncated_history(), 17, "overflow counted exactly");
+        assert_eq!(c.history().len(), LOG_CAP, "log capped");
+        assert_eq!(c.truncated_history(), 20, "overflow counted exactly");
     }
 }

@@ -8,8 +8,8 @@
 //!   transitions — is byte-identical across thread budgets 1, 2, and 4,
 //!   with and without a chaos plan;
 //! * the detector's O(1) sliding-window indicators (Welford variance +
-//!   incremental lag-1 autocorrelation) agree with a naive O(n·w)
-//!   recomputation on arbitrary streams and window sizes;
+//!   incremental lag-1 autocorrelation) agree with a from-scratch
+//!   `TimeSeries` recomputation on arbitrary streams and window sizes;
 //! * the canonical no-fault workload never drives the default mode
 //!   controller into Emergency, for any trace seed: the emergency
 //!   posture is reserved for genuine trouble, and a quiet service never
@@ -17,9 +17,10 @@
 
 use proptest::prelude::*;
 use systems_resilience::anticipate::{
-    naive_window_indicators, AnticipationConfig, EarlyWarning, EarlyWarningConfig, OperatingMode,
+    AnticipationConfig, EarlyWarning, EarlyWarningConfig, OperatingMode,
 };
 use systems_resilience::core::faults::{FaultConfig, FaultPlan};
+use systems_resilience::core::TimeSeries;
 use systems_resilience::service::{
     RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
 };
@@ -36,8 +37,10 @@ fn serve_anticipatory(trace_seed: u64, plan: &FaultPlan, threads: usize) -> Serv
 }
 
 /// Replay the detector's own detrend chain over the sample prefix, then
-/// apply the naive O(w) indicator reference to the trailing window.
-fn naive_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
+/// read the trailing window's indicators off a `TimeSeries`: sample
+/// variance is the population variance · n/(n−1), and the
+/// autocorrelation is gated and clamped where the detector does.
+fn reference_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
     let mut trend = 0.0;
     let mut residuals = Vec::new();
     for (i, &x) in samples.iter().enumerate() {
@@ -49,8 +52,19 @@ fn naive_indicators(samples: &[f64], alpha: f64, window: usize) -> (f64, f64) {
             trend += alpha * (x - trend);
         }
     }
-    let tail = &residuals[residuals.len().saturating_sub(window)..];
-    naive_window_indicators(tail)
+    let tail =
+        TimeSeries::from_values(residuals[residuals.len().saturating_sub(window)..].to_vec());
+    let n = tail.len() as f64;
+    if tail.len() < 2 {
+        return (0.0, 0.0);
+    }
+    let m2 = tail.variance() * n;
+    let autocorr = if tail.len() >= 3 && m2 > 1e-18 {
+        tail.lag1_autocorrelation().clamp(-1.0, 1.0)
+    } else {
+        0.0
+    };
+    (m2 / (n - 1.0), autocorr)
 }
 
 proptest! {
@@ -106,15 +120,15 @@ proptest! {
         let mut detector = EarlyWarning::new(config);
         for (i, &x) in samples.iter().enumerate() {
             let snap = detector.observe(x);
-            let (var, ac) = naive_indicators(&samples[..=i], alpha, window);
+            let (var, ac) = reference_indicators(&samples[..=i], alpha, window);
             prop_assert!(
                 (snap.variance - var).abs() <= 1e-9 * var.max(1.0),
-                "sample {}: incremental variance {} vs naive {}",
+                "sample {}: incremental variance {} vs reference {}",
                 i, snap.variance, var
             );
             prop_assert!(
                 (snap.autocorr - ac).abs() <= 1e-7,
-                "sample {}: incremental autocorr {} vs naive {}",
+                "sample {}: incremental autocorr {} vs reference {}",
                 i, snap.autocorr, ac
             );
         }
