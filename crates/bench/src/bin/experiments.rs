@@ -355,9 +355,11 @@ fn main() {
                 // causal tracer is empty here: supervised trials carry
                 // no span sketches, so the bundle documents the losses
                 // themselves.
+                let causal = CausalTracer::new();
                 let mut recorder = FlightRecorder::new();
                 for l in &report.lost {
                     recorder.trigger(
+                        &causal,
                         l.trial,
                         TriggerKind::TrialLoss,
                         0,
@@ -367,7 +369,6 @@ fn main() {
                         ),
                     );
                 }
-                let causal = CausalTracer::new();
                 let incidents = recorder.finalize(&causal, &[]);
                 serde::Value::Object(vec![
                     ("id".to_string(), serde::Serialize::serialize(id)),

@@ -89,6 +89,7 @@ pub fn record_cluster_incidents(recorder: &mut FlightRecorder, report: &ClusterR
             && last_cascade_tick != Some(record.tick);
         if onset {
             recorder.trigger(
+                &resilience_telemetry::CausalTracer::new(),
                 record.tick,
                 TriggerKind::CascadeOnset,
                 milli(record.stats.shed_load),

@@ -440,7 +440,6 @@ impl Attempt {
     }
 
     fn sketch(&self, base_work: u64, rate: u64) -> AttemptSketch {
-        let finished = self.completed.is_some();
         AttemptSketch {
             replica: self.replica,
             kind: self.kind,
@@ -449,8 +448,7 @@ impl Attempt {
             work: self.work,
             rate,
             completed: self.completed,
-            won: finished && !self.dead(),
-            failed: finished && self.dead(),
+            won: self.completed.is_some() && !self.dead(),
         }
     }
 }
@@ -1229,7 +1227,7 @@ impl<'a> ServeLoop<'a> {
                     );
                     tel.trajectory.charge(DeficitCause::Degraded, penalty);
                     SketchOutcome::Served {
-                        fidelity: fidelity.to_string(),
+                        fidelity: fidelity.as_str(),
                         latency: *latency,
                         // A cached answer after attempts ran is the
                         // fallback for a dead backend.
@@ -1247,22 +1245,21 @@ impl<'a> ServeLoop<'a> {
                         },
                     );
                     tel.trajectory.charge(DeficitCause::Failed, penalty);
-                    SketchOutcome::Failed {
-                        cause: cause.clone(),
-                    }
+                    SketchOutcome::Failed { cause }
                 }
                 Disposition::Shed { reason } => {
-                    let reason = reason.to_string();
                     tel.tracer.record(
                         tick,
                         Event::RequestShed {
                             id,
                             family,
-                            reason: reason.clone(),
+                            reason: reason.to_string(),
                         },
                     );
                     tel.trajectory.charge(DeficitCause::Shed, penalty);
-                    SketchOutcome::Shed { reason }
+                    SketchOutcome::Shed {
+                        reason: reason.as_str(),
+                    }
                 }
             };
             let (attempts, gate) = match how {
@@ -1278,7 +1275,6 @@ impl<'a> ServeLoop<'a> {
                 }
             };
             tel.causal.record(&RequestSketch {
-                trial: 0,
                 id,
                 family,
                 arrival: request.arrival,
@@ -1288,7 +1284,6 @@ impl<'a> ServeLoop<'a> {
                 attempts,
                 gate,
             });
-            tel.incidents.observe(family, id);
         }
         let idx = usize::try_from(request.id).expect("request id fits usize");
         self.outcomes[idx] = Some(RequestOutcome {
@@ -1425,6 +1420,7 @@ impl<'a> ServeLoop<'a> {
                     // Emergency escalation trips the flight recorder at
                     // the transition's own tick.
                     let captured = tel.incidents.trigger(
+                        &tel.causal,
                         t.tick,
                         TriggerKind::ModeEscalation,
                         t.score_milli,

@@ -165,6 +165,15 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
+    /// Stable lowercase label used in logs and exports.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            Fidelity::Full => "full",
+            Fidelity::Reduced => "reduced",
+            Fidelity::Cached => "cached",
+        }
+    }
+
     /// Whether this fidelity counts as degraded service.
     pub fn is_degraded(&self) -> bool {
         !matches!(self, Fidelity::Full)
@@ -173,11 +182,7 @@ impl Fidelity {
 
 impl fmt::Display for Fidelity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Fidelity::Full => write!(f, "full"),
-            Fidelity::Reduced => write!(f, "reduced"),
-            Fidelity::Cached => write!(f, "cached"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -193,13 +198,20 @@ pub enum ShedReason {
     BreakerOpen,
 }
 
+impl ShedReason {
+    /// Stable lowercase label used in logs and exports.
+    pub fn as_str(&self) -> &'static str {
+        match self {
+            ShedReason::QueueFull => "queue-full",
+            ShedReason::DeadlineUnmeetable => "deadline-unmeetable",
+            ShedReason::BreakerOpen => "breaker-open",
+        }
+    }
+}
+
 impl fmt::Display for ShedReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ShedReason::QueueFull => write!(f, "queue-full"),
-            ShedReason::DeadlineUnmeetable => write!(f, "deadline-unmeetable"),
-            ShedReason::BreakerOpen => write!(f, "breaker-open"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

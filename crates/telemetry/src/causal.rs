@@ -17,7 +17,6 @@
 //! byte-identical across thread budgets.
 
 use crate::metrics::MetricsRegistry;
-use std::collections::BTreeMap;
 
 /// Bucket bounds for the `service_queue_wait_ticks` histogram (ticks a
 /// winning attempt spent between enqueue and service start).
@@ -58,12 +57,21 @@ impl SpanKind {
             SpanKind::Fallback => "fallback",
         }
     }
+
+    /// Whether this span is an attempt container (primary, hedge or
+    /// failover), whose `replica` hosted the attempt.
+    pub fn is_attempt(&self) -> bool {
+        matches!(
+            self,
+            SpanKind::Primary | SpanKind::Hedge | SpanKind::Failover
+        )
+    }
 }
 
 /// One node of a causal span tree, on the logical tick clock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CausalSpan {
-    /// Deterministic id derived from (trial, request, attempt, stage).
+    /// Deterministic id derived from (request, attempt, stage).
     pub span_id: u64,
     /// Parent span id; `0` marks the root.
     pub parent_id: u64,
@@ -77,11 +85,11 @@ pub struct CausalSpan {
     pub end: u64,
     /// Replica index that hosted the work (0 when unreplicated).
     pub replica: u32,
-    /// Outcome label (e.g. `won`, `failed`, `cancelled`, `shed:queue-full`).
-    pub outcome: String,
 }
 
-/// Blame edge names for the critical-path decomposition.
+/// Blame edge names for the critical-path decomposition. The
+/// declaration order is the canonical order: `edge as usize` indexes
+/// [`BlameEdge::ALL`] and [`PathTotals::poles`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlameEdge {
     /// Ticks waiting in a bulkhead queue.
@@ -98,6 +106,15 @@ pub enum BlameEdge {
 }
 
 impl BlameEdge {
+    /// Every edge, in canonical order.
+    pub const ALL: [BlameEdge; 5] = [
+        BlameEdge::QueueWait,
+        BlameEdge::BreakerDwell,
+        BlameEdge::GrayInflation,
+        BlameEdge::RetryBackoff,
+        BlameEdge::IntrinsicWork,
+    ];
+
     /// Stable lowercase label used in exports.
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -106,6 +123,18 @@ impl BlameEdge {
             BlameEdge::GrayInflation => "gray-inflation",
             BlameEdge::RetryBackoff => "retry-backoff",
             BlameEdge::IntrinsicWork => "intrinsic-work",
+        }
+    }
+
+    /// Snake-case name of the matching [`Blame`] field, used in metric
+    /// family names and JSON keys.
+    pub fn field(&self) -> &'static str {
+        match self {
+            BlameEdge::QueueWait => "queue_wait",
+            BlameEdge::BreakerDwell => "breaker_dwell",
+            BlameEdge::GrayInflation => "gray_inflation",
+            BlameEdge::RetryBackoff => "retry_backoff",
+            BlameEdge::IntrinsicWork => "intrinsic_work",
         }
     }
 }
@@ -135,6 +164,17 @@ impl Blame {
             + self.intrinsic_work
     }
 
+    /// Ticks blamed on `edge`.
+    pub fn get(&self, edge: BlameEdge) -> u64 {
+        match edge {
+            BlameEdge::QueueWait => self.queue_wait,
+            BlameEdge::BreakerDwell => self.breaker_dwell,
+            BlameEdge::GrayInflation => self.gray_inflation,
+            BlameEdge::RetryBackoff => self.retry_backoff,
+            BlameEdge::IntrinsicWork => self.intrinsic_work,
+        }
+    }
+
     fn add(&mut self, edge: BlameEdge, ticks: u64) {
         match edge {
             BlameEdge::QueueWait => self.queue_wait += ticks,
@@ -156,7 +196,7 @@ pub struct CriticalPath {
     pub family: u32,
     /// Tick the final disposition was recorded.
     pub decided_at: u64,
-    /// Final disposition label (`shed:queue-full`, `served:late`, ...).
+    /// Final disposition label (`shed:queue-full`, `served:full:late`, ...).
     pub outcome: String,
     /// Ticks past the effective deadline (or the modeled wait for sheds).
     pub slack_deficit: u64,
@@ -164,6 +204,18 @@ pub struct CriticalPath {
     pub longest_pole: BlameEdge,
     /// Exact decomposition; `blame.total() == slack_deficit`.
     pub blame: Blame,
+}
+
+/// Whole-run sums over a tracer's critical paths.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PathTotals {
+    /// Blame per edge, summed over every path.
+    pub blame: Blame,
+    /// Summed slack deficit.
+    pub slack_deficit: u64,
+    /// How many paths had each edge as longest pole, in
+    /// [`BlameEdge::ALL`] order.
+    pub poles: [u64; 5],
 }
 
 /// Attempt kind, as seen by the engine.
@@ -206,8 +258,6 @@ pub struct AttemptSketch {
     pub completed: Option<u64>,
     /// Whether this attempt produced the served response.
     pub won: bool,
-    /// Whether the attempt's backend died (panic/poison/correlated).
-    pub failed: bool,
 }
 
 /// Admission-gate evidence captured when a request is shed, so the
@@ -239,13 +289,14 @@ pub enum ShedGate {
     },
 }
 
-/// Final disposition of a sketched request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SketchOutcome {
+/// Final disposition of a sketched request. Labels are borrowed; the
+/// tracer formats them only into the critical paths it keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SketchOutcome<'a> {
     /// Served (possibly degraded or via cached fallback).
     Served {
         /// Fidelity label (`full`, `reduced`, `cached`).
-        fidelity: String,
+        fidelity: &'a str,
         /// Ticks from arrival to response.
         latency: u64,
         /// Whether a cached fallback resolved the request after a fault.
@@ -254,20 +305,18 @@ pub enum SketchOutcome {
     /// Shed at admission.
     Shed {
         /// Shed cause label (`breaker-open`, `queue-full`, ...).
-        reason: String,
+        reason: &'a str,
     },
     /// Failed after admission.
     Failed {
         /// Failure cause label (`backend-panic`, ...).
-        cause: String,
+        cause: &'a str,
     },
 }
 
 /// Compact causal record for one decided request.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RequestSketch {
-    /// Monte-Carlo trial index (0 for the serve path).
-    pub trial: u64,
+pub struct RequestSketch<'a> {
     /// Request id.
     pub id: u64,
     /// Request family (lane).
@@ -279,16 +328,18 @@ pub struct RequestSketch {
     /// Tick the final disposition was recorded.
     pub decided_at: u64,
     /// Final disposition.
-    pub outcome: SketchOutcome,
+    pub outcome: SketchOutcome<'a>,
     /// Attempts in launch order (empty for admission-time decisions).
     pub attempts: Vec<AttemptSketch>,
     /// Gate evidence, present iff the request was shed.
     pub gate: Option<ShedGate>,
 }
 
-/// Per-request index entry into the tracer's flat span store.
-#[derive(Debug, Clone)]
+/// One decided request's slice of the tracer's flat stores.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestEntry {
+    /// Request id.
+    pub request: u64,
     /// Request family (lane).
     pub family: u32,
     /// Offset of the request's spans in [`CausalTracer::spans`].
@@ -297,19 +348,17 @@ pub struct RequestEntry {
     pub span_count: usize,
     /// Index into [`CausalTracer::paths`], when the request missed/shed.
     pub path: Option<usize>,
-    /// Sorted, deduplicated replica indices touched by the request.
-    pub replicas: Vec<u32>,
 }
 
 /// Deterministic causal tracer: accumulates span trees and critical paths
-/// from engine-emitted sketches.
+/// from engine-emitted sketches. It is the one per-request record: the
+/// flight recorder reads its incident windows from [`CausalTracer::entries`].
 #[derive(Debug, Clone, Default)]
 pub struct CausalTracer {
     spans: Vec<CausalSpan>,
     paths: Vec<CriticalPath>,
     queue_waits: Vec<u64>,
-    requests: u64,
-    index: BTreeMap<u64, RequestEntry>,
+    entries: Vec<RequestEntry>,
 }
 
 /// splitmix64 finalizer — the same mixer the core crate uses for seed
@@ -320,11 +369,12 @@ fn mix(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Deterministic span id from (trial, request, attempt, stage).
-/// Never returns 0, which is reserved for "no parent".
-pub fn span_id(trial: u64, request: u64, attempt: u64, stage: u64) -> u64 {
+/// Deterministic span id from (request, attempt, stage), hashed after a
+/// fixed leading 0 so ids stay stable across versions. Never returns 0,
+/// which is reserved for "no parent".
+pub fn span_id(request: u64, attempt: u64, stage: u64) -> u64 {
     let mut h = 0x9E37_79B9_7F4A_7C15u64;
-    for v in [trial, request, attempt, stage] {
+    for v in [0, request, attempt, stage] {
         h = mix(h ^ v.wrapping_mul(0xD6E8_FEB8_6659_FD93));
     }
     h | 1
@@ -346,6 +396,11 @@ impl CausalTracer {
         &self.paths
     }
 
+    /// Every traced request, in decision order.
+    pub fn entries(&self) -> &[RequestEntry] {
+        &self.entries
+    }
+
     /// Winning-attempt queue waits, one per request that ran an attempt.
     pub fn queue_waits(&self) -> &[u64] {
         &self.queue_waits
@@ -353,226 +408,157 @@ impl CausalTracer {
 
     /// Number of requests traced.
     pub fn requests(&self) -> u64 {
-        self.requests
+        self.entries.len() as u64
     }
 
     /// True when no sketches have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.requests == 0
+        self.entries.is_empty()
     }
 
-    /// Index entry for a request, if it was traced.
-    pub fn entry(&self, request: u64) -> Option<&RequestEntry> {
-        self.index.get(&request)
-    }
-
-    /// Critical path for a request, if it missed its deadline or was shed.
-    pub fn path_of(&self, request: u64) -> Option<&CriticalPath> {
-        self.index
-            .get(&request)
-            .and_then(|e| e.path)
-            .map(|i| &self.paths[i])
-    }
-
-    /// Spans belonging to a request, if it was traced.
-    pub fn spans_of(&self, request: u64) -> &[CausalSpan] {
-        match self.index.get(&request) {
-            Some(e) => &self.spans[e.span_start..e.span_start + e.span_count],
-            None => &[],
+    /// Blame, slack deficit and longest-pole counts summed over every
+    /// critical path.
+    pub fn totals(&self) -> PathTotals {
+        let mut totals = PathTotals::default();
+        for p in &self.paths {
+            for edge in BlameEdge::ALL {
+                totals.blame.add(edge, p.blame.get(edge));
+            }
+            totals.slack_deficit += p.slack_deficit;
+            totals.poles[p.longest_pole as usize] += 1;
         }
+        totals
     }
 
     /// Expand a sketch into its span tree, extract the critical path when
-    /// the request missed its deadline or was shed, and index the result.
-    pub fn record(&mut self, sketch: &RequestSketch) {
+    /// the request missed its deadline or was shed, and append the
+    /// request's entry.
+    pub fn record(&mut self, sketch: &RequestSketch<'_>) {
         let span_start = self.spans.len();
-        let root_id = span_id(sketch.trial, sketch.id, u64::MAX, 0);
-        let (outcome_label, latency, shed) = match &sketch.outcome {
-            SketchOutcome::Served {
-                fidelity,
-                latency,
-                fallback,
-            } => {
-                let label = if *fallback {
-                    format!("served:{fidelity}:fallback")
-                } else {
-                    format!("served:{fidelity}")
-                };
-                (label, *latency, false)
+        let id = sketch.id;
+        let span = |span_id, parent_id, kind, start, end, replica| CausalSpan {
+            span_id,
+            parent_id,
+            request: id,
+            kind,
+            start,
+            end,
+            replica,
+        };
+        let (latency, shed) = match sketch.outcome {
+            SketchOutcome::Served { latency, .. } => (latency, false),
+            SketchOutcome::Shed { .. } => (0, true),
+            SketchOutcome::Failed { .. } => {
+                (sketch.decided_at.saturating_sub(sketch.arrival), false)
             }
-            SketchOutcome::Shed { reason } => (format!("shed:{reason}"), 0, true),
-            SketchOutcome::Failed { cause } => (
-                format!("failed:{cause}"),
-                sketch.decided_at.saturating_sub(sketch.arrival),
-                false,
-            ),
         };
 
-        self.spans.push(CausalSpan {
-            span_id: root_id,
-            parent_id: 0,
-            request: sketch.id,
-            kind: SpanKind::Request,
-            start: sketch.arrival,
-            end: sketch.decided_at,
-            replica: 0,
-            outcome: outcome_label.clone(),
-        });
-        self.spans.push(CausalSpan {
-            span_id: span_id(sketch.trial, sketch.id, u64::MAX, 1),
-            parent_id: root_id,
-            request: sketch.id,
-            kind: SpanKind::Admission,
-            start: sketch.arrival,
-            end: sketch.arrival,
-            replica: 0,
-            outcome: if shed {
-                outcome_label.clone()
-            } else if sketch.attempts.is_empty() {
-                "cached".to_string()
-            } else {
-                "admitted".to_string()
-            },
-        });
-
-        let mut replicas: Vec<u32> = Vec::new();
-        let mut fallback_used =
-            matches!(sketch.outcome, SketchOutcome::Served { fallback: true, .. });
+        let (arrival, decided_at) = (sketch.arrival, sketch.decided_at);
+        let root_id = span_id(id, u64::MAX, 0);
+        self.spans
+            .push(span(root_id, 0, SpanKind::Request, arrival, decided_at, 0));
+        self.spans.push(span(
+            span_id(id, u64::MAX, 1),
+            root_id,
+            SpanKind::Admission,
+            arrival,
+            arrival,
+            0,
+        ));
         for (i, attempt) in sketch.attempts.iter().enumerate() {
-            let attempt_ix = i as u64;
-            let container_id = span_id(sketch.trial, sketch.id, attempt_ix, 2);
-            let end = attempt.completed.unwrap_or(sketch.decided_at);
-            let attempt_outcome = if attempt.won {
-                "won"
-            } else if attempt.failed {
-                "failed"
-            } else if attempt.completed.is_none() {
-                "cancelled"
-            } else {
-                "lost"
-            };
-            self.spans.push(CausalSpan {
-                span_id: container_id,
-                parent_id: root_id,
-                request: sketch.id,
-                kind: attempt.kind.span_kind(),
-                start: attempt.enqueued,
-                end,
-                replica: attempt.replica,
-                outcome: attempt_outcome.to_string(),
-            });
-            match attempt.completed {
+            let (ix, enqueued, replica) = (i as u64, attempt.enqueued, attempt.replica);
+            let container_id = span_id(id, ix, 2);
+            let end = attempt.completed.unwrap_or(decided_at);
+            let kind = attempt.kind.span_kind();
+            self.spans
+                .push(span(container_id, root_id, kind, enqueued, end, replica));
+            // A completed attempt queued until its service ticks began; a
+            // cancelled one queued until the decision.
+            let queued_until = match attempt.completed {
                 Some(completed) => {
                     let svc_ticks = attempt.work.div_ceil(attempt.rate.max(1)).max(1);
-                    let svc_start = completed.saturating_sub(svc_ticks).max(attempt.enqueued);
-                    self.spans.push(CausalSpan {
-                        span_id: span_id(sketch.trial, sketch.id, attempt_ix, 3),
-                        parent_id: container_id,
-                        request: sketch.id,
-                        kind: SpanKind::QueueWait,
-                        start: attempt.enqueued,
-                        end: svc_start,
-                        replica: attempt.replica,
-                        outcome: "drained".to_string(),
-                    });
-                    self.spans.push(CausalSpan {
-                        span_id: span_id(sketch.trial, sketch.id, attempt_ix, 4),
-                        parent_id: container_id,
-                        request: sketch.id,
-                        kind: SpanKind::Service,
-                        start: svc_start,
-                        end: completed,
-                        replica: attempt.replica,
-                        outcome: if attempt.failed {
-                            "failed"
-                        } else {
-                            "completed"
-                        }
-                        .to_string(),
-                    });
+                    completed.saturating_sub(svc_ticks).max(enqueued)
                 }
-                None => {
-                    self.spans.push(CausalSpan {
-                        span_id: span_id(sketch.trial, sketch.id, attempt_ix, 3),
-                        parent_id: container_id,
-                        request: sketch.id,
-                        kind: SpanKind::QueueWait,
-                        start: attempt.enqueued,
-                        end: sketch.decided_at,
-                        replica: attempt.replica,
-                        outcome: "cancelled".to_string(),
-                    });
-                }
-            }
-            if !replicas.contains(&attempt.replica) {
-                replicas.push(attempt.replica);
+                None => end,
+            };
+            self.spans.push(span(
+                span_id(id, ix, 3),
+                container_id,
+                SpanKind::QueueWait,
+                enqueued,
+                queued_until,
+                replica,
+            ));
+            if let Some(completed) = attempt.completed {
+                self.spans.push(span(
+                    span_id(id, ix, 4),
+                    container_id,
+                    SpanKind::Service,
+                    queued_until,
+                    completed,
+                    replica,
+                ));
             }
         }
-        if fallback_used && sketch.attempts.is_empty() {
-            // Admission-time cached answer: no fallback span, the
-            // admission span already carries the outcome.
-            fallback_used = false;
+        // A cached answer after attempts ran is the fallback for a dead
+        // backend; an admission-time cached answer has no fallback span.
+        if matches!(sketch.outcome, SketchOutcome::Served { fallback: true, .. })
+            && !sketch.attempts.is_empty()
+        {
+            self.spans.push(span(
+                span_id(id, u64::MAX, 5),
+                root_id,
+                SpanKind::Fallback,
+                decided_at,
+                decided_at,
+                0,
+            ));
         }
-        if fallback_used {
-            self.spans.push(CausalSpan {
-                span_id: span_id(sketch.trial, sketch.id, u64::MAX, 5),
-                parent_id: root_id,
-                request: sketch.id,
-                kind: SpanKind::Fallback,
-                start: sketch.decided_at,
-                end: sketch.decided_at,
-                replica: 0,
-                outcome: "cached".to_string(),
-            });
-        }
-        replicas.sort_unstable();
 
         if let Some(w) = winning_attempt(sketch) {
             let svc_ticks = w.work.div_ceil(w.rate.max(1)).max(1);
-            let total = sketch.decided_at.saturating_sub(sketch.arrival);
-            let retry = w.enqueued.saturating_sub(sketch.arrival);
+            let total = decided_at.saturating_sub(arrival);
+            let retry = w.enqueued.saturating_sub(arrival);
             self.queue_waits
                 .push(total.saturating_sub(retry + svc_ticks));
         }
 
-        let missed = shed || latency > sketch.deadline;
-        let path = if missed {
+        let path = (shed || latency > sketch.deadline).then(|| {
             let (deficit, blame, pole) = decompose(sketch, latency);
             self.paths.push(CriticalPath {
-                request: sketch.id,
+                request: id,
                 family: sketch.family,
-                decided_at: sketch.decided_at,
-                outcome: if !shed && matches!(sketch.outcome, SketchOutcome::Served { .. }) {
-                    format!("{outcome_label}:late")
-                } else {
-                    outcome_label
+                decided_at,
+                outcome: match sketch.outcome {
+                    SketchOutcome::Served {
+                        fidelity,
+                        fallback: true,
+                        ..
+                    } => format!("served:{fidelity}:fallback:late"),
+                    SketchOutcome::Served { fidelity, .. } => format!("served:{fidelity}:late"),
+                    SketchOutcome::Shed { reason } => format!("shed:{reason}"),
+                    SketchOutcome::Failed { cause } => format!("failed:{cause}"),
                 },
                 slack_deficit: deficit,
                 longest_pole: pole,
                 blame,
             });
-            Some(self.paths.len() - 1)
-        } else {
-            None
-        };
+            self.paths.len() - 1
+        });
 
-        self.requests += 1;
-        self.index.insert(
-            sketch.id,
-            RequestEntry {
-                family: sketch.family,
-                span_start,
-                span_count: self.spans.len() - span_start,
-                path,
-                replicas,
-            },
-        );
+        self.entries.push(RequestEntry {
+            request: id,
+            family: sketch.family,
+            span_start,
+            span_count: self.spans.len() - span_start,
+            path,
+        });
     }
 }
 
 /// The attempt that decided the request: the winner if any, else the last
 /// completed attempt, else the last attempt.
-fn winning_attempt(sketch: &RequestSketch) -> Option<&AttemptSketch> {
+fn winning_attempt<'s>(sketch: &'s RequestSketch<'_>) -> Option<&'s AttemptSketch> {
     sketch
         .attempts
         .iter()
@@ -583,7 +569,7 @@ fn winning_attempt(sketch: &RequestSketch) -> Option<&AttemptSketch> {
 
 /// Exact blame decomposition for a missed/shed request. Returns
 /// `(slack_deficit, blame, longest_pole)` with `blame.total() == deficit`.
-fn decompose(sketch: &RequestSketch, latency: u64) -> (u64, Blame, BlameEdge) {
+fn decompose(sketch: &RequestSketch<'_>, latency: u64) -> (u64, Blame, BlameEdge) {
     // Raw edge magnitudes in canonical order:
     // [queue, breaker, gray, retry, intrinsic].
     let mut raw = [0u64; 5];
@@ -643,20 +629,13 @@ fn decompose(sketch: &RequestSketch, latency: u64) -> (u64, Blame, BlameEdge) {
         }
     }
 
-    const EDGES: [BlameEdge; 5] = [
-        BlameEdge::QueueWait,
-        BlameEdge::BreakerDwell,
-        BlameEdge::GrayInflation,
-        BlameEdge::RetryBackoff,
-        BlameEdge::IntrinsicWork,
-    ];
     // Longest pole: largest raw magnitude, canonical order breaking ties.
     let mut pole = BlameEdge::IntrinsicWork;
     let mut best = 0u64;
     for (i, &r) in raw.iter().enumerate() {
         if r > best {
             best = r;
-            pole = EDGES[i];
+            pole = BlameEdge::ALL[i];
         }
     }
     // Greedy exact assignment: charge edges in descending raw order until
@@ -670,7 +649,7 @@ fn decompose(sketch: &RequestSketch, latency: u64) -> (u64, Blame, BlameEdge) {
     for &i in &order {
         let take = raw[i].min(remaining);
         if take > 0 {
-            blame.add(EDGES[i], take);
+            blame.add(BlameEdge::ALL[i], take);
             remaining -= take;
         }
     }
@@ -680,30 +659,23 @@ fn decompose(sketch: &RequestSketch, latency: u64) -> (u64, Blame, BlameEdge) {
     (deficit, blame, pole)
 }
 
+/// Help-text phrases per edge, in [`BlameEdge::ALL`] order: what the
+/// edge's blamed ticks measure, and what a path with it as longest pole
+/// was held up by.
+const EDGE_HELP: [(&str, &str); 5] = [
+    ("bulkhead queue wait", "queue wait"),
+    ("breaker-open dwell", "breaker-open dwell"),
+    ("gray-failure work inflation", "gray work inflation"),
+    ("hedge/failover launch delay", "retry backoff"),
+    ("the request's own base work", "intrinsic work"),
+];
+
 /// Register the `critical_path_*` families and the queue-wait histogram
 /// from an accumulated tracer. Called by the engines at end of run when
 /// causal tracing was active, so the families are always present (possibly
 /// zero) in traced expositions.
 pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTracer) {
-    let mut totals = Blame::default();
-    let mut deficit = 0u64;
-    let mut poles = [0u64; 5];
-    for p in causal.paths() {
-        totals.queue_wait += p.blame.queue_wait;
-        totals.breaker_dwell += p.blame.breaker_dwell;
-        totals.gray_inflation += p.blame.gray_inflation;
-        totals.retry_backoff += p.blame.retry_backoff;
-        totals.intrinsic_work += p.blame.intrinsic_work;
-        deficit += p.slack_deficit;
-        let ix = match p.longest_pole {
-            BlameEdge::QueueWait => 0,
-            BlameEdge::BreakerDwell => 1,
-            BlameEdge::GrayInflation => 2,
-            BlameEdge::RetryBackoff => 3,
-            BlameEdge::IntrinsicWork => 4,
-        };
-        poles[ix] += 1;
-    }
+    let totals = causal.totals();
     registry.inc_counter(
         "critical_path_requests_total",
         "Requests that missed their deadline or were shed, with an extracted critical path",
@@ -712,58 +684,20 @@ pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTrac
     registry.inc_counter(
         "critical_path_slack_deficit_ticks_total",
         "Total slack deficit across all critical paths, in ticks",
-        deficit,
+        totals.slack_deficit,
     );
-    registry.inc_counter(
-        "critical_path_queue_wait_ticks_total",
-        "Slack-deficit ticks blamed on bulkhead queue wait",
-        totals.queue_wait,
-    );
-    registry.inc_counter(
-        "critical_path_breaker_dwell_ticks_total",
-        "Slack-deficit ticks blamed on breaker-open dwell",
-        totals.breaker_dwell,
-    );
-    registry.inc_counter(
-        "critical_path_gray_inflation_ticks_total",
-        "Slack-deficit ticks blamed on gray-failure work inflation",
-        totals.gray_inflation,
-    );
-    registry.inc_counter(
-        "critical_path_retry_backoff_ticks_total",
-        "Slack-deficit ticks blamed on hedge/failover launch delay",
-        totals.retry_backoff,
-    );
-    registry.inc_counter(
-        "critical_path_intrinsic_work_ticks_total",
-        "Slack-deficit ticks blamed on the request's own base work",
-        totals.intrinsic_work,
-    );
-    registry.inc_counter(
-        "critical_path_pole_queue_wait_total",
-        "Critical paths whose longest pole was queue wait",
-        poles[0],
-    );
-    registry.inc_counter(
-        "critical_path_pole_breaker_dwell_total",
-        "Critical paths whose longest pole was breaker-open dwell",
-        poles[1],
-    );
-    registry.inc_counter(
-        "critical_path_pole_gray_inflation_total",
-        "Critical paths whose longest pole was gray work inflation",
-        poles[2],
-    );
-    registry.inc_counter(
-        "critical_path_pole_retry_backoff_total",
-        "Critical paths whose longest pole was retry backoff",
-        poles[3],
-    );
-    registry.inc_counter(
-        "critical_path_pole_intrinsic_work_total",
-        "Critical paths whose longest pole was intrinsic work",
-        poles[4],
-    );
+    for (edge, (blamed, pole)) in BlameEdge::ALL.into_iter().zip(EDGE_HELP) {
+        registry.inc_counter(
+            &format!("critical_path_{}_ticks_total", edge.field()),
+            &format!("Slack-deficit ticks blamed on {blamed}"),
+            totals.blame.get(edge),
+        );
+        registry.inc_counter(
+            &format!("critical_path_pole_{}_total", edge.field()),
+            &format!("Critical paths whose longest pole was {pole}"),
+            totals.poles[edge as usize],
+        );
+    }
     for qw in causal.queue_waits() {
         registry.observe(
             "service_queue_wait_ticks",
@@ -778,16 +712,15 @@ pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTrac
 mod tests {
     use super::*;
 
-    fn served_sketch() -> RequestSketch {
+    fn served_sketch() -> RequestSketch<'static> {
         RequestSketch {
-            trial: 0,
             id: 7,
             family: 1,
             arrival: 10,
             deadline: 4,
             decided_at: 19,
             outcome: SketchOutcome::Served {
-                fidelity: "full".to_string(),
+                fidelity: "full",
                 latency: 9,
                 fallback: false,
             },
@@ -800,7 +733,6 @@ mod tests {
                 rate: 8,
                 completed: Some(19),
                 won: true,
-                failed: false,
             }],
             gate: None,
         }
@@ -810,7 +742,7 @@ mod tests {
     fn span_tree_is_well_formed() {
         let mut tracer = CausalTracer::new();
         tracer.record(&served_sketch());
-        let spans = tracer.spans_of(7);
+        let spans = tracer.spans();
         let roots: Vec<_> = spans.iter().filter(|s| s.parent_id == 0).collect();
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].kind, SpanKind::Request);
@@ -830,7 +762,7 @@ mod tests {
     fn blame_sums_to_deficit_for_late_request() {
         let mut tracer = CausalTracer::new();
         tracer.record(&served_sketch());
-        let path = tracer.path_of(7).expect("missed deadline");
+        let path = &tracer.paths()[0];
         assert_eq!(path.slack_deficit, 9 - 4);
         assert_eq!(path.blame.total(), path.slack_deficit);
         // 24 work at rate 8 = 3 service ticks, 8 base work = 1 tick, so
@@ -847,14 +779,14 @@ mod tests {
         s.attempts.clear();
         s.decided_at = 10;
         s.outcome = SketchOutcome::Shed {
-            reason: "queue-full".to_string(),
+            reason: "queue-full",
         };
         s.gate = Some(ShedGate::QueueFull {
             backlog: 33,
             aggregate_rate: 16,
         });
         tracer.record(&s);
-        let path = tracer.path_of(8).expect("shed path");
+        let path = &tracer.paths()[0];
         assert_eq!(path.slack_deficit, 3); // ceil(33/16)
         assert_eq!(path.blame.queue_wait, 3);
         assert_eq!(path.longest_pole, BlameEdge::QueueWait);
@@ -869,23 +801,104 @@ mod tests {
         s.attempts.clear();
         s.decided_at = 42;
         s.outcome = SketchOutcome::Shed {
-            reason: "breaker-open".to_string(),
+            reason: "breaker-open",
         };
         s.gate = Some(ShedGate::BreakerOpen {
             open_since: Some(30),
         });
         tracer.record(&s);
-        let path = tracer.path_of(9).expect("shed path");
+        let path = &tracer.paths()[0];
         assert_eq!(path.slack_deficit, 12);
         assert_eq!(path.blame.breaker_dwell, 12);
         assert_eq!(path.longest_pole, BlameEdge::BreakerDwell);
     }
 
     #[test]
+    fn entries_keep_decision_order_and_paths_carry_labels() {
+        let mut tracer = CausalTracer::new();
+        let mut s = served_sketch();
+        tracer.record(&s);
+        s.id = 8;
+        s.outcome = SketchOutcome::Served {
+            fidelity: "cached",
+            latency: 9,
+            fallback: true,
+        };
+        tracer.record(&s);
+        s.id = 3;
+        s.outcome = SketchOutcome::Failed {
+            cause: "backend-panic",
+        };
+        tracer.record(&s);
+        s.id = 10;
+        s.deadline = 100;
+        s.outcome = SketchOutcome::Served {
+            fidelity: "full",
+            latency: 9,
+            fallback: false,
+        };
+        tracer.record(&s);
+        let ids: Vec<u64> = tracer.entries().iter().map(|e| e.request).collect();
+        assert_eq!(ids, [7, 8, 3, 10]);
+        assert_eq!(tracer.entries()[3].path, None);
+        let labels: Vec<&str> = tracer.paths().iter().map(|p| p.outcome.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "served:full:late",
+                "served:cached:fallback:late",
+                "failed:backend-panic"
+            ]
+        );
+        let fallback: Vec<u64> = tracer
+            .spans()
+            .iter()
+            .filter(|s| s.kind == SpanKind::Fallback)
+            .map(|s| s.request)
+            .collect();
+        assert_eq!(fallback, [8]);
+    }
+
+    #[test]
+    fn metrics_fold_every_path() {
+        let mut tracer = CausalTracer::new();
+        tracer.record(&served_sketch()); // queue wait 5
+        let mut s = served_sketch();
+        s.id = 9;
+        s.attempts.clear();
+        s.decided_at = 42;
+        s.outcome = SketchOutcome::Shed {
+            reason: "breaker-open",
+        };
+        s.gate = Some(ShedGate::BreakerOpen {
+            open_since: Some(30),
+        });
+        tracer.record(&s); // breaker dwell 12
+        let totals = tracer.totals();
+        assert_eq!(totals.slack_deficit, 17);
+        assert_eq!(totals.blame.total(), 17);
+        let mut reg = MetricsRegistry::new();
+        record_causal_metrics(&mut reg, &tracer);
+        let prom = reg.to_prometheus();
+        for line in [
+            "critical_path_requests_total 2",
+            "critical_path_slack_deficit_ticks_total 17",
+            "critical_path_queue_wait_ticks_total 5",
+            "critical_path_breaker_dwell_ticks_total 12",
+            "critical_path_pole_queue_wait_total 1",
+            "critical_path_pole_breaker_dwell_total 1",
+            "critical_path_pole_intrinsic_work_total 0",
+            "# HELP critical_path_retry_backoff_ticks_total Slack-deficit ticks blamed on hedge/failover launch delay",
+        ] {
+            assert!(prom.lines().any(|l| l == line), "missing `{line}`");
+        }
+    }
+
+    #[test]
     fn span_ids_are_deterministic_and_nonzero() {
-        assert_eq!(span_id(0, 1, 2, 3), span_id(0, 1, 2, 3));
-        assert_ne!(span_id(0, 1, 2, 3), span_id(0, 1, 2, 4));
-        assert_ne!(span_id(0, 1, 2, 3), 0);
+        assert_eq!(span_id(1, 2, 3), span_id(1, 2, 3));
+        assert_ne!(span_id(1, 2, 3), span_id(1, 2, 4));
+        assert_ne!(span_id(1, 2, 3), 0);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! Incident flight recorder and deterministic postmortem bundles.
 //!
-//! A [`FlightRecorder`] keeps a bounded ring of recently decided request
-//! ids per lane. When the anticipation controller escalates to Emergency
-//! (or a cluster cascade ignites), the engine calls [`FlightRecorder::trigger`],
-//! which snapshots the rings *at that tick* — deterministically, because
-//! the rings are a pure function of the decision stream. After the run,
+//! A [`FlightRecorder`] keeps no per-request state of its own: the
+//! causal tracer is the one record of decided requests. When the
+//! anticipation controller escalates to Emergency (or a cluster cascade
+//! ignites), the engine calls [`FlightRecorder::trigger`], which
+//! snapshots the last [`RING_CAPACITY`] decided requests of every family
+//! *at that tick* — deterministically, because the tracer's decision
+//! order is a pure function of the simulation. After the run,
 //! [`FlightRecorder::finalize`] joins each snapshot against the causal
 //! tracer to produce [`IncidentReport`]s: trigger, pre/post warning-score
 //! trajectory, involved replicas, and the top-k critical paths ranked by
@@ -12,11 +14,11 @@
 //! schema-validated JSON document plus a human-readable timeline,
 //! byte-identical across thread budgets.
 
-use crate::causal::{CausalTracer, CriticalPath};
+use crate::causal::{BlameEdge, CausalTracer, CriticalPath, RequestEntry};
 use serde::Value;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-/// Recently decided request ids kept per lane.
+/// Recently decided requests captured per family at a trigger.
 pub const RING_CAPACITY: usize = 64;
 /// Hard cap on recorded triggers; later triggers are counted, not kept.
 pub const MAX_TRIGGERS: usize = 32;
@@ -47,7 +49,7 @@ impl TriggerKind {
     }
 }
 
-/// One recorded trigger with its ring snapshot.
+/// One recorded trigger with its snapshot.
 #[derive(Debug, Clone)]
 pub struct Trigger {
     /// Tick the trigger fired (the mode-transition / cascade tick).
@@ -58,14 +60,30 @@ pub struct Trigger {
     pub score_milli: u64,
     /// Human-readable trigger detail.
     pub detail: String,
-    /// Request ids captured from the lane rings, lane order then age order.
-    pub snapshot: Vec<u64>,
+    /// Decision positions (indices into [`CausalTracer::entries`]) of the
+    /// captured requests, family order then age order.
+    pub snapshot: Vec<usize>,
 }
 
-/// Bounded per-lane ring of recent request ids plus recorded triggers.
+/// Decision positions of the last [`RING_CAPACITY`] requests of each
+/// family: families ascending, oldest first.
+fn flight_window(entries: &[RequestEntry]) -> Vec<usize> {
+    let mut lanes: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
+    for (pos, entry) in entries.iter().enumerate().rev() {
+        let lane = lanes.entry(entry.family).or_default();
+        if lane.len() < RING_CAPACITY {
+            lane.push(pos);
+        }
+    }
+    lanes
+        .into_values()
+        .flat_map(|lane| lane.into_iter().rev())
+        .collect()
+}
+
+/// Recorded triggers with their snapshots of the causal tracer.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
-    rings: BTreeMap<u32, VecDeque<u64>>,
     triggers: Vec<Trigger>,
     dropped: u64,
 }
@@ -76,21 +94,13 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Note a decided request on its lane's ring, evicting the oldest
-    /// entry past [`RING_CAPACITY`].
-    pub fn observe(&mut self, lane: u32, request: u64) {
-        let ring = self.rings.entry(lane).or_default();
-        if ring.len() == RING_CAPACITY {
-            ring.pop_front();
-        }
-        ring.push_back(request);
-    }
-
-    /// Snapshot every lane ring at `tick`. Returns the number of request
-    /// ids captured. Past [`MAX_TRIGGERS`] the trigger is counted but its
-    /// snapshot is discarded, bounding memory under trigger storms.
+    /// Snapshot the last [`RING_CAPACITY`] requests of each family that
+    /// `causal` has decided so far, at `tick`. Returns the number of
+    /// requests captured. Past [`MAX_TRIGGERS`] the trigger is counted
+    /// but not kept, bounding memory under trigger storms.
     pub fn trigger(
         &mut self,
+        causal: &CausalTracer,
         tick: u64,
         kind: TriggerKind,
         score_milli: u64,
@@ -100,10 +110,7 @@ impl FlightRecorder {
             self.dropped += 1;
             return 0;
         }
-        let mut snapshot = Vec::new();
-        for ring in self.rings.values() {
-            snapshot.extend(ring.iter().copied());
-        }
+        let snapshot = flight_window(causal.entries());
         let captured = snapshot.len() as u64;
         self.triggers.push(Trigger {
             tick,
@@ -130,9 +137,10 @@ impl FlightRecorder {
         self.triggers.is_empty()
     }
 
-    /// Join every trigger's snapshot against the causal tracer and the
-    /// warning-score trajectory, producing one [`IncidentReport`] per
-    /// trigger. Pure: callable repeatedly with identical results.
+    /// Join every trigger's snapshot against the causal tracer the
+    /// triggers read and the warning-score trajectory, producing one
+    /// [`IncidentReport`] per trigger. Pure: callable repeatedly with
+    /// identical results.
     pub fn finalize(&self, causal: &CausalTracer, warning_scores: &[u64]) -> Vec<IncidentReport> {
         self.triggers
             .iter()
@@ -145,31 +153,27 @@ impl FlightRecorder {
                 let hi = tick
                     .saturating_add(WARNING_WINDOW)
                     .min(warning_scores.len());
-                let mut paths: Vec<CriticalPath> = t
-                    .snapshot
-                    .iter()
-                    .filter_map(|id| causal.path_of(*id))
-                    .cloned()
-                    .collect();
-                paths.sort_by(|a, b| {
+                let (mut paths, mut replicas, mut snapshot_spans) = (Vec::new(), Vec::new(), 0);
+                for &pos in &t.snapshot {
+                    let entry = &causal.entries()[pos];
+                    let spans = &causal.spans()[entry.span_start..][..entry.span_count];
+                    snapshot_spans += spans.len() as u64;
+                    replicas.extend(
+                        spans
+                            .iter()
+                            .filter(|s| s.kind.is_attempt())
+                            .map(|s| s.replica),
+                    );
+                    paths.extend(entry.path.map(|i| causal.paths()[i].clone()));
+                }
+                paths.sort_by(|a: &CriticalPath, b| {
                     b.slack_deficit
                         .cmp(&a.slack_deficit)
                         .then(a.request.cmp(&b.request))
                 });
                 paths.truncate(TOP_K);
-                let mut replicas: Vec<u32> = Vec::new();
-                let mut snapshot_spans = 0u64;
-                for id in &t.snapshot {
-                    if let Some(entry) = causal.entry(*id) {
-                        snapshot_spans += entry.span_count as u64;
-                        for r in &entry.replicas {
-                            if !replicas.contains(r) {
-                                replicas.push(*r);
-                            }
-                        }
-                    }
-                }
                 replicas.sort_unstable();
+                replicas.dedup();
                 IncidentReport {
                     trigger_tick: t.tick,
                     kind: t.kind,
@@ -255,25 +259,12 @@ fn path_value(p: &CriticalPath) -> Value {
         ),
         (
             "blame".to_string(),
-            Value::Object(vec![
-                ("queue_wait".to_string(), Value::UInt(p.blame.queue_wait)),
-                (
-                    "breaker_dwell".to_string(),
-                    Value::UInt(p.blame.breaker_dwell),
-                ),
-                (
-                    "gray_inflation".to_string(),
-                    Value::UInt(p.blame.gray_inflation),
-                ),
-                (
-                    "retry_backoff".to_string(),
-                    Value::UInt(p.blame.retry_backoff),
-                ),
-                (
-                    "intrinsic_work".to_string(),
-                    Value::UInt(p.blame.intrinsic_work),
-                ),
-            ]),
+            Value::Object(
+                BlameEdge::ALL
+                    .iter()
+                    .map(|e| (e.field().to_string(), Value::UInt(p.blame.get(*e))))
+                    .collect(),
+            ),
         ),
     ])
 }
@@ -287,17 +278,7 @@ pub fn postmortem_bundle(
     incidents: &[IncidentReport],
     causal: &CausalTracer,
 ) -> Value {
-    let mut totals = crate::causal::Blame::default();
-    let mut deficit = 0u64;
-    for p in causal.paths() {
-        totals.queue_wait += p.blame.queue_wait;
-        totals.breaker_dwell += p.blame.breaker_dwell;
-        totals.gray_inflation += p.blame.gray_inflation;
-        totals.retry_backoff += p.blame.retry_backoff;
-        totals.intrinsic_work += p.blame.intrinsic_work;
-        deficit += p.slack_deficit;
-    }
-
+    let totals = causal.totals();
     let mut timeline: Vec<Value> = Vec::new();
     for i in incidents {
         timeline.push(Value::String(format!(
@@ -375,33 +356,20 @@ pub fn postmortem_bundle(
         ("incidents".to_string(), Value::Array(incident_values)),
         (
             "critical_path_totals".to_string(),
-            Value::Object(vec![
-                (
-                    "requests".to_string(),
-                    Value::UInt(causal.paths().len() as u64),
-                ),
-                ("slack_deficit_ticks".to_string(), Value::UInt(deficit)),
-                (
-                    "queue_wait_ticks".to_string(),
-                    Value::UInt(totals.queue_wait),
-                ),
-                (
-                    "breaker_dwell_ticks".to_string(),
-                    Value::UInt(totals.breaker_dwell),
-                ),
-                (
-                    "gray_inflation_ticks".to_string(),
-                    Value::UInt(totals.gray_inflation),
-                ),
-                (
-                    "retry_backoff_ticks".to_string(),
-                    Value::UInt(totals.retry_backoff),
-                ),
-                (
-                    "intrinsic_work_ticks".to_string(),
-                    Value::UInt(totals.intrinsic_work),
-                ),
-            ]),
+            Value::Object(
+                [
+                    ("requests".to_string(), causal.paths().len() as u64),
+                    ("slack_deficit_ticks".to_string(), totals.slack_deficit),
+                ]
+                .into_iter()
+                .chain(
+                    BlameEdge::ALL
+                        .iter()
+                        .map(|e| (format!("{}_ticks", e.field()), totals.blame.get(*e))),
+                )
+                .map(|(key, ticks)| (key, Value::UInt(ticks)))
+                .collect(),
+            ),
         ),
         ("timeline".to_string(), Value::Array(timeline)),
     ])
@@ -425,16 +393,15 @@ mod tests {
     use super::*;
     use crate::causal::{AttemptKind, AttemptSketch, RequestSketch, SketchOutcome};
 
-    fn traced_request(id: u64, deadline: u64) -> RequestSketch {
+    fn traced_request(id: u64, family: u32, deadline: u64) -> RequestSketch<'static> {
         RequestSketch {
-            trial: 0,
             id,
-            family: 0,
+            family,
             arrival: 5,
             deadline,
             decided_at: 5 + 9,
             outcome: SketchOutcome::Served {
-                fidelity: "full".to_string(),
+                fidelity: "full",
                 latency: 9,
                 fallback: false,
             },
@@ -447,7 +414,6 @@ mod tests {
                 rate: 8,
                 completed: Some(14),
                 won: true,
-                failed: false,
             }],
             gate: None,
         }
@@ -455,27 +421,37 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_snapshot_ordered() {
-        let mut rec = FlightRecorder::new();
+        let mut causal = CausalTracer::new();
+        causal.record(&traced_request(999, 1, 100));
         for i in 0..(RING_CAPACITY as u64 + 10) {
-            rec.observe(0, i);
+            causal.record(&traced_request(i, 0, 100));
         }
-        rec.observe(1, 999);
-        let captured = rec.trigger(50, TriggerKind::ModeEscalation, 900, "test".to_string());
+        let mut rec = FlightRecorder::new();
+        let captured = rec.trigger(
+            &causal,
+            50,
+            TriggerKind::ModeEscalation,
+            900,
+            "test".to_string(),
+        );
         assert_eq!(captured, RING_CAPACITY as u64 + 1);
-        let snap = &rec.triggers()[0].snapshot;
-        assert_eq!(snap[0], 10); // oldest surviving lane-0 entry
-        assert_eq!(*snap.last().expect("non-empty"), 999);
+        let ids: Vec<u64> = rec.triggers()[0]
+            .snapshot
+            .iter()
+            .map(|&pos| causal.entries()[pos].request)
+            .collect();
+        assert_eq!(ids[0], 10); // oldest surviving family-0 request
+        assert_eq!(*ids.last().expect("non-empty"), 999);
     }
 
     #[test]
     fn finalize_joins_paths_and_windows() {
         let mut causal = CausalTracer::new();
-        causal.record(&traced_request(1, 4)); // deficit 5
-        causal.record(&traced_request(2, 2)); // deficit 7
+        causal.record(&traced_request(1, 0, 4)); // deficit 5
+        causal.record(&traced_request(2, 0, 2)); // deficit 7
         let mut rec = FlightRecorder::new();
-        rec.observe(0, 1);
-        rec.observe(0, 2);
         rec.trigger(
+            &causal,
             20,
             TriggerKind::ModeEscalation,
             912,
@@ -489,6 +465,7 @@ mod tests {
         assert_eq!(r.warning_before, (4..20).collect::<Vec<u64>>());
         assert_eq!(r.warning_after, (20..36).collect::<Vec<u64>>());
         assert_eq!(r.involved_replicas, vec![1]);
+        assert_eq!(r.snapshot_spans, causal.spans().len() as u64);
         assert_eq!(r.critical_paths.len(), 2);
         // Ranked by slack deficit descending.
         assert_eq!(r.critical_paths[0].request, 2);
@@ -496,26 +473,49 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_excludes_requests_decided_after_the_trigger() {
+        let mut causal = CausalTracer::new();
+        causal.record(&traced_request(1, 0, 4));
+        let mut rec = FlightRecorder::new();
+        rec.trigger(&causal, 9, TriggerKind::ModeEscalation, 0, String::new());
+        causal.record(&traced_request(2, 0, 2));
+        let reports = rec.finalize(&causal, &[]);
+        assert_eq!(rec.triggers()[0].snapshot, vec![0]);
+        assert_eq!(reports[0].critical_paths.len(), 1);
+        assert_eq!(reports[0].critical_paths[0].request, 1);
+    }
+
+    #[test]
     fn bundle_is_deterministic_and_labelled() {
         let mut causal = CausalTracer::new();
-        causal.record(&traced_request(1, 4));
+        causal.record(&traced_request(1, 0, 4));
         let mut rec = FlightRecorder::new();
-        rec.observe(0, 1);
-        rec.trigger(9, TriggerKind::CascadeOnset, 0, "wave of 3".to_string());
+        rec.trigger(
+            &causal,
+            9,
+            TriggerKind::CascadeOnset,
+            0,
+            "wave of 3".to_string(),
+        );
         let reports = rec.finalize(&causal, &[]);
         let a = render_postmortem("test", &reports, &causal);
         let b = render_postmortem("test", &reports, &causal);
         assert_eq!(a, b);
         assert!(a.contains("\"resilience-incident/v1\""));
         assert!(a.contains("cascade-onset"));
+        assert!(a.contains("\"outcome\": \"served:full:late\""));
         assert!(a.ends_with('\n'));
     }
 
     #[test]
     fn trigger_storm_is_bounded() {
+        let causal = CausalTracer::new();
         let mut rec = FlightRecorder::new();
         for t in 0..(MAX_TRIGGERS as u64 + 5) {
-            rec.trigger(t, TriggerKind::TrialLoss, 0, String::new());
+            assert_eq!(
+                rec.trigger(&causal, t, TriggerKind::TrialLoss, 0, String::new()),
+                0
+            );
         }
         assert_eq!(rec.triggers().len(), MAX_TRIGGERS);
         assert_eq!(rec.dropped(), 5);

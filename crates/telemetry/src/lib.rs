@@ -16,9 +16,6 @@
 //! * [`metrics`] — a [`MetricsRegistry`] of counters, gauges, and
 //!   fixed-bucket histograms with Prometheus text exposition and JSON
 //!   export, both rendered in deterministic order.
-//! * [`spans`] — a chrome://tracing span emitter. Spans carry
-//!   *wall-clock* durations and live only in the perf side channel;
-//!   nothing deterministic reads them.
 //! * [`trajectory`] — live `Q(t)`/Bruneau scoring: a
 //!   [`TrajectoryObserver`] folds deficit charges into the quality
 //!   series incrementally and attributes the Bruneau deficit to cause
@@ -29,10 +26,12 @@
 //!   tree and, for every deadline-missed or shed request, decomposes the
 //!   slack deficit *exactly* into blame edges (queue wait, breaker
 //!   dwell, gray inflation, retry backoff, intrinsic work).
-//! * [`incident`] — a [`FlightRecorder`] ring of recent requests per
-//!   lane that snapshots deterministically when anticipation escalates
-//!   to Emergency (or a cluster cascade ignites), and renders
-//!   [`IncidentReport`]s as a schema-validated postmortem bundle.
+//!   The tracer is the one per-request record; nothing else stores
+//!   decided requests.
+//! * [`incident`] — a [`FlightRecorder`] that snapshots the tracer's
+//!   last requests per family when anticipation escalates to Emergency
+//!   (or a cluster cascade ignites), and renders [`IncidentReport`]s as
+//!   a schema-validated postmortem bundle.
 //! * [`report`] — derivation of runtime telemetry from a supervised
 //!   [`RunReport`](resilience_core::faults::RunReport)'s logical
 //!   attempt log.
@@ -49,8 +48,8 @@
 //! clocks, seeded draws, rank orders — never of scheduling, so traces,
 //! expositions, and attributions are byte-identical across `--threads`
 //! budgets *and* the instrumented run's deterministic outputs are
-//! byte-identical to the uninstrumented run. Only [`SpanRecorder`]
-//! touches wall-clock time, and it is quarantined from the rest.
+//! byte-identical to the uninstrumented run. Nothing in this crate reads
+//! a wall clock; perf timing lives in the benchmark binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,7 +63,6 @@ pub mod incident;
 pub mod metrics;
 pub mod report;
 pub mod schema;
-pub mod spans;
 pub mod trace;
 pub mod trajectory;
 
@@ -76,13 +74,12 @@ pub use incident::{
 pub use metrics::{Histogram, MetricValue, MetricsRegistry};
 pub use report::{record_run_events, record_run_metrics, trajectory_of_run};
 pub use schema::validate;
-pub use spans::{ScopedSpan, Span, SpanRecorder};
 pub use trace::{Event, PlanAction, TraceBuffer, TraceEvent, Tracer};
 pub use trajectory::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 
 /// The full telemetry bundle an instrumented engine records into: the
-/// deterministic trace, metrics, and trajectory, plus the wall-clock
-/// span side channel.
+/// deterministic trace, metrics, trajectory, causal spans and incident
+/// triggers.
 #[derive(Debug)]
 pub struct Telemetry {
     /// Structured event trace (deterministic).
@@ -91,8 +88,6 @@ pub struct Telemetry {
     pub metrics: MetricsRegistry,
     /// Live Q(t) observer with deficit attribution (deterministic).
     pub trajectory: TrajectoryObserver,
-    /// Wall-clock spans (perf side channel only).
-    pub spans: SpanRecorder,
     /// Causal span trees + critical paths (deterministic).
     pub causal: CausalTracer,
     /// Incident flight recorder (deterministic).
@@ -106,7 +101,6 @@ impl Telemetry {
             tracer: Tracer::new(),
             metrics: MetricsRegistry::new(),
             trajectory: TrajectoryObserver::new(dt),
-            spans: SpanRecorder::new(),
             causal: CausalTracer::new(),
             incidents: FlightRecorder::new(),
         }

@@ -235,13 +235,17 @@ impl MetricsRegistry {
         self.metrics.is_empty()
     }
 
+    /// The metric registered as `name`, registering it with `help` and
+    /// `init()` first if needed. Only a first registration allocates.
     fn entry(&mut self, name: &str, help: &str, init: impl FnOnce() -> MetricValue) -> &mut Metric {
-        self.metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric {
+        if !self.metrics.contains_key(name) {
+            let metric = Metric {
                 help: help.to_string(),
                 value: init(),
-            })
+            };
+            self.metrics.insert(name.to_string(), metric);
+        }
+        self.metrics.get_mut(name).expect("metric registered above")
     }
 
     /// Prometheus text exposition (format version 0.0.4): `# HELP` /

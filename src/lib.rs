@@ -26,8 +26,9 @@
 //!   self-scored brownout controller over the experiment engines.
 //! * [`telemetry`] — the deterministic observability spine: structured
 //!   event tracing, a metrics registry with Prometheus/JSON exposition,
-//!   chrome://tracing spans, and live Q(t) scoring with per-cause
-//!   deficit attribution.
+//!   causal span trees with critical-path blame and incident
+//!   postmortems, and live Q(t) scoring with per-cause deficit
+//!   attribution.
 //! * [`anticipate`] — the anticipation layer: online early-warning
 //!   detection (critical slowing down) over the live deficit stream,
 //!   Normal/Alert/Emergency mode switching, and heavy-tail-aware loss
