@@ -8,6 +8,12 @@
 //! pinned below: any change to a serving decision, a tally, Q(t), a
 //! breaker or brownout move, a causal span or a metric shows up here.
 //!
+//! Each traced cell also pins `events-canonical`: the event stream
+//! with lanes and sequence numbers dropped and each tick's events
+//! sorted by their compact JSON. It holds every event's fields and tick
+//! but not the order events were recorded in within a tick, so it stays
+//! fixed when only that order changes.
+//!
 //! When a change is *meant* to alter serving behaviour, the failure
 //! message prints the complete new table to paste over `GOLDEN`.
 
@@ -93,6 +99,26 @@ fn trace(seed: u64) -> RequestTrace {
     })
 }
 
+/// The merged trace with its within-tick order normalised: one
+/// `tick compact-event-json` line per event, sorted by `(tick, json)`.
+/// Lane and sequence numbers are dropped, so this pins *which* events
+/// happen on each tick independently of the order they were recorded in.
+fn canonical_events(tel: &Telemetry) -> String {
+    let mut rows: Vec<(u64, String)> = tel
+        .tracer
+        .merged()
+        .iter()
+        .map(|e| {
+            let json = serde_json::to_string(&e.event).expect("event serializes");
+            (e.tick, json)
+        })
+        .collect();
+    rows.sort();
+    rows.iter()
+        .map(|(tick, json)| format!("{tick} {json}\n"))
+        .collect()
+}
+
 /// `(cell name, digest)` for every cell of the matrix, in a fixed order.
 fn digests() -> Vec<(String, u64)> {
     let mut out = Vec::new();
@@ -119,6 +145,10 @@ fn digests() -> Vec<(String, u64)> {
                     format!("{cell}/events"),
                     fnv1a(tel.tracer.to_json().as_bytes()),
                 ));
+                out.push((
+                    format!("{cell}/events-canonical"),
+                    fnv1a(canonical_events(&tel).as_bytes()),
+                ));
                 out.push((format!("{cell}/postmortem"), fnv1a(postmortem.as_bytes())));
                 out.push((
                     format!("{cell}/prometheus"),
@@ -141,18 +171,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/gray-storm/42/report", 0xfb66675a0bde202f),
     ("anticipation/quiet/42/report", 0x4207ae1829e61e48),
     ("anticipation/quiet/42/events", 0x55882c66148fa1ef),
+    ("anticipation/quiet/42/events-canonical", 0x6d4fa34fab379d08),
     ("anticipation/quiet/42/postmortem", 0xaa2e01323d6e0842),
     ("anticipation/quiet/42/prometheus", 0x2636058bbbf836cc),
     ("anticipation/chaos/42/report", 0x3ed7481933e5fc71),
     ("anticipation/chaos/42/events", 0xbf730324eccdd415),
+    ("anticipation/chaos/42/events-canonical", 0xa025969b5bc7476b),
     ("anticipation/chaos/42/postmortem", 0xf11de7ff667b6f43),
     ("anticipation/chaos/42/prometheus", 0x2484c4a25d4fac07),
     ("anticipation/correlated/42/report", 0x0efeafb60c32e591),
     ("anticipation/correlated/42/events", 0xc45efd96c948bb12),
+    (
+        "anticipation/correlated/42/events-canonical",
+        0xc537ded06d3cb566,
+    ),
     ("anticipation/correlated/42/postmortem", 0xcd490de591e5c436),
     ("anticipation/correlated/42/prometheus", 0xb3afa1ed4db300b0),
     ("anticipation/gray-storm/42/report", 0x8f6ea17966793dc8),
     ("anticipation/gray-storm/42/events", 0x50a5963373348b82),
+    (
+        "anticipation/gray-storm/42/events-canonical",
+        0xb9592ee8295a17ca,
+    ),
     ("anticipation/gray-storm/42/postmortem", 0x9150a1f0b7e315f0),
     ("anticipation/gray-storm/42/prometheus", 0x98251a6553607b52),
     ("replicas-1/quiet/42/report", 0x577cb9a55d31f685),
@@ -161,18 +201,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/gray-storm/42/report", 0xcd87cb91c29db37e),
     ("diverse-2/quiet/42/report", 0x93c2f999de98d1e9),
     ("diverse-2/quiet/42/events", 0xe58e74187c83bf78),
+    ("diverse-2/quiet/42/events-canonical", 0x8bfce5b7a596cb97),
     ("diverse-2/quiet/42/postmortem", 0x5540dc3e6b8be1cf),
     ("diverse-2/quiet/42/prometheus", 0xd58fd3f603c09d65),
     ("diverse-2/chaos/42/report", 0x37f6828a00bfee54),
     ("diverse-2/chaos/42/events", 0x296c56d2042f52a6),
+    ("diverse-2/chaos/42/events-canonical", 0x34d01dacb7d0f206),
     ("diverse-2/chaos/42/postmortem", 0x3c9a79d3e11fa260),
     ("diverse-2/chaos/42/prometheus", 0xa5d89fa85b86aa19),
     ("diverse-2/correlated/42/report", 0x4a9554a5a17f955c),
     ("diverse-2/correlated/42/events", 0xc19d52226e441d37),
+    (
+        "diverse-2/correlated/42/events-canonical",
+        0xcd60a2ebd8810fd9,
+    ),
     ("diverse-2/correlated/42/postmortem", 0xa6644e233a752145),
     ("diverse-2/correlated/42/prometheus", 0x0177b3cf2931308a),
     ("diverse-2/gray-storm/42/report", 0x84dadc4f91731af6),
     ("diverse-2/gray-storm/42/events", 0xc462eb403316385c),
+    (
+        "diverse-2/gray-storm/42/events-canonical",
+        0xd39c0363f605377f,
+    ),
     ("diverse-2/gray-storm/42/postmortem", 0xb065a3e471fe5892),
     ("diverse-2/gray-storm/42/prometheus", 0x7519b739dbfaa72b),
     ("homogeneous-2/quiet/42/report", 0x93c2f999de98d1e9),
@@ -189,18 +239,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/gray-storm/7/report", 0xa640026b69932e9f),
     ("anticipation/quiet/7/report", 0xacc4fdad771534b2),
     ("anticipation/quiet/7/events", 0x2934863b74f4d380),
+    ("anticipation/quiet/7/events-canonical", 0x9f52ea9dde396c6d),
     ("anticipation/quiet/7/postmortem", 0xc3d6641c2a5b8047),
     ("anticipation/quiet/7/prometheus", 0x329bd8f1b9c39aad),
     ("anticipation/chaos/7/report", 0x03425f2e7aa4d83f),
     ("anticipation/chaos/7/events", 0x6f8df96bb67b5ebd),
+    ("anticipation/chaos/7/events-canonical", 0x5bfbbc3cec284349),
     ("anticipation/chaos/7/postmortem", 0x054f5620b2f67aab),
     ("anticipation/chaos/7/prometheus", 0xfd31a9c6f60920b3),
     ("anticipation/correlated/7/report", 0xf3c9bd4b18e54ab6),
     ("anticipation/correlated/7/events", 0x45743e8851aed36f),
+    (
+        "anticipation/correlated/7/events-canonical",
+        0xc962bffbf89091f2,
+    ),
     ("anticipation/correlated/7/postmortem", 0x07d6a145711401b2),
     ("anticipation/correlated/7/prometheus", 0x38f4a12b91d0797a),
     ("anticipation/gray-storm/7/report", 0x27bf85b6f77bafbb),
     ("anticipation/gray-storm/7/events", 0x7b760ea3d4ca79fc),
+    (
+        "anticipation/gray-storm/7/events-canonical",
+        0x7ec325e604f41e2e,
+    ),
     ("anticipation/gray-storm/7/postmortem", 0x15fed76e05dfa3f9),
     ("anticipation/gray-storm/7/prometheus", 0xaa47297ec7f3bafd),
     ("replicas-1/quiet/7/report", 0x14f10f243612f2cb),
@@ -209,18 +269,28 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/gray-storm/7/report", 0x564b3e57acee4806),
     ("diverse-2/quiet/7/report", 0x2d71d2360c45e2f3),
     ("diverse-2/quiet/7/events", 0x5e6b41c3b06c9b48),
+    ("diverse-2/quiet/7/events-canonical", 0xd86ef3fbdc32a8da),
     ("diverse-2/quiet/7/postmortem", 0x2ca0da2ac0ffb678),
     ("diverse-2/quiet/7/prometheus", 0xbd1bf2cda17aeb94),
     ("diverse-2/chaos/7/report", 0x95b93f777ae7f088),
     ("diverse-2/chaos/7/events", 0x2e83b23b7b1bedde),
+    ("diverse-2/chaos/7/events-canonical", 0x25ebc87d58873f9f),
     ("diverse-2/chaos/7/postmortem", 0x51dfe538285e2ad0),
     ("diverse-2/chaos/7/prometheus", 0x8ac0f99c3ff8d616),
     ("diverse-2/correlated/7/report", 0x9fc3f7e22607d841),
     ("diverse-2/correlated/7/events", 0xe9b84792337a485f),
+    (
+        "diverse-2/correlated/7/events-canonical",
+        0xfb4caf9c563847b8,
+    ),
     ("diverse-2/correlated/7/postmortem", 0xd6b14ef4bca4f26f),
     ("diverse-2/correlated/7/prometheus", 0x362357f042c9f4f3),
     ("diverse-2/gray-storm/7/report", 0x83e847c821a5428b),
     ("diverse-2/gray-storm/7/events", 0x90e7c2fe78120b7c),
+    (
+        "diverse-2/gray-storm/7/events-canonical",
+        0x60dff08b433238d4,
+    ),
     ("diverse-2/gray-storm/7/postmortem", 0xa11fc7d468f66c67),
     ("diverse-2/gray-storm/7/prometheus", 0x658039b6f8983cb7),
     ("homogeneous-2/quiet/7/report", 0x2d71d2360c45e2f3),

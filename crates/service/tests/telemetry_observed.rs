@@ -3,9 +3,10 @@
 //! own; and every exposition (trace JSON, Prometheus text, metrics
 //! JSON) is byte-identical for any thread budget.
 
-use resilience_core::faults::FaultPlan;
+use resilience_core::faults::{FaultConfig, FaultPlan};
 use resilience_service::{
-    Disposition, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport, TraceSpec,
+    Disposition, ReplicationConfig, RequestTrace, ServiceConfig, ServiceEngine, ServiceReport,
+    TraceSpec,
 };
 use resilience_telemetry::{Event, Telemetry};
 
@@ -134,6 +135,57 @@ fn trace_tallies_reconcile_with_the_report() {
             .count();
         assert_eq!(brownout_events, report.brownout_history.len());
     }
+}
+
+/// The replication events reconcile with the report's replica tallies.
+/// The serve is the golden matrix's `diverse-2` arm under its
+/// `correlated` plan, on the matrix's surge trace with tighter deadlines
+/// (seed 4): it hedges, fails over, wins hedges and runs its retry
+/// budget dry, and each of those shows up once in the trace.
+#[test]
+fn replication_events_reconcile_with_the_replica_stats() {
+    let trace = RequestTrace::generate(&TraceSpec {
+        base_rate: 1.5,
+        surge_factor: 3.0,
+        deadline: (12, 50),
+        ..TraceSpec::new(300, 4)
+    });
+    let plan = FaultConfig::parse("seed=11,panic=0.05,gray=0.1,correlated=0.25")
+        .expect("canned plan parses")
+        .plan;
+    let engine = ServiceEngine::new(ServiceConfig {
+        servers_per_family: 4,
+        replication: Some(ReplicationConfig {
+            replicas: 2,
+            ..ReplicationConfig::default()
+        }),
+        ..ServiceConfig::default()
+    });
+    let mut tel = Telemetry::new(1.0);
+    let report = engine.serve_traced(&trace, &plan, &mut tel);
+    let merged = tel.tracer.merged();
+    let count = |pred: fn(&Event) -> bool| merged.iter().filter(|e| pred(&e.event)).count() as u64;
+    let stat = |f: fn(&resilience_service::ReplicaFamilyStats) -> u64| {
+        report.replica_stats.iter().map(f).sum::<u64>()
+    };
+    let launched = count(|e| matches!(e, Event::HedgeLaunched { .. }));
+    let failovers = count(|e| matches!(e, Event::ReplicaFailover { .. }));
+    let won = count(|e| matches!(e, Event::HedgeWon { .. }));
+    let exhausted = count(|e| matches!(e, Event::RetryBudgetExhausted { .. }));
+    let routed = count(|e| matches!(e, Event::ReplicaRouted { .. }));
+    for (name, n) in [
+        ("hedges launched", launched),
+        ("failovers", failovers),
+        ("hedges won", won),
+        ("budget exhausted", exhausted),
+    ] {
+        assert!(n > 0, "the plan must exercise {name}");
+    }
+    assert_eq!(launched, stat(|s| s.hedges_launched));
+    assert_eq!(failovers, stat(|s| s.failovers));
+    assert_eq!(won, stat(|s| s.hedges_won));
+    assert_eq!(exhausted, stat(|s| s.budget_exhausted));
+    assert_eq!(stat(|s| s.routed), routed + launched + failovers);
 }
 
 #[test]
