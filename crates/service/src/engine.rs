@@ -24,7 +24,9 @@
 //!    anticipation levers — deadline scale, brownout floor and ceiling,
 //!    every replica breaker's cooldown, and the pressure bias — so
 //!    anticipation composes with replication;
-//! 6. the telemetry spine, when attached, records the tick's changes.
+//! 6. the telemetry spine, when attached, records the tick's
+//!    control-plane changes. Each request reaches it once, when it
+//!    settles, as a [`RequestSketch`] for [`Telemetry::record_request`].
 //!
 //! **Replicated-only behaviour.** The loop asks whether a serve is
 //! replicated in exactly three places, each marked where it happens:
@@ -36,7 +38,8 @@
 //!    [`FaultPlan::replica_fault`] and
 //!    [`FaultPlan::correlated_hit`] on its replica's diversity class;
 //! 2. whether the report fills `replica_log` and `replica_stats`;
-//! 3. whether `ReplicaRouted` events are emitted.
+//! 3. the sketch's `replicated` flag, which gates `ReplicaRouted`
+//!    events.
 //!
 //! Everything else is shared. A set of one never hedges (there is no
 //! second replica) and never fails over (the only spare is the replica
@@ -75,7 +78,7 @@ use resilience_telemetry::causal::{
     AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
 };
 use resilience_telemetry::incident::TriggerKind;
-use resilience_telemetry::{DeficitCause, Event, Telemetry};
+use resilience_telemetry::{Event, Telemetry};
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::brownout::{BrownoutConfig, BrownoutController};
@@ -328,12 +331,12 @@ impl ServiceEngine {
     }
 
     /// [`ServiceEngine::serve`] with the telemetry spine attached:
-    /// every admission verdict, disposition, cache hit/miss, breaker
-    /// transition, brownout move, and bulkhead occupancy change is
-    /// recorded into `telemetry` as it happens, the trajectory observer
-    /// is charged in the exact order the engine accumulates its own
-    /// deficit (so the observed Q(t) is bit-identical to the report's),
-    /// and the service metric families are registered at the end.
+    /// each request is recorded once, as its causal sketch, when it
+    /// settles — in the exact order the engine accumulates its own
+    /// deficit, so the observed Q(t) is bit-identical to the report's.
+    /// Breaker transitions, brownout moves, mode changes and bulkhead
+    /// occupancy changes are recorded at the end of each tick, and the
+    /// service metric families are registered at the end of the run.
     ///
     /// The returned report is byte-identical to what [`serve`]
     /// (telemetry off) produces for the same inputs — recording only
@@ -467,6 +470,11 @@ struct Flight {
     /// attempt, since they all run at the flight's fidelity.
     base_work: u64,
     attempts: [Option<Attempt>; 3],
+    /// Work reclaimed from losers cancelled by the winning attempt.
+    reclaimed: u64,
+    /// Launches the family's retry budget refused.
+    refused_hedge: bool,
+    refused_failover: bool,
 }
 
 impl Flight {
@@ -508,10 +516,7 @@ impl Flight {
 enum Decided<'f> {
     /// On arrival — cached or shed — with the gate evidence the
     /// critical-path extractor blames for a shed.
-    AtArrival {
-        request: Request,
-        gate: Option<ShedGate>,
-    },
+    AtArrival(Request, Option<ShedGate>),
     /// After its attempts ran.
     Flight(&'f Flight),
 }
@@ -798,23 +803,11 @@ impl<'a> ServeLoop<'a> {
                 reclaimed += job.work;
             }
         }
+        flight.reclaimed = reclaimed;
         let stats = &mut self.replica_stats[fam];
         stats.reclaimed_work += reclaimed;
         let hedge_won = attempt.kind == AttemptKind::Hedge;
-        if hedge_won {
-            stats.hedges_won += 1;
-            if let Some(tel) = self.telemetry.as_deref_mut() {
-                tel.tracer.record(
-                    tick,
-                    Event::HedgeWon {
-                        id: request.id,
-                        family: fam as u32,
-                        replica,
-                        reclaimed,
-                    },
-                );
-            }
-        }
+        stats.hedges_won += u64::from(hedge_won);
         self.replica_log[idx] = Some(ReplicaOutcome {
             id: request.id,
             replica,
@@ -847,12 +840,7 @@ impl<'a> ServeLoop<'a> {
             let fam = request.family.min(self.sets.len() - 1);
             self.per_family[fam].arrivals += 1;
             if let Some((disposition, penalty, gate)) = self.route(fam, request) {
-                self.settle(
-                    fam,
-                    disposition,
-                    penalty,
-                    Decided::AtArrival { request, gate },
-                );
+                self.settle(fam, disposition, penalty, Decided::AtArrival(request, gate));
             }
         }
     }
@@ -946,30 +934,11 @@ impl<'a> ServeLoop<'a> {
                     deadline,
                     base_work,
                     attempts: [None; 3],
+                    reclaimed: 0,
+                    refused_hedge: false,
+                    refused_failover: false,
                 };
                 self.dispatch(fam, &mut flight, primary);
-                if let Some(tel) = self.telemetry.as_deref_mut() {
-                    // Replicated-only site 3 of 3: a set of one has no
-                    // routing choice to report.
-                    if self.replicated {
-                        tel.tracer.record(
-                            tick,
-                            Event::ReplicaRouted {
-                                id: request.id,
-                                family: fam as u32,
-                                replica: r,
-                            },
-                        );
-                    }
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestAdmitted {
-                            id: request.id,
-                            family: fam as u32,
-                            fidelity: fidelity.to_string(),
-                        },
-                    );
-                }
                 // Hedging reuses the routing buffers, so this returns
                 // without reading `ranked` again.
                 self.maybe_hedge(fam, &mut flight, r, est);
@@ -1074,12 +1043,11 @@ impl<'a> ServeLoop<'a> {
     /// Closed — hedging a half-open probe (or onto one) could cancel
     /// the probe and wedge the breaker's half-open state forever.
     fn maybe_hedge(&mut self, fam: usize, flight: &mut Flight, primary: u32, primary_est: u64) {
-        let tick = self.tick;
         let set = &self.sets[fam];
         if set.len() < 2
             || primary_est.saturating_mul(1000)
                 <= self.hedge_fraction_milli.saturating_mul(flight.deadline)
-            || set.breakers[primary as usize].peek_state(tick) != BreakerState::Closed
+            || set.breakers[primary as usize].peek_state(self.tick) != BreakerState::Closed
         {
             return;
         }
@@ -1088,20 +1056,10 @@ impl<'a> ServeLoop<'a> {
             return;
         };
         if !self.budgets[fam].try_spend() {
-            self.record_exhausted(fam, "hedge");
+            flight.refused_hedge = true;
             return;
         }
         self.dispatch(fam, flight, attempt);
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.tracer.record(
-                tick,
-                Event::HedgeLaunched {
-                    id: flight.request.id,
-                    family: fam as u32,
-                    replica: attempt.replica,
-                },
-            );
-        }
     }
 
     /// Fail over a flight whose last racing attempt just died on `from`.
@@ -1109,32 +1067,20 @@ impl<'a> ServeLoop<'a> {
     /// replica) must not drain the budget. Returns whether a failover
     /// was dispatched.
     fn fail_over(&mut self, fam: usize, flight: &mut Flight, from: u32) -> bool {
-        let tick = self.tick;
         let remaining = flight
             .request
             .arrival
             .saturating_add(flight.deadline)
-            .saturating_sub(tick);
+            .saturating_sub(self.tick);
         let failover = AttemptKind::Failover;
         let Some(attempt) = self.pick_spare(fam, flight, failover, remaining, from) else {
             return false;
         };
         if !self.budgets[fam].try_spend() {
-            self.record_exhausted(fam, "failover");
+            flight.refused_failover = true;
             return false;
         }
         self.dispatch(fam, flight, attempt);
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.tracer.record(
-                tick,
-                Event::ReplicaFailover {
-                    id: flight.request.id,
-                    family: fam as u32,
-                    from_replica: from,
-                    to_replica: attempt.replica,
-                },
-            );
-        }
         true
     }
 
@@ -1166,25 +1112,13 @@ impl<'a> ServeLoop<'a> {
             })
     }
 
-    fn record_exhausted(&mut self, fam: usize, kind: &str) {
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.tracer.record(
-                self.tick,
-                Event::RetryBudgetExhausted {
-                    family: fam as u32,
-                    kind: kind.to_string(),
-                },
-            );
-        }
-    }
-
     /// Record a request's final disposition: family tallies, the tick's
-    /// deficit, the outcome log, and — traced — its events, its charge
-    /// to the observed trajectory, and its causal sketch.
+    /// deficit, the outcome log, and — traced — its causal sketch, the
+    /// request's one telemetry record.
     fn settle(&mut self, fam: usize, disposition: Disposition, penalty: f64, how: Decided<'_>) {
         let tick = self.tick;
         let (request, deadline) = match &how {
-            Decided::AtArrival { request, .. } => (*request, self.deadline(request)),
+            Decided::AtArrival(request, _) => (*request, self.deadline(request)),
             Decided::Flight(flight) => (flight.request, flight.deadline),
         };
         let tally = &mut self.per_family[fam];
@@ -1204,86 +1138,52 @@ impl<'a> ServeLoop<'a> {
             }
         }
         if let Some(tel) = self.telemetry.as_deref_mut() {
-            let (id, family) = (request.id, fam as u32);
             let outcome = match &disposition {
                 Disposition::Served {
                     fidelity, latency, ..
-                } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestServed {
-                            id,
-                            family,
-                            fidelity: fidelity.to_string(),
-                            latency: *latency,
-                        },
-                    );
-                    tel.tracer.record(
-                        tick,
-                        match fidelity {
-                            Fidelity::Cached => Event::CacheHit { family },
-                            _ => Event::CacheMiss { family },
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Degraded, penalty);
-                    SketchOutcome::Served {
-                        fidelity: fidelity.as_str(),
-                        latency: *latency,
-                        // A cached answer after attempts ran is the
-                        // fallback for a dead backend.
-                        fallback: matches!(how, Decided::Flight(_))
-                            && *fidelity == Fidelity::Cached,
-                    }
-                }
-                Disposition::Failed { cause } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestFailed {
-                            id,
-                            family,
-                            cause: cause.clone(),
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Failed, penalty);
-                    SketchOutcome::Failed { cause }
-                }
-                Disposition::Shed { reason } => {
-                    tel.tracer.record(
-                        tick,
-                        Event::RequestShed {
-                            id,
-                            family,
-                            reason: reason.to_string(),
-                        },
-                    );
-                    tel.trajectory.charge(DeficitCause::Shed, penalty);
-                    SketchOutcome::Shed {
-                        reason: reason.as_str(),
-                    }
-                }
+                } => SketchOutcome::Served {
+                    fidelity: fidelity.as_str(),
+                    latency: *latency,
+                    // A cached answer after attempts ran is the fallback
+                    // for a dead backend.
+                    fallback: matches!(how, Decided::Flight(_)) && *fidelity == Fidelity::Cached,
+                },
+                Disposition::Failed { cause } => SketchOutcome::Failed { cause },
+                Disposition::Shed { reason } => SketchOutcome::Shed {
+                    reason: reason.as_str(),
+                },
             };
-            let (attempts, gate) = match how {
-                Decided::AtArrival { gate, .. } => (Vec::new(), gate),
-                Decided::Flight(flight) => {
-                    let rate = self.cfg.rate_per_server;
-                    let mut attempts: Vec<AttemptSketch> = flight
-                        .attempts()
-                        .map(|a| a.sketch(flight.base_work, rate))
-                        .collect();
-                    attempts.sort_by_key(|a| (a.enqueued, a.replica));
-                    (attempts, None)
-                }
-            };
-            tel.causal.record(&RequestSketch {
-                id,
-                family,
+            let mut sketch = RequestSketch {
+                id: request.id,
+                family: fam as u32,
                 arrival: request.arrival,
                 deadline,
                 decided_at: tick,
                 outcome,
-                attempts,
-                gate,
-            });
+                attempts: Vec::new(),
+                gate: None,
+                admitted: None,
+                // Replicated-only site 3 of 3: a set of one has no
+                // routing choice to report.
+                replicated: self.replicated,
+                reclaimed: 0,
+                refused_hedge: false,
+                refused_failover: false,
+            };
+            match how {
+                Decided::AtArrival(_, gate) => sketch.gate = gate,
+                Decided::Flight(flight) => {
+                    let rate = self.cfg.rate_per_server;
+                    let attempts = flight.attempts().map(|a| a.sketch(flight.base_work, rate));
+                    sketch.attempts.extend(attempts);
+                    sketch.attempts.sort_by_key(|a| (a.enqueued, a.replica));
+                    sketch.admitted = Some(flight.fidelity.as_str());
+                    sketch.reclaimed = flight.reclaimed;
+                    sketch.refused_hedge = flight.refused_hedge;
+                    sketch.refused_failover = flight.refused_failover;
+                }
+            }
+            tel.record_request(&sketch, penalty);
         }
         let idx = usize::try_from(request.id).expect("request id fits usize");
         self.outcomes[idx] = Some(RequestOutcome {

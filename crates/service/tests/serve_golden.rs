@@ -170,17 +170,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/correlated/42/report", 0x07c150cd6bd8f45e),
     ("degradation-off/gray-storm/42/report", 0xfb66675a0bde202f),
     ("anticipation/quiet/42/report", 0x4207ae1829e61e48),
-    ("anticipation/quiet/42/events", 0x55882c66148fa1ef),
+    ("anticipation/quiet/42/events", 0x54c87df010332b43),
     ("anticipation/quiet/42/events-canonical", 0x6d4fa34fab379d08),
     ("anticipation/quiet/42/postmortem", 0xaa2e01323d6e0842),
     ("anticipation/quiet/42/prometheus", 0x2636058bbbf836cc),
     ("anticipation/chaos/42/report", 0x3ed7481933e5fc71),
-    ("anticipation/chaos/42/events", 0xbf730324eccdd415),
+    ("anticipation/chaos/42/events", 0x8ae7cd1ffede619b),
     ("anticipation/chaos/42/events-canonical", 0xa025969b5bc7476b),
     ("anticipation/chaos/42/postmortem", 0xf11de7ff667b6f43),
     ("anticipation/chaos/42/prometheus", 0x2484c4a25d4fac07),
     ("anticipation/correlated/42/report", 0x0efeafb60c32e591),
-    ("anticipation/correlated/42/events", 0xc45efd96c948bb12),
+    ("anticipation/correlated/42/events", 0xc0eaf1b24a89356e),
     (
         "anticipation/correlated/42/events-canonical",
         0xc537ded06d3cb566,
@@ -188,7 +188,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("anticipation/correlated/42/postmortem", 0xcd490de591e5c436),
     ("anticipation/correlated/42/prometheus", 0xb3afa1ed4db300b0),
     ("anticipation/gray-storm/42/report", 0x8f6ea17966793dc8),
-    ("anticipation/gray-storm/42/events", 0x50a5963373348b82),
+    ("anticipation/gray-storm/42/events", 0xd324464ffae351da),
     (
         "anticipation/gray-storm/42/events-canonical",
         0xb9592ee8295a17ca,
@@ -200,17 +200,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/correlated/42/report", 0x28bb2207e431f7fe),
     ("replicas-1/gray-storm/42/report", 0xcd87cb91c29db37e),
     ("diverse-2/quiet/42/report", 0x93c2f999de98d1e9),
-    ("diverse-2/quiet/42/events", 0xe58e74187c83bf78),
+    ("diverse-2/quiet/42/events", 0x6d35b6b3cdc84e40),
     ("diverse-2/quiet/42/events-canonical", 0x8bfce5b7a596cb97),
     ("diverse-2/quiet/42/postmortem", 0x5540dc3e6b8be1cf),
     ("diverse-2/quiet/42/prometheus", 0xd58fd3f603c09d65),
     ("diverse-2/chaos/42/report", 0x37f6828a00bfee54),
-    ("diverse-2/chaos/42/events", 0x296c56d2042f52a6),
+    ("diverse-2/chaos/42/events", 0x50cecbe61c0e5954),
     ("diverse-2/chaos/42/events-canonical", 0x34d01dacb7d0f206),
     ("diverse-2/chaos/42/postmortem", 0x3c9a79d3e11fa260),
     ("diverse-2/chaos/42/prometheus", 0xa5d89fa85b86aa19),
     ("diverse-2/correlated/42/report", 0x4a9554a5a17f955c),
-    ("diverse-2/correlated/42/events", 0xc19d52226e441d37),
+    ("diverse-2/correlated/42/events", 0xbb21d136226694bd),
     (
         "diverse-2/correlated/42/events-canonical",
         0xcd60a2ebd8810fd9,
@@ -218,7 +218,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("diverse-2/correlated/42/postmortem", 0xa6644e233a752145),
     ("diverse-2/correlated/42/prometheus", 0x0177b3cf2931308a),
     ("diverse-2/gray-storm/42/report", 0x84dadc4f91731af6),
-    ("diverse-2/gray-storm/42/events", 0xc462eb403316385c),
+    ("diverse-2/gray-storm/42/events", 0xb55b8d776f032808),
     (
         "diverse-2/gray-storm/42/events-canonical",
         0xd39c0363f605377f,
@@ -238,17 +238,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/correlated/7/report", 0x910bffca3bb9e0cd),
     ("degradation-off/gray-storm/7/report", 0xa640026b69932e9f),
     ("anticipation/quiet/7/report", 0xacc4fdad771534b2),
-    ("anticipation/quiet/7/events", 0x2934863b74f4d380),
+    ("anticipation/quiet/7/events", 0x563511e515a25598),
     ("anticipation/quiet/7/events-canonical", 0x9f52ea9dde396c6d),
     ("anticipation/quiet/7/postmortem", 0xc3d6641c2a5b8047),
     ("anticipation/quiet/7/prometheus", 0x329bd8f1b9c39aad),
     ("anticipation/chaos/7/report", 0x03425f2e7aa4d83f),
-    ("anticipation/chaos/7/events", 0x6f8df96bb67b5ebd),
+    ("anticipation/chaos/7/events", 0xf226a07c1bc14d39),
     ("anticipation/chaos/7/events-canonical", 0x5bfbbc3cec284349),
     ("anticipation/chaos/7/postmortem", 0x054f5620b2f67aab),
     ("anticipation/chaos/7/prometheus", 0xfd31a9c6f60920b3),
     ("anticipation/correlated/7/report", 0xf3c9bd4b18e54ab6),
-    ("anticipation/correlated/7/events", 0x45743e8851aed36f),
+    ("anticipation/correlated/7/events", 0xd5deb7d364335bdb),
     (
         "anticipation/correlated/7/events-canonical",
         0xc962bffbf89091f2,
@@ -256,7 +256,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("anticipation/correlated/7/postmortem", 0x07d6a145711401b2),
     ("anticipation/correlated/7/prometheus", 0x38f4a12b91d0797a),
     ("anticipation/gray-storm/7/report", 0x27bf85b6f77bafbb),
-    ("anticipation/gray-storm/7/events", 0x7b760ea3d4ca79fc),
+    ("anticipation/gray-storm/7/events", 0xa96144bfb19361f8),
     (
         "anticipation/gray-storm/7/events-canonical",
         0x7ec325e604f41e2e,
@@ -268,17 +268,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/correlated/7/report", 0xf296624ac1f938b5),
     ("replicas-1/gray-storm/7/report", 0x564b3e57acee4806),
     ("diverse-2/quiet/7/report", 0x2d71d2360c45e2f3),
-    ("diverse-2/quiet/7/events", 0x5e6b41c3b06c9b48),
+    ("diverse-2/quiet/7/events", 0xf320a5445cd6bf70),
     ("diverse-2/quiet/7/events-canonical", 0xd86ef3fbdc32a8da),
     ("diverse-2/quiet/7/postmortem", 0x2ca0da2ac0ffb678),
     ("diverse-2/quiet/7/prometheus", 0xbd1bf2cda17aeb94),
     ("diverse-2/chaos/7/report", 0x95b93f777ae7f088),
-    ("diverse-2/chaos/7/events", 0x2e83b23b7b1bedde),
+    ("diverse-2/chaos/7/events", 0xcde3a02ad527ff74),
     ("diverse-2/chaos/7/events-canonical", 0x25ebc87d58873f9f),
     ("diverse-2/chaos/7/postmortem", 0x51dfe538285e2ad0),
     ("diverse-2/chaos/7/prometheus", 0x8ac0f99c3ff8d616),
     ("diverse-2/correlated/7/report", 0x9fc3f7e22607d841),
-    ("diverse-2/correlated/7/events", 0xe9b84792337a485f),
+    ("diverse-2/correlated/7/events", 0x39d972d8f0d6c9a9),
     (
         "diverse-2/correlated/7/events-canonical",
         0xfb4caf9c563847b8,
@@ -286,7 +286,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("diverse-2/correlated/7/postmortem", 0xd6b14ef4bca4f26f),
     ("diverse-2/correlated/7/prometheus", 0x362357f042c9f4f3),
     ("diverse-2/gray-storm/7/report", 0x83e847c821a5428b),
-    ("diverse-2/gray-storm/7/events", 0x90e7c2fe78120b7c),
+    ("diverse-2/gray-storm/7/events", 0x3a39039a49997ccc),
     (
         "diverse-2/gray-storm/7/events-canonical",
         0x60dff08b433238d4,

@@ -333,6 +333,18 @@ pub struct RequestSketch<'a> {
     pub attempts: Vec<AttemptSketch>,
     /// Gate evidence, present iff the request was shed.
     pub gate: Option<ShedGate>,
+    /// Fidelity label the request was admitted at; `None` when it was
+    /// decided at arrival.
+    pub admitted: Option<&'a str>,
+    /// Whether the serve is replicated (only then is the primary's
+    /// routing reported).
+    pub replicated: bool,
+    /// Work units reclaimed from losers cancelled by the winning attempt.
+    pub reclaimed: u64,
+    /// The retry budget refused a hedge (at arrival).
+    pub refused_hedge: bool,
+    /// The retry budget refused a failover (at the decision tick).
+    pub refused_failover: bool,
 }
 
 /// One decided request's slice of the tracer's flat stores.
@@ -735,6 +747,11 @@ mod tests {
                 won: true,
             }],
             gate: None,
+            admitted: Some("full"),
+            replicated: false,
+            reclaimed: 0,
+            refused_hedge: false,
+            refused_failover: false,
         }
     }
 

@@ -416,6 +416,11 @@ mod tests {
                 won: true,
             }],
             gate: None,
+            admitted: Some("full"),
+            replicated: false,
+            reclaimed: 0,
+            refused_hedge: false,
+            refused_failover: false,
         }
     }
 

@@ -67,6 +67,7 @@ pub mod trace;
 pub mod trajectory;
 
 pub use causal::{record_causal_metrics, Blame, BlameEdge, CausalSpan, CausalTracer, CriticalPath};
+use causal::{AttemptKind, RequestSketch, SketchOutcome};
 pub use incident::{
     postmortem_bundle, record_incident_metrics, render_postmortem, FlightRecorder, IncidentReport,
     TriggerKind,
@@ -104,6 +105,110 @@ impl Telemetry {
             causal: CausalTracer::new(),
             incidents: FlightRecorder::new(),
         }
+    }
+
+    /// Record one decided request: charge its `penalty` to the observed
+    /// trajectory, expand its span tree, and derive its trace events at
+    /// their own ticks. Admission, routing and the hedge launch (or the
+    /// budget's refusal of it) land on the arrival tick, a failover on
+    /// its enqueue tick, and the hedge win, a refused failover, the
+    /// disposition and the cache verdict on the decision tick.
+    pub fn record_request(&mut self, sketch: &RequestSketch<'_>, penalty: f64) {
+        let (id, family, tracer) = (sketch.id, sketch.family, &mut self.tracer);
+        let (arrival, tick) = (sketch.arrival, sketch.decided_at);
+        let exhausted = |kind: &str| Event::RetryBudgetExhausted {
+            family,
+            kind: kind.to_string(),
+        };
+        if let Some(fidelity) = sketch.admitted.map(str::to_string) {
+            let admitted = Event::RequestAdmitted {
+                id,
+                family,
+                fidelity,
+            };
+            tracer.record(arrival, admitted);
+        }
+        if sketch.refused_hedge {
+            tracer.record(arrival, exhausted("hedge"));
+        }
+        for a in &sketch.attempts {
+            let replica = a.replica;
+            let event = match a.kind {
+                AttemptKind::Primary if !sketch.replicated => continue,
+                AttemptKind::Primary => Event::ReplicaRouted {
+                    id,
+                    family,
+                    replica,
+                },
+                AttemptKind::Hedge => Event::HedgeLaunched {
+                    id,
+                    family,
+                    replica,
+                },
+                // Replicas resolve in index order, so the attempt whose
+                // death launched the failover is the highest-indexed one
+                // that died on the failover's enqueue tick.
+                AttemptKind::Failover => Event::ReplicaFailover {
+                    id,
+                    family,
+                    from_replica: (sketch.attempts.iter())
+                        .filter(|b| b.kind != AttemptKind::Failover)
+                        .filter(|b| b.completed == Some(a.enqueued))
+                        .map(|b| b.replica)
+                        .max()
+                        .unwrap_or_default(),
+                    to_replica: replica,
+                },
+            };
+            tracer.record(a.enqueued, event);
+            if a.won && a.kind == AttemptKind::Hedge {
+                let reclaimed = sketch.reclaimed;
+                let won = Event::HedgeWon {
+                    id,
+                    family,
+                    replica,
+                    reclaimed,
+                };
+                tracer.record(tick, won);
+            }
+        }
+        if sketch.refused_failover {
+            tracer.record(tick, exhausted("failover"));
+        }
+        let cause = match sketch.outcome {
+            SketchOutcome::Served {
+                fidelity, latency, ..
+            } => {
+                let hit = fidelity == "cached";
+                let fidelity = fidelity.to_string();
+                let served = Event::RequestServed {
+                    id,
+                    family,
+                    fidelity,
+                    latency,
+                };
+                tracer.record(tick, served);
+                let verdict = if hit {
+                    Event::CacheHit { family }
+                } else {
+                    Event::CacheMiss { family }
+                };
+                tracer.record(tick, verdict);
+                DeficitCause::Degraded
+            }
+            SketchOutcome::Failed { cause } => {
+                let cause = cause.to_string();
+                tracer.record(tick, Event::RequestFailed { id, family, cause });
+                DeficitCause::Failed
+            }
+            SketchOutcome::Shed { reason } => {
+                let reason = reason.to_string();
+                tracer.record(tick, Event::RequestShed { id, family, reason });
+                DeficitCause::Shed
+            }
+        };
+        self.trajectory.charge(cause, penalty);
+        self.causal.record(sketch);
     }
 }
 

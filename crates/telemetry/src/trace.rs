@@ -9,9 +9,8 @@
 //! key is a pure function of logical state (never of scheduling), the
 //! merged trace is bit-identical for any thread budget.
 //!
-//! Wall-clock time never appears here; durations live in the
-//! [`spans`](crate::spans) side channel, which is explicitly excluded
-//! from the determinism contract.
+//! Wall-clock time never appears here: durations belong to the
+//! benchmark binaries' own recorders, outside the determinism contract.
 
 use serde::{Deserialize, Serialize};
 
@@ -292,7 +291,7 @@ impl TraceEvent {
 
 /// A per-worker event buffer: owned by exactly one recorder, so pushes
 /// are plain `Vec` appends — no locks on the hot path.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TraceBuffer {
     lane: u32,
     next_seq: u32,
@@ -309,15 +308,11 @@ impl TraceBuffer {
         }
     }
 
-    /// The buffer's lane id.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Record `event` at logical `tick`. Events within a lane must be
-    /// recorded in non-decreasing tick order for the merged trace to be
-    /// totally ordered; the recorder's own logical clock guarantees
-    /// this at every call site.
+    /// Record `event` at logical `tick`. Ticks need not arrive in order
+    /// (the serve loop writes a request's arrival-tick events when the
+    /// request settles): the merge sorts on `(tick, lane, seq)`, so a
+    /// lane's events order by tick first and by recording order within
+    /// a tick.
     pub fn record(&mut self, tick: u64, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -347,24 +342,19 @@ pub struct Tracer {
     absorbed: Vec<TraceEvent>,
     /// Lane 0: the single-threaded recorder used by tick loops and
     /// post-run derivations.
-    root: Option<TraceBuffer>,
+    root: TraceBuffer,
 }
 
 impl Tracer {
     /// An empty tracer.
     pub fn new() -> Self {
-        Tracer {
-            absorbed: Vec::new(),
-            root: Some(TraceBuffer::new(0)),
-        }
+        Tracer::default()
     }
 
     /// Record on the tracer's own lane 0 (for single-threaded call
     /// sites: tick loops, post-run log walks).
     pub fn record(&mut self, tick: u64, event: Event) {
-        self.root
-            .get_or_insert_with(|| TraceBuffer::new(0))
-            .record(tick, event);
+        self.root.record(tick, event);
     }
 
     /// A fresh buffer for worker `lane` (lane 0 is reserved for
@@ -380,7 +370,7 @@ impl Tracer {
 
     /// Total events recorded so far.
     pub fn len(&self) -> usize {
-        self.absorbed.len() + self.root.as_ref().map_or(0, TraceBuffer::len)
+        self.absorbed.len() + self.root.len()
     }
 
     /// Whether no events have been recorded.
@@ -393,9 +383,7 @@ impl Tracer {
     /// logical content is unchanged.
     pub fn merged(&self) -> Vec<TraceEvent> {
         let mut all = self.absorbed.clone();
-        if let Some(root) = &self.root {
-            all.extend(root.events.iter().cloned());
-        }
+        all.extend(self.root.events.iter().cloned());
         all.sort_by_key(TraceEvent::key);
         all
     }

@@ -20,7 +20,8 @@ use resilience_core::bruneau::resilience_loss;
 use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
 use serde::Serialize;
 
-/// Why a unit of quality was lost.
+/// Why a unit of quality was lost. The declaration order indexes the
+/// per-cause series (`cause as usize`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub enum DeficitCause {
     /// Request turned away at admission.
@@ -51,15 +52,6 @@ impl DeficitCause {
             DeficitCause::Failed => "failed",
             DeficitCause::Degraded => "degraded",
             DeficitCause::Retry => "retry",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            DeficitCause::Shed => 0,
-            DeficitCause::Failed => 1,
-            DeficitCause::Degraded => 2,
-            DeficitCause::Retry => 3,
         }
     }
 }
@@ -118,7 +110,7 @@ impl TrajectoryObserver {
     /// Charge `penalty` (in per-adjudication deficit units, the same
     /// units the layer adds to its own deficit accumulator) to `cause`.
     pub fn charge(&mut self, cause: DeficitCause, penalty: f64) {
-        self.pending[cause.index()] += penalty;
+        self.pending[cause as usize] += penalty;
         self.pending_total += penalty;
     }
 
@@ -173,10 +165,10 @@ impl TrajectoryObserver {
         let failed_pts = FULL_QUALITY * lost as f64 / n as f64;
         let retry_pts = (FULL_QUALITY - q) - failed_pts;
         self.quality.push(q);
-        self.series[DeficitCause::Shed.index()].push(0.0);
-        self.series[DeficitCause::Failed.index()].push(failed_pts);
-        self.series[DeficitCause::Degraded.index()].push(0.0);
-        self.series[DeficitCause::Retry.index()].push(retry_pts.max(0.0));
+        self.series[DeficitCause::Shed as usize].push(0.0);
+        self.series[DeficitCause::Failed as usize].push(failed_pts);
+        self.series[DeficitCause::Degraded as usize].push(0.0);
+        self.series[DeficitCause::Retry as usize].push(retry_pts.max(0.0));
         self.pending = [0.0; 4];
         self.pending_total = 0.0;
     }
@@ -188,7 +180,7 @@ impl TrajectoryObserver {
 
     /// The per-sample quality-point deficit series for `cause`.
     pub fn cause_series(&self, cause: DeficitCause) -> &[f64] {
-        &self.series[cause.index()]
+        &self.series[cause as usize]
     }
 
     /// Integrate the attribution: per-cause trapezoidal areas plus the
@@ -206,7 +198,7 @@ impl TrajectoryObserver {
     /// Trapezoidal integral of one cause's deficit series, using the
     /// same rule (and the same `dt`) as `bruneau::resilience_loss`.
     fn cause_area(&self, cause: DeficitCause) -> f64 {
-        let s = &self.series[cause.index()];
+        let s = &self.series[cause as usize];
         if s.len() < 2 {
             return 0.0;
         }

@@ -183,6 +183,11 @@ fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> 
         outcome,
         attempts,
         gate,
+        admitted: gate.is_none().then_some("full"),
+        replicated: false,
+        reclaimed: 0,
+        refused_hedge: false,
+        refused_failover: false,
     }
 }
 
