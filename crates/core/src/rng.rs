@@ -2,8 +2,8 @@
 //!
 //! Every stochastic simulation in the workspace takes an explicit `u64` seed
 //! and derives a [`rand_chacha::ChaCha8Rng`] from it, so experiments are
-//! exactly reproducible across platforms and `rand` releases (the standard
-//! [`rand::rngs::StdRng`] makes no cross-version stability promise).
+//! exactly reproducible across platforms and `rand` releases (upstream
+//! `rand`'s `StdRng` makes no cross-version stability promise).
 
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha8Rng;

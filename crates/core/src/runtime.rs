@@ -15,8 +15,9 @@
 //!
 //! A context can additionally be [`RunContext::supervised`]: trials then
 //! run under per-trial panic isolation ([`std::panic::catch_unwind`]),
-//! deterministic fault injection from a [`FaultPlan`], bounded retries
-//! with capped exponential backoff, optional per-attempt deadlines, and
+//! deterministic fault injection from a
+//! [`FaultPlan`](crate::faults::FaultPlan), bounded retries with capped
+//! exponential backoff, optional per-attempt deadlines, and
 //! a supervisor thread running a small MAPE-K loop (Monitor worker
 //! events, Analyze failures against the retry budget, Plan backed-off
 //! re-dispatches, Execute them through the work queue, with the attempt

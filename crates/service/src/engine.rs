@@ -1274,10 +1274,9 @@ impl<'a> ServeLoop<'a> {
         };
     }
 
-    /// Stage 5: surface the tick's state changes to the telemetry spine
-    /// — once per change, in family order, all at the current tick so
-    /// the lane-0 buffer stays tick-ordered — and close the observed
-    /// trajectory's tick.
+    /// Stage 5: surface the tick's control-plane changes to the
+    /// telemetry spine — once per change, in family order, all at the
+    /// current tick — and close the observed trajectory's tick.
     fn record_tick(&mut self, q: f64) {
         let tick = self.tick;
         let Some(tel) = self.telemetry.as_deref_mut() else {

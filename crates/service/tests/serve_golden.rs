@@ -8,11 +8,14 @@
 //! pinned below: any change to a serving decision, a tally, Q(t), a
 //! breaker or brownout move, a causal span or a metric shows up here.
 //!
-//! Each traced cell also pins `events-canonical`: the event stream
-//! with lanes and sequence numbers dropped and each tick's events
-//! sorted by their compact JSON. It holds every event's fields and tick
-//! but not the order events were recorded in within a tick, so it stays
-//! fixed when only that order changes.
+//! The `events` rows pin the exact trace bytes, including the order of
+//! events within a tick. That order follows recording order: a request's
+//! events are written once, when it settles, each stamped with its own
+//! tick, and the control-plane events at the end of every tick. Each
+//! traced cell also pins `events-canonical`: the event stream with lanes
+//! and sequence numbers dropped and each tick's events sorted by their
+//! compact JSON. It holds every event's fields and tick but not the
+//! within-tick order, so it stays fixed when only that order changes.
 //!
 //! When a change is *meant* to alter serving behaviour, the failure
 //! message prints the complete new table to paste over `GOLDEN`.

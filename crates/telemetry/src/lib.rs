@@ -20,14 +20,14 @@
 //!   [`TrajectoryObserver`] folds deficit charges into the quality
 //!   series incrementally and attributes the Bruneau deficit to cause
 //!   (shed vs failed vs degraded vs supervisor-retry).
-//! * [`causal`] — causal span trees on the logical tick clock: engines
-//!   emit one [`RequestSketch`](causal::RequestSketch) per decided
-//!   request; the [`CausalTracer`] expands it into a well-formed span
-//!   tree and, for every deadline-missed or shed request, decomposes the
-//!   slack deficit *exactly* into blame edges (queue wait, breaker
-//!   dwell, gray inflation, retry backoff, intrinsic work).
-//!   The tracer is the one per-request record; nothing else stores
-//!   decided requests.
+//! * [`causal`] — causal span trees on the logical tick clock: the serve
+//!   loop hands [`Telemetry::record_request`] one [`RequestSketch`] per
+//!   decided request, which yields the request's trace events; the
+//!   [`CausalTracer`] expands it into a well-formed span tree and, for
+//!   every deadline-missed or shed request, decomposes the slack deficit
+//!   *exactly* into blame edges (queue wait, breaker dwell, gray
+//!   inflation, retry backoff, intrinsic work). The tracer is the one
+//!   per-request record; nothing else stores decided requests.
 //! * [`incident`] — a [`FlightRecorder`] that snapshots the tracer's
 //!   last requests per family when anticipation escalates to Emergency
 //!   (or a cluster cascade ignites), and renders [`IncidentReport`]s as

@@ -10,7 +10,7 @@
 //! retry in flight.
 //!
 //! Integrating each per-cause deficit series with the same trapezoid
-//! rule as [`bruneau::resilience_loss`] yields a [`DeficitAttribution`]
+//! rule as [`resilience_loss`] yields a [`DeficitAttribution`]
 //! whose components sum to the run's total Bruneau deficit (up to
 //! float-addition association — the trapezoid is linear, so the only
 //! discrepancy is summation order; the reconciliation tests bound it
