@@ -179,6 +179,7 @@ impl Telemetry {
             SketchOutcome::Served {
                 fidelity, latency, ..
             } => {
+                // `cached` is the label of an answer from the cache table.
                 let hit = fidelity == "cached";
                 let fidelity = fidelity.to_string();
                 let served = Event::RequestServed {
