@@ -75,7 +75,7 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
 
 use resilience_bench::experiments::registry;
-use resilience_bench::{CheckpointEntry, ExperimentCheckpoint, ReportEntry, ReportJournal};
+use resilience_bench::{sidecar_for, CheckpointEntry, Journal, ReportEntry};
 use resilience_core::faults::LostTrial;
 use resilience_core::{FaultConfig, RunContext, RunReport, Supervision};
 use resilience_telemetry::{record_run_events, record_run_metrics, MetricsRegistry, Tracer};
@@ -175,10 +175,11 @@ fn main() {
         .as_ref()
         .map(FaultConfig::to_spec)
         .unwrap_or_default();
-    let mut checkpoint = resume_path
-        .map(|path| ExperimentCheckpoint::load(path).unwrap_or_else(|err| die(&format!("{err}"))));
+    let mut checkpoint = resume_path.map(|path| {
+        Journal::<CheckpointEntry>::load(path).unwrap_or_else(|err| die(&format!("{err}")))
+    });
     let mut report_journal = checkpoint.as_ref().map(|ckpt| {
-        ReportJournal::load(ReportJournal::sidecar_for(ckpt.path()))
+        Journal::<ReportEntry>::load(sidecar_for(ckpt.path()))
             .unwrap_or_else(|err| die(&format!("{err}")))
     });
     if wanted.is_empty() {
@@ -215,7 +216,7 @@ fn main() {
     let wants_reports = report_json.is_some() || trace_out.is_some() || postmortem_out.is_some();
     let mut reports: Vec<(String, RunReport)> = Vec::new();
     for (id, runner) in selected {
-        if let Some(table) = checkpoint
+        if let Some(CheckpointEntry { table, .. }) = checkpoint
             .as_ref()
             .and_then(|c| c.lookup(id, seed, &fingerprint))
         {
@@ -224,7 +225,7 @@ fn main() {
             // same health story — same stderr report, same partial-table
             // annotation, same R — as the uninterrupted run.
             let mut lost: Vec<LostTrial> = Vec::new();
-            if let Some(report) = report_journal
+            if let Some(ReportEntry { report, .. }) = report_journal
                 .as_ref()
                 .and_then(|j| j.lookup(id, seed, &fingerprint))
             {

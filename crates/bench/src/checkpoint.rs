@@ -1,33 +1,40 @@
-//! Experiment-level checkpoint journal for `experiments --resume`.
+//! Experiment-level resume journals for `experiments --resume`.
 //!
-//! The journal is a JSON-lines file: one [`CheckpointEntry`] per
-//! completed experiment, persisted as each experiment finishes. Every
-//! write is an *atomic replace* — the full journal is rendered to a
-//! sibling temp file, flushed and synced, then renamed over the real
-//! path — so a kill at any instant leaves either the previous complete
-//! journal or the new complete journal on disk, never a torn file. A
-//! killed run therefore loses at most the experiment that was in
-//! flight; `--resume <path>` replays the recorded tables verbatim
+//! A [`Journal`] is a JSON-lines file keyed by `(id, seed, faults)`. The
+//! checkpoint holds one [`CheckpointEntry`] per completed experiment; its
+//! `.reports` sidecar ([`sidecar_for`]) holds one [`ReportEntry`] per
+//! supervised run, so a resumed run re-emits the identical stderr health
+//! report (and derived telemetry) for experiments it did not re-run. A
+//! checkpoint written without a sidecar resumes with its tables only.
+//!
+//! Every write is an *atomic replace* — the full journal is rendered to a
+//! sibling temp file, synced, then renamed over the real path — so a kill
+//! at any instant leaves either the previous or the new complete journal
+//! on disk. A killed run therefore loses at most the experiment that was
+//! in flight; `--resume <path>` replays the recorded tables verbatim
 //! (every [`ExperimentTable`] field is a `String`, so the re-rendered
-//! Markdown/JSON output is byte-identical) and computes only what is
-//! missing. Loading still tolerates a truncated final line, so journals
-//! produced by older append-style writers (or torn by filesystems
-//! without atomic rename) resume fine too.
+//! output is byte-identical) and computes only what is missing. Loading
+//! still drops a torn final line, so journals from append-style writers,
+//! or torn by filesystems without atomic rename, resume too.
 //!
-//! Entries are keyed by `(id, seed, faults)` — the faults field is the
-//! canonical fingerprint of the active fault configuration
-//! ([`resilience_core::FaultConfig::to_spec`], empty when faults are
-//! off) — so a journal written under one seed or fault plan is never
-//! replayed into a run with different parameters.
+//! The faults key is the canonical fingerprint of the active fault
+//! configuration ([`resilience_core::FaultConfig::to_spec`], empty when
+//! faults are off), so a journal written under one seed or fault plan is
+//! never replayed into a run with different parameters.
 
 use crate::table::ExperimentTable;
 use resilience_core::{CoreError, RunReport};
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// One completed experiment in the journal.
+/// One line of a [`Journal`]: a JSON object keyed by `(id, seed, faults)`.
+pub trait JournalEntry: Serialize + Deserialize {
+    /// The entry's `(id, seed, faults)` key.
+    fn key(&self) -> (&str, u64, &str);
+}
+
+/// One completed experiment in the checkpoint.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct CheckpointEntry {
     /// Experiment id, e.g. "e4".
@@ -40,116 +47,9 @@ pub struct CheckpointEntry {
     pub table: ExperimentTable,
 }
 
-/// An append-only journal of completed experiments.
-#[derive(Debug)]
-pub struct ExperimentCheckpoint {
-    path: PathBuf,
-    entries: Vec<CheckpointEntry>,
-}
-
-impl ExperimentCheckpoint {
-    /// Open (or create) the journal at `path`, loading existing entries.
-    ///
-    /// A missing file is an empty journal. A torn final line — the
-    /// signature of a process killed mid-append — is dropped silently;
-    /// corruption anywhere else is a [`CoreError::Checkpoint`].
-    pub fn load(path: impl Into<PathBuf>) -> Result<Self, CoreError> {
-        let path = path.into();
-        let mut entries = Vec::new();
-        match File::open(&path) {
-            Ok(file) => {
-                let lines: Vec<String> = BufReader::new(file)
-                    .lines()
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| checkpoint_err(&path, format!("read failed: {e}")))?;
-                let last = lines.len().saturating_sub(1);
-                for (i, line) in lines.iter().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match serde_json::from_str::<CheckpointEntry>(line) {
-                        Ok(entry) => entries.push(entry),
-                        // Only the final line may be torn (kill mid-write).
-                        Err(_) if i == last => {}
-                        Err(e) => {
-                            return Err(checkpoint_err(
-                                &path,
-                                format!("corrupt entry on line {}: {e}", i + 1),
-                            ));
-                        }
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(checkpoint_err(&path, format!("open failed: {e}"))),
-        }
-        Ok(ExperimentCheckpoint { path, entries })
-    }
-
-    /// The journal's on-disk location.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of completed experiments on record.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the journal holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The recorded table for `(id, seed, faults)`, if this exact
-    /// combination already completed.
-    pub fn lookup(&self, id: &str, seed: u64, faults: &str) -> Option<&ExperimentTable> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id && e.seed == seed && e.faults == faults)
-            .map(|e| &e.table)
-    }
-
-    /// Record a completed experiment, persisting the journal
-    /// immediately via an atomic replace: the whole journal (existing
-    /// entries plus the new one) is written to a sibling temp file,
-    /// flushed and synced, then renamed over the real path. A crash at
-    /// any point leaves a complete journal on disk — either the old one
-    /// or the new one — so resumes never observe a torn write from this
-    /// writer. Journals are small (one line per experiment), so the
-    /// full rewrite is cheap.
-    pub fn record(&mut self, entry: CheckpointEntry) -> Result<(), CoreError> {
-        let mut rendered = String::new();
-        for existing in self.entries.iter().chain(std::iter::once(&entry)) {
-            let line = serde_json::to_string(existing)
-                .map_err(|e| checkpoint_err(&self.path, format!("serialize failed: {e}")))?;
-            rendered.push_str(&line);
-            rendered.push('\n');
-        }
-        // The temp file must live in the same directory for the rename
-        // to be atomic (cross-device renames are copies).
-        let file_name = self
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "journal".to_string());
-        let tmp = self.path.with_file_name(format!("{file_name}.tmp"));
-        let mut file = File::create(&tmp)
-            .map_err(|e| checkpoint_err(&tmp, format!("create temp failed: {e}")))?;
-        file.write_all(rendered.as_bytes())
-            .and_then(|()| file.sync_all())
-            .map_err(|e| checkpoint_err(&tmp, format!("write temp failed: {e}")))?;
-        drop(file);
-        std::fs::rename(&tmp, &self.path)
-            .map_err(|e| checkpoint_err(&self.path, format!("atomic replace failed: {e}")))?;
-        self.entries.push(entry);
-        Ok(())
-    }
-}
-
-fn checkpoint_err(path: &Path, detail: String) -> CoreError {
-    CoreError::Checkpoint {
-        reason: format!("{}: {detail}", path.display()),
+impl JournalEntry for CheckpointEntry {
+    fn key(&self) -> (&str, u64, &str) {
+        (&self.id, self.seed, &self.faults)
     }
 }
 
@@ -169,6 +69,12 @@ pub struct ReportEntry {
     pub faults: String,
     /// The supervised run report, attempt segments included.
     pub report: RunReport,
+}
+
+impl JournalEntry for ReportEntry {
+    fn key(&self) -> (&str, u64, &str) {
+        (&self.id, self.seed, &self.faults)
+    }
 }
 
 impl Serialize for ReportEntry {
@@ -196,68 +102,69 @@ impl Deserialize for ReportEntry {
     }
 }
 
-/// Sidecar journal of supervised run reports, stored next to the
-/// experiment checkpoint. Same JSON-lines format, same atomic-replace
-/// writes, same torn-tail tolerance, and the same `(id, seed, faults)`
-/// key as [`ExperimentCheckpoint`] — but holding the *runtime health
-/// story* of each completed experiment rather than its table, so a
-/// resumed run re-emits the identical stderr health report (and the
-/// identical derived telemetry) for experiments it did not re-run.
-///
-/// The sidecar is versioned independently of the checkpoint: a
-/// checkpoint written by an older binary simply has no sidecar, and
-/// resuming from it degrades to the old behavior (table replayed, no
-/// health report).
-#[derive(Debug)]
-pub struct ReportJournal {
-    path: PathBuf,
-    entries: Vec<ReportEntry>,
+/// The report sidecar path for a checkpoint at `checkpoint_path`:
+/// `<checkpoint_path>.reports`.
+pub fn sidecar_for(checkpoint_path: &Path) -> PathBuf {
+    with_suffix(checkpoint_path, "reports")
 }
 
-impl ReportJournal {
-    /// The sidecar path for a checkpoint at `checkpoint_path`:
-    /// `<checkpoint_path>.reports`.
-    pub fn sidecar_for(checkpoint_path: &Path) -> PathBuf {
-        let file_name = checkpoint_path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "journal".to_string());
-        checkpoint_path.with_file_name(format!("{file_name}.reports"))
-    }
+/// `path` with `.suffix` appended to its file name.
+fn with_suffix(path: &Path, suffix: &str) -> PathBuf {
+    let file_name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "journal".to_string());
+    path.with_file_name(format!("{file_name}.{suffix}"))
+}
 
-    /// Open (or create) the sidecar at `path`, loading existing
-    /// entries. A missing file is an empty journal; a torn final line
-    /// is dropped; corruption elsewhere is a [`CoreError::Checkpoint`].
+/// A JSON-lines journal of entries keyed by `(id, seed, faults)`.
+#[derive(Debug)]
+pub struct Journal<E> {
+    path: PathBuf,
+    entries: Vec<E>,
+}
+
+impl<E: JournalEntry> Journal<E> {
+    /// Open (or create) the journal at `path`, loading existing entries.
+    ///
+    /// A missing file is an empty journal and blank lines are skipped.
+    /// The file is split on `\n` before any line is decoded, so a final
+    /// line that is not UTF-8 or does not parse — the signature of a
+    /// process killed mid-append, possibly inside a multi-byte character
+    /// — is dropped silently. Such a line anywhere else is a
+    /// [`CoreError::Checkpoint`] naming the path and the line.
     pub fn load(path: impl Into<PathBuf>) -> Result<Self, CoreError> {
         let path = path.into();
+        let bytes = match std::fs::read(&path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            Err(e) => return Err(checkpoint_err(&path, format!("read failed: {e}"))),
+        };
+        // Like `BufRead::lines`, a trailing newline ends the last line
+        // rather than starting an empty one.
+        let body = bytes.strip_suffix(b"\n").unwrap_or(&bytes);
+        let lines: Vec<&[u8]> = body.split(|&b| b == b'\n').collect();
+        let last = lines.len() - 1;
         let mut entries = Vec::new();
-        match File::open(&path) {
-            Ok(file) => {
-                let lines: Vec<String> = BufReader::new(file)
-                    .lines()
-                    .collect::<Result<_, _>>()
-                    .map_err(|e| checkpoint_err(&path, format!("read failed: {e}")))?;
-                let last = lines.len().saturating_sub(1);
-                for (i, line) in lines.iter().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match serde_json::from_str::<ReportEntry>(line) {
-                        Ok(entry) => entries.push(entry),
-                        Err(_) if i == last => {}
-                        Err(e) => {
-                            return Err(checkpoint_err(
-                                &path,
-                                format!("corrupt report on line {}: {e}", i + 1),
-                            ));
-                        }
-                    }
+        for (i, line) in lines.into_iter().enumerate() {
+            let parsed = match std::str::from_utf8(line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => serde_json::from_str::<E>(text).map_err(|e| e.to_string()),
+                Err(e) => Err(format!("not UTF-8: {e}")),
+            };
+            match parsed {
+                Ok(entry) => entries.push(entry),
+                // Only the final line may be torn (kill mid-write).
+                Err(_) if i == last => {}
+                Err(e) => {
+                    return Err(checkpoint_err(
+                        &path,
+                        format!("corrupt entry on line {}: {e}", i + 1),
+                    ));
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(checkpoint_err(&path, format!("open failed: {e}"))),
         }
-        Ok(ReportJournal { path, entries })
+        Ok(Journal { path, entries })
     }
 
     /// The journal's on-disk location.
@@ -265,27 +172,24 @@ impl ReportJournal {
         &self.path
     }
 
-    /// Number of reports on record.
-    pub fn len(&self) -> usize {
-        self.entries.len()
+    /// The entries on record, in journal order.
+    pub fn entries(&self) -> &[E] {
+        &self.entries
     }
 
-    /// Whether the journal holds no reports.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// The first entry recorded for `(id, seed, faults)`, if this exact
+    /// combination already completed.
+    pub fn lookup(&self, id: &str, seed: u64, faults: &str) -> Option<&E> {
+        self.entries.iter().find(|e| e.key() == (id, seed, faults))
     }
 
-    /// The recorded report for `(id, seed, faults)`, if any.
-    pub fn lookup(&self, id: &str, seed: u64, faults: &str) -> Option<&RunReport> {
-        self.entries
-            .iter()
-            .find(|e| e.id == id && e.seed == seed && e.faults == faults)
-            .map(|e| &e.report)
-    }
-
-    /// Record a run report, persisting via the same atomic replace as
-    /// [`ExperimentCheckpoint::record`].
-    pub fn record(&mut self, entry: ReportEntry) -> Result<(), CoreError> {
+    /// Record an entry, persisting the journal immediately via an atomic
+    /// replace: the whole journal (existing entries plus the new one) is
+    /// written to a sibling temp file, synced, then renamed over the real
+    /// path. A crash at any point leaves a complete journal on disk —
+    /// either the old one or the new one. Journals are small (one line
+    /// per experiment), so the full rewrite is cheap.
+    pub fn record(&mut self, entry: E) -> Result<(), CoreError> {
         let mut rendered = String::new();
         for existing in self.entries.iter().chain(std::iter::once(&entry)) {
             let line = serde_json::to_string(existing)
@@ -293,13 +197,10 @@ impl ReportJournal {
             rendered.push_str(&line);
             rendered.push('\n');
         }
-        let file_name = self
-            .path
-            .file_name()
-            .map(|n| n.to_string_lossy().into_owned())
-            .unwrap_or_else(|| "journal".to_string());
-        let tmp = self.path.with_file_name(format!("{file_name}.tmp"));
-        let mut file = File::create(&tmp)
+        // The temp file must live in the same directory for the rename
+        // to be atomic (cross-device renames are copies).
+        let tmp = with_suffix(&self.path, "tmp");
+        let mut file = std::fs::File::create(&tmp)
             .map_err(|e| checkpoint_err(&tmp, format!("create temp failed: {e}")))?;
         file.write_all(rendered.as_bytes())
             .and_then(|()| file.sync_all())
@@ -309,6 +210,12 @@ impl ReportJournal {
             .map_err(|e| checkpoint_err(&self.path, format!("atomic replace failed: {e}")))?;
         self.entries.push(entry);
         Ok(())
+    }
+}
+
+fn checkpoint_err(path: &Path, detail: String) -> CoreError {
+    CoreError::Checkpoint {
+        reason: format!("{}: {detail}", path.display()),
     }
 }
 
@@ -338,14 +245,14 @@ mod tests {
 
     #[test]
     fn missing_file_is_empty_journal() {
-        let ckpt = ExperimentCheckpoint::load(tmp("missing.jsonl")).expect("load");
-        assert!(ckpt.is_empty());
+        let ckpt = Journal::<CheckpointEntry>::load(tmp("missing.jsonl")).expect("load");
+        assert!(ckpt.entries().is_empty());
     }
 
     #[test]
     fn round_trips_entries_keyed_by_id_seed_faults() {
         let path = tmp("roundtrip.jsonl");
-        let mut ckpt = ExperimentCheckpoint::load(&path).expect("load");
+        let mut ckpt = Journal::<CheckpointEntry>::load(&path).expect("load");
         ckpt.record(CheckpointEntry {
             id: "e1".into(),
             seed: 42,
@@ -355,9 +262,12 @@ mod tests {
         .expect("record");
         drop(ckpt);
 
-        let ckpt = ExperimentCheckpoint::load(&path).expect("reload");
-        assert_eq!(ckpt.len(), 1);
-        assert_eq!(ckpt.lookup("e1", 42, ""), Some(&table("e1")));
+        let ckpt = Journal::<CheckpointEntry>::load(&path).expect("reload");
+        assert_eq!(ckpt.entries().len(), 1);
+        assert_eq!(
+            ckpt.lookup("e1", 42, "").map(|e| &e.table),
+            Some(&table("e1"))
+        );
         assert_eq!(ckpt.lookup("e1", 7, ""), None, "different seed");
         assert_eq!(ckpt.lookup("e1", 42, "seed=1"), None, "different plan");
         assert_eq!(ckpt.lookup("e2", 42, ""), None, "different id");
@@ -366,7 +276,7 @@ mod tests {
     #[test]
     fn torn_final_line_is_dropped() {
         let path = tmp("torn.jsonl");
-        let mut ckpt = ExperimentCheckpoint::load(&path).expect("load");
+        let mut ckpt = Journal::<CheckpointEntry>::load(&path).expect("load");
         ckpt.record(CheckpointEntry {
             id: "e1".into(),
             seed: 1,
@@ -384,15 +294,15 @@ mod tests {
         write!(file, "{{\"id\":\"e2\",\"se").expect("torn write");
         drop(file);
 
-        let ckpt = ExperimentCheckpoint::load(&path).expect("reload tolerates torn tail");
-        assert_eq!(ckpt.len(), 1);
+        let ckpt = Journal::<CheckpointEntry>::load(&path).expect("reload tolerates torn tail");
+        assert_eq!(ckpt.entries().len(), 1);
         assert!(ckpt.lookup("e1", 1, "").is_some());
     }
 
     #[test]
     fn truncated_tail_still_resumes_and_next_record_heals_the_file() {
         let path = tmp("truncated-resume.jsonl");
-        let mut ckpt = ExperimentCheckpoint::load(&path).expect("load");
+        let mut ckpt = Journal::<CheckpointEntry>::load(&path).expect("load");
         for (id, seed) in [("e1", 1u64), ("e2", 1)] {
             ckpt.record(CheckpointEntry {
                 id: id.into(),
@@ -409,8 +319,8 @@ mod tests {
         std::fs::write(&path, &contents[..contents.len() - 20]).expect("truncate");
 
         // Resume: the torn entry is gone, the intact prefix survives.
-        let mut ckpt = ExperimentCheckpoint::load(&path).expect("resume from torn tail");
-        assert_eq!(ckpt.len(), 1);
+        let mut ckpt = Journal::<CheckpointEntry>::load(&path).expect("resume from torn tail");
+        assert_eq!(ckpt.entries().len(), 1);
         assert!(ckpt.lookup("e1", 1, "").is_some());
         assert!(ckpt.lookup("e2", 1, "").is_none(), "torn entry dropped");
 
@@ -424,8 +334,8 @@ mod tests {
         })
         .expect("record heals");
         drop(ckpt);
-        let healed = ExperimentCheckpoint::load(&path).expect("healed journal loads");
-        assert_eq!(healed.len(), 2);
+        let healed = Journal::<CheckpointEntry>::load(&path).expect("healed journal loads");
+        assert_eq!(healed.entries().len(), 2);
         assert!(healed.lookup("e1", 1, "").is_some());
         assert!(healed.lookup("e3", 1, "").is_some());
         // No half-written garbage anywhere: every line parses.
@@ -442,8 +352,8 @@ mod tests {
         // A crash between temp-write and rename leaves a .tmp behind; it
         // must not confuse a later run.
         std::fs::write(&tmp_path, "half-written garbage").expect("write stale tmp");
-        let mut ckpt = ExperimentCheckpoint::load(&path).expect("load ignores stale tmp");
-        assert!(ckpt.is_empty());
+        let mut ckpt = Journal::<CheckpointEntry>::load(&path).expect("load ignores stale tmp");
+        assert!(ckpt.entries().is_empty());
         ckpt.record(CheckpointEntry {
             id: "e1".into(),
             seed: 9,
@@ -452,8 +362,8 @@ mod tests {
         })
         .expect("record replaces stale tmp");
         assert!(!tmp_path.exists(), "temp file renamed away");
-        let reloaded = ExperimentCheckpoint::load(&path).expect("reload");
-        assert_eq!(reloaded.len(), 1);
+        let reloaded = Journal::<CheckpointEntry>::load(&path).expect("reload");
+        assert_eq!(reloaded.entries().len(), 1);
         let _ = std::fs::remove_file(&tmp_path);
     }
 
@@ -483,7 +393,7 @@ mod tests {
             lost: vec![2],
         }];
 
-        let mut journal = ReportJournal::load(&path).expect("load");
+        let mut journal = Journal::<ReportEntry>::load(&path).expect("load");
         journal
             .record(ReportEntry {
                 id: "e1".into(),
@@ -494,10 +404,10 @@ mod tests {
             .expect("record");
         drop(journal);
 
-        let journal = ReportJournal::load(&path).expect("reload");
-        assert_eq!(journal.len(), 1);
+        let journal = Journal::<ReportEntry>::load(&path).expect("reload");
+        assert_eq!(journal.entries().len(), 1);
         let back = journal.lookup("e1", 42, "seed=7").expect("found");
-        assert_eq!(back, &report, "segments survive the round trip");
+        assert_eq!(back.report, report, "segments survive the round trip");
         assert_eq!(journal.lookup("e1", 42, ""), None, "different plan");
         assert_eq!(journal.lookup("e1", 7, "seed=7"), None, "different seed");
     }
@@ -505,7 +415,7 @@ mod tests {
     #[test]
     fn sidecar_path_appends_reports_extension() {
         assert_eq!(
-            ReportJournal::sidecar_for(Path::new("/x/run.ckpt")),
+            sidecar_for(Path::new("/x/run.ckpt")),
             PathBuf::from("/x/run.ckpt.reports")
         );
     }
@@ -513,9 +423,19 @@ mod tests {
     #[test]
     fn corruption_before_the_final_line_is_an_error() {
         let path = tmp("corrupt.jsonl");
-        std::fs::write(&path, "not json at all\n{\"also\":\"bad\"}\n").expect("write");
-        let err = ExperimentCheckpoint::load(&path).unwrap_err();
-        assert!(matches!(err, CoreError::Checkpoint { .. }));
-        assert!(err.to_string().contains("line 1"));
+        // Bad JSON, and a line cut inside a multi-byte character.
+        for bytes in [
+            &b"not json at all\n{\"also\":\"bad\"}\n"[..],
+            b"{\"id\":\"\xe2\x80\"}\n\n",
+        ] {
+            std::fs::write(&path, bytes).expect("write");
+            let err = Journal::<CheckpointEntry>::load(&path).unwrap_err();
+            assert!(matches!(err, CoreError::Checkpoint { .. }));
+            assert!(
+                err.to_string()
+                    .contains("corrupt.jsonl: corrupt entry on line 1"),
+                "{err}"
+            );
+        }
     }
 }

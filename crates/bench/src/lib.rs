@@ -32,5 +32,5 @@ pub mod experiments;
 pub mod harness;
 pub mod table;
 
-pub use checkpoint::{CheckpointEntry, ExperimentCheckpoint, ReportEntry, ReportJournal};
+pub use checkpoint::{sidecar_for, CheckpointEntry, Journal, ReportEntry};
 pub use table::{ExperimentTable, PerfSummary};

@@ -321,3 +321,36 @@ fn help_exits_0() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage"), "stderr: {stderr}");
 }
+
+#[test]
+fn resume_drops_a_torn_tail_cut_inside_a_multibyte_character() {
+    let ckpt = report_path("torn-utf8.ckpt");
+    let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
+    let _ = std::fs::remove_file(ckpt.with_file_name("torn-utf8.ckpt.reports"));
+    let first = experiments()
+        .args(["--resume", ckpt_arg, "e20"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(first.status.code(), Some(0));
+
+    // A killed append-style writer leaves a prefix of the line behind;
+    // cut it one byte into the line's first multi-byte character.
+    let line = std::fs::read(&ckpt).expect("journal written");
+    let cut = line
+        .iter()
+        .position(|&b| b >= 0x80)
+        .expect("non-ASCII byte")
+        + 1;
+    let mut torn = line.clone();
+    torn.extend_from_slice(&line[..cut]);
+    std::fs::write(&ckpt, torn).expect("append torn tail");
+
+    let resumed = experiments()
+        .args(["--resume", ckpt_arg, "e20"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(0), "stderr: {stderr}");
+    assert!(stderr.contains("e20: resumed from checkpoint"), "{stderr}");
+    assert_eq!(resumed.stdout, first.stdout);
+}
