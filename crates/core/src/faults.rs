@@ -15,20 +15,13 @@
 //!   supervised run records its own health trajectory (fraction of trial
 //!   slots healthy over logical time) and scores it with the Bruneau
 //!   integral, so a faulted run reports its own resilience triangle `R`.
-//! * [`TrialCheckpoint`] — a journal of completed trials (serialized as
-//!   contiguous ranges on request) that lets a killed run resume and
-//!   still produce bit-identical results.
 //!
 //! The supervisor that consumes these types (a small MAPE-K loop — see
 //! `crates/engineering/src/mape.rs` for the modelled counterpart) lives
 //! in [`crate::runtime`]; supervision is enabled per run through
 //! [`crate::RunContext::supervised`].
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::fs::OpenOptions;
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use crate::bruneau::resilience_loss;
@@ -897,168 +890,6 @@ impl fmt::Display for RunReport {
     }
 }
 
-/// A journal of completed trials for one `run_trials` stream: trial
-/// indices with their serialized results, appended (and flushed) as each
-/// trial completes so a killed process loses at most the in-flight
-/// trials. [`crate::RunContext::run_trials_resumable`] consumes it to
-/// skip completed work on resume while producing bit-identical folds.
-///
-/// File format: one JSON line per trial, `{"trial": N, "value": ...}`.
-/// A truncated final line (the kill arrived mid-write) is ignored on
-/// load.
-#[derive(Debug)]
-pub struct TrialCheckpoint {
-    path: Option<PathBuf>,
-    values: BTreeMap<u64, serde::Value>,
-}
-
-impl TrialCheckpoint {
-    /// A checkpoint that lives only in memory (for tests and dry runs).
-    pub fn in_memory() -> Self {
-        TrialCheckpoint {
-            path: None,
-            values: BTreeMap::new(),
-        }
-    }
-
-    /// Load (or start) a file-backed checkpoint at `path`. A missing
-    /// file yields an empty journal; a corrupt *final* line is dropped
-    /// (interrupted write), but corruption elsewhere is an error.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] on unreadable files or corrupt
-    /// non-final lines.
-    pub fn load(path: impl Into<PathBuf>) -> Result<Self, CoreError> {
-        let path = path.into();
-        let mut values = BTreeMap::new();
-        match std::fs::read_to_string(&path) {
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                return Err(CoreError::Checkpoint {
-                    reason: format!("cannot read {}: {e}", path.display()),
-                })
-            }
-            Ok(contents) => {
-                let lines: Vec<&str> = contents.lines().collect();
-                for (i, line) in lines.iter().enumerate() {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_journal_line(line) {
-                        Some((trial, value)) => {
-                            values.insert(trial, value);
-                        }
-                        None if i + 1 == lines.len() => {
-                            // Interrupted final write: drop it; the trial
-                            // simply re-runs (deterministically).
-                        }
-                        None => {
-                            return Err(CoreError::Checkpoint {
-                                reason: format!(
-                                    "corrupt journal line {} in {}",
-                                    i + 1,
-                                    path.display()
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(TrialCheckpoint {
-            path: Some(path),
-            values,
-        })
-    }
-
-    /// Completed trials recorded so far.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether nothing is recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Whether `trial` has a recorded result.
-    pub fn contains(&self, trial: u64) -> bool {
-        self.values.contains_key(&trial)
-    }
-
-    /// The completed trial set compressed to inclusive `(start, end)`
-    /// ranges — the serialized form reported in run summaries.
-    pub fn completed_ranges(&self) -> Vec<(u64, u64)> {
-        let mut ranges: Vec<(u64, u64)> = Vec::new();
-        for &t in self.values.keys() {
-            match ranges.last_mut() {
-                Some((_, end)) if *end + 1 == t => *end = t,
-                _ => ranges.push((t, t)),
-            }
-        }
-        ranges
-    }
-
-    /// Record a completed trial, appending and flushing to the backing
-    /// file when there is one.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] on serialization or I/O failure.
-    pub fn record<T: serde::Serialize>(&mut self, trial: u64, value: &T) -> Result<(), CoreError> {
-        let value = serde_json::to_value(value).map_err(|e| CoreError::Checkpoint {
-            reason: format!("cannot serialize trial {trial}: {e:?}"),
-        })?;
-        if let Some(path) = &self.path {
-            let line = journal_line(trial, &value).map_err(|reason| CoreError::Checkpoint {
-                reason: format!("trial {trial}: {reason}"),
-            })?;
-            append_line(path, &line).map_err(|e| CoreError::Checkpoint {
-                reason: format!("cannot append to {}: {e}", path.display()),
-            })?;
-        }
-        self.values.insert(trial, value);
-        Ok(())
-    }
-
-    /// Deserialize the recorded result of `trial`, if present.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] if the stored value does not
-    /// deserialize as `T`.
-    pub fn value<T: serde::Deserialize>(&self, trial: u64) -> Result<Option<T>, CoreError> {
-        match self.values.get(&trial) {
-            None => Ok(None),
-            Some(v) => serde_json::from_value(v)
-                .map(Some)
-                .map_err(|e| CoreError::Checkpoint {
-                    reason: format!("trial {trial} does not deserialize: {e:?}"),
-                }),
-        }
-    }
-}
-
-fn journal_line(trial: u64, value: &serde::Value) -> Result<String, String> {
-    let rendered = serde_json::to_string(value).map_err(|e| format!("{e:?}"))?;
-    Ok(format!("{{\"trial\":{trial},\"value\":{rendered}}}"))
-}
-
-fn parse_journal_line(line: &str) -> Option<(u64, serde::Value)> {
-    let value = serde_json::from_str::<serde::Value>(line).ok()?;
-    let trial = value.get("trial")?.as_u64()?;
-    let payload = value.get("value")?.clone();
-    Some((trial, payload))
-}
-
-fn append_line(path: &Path, line: &str) -> std::io::Result<()> {
-    let file = OpenOptions::new().create(true).append(true).open(path)?;
-    let mut w = BufWriter::new(file);
-    writeln!(w, "{line}")?;
-    w.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1356,40 +1187,5 @@ mod tests {
         ];
         let health = RunReport::health_from_log(2, &mut log);
         assert_eq!(resilience_loss(&health), 0.0);
-    }
-
-    #[test]
-    fn checkpoint_records_ranges_and_round_trips() {
-        let mut ckpt = TrialCheckpoint::in_memory();
-        assert!(ckpt.is_empty());
-        for t in [0u64, 1, 2, 5, 7, 8] {
-            ckpt.record(t, &(t * 10)).expect("record");
-        }
-        assert_eq!(ckpt.len(), 6);
-        assert!(ckpt.contains(5));
-        assert!(!ckpt.contains(4));
-        assert_eq!(ckpt.completed_ranges(), vec![(0, 2), (5, 5), (7, 8)]);
-        assert_eq!(ckpt.value::<u64>(7).expect("deserializes"), Some(70));
-        assert_eq!(ckpt.value::<u64>(4).expect("missing is fine"), None);
-    }
-
-    #[test]
-    fn file_checkpoint_survives_reload_and_truncated_tail() {
-        let dir = std::env::temp_dir().join(format!("faults-ckpt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("trials.jsonl");
-        let _ = std::fs::remove_file(&path);
-        {
-            let mut ckpt = TrialCheckpoint::load(&path).expect("fresh load");
-            ckpt.record(0, &11u64).expect("record");
-            ckpt.record(1, &22u64).expect("record");
-        }
-        // Simulate a kill mid-write: append a truncated line.
-        append_line(&path, "{\"trial\":2,\"val").expect("append");
-        let reloaded = TrialCheckpoint::load(&path).expect("reload tolerates torn tail");
-        assert_eq!(reloaded.len(), 2);
-        assert_eq!(reloaded.value::<u64>(1).expect("ok"), Some(22));
-        assert!(!reloaded.contains(2));
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -75,7 +75,7 @@ pub use constraint::{
 pub use error::CoreError;
 pub use faults::{
     AttemptRecord, AttemptSegment, FailureCause, FaultConfig, FaultKind, FaultPlan, LostTrial,
-    RecoveryPolicy, RunReport, Supervision, TrialCheckpoint,
+    RecoveryPolicy, RunReport, Supervision,
 };
 pub use modes::{CappedLog, Escalation, Ladder, LadderState, Rung, LOG_CAP};
 pub use quality::QualityTrajectory;

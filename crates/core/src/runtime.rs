@@ -27,14 +27,11 @@
 //! skips them and the [`RunReport`] names them — instead of aborting the
 //! process.
 
-use crate::error::CoreError;
 use crate::faults::{
     AttemptRecord, AttemptSegment, FailureCause, FaultKind, LostTrial, RunReport, Supervision,
-    TrialCheckpoint,
 };
 use crate::rng::{derive_seed, seeded_rng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Condvar, Mutex};
@@ -181,75 +178,6 @@ impl RunContext {
             ParallelTrials::new(self.threads).run(n_trials, master_seed, trial_fn, init, reduce)
         }
     }
-
-    /// Like [`RunContext::run_trials`], but resumable: completed trials
-    /// are journaled into `checkpoint` (appended and flushed as each one
-    /// finishes, so a killed process loses at most in-flight work), and
-    /// trials already present in the journal are *not* re-executed — the
-    /// fold consumes their recorded results instead, in trial order, so
-    /// a resumed run is bit-identical to an uninterrupted one.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Checkpoint`] if a recorded value fails to serialize,
-    /// append, or deserialize; trials computed before the error are
-    /// preserved in the journal.
-    pub fn run_trials_resumable<T, Acc, F, R>(
-        &self,
-        n_trials: u64,
-        master_seed: u64,
-        checkpoint: &mut TrialCheckpoint,
-        trial_fn: F,
-        init: Acc,
-        mut reduce: R,
-    ) -> Result<Acc, CoreError>
-    where
-        T: serde::Serialize + serde::Deserialize + Send,
-        F: Fn(u64, &mut ChaCha8Rng) -> T + Sync,
-        R: FnMut(Acc, T) -> Acc,
-    {
-        // Deserialize what the journal already holds.
-        let mut done: BTreeMap<u64, T> = BTreeMap::new();
-        for trial in 0..n_trials {
-            if let Some(v) = checkpoint.value::<T>(trial)? {
-                done.insert(trial, v);
-            }
-        }
-        let missing: Vec<u64> = (0..n_trials).filter(|t| !done.contains_key(t)).collect();
-
-        // Execute the missing trials (supervised or not), journaling each
-        // completion from inside the trial closure so progress survives a
-        // kill at any point.
-        let journal: Mutex<(&mut TrialCheckpoint, Option<CoreError>)> =
-            Mutex::new((checkpoint, None));
-        let missing_ref = &missing;
-        let fresh: Vec<(u64, T)> = self.run_trials(
-            missing.len() as u64,
-            master_seed,
-            |slot, _| {
-                let trial = missing_ref[usize::try_from(slot).expect("slot fits usize")];
-                let mut rng = seeded_rng(derive_seed(master_seed, trial));
-                let value = trial_fn(trial, &mut rng);
-                let mut j = journal.lock().expect("journal mutex poisoned");
-                if j.1.is_none() {
-                    if let Err(e) = j.0.record(trial, &value) {
-                        j.1 = Some(e);
-                    }
-                }
-                (trial, value)
-            },
-            Vec::new(),
-            |mut acc, pair| {
-                acc.push(pair);
-                acc
-            },
-        );
-        if let Some(e) = journal.into_inner().expect("journal mutex poisoned").1 {
-            return Err(e);
-        }
-        done.extend(fresh);
-        Ok(done.into_values().fold(init, &mut reduce))
-    }
 }
 
 /// A work-distributing executor for independent Monte Carlo trials.
@@ -292,54 +220,25 @@ impl ParallelTrials {
         master_seed: u64,
         trial_fn: F,
         init: Acc,
-        mut reduce: R,
+        reduce: R,
     ) -> Acc
     where
         T: Send,
         F: Fn(u64, &mut ChaCha8Rng) -> T + Sync,
         R: FnMut(Acc, T) -> Acc,
     {
-        let workers = self
-            .threads
-            .min(usize::try_from(n_trials).unwrap_or(usize::MAX));
-        if workers <= 1 {
-            let mut acc = init;
-            for idx in 0..n_trials {
-                let mut rng = seeded_rng(derive_seed(master_seed, idx));
-                acc = reduce(acc, trial_fn(idx, &mut rng));
-            }
-            return acc;
-        }
-
-        let next = AtomicU64::new(0);
-        let results: Mutex<Vec<(u64, T)>> =
-            Mutex::new(Vec::with_capacity(usize::try_from(n_trials).unwrap_or(0)));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(u64, T)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= n_trials {
-                            break;
-                        }
-                        let mut rng = seeded_rng(derive_seed(master_seed, idx));
-                        local.push((idx, trial_fn(idx, &mut rng)));
-                    }
-                    results
-                        .lock()
-                        .expect("trial result mutex poisoned")
-                        .append(&mut local);
-                });
-            }
-        });
-
-        let mut collected = results.into_inner().expect("trial result mutex poisoned");
-        collected.sort_unstable_by_key(|(idx, _)| *idx);
-        debug_assert_eq!(collected.len() as u64, n_trials);
-        collected
-            .into_iter()
-            .fold(init, |acc, (_, value)| reduce(acc, value))
+        // One trial per chunk: the same workers, serial path and
+        // trial-order fold as any other range sweep.
+        self.run_ranges(
+            n_trials,
+            1,
+            |r| {
+                let mut rng = seeded_rng(derive_seed(master_seed, r.start));
+                trial_fn(r.start, &mut rng)
+            },
+            init,
+            reduce,
+        )
     }
 
     /// Run `n_trials` trials under the fault-injection and self-healing
@@ -1108,87 +1007,5 @@ mod tests {
             .lost
             .iter()
             .all(|l| l.cause != crate::faults::FailureCause::DeadlineExceeded));
-    }
-
-    // -----------------------------------------------------------------
-    // Checkpoint / resume.
-    // -----------------------------------------------------------------
-
-    use crate::faults::TrialCheckpoint;
-
-    #[test]
-    fn resumable_run_skips_completed_trials_and_matches() {
-        let full: Vec<u64> = RunContext::new(1)
-            .run_trials_resumable(
-                40,
-                9,
-                &mut TrialCheckpoint::in_memory(),
-                |idx, rng| idx ^ rng.gen::<u64>(),
-                Vec::new(),
-                |mut acc, x| {
-                    acc.push(x);
-                    acc
-                },
-            )
-            .expect("clean run");
-
-        // Phase 1: run only the first 15 trials, then "die".
-        let mut ckpt = TrialCheckpoint::in_memory();
-        let _ = RunContext::new(1)
-            .run_trials_resumable(
-                15,
-                9,
-                &mut ckpt,
-                |idx, rng| idx ^ rng.gen::<u64>(),
-                0u64,
-                |acc, _| acc + 1,
-            )
-            .expect("phase 1");
-        assert_eq!(ckpt.completed_ranges(), vec![(0, 14)]);
-
-        // Phase 2: resume the full run; already-journaled trials must not
-        // re-execute.
-        let executed = AtomicU64::new(0);
-        let resumed: Vec<u64> = RunContext::with_threads(1, 4)
-            .run_trials_resumable(
-                40,
-                9,
-                &mut ckpt,
-                |idx, rng| {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                    idx ^ rng.gen::<u64>()
-                },
-                Vec::new(),
-                |mut acc, x| {
-                    acc.push(x);
-                    acc
-                },
-            )
-            .expect("phase 2");
-        assert_eq!(resumed, full, "resume must be bit-identical");
-        assert_eq!(executed.load(Ordering::Relaxed), 25, "15 trials skipped");
-        assert_eq!(ckpt.completed_ranges(), vec![(0, 39)]);
-    }
-
-    #[test]
-    fn resumable_supervised_run_matches_clean_run() {
-        let cfg = chaos_config();
-        let clean = draws(&RunContext::new(6), 32, 4);
-        let mut ckpt = TrialCheckpoint::in_memory();
-        let ctx = RunContext::with_threads(6, 2).supervised(Supervision::new("resume-chaos", cfg));
-        let resumed: Vec<u64> = ctx
-            .run_trials_resumable(
-                32,
-                4,
-                &mut ckpt,
-                |idx, rng| idx ^ rng.gen::<u64>(),
-                Vec::new(),
-                |mut acc, x| {
-                    acc.push(x);
-                    acc
-                },
-            )
-            .expect("supervised resumable run");
-        assert_eq!(resumed, clean);
     }
 }
