@@ -32,12 +32,6 @@
 //! * [`is_k_recoverable_auto`] — routes to the orbit-reduced checker when
 //!   sound, else to the parallel exhaustive engine.
 //!
-//! The exhaustive engine additionally batch-probes leaf-level sibling
-//! damage patterns (which differ from a shared base in exactly their
-//! last flipped bit, so their transposition keys are word XORs of the
-//! base key) 64-at-a-time ahead of the repair walks — cases resolved by
-//! the batch probe never touch a `Config` at all.
-//!
 //! [`recoverability_reference`] retains the original clone-per-case
 //! recursive checker as the oracle the optimized engine is proven
 //! against (see `tests/verification_equivalence.rs`).
@@ -126,11 +120,7 @@ pub fn is_k_recoverable_exhaustive<S: RepairStrategy + ?Sized>(
     if !strategy.is_deterministic() {
         return reference_inner(start, env, strategy, max_damage, k);
     }
-    let n = start.len();
-    let counts = SubsetCounts::new(n, max_damage.min(n));
-    let total = counts.total_nonempty();
-    let partial = check_rank_range(0..total, start, env, strategy, k, &counts, true);
-    finalize(k, total, partial)
+    is_k_recoverable_exhaustive_stats(start, env, strategy, max_damage, k).0
 }
 
 /// [`is_k_recoverable_exhaustive`] on `ctx`'s thread budget: the rank
@@ -172,7 +162,7 @@ pub fn is_k_recoverable_exhaustive_parallel<S: RepairStrategy + ?Sized>(
     let partial = ctx.run_ranges(
         total,
         chunk,
-        |r| check_rank_range(r, start, env, strategy, k, &counts, true),
+        |r| check_rank_range(r, start, env, strategy, k, &counts),
         Partial::default(),
         Partial::merge,
     );
@@ -205,11 +195,7 @@ pub fn is_k_recoverable_exhaustive_stats<S: RepairStrategy + ?Sized>(
     let n = start.len();
     let counts = SubsetCounts::new(n, max_damage.min(n));
     let total = counts.total_nonempty();
-    // Stats paths run unbatched: batching reorders memo probes (all
-    // sibling probes land before their walks), which can shift hit/miss
-    // counts even though verdicts are order-independent. Keeping the
-    // stats engine unbatched pins the counters the telemetry layer pins.
-    let partial = check_rank_range(0..total, start, env, strategy, k, &counts, false);
+    let partial = check_rank_range(0..total, start, env, strategy, k, &counts);
     let stats = partial.stats;
     (finalize(k, total, partial), stats)
 }
@@ -255,7 +241,7 @@ pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
     let partial = ctx.run_ranges(
         total,
         chunk,
-        |r| check_rank_range(r, start, env, strategy, k, &counts, false),
+        |r| check_rank_range(r, start, env, strategy, k, &counts),
         Partial::default(),
         Partial::merge,
     );
@@ -905,15 +891,9 @@ fn finalize(k: usize, total: u64, partial: Partial) -> RecoverabilityReport {
 /// failure (the last one seen when iterating backwards), matching the
 /// forward-enumerating reference checker exactly.
 ///
-/// With `batched` set (and a word-packed memo, i.e. ≤ 64 variables), runs
-/// of *leaf siblings* — maximum-size patterns sharing every element but
-/// the last, which occupy consecutive descending ranks — are probed
-/// against the cache as a block of single-bit XORs of one shared base
-/// word before any repair walk runs. Probed hits settle without touching
-/// a `Config`; only the misses pay `eval_case`. Batching reorders memo
-/// probes relative to the scalar schedule, which can shift hit/miss
-/// *counters* (never verdicts — cached distances are exact), so the
-/// `_stats` entry points pass `batched = false`.
+/// The plain and `_stats` entry points all run this walk, so a `_stats`
+/// checker counts exactly the work its plain counterpart does on the
+/// same partition.
 fn check_rank_range<S: RepairStrategy + ?Sized>(
     range: Range<u64>,
     start: &Config,
@@ -921,77 +901,39 @@ fn check_rank_range<S: RepairStrategy + ?Sized>(
     strategy: &S,
     k: usize,
     counts: &SubsetCounts,
-    batched: bool,
 ) -> Partial {
     let mut partial = Partial::default();
     if range.is_empty() {
         return partial;
     }
     let mut memo = Memo::for_len(start.len());
-    let batched = batched && matches!(memo, Memo::Table(_) | Memo::Small(_));
     let mut subset: Vec<usize> = Vec::with_capacity(counts.max_size);
     let mut damaged = start.clone();
     let mut scratch = start.clone();
     let mut path: Vec<MemoKey> = Vec::with_capacity(k + 2);
-    let mut probe_buf: Vec<Option<u32>> = Vec::with_capacity(64);
     counts.unrank_into(range.end - 1, &mut subset, &mut damaged);
     let mut rank = range.end - 1;
     loop {
-        if batched && subset.len() == counts.max_size {
-            // Leaf-sibling batch: the current pattern's lower siblings
-            // (same prefix, smaller last element) sit at the next
-            // descending ranks, and all their memo keys are single-bit
-            // XORs of the shared base word. Probe the whole run first.
-            let last = *subset.last().expect("leaf subset is non-empty");
-            let floor = subset.len().checked_sub(2).map_or(0, |i| subset[i] + 1);
-            let lanes = usize::try_from(((last - floor + 1) as u64).min(rank - range.start + 1))
-                .expect("lane count fits usize");
-            let base = damaged.to_u64() ^ (1u64 << last);
-            probe_buf.clear();
-            probe_buf.extend(
-                (0..lanes).map(|i| memo.get(&MemoKey::Packed(base ^ (1u64 << (last - i))))),
-            );
-            for (i, probed) in probe_buf.drain(..).enumerate() {
-                let j = last - i;
-                if i > 0 {
-                    // Step to the next-lower sibling in place.
-                    damaged.flip(j + 1);
-                    damaged.flip(j);
-                    *subset.last_mut().expect("leaf subset is non-empty") = j;
-                }
-                let verdict = match probed {
-                    Some(v) => {
-                        partial.stats.cache_hits += 1;
-                        (v != UNRECOVERABLE).then_some(v as usize)
-                    }
-                    // A stale miss re-probes inside `eval_case`, so a lane
-                    // cached by an earlier lane's walk still hits.
-                    None => eval_case(
-                        &damaged,
-                        env,
-                        strategy,
-                        k,
-                        &mut memo,
-                        &mut scratch,
-                        &mut path,
-                        &mut partial.stats,
-                    ),
-                };
-                record_verdict(&mut partial, verdict, &subset, k);
+        match eval_case(
+            &damaged,
+            env,
+            strategy,
+            k,
+            &mut memo,
+            &mut scratch,
+            &mut path,
+            &mut partial.stats,
+        ) {
+            Some(steps) => {
+                partial.recovered += 1;
+                partial.worst_steps = partial.worst_steps.max(steps);
             }
-            rank -= (lanes - 1) as u64;
-        } else {
-            let verdict = eval_case(
-                &damaged,
-                env,
-                strategy,
-                k,
-                &mut memo,
-                &mut scratch,
-                &mut path,
-                &mut partial.stats,
-            );
-            record_verdict(&mut partial, verdict, &subset, k);
+            None => {
+                partial.worst_steps = partial.worst_steps.max(k);
+                partial.any_failure = true;
+                // Overwritten on every failure, so the lowest rank wins.
+                partial.counterexample = Some(subset.clone());
+            }
         }
         if rank == range.start {
             break;
@@ -1000,24 +942,6 @@ fn check_rank_range<S: RepairStrategy + ?Sized>(
         rank -= 1;
     }
     partial
-}
-
-/// Fold one case's verdict into the running partial report. Cases are
-/// visited highest rank first, so overwriting the counterexample on every
-/// failure leaves the lowest-ranked one — the witness the
-/// forward-enumerating reference keeps.
-fn record_verdict(partial: &mut Partial, verdict: Option<usize>, subset: &[usize], k: usize) {
-    match verdict {
-        Some(steps) => {
-            partial.recovered += 1;
-            partial.worst_steps = partial.worst_steps.max(steps);
-        }
-        None => {
-            partial.worst_steps = partial.worst_steps.max(k);
-            partial.any_failure = true;
-            partial.counterexample = Some(subset.to_vec());
-        }
-    }
 }
 
 /// Repair-walk one damaged configuration through the transposition cache.
