@@ -51,10 +51,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-// Library code must surface failures as typed errors, never `unwrap()`;
-// tests are exempt (the `not(test)` gate) because a failed unwrap there
-// *is* the assertion.
+// Library code must surface failures as typed errors, never `unwrap()`
+// or `expect()`; tests are exempt (the `not(test)` gate) because a failed
+// unwrap there *is* the assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod burn;
 pub mod cascade;
