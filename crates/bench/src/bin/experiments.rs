@@ -352,15 +352,13 @@ fn main() {
             .iter()
             .map(|(id, report)| {
                 // Each lost trial is one trigger, anchored at the trial
-                // index (the Monte-Carlo fold has no tick clock). The
-                // causal tracer is empty here: supervised trials carry
-                // no span sketches, so the bundle documents the losses
-                // themselves.
-                let causal = CausalTracer::new();
+                // index (the Monte-Carlo fold has no tick clock). No
+                // request was decided: supervised trials carry no span
+                // sketches, so the bundle documents the losses themselves.
                 let mut recorder = FlightRecorder::new();
                 for l in &report.lost {
                     recorder.trigger(
-                        &causal,
+                        &[],
                         l.trial,
                         TriggerKind::TrialLoss,
                         0,
@@ -370,6 +368,7 @@ fn main() {
                         ),
                     );
                 }
+                let causal = CausalTracer::new();
                 let incidents = recorder.finalize(&causal, &[]);
                 serde::Value::Object(vec![
                     ("id".to_string(), serde::Serialize::serialize(id)),

@@ -23,8 +23,9 @@
 //!   → attack → cascade → plan → drain → score.
 //! * [`BurnPolicy`] — prescribed burns: periodic controlled relief of
 //!   the most-stressed nodes.
-//! * [`record_cluster_events`] / [`record_cluster_metrics`] — pure
-//!   exposition of a [`ClusterReport`] through `crates/telemetry`.
+//! * [`record_cluster`] — the one derivation of a [`ClusterReport`]'s
+//!   trace events, flight-recorder triggers and metric families through
+//!   `crates/telemetry`.
 //!
 //! # Example
 //!
@@ -70,9 +71,7 @@ pub use engine::{
     NodeModeShift, BURN_COST, DISCONNECT_COST,
 };
 pub use node::{NodeFleet, NEVER};
-pub use telemetry::{
-    record_cluster_events, record_cluster_incidents, record_cluster_metrics, CASCADE_SIZE_BOUNDS,
-};
+pub use telemetry::{record_cluster, CASCADE_SIZE_BOUNDS};
 // `Graph` keeps its old cluster-side name for the reference benchmark
 // (`refbench/`), which is pinned to this import path; everything in the
 // workspace itself names `resilience_networks::Graph`.

@@ -1,12 +1,14 @@
 //! Deriving telemetry expositions from a [`ClusterReport`].
 //!
-//! The engine's report is the single source of truth; the tracer and
-//! metrics views are pure functions of it. Because the report itself is
+//! The engine's report is the single source of truth; the trace, flight
+//! recorder and metrics views are pure functions of it, derived by one
+//! function, [`record_cluster`]. Because the report itself is
 //! bit-identical across thread budgets, so is every exposition derived
 //! here — the property `tests/cluster_telemetry.rs` pins.
 
 use crate::engine::ClusterReport;
-use resilience_telemetry::{Event, FlightRecorder, MetricsRegistry, Tracer, TriggerKind};
+use resilience_anticipate::OperatingMode;
+use resilience_telemetry::{Event, Telemetry, TriggerKind};
 
 /// Convert load units to the integer milli-units the trace schema
 /// carries (the streamed JSON writer is integer-only by design).
@@ -14,11 +16,45 @@ fn milli(x: f64) -> u64 {
     (x * 1000.0).round().max(0.0) as u64
 }
 
-/// Record a run's cascade history plus recovery/burn summaries into a
-/// tracer lane. Events land on the ticks they happened on; the run-level
-/// summaries land on the final tick.
-pub fn record_cluster_events(tracer: &mut Tracer, report: &ClusterReport) {
+/// Histogram bounds for cascade sizes (powers of two — cascade-size
+/// distributions are judged on their tail).
+pub const CASCADE_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
+
+/// Derive a run's telemetry from its report: the trace events, the
+/// flight-recorder triggers and the metric families.
+///
+/// * Events: the cascade history, a per-tick mode census on every tick
+///   a node changed mode, and the recovery/burn summaries on the final
+///   tick. Each lands on the tick it happened on.
+/// * Triggers: one at every cascade **onset**, a cascade record whose
+///   previous tick carried no cascade; back-to-back cascade ticks are one
+///   rolling incident and retrigger nothing. The recorder's own
+///   `MAX_TRIGGERS` cap bounds a cascade storm. No request is decided in
+///   a cluster run, so each snapshot is empty.
+/// * Metrics: aggregate counters, gauges and the cascade-size
+///   histogram. Recording several reports accumulates counters and
+///   histograms; gauges keep the last run's value.
+pub fn record_cluster(tel: &mut Telemetry, report: &ClusterReport) {
+    let tracer = &mut tel.tracer;
+    let mut last_cascade_tick: Option<u64> = None;
     for record in &report.cascades {
+        let onset = last_cascade_tick != Some(record.tick.saturating_sub(1))
+            && last_cascade_tick != Some(record.tick);
+        if onset {
+            tel.incidents.trigger(
+                &[],
+                record.tick,
+                TriggerKind::CascadeOnset,
+                milli(record.stats.shed_load),
+                format!(
+                    "wave of {} (trigger {}, {} waves)",
+                    record.stats.trigger + record.stats.toppled,
+                    record.stats.trigger,
+                    record.stats.waves
+                ),
+            );
+        }
+        last_cascade_tick = Some(record.tick);
         tracer.record(
             record.tick,
             Event::ClusterCascade {
@@ -46,11 +82,9 @@ pub fn record_cluster_events(tracer: &mut Tracer, report: &ClusterReport) {
             },
         );
     }
-    // Mode census: replay the retained shift log and emit one census
-    // event per tick on which any node changed mode. Pure function of
-    // the report, like everything else here.
+    // Mode census: replay the retained shift log, one census event per
+    // tick on which any node changed mode.
     if !report.mode_shifts.is_empty() {
-        use resilience_anticipate::OperatingMode;
         let mut alert: u64 = 0;
         let mut emergency: u64 = 0;
         let mut i = 0;
@@ -74,45 +108,7 @@ pub fn record_cluster_events(tracer: &mut Tracer, report: &ClusterReport) {
             tracer.record(tick, Event::ClusterModeCensus { alert, emergency });
         }
     }
-}
-
-/// Trip the incident flight recorder at every cascade **onset**: a
-/// cascade record whose previous tick carried no cascade starts a new
-/// incident; back-to-back cascade ticks are one rolling incident and
-/// retrigger nothing. Pure function of the report, like every other
-/// derivation here; the recorder's own `MAX_TRIGGERS` cap bounds a
-/// cascade storm.
-pub fn record_cluster_incidents(recorder: &mut FlightRecorder, report: &ClusterReport) {
-    let mut last_cascade_tick: Option<u64> = None;
-    for record in &report.cascades {
-        let onset = last_cascade_tick != Some(record.tick.saturating_sub(1))
-            && last_cascade_tick != Some(record.tick);
-        if onset {
-            recorder.trigger(
-                &resilience_telemetry::CausalTracer::new(),
-                record.tick,
-                TriggerKind::CascadeOnset,
-                milli(record.stats.shed_load),
-                format!(
-                    "wave of {} (trigger {}, {} waves)",
-                    record.stats.trigger + record.stats.toppled,
-                    record.stats.trigger,
-                    record.stats.waves
-                ),
-            );
-        }
-        last_cascade_tick = Some(record.tick);
-    }
-}
-
-/// Histogram bounds for cascade sizes (powers of two — cascade-size
-/// distributions are judged on their tail).
-pub const CASCADE_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
-
-/// Record a run's aggregate counters, gauges, and the cascade-size
-/// histogram. Calling this for several reports accumulates counters and
-/// histograms; gauges keep the last run's value.
-pub fn record_cluster_metrics(registry: &mut MetricsRegistry, report: &ClusterReport) {
+    let registry = &mut tel.metrics;
     registry.inc_counter(
         "cluster_cascades_total",
         "Cascades with at least one death",
@@ -230,12 +226,12 @@ mod tests {
     #[test]
     fn events_mirror_the_report() {
         let report = sample_report();
-        let mut tracer = Tracer::new();
-        record_cluster_events(&mut tracer, &report);
+        let mut tel = Telemetry::default();
+        record_cluster(&mut tel, &report);
         // One event per cascade + the recovery summary (+ burn if any).
         let expected = report.cascades.len() + 1 + usize::from(report.burns > 0);
-        assert_eq!(tracer.len(), expected);
-        let json = tracer.to_json();
+        assert_eq!(tel.tracer.len(), expected);
+        let json = tel.tracer.to_json();
         assert!(json.contains("ClusterCascade"));
         assert!(json.contains("ClusterRecovery"));
     }
@@ -243,8 +239,9 @@ mod tests {
     #[test]
     fn incidents_trigger_on_cascade_onsets_only() {
         let report = sample_report();
-        let mut recorder = FlightRecorder::new();
-        record_cluster_incidents(&mut recorder, &report);
+        let mut tel = Telemetry::default();
+        record_cluster(&mut tel, &report);
+        let recorder = &tel.incidents;
         // Count onsets the same way: runs of consecutive cascade ticks.
         let mut expected = 0usize;
         let mut last: Option<u64> = None;
@@ -265,18 +262,18 @@ mod tests {
         }
         // Pure function of the report: recording twice doubles nothing
         // silently — it appends deterministically.
-        let mut again = FlightRecorder::new();
-        record_cluster_incidents(&mut again, &report);
-        assert_eq!(again.triggers().len(), recorder.triggers().len());
+        let mut again = Telemetry::default();
+        record_cluster(&mut again, &report);
+        assert_eq!(again.incidents.triggers().len(), recorder.triggers().len());
     }
 
     #[test]
     fn metrics_accumulate_and_expose() {
         let report = sample_report();
-        let mut registry = MetricsRegistry::new();
-        record_cluster_metrics(&mut registry, &report);
-        record_cluster_metrics(&mut registry, &report);
-        let prom = registry.to_prometheus();
+        let mut tel = Telemetry::default();
+        record_cluster(&mut tel, &report);
+        record_cluster(&mut tel, &report);
+        let prom = tel.metrics.to_prometheus();
         assert!(prom.contains("cluster_cascades_total"));
         assert!(prom.contains("cluster_resilience_loss"));
         assert!(prom.contains("cluster_cascade_size"));

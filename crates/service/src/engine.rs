@@ -24,9 +24,11 @@
 //!    anticipation levers — deadline scale, brownout floor and ceiling,
 //!    every replica breaker's cooldown, and the pressure bias — so
 //!    anticipation composes with replication;
-//! 6. the telemetry spine, when attached, records the tick's
-//!    control-plane changes. Each request reaches it once, when it
-//!    settles, as a [`RequestSketch`] for [`Telemetry::record_request`].
+//! 6. the telemetry spine, when attached, samples the bulkhead
+//!    occupancy and closes the observed tick. Each request reaches it
+//!    once, when it settles, as a [`RequestSketch`] for
+//!    [`Telemetry::record_request`]; every other control-plane event is
+//!    derived after the run from the report's logs by [`record_service`].
 //!
 //! **Replicated-only behaviour.** The loop asks whether a serve is
 //! replicated in exactly three places, each marked where it happens:
@@ -78,7 +80,7 @@ use resilience_telemetry::causal::{
     AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
 };
 use resilience_telemetry::incident::TriggerKind;
-use resilience_telemetry::{Event, Telemetry};
+use resilience_telemetry::{record_causal_metrics, record_incident_metrics, Event, Telemetry};
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::brownout::{BrownoutConfig, BrownoutController};
@@ -334,9 +336,10 @@ impl ServiceEngine {
     /// each request is recorded once, as its causal sketch, when it
     /// settles — in the exact order the engine accumulates its own
     /// deficit, so the observed Q(t) is bit-identical to the report's.
-    /// Breaker transitions, brownout moves, mode changes and bulkhead
-    /// occupancy changes are recorded at the end of each tick, and the
-    /// service metric families are registered at the end of the run.
+    /// Bulkhead occupancy changes are sampled at the end of each tick;
+    /// the rest of the control plane and the metric families are
+    /// derived from the report at the end of the run by
+    /// [`record_service`].
     ///
     /// The returned report is byte-identical to what [`serve`]
     /// (telemetry off) produces for the same inputs — recording only
@@ -521,19 +524,6 @@ enum Decided<'f> {
     Flight(&'f Flight),
 }
 
-/// Telemetry cursors: what has already been emitted, so state changes
-/// surface once each.
-#[derive(Debug)]
-struct Cursors {
-    /// Breaker transitions emitted, per (family, replica).
-    transitions: Vec<Vec<usize>>,
-    brownout: usize,
-    modes: usize,
-    warning: Option<u64>,
-    /// Last family queue depth emitted (occupancy fires on change).
-    queued: Vec<Option<usize>>,
-}
-
 /// The whole state of one serve, advanced one tick at a time by the
 /// stage methods in loop order.
 struct ServeLoop<'a> {
@@ -590,7 +580,8 @@ struct ServeLoop<'a> {
     /// router's ranking of the eligible replicas.
     eligible: Vec<bool>,
     ranked: Vec<u32>,
-    cursors: Cursors,
+    /// Last family queue depth traced (occupancy fires on change).
+    traced_queued: Vec<Option<usize>>,
 }
 
 impl<'a> ServeLoop<'a> {
@@ -702,13 +693,7 @@ impl<'a> ServeLoop<'a> {
             adjudicated: 0,
             eligible: Vec::with_capacity(rcfg.replicas),
             ranked: Vec::with_capacity(rcfg.replicas),
-            cursors: Cursors {
-                transitions: vec![vec![0; rcfg.replicas]; n_families],
-                brownout: 0,
-                modes: 0,
-                warning: None,
-                queued: vec![None; n_families],
-            },
+            traced_queued: vec![None; n_families],
         }
     }
 
@@ -1274,87 +1259,25 @@ impl<'a> ServeLoop<'a> {
         };
     }
 
-    /// Stage 5: surface the tick's control-plane changes to the
-    /// telemetry spine — once per change, in family order, all at the
-    /// current tick — and close the observed trajectory's tick.
+    /// Stage 5: sample each family's bulkhead occupancy on change — the
+    /// one control-plane value no log keeps — and close the observed
+    /// trajectory's tick.
     fn record_tick(&mut self, q: f64) {
-        let tick = self.tick;
         let Some(tel) = self.telemetry.as_deref_mut() else {
             return;
         };
-        let cursors = &mut self.cursors;
-        for (fam, set) in self.sets.iter().enumerate() {
-            for (r, breaker) in set.breakers.iter().enumerate() {
-                let all = breaker.transitions();
-                for t in &all[cursors.transitions[fam][r]..] {
-                    tel.tracer.record(
-                        tick,
-                        Event::BreakerTransition {
-                            family: fam as u32,
-                            from: t.from.to_string(),
-                            to: t.to.to_string(),
-                        },
-                    );
-                }
-                cursors.transitions[fam][r] = all.len();
-            }
-        }
-        let history = self.brownout.history();
-        for &(_, level) in &history[cursors.brownout..] {
-            tel.tracer
-                .record(tick, Event::BrownoutLevelChange { level });
-        }
-        cursors.brownout = history.len();
-        if let Some((controller, _)) = self.anticipation.as_ref() {
-            for t in &controller.transitions()[cursors.modes..] {
-                tel.tracer.record(
-                    tick,
-                    Event::ModeTransition {
-                        from: t.from.to_string(),
-                        to: t.to.to_string(),
-                        score_milli: t.score_milli,
-                    },
-                );
-                if t.is_escalation() {
-                    // Emergency escalation trips the flight recorder at
-                    // the transition's own tick.
-                    let captured = tel.incidents.trigger(
-                        &tel.causal,
-                        t.tick,
-                        TriggerKind::ModeEscalation,
-                        t.score_milli,
-                        format!("{}->{}", t.from, t.to),
-                    );
-                    tel.tracer.record(
-                        tick,
-                        Event::IncidentSnapshot {
-                            trigger: TriggerKind::ModeEscalation.as_str().to_string(),
-                            trigger_tick: t.tick,
-                            captured,
-                        },
-                    );
-                }
-            }
-            cursors.modes = controller.transitions().len();
-            let score = controller.score_milli();
-            if cursors.warning != Some(score) {
-                tel.tracer
-                    .record(tick, Event::WarningScore { score_milli: score });
-                cursors.warning = Some(score);
-            }
-        }
         for (fam, set) in self.sets.iter().enumerate() {
             let (queued, capacity) = set.queue_depth();
-            if cursors.queued[fam] != Some(queued) {
+            if self.traced_queued[fam] != Some(queued) {
                 tel.tracer.record(
-                    tick,
+                    self.tick,
                     Event::BulkheadOccupancy {
                         family: fam as u32,
                         queued: queued as u32,
                         capacity: capacity as u32,
                     },
                 );
-                cursors.queued[fam] = Some(queued);
+                self.traced_queued[fam] = Some(queued);
             }
         }
         // The observer accumulated the same penalties in the same order
@@ -1379,8 +1302,7 @@ impl<'a> ServeLoop<'a> {
             None => (Vec::new(), 0, 0),
         };
         // Per-family breaker transitions, merged across replicas in
-        // (tick, replica) order — the order the telemetry cursor walk
-        // emits them in.
+        // (tick, replica) order.
         let breaker_transitions = self
             .sets
             .iter()
@@ -1423,12 +1345,7 @@ impl<'a> ServeLoop<'a> {
             ticks: self.tick,
         };
         if let Some(tel) = self.telemetry {
-            record_service_metrics(&mut tel.metrics, &report);
-            if !tel.causal.is_empty() {
-                resilience_telemetry::record_causal_metrics(&mut tel.metrics, &tel.causal);
-                let incidents = tel.incidents.finalize(&tel.causal, &report.warning_scores);
-                resilience_telemetry::record_incident_metrics(&mut tel.metrics, &incidents);
-            }
+            record_service(tel, &report);
         }
         report
     }
@@ -1443,15 +1360,62 @@ fn set_cooldowns(sets: &mut [ReplicaSet], cfg: &ServiceConfig, scale_milli: u64)
     }
 }
 
-/// Register the service-layer metric families for `report` in
-/// `registry`. Called by [`ServiceEngine::serve_traced`] after the run;
-/// public so drivers can score an existing report into a shared
-/// registry. All values are pure functions of the report, so the
-/// exposition is as deterministic as the report itself.
-pub fn record_service_metrics(
-    registry: &mut resilience_telemetry::MetricsRegistry,
-    report: &ServiceReport,
-) {
+/// Derive a serve's control-plane telemetry from its report, each event
+/// at its own logged tick: breaker transitions, brownout level changes,
+/// mode transitions (an escalation to Emergency trips the flight
+/// recorder and emits its snapshot), and the warning score whenever it
+/// changes. Then register the service metric families and, when the
+/// causal tracer holds requests, the causal and incident families.
+/// Called by [`ServiceEngine::serve_traced`] after the run; public so
+/// drivers can score an existing report. Every value is a pure function
+/// of the report and the causal tracer, so the output is as
+/// deterministic as the report itself.
+pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
+    let tracer = &mut tel.tracer;
+    for (family, log) in report.breaker_transitions.iter().enumerate() {
+        for t in log {
+            let (from, to) = (t.from.to_string(), t.to.to_string());
+            let family = family as u32;
+            tracer.record(t.tick, Event::BreakerTransition { family, from, to });
+        }
+    }
+    for &(tick, level) in &report.brownout_history {
+        tracer.record(tick, Event::BrownoutLevelChange { level });
+    }
+    let (entries, spans) = (tel.causal.entries(), tel.causal.spans());
+    for t in &report.mode_transitions {
+        let (from, to, score_milli) = (t.from.to_string(), t.to.to_string(), t.score_milli);
+        let detail = format!("{from}->{to}");
+        let event = Event::ModeTransition {
+            from,
+            to,
+            score_milli,
+        };
+        tracer.record(t.tick, event);
+        if t.is_escalation() {
+            // The snapshot covers the requests decided by the escalation
+            // tick: a prefix of the tracer's entries, since each request
+            // is decided at the loop's current tick (its root span's end).
+            let decided = entries.partition_point(|e| spans[e.span_start].end <= t.tick);
+            let kind = TriggerKind::ModeEscalation;
+            let captured =
+                (tel.incidents).trigger(&entries[..decided], t.tick, kind, score_milli, detail);
+            let snapshot = Event::IncidentSnapshot {
+                trigger: kind.as_str().to_string(),
+                trigger_tick: t.tick,
+                captured,
+            };
+            tracer.record(t.tick, snapshot);
+        }
+    }
+    let mut last = None;
+    for (tick, &score_milli) in report.warning_scores.iter().enumerate() {
+        if last != Some(score_milli) {
+            tracer.record(tick as u64, Event::WarningScore { score_milli });
+            last = Some(score_milli);
+        }
+    }
+    let registry = &mut tel.metrics;
     registry.inc_counter(
         "service_requests_total",
         "Requests adjudicated by the serving layer",
@@ -1615,6 +1579,11 @@ pub fn record_service_metrics(
                 .map(|s| s.budget_exhausted)
                 .sum(),
         );
+    }
+    if !tel.causal.is_empty() {
+        record_causal_metrics(&mut tel.metrics, &tel.causal);
+        let incidents = tel.incidents.finalize(&tel.causal, &report.warning_scores);
+        record_incident_metrics(&mut tel.metrics, &incidents);
     }
 }
 

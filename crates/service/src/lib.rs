@@ -57,9 +57,7 @@ pub mod request;
 pub use breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 pub use brownout::{BrownoutConfig, BrownoutController};
 pub use bulkhead::{Bulkhead, BulkheadProbe, Job};
-pub use engine::{
-    record_service_metrics, FamilyStats, ServiceConfig, ServiceEngine, ServiceReport,
-};
+pub use engine::{record_service, FamilyStats, ServiceConfig, ServiceEngine, ServiceReport};
 pub use replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
 };

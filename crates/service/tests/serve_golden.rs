@@ -11,7 +11,9 @@
 //! The `events` rows pin the exact trace bytes, including the order of
 //! events within a tick. That order follows recording order: a request's
 //! events are written once, when it settles, each stamped with its own
-//! tick, and the control-plane events at the end of every tick. Each
+//! tick; bulkhead occupancy at the end of every tick; and the rest of the
+//! control plane after the run, derived from the report's logs, each
+//! event at its own logged tick. Each
 //! traced cell also pins `events-canonical`: the event stream with lanes
 //! and sequence numbers dropped and each tick's events sorted by their
 //! compact JSON. It holds every event's fields and tick but not the
@@ -173,17 +175,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/correlated/42/report", 0x07c150cd6bd8f45e),
     ("degradation-off/gray-storm/42/report", 0xfb66675a0bde202f),
     ("anticipation/quiet/42/report", 0x4207ae1829e61e48),
-    ("anticipation/quiet/42/events", 0x54c87df010332b43),
+    ("anticipation/quiet/42/events", 0x2859083aa4e7c6f9),
     ("anticipation/quiet/42/events-canonical", 0x6d4fa34fab379d08),
     ("anticipation/quiet/42/postmortem", 0xaa2e01323d6e0842),
     ("anticipation/quiet/42/prometheus", 0x2636058bbbf836cc),
     ("anticipation/chaos/42/report", 0x3ed7481933e5fc71),
-    ("anticipation/chaos/42/events", 0x8ae7cd1ffede619b),
+    ("anticipation/chaos/42/events", 0x9470cfc8ac07e105),
     ("anticipation/chaos/42/events-canonical", 0xa025969b5bc7476b),
     ("anticipation/chaos/42/postmortem", 0xf11de7ff667b6f43),
     ("anticipation/chaos/42/prometheus", 0x2484c4a25d4fac07),
     ("anticipation/correlated/42/report", 0x0efeafb60c32e591),
-    ("anticipation/correlated/42/events", 0xc0eaf1b24a89356e),
+    ("anticipation/correlated/42/events", 0x732ede4f8f7c72de),
     (
         "anticipation/correlated/42/events-canonical",
         0xc537ded06d3cb566,
@@ -191,7 +193,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("anticipation/correlated/42/postmortem", 0xcd490de591e5c436),
     ("anticipation/correlated/42/prometheus", 0xb3afa1ed4db300b0),
     ("anticipation/gray-storm/42/report", 0x8f6ea17966793dc8),
-    ("anticipation/gray-storm/42/events", 0xd324464ffae351da),
+    ("anticipation/gray-storm/42/events", 0xcb59543492e64456),
     (
         "anticipation/gray-storm/42/events-canonical",
         0xb9592ee8295a17ca,
@@ -203,17 +205,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/correlated/42/report", 0x28bb2207e431f7fe),
     ("replicas-1/gray-storm/42/report", 0xcd87cb91c29db37e),
     ("diverse-2/quiet/42/report", 0x93c2f999de98d1e9),
-    ("diverse-2/quiet/42/events", 0x6d35b6b3cdc84e40),
+    ("diverse-2/quiet/42/events", 0x3ed2e5a229613e48),
     ("diverse-2/quiet/42/events-canonical", 0x8bfce5b7a596cb97),
     ("diverse-2/quiet/42/postmortem", 0x5540dc3e6b8be1cf),
     ("diverse-2/quiet/42/prometheus", 0xd58fd3f603c09d65),
     ("diverse-2/chaos/42/report", 0x37f6828a00bfee54),
-    ("diverse-2/chaos/42/events", 0x50cecbe61c0e5954),
+    ("diverse-2/chaos/42/events", 0xe5baa891da5d12ea),
     ("diverse-2/chaos/42/events-canonical", 0x34d01dacb7d0f206),
     ("diverse-2/chaos/42/postmortem", 0x3c9a79d3e11fa260),
     ("diverse-2/chaos/42/prometheus", 0xa5d89fa85b86aa19),
     ("diverse-2/correlated/42/report", 0x4a9554a5a17f955c),
-    ("diverse-2/correlated/42/events", 0xbb21d136226694bd),
+    ("diverse-2/correlated/42/events", 0x62c7a14d398d8fd7),
     (
         "diverse-2/correlated/42/events-canonical",
         0xcd60a2ebd8810fd9,
@@ -221,7 +223,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("diverse-2/correlated/42/postmortem", 0xa6644e233a752145),
     ("diverse-2/correlated/42/prometheus", 0x0177b3cf2931308a),
     ("diverse-2/gray-storm/42/report", 0x84dadc4f91731af6),
-    ("diverse-2/gray-storm/42/events", 0xb55b8d776f032808),
+    ("diverse-2/gray-storm/42/events", 0x65f482757fb1c372),
     (
         "diverse-2/gray-storm/42/events-canonical",
         0xd39c0363f605377f,
@@ -241,17 +243,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("degradation-off/correlated/7/report", 0x910bffca3bb9e0cd),
     ("degradation-off/gray-storm/7/report", 0xa640026b69932e9f),
     ("anticipation/quiet/7/report", 0xacc4fdad771534b2),
-    ("anticipation/quiet/7/events", 0x563511e515a25598),
+    ("anticipation/quiet/7/events", 0x909bef95dde6d47e),
     ("anticipation/quiet/7/events-canonical", 0x9f52ea9dde396c6d),
     ("anticipation/quiet/7/postmortem", 0xc3d6641c2a5b8047),
     ("anticipation/quiet/7/prometheus", 0x329bd8f1b9c39aad),
     ("anticipation/chaos/7/report", 0x03425f2e7aa4d83f),
-    ("anticipation/chaos/7/events", 0xf226a07c1bc14d39),
+    ("anticipation/chaos/7/events", 0x2c02a2f6966245ef),
     ("anticipation/chaos/7/events-canonical", 0x5bfbbc3cec284349),
     ("anticipation/chaos/7/postmortem", 0x054f5620b2f67aab),
     ("anticipation/chaos/7/prometheus", 0xfd31a9c6f60920b3),
     ("anticipation/correlated/7/report", 0xf3c9bd4b18e54ab6),
-    ("anticipation/correlated/7/events", 0xd5deb7d364335bdb),
+    ("anticipation/correlated/7/events", 0xffd7e6417b83c5f9),
     (
         "anticipation/correlated/7/events-canonical",
         0xc962bffbf89091f2,
@@ -259,7 +261,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("anticipation/correlated/7/postmortem", 0x07d6a145711401b2),
     ("anticipation/correlated/7/prometheus", 0x38f4a12b91d0797a),
     ("anticipation/gray-storm/7/report", 0x27bf85b6f77bafbb),
-    ("anticipation/gray-storm/7/events", 0xa96144bfb19361f8),
+    ("anticipation/gray-storm/7/events", 0x8cab4459ccd59a68),
     (
         "anticipation/gray-storm/7/events-canonical",
         0x7ec325e604f41e2e,
@@ -271,17 +273,17 @@ const GOLDEN: &[(&str, u64)] = &[
     ("replicas-1/correlated/7/report", 0xf296624ac1f938b5),
     ("replicas-1/gray-storm/7/report", 0x564b3e57acee4806),
     ("diverse-2/quiet/7/report", 0x2d71d2360c45e2f3),
-    ("diverse-2/quiet/7/events", 0xf320a5445cd6bf70),
+    ("diverse-2/quiet/7/events", 0xf5fda621a85ce3be),
     ("diverse-2/quiet/7/events-canonical", 0xd86ef3fbdc32a8da),
     ("diverse-2/quiet/7/postmortem", 0x2ca0da2ac0ffb678),
     ("diverse-2/quiet/7/prometheus", 0xbd1bf2cda17aeb94),
     ("diverse-2/chaos/7/report", 0x95b93f777ae7f088),
-    ("diverse-2/chaos/7/events", 0xcde3a02ad527ff74),
+    ("diverse-2/chaos/7/events", 0xc1d3d2f0de673006),
     ("diverse-2/chaos/7/events-canonical", 0x25ebc87d58873f9f),
     ("diverse-2/chaos/7/postmortem", 0x51dfe538285e2ad0),
     ("diverse-2/chaos/7/prometheus", 0x8ac0f99c3ff8d616),
     ("diverse-2/correlated/7/report", 0x9fc3f7e22607d841),
-    ("diverse-2/correlated/7/events", 0x39d972d8f0d6c9a9),
+    ("diverse-2/correlated/7/events", 0xec285ec875e53189),
     (
         "diverse-2/correlated/7/events-canonical",
         0xfb4caf9c563847b8,
@@ -289,7 +291,7 @@ const GOLDEN: &[(&str, u64)] = &[
     ("diverse-2/correlated/7/postmortem", 0xd6b14ef4bca4f26f),
     ("diverse-2/correlated/7/prometheus", 0x362357f042c9f4f3),
     ("diverse-2/gray-storm/7/report", 0x83e847c821a5428b),
-    ("diverse-2/gray-storm/7/events", 0x3a39039a49997ccc),
+    ("diverse-2/gray-storm/7/events", 0xf512b40c2b4a31d6),
     (
         "diverse-2/gray-storm/7/events-canonical",
         0x60dff08b433238d4,

@@ -199,7 +199,7 @@ fn service_report_serializes_through_the_shared_trajectory_type() {
     assert!(text.contains("\"outcomes\""));
     // The metrics exposition names every required family.
     let mut tel = Telemetry::new(1.0);
-    resilience_service::record_service_metrics(&mut tel.metrics, &report);
+    resilience_service::record_service(&mut tel, &report);
     let prom = tel.metrics.to_prometheus();
     for family in [
         "service_requests_total",

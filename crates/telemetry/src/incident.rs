@@ -1,12 +1,13 @@
 //! Incident flight recorder and deterministic postmortem bundles.
 //!
 //! A [`FlightRecorder`] keeps no per-request state of its own: the
-//! causal tracer is the one record of decided requests. When the
-//! anticipation controller escalates to Emergency (or a cluster cascade
-//! ignites), the engine calls [`FlightRecorder::trigger`], which
-//! snapshots the last [`RING_CAPACITY`] decided requests of every family
-//! *at that tick* — deterministically, because the tracer's decision
-//! order is a pure function of the simulation. After the run,
+//! causal tracer is the one record of decided requests. For each
+//! escalation to Emergency (or cluster cascade onset), the engine's
+//! report→telemetry derivation calls [`FlightRecorder::trigger`] with
+//! the tracer's entries decided by the trigger tick, and it snapshots
+//! the last [`RING_CAPACITY`] of them per family — deterministically,
+//! because the tracer's decision order is a pure function of the
+//! simulation. After the run,
 //! [`FlightRecorder::finalize`] joins each snapshot against the causal
 //! tracer to produce [`IncidentReport`]s: trigger, pre/post warning-score
 //! trajectory, involved replicas, and the top-k critical paths ranked by
@@ -94,13 +95,14 @@ impl FlightRecorder {
         FlightRecorder::default()
     }
 
-    /// Snapshot the last [`RING_CAPACITY`] requests of each family that
-    /// `causal` has decided so far, at `tick`. Returns the number of
-    /// requests captured. Past [`MAX_TRIGGERS`] the trigger is counted
-    /// but not kept, bounding memory under trigger storms.
+    /// Snapshot the last [`RING_CAPACITY`] requests of each family among
+    /// `decided`, the prefix of [`CausalTracer::entries`] decided by
+    /// `tick`. Returns the number of requests captured. Past
+    /// [`MAX_TRIGGERS`] the trigger is counted but not kept, bounding
+    /// memory under trigger storms.
     pub fn trigger(
         &mut self,
-        causal: &CausalTracer,
+        decided: &[RequestEntry],
         tick: u64,
         kind: TriggerKind,
         score_milli: u64,
@@ -110,7 +112,7 @@ impl FlightRecorder {
             self.dropped += 1;
             return 0;
         }
-        let snapshot = flight_window(causal.entries());
+        let snapshot = flight_window(decided);
         let captured = snapshot.len() as u64;
         self.triggers.push(Trigger {
             tick,
@@ -433,7 +435,7 @@ mod tests {
         }
         let mut rec = FlightRecorder::new();
         let captured = rec.trigger(
-            &causal,
+            causal.entries(),
             50,
             TriggerKind::ModeEscalation,
             900,
@@ -456,7 +458,7 @@ mod tests {
         causal.record(&traced_request(2, 0, 2)); // deficit 7
         let mut rec = FlightRecorder::new();
         rec.trigger(
-            &causal,
+            causal.entries(),
             20,
             TriggerKind::ModeEscalation,
             912,
@@ -482,7 +484,13 @@ mod tests {
         let mut causal = CausalTracer::new();
         causal.record(&traced_request(1, 0, 4));
         let mut rec = FlightRecorder::new();
-        rec.trigger(&causal, 9, TriggerKind::ModeEscalation, 0, String::new());
+        rec.trigger(
+            causal.entries(),
+            9,
+            TriggerKind::ModeEscalation,
+            0,
+            String::new(),
+        );
         causal.record(&traced_request(2, 0, 2));
         let reports = rec.finalize(&causal, &[]);
         assert_eq!(rec.triggers()[0].snapshot, vec![0]);
@@ -496,7 +504,7 @@ mod tests {
         causal.record(&traced_request(1, 0, 4));
         let mut rec = FlightRecorder::new();
         rec.trigger(
-            &causal,
+            causal.entries(),
             9,
             TriggerKind::CascadeOnset,
             0,
@@ -514,11 +522,10 @@ mod tests {
 
     #[test]
     fn trigger_storm_is_bounded() {
-        let causal = CausalTracer::new();
         let mut rec = FlightRecorder::new();
         for t in 0..(MAX_TRIGGERS as u64 + 5) {
             assert_eq!(
-                rec.trigger(&causal, t, TriggerKind::TrialLoss, 0, String::new()),
+                rec.trigger(&[], t, TriggerKind::TrialLoss, 0, String::new()),
                 0
             );
         }

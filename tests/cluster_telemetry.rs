@@ -7,12 +7,11 @@
 
 use rand::Rng;
 use systems_resilience::cluster::{
-    record_cluster_events, record_cluster_metrics, AttackSpec, ClusterConfig, ClusterEngine,
-    ClusterReport, TopologyKind,
+    record_cluster, AttackSpec, ClusterConfig, ClusterEngine, ClusterReport, TopologyKind,
 };
 use systems_resilience::core::{FaultPlan, RunContext};
 use systems_resilience::networks::AttackStrategy;
-use systems_resilience::telemetry::{MetricsRegistry, Tracer};
+use systems_resilience::telemetry::Telemetry;
 
 fn fleet_engine() -> ClusterEngine {
     let mut config = ClusterConfig::new(1_500, TopologyKind::ScaleFree { m: 3 });
@@ -61,8 +60,7 @@ fn cluster_expositions(threads: usize, plan: &FaultPlan) -> [String; 4] {
         },
     );
 
-    let mut tracer = Tracer::new();
-    let mut registry = MetricsRegistry::new();
+    let mut tel = Telemetry::default();
     for report in &reports {
         // Attribution must reconcile with the run's own Bruneau loss —
         // the exposition is only trustworthy if the per-cause split
@@ -77,14 +75,13 @@ fn cluster_expositions(threads: usize, plan: &FaultPlan) -> [String; 4] {
             "per-cause components do not sum to R: {} vs {r}",
             report.attribution.components_sum()
         );
-        record_cluster_events(&mut tracer, report);
-        record_cluster_metrics(&mut registry, report);
+        record_cluster(&mut tel, report);
     }
     let logs = serde_json::to_string(&reports).expect("reports serialize");
     [
-        tracer.to_json(),
-        registry.to_prometheus(),
-        registry.to_json(),
+        tel.tracer.to_json(),
+        tel.metrics.to_prometheus(),
+        tel.metrics.to_json(),
         logs,
     ]
 }

@@ -228,7 +228,7 @@ proptest! {
                 pending.next();
                 let tick = at as u64;
                 let captured = recorder.trigger(
-                    &causal,
+                    causal.entries(),
                     tick,
                     TriggerKind::ModeEscalation,
                     tick * 3,
@@ -295,7 +295,13 @@ fn window_keeps_the_newest_requests_per_family() {
         rings.observe(s.family, s.id);
     }
     let mut recorder = FlightRecorder::new();
-    let captured = recorder.trigger(&causal, 1, TriggerKind::CascadeOnset, 0, String::new());
+    let captured = recorder.trigger(
+        causal.entries(),
+        1,
+        TriggerKind::CascadeOnset,
+        0,
+        String::new(),
+    );
     assert_eq!(captured, rings.trigger(1));
     assert_eq!(captured, 2 * RING_CAPACITY as u64);
     let snapshot: Vec<u64> = recorder.triggers()[0]
