@@ -417,7 +417,7 @@ impl FaultConfig {
     ///
     /// Keys: `seed` (u64), `panic`/`delay`/`poison`/`permanent`/`gray`/
     /// `correlated` (rates in `[0,1]`), `gray_factor` (work inflation of
-    /// a gray backend, u64 ≥ 1), `delay_ms` (u64), `times` (attempts a
+    /// a gray backend, u32 ≥ 1), `delay_ms` (u32), `times` (attempts a
     /// transient fault persists), `retries` (u32),
     /// `backoff_ms`/`backoff_cap_ms` (u64), `deadline_ms` (u64). Unknown
     /// keys and malformed values are reported with the offending token,
@@ -470,17 +470,19 @@ impl FaultConfig {
                     plan.correlated_rate =
                         parse_rate(value).ok_or_else(|| bad("rate must be in [0,1]"))?
                 }
+                // `gray_factor` and `delay_ms` scale the serve's work
+                // units; the u32 bound keeps that arithmetic in u64.
                 "gray_factor" => {
                     plan.gray_factor = value
                         .parse()
                         .ok()
-                        .filter(|&g: &u64| g >= 1)
-                        .ok_or_else(|| bad("gray_factor must be a positive u64"))?
+                        .filter(|&g: &u32| g >= 1)
+                        .ok_or_else(|| bad("gray_factor must be a positive u32"))?
+                        .into()
                 }
                 "delay_ms" => {
-                    plan.delay = Duration::from_millis(
-                        value.parse().map_err(|_| bad("delay_ms must be a u64"))?,
-                    )
+                    let ms: u32 = value.parse().map_err(|_| bad("delay_ms must be a u32"))?;
+                    plan.delay = Duration::from_millis(ms.into())
                 }
                 "times" => {
                     plan.transient_attempts = value
@@ -1028,6 +1030,8 @@ mod tests {
             ("gray=1.5", "gray=1.5"),
             ("correlated=-0.2", "correlated=-0.2"),
             ("gray_factor=0", "gray_factor=0"),
+            ("gray_factor=4294967296", "gray_factor=4294967296"),
+            ("delay_ms=4294967296", "delay_ms=4294967296"),
         ] {
             let err = FaultConfig::parse(spec).expect_err(spec);
             let msg = err.to_string();

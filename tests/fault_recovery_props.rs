@@ -11,12 +11,16 @@
 //! it exactly (`parse(cfg.to_string()) == cfg`) for any config whose
 //! durations are whole milliseconds — the spec's unit — while malformed
 //! specs must be rejected with an error naming the offending token.
+//! No spec built from edge values may panic the parser, and every spec
+//! it accepts must serve a short trace without panicking.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::Rng;
 use systems_resilience::core::{FaultConfig, FaultPlan, RecoveryPolicy, RunContext, Supervision};
+use systems_resilience::service::{RequestTrace, ServiceConfig, ServiceEngine, TraceSpec};
 
 /// The reference workload: XOR-fold of seeded draws, so any dropped,
 /// duplicated, or re-ordered trial changes the result.
@@ -210,5 +214,97 @@ proptest! {
             .expect_err("key-only token must be rejected");
         let msg = err.to_string();
         prop_assert!(msg.contains(&token), "error `{}` does not name `{}`", msg, token);
+    }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Specs assembled from edge values (0, 1, `u32::MAX`, `u32::MAX + 1`,
+    /// `u64::MAX`, plus a mid-range rate) never panic the parser, and
+    /// every spec it accepts serves a 50-request trace with the default
+    /// config without panicking. Every spec sets the two work
+    /// multipliers, `delay_ms` and `gray_factor`, to integer edge values
+    /// beside a valid pair of the rates that make them bite; up to two
+    /// more tokens come from any key and any edge value.
+    #[test]
+    fn edge_value_specs_parse_and_serve_without_panicking(
+        rates in 0usize..RATE_PAIRS.len(),
+        multipliers in (0usize..INTEGER_EDGES, 0usize..INTEGER_EDGES),
+        extra in proptest::collection::vec(
+            (0usize..KNOWN_KEYS.len(), 0usize..EDGE_VALUES.len()),
+            0..=2,
+        ),
+    ) {
+        let mut spec = format!(
+            "delay={},gray={},delay_ms={},gray_factor={}",
+            RATE_PAIRS[rates].0, RATE_PAIRS[rates].1,
+            EDGE_VALUES[multipliers.0], EDGE_VALUES[multipliers.1],
+        );
+        for &(k, v) in &extra {
+            spec.push_str(&format!(",{}={}", KNOWN_KEYS[k], EDGE_VALUES[v]));
+        }
+        let parsed = catch_unwind(|| FaultConfig::parse(&spec));
+        prop_assert!(parsed.is_ok(), "parse panicked on `{}`", spec);
+        if let Ok(Ok(cfg)) = parsed {
+            let trace = RequestTrace::generate(&TraceSpec::new(50, 42));
+            let engine = ServiceEngine::new(ServiceConfig::default());
+            let served = catch_unwind(AssertUnwindSafe(|| engine.serve(&trace, &cfg.plan)));
+            prop_assert!(served.is_ok(), "serve panicked under `{}`", spec);
+        }
+    }
+}
+
+/// Values at the edges of the spec grammar's integer types, then a
+/// mid-range rate.
+const EDGE_VALUES: [&str; 6] = [
+    "0",
+    "1",
+    "4294967295",
+    "4294967296",
+    "18446744073709551615",
+    "0.5",
+];
+
+/// The integer edge values: the first entries of [`EDGE_VALUES`].
+const INTEGER_EDGES: usize = 5;
+
+/// `(delay, gray)` rate pairs the plan accepts (their sum is at most 1).
+const RATE_PAIRS: [(&str, &str); 6] = [
+    ("0", "0"),
+    ("1", "0"),
+    ("0", "1"),
+    ("0.5", "0.5"),
+    ("0.5", "0"),
+    ("0", "0.5"),
+];
+
+/// The two specs that overflowed the serve's work arithmetic before
+/// `delay_ms` and `gray_factor` were bounded to u32: both are rejected
+/// naming the token, and the largest accepted values serve.
+#[test]
+fn oversized_work_multipliers_are_rejected_at_the_boundary() {
+    for (spec, token) in [
+        (
+            "seed=1,delay=0.5,delay_ms=2305843009213693952",
+            "delay_ms=2305843009213693952",
+        ),
+        (
+            "seed=1,gray=0.5,gray_factor=18446744073709551615",
+            "gray_factor=18446744073709551615",
+        ),
+    ] {
+        let msg = FaultConfig::parse(spec).expect_err(spec).to_string();
+        assert!(msg.contains(token), "error `{msg}` does not name `{token}`");
+    }
+    let trace = RequestTrace::generate(&TraceSpec::new(50, 42));
+    let engine = ServiceEngine::new(ServiceConfig::default());
+    for spec in [
+        "seed=1,delay=0.5,delay_ms=4294967295",
+        "seed=1,gray=0.5,gray_factor=4294967295",
+    ] {
+        let plan = FaultConfig::parse(spec).expect(spec).plan;
+        assert_eq!(engine.serve(&trace, &plan).total(), 50, "{spec}");
     }
 }
