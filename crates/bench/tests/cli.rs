@@ -354,3 +354,84 @@ fn resume_drops_a_torn_tail_cut_inside_a_multibyte_character() {
     assert!(stderr.contains("e20: resumed from checkpoint"), "{stderr}");
     assert_eq!(resumed.stdout, first.stdout);
 }
+
+/// 200,000 unclosed `[`: deep enough to overflow the stack of a parser
+/// that recursed without a nesting limit.
+fn deeply_nested_line() -> Vec<u8> {
+    vec![b'['; 200_000]
+}
+
+#[test]
+fn resume_drops_a_deeply_nested_torn_tail() {
+    for (name, newline) in [("deep-tail.ckpt", false), ("deep-tail-nl.ckpt", true)] {
+        let ckpt = report_path(name);
+        let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
+        let _ = std::fs::remove_file(ckpt.with_file_name(format!("{name}.reports")));
+        let first = experiments()
+            .args(["--resume", ckpt_arg, "e20"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(first.status.code(), Some(0));
+
+        let mut torn = std::fs::read(&ckpt).expect("journal written");
+        torn.extend(deeply_nested_line());
+        if newline {
+            torn.push(b'\n');
+        }
+        std::fs::write(&ckpt, torn).expect("append deep tail");
+
+        let resumed = experiments()
+            .args(["--resume", ckpt_arg, "e20"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&resumed.stderr);
+        assert_eq!(resumed.status.code(), Some(0), "stderr: {stderr}");
+        assert!(stderr.contains("e20: resumed from checkpoint"), "{stderr}");
+        assert_eq!(resumed.stdout, first.stdout);
+    }
+}
+
+#[test]
+fn deeply_nested_line_before_a_valid_one_is_corrupt() {
+    let ckpt = report_path("deep-middle.ckpt");
+    let ckpt_arg = ckpt.to_str().expect("utf-8 temp path");
+    let _ = std::fs::remove_file(ckpt.with_file_name("deep-middle.ckpt.reports"));
+    let first = experiments()
+        .args(["--resume", ckpt_arg, "e20"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(first.status.code(), Some(0));
+
+    let line = std::fs::read(&ckpt).expect("journal written");
+    let mut corrupt = line.clone();
+    corrupt.extend(deeply_nested_line());
+    corrupt.push(b'\n');
+    corrupt.extend_from_slice(&line);
+    std::fs::write(&ckpt, corrupt).expect("write corrupt journal");
+
+    let resumed = experiments()
+        .args(["--resume", ckpt_arg, "e20"])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert_eq!(resumed.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("corrupt entry on line 2"), "{stderr}");
+}
+
+#[test]
+fn validate_json_rejects_a_deeply_nested_document() {
+    let deep = report_path("deep.json");
+    std::fs::write(&deep, deeply_nested_line()).expect("write deep document");
+    let schema = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../schemas/metrics.schema.json"
+    );
+    let out = Command::new(env!("CARGO_BIN_EXE_validate_json"))
+        .arg(schema)
+        .arg(&deep)
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("is not valid JSON"), "{stderr}");
+}
