@@ -551,7 +551,8 @@ impl FaultConfig {
 
 /// Displays the canonical spec ([`FaultConfig::to_spec`]), so
 /// `FaultConfig::parse(cfg.to_string())` round-trips any config whose
-/// durations are whole milliseconds (the spec's unit).
+/// durations are whole milliseconds (the spec's unit) and whose delay
+/// and gray factor fit the parser's u32 bound.
 impl fmt::Display for FaultConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_spec())
@@ -1032,6 +1033,15 @@ mod tests {
             ("gray_factor=0", "gray_factor=0"),
             ("gray_factor=4294967296", "gray_factor=4294967296"),
             ("delay_ms=4294967296", "delay_ms=4294967296"),
+            // These two overflowed the serve's work arithmetic.
+            (
+                "seed=1,delay=0.5,delay_ms=2305843009213693952",
+                "delay_ms=2305843009213693952",
+            ),
+            (
+                "seed=1,gray=0.5,gray_factor=18446744073709551615",
+                "gray_factor=18446744073709551615",
+            ),
         ] {
             let err = FaultConfig::parse(spec).expect_err(spec);
             let msg = err.to_string();

@@ -280,24 +280,10 @@ const RATE_PAIRS: [(&str, &str); 6] = [
     ("0", "0.5"),
 ];
 
-/// The two specs that overflowed the serve's work arithmetic before
-/// `delay_ms` and `gray_factor` were bounded to u32: both are rejected
-/// naming the token, and the largest accepted values serve.
+/// The largest `delay_ms` and `gray_factor` the parser accepts serve
+/// a short trace to the end.
 #[test]
-fn oversized_work_multipliers_are_rejected_at_the_boundary() {
-    for (spec, token) in [
-        (
-            "seed=1,delay=0.5,delay_ms=2305843009213693952",
-            "delay_ms=2305843009213693952",
-        ),
-        (
-            "seed=1,gray=0.5,gray_factor=18446744073709551615",
-            "gray_factor=18446744073709551615",
-        ),
-    ] {
-        let msg = FaultConfig::parse(spec).expect_err(spec).to_string();
-        assert!(msg.contains(token), "error `{msg}` does not name `{token}`");
-    }
+fn largest_accepted_work_multipliers_serve() {
     let trace = RequestTrace::generate(&TraceSpec::new(50, 42));
     let engine = ServiceEngine::new(ServiceConfig::default());
     for spec in [
