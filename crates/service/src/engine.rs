@@ -1397,9 +1397,11 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
             // tick: a prefix of the tracer's entries, since each request
             // is decided at the loop's current tick (its root span's end).
             let decided = entries.partition_point(|e| spans[e.span_start].end <= t.tick);
+            let decided = &entries[..decided];
             let kind = TriggerKind::ModeEscalation;
-            let captured =
-                (tel.incidents).trigger(&entries[..decided], t.tick, kind, score_milli, detail);
+            let captured = tel
+                .incidents
+                .trigger(decided, t.tick, kind, score_milli, detail);
             let snapshot = Event::IncidentSnapshot {
                 trigger: kind.as_str().to_string(),
                 trigger_tick: t.tick,
