@@ -18,7 +18,7 @@ fn bench_maintainability(c: &mut Criterion) {
             b.iter(|| black_box(&ts).analyze_reference())
         });
         group.bench_function(format!("analyze_adversarial/{n}bits"), |b| {
-            b.iter(|| black_box(&ts).analyze_adversarial())
+            b.iter(|| black_box(&ts).analyze_adversarial(1))
         });
         group.bench_function(format!("analyze_adversarial_reference/{n}bits"), |b| {
             b.iter(|| black_box(&ts).analyze_adversarial_reference())

@@ -42,7 +42,7 @@ use resilience_dcsp::maintainability::{
 };
 use resilience_dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
-    is_k_recoverable_symmetric_stats, recoverability_reference,
+    recoverability_reference,
 };
 use resilience_dcsp::repair::GreedyRepair;
 
@@ -951,10 +951,9 @@ fn run_dcsp_smoke(reps: usize) {
     // four threads.
     let start = Config::ones(24);
     let env = AllOnes::new(24);
-    let (sym_report, sym_stats) =
-        is_k_recoverable_symmetric_stats(&start, &env, &greedy, 4, 4, &ctx4)
-            .expect("AllOnes declares a symmetry class");
-    let (sym_report1, _) = is_k_recoverable_symmetric_stats(&start, &env, &greedy, 4, 4, &ctx1)
+    let (sym_report, sym_stats) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx4)
+        .expect("AllOnes declares a symmetry class");
+    let (sym_report1, _) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx1)
         .expect("AllOnes declares a symmetry class");
     let full = is_k_recoverable_exhaustive_parallel(&start, &env, &greedy, 4, 4, &ctx4);
     let reference = recoverability_reference(&start, &env, &greedy, 4, 4);

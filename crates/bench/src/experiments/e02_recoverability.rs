@@ -42,6 +42,7 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
         } else {
             is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), damage, k, ctx)
                 .expect("AllOnes declares a symmetry class")
+                .0
         };
         let expected = k >= damage;
         if report.is_k_recoverable() != expected {

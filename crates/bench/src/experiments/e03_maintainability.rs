@@ -30,7 +30,7 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
         let env = AtLeastOnes::new(n, need);
         let ts = TransitionSystem::from_bit_dcsp(n, &env, 2);
         let report = ts.analyze();
-        let adversarial = ts.analyze_adversarial();
+        let adversarial = ts.analyze_adversarial(1);
         let states = 1usize << n;
         // Work done by the backward BFS = controllable edges traversed.
         // Deterministic (unlike wall time, which the determinism contract

@@ -70,9 +70,8 @@ pub use maintainability::{
 pub use problem::{DcspSystem, EpisodeRecord};
 pub use recoverability::{
     is_k_recoverable_auto, is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel,
-    is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_exhaustive_stats,
-    is_k_recoverable_symmetric, is_k_recoverable_symmetric_stats, recoverability_reference,
-    sampled_recoverability, RecoverabilityReport, VerifyStats,
+    is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_symmetric,
+    recoverability_reference, sampled_recoverability, RecoverabilityReport, VerifyStats,
 };
 pub use repair::{AnnealRepair, BfsRepair, GreedyRepair, RepairOutcome, RepairStrategy};
 pub use scenario::{Scenario, ScenarioReport, ScenarioStep};

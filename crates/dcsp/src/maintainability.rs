@@ -14,16 +14,15 @@
 //!
 //! * [`TransitionSystem::analyze`] — the paper's definition: the
 //!   environment stays quiet during repair. Backward BFS (word-packed
-//!   bitset frontiers over the reverse CSR) from the normal states yields,
-//!   for every state, the minimum number of controllable steps to
-//!   normality, and a [`MaintenancePolicy`] achieving it. This is the
-//!   polynomial-time construction of Baral & Eiter.
+//!   bitset frontiers) from the normal states yields, for every state, the
+//!   minimum number of controllable steps to normality, and a
+//!   [`MaintenancePolicy`] achieving it. This is the polynomial-time
+//!   construction of Baral & Eiter.
 //! * [`TransitionSystem::analyze_adversarial`] — a strictly stronger
 //!   variant in which after every administrator action the environment may
 //!   take one worst-case exogenous step; computed as a min-max fixed point
-//!   by Jacobi (snapshot) value iteration, parallelizable over state
-//!   ranges ([`TransitionSystem::analyze_adversarial_threads`]) with
-//!   thread-invariant output.
+//!   by Jacobi (snapshot) value iteration, chunked over a thread budget
+//!   with thread-invariant output.
 //!
 //! For bit-string DCSPs the explicit construction
 //! ([`TransitionSystem::from_bit_dcsp`]) materializes all `2^n` states and
@@ -46,12 +45,15 @@
 //! `C(n, p)` instead of expanding, so they reach `2^63` states; without a
 //! declared symmetry they summarize the dense report.
 //!
-//! Policy tie-breaking is canonical in every analysis path: among the
-//! controllable successors achieving the optimal value, the one inserted
-//! first is chosen (for bit DCSPs, the lowest flipped bit — on orbits,
-//! `min(tz(s), tz(!s))` over the directions that reach the target). This
-//! makes the fast paths, the retained references, and the implicit
-//! generators agree exactly, which the test suite checks.
+//! The three state spaces — the CSR, the dense bit-flip space and the
+//! orbits — are three move sources of one engine: one backward BFS, one
+//! Jacobi fixed point and one policy rule, monomorphized per source.
+//! Policy tie-breaking is therefore canonical in every analysis path:
+//! among the controllable successors achieving the optimal value, the one
+//! inserted first is chosen (for bit DCSPs, the lowest flipped bit — on
+//! orbits, `min(tz(s), tz(!s))` over the directions that reach the
+//! target). This makes the fast paths, the retained references, and the
+//! implicit generators agree exactly, which the test suite checks.
 
 use std::collections::VecDeque;
 use std::sync::OnceLock;
@@ -59,12 +61,11 @@ use std::sync::OnceLock;
 use crate::bitwords::BitWords;
 use resilience_core::{Config, Constraint, CoreError};
 
-/// "Unreachable / unbounded" sentinel for adversarial values. Kept well
-/// below `usize::MAX` so `best + 1` cannot overflow.
-const INF: usize = usize::MAX / 4;
-
-/// BFS "not yet visited" sentinel; valid levels are `<= n_states < u32::MAX`.
-const UNSET: u32 = u32::MAX;
+/// "Unreachable / unbounded" sentinel for levels and adversarial values;
+/// `INF + 1` saturates to `INF`. Every finite value is below the state
+/// count, which each move source keeps under `u32::MAX` (the CSR asserts
+/// it; bit spaces stop at `2^24` states).
+const INF: u32 = u32::MAX;
 
 /// Explicit-state transition system with controllable and exogenous moves.
 #[derive(Debug, Clone)]
@@ -135,8 +136,10 @@ impl EdgeList {
         EdgeList { offsets, targets }
     }
 
-    fn neighbors(&self, s: usize) -> &[u32] {
-        &self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+    fn neighbors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+            .iter()
+            .map(|&t| t as usize)
     }
 }
 
@@ -164,6 +167,166 @@ impl Csr {
     }
 }
 
+/// One state space as the analyses see it. [`bfs_levels`],
+/// [`fixed_point`] and [`report`] are generic over it, so each source
+/// gets its own monomorphized sweeps.
+trait MoveSource: Sync {
+    fn n_states(&self) -> usize;
+
+    fn is_normal(&self, s: usize) -> bool;
+
+    /// Controllable successors of `s` in canonical order: the policy
+    /// takes the first one achieving the optimum.
+    fn successors(&self, s: usize) -> impl Iterator<Item = usize> + '_;
+
+    /// States with a controllable move into `s`: by default the
+    /// successors, as in the bit-flip and orbit spaces, where every move
+    /// can be undone by one.
+    fn predecessors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        self.successors(s)
+    }
+
+    /// The environment's worst reply once the administrator lands in `t`:
+    /// the largest of `v[t]` and `v` over the exogenous moves out of `t`.
+    fn worst_reply(&self, v: &[u32], t: usize) -> u32;
+}
+
+/// [`TransitionSystem`]'s cached CSR.
+struct CsrMoves<'a> {
+    normal: &'a [bool],
+    csr: &'a Csr,
+}
+
+impl MoveSource for CsrMoves<'_> {
+    fn n_states(&self) -> usize {
+        self.normal.len()
+    }
+
+    fn is_normal(&self, s: usize) -> bool {
+        self.normal[s]
+    }
+
+    fn successors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        self.csr.ctrl.neighbors(s)
+    }
+
+    fn predecessors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        self.csr.ctrl_rev.neighbors(s)
+    }
+
+    fn worst_reply(&self, v: &[u32], t: usize) -> u32 {
+        self.csr.exo.neighbors(t).fold(v[t], |w, u| w.max(v[u]))
+    }
+}
+
+/// The dense `2^n_bits`-state space of a bit DCSP: a move flips one bit
+/// (lowest first), and from every normal state the environment may damage
+/// up to `max_damage` bits (the shock model of
+/// [`TransitionSystem::from_bit_dcsp`]).
+struct BitFlips {
+    n_bits: usize,
+    normal: BitWords,
+    /// Every non-zero damage pattern as an XOR mask (order irrelevant:
+    /// only the max over the ball is taken).
+    masks: Vec<usize>,
+}
+
+impl BitFlips {
+    fn new(n_bits: usize, env: &dyn Constraint, max_damage: usize) -> Self {
+        let n_states = 1usize << n_bits;
+        let mut normal = BitWords::new(n_states);
+        let mut probe = Config::zeros(n_bits);
+        for s in 0..n_states {
+            probe.set_from_u64(s as u64);
+            if env.is_fit(&probe) {
+                normal.set(s);
+            }
+        }
+        let mut masks = Vec::new();
+        damage_masks(n_bits, max_damage, 0, 0, &mut masks);
+        BitFlips {
+            n_bits,
+            normal,
+            masks,
+        }
+    }
+}
+
+impl MoveSource for BitFlips {
+    fn n_states(&self) -> usize {
+        1 << self.n_bits
+    }
+
+    fn is_normal(&self, s: usize) -> bool {
+        self.normal.get(s)
+    }
+
+    fn successors(&self, s: usize) -> impl Iterator<Item = usize> + '_ {
+        (0..self.n_bits).map(move |b| s ^ (1 << b))
+    }
+
+    fn worst_reply(&self, v: &[u32], t: usize) -> u32 {
+        if !self.normal.get(t) {
+            return v[t];
+        }
+        self.masks.iter().fold(v[t], |w, &m| w.max(v[t ^ m]))
+    }
+}
+
+/// The `n + 1` popcount orbits of a fully symmetric bit DCSP. A flip
+/// moves orbit `p` to `p ± 1`; damaging `j` set and `k` clear bits of a
+/// normal state in orbit `p` lands in orbit `p − j + k`, for
+/// `1 ≤ j + k ≤ max_damage`, `j ≤ p`, `k ≤ n − p`. The engine's iterates
+/// on orbits are the dense ones restricted to orbit-constant vectors, so
+/// the values are the dense values.
+struct Orbits {
+    /// Fitness per orbit: `n + 1` probes of the prefix configurations
+    /// `0^n`, `10^(n−1)`, ….
+    fit: Vec<bool>,
+    max_damage: usize,
+}
+
+impl Orbits {
+    fn new(n_bits: usize, env: &dyn Constraint, max_damage: usize) -> Self {
+        let mut probe = Config::zeros(n_bits);
+        let mut fit = vec![env.is_fit(&probe)];
+        for b in 0..n_bits {
+            probe.flip(b);
+            fit.push(env.is_fit(&probe));
+        }
+        Orbits { fit, max_damage }
+    }
+}
+
+impl MoveSource for Orbits {
+    fn n_states(&self) -> usize {
+        self.fit.len()
+    }
+
+    fn is_normal(&self, p: usize) -> bool {
+        self.fit[p]
+    }
+
+    fn successors(&self, p: usize) -> impl Iterator<Item = usize> + '_ {
+        let up = (p + 1 < self.fit.len()).then_some(p + 1);
+        p.checked_sub(1).into_iter().chain(up)
+    }
+
+    fn worst_reply(&self, v: &[u32], p: usize) -> u32 {
+        if !self.fit[p] {
+            return v[p];
+        }
+        let n = self.fit.len() - 1;
+        let mut w = v[p];
+        for j in 0..=self.max_damage.min(p) {
+            for k in 0..=(self.max_damage - j).min(n - p) {
+                w = w.max(v[p - j + k]);
+            }
+        }
+        w
+    }
+}
+
 /// Split `out` into `threads` contiguous chunks and fill each on its own
 /// thread. Chunk boundaries cannot affect the result — every element is a
 /// pure function of its index and shared read-only state — so the output
@@ -186,6 +349,117 @@ where
             scope.spawn(move || fill(c * chunk_len, chunk));
         }
     });
+}
+
+/// Backward BFS from the normal states over the predecessors, with
+/// word-packed bitset frontiers: the quiet analysis's levels (`INF` =
+/// unreachable).
+fn bfs_levels<M: MoveSource>(moves: &M) -> Vec<u32> {
+    let n_states = moves.n_states();
+    let mut levels = vec![INF; n_states];
+    let mut frontier = BitWords::new(n_states);
+    let mut next = BitWords::new(n_states);
+    for (s, level) in levels.iter_mut().enumerate() {
+        if moves.is_normal(s) {
+            *level = 0;
+            frontier.set(s);
+        }
+    }
+    let mut depth = 0;
+    loop {
+        let mut any = false;
+        frontier.for_each_one(|s| {
+            for p in moves.predecessors(s) {
+                if levels[p] == INF {
+                    levels[p] = depth + 1;
+                    next.set(p);
+                    any = true;
+                }
+            }
+        });
+        if !any {
+            break;
+        }
+        depth += 1;
+        std::mem::swap(&mut frontier, &mut next);
+        next.clear_all();
+    }
+    levels
+}
+
+/// Fill `replies[t] = moves.worst_reply(v, t)` for every state, chunked
+/// over `threads` threads.
+fn reply_pass<M: MoveSource>(moves: &M, v: &[u32], replies: &mut [u32], threads: usize) {
+    run_chunks(replies, threads, |start, chunk| {
+        for (i, slot) in chunk.iter_mut().enumerate() {
+            *slot = moves.worst_reply(v, start + i);
+        }
+    });
+}
+
+/// The adversarial min-max fixed point
+/// `V(s) = 1 + min_a max_{u ∈ {t_a} ∪ exo(t_a)} V(u)`, `V = 0` on normal
+/// states, as values and the environment's worst replies to them (`INF` =
+/// unbounded). Each Jacobi sweep reads a snapshot `v` and writes
+/// `v_next`, so every element is a pure function of the previous sweep
+/// and the output is identical for any `threads` (and identical to the
+/// Gauss-Seidel [`TransitionSystem::analyze_adversarial_reference`]: both
+/// iterate a monotone operator down from ⊤ to the same greatest fixed
+/// point, and finite values — all below the state count — settle within
+/// that many sweeps).
+fn fixed_point<M: MoveSource>(moves: &M, threads: usize) -> (Vec<u32>, Vec<u32>) {
+    let threads = threads.max(1);
+    let n_states = moves.n_states();
+    let mut v: Vec<u32> = (0..n_states)
+        .map(|s| if moves.is_normal(s) { 0 } else { INF })
+        .collect();
+    let mut v_next = v.clone();
+    let mut worst = vec![INF; n_states];
+    for _ in 0..n_states {
+        reply_pass(moves, &v, &mut worst, threads);
+        let (v_ref, worst_ref) = (&v, &worst);
+        run_chunks(&mut v_next, threads, |start, chunk| {
+            for (i, slot) in chunk.iter_mut().enumerate() {
+                let s = start + i;
+                *slot = if moves.is_normal(s) {
+                    0
+                } else {
+                    let best = moves.successors(s).map(|t| worst_ref[t]).min();
+                    v_ref[s].min(best.unwrap_or(INF).saturating_add(1))
+                };
+            }
+        });
+        let changed = v_next != v;
+        std::mem::swap(&mut v, &mut v_next);
+        if !changed {
+            break;
+        }
+    }
+    // Recompute the replies from the converged values for the policy.
+    reply_pass(moves, &v, &mut worst, threads);
+    (v, worst)
+}
+
+/// The per-state report of values `v` (`INF` = unreachable) under the
+/// one policy rule: from every non-normal state of finite value, move to
+/// the first successor whose reply is one less. The quiet analysis
+/// replies with its own levels.
+fn report<M: MoveSource>(moves: &M, v: &[u32], replies: &[u32]) -> MaintainabilityReport {
+    let action = (0..moves.n_states())
+        .map(|s| {
+            if moves.is_normal(s) || v[s] == INF {
+                return None;
+            }
+            moves.successors(s).find(|&t| replies[t] == v[s] - 1)
+        })
+        .collect();
+    MaintainabilityReport {
+        levels: v
+            .iter()
+            .map(|&x| (x != INF).then_some(x as usize))
+            .collect(),
+        policy: MaintenancePolicy { action },
+    }
 }
 
 /// A memoryless repair policy: for each state, the controllable successor
@@ -277,42 +551,6 @@ impl MaintainabilityReport {
     }
 }
 
-/// Backward BFS from the normal states over the reverse edge list, with
-/// word-packed bitset frontiers. Returns raw `u32` levels (`UNSET` =
-/// unreachable).
-fn bfs_levels(n_states: usize, normal: &[bool], rev: &EdgeList) -> Vec<u32> {
-    let mut levels = vec![UNSET; n_states];
-    let mut frontier = BitWords::new(n_states);
-    let mut next = BitWords::new(n_states);
-    for (s, &is_normal) in normal.iter().enumerate() {
-        if is_normal {
-            levels[s] = 0;
-            frontier.set(s);
-        }
-    }
-    let mut depth: u32 = 0;
-    loop {
-        let mut any = false;
-        frontier.for_each_one(|s| {
-            for &p in rev.neighbors(s) {
-                let p = p as usize;
-                if levels[p] == UNSET {
-                    levels[p] = depth + 1;
-                    next.set(p);
-                    any = true;
-                }
-            }
-        });
-        if !any {
-            break;
-        }
-        depth += 1;
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear_all();
-    }
-    levels
-}
-
 impl TransitionSystem {
     /// Empty system with `n_states` states, no moves, no normal states.
     pub fn new(n_states: usize) -> Self {
@@ -381,62 +619,13 @@ impl TransitionSystem {
         &self.exogenous[state]
     }
 
-    fn csr(&self) -> &Csr {
-        self.csr
-            .get_or_init(|| Csr::build(&self.controllable, &self.exogenous))
-    }
-
-    /// Canonical policy from computed levels: for each non-normal state
-    /// with level `L`, the first controllable successor in insertion order
-    /// at level `L - 1`. Order-free with respect to how the levels were
-    /// computed, so every analysis path yields the same policy.
-    fn policy_from_levels(&self, levels: &[Option<usize>]) -> MaintenancePolicy {
-        let mut action = vec![None; self.n_states];
-        for (s, slot) in action.iter_mut().enumerate() {
-            if self.normal[s] {
-                continue;
-            }
-            if let Some(l) = levels[s] {
-                *slot = self.controllable[s]
-                    .iter()
-                    .copied()
-                    .find(|&t| levels[t] == Some(l - 1));
-            }
+    fn moves(&self) -> CsrMoves<'_> {
+        CsrMoves {
+            normal: &self.normal,
+            csr: self
+                .csr
+                .get_or_init(|| Csr::build(&self.controllable, &self.exogenous)),
         }
-        MaintenancePolicy { action }
-    }
-
-    /// Canonical adversarial policy from converged values `v` and the
-    /// per-state worst-case reply values `worst`: the first controllable
-    /// successor in insertion order achieving the optimal `v[s] - 1`.
-    fn adversarial_policy(&self, v: &[usize], worst: &[usize]) -> MaintenancePolicy {
-        let mut action = vec![None; self.n_states];
-        for (s, slot) in action.iter_mut().enumerate() {
-            if self.normal[s] || v[s] >= INF {
-                continue;
-            }
-            let target = v[s] - 1;
-            *slot = self.controllable[s]
-                .iter()
-                .copied()
-                .find(|&t| worst[t] == target);
-        }
-        MaintenancePolicy { action }
-    }
-
-    /// Fill `worst[t] = max(v[t], max over exogenous replies u of v[u])`
-    /// for every state, chunked over `threads` threads.
-    fn worst_pass(csr: &Csr, v: &[usize], worst: &mut [usize], threads: usize) {
-        run_chunks(worst, threads, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let t = start + i;
-                let mut w = v[t];
-                for &u in csr.exo.neighbors(t) {
-                    w = w.max(v[u as usize]);
-                }
-                *slot = w;
-            }
-        });
     }
 
     /// Build the full `2^n`-state transition system of an `n`-bit DCSP:
@@ -509,16 +698,9 @@ impl TransitionSystem {
     /// Runs over the cached CSR with bitset frontiers; the report is
     /// identical to [`TransitionSystem::analyze_reference`].
     pub fn analyze(&self) -> MaintainabilityReport {
-        let csr = self.csr();
-        let raw = bfs_levels(self.n_states, &self.normal, &csr.ctrl_rev);
-        let levels: Vec<Option<usize>> = raw
-            .into_iter()
-            .map(|l| (l != UNSET).then_some(l as usize))
-            .collect();
-        MaintainabilityReport {
-            policy: self.policy_from_levels(&levels),
-            levels,
-        }
+        let moves = self.moves();
+        let levels = bfs_levels(&moves);
+        report(&moves, &levels, &levels)
     }
 
     /// Reference implementation of [`TransitionSystem::analyze`], retained
@@ -526,7 +708,7 @@ impl TransitionSystem {
     /// adjacency built per call and a FIFO BFS. Produces an identical
     /// report to the CSR path.
     pub fn analyze_reference(&self) -> MaintainabilityReport {
-        let mut levels: Vec<Option<usize>> = vec![None; self.n_states];
+        let mut levels = vec![INF; self.n_states];
         let mut rev: Vec<Vec<usize>> = vec![Vec::new(); self.n_states];
         for (from, tos) in self.controllable.iter().enumerate() {
             for &to in tos {
@@ -536,92 +718,34 @@ impl TransitionSystem {
         let mut queue = VecDeque::new();
         for (s, lvl) in levels.iter_mut().enumerate() {
             if self.normal[s] {
-                *lvl = Some(0);
+                *lvl = 0;
                 queue.push_back(s);
             }
         }
         while let Some(s) = queue.pop_front() {
-            let next_level = levels[s].expect("queued states have levels") + 1;
+            let next_level = levels[s] + 1;
             for &p in &rev[s] {
-                if levels[p].is_none() {
-                    levels[p] = Some(next_level);
+                if levels[p] == INF {
+                    levels[p] = next_level;
                     queue.push_back(p);
                 }
             }
         }
-        MaintainabilityReport {
-            policy: self.policy_from_levels(&levels),
-            levels,
-        }
+        report(&self.moves(), &levels, &levels)
     }
 
     /// Adversarial maintainability: after each administrator action landing
     /// in `t`, the environment may take one exogenous move out of `t` (or
     /// stay). `levels[s]` is the worst-case number of administrator steps
-    /// needed; computed by value iteration on the min-max recurrence
+    /// needed; computed by Jacobi value iteration on the min-max recurrence
     /// `V(s) = 1 + min_a max_{u ∈ {t_a} ∪ exo(t_a)} V(u)`, `V = 0` on
-    /// normal states. Single-threaded; see
-    /// [`TransitionSystem::analyze_adversarial_threads`].
-    pub fn analyze_adversarial(&self) -> MaintainabilityReport {
-        self.analyze_adversarial_threads(1)
-    }
-
-    /// [`TransitionSystem::analyze_adversarial`] with the min-max fixed
-    /// point parallelized by state-range sweeps. Each Jacobi sweep reads a
-    /// snapshot `v_prev` and writes `v_next`, so every element is a pure
-    /// function of the previous sweep and the output is identical for any
-    /// `threads` (and identical to the Gauss-Seidel
-    /// [`TransitionSystem::analyze_adversarial_reference`]: both iterate a
-    /// monotone operator down from ⊤ to the same greatest fixed point, and
-    /// finite values — all `≤ n_states` — settle within `n_states` sweeps).
-    pub fn analyze_adversarial_threads(&self, threads: usize) -> MaintainabilityReport {
-        let threads = threads.max(1);
-        let csr = self.csr();
-        let mut v = vec![INF; self.n_states];
-        for (s, value) in v.iter_mut().enumerate() {
-            if self.normal[s] {
-                *value = 0;
-            }
-        }
-        let mut v_next = v.clone();
-        let mut worst = vec![INF; self.n_states];
-        for _ in 0..self.n_states {
-            Self::worst_pass(csr, &v, &mut worst, threads);
-            {
-                let (v_ref, worst_ref, normal) = (&v, &worst, &self.normal);
-                run_chunks(&mut v_next, threads, |start, chunk| {
-                    for (i, slot) in chunk.iter_mut().enumerate() {
-                        let s = start + i;
-                        *slot = if normal[s] {
-                            0
-                        } else {
-                            let mut best = INF;
-                            for &t in csr.ctrl.neighbors(s) {
-                                best = best.min(worst_ref[t as usize]);
-                            }
-                            if best >= INF {
-                                v_ref[s]
-                            } else {
-                                v_ref[s].min(best + 1)
-                            }
-                        };
-                    }
-                });
-            }
-            let changed = v_next != v;
-            std::mem::swap(&mut v, &mut v_next);
-            if !changed {
-                break;
-            }
-        }
-        // Recompute the replies from the converged values for the policy.
-        Self::worst_pass(csr, &v, &mut worst, threads);
-        let policy = self.adversarial_policy(&v, &worst);
-        let levels = v
-            .into_iter()
-            .map(|x| if x >= INF { None } else { Some(x) })
-            .collect();
-        MaintainabilityReport { levels, policy }
+    /// normal states, with each sweep chunked over `threads` threads. The
+    /// report is identical for any `threads` and to
+    /// [`TransitionSystem::analyze_adversarial_reference`].
+    pub fn analyze_adversarial(&self, threads: usize) -> MaintainabilityReport {
+        let moves = self.moves();
+        let (v, worst) = fixed_point(&moves, threads);
+        report(&moves, &v, &worst)
     }
 
     /// Reference implementation of
@@ -652,7 +776,7 @@ impl TransitionSystem {
                     }
                     best = best.min(worst);
                 }
-                let candidate = if best >= INF { INF } else { best + 1 };
+                let candidate = if best == INF { INF } else { best + 1 };
                 if candidate < v[s] {
                     v[s] = candidate;
                     changed = true;
@@ -662,29 +786,11 @@ impl TransitionSystem {
                 break;
             }
         }
+        let moves = self.moves();
         let mut worst = vec![INF; self.n_states];
-        Self::worst_pass(self.csr(), &v, &mut worst, 1);
-        let policy = self.adversarial_policy(&v, &worst);
-        let levels = v
-            .into_iter()
-            .map(|x| if x >= INF { None } else { Some(x) })
-            .collect();
-        MaintainabilityReport { levels, policy }
+        reply_pass(&moves, &v, &mut worst, 1);
+        report(&moves, &v, &worst)
     }
-}
-
-/// Evaluate `env` on every state of an `n`-bit space into a bitset.
-fn normal_bitset(n_bits: usize, env: &dyn Constraint) -> BitWords {
-    let n_states = 1usize << n_bits;
-    let mut normal = BitWords::new(n_states);
-    let mut probe = Config::zeros(n_bits);
-    for s in 0..n_states {
-        probe.set_from_u64(s as u64);
-        if env.is_fit(&probe) {
-            normal.set(s);
-        }
-    }
-    normal
 }
 
 /// Largest `n_bits` the per-state reports accept: beyond `2^24` states
@@ -711,69 +817,11 @@ fn fully_symmetric(n_bits: usize, env: &dyn Constraint) -> bool {
         .is_some_and(|c| c.len() == n_bits && c.iter().all(|&x| x == c[0]))
 }
 
-/// Fitness per popcount orbit of a fully symmetric constraint: `n_bits + 1`
-/// probes of the prefix configurations `0^n`, `10^(n−1)`, ….
-fn orbit_fitness(n_bits: usize, env: &dyn Constraint) -> Vec<bool> {
-    let mut probe = Config::zeros(n_bits);
-    let mut fit = vec![env.is_fit(&probe)];
-    for b in 0..n_bits {
-        probe.flip(b);
-        fit.push(env.is_fit(&probe));
-    }
-    fit
-}
-
-/// The adversarial min-max fixed point on popcount orbits, returned as
-/// per-orbit values and worst-case replies (`INF` = unbounded). A flip
-/// moves orbit `p` to `p ± 1`; damaging `j` set and `k` clear bits of a
-/// normal state in orbit `p` lands in orbit `p − j + k`, for
-/// `1 ≤ j + k ≤ max_damage`, `j ≤ p`, `k ≤ n − p`. The Jacobi sweeps are
-/// those of [`try_analyze_bit_dcsp_adversarial`] restricted to
-/// orbit-constant vectors, so the fixed point is the dense one. With
-/// `max_damage = 0` the ball is empty and the fixed point is the quiet
-/// BFS distance along the orbit path `0..=n`.
-fn orbit_fixed_point(fit: &[bool], max_damage: usize) -> (Vec<usize>, Vec<usize>) {
-    let n = fit.len() - 1;
-    let worst_of = |v: &[usize]| -> Vec<usize> {
-        (0..=n)
-            .map(|p| {
-                if !fit[p] {
-                    return v[p];
-                }
-                let mut w = 0;
-                for j in 0..=max_damage.min(p) {
-                    for k in 0..=(max_damage - j).min(n - p) {
-                        if j + k > 0 {
-                            w = w.max(v[p - j + k]);
-                        }
-                    }
-                }
-                w
-            })
-            .collect()
-    };
-    let mut v: Vec<usize> = fit.iter().map(|&f| if f { 0 } else { INF }).collect();
-    loop {
-        let worst = worst_of(&v);
-        let next: Vec<usize> = (0..=n)
-            .map(|p| {
-                let down = p.checked_sub(1).map_or(INF, |q| worst[q]);
-                let up = if p < n { worst[p + 1] } else { INF };
-                let best = down.min(up);
-                if fit[p] {
-                    0
-                } else if best >= INF {
-                    v[p]
-                } else {
-                    v[p].min(best + 1)
-                }
-            })
-            .collect();
-        if next == v {
-            return (v, worst);
-        }
-        v = next;
-    }
+/// Orbit values and worst replies of `env`: the adversarial fixed point
+/// with damage bound `max_damage`. With `max_damage = 0` the ball is empty
+/// and the values are the quiet BFS distances along the orbit path.
+fn orbit_values(n_bits: usize, env: &dyn Constraint, max_damage: usize) -> (Vec<u32>, Vec<u32>) {
+    fixed_point(&Orbits::new(n_bits, env, max_damage), 1)
 }
 
 /// Expand orbit values to the per-state report. Level of `s` is
@@ -781,16 +829,16 @@ fn orbit_fixed_point(fit: &[bool], max_damage: usize) -> (Vec<usize>, Vec<usize>
 /// an orbit whose worst case is the target `v − 1` — `tz(s)` for the
 /// orbit below, `tz(!s)` for the one above — which is the dense path's
 /// "lowest flipped bit" tie-break.
-fn expand_orbits(n_bits: usize, v: &[usize], worst: &[usize]) -> MaintainabilityReport {
+fn expand_orbits(n_bits: usize, v: &[u32], worst: &[u32]) -> MaintainabilityReport {
     let n = v.len() - 1;
     // Per orbit: level, and whether a set-bit (down) or clear-bit (up)
     // flip reaches the target.
     let orbit: Vec<(Option<usize>, bool, bool)> = (0..=n)
         .map(|p| match v[p] {
-            x if x >= INF => (None, false, false),
+            INF => (None, false, false),
             0 => (Some(0), false, false),
             x => (
-                Some(x),
+                Some(x as usize),
                 p > 0 && worst[p - 1] == x - 1,
                 p < n && worst[p + 1] == x - 1,
             ),
@@ -854,54 +902,12 @@ pub fn try_analyze_bit_dcsp(
 ) -> Result<MaintainabilityReport, CoreError> {
     too_large(n_bits, DENSE_BIT_LIMIT)?;
     if fully_symmetric(n_bits, env) {
-        let (v, worst) = orbit_fixed_point(&orbit_fitness(n_bits, env), 0);
+        let (v, worst) = orbit_values(n_bits, env, 0);
         return Ok(expand_orbits(n_bits, &v, &worst));
     }
-    let n_states = 1usize << n_bits;
-    let normal = normal_bitset(n_bits, env);
-    let mut levels = vec![UNSET; n_states];
-    let mut frontier = normal.clone();
-    let mut next = BitWords::new(n_states);
-    normal.for_each_one(|s| {
-        levels[s] = 0;
-    });
-    let mut depth: u32 = 0;
-    loop {
-        let mut any = false;
-        frontier.for_each_one(|s| {
-            for b in 0..n_bits {
-                let p = s ^ (1 << b);
-                if levels[p] == UNSET {
-                    levels[p] = depth + 1;
-                    next.set(p);
-                    any = true;
-                }
-            }
-        });
-        if !any {
-            break;
-        }
-        depth += 1;
-        std::mem::swap(&mut frontier, &mut next);
-        next.clear_all();
-    }
-    let mut action = vec![None; n_states];
-    for (s, slot) in action.iter_mut().enumerate() {
-        if normal.get(s) || levels[s] == UNSET {
-            continue;
-        }
-        let l = levels[s];
-        *slot = (0..n_bits)
-            .map(|b| s ^ (1 << b))
-            .find(|&t| levels[t] + 1 == l);
-    }
-    Ok(MaintainabilityReport {
-        levels: levels
-            .into_iter()
-            .map(|l| (l != UNSET).then_some(l as usize))
-            .collect(),
-        policy: MaintenancePolicy { action },
-    })
+    let moves = BitFlips::new(n_bits, env, 0);
+    let levels = bfs_levels(&moves);
+    Ok(report(&moves, &levels, &levels))
 }
 
 /// Adversarial K-maintainability of an `n`-bit DCSP with on-the-fly move
@@ -911,8 +917,8 @@ pub fn try_analyze_bit_dcsp(
 /// fixed point runs as thread-chunked Jacobi sweeps; output is identical
 /// for any `threads` and to
 /// `TransitionSystem::from_bit_dcsp(n_bits, env, max_damage)
-///     .analyze_adversarial()`. A fully symmetric `env` is solved on its
-/// popcount orbits instead (`threads` is then unused).
+///     .analyze_adversarial(threads)`. A fully symmetric `env` is solved on
+/// its popcount orbits instead (`threads` is then unused).
 ///
 /// # Panics
 ///
@@ -946,89 +952,12 @@ pub fn try_analyze_bit_dcsp_adversarial(
 ) -> Result<MaintainabilityReport, CoreError> {
     too_large(n_bits, DENSE_BIT_LIMIT)?;
     if fully_symmetric(n_bits, env) {
-        let (v, worst) = orbit_fixed_point(&orbit_fitness(n_bits, env), max_damage);
+        let (v, worst) = orbit_values(n_bits, env, max_damage);
         return Ok(expand_orbits(n_bits, &v, &worst));
     }
-    let threads = threads.max(1);
-    let n_states = 1usize << n_bits;
-    let normal = normal_bitset(n_bits, env);
-    // All damage patterns as XOR masks (order irrelevant: only the max
-    // over the ball is taken).
-    let mut masks = Vec::new();
-    damage_masks(n_bits, max_damage, 0, 0, &mut masks);
-    let mut v = vec![INF; n_states];
-    for (s, value) in v.iter_mut().enumerate() {
-        if normal.get(s) {
-            *value = 0;
-        }
-    }
-    let mut v_next = v.clone();
-    let mut worst = vec![INF; n_states];
-    let worst_pass = |v: &[usize], worst: &mut [usize]| {
-        run_chunks(worst, threads, |start, chunk| {
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                let t = start + i;
-                *slot = if normal.get(t) {
-                    // v[t] = 0; the environment picks the worst state in
-                    // the damage ball around t.
-                    let mut w = 0;
-                    for &m in &masks {
-                        w = w.max(v[t ^ m]);
-                    }
-                    w
-                } else {
-                    v[t]
-                };
-            }
-        });
-    };
-    for _ in 0..n_states {
-        worst_pass(&v, &mut worst);
-        {
-            let (v_ref, worst_ref, normal) = (&v, &worst, &normal);
-            run_chunks(&mut v_next, threads, |start, chunk| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let s = start + i;
-                    *slot = if normal.get(s) {
-                        0
-                    } else {
-                        let mut best = INF;
-                        for b in 0..n_bits {
-                            best = best.min(worst_ref[s ^ (1 << b)]);
-                        }
-                        if best >= INF {
-                            v_ref[s]
-                        } else {
-                            v_ref[s].min(best + 1)
-                        }
-                    };
-                }
-            });
-        }
-        let changed = v_next != v;
-        std::mem::swap(&mut v, &mut v_next);
-        if !changed {
-            break;
-        }
-    }
-    worst_pass(&v, &mut worst);
-    let mut action = vec![None; n_states];
-    for (s, slot) in action.iter_mut().enumerate() {
-        if normal.get(s) || v[s] >= INF {
-            continue;
-        }
-        let target = v[s] - 1;
-        *slot = (0..n_bits)
-            .map(|b| s ^ (1 << b))
-            .find(|&t| worst[t] == target);
-    }
-    Ok(MaintainabilityReport {
-        levels: v
-            .into_iter()
-            .map(|x| if x >= INF { None } else { Some(x) })
-            .collect(),
-        policy: MaintenancePolicy { action },
-    })
+    let moves = BitFlips::new(n_bits, env, max_damage);
+    let (v, worst) = fixed_point(&moves, threads);
+    Ok(report(&moves, &v, &worst))
 }
 
 /// Collect every non-zero damage mask of popcount ≤ `max_damage` over
@@ -1094,14 +1023,15 @@ impl FrontierSummary {
     }
 
     /// Weight each orbit value by its size `C(n, p)`.
-    fn of_orbits(n_bits: usize, v: &[usize]) -> Self {
+    fn of_orbits(n_bits: usize, v: &[u32]) -> Self {
         let mut frontier_sizes = Vec::new();
         let mut hopeless = 0u64;
         let mut choose = 1u64;
         for (p, &x) in v.iter().enumerate() {
-            if x >= INF {
+            if x == INF {
                 hopeless += choose;
             } else {
+                let x = x as usize;
                 if x >= frontier_sizes.len() {
                     frontier_sizes.resize(x + 1, 0);
                 }
@@ -1165,7 +1095,7 @@ fn summarize(
         return dense().map(|report| FrontierSummary::of_report(n_bits, &report));
     }
     too_large(n_bits, ORBIT_BIT_LIMIT)?;
-    let (v, _) = orbit_fixed_point(&orbit_fitness(n_bits, env), max_damage);
+    let (v, _) = orbit_values(n_bits, env, max_damage);
     Ok(FrontierSummary::of_orbits(n_bits, &v))
 }
 
@@ -1276,7 +1206,7 @@ mod tests {
         let env = AtLeastOnes::new(n, 3);
         let ts = TransitionSystem::from_bit_dcsp(n, &env, 1);
         let plain = ts.analyze();
-        let adv = ts.analyze_adversarial();
+        let adv = ts.analyze_adversarial(1);
         for s in 0..ts.len() {
             match (plain.levels[s], adv.levels[s]) {
                 (Some(p), Some(a)) => assert!(a >= p, "state {s}: adv {a} < plain {p}"),
@@ -1297,7 +1227,7 @@ mod tests {
         ts.mark_normal(0);
         ts.add_controllable(1, 0);
         ts.add_exogenous(0, 1);
-        let adv = ts.analyze_adversarial();
+        let adv = ts.analyze_adversarial(1);
         assert_eq!(adv.levels[1], None);
         // Plain analysis (quiet environment) says 1 step.
         assert_eq!(ts.analyze().levels[1], Some(1));
@@ -1307,7 +1237,7 @@ mod tests {
     fn adversarial_quiet_environment_matches_plain() {
         let ts = chain();
         let plain = ts.analyze();
-        let adv = ts.analyze_adversarial();
+        let adv = ts.analyze_adversarial(1);
         assert_eq!(plain.levels, adv.levels);
     }
 
@@ -1324,7 +1254,7 @@ mod tests {
         assert!(ts.is_empty());
         let report = ts.analyze();
         assert_eq!(report.min_k(), Some(0));
-        assert_eq!(ts.analyze_adversarial().min_k(), Some(0));
+        assert_eq!(ts.analyze_adversarial(1).min_k(), Some(0));
     }
 
     /// Seeded random system: sparse normal set, random controllable and
@@ -1358,12 +1288,12 @@ mod tests {
     fn adversarial_matches_reference_and_is_thread_invariant() {
         for seed in 0..12 {
             let ts = random_system(100 + seed, 40);
-            let new = ts.analyze_adversarial();
+            let new = ts.analyze_adversarial(1);
             assert_eq!(new, ts.analyze_adversarial_reference(), "seed {seed}");
             for threads in [2, 4, 7] {
                 assert_eq!(
                     new,
-                    ts.analyze_adversarial_threads(threads),
+                    ts.analyze_adversarial(threads),
                     "seed {seed} threads {threads}"
                 );
             }
@@ -1380,9 +1310,9 @@ mod tests {
         assert_eq!(after.levels[2], Some(1));
         assert_eq!(after.policy.next_state(2), Some(0));
         // The environment undoing the repair flips the adversarial answer.
-        assert_eq!(ts.analyze_adversarial().levels[2], Some(1));
+        assert_eq!(ts.analyze_adversarial(1).levels[2], Some(1));
         ts.add_exogenous(0, 2);
-        assert_eq!(ts.analyze_adversarial().levels[2], None);
+        assert_eq!(ts.analyze_adversarial(1).levels[2], None);
     }
 
     #[test]
@@ -1395,7 +1325,7 @@ mod tests {
                 ts.analyze(),
                 "plain n={n} need={need}"
             );
-            let adv = ts.analyze_adversarial();
+            let adv = ts.analyze_adversarial(1);
             assert_eq!(
                 analyze_bit_dcsp_adversarial(n, &env, d, 1),
                 adv,

@@ -3,7 +3,7 @@
 //! "If the system can fix its configuration for any perturbations of type D
 //! within k-steps, we call the system k-recoverable."
 //!
-//! Three checkers are provided:
+//! The checkers:
 //!
 //! * [`is_k_recoverable_exhaustive`] — exact enumeration of *every*
 //!   perturbation of at most `max_damage` bit flips, accelerated by a
@@ -17,20 +17,26 @@
 //!   range is verified independently, and the partial reports are folded
 //!   in rank order — so the report (including the counterexample, which
 //!   is always the lowest-ranked failure) is bit-identical for any thread
-//!   count.
-//! * [`sampled_recoverability`] — Monte-Carlo estimate for systems too
-//!   large to enumerate.
+//!   count. [`is_k_recoverable_exhaustive_parallel_stats`] adds the
+//!   [`VerifyStats`] of a fixed, thread-independent partition.
 //! * [`is_k_recoverable_symmetric`] — orbit-reduced verification for
 //!   environments declaring variable automorphisms
 //!   (`Constraint::symmetry_classes`): one repair walk per damage *orbit*
 //!   instead of one per damage pattern, with counts multiplied by orbit
-//!   size. Breaks the Σs·C(n,s)/ΣC(n,s) ceiling of the memoized engine
-//!   because whole orbits cost a single check. Reports (including the
-//!   counterexample, reconstructed as the preorder-minimal member of the
-//!   lowest-ranked failing orbit) are bit-identical to the unreduced
-//!   engine; see `tests/symmetry_equivalence.rs`.
+//!   size, returned with its [`VerifyStats`]. Breaks the
+//!   Σs·C(n,s)/ΣC(n,s) ceiling of the memoized engine because whole
+//!   orbits cost a single check. Reports (including the counterexample,
+//!   reconstructed as the preorder-minimal member of the lowest-ranked
+//!   failing orbit) are bit-identical to the unreduced engine; see
+//!   `tests/symmetry_equivalence.rs`.
 //! * [`is_k_recoverable_auto`] — routes to the orbit-reduced checker when
 //!   sound, else to the parallel exhaustive engine.
+//! * [`sampled_recoverability`] — Monte-Carlo estimate for systems too
+//!   large to enumerate.
+//!
+//! The rank-range walk and the orbit walk fold one partial-report type,
+//! which keeps the preorder-minimal counterexample (preorder is rank
+//! order).
 //!
 //! [`recoverability_reference`] retains the original clone-per-case
 //! recursive checker as the oracle the optimized engine is proven
@@ -120,7 +126,7 @@ pub fn is_k_recoverable_exhaustive<S: RepairStrategy + ?Sized>(
     if !strategy.is_deterministic() {
         return reference_inner(start, env, strategy, max_damage, k);
     }
-    is_k_recoverable_exhaustive_stats(start, env, strategy, max_damage, k).0
+    rank_walk(start, env, strategy, max_damage, k, &RunContext::new(0), 1).0
 }
 
 /// [`is_k_recoverable_exhaustive`] on `ctx`'s thread budget: the rank
@@ -153,51 +159,10 @@ pub fn is_k_recoverable_exhaustive_parallel<S: RepairStrategy + ?Sized>(
     if !strategy.is_deterministic() {
         return reference_inner(start, env, strategy, max_damage, k);
     }
-    let n = start.len();
-    let counts = SubsetCounts::new(n, max_damage.min(n));
-    let total = counts.total_nonempty();
     // Aim for several chunks per worker so uneven repair costs still
     // load-balance; chunk boundaries never affect the folded report.
-    let chunk = (total / (ctx.threads() as u64 * 8)).clamp(1, total.max(1));
-    let partial = ctx.run_ranges(
-        total,
-        chunk,
-        |r| check_rank_range(r, start, env, strategy, k, &counts),
-        Partial::default(),
-        Partial::merge,
-    );
-    finalize(k, total, partial)
-}
-
-/// [`is_k_recoverable_exhaustive`] with telemetry: returns the report
-/// plus the [`VerifyStats`] of the single full-range pass.
-///
-/// # Panics
-///
-/// Panics if `start` does not satisfy `env`, or if `strategy` is not
-/// deterministic (stats are defined over the memoized engine only —
-/// non-deterministic strategies never touch the cache).
-pub fn is_k_recoverable_exhaustive_stats<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-) -> (RecoverabilityReport, VerifyStats) {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
-    assert!(
-        strategy.is_deterministic(),
-        "verification stats require a deterministic strategy"
-    );
-    let n = start.len();
-    let counts = SubsetCounts::new(n, max_damage.min(n));
-    let total = counts.total_nonempty();
-    let partial = check_rank_range(0..total, start, env, strategy, k, &counts);
-    let stats = partial.stats;
-    (finalize(k, total, partial), stats)
+    let chunks = ctx.threads() as u64 * 8;
+    rank_walk(start, env, strategy, max_damage, k, ctx, chunks).0
 }
 
 /// [`is_k_recoverable_exhaustive_parallel`] with telemetry. Unlike the
@@ -214,7 +179,8 @@ pub fn is_k_recoverable_exhaustive_stats<S: RepairStrategy + ?Sized>(
 /// # Panics
 ///
 /// Panics if `start` does not satisfy `env`, or if `strategy` is not
-/// deterministic.
+/// deterministic (stats are defined over the memoized engine only —
+/// non-deterministic strategies never touch the cache).
 pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
@@ -231,22 +197,35 @@ pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
         strategy.is_deterministic(),
         "verification stats require a deterministic strategy"
     );
-    let n = start.len();
-    let counts = SubsetCounts::new(n, max_damage.min(n));
-    let total = counts.total_nonempty();
     // Fixed 64-way partition: thread-count-independent stats (see the
     // type-level docs). 64 chunks still load-balance well past the
     // machine sizes the harness targets.
-    let chunk = (total / 64).clamp(1, total.max(1));
-    let partial = ctx.run_ranges(
+    rank_walk(start, env, strategy, max_damage, k, ctx, 64)
+}
+
+/// Check every damage pattern of `1..=max_damage` flips with the
+/// rank-range walk: the rank space is cut into about `chunks` contiguous
+/// ranges, checked on `ctx`'s workers and folded in rank order.
+fn rank_walk<S: RepairStrategy + ?Sized>(
+    start: &Config,
+    env: &dyn Constraint,
+    strategy: &S,
+    max_damage: usize,
+    k: usize,
+    ctx: &RunContext,
+    chunks: u64,
+) -> (RecoverabilityReport, VerifyStats) {
+    let n = start.len();
+    let counts = SubsetCounts::new(n, max_damage.min(n));
+    let total = counts.total_nonempty();
+    ctx.run_ranges(
         total,
-        chunk,
+        (total / chunks).clamp(1, total.max(1)),
         |r| check_rank_range(r, start, env, strategy, k, &counts),
         Partial::default(),
         Partial::merge,
-    );
-    let stats = partial.stats;
-    (finalize(k, total, partial), stats)
+    )
+    .finish(k)
 }
 
 /// Orbit-reduced k-recoverability: when `env` declares variable
@@ -268,63 +247,17 @@ pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
 /// failing orbit — exactly the witness the forward-enumerating reference
 /// keeps.
 ///
+/// The returned [`VerifyStats`] counts the representative walks' cache
+/// traffic plus `orbit_hits` — the damage cases settled by orbit
+/// multiplication without a walk of their own. Each orbit is checked in
+/// its own rank range with its own transposition cache, so the stats are
+/// a pure function of the orbit list and bit-identical for any thread
+/// budget.
+///
 /// # Panics
 ///
 /// Panics if `start` does not satisfy `env`.
 pub fn is_k_recoverable_symmetric<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-) -> Option<RecoverabilityReport> {
-    symmetric_inner(start, env, strategy, max_damage, k, ctx).map(|(report, _)| report)
-}
-
-/// [`is_k_recoverable_symmetric`] with telemetry: the returned
-/// [`VerifyStats`] counts the representative walks' cache traffic plus
-/// `orbit_hits` — the damage cases settled by orbit multiplication
-/// without a walk of their own. Each orbit is checked in its own rank
-/// range with its own transposition cache, so the stats are a pure
-/// function of the orbit list and bit-identical for any thread budget.
-///
-/// # Panics
-///
-/// Panics if `start` does not satisfy `env`.
-pub fn is_k_recoverable_symmetric_stats<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-) -> Option<(RecoverabilityReport, VerifyStats)> {
-    symmetric_inner(start, env, strategy, max_damage, k, ctx)
-}
-
-/// Route to the fastest sound checker: orbit-reduced when the constraint
-/// declares symmetry the strategy respects, else the parallel exhaustive
-/// engine. The report is identical either way.
-///
-/// # Panics
-///
-/// Panics if `start` does not satisfy `env`.
-pub fn is_k_recoverable_auto<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-) -> RecoverabilityReport {
-    match is_k_recoverable_symmetric(start, env, strategy, max_damage, k, ctx) {
-        Some(report) => report,
-        None => is_k_recoverable_exhaustive_parallel(start, env, strategy, max_damage, k, ctx),
-    }
-}
-
-fn symmetric_inner<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
     strategy: &S,
@@ -345,9 +278,10 @@ fn symmetric_inner<S: RepairStrategy + ?Sized>(
     let orbits = classes.damage_orbits(max_damage);
     // The orbit sizes must partition the unreduced case count exactly —
     // this is what licenses reporting `cases` without enumerating them.
-    let counts = SubsetCounts::new(n, max_damage);
-    let total = counts.total_nonempty();
-    debug_assert_eq!(orbits.iter().map(|o| o.size).sum::<u64>(), total);
+    debug_assert_eq!(
+        orbits.iter().map(|o| o.size).sum::<u64>(),
+        SubsetCounts::new(n, max_damage).total_nonempty()
+    );
     // One orbit per rank range: per-orbit caches make the stats a pure
     // function of the orbit list (thread-invariant), and representative
     // walks are cheap enough that cross-orbit sharing buys nothing.
@@ -355,19 +289,31 @@ fn symmetric_inner<S: RepairStrategy + ?Sized>(
         orbits.len() as u64,
         1,
         |r| check_orbit_range(r, &orbits, start, env, strategy, k),
-        OrbitPartial::default(),
-        OrbitPartial::merge,
+        Partial::default(),
+        Partial::merge,
     );
-    debug_assert_eq!(partial.cases, total);
-    let stats = partial.stats;
-    let report = RecoverabilityReport {
-        k,
-        cases: usize::try_from(total).expect("case count fits usize"),
-        recovered_within_k: usize::try_from(partial.recovered).expect("count fits usize"),
-        worst_steps: partial.worst_steps,
-        counterexample: partial.counterexample,
-    };
-    Some((report, stats))
+    Some(partial.finish(k))
+}
+
+/// Route to the fastest sound checker: orbit-reduced when the constraint
+/// declares symmetry the strategy respects, else the parallel exhaustive
+/// engine. The report is identical either way.
+///
+/// # Panics
+///
+/// Panics if `start` does not satisfy `env`.
+pub fn is_k_recoverable_auto<S: RepairStrategy + ?Sized>(
+    start: &Config,
+    env: &dyn Constraint,
+    strategy: &S,
+    max_damage: usize,
+    k: usize,
+    ctx: &RunContext,
+) -> RecoverabilityReport {
+    match is_k_recoverable_symmetric(start, env, strategy, max_damage, k, ctx) {
+        Some((report, _)) => report,
+        None => is_k_recoverable_exhaustive_parallel(start, env, strategy, max_damage, k, ctx),
+    }
 }
 
 /// Verify the orbit representatives with indices in `range`.
@@ -378,8 +324,8 @@ fn check_orbit_range<S: RepairStrategy + ?Sized>(
     env: &dyn Constraint,
     strategy: &S,
     k: usize,
-) -> OrbitPartial {
-    let mut partial = OrbitPartial::default();
+) -> Partial {
+    let mut partial = Partial::default();
     if range.is_empty() {
         return partial;
     }
@@ -405,62 +351,10 @@ fn check_orbit_range<S: RepairStrategy + ?Sized>(
         for &b in &orbit.representative {
             damaged.flip(b);
         }
-        partial.cases += orbit.size;
         partial.stats.orbit_hits += orbit.size - 1;
-        match verdict {
-            Some(steps) => {
-                partial.recovered += orbit.size;
-                partial.worst_steps = partial.worst_steps.max(steps);
-            }
-            None => {
-                partial.worst_steps = partial.worst_steps.max(k);
-                partial.counterexample = merge_counterexamples(
-                    partial.counterexample.take(),
-                    Some(orbit.representative.clone()),
-                );
-            }
-        }
+        partial.record(verdict, k, orbit.size, &orbit.representative);
     }
     partial
-}
-
-/// Keep the preorder-minimal of two candidate counterexamples.
-fn merge_counterexamples(a: Option<Vec<usize>>, b: Option<Vec<usize>>) -> Option<Vec<usize>> {
-    match (a, b) {
-        (Some(a), Some(b)) => Some(if preorder_cmp(&a, &b) == Ordering::Greater {
-            b
-        } else {
-            a
-        }),
-        (a, None) => a,
-        (None, b) => b,
-    }
-}
-
-/// Partial report of a contiguous range of damage orbits.
-#[derive(Debug, Default)]
-struct OrbitPartial {
-    cases: u64,
-    recovered: u64,
-    worst_steps: usize,
-    /// Preorder-minimal failing representative in this range, if any.
-    counterexample: Option<Vec<usize>>,
-    stats: VerifyStats,
-}
-
-impl OrbitPartial {
-    /// Fold `next` into `acc`. Orbit enumeration order is not rank
-    /// order, so the counterexample merge compares by subset preorder
-    /// rather than keeping the first — the fold stays associative and
-    /// thread-invariant either way.
-    fn merge(mut acc: OrbitPartial, next: OrbitPartial) -> OrbitPartial {
-        acc.cases += next.cases;
-        acc.recovered += next.recovered;
-        acc.worst_steps = acc.worst_steps.max(next.worst_steps);
-        acc.counterexample = merge_counterexamples(acc.counterexample, next.counterexample);
-        acc.stats = acc.stats.merge(next.stats);
-        acc
-    }
 }
 
 /// The original unmemoized sequential checker, retained verbatim as the
@@ -803,9 +697,10 @@ impl Memo {
 ///
 /// Stats are accumulated per rank range and folded in rank order, so
 /// for a *fixed* range partition they are a pure function of the
-/// problem — the `_stats` entry points use a thread-count-independent
-/// partition precisely so these counters are bit-identical for any
-/// thread budget (unlike the adaptive partition of
+/// problem — [`is_k_recoverable_exhaustive_parallel_stats`] (64 rank
+/// ranges) and [`is_k_recoverable_symmetric`] (one range per orbit) use
+/// thread-count-independent partitions precisely so these counters are
+/// bit-identical for any thread budget (unlike the adaptive partition of
 /// [`is_k_recoverable_exhaustive_parallel`], whose chunk boundaries —
 /// and therefore per-chunk cache contents — depend on `ctx.threads()`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize)]
@@ -845,39 +740,69 @@ impl VerifyStats {
     }
 }
 
-/// Partial report of one contiguous rank range.
+/// Partial report of a range of damage cases — rank ranges or damage
+/// orbits. The counterexample kept is the preorder-minimal failure, which
+/// is the lowest-ranked one (preorder is rank order), so the fold is
+/// associative and thread-invariant whatever order the cases and ranges
+/// are checked in.
 #[derive(Debug, Default)]
 struct Partial {
+    cases: u64,
     recovered: u64,
     worst_steps: usize,
-    any_failure: bool,
-    /// Lowest-ranked failing damage pattern in this range, if any.
     counterexample: Option<Vec<usize>>,
     /// Cache/exploration counters for this range.
     stats: VerifyStats,
 }
 
 impl Partial {
-    /// Fold `next` (a later rank range) into `acc`.
+    /// Count `size` damage cases sharing `verdict`; `damage` is the
+    /// pattern that stands for them.
+    fn record(&mut self, verdict: Option<usize>, k: usize, size: u64, damage: &[usize]) {
+        self.cases += size;
+        match verdict {
+            Some(steps) => {
+                self.recovered += size;
+                self.worst_steps = self.worst_steps.max(steps);
+            }
+            None => {
+                self.worst_steps = self.worst_steps.max(k);
+                self.keep_counterexample(damage);
+            }
+        }
+    }
+
+    fn keep_counterexample(&mut self, damage: &[usize]) {
+        if self
+            .counterexample
+            .as_ref()
+            .is_none_or(|c| preorder_cmp(damage, c) == Ordering::Less)
+        {
+            self.counterexample = Some(damage.to_vec());
+        }
+    }
+
+    /// Fold `next` into `acc`.
     fn merge(mut acc: Partial, next: Partial) -> Partial {
+        acc.cases += next.cases;
         acc.recovered += next.recovered;
         acc.worst_steps = acc.worst_steps.max(next.worst_steps);
-        acc.any_failure |= next.any_failure;
-        if acc.counterexample.is_none() {
-            acc.counterexample = next.counterexample;
+        if let Some(c) = next.counterexample {
+            acc.keep_counterexample(&c);
         }
         acc.stats = acc.stats.merge(next.stats);
         acc
     }
-}
 
-fn finalize(k: usize, total: u64, partial: Partial) -> RecoverabilityReport {
-    RecoverabilityReport {
-        k,
-        cases: usize::try_from(total).expect("case count fits usize"),
-        recovered_within_k: usize::try_from(partial.recovered).expect("count fits usize"),
-        worst_steps: partial.worst_steps,
-        counterexample: partial.counterexample,
+    fn finish(self, k: usize) -> (RecoverabilityReport, VerifyStats) {
+        let report = RecoverabilityReport {
+            k,
+            cases: usize::try_from(self.cases).expect("case count fits usize"),
+            recovered_within_k: usize::try_from(self.recovered).expect("count fits usize"),
+            worst_steps: self.worst_steps,
+            counterexample: self.counterexample,
+        };
+        (report, self.stats)
     }
 }
 
@@ -888,12 +813,11 @@ fn finalize(k: usize, total: u64, partial: Partial) -> RecoverabilityReport {
 /// usually lands on an already-cached sub-pattern after a single step —
 /// but the *report* is independent of evaluation order: counts and maxima
 /// are order-free, and the counterexample kept is the lowest-ranked
-/// failure (the last one seen when iterating backwards), matching the
-/// forward-enumerating reference checker exactly.
+/// failure, matching the forward-enumerating reference checker exactly.
 ///
-/// The plain and `_stats` entry points all run this walk, so a `_stats`
-/// checker counts exactly the work its plain counterpart does on the
-/// same partition.
+/// Every exhaustive entry point runs this walk, so
+/// [`is_k_recoverable_exhaustive_parallel_stats`] counts exactly the work
+/// the plain checkers do on the same partition.
 fn check_rank_range<S: RepairStrategy + ?Sized>(
     range: Range<u64>,
     start: &Config,
@@ -914,7 +838,7 @@ fn check_rank_range<S: RepairStrategy + ?Sized>(
     counts.unrank_into(range.end - 1, &mut subset, &mut damaged);
     let mut rank = range.end - 1;
     loop {
-        match eval_case(
+        let verdict = eval_case(
             &damaged,
             env,
             strategy,
@@ -923,18 +847,8 @@ fn check_rank_range<S: RepairStrategy + ?Sized>(
             &mut scratch,
             &mut path,
             &mut partial.stats,
-        ) {
-            Some(steps) => {
-                partial.recovered += 1;
-                partial.worst_steps = partial.worst_steps.max(steps);
-            }
-            None => {
-                partial.worst_steps = partial.worst_steps.max(k);
-                partial.any_failure = true;
-                // Overwritten on every failure, so the lowest rank wins.
-                partial.counterexample = Some(subset.clone());
-            }
-        }
+        );
+        partial.record(verdict, k, 1, &subset);
         if rank == range.start {
             break;
         }
@@ -1313,8 +1227,14 @@ mod tests {
         let start = Config::ones(n);
         let env = AllOnes::new(n);
         let plain = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
-        let (report, stats) =
-            is_k_recoverable_exhaustive_stats(&start, &env, &GreedyRepair::new(), 3, 3);
+        let (report, stats) = is_k_recoverable_exhaustive_parallel_stats(
+            &start,
+            &env,
+            &GreedyRepair::new(),
+            3,
+            3,
+            &RunContext::new(0),
+        );
         assert_eq!(report, plain);
         // Every case probes the cache at least once up front; repair
         // walks that land on memoized states probe again mid-walk.
@@ -1360,8 +1280,9 @@ mod tests {
         let envs: [&dyn Constraint; 2] = [&all, &atleast];
         for env in envs {
             for (d, k) in [(2usize, 1usize), (3, 3), (4, 2)] {
-                let sym = is_k_recoverable_symmetric(&start, env, &GreedyRepair::new(), d, k, &ctx)
-                    .expect("counting constraints declare symmetry");
+                let (sym, _) =
+                    is_k_recoverable_symmetric(&start, env, &GreedyRepair::new(), d, k, &ctx)
+                        .expect("counting constraints declare symmetry");
                 let full = is_k_recoverable_exhaustive(&start, env, &GreedyRepair::new(), d, k);
                 assert_eq!(sym, full, "d={d} k={k}");
             }
@@ -1373,7 +1294,7 @@ mod tests {
         let ctx = RunContext::with_threads(0, 3);
         let start = Config::ones(8);
         let env = AllOnes::new(8);
-        let sym =
+        let (sym, _) =
             is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 2, &ctx).unwrap();
         let reference = recoverability_reference(&start, &env, &GreedyRepair::new(), 3, 2);
         assert_eq!(sym, reference);
@@ -1391,7 +1312,7 @@ mod tests {
         for threads in [1usize, 2, 4] {
             let ctx = RunContext::with_threads(0, threads);
             let (report, stats) =
-                is_k_recoverable_symmetric_stats(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
+                is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
                     .expect("symmetric");
             assert!(report.is_k_recoverable());
             assert_eq!(report.cases, 10 + 45 + 120);

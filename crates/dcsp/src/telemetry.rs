@@ -1,7 +1,10 @@
 //! Telemetry recording for the verification engines.
 //!
 //! The DCSP checkers already return deterministic aggregates — the
-//! [`VerifyStats`] of the `_stats` recoverability entry points and the
+//! [`VerifyStats`] that
+//! [`is_k_recoverable_exhaustive_parallel_stats`](crate::is_k_recoverable_exhaustive_parallel_stats)
+//! and [`is_k_recoverable_symmetric`](crate::is_k_recoverable_symmetric)
+//! return beside their reports, and the
 //! per-depth frontier sizes of a [`MaintainabilityReport`] — so, as with
 //! the supervised runtime, telemetry is derived from those results after
 //! the fact rather than emitted live from worker threads. Everything
@@ -76,7 +79,41 @@ pub fn record_maintainability(
     registry: &mut MetricsRegistry,
     report: &MaintainabilityReport,
 ) {
-    let frontier = report.frontier_sizes();
+    record_frontiers(
+        tracer,
+        registry,
+        &report.frontier_sizes(),
+        report.levels.len() as u64,
+        report.hopeless_states().len() as u64,
+    );
+}
+
+/// Record one summarized maintainability run ([`FrontierSummary`]): the
+/// same [`Event::FrontierLevel`] stream and `dcsp_maintainability_*`
+/// metric family as [`record_maintainability`] — a dense report and an
+/// orbit summary of the same instance produce byte-identical telemetry.
+pub fn record_frontier_summary(
+    tracer: &mut Tracer,
+    registry: &mut MetricsRegistry,
+    summary: &FrontierSummary,
+) {
+    record_frontiers(
+        tracer,
+        registry,
+        &summary.frontier_sizes,
+        summary.total_states(),
+        summary.hopeless,
+    );
+}
+
+/// The one body behind both maintainability recorders.
+fn record_frontiers(
+    tracer: &mut Tracer,
+    registry: &mut MetricsRegistry,
+    frontier: &[u64],
+    states: u64,
+    hopeless: u64,
+) {
     for (depth, states) in frontier.iter().enumerate() {
         tracer.record(
             depth as u64,
@@ -89,12 +126,12 @@ pub fn record_maintainability(
     registry.inc_counter(
         "dcsp_maintainability_states_total",
         "States analyzed by backward BFS",
-        report.levels.len() as u64,
+        states,
     );
     registry.inc_counter(
         "dcsp_maintainability_hopeless_total",
         "States from which normality is unreachable",
-        report.hopeless_states().len() as u64,
+        hopeless,
     );
     registry.set_gauge(
         "dcsp_maintainability_depth",
@@ -108,52 +145,12 @@ pub fn record_maintainability(
     );
 }
 
-/// Record one summarized maintainability run ([`FrontierSummary`]): the
-/// same [`Event::FrontierLevel`] stream and `dcsp_maintainability_*`
-/// metric family as [`record_maintainability`] — a dense report and an
-/// orbit summary of the same instance produce byte-identical telemetry.
-pub fn record_frontier_summary(
-    tracer: &mut Tracer,
-    registry: &mut MetricsRegistry,
-    summary: &FrontierSummary,
-) {
-    for (depth, states) in summary.frontier_sizes.iter().enumerate() {
-        tracer.record(
-            depth as u64,
-            Event::FrontierLevel {
-                depth: depth as u32,
-                states: *states,
-            },
-        );
-    }
-    registry.inc_counter(
-        "dcsp_maintainability_states_total",
-        "States analyzed by backward BFS",
-        summary.total_states(),
-    );
-    registry.inc_counter(
-        "dcsp_maintainability_hopeless_total",
-        "States from which normality is unreachable",
-        summary.hopeless,
-    );
-    registry.set_gauge(
-        "dcsp_maintainability_depth",
-        "Deepest backward-BFS level of the most recent analysis",
-        summary.frontier_sizes.len().saturating_sub(1) as f64,
-    );
-    registry.set_gauge(
-        "dcsp_maintainability_frontier_peak",
-        "Largest single frontier of the most recent analysis",
-        summary.frontier_peak() as f64,
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::maintainability::{analyze_bit_dcsp, analyze_bit_dcsp_frontiers};
     use crate::recoverability::{
-        is_k_recoverable_exhaustive_stats, is_k_recoverable_symmetric_stats,
+        is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_symmetric,
     };
     use crate::repair::GreedyRepair;
     use resilience_core::{AtLeastOnes, Config, PredicateConstraint, RunContext};
@@ -162,8 +159,14 @@ mod tests {
     fn verification_telemetry_reconciles_with_the_report() {
         let start = Config::ones(10);
         let env = AtLeastOnes::new(10, 6);
-        let (report, stats) =
-            is_k_recoverable_exhaustive_stats(&start, &env, &GreedyRepair::new(), 3, 4);
+        let (report, stats) = is_k_recoverable_exhaustive_parallel_stats(
+            &start,
+            &env,
+            &GreedyRepair::new(),
+            3,
+            4,
+            &RunContext::new(0),
+        );
         let mut tracer = Tracer::new();
         let mut registry = MetricsRegistry::new();
         record_verification(&mut tracer, &mut registry, &report, &stats);
@@ -210,7 +213,7 @@ mod tests {
         let env = AtLeastOnes::new(10, 6);
         let ctx = RunContext::new(0);
         let (report, stats) =
-            is_k_recoverable_symmetric_stats(&start, &env, &GreedyRepair::new(), 3, 4, &ctx)
+            is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 4, &ctx)
                 .expect("counting constraints declare symmetry");
         let mut tracer = Tracer::new();
         let mut registry = MetricsRegistry::new();

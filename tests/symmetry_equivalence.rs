@@ -26,7 +26,6 @@ use systems_resilience::dcsp::maintainability::{
 };
 use systems_resilience::dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
-    is_k_recoverable_symmetric_stats,
 };
 use systems_resilience::dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
 
@@ -54,7 +53,7 @@ proptest! {
         let strategy: &dyn RepairStrategy = if use_bfs { &bfs } else { &greedy };
         let ctx = RunContext::with_threads(0, threads);
         let env = AtLeastOnes::new(n, need);
-        let sym = is_k_recoverable_symmetric(&start, &env, strategy, damage, k, &ctx)
+        let (sym, _) = is_k_recoverable_symmetric(&start, &env, strategy, damage, k, &ctx)
             .expect("counting constraints declare symmetry");
         let full = is_k_recoverable_exhaustive(&start, &env, strategy, damage, k);
         prop_assert_eq!(sym, full);
@@ -74,7 +73,7 @@ proptest! {
         let mut first = None;
         for threads in [1usize, 2, 4] {
             let ctx = RunContext::with_threads(0, threads);
-            let got = is_k_recoverable_symmetric_stats(
+            let got = is_k_recoverable_symmetric(
                 &start, &env, &GreedyRepair::new(), damage, k, &ctx,
             )
             .expect("AllOnes declares symmetry");
@@ -276,12 +275,13 @@ fn chaos_supervision_leaves_verification_bit_identical() {
         3,
         &RunContext::with_threads(0, 2),
     )
-    .expect("symmetric");
+    .expect("symmetric")
+    .0;
     let clean_full = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
     for threads in [1usize, 2, 4] {
         let ctx = RunContext::with_threads(0, threads)
             .supervised(Supervision::new("symmetry-chaos", cfg.clone()));
-        let sym = is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
+        let (sym, _) = is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
             .expect("symmetric");
         assert_eq!(sym, clean_sym, "symmetric threads={threads}");
         let ctx = RunContext::with_threads(0, threads)

@@ -88,9 +88,9 @@ proptest! {
     ) {
         let ts = random_system(seed, n, edge_factor);
         prop_assert_eq!(ts.analyze(), ts.analyze_reference());
-        let adversarial = ts.analyze_adversarial();
+        let adversarial = ts.analyze_adversarial(1);
         prop_assert_eq!(&adversarial, &ts.analyze_adversarial_reference());
-        prop_assert_eq!(&adversarial, &ts.analyze_adversarial_threads(threads));
+        prop_assert_eq!(&adversarial, &ts.analyze_adversarial(threads));
     }
 
     /// The implicit (on-the-fly) bit-DCSP checkers match the explicit
@@ -106,7 +106,7 @@ proptest! {
         let env = AtLeastOnes::new(n, need);
         let ts = TransitionSystem::from_bit_dcsp(n, &env, damage);
         prop_assert_eq!(analyze_bit_dcsp(n, &env), ts.analyze());
-        let explicit = ts.analyze_adversarial();
+        let explicit = ts.analyze_adversarial(1);
         prop_assert_eq!(
             &analyze_bit_dcsp_adversarial(n, &env, damage, threads),
             &explicit

@@ -25,7 +25,7 @@ use systems_resilience::dcsp::maintainability::{
 };
 use systems_resilience::dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel_stats,
-    is_k_recoverable_symmetric_stats, RecoverabilityReport, VerifyStats,
+    is_k_recoverable_symmetric, RecoverabilityReport, VerifyStats,
 };
 use systems_resilience::dcsp::repair::GreedyRepair;
 
@@ -149,11 +149,11 @@ fn computed() -> Vec<(String, u64)> {
     ));
     out.push((
         "explicit adversarial from_bit_dcsp(10, AtLeastOnes(10, 7), 2) threads=1".to_string(),
-        report_digest(&ts.analyze_adversarial()),
+        report_digest(&ts.analyze_adversarial(1)),
     ));
     out.push((
         "explicit adversarial from_bit_dcsp(10, AtLeastOnes(10, 7), 2) threads=3".to_string(),
-        report_digest(&ts.analyze_adversarial_threads(3)),
+        report_digest(&ts.analyze_adversarial(3)),
     ));
     for (seed, n) in [(1u64, 40usize), (7, 97), (42, 300)] {
         let ts = random_system(seed, n);
@@ -163,11 +163,11 @@ fn computed() -> Vec<(String, u64)> {
         ));
         out.push((
             format!("explicit adversarial random seed={seed} n={n} threads=1"),
-            report_digest(&ts.analyze_adversarial()),
+            report_digest(&ts.analyze_adversarial(1)),
         ));
         out.push((
             format!("explicit adversarial random seed={seed} n={n} threads=3"),
-            report_digest(&ts.analyze_adversarial_threads(3)),
+            report_digest(&ts.analyze_adversarial(3)),
         ));
     }
 
@@ -225,9 +225,8 @@ fn computed() -> Vec<(String, u64)> {
     for k in [4, 3] {
         for threads in [1, 3] {
             let ctx = RunContext::with_threads(0, threads);
-            let (report, stats) =
-                is_k_recoverable_symmetric_stats(&start, &env, &greedy, 4, k, &ctx)
-                    .expect("AllOnes declares symmetry");
+            let (report, stats) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, k, &ctx)
+                .expect("AllOnes declares symmetry");
             out.push((
                 format!("symmetric AllOnes(20) d=4 k={k} threads={threads}"),
                 recoverability_digest(&report, Some(&stats)),
