@@ -127,6 +127,10 @@ pub struct FaultPlan {
     pub transient_attempts: u32,
 }
 
+/// Largest `gray_factor`, and largest `delay` in milliseconds, a plan may
+/// carry (the bound `FaultConfig::parse` reads both with).
+const MAX_WORK_MULTIPLIER: u64 = u32::MAX as u64;
+
 impl FaultPlan {
     /// A quiet plan: no faults are ever injected (supervision still
     /// isolates genuine panics and enforces the recovery policy).
@@ -161,7 +165,8 @@ impl FaultPlan {
     ///
     /// [`CoreError::InvalidParameter`] if any rate is outside `[0, 1]`,
     /// the per-slot rates sum above 1 (`correlated_rate` rides its own
-    /// draw stream and is excluded from the sum), `gray_factor == 0`, or
+    /// draw stream and is excluded from the sum), `gray_factor` is 0 or
+    /// above `u32::MAX`, `delay` is above `u32::MAX` milliseconds, or
     /// `transient_attempts == 0`.
     pub fn validate(&self) -> Result<(), CoreError> {
         for (name, rate) in [
@@ -196,6 +201,18 @@ impl FaultPlan {
                 "a gray backend must still make progress (gray_factor >= 1)",
             ));
         }
+        if self.gray_factor > MAX_WORK_MULTIPLIER {
+            return Err(crate::error::invalid_param(
+                "gray_factor",
+                format!("must be at most {MAX_WORK_MULTIPLIER}"),
+            ));
+        }
+        if self.delay.as_millis() > u128::from(MAX_WORK_MULTIPLIER) {
+            return Err(crate::error::invalid_param(
+                "delay",
+                format!("must be at most {MAX_WORK_MULTIPLIER} ms"),
+            ));
+        }
         if self.transient_attempts == 0 {
             return Err(crate::error::invalid_param(
                 "times",
@@ -203,6 +220,19 @@ impl FaultPlan {
             ));
         }
         Ok(())
+    }
+
+    /// `gray_factor` clamped to the `1..=u32::MAX` that
+    /// [`FaultPlan::validate`] accepts: the serve multiplies it into its
+    /// work units, so any plan keeps that arithmetic in `u64`.
+    pub fn gray_work_factor(&self) -> u64 {
+        self.gray_factor.clamp(1, MAX_WORK_MULTIPLIER)
+    }
+
+    /// `delay` in whole milliseconds, clamped to the `u32::MAX` that
+    /// [`FaultPlan::validate`] accepts, for the same reason.
+    pub fn delay_ms(&self) -> u64 {
+        self.delay.as_millis().min(u128::from(MAX_WORK_MULTIPLIER)) as u64
     }
 
     /// The fault assigned to a trial slot, if any — a pure function of

@@ -641,13 +641,13 @@ impl<'a> ServeLoop<'a> {
         // possibly gray- or delay-inflated. It only guards against
         // non-convergence, so it is deliberately generous.
         let total_work: u64 = trace.requests.iter().map(|r| r.cost).sum();
-        let delay_work = plan.delay.as_millis() as u64 * cfg.rate_per_server;
+        let delay_work = plan.delay_ms().saturating_mul(cfg.rate_per_server);
         let tick_ceiling = trace
             .horizon()
             .saturating_add(
                 total_work
                     .saturating_mul(3)
-                    .saturating_mul(plan.gray_factor.max(1)),
+                    .saturating_mul(plan.gray_work_factor()),
             )
             .saturating_add((trace.len() as u64).saturating_mul(3 * delay_work))
             .saturating_add(cfg.breaker_cooldown + 1000);
@@ -984,12 +984,11 @@ impl<'a> ServeLoop<'a> {
             (plan.slot_fault(label, seed, request.id), false)
         };
         let fault = fault.map(|f| f.kind);
-        let work = base_work
-            + match fault {
-                Some(FaultKind::Delay) => self.delay_work,
-                Some(FaultKind::Gray) => base_work.saturating_mul(plan.gray_factor.max(1) - 1),
-                _ => 0,
-            };
+        let work = base_work.saturating_add(match fault {
+            Some(FaultKind::Delay) => self.delay_work,
+            Some(FaultKind::Gray) => base_work.saturating_mul(plan.gray_work_factor() - 1),
+            _ => 0,
+        });
         Attempt {
             replica,
             kind,

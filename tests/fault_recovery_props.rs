@@ -19,7 +19,9 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use rand::Rng;
-use systems_resilience::core::{FaultConfig, FaultPlan, RecoveryPolicy, RunContext, Supervision};
+use systems_resilience::core::{
+    CoreError, FaultConfig, FaultPlan, RecoveryPolicy, RunContext, Supervision,
+};
 use systems_resilience::service::{RequestTrace, ServiceConfig, ServiceEngine, TraceSpec};
 
 /// The reference workload: XOR-fold of seeded draws, so any dropped,
@@ -292,5 +294,40 @@ fn largest_accepted_work_multipliers_serve() {
     ] {
         let plan = FaultConfig::parse(spec).expect(spec).plan;
         assert_eq!(engine.serve(&trace, &plan).total(), 50, "{spec}");
+    }
+}
+
+/// A plan built in code skips the parser's bound: `validate` rejects a
+/// `gray_factor` or `delay` above `u32::MAX` (ms), naming the field, and
+/// the serve still takes such a plan to the end without overflowing its
+/// work arithmetic.
+#[test]
+fn unbounded_work_multipliers_are_rejected_and_still_serve() {
+    let trace = RequestTrace::generate(&TraceSpec::new(50, 42));
+    let engine = ServiceEngine::new(ServiceConfig::default());
+    let delayed = |delay| FaultPlan {
+        seed: 1,
+        delay_rate: 0.5,
+        delay,
+        ..FaultPlan::none()
+    };
+    for (field, plan) in [
+        (
+            "gray_factor",
+            FaultPlan {
+                seed: 1,
+                gray_rate: 0.5,
+                gray_factor: u64::MAX,
+                ..FaultPlan::none()
+            },
+        ),
+        ("delay", delayed(Duration::from_millis(1 << 61))),
+        ("delay", delayed(Duration::MAX)),
+    ] {
+        match plan.validate() {
+            Err(CoreError::InvalidParameter { name, .. }) => assert_eq!(name, field),
+            other => panic!("{field}: expected InvalidParameter, got {other:?}"),
+        }
+        assert_eq!(engine.serve(&trace, &plan).total(), 50, "{field}");
     }
 }
