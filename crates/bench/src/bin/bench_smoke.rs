@@ -37,8 +37,7 @@ use resilience_core::{
     AllOnes, AtLeastOnes, Config, FaultConfig, PredicateConstraint, RunContext, Supervision,
 };
 use resilience_dcsp::maintainability::{
-    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, FrontierSummary, TransitionSystem,
+    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 use resilience_dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
@@ -915,7 +914,7 @@ struct SymmetrySpeed {
 #[derive(Serialize)]
 struct OrbitScale {
     /// The quiet 2^30 instance: AtLeastOnes(30, 4), five BFS levels,
-    /// summarized on its 31 popcount orbits.
+    /// solved on its 31 popcount orbits.
     quiet_2pow30_levels: usize,
     quiet_2pow30_secs: f64,
     /// The adversarial 2^26 instance: AtLeastOnes(26, 18) at damage 2.
@@ -930,15 +929,15 @@ fn dense_twin(need: usize) -> PredicateConstraint {
     PredicateConstraint::new("at-least", move |c: &Config| c.count_ones() >= need)
 }
 
-/// Gate that an orbit summary covers all `2^n_bits` states.
-fn gate_covers_space(summary: &FrontierSummary, what: &str) {
+/// Gate that an orbit report's counts cover all `2^n_bits` states.
+fn gate_covers_space(report: &MaintainabilityReport, what: &str) {
     gate(
-        summary.frontier_sizes.iter().sum::<u64>() + summary.hopeless == summary.total_states(),
+        report.frontier_sizes().iter().sum::<u64>() + report.hopeless() == report.n_states() as u64,
         format!("{what} counts do not sum to the state space"),
     );
 }
 
-/// `bench_smoke dcsp`: symmetry-reduction speed, orbit-summary scale
+/// `bench_smoke dcsp`: symmetry-reduction speed, orbit-report scale
 /// numbers (2^30 states, beyond the dense path's 2^24 cap) and their
 /// equivalence gates.
 fn run_dcsp_smoke(reps: usize) {
@@ -979,15 +978,14 @@ fn run_dcsp_smoke(reps: usize) {
         ),
     );
 
-    // Gate 2: the orbit summary agrees with the dense path, run on the
-    // symmetry-free twin, at the largest size it still reaches
+    // Gate 2: the orbit report's counts agree with the dense path, run
+    // on the symmetry-free twin, at the largest size it still reaches
     // comfortably.
-    let orbit20 = analyze_bit_dcsp_frontiers(20, &AtLeastOnes::new(20, 13))
-        .expect("orbits reach 2^63 states");
+    let orbit20 = analyze_bit_dcsp(20, &AtLeastOnes::new(20, 13));
     let dense20 = analyze_bit_dcsp(20, &dense_twin(13));
     gate(
-        orbit20.frontier_sizes == dense20.frontier_sizes()
-            && orbit20.hopeless == dense20.hopeless_states().len() as u64,
+        orbit20.frontier_sizes() == dense20.frontier_sizes()
+            && orbit20.hopeless() == dense20.hopeless(),
         "orbit summary differs from the dense analysis at 2^20",
     );
 
@@ -996,24 +994,21 @@ fn run_dcsp_smoke(reps: usize) {
     // land in a level or the hopeless count.
     const BIG: usize = 30;
     let env30 = AtLeastOnes::new(BIG, 4);
-    let big = analyze_bit_dcsp_frontiers(BIG, &env30).expect("orbits reach 2^63 states");
+    let big = analyze_bit_dcsp(BIG, &env30);
     gate(
-        big.frontier_sizes.len() == 5,
+        big.frontier_sizes().len() == 5,
         "2^30 quiet summary does not have five levels",
     );
     gate_covers_space(&big, "2^30 quiet summary");
-    let big_secs = median_secs(reps, || analyze_bit_dcsp_frontiers(BIG, &env30));
+    let big_secs = median_secs(reps, || analyze_bit_dcsp(BIG, &env30));
     let env26 = AtLeastOnes::new(26, 18);
-    let adv =
-        analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 1).expect("orbits reach 2^63 states");
+    let adv = analyze_bit_dcsp_adversarial(26, &env26, 2, 1);
     gate(
-        adv.frontier_sizes.len() == 1,
+        adv.frontier_sizes().len() == 1,
         "2^26 adversarial summary does not have one level",
     );
     gate_covers_space(&adv, "2^26 adversarial summary");
-    let adv_secs = median_secs(reps, || {
-        analyze_bit_dcsp_adversarial_frontiers(26, &env26, 2, 1)
-    });
+    let adv_secs = median_secs(reps, || analyze_bit_dcsp_adversarial(26, &env26, 2, 1));
 
     let cases = sym_report.cases as f64;
     let symmetry = SymmetrySpeed {
@@ -1028,9 +1023,9 @@ fn run_dcsp_smoke(reps: usize) {
         symmetric_thread_scaling: thread_scaling(sym1_secs, sym4_secs),
     };
     let orbits = OrbitScale {
-        quiet_2pow30_levels: big.frontier_sizes.len(),
+        quiet_2pow30_levels: big.frontier_sizes().len(),
         quiet_2pow30_secs: big_secs,
-        adversarial_2pow26_levels: adv.frontier_sizes.len(),
+        adversarial_2pow26_levels: adv.frontier_sizes().len(),
         adversarial_2pow26_secs: adv_secs,
     };
     emit_smoke(

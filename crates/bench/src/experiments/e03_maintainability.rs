@@ -2,8 +2,7 @@
 
 use resilience_core::{AtLeastOnes, Config, PredicateConstraint};
 use resilience_dcsp::maintainability::{
-    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, TransitionSystem,
+    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, TransitionSystem,
 };
 
 use crate::table::ExperimentTable;
@@ -47,7 +46,7 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
             format!("{states}"),
             format!("{:?}", report.min_k()),
             format!("{:?}", adversarial.min_k()),
-            format!("{}", report.hopeless_states().len()),
+            format!("{}", report.hopeless()),
             format!("{edges} edges"),
         ]);
     }
@@ -70,32 +69,30 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
             format!("{states}"),
             format!("{:?}", report.min_k()),
             format!("{:?}", adversarial.min_k()),
-            format!("{}", report.hopeless_states().len()),
+            format!("{}", report.hopeless()),
             format!("{edges} edges (implicit)"),
         ]);
     }
-    // Beyond the dense implicit path's 2^24 cap the per-state level array
-    // itself no longer fits. `AtLeastOnes` is fully symmetric, so both
-    // analyses are solved on the 27 popcount orbits and summarized as
-    // per-depth counts, which is all this table reports anyway.
+    // Beyond the dense implicit path's 2^24 cap the per-state arrays no
+    // longer fit. `AtLeastOnes` is fully symmetric, so both analyses are
+    // solved on the 27 popcount orbits and reported per orbit.
     // Equivalence with the dense analysis is pinned by
     // `tests/symmetry_equivalence.rs`.
     {
         let n = 26usize;
         let need = n - n / 3;
         let env = AtLeastOnes::new(n, need);
-        let summary = analyze_bit_dcsp_frontiers(n, &env).expect("orbits reach 2^63 states");
-        let adversarial = analyze_bit_dcsp_adversarial_frontiers(n, &env, 2, ctx.threads())
-            .expect("orbits reach 2^63 states");
+        let report = analyze_bit_dcsp(n, &env);
+        let adversarial = analyze_bit_dcsp_adversarial(n, &env, 2, ctx.threads());
         let states = 1usize << n;
         let edges = states * n;
         check_scaling(n as f64, &mut prev_per_state, &mut polynomial_scaling);
         rows.push(vec![
             format!("{n}"),
             format!("{states}"),
-            format!("{:?}", summary.min_k()),
+            format!("{:?}", report.min_k()),
             format!("{:?}", adversarial.min_k()),
-            format!("{}", summary.hopeless),
+            format!("{}", report.hopeless()),
             format!("{edges} edges (orbits)"),
         ]);
     }

@@ -45,6 +45,7 @@
 // `unwrap()`; tests are exempt (the `not(test)` gate) because a failed
 // unwrap there *is* the assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod belief;
 pub mod bitwords;
@@ -63,9 +64,8 @@ pub use belief::BeliefState;
 pub use bitwords::BitWords;
 pub use cost::{CostConstraint, CostFunction, WeightedClauses, WeightedMismatch};
 pub use maintainability::{
-    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, try_analyze_bit_dcsp, try_analyze_bit_dcsp_adversarial,
-    FrontierSummary, MaintainabilityReport, MaintenancePolicy, TransitionSystem,
+    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, try_analyze_bit_dcsp,
+    try_analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 pub use problem::{DcspSystem, EpisodeRecord};
 pub use recoverability::{
@@ -77,5 +77,5 @@ pub use repair::{AnnealRepair, BfsRepair, GreedyRepair, RepairOutcome, RepairStr
 pub use scenario::{Scenario, ScenarioReport, ScenarioStep};
 pub use spacecraft::{MissionLog, Spacecraft};
 pub use symmetry::{DamageOrbit, SymmetryClasses};
-pub use telemetry::{record_frontier_summary, record_maintainability, record_verification};
+pub use telemetry::{record_maintainability, record_verification};
 pub use tiger_team::{random_testing, AttackReport, TigerTeam};

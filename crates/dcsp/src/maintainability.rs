@@ -15,9 +15,9 @@
 //! * [`TransitionSystem::analyze`] — the paper's definition: the
 //!   environment stays quiet during repair. Backward BFS (word-packed
 //!   bitset frontiers) from the normal states yields, for every state, the
-//!   minimum number of controllable steps to normality, and a
-//!   [`MaintenancePolicy`] achieving it. This is the polynomial-time
-//!   construction of Baral & Eiter.
+//!   minimum number of controllable steps to normality, and a repair
+//!   [`Policy`] achieving it. This is the polynomial-time construction of
+//!   Baral & Eiter.
 //! * [`TransitionSystem::analyze_adversarial`] — a strictly stronger
 //!   variant in which after every administrator action the environment may
 //!   take one worst-case exogenous step; computed as a min-max fixed point
@@ -28,9 +28,7 @@
 //! ([`TransitionSystem::from_bit_dcsp`]) materializes all `2^n` states and
 //! is capped at 20 bits; the *implicit* checkers [`analyze_bit_dcsp`] and
 //! [`analyze_bit_dcsp_adversarial`] generate single-bit-flip moves on the
-//! fly and scale past `2^20` states while producing byte-identical
-//! reports, up to 24 bits (typed [`CoreError::StateSpaceTooLarge`] via
-//! the `try_` variants beyond).
+//! fly and produce equal reports without the transition system.
 //!
 //! When the constraint declares full variable symmetry — one
 //! interchangeability class over exactly the `n` state bits
@@ -39,11 +37,17 @@
 //! the `n + 1` popcount *orbits* (the count view of state): a flip moves
 //! orbit `p` to `p ± 1`, and damaging `j` set and `k` clear bits moves it
 //! to `p − j + k`. The Jacobi iterates are orbit-constant, so the orbit
-//! fixed point is the dense one; it is expanded to the per-state report.
-//! The frontier summaries ([`analyze_bit_dcsp_frontiers`],
-//! [`analyze_bit_dcsp_adversarial_frontiers`]) weight each orbit by
-//! `C(n, p)` instead of expanding, so they reach `2^63` states; without a
-//! declared symmetry they summarize the dense report.
+//! fixed point is the dense one.
+//!
+//! A [`MaintainabilityReport`] has two storages. A dense report keeps a
+//! `u32` level and a `u32` successor per state, up to `2^24` states. An
+//! orbit report keeps, per orbit, the level and whether the orbits below
+//! and above reach the target, up to `2^63` states; it answers for a
+//! state from its popcount, and weights each orbit by `C(n, p)` when it
+//! counts frontiers or hopeless states. Both answer every query, each
+//! per-state one in O(1), and compare equal when every state's level and
+//! next state agree. The `try_` variants return
+//! [`CoreError::StateSpaceTooLarge`] past those limits.
 //!
 //! The three state spaces — the CSR, the dense bit-flip space and the
 //! orbits — are three move sources of one engine: one backward BFS, one
@@ -440,39 +444,237 @@ fn fixed_point<M: MoveSource>(moves: &M, threads: usize) -> (Vec<u32>, Vec<u32>)
     (v, worst)
 }
 
-/// The per-state report of values `v` (`INF` = unreachable) under the
-/// one policy rule: from every non-normal state of finite value, move to
-/// the first successor whose reply is one less. The quiet analysis
-/// replies with its own levels.
-fn report<M: MoveSource>(moves: &M, v: &[u32], replies: &[u32]) -> MaintainabilityReport {
-    let action = (0..moves.n_states())
+/// The dense report of values `v` (`INF` = unreachable) under the one
+/// policy rule: from every non-normal state of finite value, move to the
+/// first successor whose reply is one less. `replies` defaults to `v`,
+/// which is the quiet analysis's reply.
+fn report<M: MoveSource>(moves: &M, v: Vec<u32>, replies: Option<&[u32]>) -> MaintainabilityReport {
+    let replies = replies.unwrap_or(&v);
+    let successors = (0..moves.n_states())
         .map(|s| {
             if moves.is_normal(s) || v[s] == INF {
-                return None;
+                return NO_MOVE;
             }
-            moves.successors(s).find(|&t| replies[t] == v[s] - 1)
+            moves
+                .successors(s)
+                .find(|&t| replies[t] == v[s] - 1)
+                .map_or(NO_MOVE, |t| t as u32)
         })
         .collect();
     MaintainabilityReport {
-        levels: v
-            .iter()
-            .map(|&x| (x != INF).then_some(x as usize))
-            .collect(),
-        policy: MaintenancePolicy { action },
+        levels: Levels(Column::Dense(v)),
+        policy: Policy(Column::Dense(successors)),
     }
 }
 
-/// A memoryless repair policy: for each state, the controllable successor
-/// to move to (or `None` for normal/hopeless states).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MaintenancePolicy {
-    action: Vec<Option<usize>>,
+/// The orbit report of an `n_bits`-bit space, from the orbit values `v`
+/// and worst replies. The policy rule keeps every direction whose orbit
+/// reaches the target `v − 1`, and [`Policy::next_state`] flips the
+/// lowest such bit of each state, which is the dense path's "lowest
+/// flipped bit" tie-break.
+fn orbit_report(
+    n_bits: usize,
+    orbits: &Orbits,
+    v: Vec<u32>,
+    worst: &[u32],
+) -> MaintainabilityReport {
+    let directions = (0..v.len())
+        .map(|p| {
+            if orbits.is_normal(p) || v[p] == INF {
+                return 0;
+            }
+            orbits
+                .successors(p)
+                .filter(|&t| worst[t] == v[p] - 1)
+                .fold(0, |dirs, t| dirs | if t < p { DOWN } else { UP })
+        })
+        .collect();
+    MaintainabilityReport {
+        levels: Levels(Column::Orbits { n_bits, words: v }),
+        policy: Policy(Column::Orbits {
+            n_bits,
+            words: directions,
+        }),
+    }
 }
 
-impl MaintenancePolicy {
+/// Dense successor word of a state with no move (normal or hopeless).
+/// Successors are state indices, which every move source keeps below it.
+const NO_MOVE: u32 = u32::MAX;
+
+/// Orbit direction flags: a set-bit flip (to the orbit below) or a
+/// clear-bit flip (to the orbit above) reaches the target.
+const DOWN: u32 = 1;
+const UP: u32 = 2;
+
+/// One per-state column of a [`MaintainabilityReport`].
+#[derive(Debug, Clone, PartialEq)]
+enum Column {
+    /// One word per state.
+    Dense(Vec<u32>),
+    /// One word per popcount orbit of an `n_bits`-bit space: `words[p]`
+    /// answers for each of the `C(n_bits, p)` states with `p` bits set.
+    Orbits { n_bits: usize, words: Vec<u32> },
+}
+
+impl Column {
+    fn len(&self) -> usize {
+        match self {
+            Column::Dense(words) => words.len(),
+            Column::Orbits { n_bits, .. } => 1 << n_bits,
+        }
+    }
+
+    /// The word answering for `state`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    fn word(&self, state: usize) -> u32 {
+        match self {
+            Column::Dense(words) => words[state],
+            Column::Orbits { n_bits, words } => {
+                assert!(state >> n_bits == 0, "state {state} is not {n_bits} bits");
+                words[state.count_ones() as usize]
+            }
+        }
+    }
+
+    /// Each stored word with the number of states it answers for.
+    fn weighted(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let (words, n_bits) = match self {
+            Column::Dense(words) => (words, None),
+            Column::Orbits { n_bits, words } => (words, Some(*n_bits)),
+        };
+        let mut choose = 1u64;
+        words
+            .iter()
+            .enumerate()
+            .map(move |(p, &word)| match n_bits {
+                None => (word, 1),
+                Some(n) => {
+                    let states = choose;
+                    // C(n, p + 1) = C(n, p) · (n − p) / (p + 1), exact in u128.
+                    choose = (u128::from(choose) * (n - p) as u128 / (p as u128 + 1)) as u64;
+                    (word, states)
+                }
+            })
+    }
+
+    /// Whether both columns give every state the same `answer`. Columns
+    /// of one storage compare their words, which is the same test: the
+    /// words are canonical.
+    fn same_answers(&self, other: &Self, answer: impl Fn(&Self, usize) -> Option<usize>) -> bool {
+        if std::mem::discriminant(self) == std::mem::discriminant(other) {
+            return self == other;
+        }
+        self.len() == other.len() && (0..self.len()).all(|s| answer(self, s) == answer(other, s))
+    }
+}
+
+/// Every state's level: the minimum number of controllable steps to a
+/// normal state, `None` where normality is unreachable.
+#[derive(Debug, Clone)]
+pub struct Levels(Column);
+
+impl Levels {
+    fn get(column: &Column, state: usize) -> Option<usize> {
+        let level = column.word(state);
+        (level != INF).then_some(level as usize)
+    }
+
+    /// Every state's level, in state order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        (0..self.0.len()).map(|s| Levels::get(&self.0, s))
+    }
+}
+
+impl PartialEq for Levels {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.same_answers(&other.0, Levels::get)
+    }
+}
+
+/// A memoryless repair policy: the controllable successor each state
+/// moves to, `None` at normal and hopeless states.
+#[derive(Debug, Clone)]
+pub struct Policy(Column);
+
+impl Policy {
+    fn get(column: &Column, state: usize) -> Option<usize> {
+        let word = column.word(state);
+        match column {
+            Column::Dense(_) => (word != NO_MOVE).then_some(word as usize),
+            Column::Orbits { .. } => {
+                let down = (word & DOWN != 0).then(|| state.trailing_zeros());
+                let up = (word & UP != 0).then(|| (!state).trailing_zeros());
+                down.into_iter()
+                    .chain(up)
+                    .min()
+                    .map(|bit| state ^ (1 << bit))
+            }
+        }
+    }
+
     /// The successor this policy chooses in `state`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
     pub fn next_state(&self, state: usize) -> Option<usize> {
-        self.action.get(state).copied().flatten()
+        Policy::get(&self.0, state)
+    }
+}
+
+impl PartialEq for Policy {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.same_answers(&other.0, Policy::get)
+    }
+}
+
+/// Result of a maintainability analysis: every state's level and the
+/// repair policy's move from it.
+///
+/// A dense report stores a `u32` level and a `u32` successor per state.
+/// An orbit report, built when the constraint is fully symmetric, stores
+/// one level and two direction flags per popcount orbit and answers for
+/// each state from its popcount. Every query below works on both, each
+/// per-state one in O(1), and two reports are equal when every state's
+/// level and next state agree, whatever their storage.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MaintainabilityReport {
+    /// The levels; [`MaintainabilityReport::level`] reads one.
+    /// `refbench/src/verify.rs` iterates this field.
+    pub levels: Levels,
+    /// The policy; [`MaintainabilityReport::next_state`] reads one move.
+    /// `refbench/src/verify.rs` reads this field.
+    pub policy: Policy,
+}
+
+impl MaintainabilityReport {
+    /// Number of states the report covers.
+    pub fn n_states(&self) -> usize {
+        self.levels.0.len()
+    }
+
+    /// Minimum controllable steps from `state` to a normal state, or
+    /// `None` if normality is unreachable from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    pub fn level(&self, state: usize) -> Option<usize> {
+        Levels::get(&self.levels.0, state)
+    }
+
+    /// The successor the policy chooses in `state`, or `None` at normal
+    /// and hopeless states.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is out of range.
+    pub fn next_state(&self, state: usize) -> Option<usize> {
+        self.policy.next_state(state)
     }
 
     /// Execute the policy from `state` for at most `budget` steps over
@@ -494,58 +696,59 @@ impl MaintenancePolicy {
         }
         path
     }
-}
 
-/// Result of a maintainability analysis.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaintainabilityReport {
-    /// `levels[s]` = minimum controllable steps from `s` to a normal state
-    /// (`None` if unreachable — the system is not maintainable from `s`).
-    pub levels: Vec<Option<usize>>,
-    /// The constructed policy.
-    pub policy: MaintenancePolicy,
-}
-
-impl MaintainabilityReport {
     /// The smallest `k` such that the system is k-maintainable, or `None`
     /// if some state can never reach normality.
     pub fn min_k(&self) -> Option<usize> {
-        let mut max = 0;
-        for lvl in &self.levels {
-            match lvl {
-                Some(l) => max = max.max(*l),
-                None => return None,
-            }
-        }
-        Some(max)
+        self.levels
+            .0
+            .weighted()
+            .try_fold(0, |max, (level, _)| (level != INF).then(|| max.max(level)))
+            .map(|max| max as usize)
     }
 
     /// Whether every state reaches a normal state within `k` controllable
     /// steps.
     pub fn is_k_maintainable(&self, k: usize) -> bool {
-        self.levels.iter().all(|l| matches!(l, Some(x) if *x <= k))
+        matches!(self.min_k(), Some(m) if m <= k)
     }
 
-    /// States from which normality is unreachable.
-    pub fn hopeless_states(&self) -> Vec<usize> {
+    /// Number of states from which normality is unreachable.
+    pub fn hopeless(&self) -> u64 {
         self.levels
-            .iter()
-            .enumerate()
-            .filter_map(|(i, l)| l.is_none().then_some(i))
+            .0
+            .weighted()
+            .filter(|&(level, _)| level == INF)
+            .map(|(_, states)| states)
+            .sum()
+    }
+
+    /// Every state from which normality is unreachable, ascending. This
+    /// walks all [`n_states`](Self::n_states) states, which an orbit
+    /// report of a wide space cannot afford; [`hopeless`](Self::hopeless)
+    /// counts them without the walk. `refbench/src/verify.rs` calls it.
+    pub fn hopeless_states(&self) -> Vec<usize> {
+        (0..self.n_states())
+            .filter(|&s| self.level(s).is_none())
             .collect()
     }
 
     /// Number of states first reached at each BFS depth: element `d` is
     /// the size of the backward-search frontier at distance `d` from the
-    /// normal set. Hopeless states (level `None`) are excluded. Derived
-    /// from `levels`, so it is identical however the BFS was scheduled.
+    /// normal set. Hopeless states are excluded, and the vector is empty
+    /// when no state is normal. Derived from the levels, so it is
+    /// identical however the analysis was scheduled or stored.
     pub fn frontier_sizes(&self) -> Vec<u64> {
         let mut sizes = Vec::new();
-        for lvl in self.levels.iter().flatten() {
-            if *lvl >= sizes.len() {
-                sizes.resize(*lvl + 1, 0u64);
+        for (level, states) in self.levels.0.weighted() {
+            if level == INF {
+                continue;
             }
-            sizes[*lvl] += 1;
+            let level = level as usize;
+            if level >= sizes.len() {
+                sizes.resize(level + 1, 0u64);
+            }
+            sizes[level] += states;
         }
         sizes
     }
@@ -700,7 +903,7 @@ impl TransitionSystem {
     pub fn analyze(&self) -> MaintainabilityReport {
         let moves = self.moves();
         let levels = bfs_levels(&moves);
-        report(&moves, &levels, &levels)
+        report(&moves, levels, None)
     }
 
     /// Reference implementation of [`TransitionSystem::analyze`], retained
@@ -731,7 +934,7 @@ impl TransitionSystem {
                 }
             }
         }
-        report(&self.moves(), &levels, &levels)
+        report(&self.moves(), levels, None)
     }
 
     /// Adversarial maintainability: after each administrator action landing
@@ -745,7 +948,7 @@ impl TransitionSystem {
     pub fn analyze_adversarial(&self, threads: usize) -> MaintainabilityReport {
         let moves = self.moves();
         let (v, worst) = fixed_point(&moves, threads);
-        report(&moves, &v, &worst)
+        report(&moves, v, Some(&worst))
     }
 
     /// Reference implementation of
@@ -789,17 +992,17 @@ impl TransitionSystem {
         let moves = self.moves();
         let mut worst = vec![INF; self.n_states];
         reply_pass(&moves, &v, &mut worst, 1);
-        report(&moves, &v, &worst)
+        report(&moves, v, Some(&worst))
     }
 }
 
-/// Largest `n_bits` the per-state reports accept: beyond `2^24` states
-/// the level and policy arrays alone pass half a GiB.
+/// Largest `n_bits` a dense report accepts: at `2^24` states its level
+/// and successor arrays already take 128 MiB.
 const DENSE_BIT_LIMIT: usize = 24;
 
-/// Largest `n_bits` an orbit summary accepts: its `2^n_bits` state count
-/// must fit in a `u64`.
-const ORBIT_BIT_LIMIT: usize = 63;
+/// Largest `n_bits` an orbit report accepts: its `2^n_bits` state count
+/// must fit a `usize` (63 bits on 64-bit targets).
+const ORBIT_BIT_LIMIT: usize = usize::BITS as usize - 1;
 
 fn too_large(n_bits: usize, limit: usize) -> Result<(), CoreError> {
     if n_bits > limit {
@@ -817,71 +1020,20 @@ fn fully_symmetric(n_bits: usize, env: &dyn Constraint) -> bool {
         .is_some_and(|c| c.len() == n_bits && c.iter().all(|&x| x == c[0]))
 }
 
-/// Orbit values and worst replies of `env`: the adversarial fixed point
-/// with damage bound `max_damage`. With `max_damage = 0` the ball is empty
-/// and the values are the quiet BFS distances along the orbit path.
-fn orbit_values(n_bits: usize, env: &dyn Constraint, max_damage: usize) -> (Vec<u32>, Vec<u32>) {
-    fixed_point(&Orbits::new(n_bits, env, max_damage), 1)
-}
-
-/// Expand orbit values to the per-state report. Level of `s` is
-/// `v[popcount(s)]`; the policy flips the lowest bit whose flip reaches
-/// an orbit whose worst case is the target `v − 1` — `tz(s)` for the
-/// orbit below, `tz(!s)` for the one above — which is the dense path's
-/// "lowest flipped bit" tie-break.
-fn expand_orbits(n_bits: usize, v: &[u32], worst: &[u32]) -> MaintainabilityReport {
-    let n = v.len() - 1;
-    // Per orbit: level, and whether a set-bit (down) or clear-bit (up)
-    // flip reaches the target.
-    let orbit: Vec<(Option<usize>, bool, bool)> = (0..=n)
-        .map(|p| match v[p] {
-            INF => (None, false, false),
-            0 => (Some(0), false, false),
-            x => (
-                Some(x as usize),
-                p > 0 && worst[p - 1] == x - 1,
-                p < n && worst[p + 1] == x - 1,
-            ),
-        })
-        .collect();
-    let n_states = 1usize << n_bits;
-    let levels = (0..n_states)
-        .map(|s| orbit[s.count_ones() as usize].0)
-        .collect();
-    let action = (0..n_states)
-        .map(|s| {
-            let (_, down, up) = orbit[s.count_ones() as usize];
-            let (tz_set, tz_clear) = (s.trailing_zeros(), (!s).trailing_zeros());
-            match (down, up) {
-                (true, true) => Some(s ^ (1 << tz_set.min(tz_clear))),
-                (true, false) => Some(s ^ (1 << tz_set)),
-                (false, true) => Some(s ^ (1 << tz_clear)),
-                (false, false) => None,
-            }
-        })
-        .collect();
-    MaintainabilityReport {
-        levels,
-        policy: MaintenancePolicy { action },
-    }
-}
-
 /// K-maintainability of an `n`-bit DCSP without materializing the
 /// transition system: states are configurations, controllable moves are
 /// single-bit flips (involutions, so the backward BFS walks forward
 /// neighbors), and normal states are those satisfying `env`. Produces a
-/// report identical to
+/// report equal to
 /// `TransitionSystem::from_bit_dcsp(n_bits, env, _).analyze()` while
 /// scaling past `2^20` states (the quiet analysis ignores exogenous edges,
 /// so no damage bound is taken). A fully symmetric `env` is solved on
-/// its `n_bits + 1` popcount orbits and expanded (see the module doc).
+/// its `n_bits + 1` popcount orbits (see the module doc).
 ///
 /// # Panics
 ///
-/// Panics if `n_bits > 24` (the per-state level and policy arrays for
-/// `2^24` states already cost hundreds of MiB). Use
-/// [`try_analyze_bit_dcsp`] for a typed error, or
-/// [`analyze_bit_dcsp_frontiers`] for a per-depth summary.
+/// Panics past the size limits of [`try_analyze_bit_dcsp`], which
+/// returns a typed error instead.
 pub fn analyze_bit_dcsp(n_bits: usize, env: &dyn Constraint) -> MaintainabilityReport {
     match try_analyze_bit_dcsp(n_bits, env) {
         Ok(report) => report,
@@ -889,25 +1041,20 @@ pub fn analyze_bit_dcsp(n_bits: usize, env: &dyn Constraint) -> MaintainabilityR
     }
 }
 
-/// [`analyze_bit_dcsp`] with the size cap surfaced as a typed error
+/// [`analyze_bit_dcsp`] with the size limits surfaced as a typed error
 /// ([`CoreError::StateSpaceTooLarge`]) instead of a panic.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// per-state report limit of 24 bits.
+/// limit of the report it builds: 63 bits for an orbit report, 24 for a
+/// dense one.
 pub fn try_analyze_bit_dcsp(
     n_bits: usize,
     env: &dyn Constraint,
 ) -> Result<MaintainabilityReport, CoreError> {
-    too_large(n_bits, DENSE_BIT_LIMIT)?;
-    if fully_symmetric(n_bits, env) {
-        let (v, worst) = orbit_values(n_bits, env, 0);
-        return Ok(expand_orbits(n_bits, &v, &worst));
-    }
-    let moves = BitFlips::new(n_bits, env, 0);
-    let levels = bfs_levels(&moves);
-    Ok(report(&moves, &levels, &levels))
+    // An empty damage ball: the values are the quiet BFS distances.
+    try_analyze_bit_dcsp_adversarial(n_bits, env, 0, 1)
 }
 
 /// Adversarial K-maintainability of an `n`-bit DCSP with on-the-fly move
@@ -915,16 +1062,15 @@ pub fn try_analyze_bit_dcsp(
 /// *normal* state the environment may damage up to `max_damage` bits (the
 /// same shock model as [`TransitionSystem::from_bit_dcsp`]). The min-max
 /// fixed point runs as thread-chunked Jacobi sweeps; output is identical
-/// for any `threads` and to
+/// for any `threads` and equal to
 /// `TransitionSystem::from_bit_dcsp(n_bits, env, max_damage)
 ///     .analyze_adversarial(threads)`. A fully symmetric `env` is solved on
 /// its popcount orbits instead (`threads` is then unused).
 ///
 /// # Panics
 ///
-/// Panics if `n_bits > 24`. Use [`try_analyze_bit_dcsp_adversarial`] for
-/// a typed error, or [`analyze_bit_dcsp_adversarial_frontiers`] for a
-/// per-depth summary.
+/// Panics past the size limits of [`try_analyze_bit_dcsp_adversarial`],
+/// which returns a typed error instead.
 pub fn analyze_bit_dcsp_adversarial(
     n_bits: usize,
     env: &dyn Constraint,
@@ -937,27 +1083,34 @@ pub fn analyze_bit_dcsp_adversarial(
     }
 }
 
-/// [`analyze_bit_dcsp_adversarial`] with the size cap surfaced as a typed
-/// error instead of a panic.
+/// [`analyze_bit_dcsp_adversarial`] with the size limits surfaced as a
+/// typed error instead of a panic.
 ///
 /// # Errors
 ///
 /// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// per-state report limit of 24 bits.
+/// limit of the report it builds: 63 bits for an orbit report, 24 for a
+/// dense one.
 pub fn try_analyze_bit_dcsp_adversarial(
     n_bits: usize,
     env: &dyn Constraint,
     max_damage: usize,
     threads: usize,
 ) -> Result<MaintainabilityReport, CoreError> {
-    too_large(n_bits, DENSE_BIT_LIMIT)?;
     if fully_symmetric(n_bits, env) {
-        let (v, worst) = orbit_values(n_bits, env, max_damage);
-        return Ok(expand_orbits(n_bits, &v, &worst));
+        too_large(n_bits, ORBIT_BIT_LIMIT)?;
+        let orbits = Orbits::new(n_bits, env, max_damage);
+        let (v, worst) = fixed_point(&orbits, 1);
+        return Ok(orbit_report(n_bits, &orbits, v, &worst));
     }
+    too_large(n_bits, DENSE_BIT_LIMIT)?;
     let moves = BitFlips::new(n_bits, env, max_damage);
+    if max_damage == 0 {
+        let levels = bfs_levels(&moves);
+        return Ok(report(&moves, levels, None));
+    }
     let (v, worst) = fixed_point(&moves, threads);
-    Ok(report(&moves, &v, &worst))
+    Ok(report(&moves, v, Some(&worst)))
 }
 
 /// Collect every non-zero damage mask of popcount ≤ `max_damage` over
@@ -972,131 +1125,6 @@ fn damage_masks(n_bits: usize, max_damage: usize, from: usize, cur: usize, out: 
         out.push(m);
         damage_masks(n_bits, max_damage - 1, b + 1, m, out);
     }
-}
-
-/// Per-depth summary of a maintainability analysis: frontier sizes and
-/// the hopeless-state count, without per-state levels or policy. This is
-/// everything a [`MaintainabilityReport`] derives about *sizes* (min-k,
-/// k-maintainable, frontier histogram), so it reaches state spaces whose
-/// per-state report would not fit in memory.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize)]
-pub struct FrontierSummary {
-    /// Number of state bits; the space has `2^n_bits` states.
-    pub n_bits: usize,
-    /// `frontier_sizes[d]` = number of states first reached at depth `d`
-    /// (depth 0 = the normal set). Empty when there are no normal states.
-    pub frontier_sizes: Vec<u64>,
-    /// Number of states from which normality is unreachable.
-    pub hopeless: u64,
-}
-
-impl FrontierSummary {
-    /// The smallest `k` such that the system is k-maintainable, or `None`
-    /// if some state can never reach normality. Matches
-    /// [`MaintainabilityReport::min_k`] on the same instance.
-    pub fn min_k(&self) -> Option<usize> {
-        (self.hopeless == 0 && !self.frontier_sizes.is_empty())
-            .then(|| self.frontier_sizes.len() - 1)
-    }
-
-    /// Whether every state reaches a normal state within `k` steps.
-    pub fn is_k_maintainable(&self, k: usize) -> bool {
-        matches!(self.min_k(), Some(m) if m <= k)
-    }
-
-    /// Largest single frontier — the peak working-set size of the search.
-    pub fn frontier_peak(&self) -> u64 {
-        self.frontier_sizes.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total number of states in the space.
-    pub fn total_states(&self) -> u64 {
-        1u64 << self.n_bits
-    }
-
-    fn of_report(n_bits: usize, report: &MaintainabilityReport) -> Self {
-        FrontierSummary {
-            n_bits,
-            frontier_sizes: report.frontier_sizes(),
-            hopeless: report.hopeless_states().len() as u64,
-        }
-    }
-
-    /// Weight each orbit value by its size `C(n, p)`.
-    fn of_orbits(n_bits: usize, v: &[u32]) -> Self {
-        let mut frontier_sizes = Vec::new();
-        let mut hopeless = 0u64;
-        let mut choose = 1u64;
-        for (p, &x) in v.iter().enumerate() {
-            if x == INF {
-                hopeless += choose;
-            } else {
-                let x = x as usize;
-                if x >= frontier_sizes.len() {
-                    frontier_sizes.resize(x + 1, 0);
-                }
-                frontier_sizes[x] += choose;
-            }
-            // C(n, p + 1) = C(n, p) · (n − p) / (p + 1), exact in u128.
-            choose = (u128::from(choose) * (n_bits - p) as u128 / (p as u128 + 1)) as u64;
-        }
-        FrontierSummary {
-            n_bits,
-            frontier_sizes,
-            hopeless,
-        }
-    }
-}
-
-/// The quiet analysis of [`analyze_bit_dcsp`] as a [`FrontierSummary`].
-/// A fully symmetric `env` is summarized on its popcount orbits, each
-/// weighted by `C(n_bits, p)`, up to 63 bits; any other constraint falls
-/// back to the dense report, up to 24 bits.
-///
-/// # Errors
-///
-/// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// limit of the path it takes (63 on orbits, 24 dense).
-pub fn analyze_bit_dcsp_frontiers(
-    n_bits: usize,
-    env: &dyn Constraint,
-) -> Result<FrontierSummary, CoreError> {
-    summarize(n_bits, env, 0, || try_analyze_bit_dcsp(n_bits, env))
-}
-
-/// The adversarial analysis of [`analyze_bit_dcsp_adversarial`] as a
-/// [`FrontierSummary`], on the same two paths as
-/// [`analyze_bit_dcsp_frontiers`] (`threads` only reaches the dense one).
-///
-/// # Errors
-///
-/// Returns [`CoreError::StateSpaceTooLarge`] when `n_bits` exceeds the
-/// limit of the path it takes (63 on orbits, 24 dense).
-pub fn analyze_bit_dcsp_adversarial_frontiers(
-    n_bits: usize,
-    env: &dyn Constraint,
-    max_damage: usize,
-    threads: usize,
-) -> Result<FrontierSummary, CoreError> {
-    summarize(n_bits, env, max_damage, || {
-        try_analyze_bit_dcsp_adversarial(n_bits, env, max_damage, threads)
-    })
-}
-
-/// The orbit summary when `env` is fully symmetric, else the summary of
-/// the `dense` report.
-fn summarize(
-    n_bits: usize,
-    env: &dyn Constraint,
-    max_damage: usize,
-    dense: impl FnOnce() -> Result<MaintainabilityReport, CoreError>,
-) -> Result<FrontierSummary, CoreError> {
-    if !fully_symmetric(n_bits, env) {
-        return dense().map(|report| FrontierSummary::of_report(n_bits, &report));
-    }
-    too_large(n_bits, ORBIT_BIT_LIMIT)?;
-    let (v, _) = orbit_values(n_bits, env, max_damage);
-    Ok(FrontierSummary::of_orbits(n_bits, &v))
 }
 
 #[cfg(test)]
@@ -1118,14 +1146,15 @@ mod tests {
     #[test]
     fn chain_levels_and_policy() {
         let report = chain().analyze();
-        assert_eq!(report.levels, vec![Some(0), Some(1), Some(2), Some(3)]);
+        let levels: Vec<_> = (0..4).map(|s| report.level(s)).collect();
+        assert_eq!(levels, vec![Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(report.min_k(), Some(3));
         assert!(report.is_k_maintainable(3));
         assert!(!report.is_k_maintainable(2));
-        assert_eq!(report.policy.next_state(3), Some(2));
-        assert_eq!(report.policy.next_state(0), None);
+        assert_eq!(report.next_state(3), Some(2));
+        assert_eq!(report.next_state(0), None);
         let ts = chain();
-        assert_eq!(report.policy.execute(&ts, 3, 10), vec![3, 2, 1, 0]);
+        assert_eq!(report.execute(&ts, 3, 10), vec![3, 2, 1, 0]);
     }
 
     #[test]
@@ -1140,9 +1169,10 @@ mod tests {
         let report = ts5.analyze();
         assert_eq!(report.min_k(), None);
         assert_eq!(report.hopeless_states(), vec![2, 3, 4]);
+        assert_eq!(report.hopeless(), 3);
         assert!(!report.is_k_maintainable(100));
         // The original chain has no hopeless states.
-        assert!(chain().analyze().hopeless_states().is_empty());
+        assert_eq!(chain().analyze().hopeless(), 0);
         ts.add_exogenous(0, 3); // exogenous moves don't affect plain analysis
         assert_eq!(ts.analyze().min_k(), Some(3));
     }
@@ -1158,9 +1188,9 @@ mod tests {
         ts.add_controllable(1, 0);
         ts.add_controllable(2, 0);
         let report = ts.analyze();
-        assert_eq!(report.levels[3], Some(2));
+        assert_eq!(report.level(3), Some(2));
         // Policy from 3 must go via 1 (level 1), not 4 (level 2).
-        assert_eq!(report.policy.next_state(3), Some(1));
+        assert_eq!(report.next_state(3), Some(1));
     }
 
     #[test]
@@ -1181,7 +1211,7 @@ mod tests {
         let worst = ts
             .exogenous_moves(normal)
             .iter()
-            .map(|&s| report.levels[s].unwrap())
+            .map(|&s| report.level(s).unwrap())
             .max()
             .unwrap();
         assert_eq!(worst, d);
@@ -1196,7 +1226,7 @@ mod tests {
         let ts = TransitionSystem::from_bit_dcsp(n, &env, 2);
         let report = ts.analyze();
         // All-zeros needs exactly 4 set bits.
-        assert_eq!(report.levels[0], Some(4));
+        assert_eq!(report.level(0), Some(4));
         assert_eq!(report.min_k(), Some(4));
     }
 
@@ -1208,7 +1238,7 @@ mod tests {
         let plain = ts.analyze();
         let adv = ts.analyze_adversarial(1);
         for s in 0..ts.len() {
-            match (plain.levels[s], adv.levels[s]) {
+            match (plain.level(s), adv.level(s)) {
                 (Some(p), Some(a)) => assert!(a >= p, "state {s}: adv {a} < plain {p}"),
                 (None, Some(_)) => panic!("adversarial easier than plain at {s}"),
                 _ => {}
@@ -1228,9 +1258,9 @@ mod tests {
         ts.add_controllable(1, 0);
         ts.add_exogenous(0, 1);
         let adv = ts.analyze_adversarial(1);
-        assert_eq!(adv.levels[1], None);
+        assert_eq!(adv.level(1), None);
         // Plain analysis (quiet environment) says 1 step.
-        assert_eq!(ts.analyze().levels[1], Some(1));
+        assert_eq!(ts.analyze().level(1), Some(1));
     }
 
     #[test]
@@ -1304,15 +1334,15 @@ mod tests {
     fn edge_mutation_invalidates_cached_csr() {
         let mut ts = TransitionSystem::new(3);
         ts.mark_normal(0);
-        assert_eq!(ts.analyze().levels[2], None);
+        assert_eq!(ts.analyze().level(2), None);
         ts.add_controllable(2, 0);
         let after = ts.analyze();
-        assert_eq!(after.levels[2], Some(1));
-        assert_eq!(after.policy.next_state(2), Some(0));
+        assert_eq!(after.level(2), Some(1));
+        assert_eq!(after.next_state(2), Some(0));
         // The environment undoing the repair flips the adversarial answer.
-        assert_eq!(ts.analyze_adversarial(1).levels[2], Some(1));
+        assert_eq!(ts.analyze_adversarial(1).level(2), Some(1));
         ts.add_exogenous(0, 2);
-        assert_eq!(ts.analyze_adversarial(1).levels[2], None);
+        assert_eq!(ts.analyze_adversarial(1).level(2), None);
     }
 
     #[test]
@@ -1342,13 +1372,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "2^24")]
     fn implicit_rejects_huge_spaces() {
-        let env = AllOnes::new(30);
-        let _ = analyze_bit_dcsp(30, &env);
+        let _ = analyze_bit_dcsp(30, &at_least_twin(20));
     }
 
     #[test]
     fn oversized_dense_requests_yield_typed_errors() {
-        let env = AllOnes::new(30);
+        let env = at_least_twin(20);
         let err = try_analyze_bit_dcsp(30, &env).expect_err("over the dense limit");
         assert!(matches!(
             err,
@@ -1379,28 +1408,28 @@ mod tests {
         // Single-bit flips reach every state, so hopeless states require
         // an empty normal set.
         let never = ExplicitSet::new(Vec::<Config>::new());
-        let summary = analyze_bit_dcsp_frontiers(6, &never).expect("in range");
-        assert_eq!(summary.hopeless, 64);
-        assert_eq!(summary.min_k(), None);
-        assert!(!summary.is_k_maintainable(100));
-        assert_eq!(summary.frontier_peak(), 0);
+        let report = try_analyze_bit_dcsp(6, &never).expect("in range");
+        assert_eq!(report.hopeless(), 64);
+        assert_eq!(report.min_k(), None);
+        assert!(!report.is_k_maintainable(100));
+        assert!(report.frontier_sizes().is_empty());
     }
 
     #[test]
-    fn frontier_summaries_reject_oversized_widths() {
+    fn orbit_reports_reject_oversized_widths() {
         // Zero bits: one state, normal iff the empty configuration fits.
-        let summary = analyze_bit_dcsp_frontiers(0, &AllOnes::new(0)).expect("one state");
-        assert_eq!((summary.frontier_sizes, summary.hopeless), (vec![1], 0));
-        let adv =
-            analyze_bit_dcsp_adversarial_frontiers(0, &at_least_twin(1), 2, 1).expect("one state");
-        assert_eq!((adv.frontier_sizes, adv.hopeless), (vec![], 1));
+        let report = try_analyze_bit_dcsp(0, &AllOnes::new(0)).expect("one state");
+        assert_eq!((report.frontier_sizes(), report.hopeless()), (vec![1], 0));
+        let adv = try_analyze_bit_dcsp_adversarial(0, &at_least_twin(1), 2, 1).expect("one state");
+        assert_eq!((adv.frontier_sizes(), adv.hopeless()), (vec![], 1));
         // Orbits reach 63 bits; 2^64 states do not fit the count.
-        let top = analyze_bit_dcsp_frontiers(63, &AtLeastOnes::new(63, 60)).expect("orbits");
+        let top = try_analyze_bit_dcsp(63, &AtLeastOnes::new(63, 60)).expect("orbits");
+        assert_eq!(top.n_states(), 1 << 63);
         assert_eq!(
-            top.frontier_sizes.iter().sum::<u64>() + top.hopeless,
+            top.frontier_sizes().iter().sum::<u64>() + top.hopeless(),
             1 << 63
         );
-        let err = analyze_bit_dcsp_frontiers(64, &AllOnes::new(64)).expect_err("2^64");
+        let err = try_analyze_bit_dcsp(64, &AllOnes::new(64)).expect_err("2^64");
         assert!(matches!(
             err,
             CoreError::StateSpaceTooLarge {
@@ -1409,8 +1438,8 @@ mod tests {
             }
         ));
         // Without a declared symmetry the dense limit applies.
-        let err = analyze_bit_dcsp_adversarial_frontiers(25, &at_least_twin(20), 1, 1)
-            .expect_err("dense path");
+        let err =
+            try_analyze_bit_dcsp_adversarial(25, &at_least_twin(20), 1, 1).expect_err("dense path");
         assert!(matches!(
             err,
             CoreError::StateSpaceTooLarge {

@@ -239,7 +239,10 @@ fn rank_walk<S: RepairStrategy + ?Sized>(
 /// engine — when the reduction is unsound: no declared symmetry, `start`
 /// not constant on some class, or a strategy that is non-deterministic
 /// or whose step count is not an orbit invariant
-/// ([`RepairStrategy::is_symmetry_invariant`]).
+/// ([`RepairStrategy::is_symmetry_invariant`]). It also returns `None`
+/// when the damage-pattern count does not fit `u64`
+/// ([`SymmetryClasses::damage_orbits`]); the exhaustive engine then
+/// rejects the instance.
 ///
 /// The report is bit-identical to the unreduced engine for any thread
 /// budget: counts and maxima aggregate orbit-wise, and the
@@ -275,7 +278,7 @@ pub fn is_k_recoverable_symmetric<S: RepairStrategy + ?Sized>(
     let classes = SymmetryClasses::detect(env, start)?;
     let n = start.len();
     let max_damage = max_damage.min(n);
-    let orbits = classes.damage_orbits(max_damage);
+    let orbits = classes.damage_orbits(max_damage)?;
     // The orbit sizes must partition the unreduced case count exactly —
     // this is what licenses reporting `cases` without enumerating them.
     debug_assert_eq!(
@@ -288,7 +291,16 @@ pub fn is_k_recoverable_symmetric<S: RepairStrategy + ?Sized>(
     let partial = ctx.run_ranges(
         orbits.len() as u64,
         1,
-        |r| check_orbit_range(r, &orbits, start, env, strategy, k),
+        // The ranges split `0..orbits.len()`, so their bounds fit `usize`.
+        |r| {
+            check_orbits(
+                &orbits[r.start as usize..r.end as usize],
+                start,
+                env,
+                strategy,
+                k,
+            )
+        },
         Partial::default(),
         Partial::merge,
     );
@@ -316,9 +328,8 @@ pub fn is_k_recoverable_auto<S: RepairStrategy + ?Sized>(
     }
 }
 
-/// Verify the orbit representatives with indices in `range`.
-fn check_orbit_range<S: RepairStrategy + ?Sized>(
-    range: Range<u64>,
+/// Verify the representatives of `orbits`.
+fn check_orbits<S: RepairStrategy + ?Sized>(
     orbits: &[DamageOrbit],
     start: &Config,
     env: &dyn Constraint,
@@ -326,15 +337,14 @@ fn check_orbit_range<S: RepairStrategy + ?Sized>(
     k: usize,
 ) -> Partial {
     let mut partial = Partial::default();
-    if range.is_empty() {
+    if orbits.is_empty() {
         return partial;
     }
     let mut memo = Memo::for_len(start.len());
     let mut damaged = start.clone();
     let mut scratch = start.clone();
     let mut path: Vec<MemoKey> = Vec::with_capacity(k + 2);
-    for idx in range {
-        let orbit = &orbits[usize::try_from(idx).expect("orbit index fits usize")];
+    for orbit in orbits {
         for &b in &orbit.representative {
             damaged.flip(b);
         }
@@ -599,9 +609,12 @@ impl SubsetCounts {
     }
 
     /// Step `subset` to its preorder predecessor, mirroring the flips into
-    /// `damaged`. The caller guarantees the subset has rank ≥ 1.
+    /// `damaged`. The caller guarantees the subset has rank ≥ 1; the empty
+    /// subset, which has no rank, is left as it is.
     fn predecessor(&self, subset: &mut Vec<usize>, damaged: &mut Config) {
-        let last = *subset.last().expect("predecessor of a non-empty subset");
+        let Some(&last) = subset.last() else {
+            return;
+        };
         let prev_plus_one = subset.len().checked_sub(2).map_or(0, |i| subset[i] + 1);
         if last == prev_plus_one {
             // First child of its parent: the predecessor is the parent.
@@ -797,8 +810,9 @@ impl Partial {
     fn finish(self, k: usize) -> (RecoverabilityReport, VerifyStats) {
         let report = RecoverabilityReport {
             k,
-            cases: usize::try_from(self.cases).expect("case count fits usize"),
-            recovered_within_k: usize::try_from(self.recovered).expect("count fits usize"),
+            // Lossless on 64-bit targets; narrower ones saturate.
+            cases: usize::try_from(self.cases).unwrap_or(usize::MAX),
+            recovered_within_k: usize::try_from(self.recovered).unwrap_or(usize::MAX),
             worst_steps: self.worst_steps,
             counterexample: self.counterexample,
         };
@@ -937,8 +951,9 @@ fn eval_case<S: RepairStrategy + ?Sized>(
             // proven over budget (an intermediate state at index j has
             // only walked k - j steps).
             stats.states_explored += 1;
-            let origin = path.drain(..).next().expect("path holds the origin");
-            memo.insert(origin, UNRECOVERABLE);
+            if let Some(origin) = path.drain(..).next() {
+                memo.insert(origin, UNRECOVERABLE);
+            }
             None
         }
         Outcome::Known(s, v) => {

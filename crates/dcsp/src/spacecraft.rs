@@ -132,13 +132,11 @@ impl Spacecraft {
         // materialized `ones_indices()` vector, without the O(n) alloc.
         let good = self.components.count_ones();
         let k = k.min(good);
-        let mut chosen = rand::seq::index::sample(rng, good, k).into_vec();
-        for slot in chosen.iter_mut() {
-            *slot = self
-                .components
-                .nth_one(*slot)
-                .expect("sampled index is within the set-bit count");
-        }
+        // Every sampled index is below `good`, so `nth_one` finds each.
+        let chosen: Vec<usize> = rand::seq::index::sample(rng, good, k)
+            .into_iter()
+            .filter_map(|i| self.components.nth_one(i))
+            .collect();
         for bit in chosen {
             self.components.clear(bit);
         }

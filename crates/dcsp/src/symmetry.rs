@@ -111,28 +111,36 @@ impl SymmetryClasses {
     /// variables, in a deterministic order (total damage ascending, then
     /// per-class counts lexicographically descending). The orbit sizes
     /// partition the unreduced case count exactly:
-    /// Σ sizes = Σ_{s=1..max_damage} C(n, s).
-    pub fn damage_orbits(&self, max_damage: usize) -> Vec<DamageOrbit> {
+    /// Σ sizes = Σ_{s=1..max_damage} C(n, s). Returns `None` when that
+    /// count does not fit `u64`.
+    pub fn damage_orbits(&self, max_damage: usize) -> Option<Vec<DamageOrbit>> {
         let max_damage = max_damage.min(self.n_vars());
-        let mut orbits = Vec::new();
+        let mut signatures = Vec::new();
         let mut counts = vec![0usize; self.n_classes()];
         for total in 1..=max_damage {
-            self.fill_signatures(total, 0, &mut counts, &mut orbits);
+            self.fill_signatures(total, 0, &mut counts, &mut signatures);
         }
+        let orbits = signatures
+            .iter()
+            .map(|counts| self.orbit_of_signature(counts))
+            .collect::<Option<Vec<_>>>()?;
         orbits
+            .iter()
+            .try_fold(0u64, |total, orbit| total.checked_add(orbit.size))?;
+        Some(orbits)
     }
 
     /// Recursively distribute `remaining` damaged variables over classes
-    /// `from..`, emitting one [`DamageOrbit`] per complete signature.
+    /// `from..`, emitting one signature per complete distribution.
     fn fill_signatures(
         &self,
         remaining: usize,
         from: usize,
         counts: &mut Vec<usize>,
-        out: &mut Vec<DamageOrbit>,
+        out: &mut Vec<Vec<usize>>,
     ) {
         if remaining == 0 {
-            out.push(self.orbit_of_signature(counts));
+            out.push(counts.clone());
             return;
         }
         if from == self.n_classes() {
@@ -151,22 +159,21 @@ impl SymmetryClasses {
 
     /// The orbit of one signature: its size (product of per-class
     /// binomials) and its preorder-minimal representative (the lowest
-    /// `count` indices of each class, merged ascending).
-    fn orbit_of_signature(&self, counts: &[usize]) -> DamageOrbit {
+    /// `count` indices of each class, merged ascending), or `None` when
+    /// the size does not fit `u64`.
+    fn orbit_of_signature(&self, counts: &[usize]) -> Option<DamageOrbit> {
         let mut size: u64 = 1;
         let mut representative = Vec::new();
         for (class, &count) in counts.iter().enumerate() {
-            size = size
-                .checked_mul(binomial(self.members[class].len(), count))
-                .expect("orbit size fits u64 (bounded by the total case count)");
+            size = size.checked_mul(binomial(self.members[class].len(), count)?)?;
             representative.extend_from_slice(&self.members[class][..count]);
         }
         representative.sort_unstable();
-        DamageOrbit {
+        Some(DamageOrbit {
             signature: counts.to_vec(),
             size,
             representative,
-        }
+        })
     }
 }
 
@@ -199,19 +206,20 @@ pub fn preorder_cmp(a: &[usize], b: &[usize]) -> Ordering {
     a.len().cmp(&b.len())
 }
 
-/// C(n, k) in `u64`, panicking on overflow (orbit sizes are bounded by
-/// the unreduced case count, which the enumerator already requires to
-/// fit `u64`).
-pub fn binomial(n: usize, k: usize) -> u64 {
+/// C(n, k) in `u64`, or `None` when it does not fit.
+pub fn binomial(n: usize, k: usize) -> Option<u64> {
     if k > n {
-        return 0;
+        return Some(0);
     }
     let k = k.min(n - k);
-    let mut acc: u128 = 1;
+    let mut acc: u64 = 1;
     for i in 0..k {
-        acc = acc * (n - i) as u128 / (i + 1) as u128;
+        // C(n, i + 1) = C(n, i) · (n − i) / (i + 1): the product fits
+        // u128 because both factors fit u64, and the partial binomials
+        // grow with i ≤ n / 2, so the first one past u64 settles it.
+        acc = u64::try_from(u128::from(acc) * (n - i) as u128 / (i + 1) as u128).ok()?;
     }
-    u64::try_from(acc).expect("binomial fits u64")
+    Some(acc)
 }
 
 #[cfg(test)]
@@ -221,12 +229,24 @@ mod tests {
 
     #[test]
     fn binomial_small_values() {
-        assert_eq!(binomial(0, 0), 1);
-        assert_eq!(binomial(5, 0), 1);
-        assert_eq!(binomial(5, 2), 10);
-        assert_eq!(binomial(8, 3), 56);
-        assert_eq!(binomial(3, 4), 0);
-        assert_eq!(binomial(64, 32), 1_832_624_140_942_590_534);
+        assert_eq!(binomial(0, 0), Some(1));
+        assert_eq!(binomial(5, 0), Some(1));
+        assert_eq!(binomial(5, 2), Some(10));
+        assert_eq!(binomial(8, 3), Some(56));
+        assert_eq!(binomial(3, 4), Some(0));
+        assert_eq!(binomial(64, 32), Some(1_832_624_140_942_590_534));
+        assert_eq!(binomial(67, 33), Some(14_226_520_737_620_288_370));
+        assert_eq!(binomial(68, 34), None);
+    }
+
+    #[test]
+    fn damage_orbits_past_u64_are_refused() {
+        let classes = SymmetryClasses::detect(&AllOnes::new(70), &Config::ones(70)).unwrap();
+        assert!(classes.damage_orbits(25).is_some());
+        // Every orbit fits, but their total does not.
+        assert_eq!(classes.damage_orbits(26), None);
+        // C(70, 28) alone does not fit.
+        assert_eq!(classes.damage_orbits(28), None);
     }
 
     #[test]
@@ -261,11 +281,11 @@ mod tests {
     #[test]
     fn fully_symmetric_orbits_are_damage_sizes() {
         let classes = SymmetryClasses::detect(&AllOnes::new(8), &Config::ones(8)).unwrap();
-        let orbits = classes.damage_orbits(3);
+        let orbits = classes.damage_orbits(3).unwrap();
         assert_eq!(orbits.len(), 3);
         for (i, orbit) in orbits.iter().enumerate() {
             let s = i + 1;
-            assert_eq!(orbit.size, binomial(8, s));
+            assert_eq!(Some(orbit.size), binomial(8, s));
             // Representative is the prefix {0..s-1} — the lowest-ranked
             // member of the size-s orbit.
             let want: Vec<usize> = (0..s).collect();
@@ -283,7 +303,7 @@ mod tests {
             class_of: vec![0, 0, 1, 1, 1],
             members: vec![vec![0, 1], vec![2, 3, 4]],
         };
-        let orbits = classes.damage_orbits(2);
+        let orbits = classes.damage_orbits(2).unwrap();
         let total: u64 = orbits.iter().map(|o| o.size).sum();
         assert_eq!(total, 5 + 10); // C(5,1) + C(5,2)
         for orbit in &orbits {

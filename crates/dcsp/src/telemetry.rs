@@ -14,7 +14,7 @@
 
 use resilience_telemetry::{Event, MetricsRegistry, Tracer};
 
-use crate::maintainability::{FrontierSummary, MaintainabilityReport};
+use crate::maintainability::MaintainabilityReport;
 use crate::recoverability::{RecoverabilityReport, VerifyStats};
 
 /// Record one recoverability verification: a single
@@ -73,47 +73,15 @@ pub fn record_verification(
 
 /// Record one maintainability analysis: an [`Event::FrontierLevel`] per
 /// backward-BFS depth (tick = depth, lane 0) plus the
-/// `dcsp_maintainability_*` metric family.
+/// `dcsp_maintainability_*` metric family. Both report storages record
+/// the same bytes: a dense report and the orbit report of the same
+/// instance produce identical telemetry.
 pub fn record_maintainability(
     tracer: &mut Tracer,
     registry: &mut MetricsRegistry,
     report: &MaintainabilityReport,
 ) {
-    record_frontiers(
-        tracer,
-        registry,
-        &report.frontier_sizes(),
-        report.levels.len() as u64,
-        report.hopeless_states().len() as u64,
-    );
-}
-
-/// Record one summarized maintainability run ([`FrontierSummary`]): the
-/// same [`Event::FrontierLevel`] stream and `dcsp_maintainability_*`
-/// metric family as [`record_maintainability`] — a dense report and an
-/// orbit summary of the same instance produce byte-identical telemetry.
-pub fn record_frontier_summary(
-    tracer: &mut Tracer,
-    registry: &mut MetricsRegistry,
-    summary: &FrontierSummary,
-) {
-    record_frontiers(
-        tracer,
-        registry,
-        &summary.frontier_sizes,
-        summary.total_states(),
-        summary.hopeless,
-    );
-}
-
-/// The one body behind both maintainability recorders.
-fn record_frontiers(
-    tracer: &mut Tracer,
-    registry: &mut MetricsRegistry,
-    frontier: &[u64],
-    states: u64,
-    hopeless: u64,
-) {
+    let frontier = report.frontier_sizes();
     for (depth, states) in frontier.iter().enumerate() {
         tracer.record(
             depth as u64,
@@ -126,12 +94,12 @@ fn record_frontiers(
     registry.inc_counter(
         "dcsp_maintainability_states_total",
         "States analyzed by backward BFS",
-        states,
+        report.n_states() as u64,
     );
     registry.inc_counter(
         "dcsp_maintainability_hopeless_total",
         "States from which normality is unreachable",
-        hopeless,
+        report.hopeless(),
     );
     registry.set_gauge(
         "dcsp_maintainability_depth",
@@ -148,7 +116,7 @@ fn record_frontiers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::maintainability::{analyze_bit_dcsp, analyze_bit_dcsp_frontiers};
+    use crate::maintainability::analyze_bit_dcsp;
     use crate::recoverability::{
         is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_symmetric,
     };
@@ -192,10 +160,7 @@ mod tests {
         let merged = tracer.merged();
         assert_eq!(merged.len(), frontier.len());
         let total: u64 = frontier.iter().sum();
-        assert_eq!(
-            total + report.hopeless_states().len() as u64,
-            report.levels.len() as u64
-        );
+        assert_eq!(total + report.hopeless(), report.n_states() as u64);
         // Events come out depth-ordered because tick = depth.
         for (depth, ev) in merged.iter().enumerate() {
             assert_eq!(ev.tick, depth as u64);
@@ -229,16 +194,16 @@ mod tests {
     #[test]
     fn dense_and_orbit_maintainability_telemetry_agree() {
         // The predicate twin declares no symmetry, so it takes the dense
-        // path; `AtLeastOnes` is summarized on popcount orbits.
+        // path; `AtLeastOnes` is solved on popcount orbits.
         let twin = PredicateConstraint::new("at-least-5", |c: &Config| c.count_ones() >= 5);
-        let report = analyze_bit_dcsp(8, &twin);
-        let summary = analyze_bit_dcsp_frontiers(8, &AtLeastOnes::new(8, 5)).expect("in range");
+        let dense = analyze_bit_dcsp(8, &twin);
+        let orbit = analyze_bit_dcsp(8, &AtLeastOnes::new(8, 5));
         let mut tracer_a = Tracer::new();
         let mut registry_a = MetricsRegistry::new();
-        record_maintainability(&mut tracer_a, &mut registry_a, &report);
+        record_maintainability(&mut tracer_a, &mut registry_a, &dense);
         let mut tracer_b = Tracer::new();
         let mut registry_b = MetricsRegistry::new();
-        record_frontier_summary(&mut tracer_b, &mut registry_b, &summary);
+        record_maintainability(&mut tracer_b, &mut registry_b, &orbit);
         assert_eq!(tracer_a.merged(), tracer_b.merged());
         assert_eq!(registry_a.to_prometheus(), registry_b.to_prometheus());
         assert!(registry_b

@@ -78,7 +78,7 @@ fn maintainability_levels_equal_bfs_repair_distance() {
         let cfg = Config::from_u64(s as u64, n);
         let plan = bfs.shortest_plan(&cfg, &env).expect("always reachable");
         assert_eq!(
-            report.levels[s],
+            report.level(s),
             Some(plan.len()),
             "state {s:06b}: levels vs BFS"
         );

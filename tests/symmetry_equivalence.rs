@@ -4,7 +4,7 @@
 //! The symmetry-reduced recoverability checker (one repair walk per
 //! damage *orbit*, counts multiplied by orbit size) and the
 //! popcount-orbit maintainability path (both analyses solved on the
-//! `n + 1` popcount orbits, then expanded or summarized) must be
+//! `n + 1` popcount orbits, answered per state from the popcount) must be
 //! observationally invisible: identical reports — including the
 //! counterexample, the levels and the policy — to the unreduced/dense
 //! paths they replace, on arbitrary inputs, for any thread count, with or
@@ -21,8 +21,7 @@ use systems_resilience::core::{
     Supervision,
 };
 use systems_resilience::dcsp::maintainability::{
-    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, MaintainabilityReport,
+    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, MaintainabilityReport,
 };
 use systems_resilience::dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
@@ -108,8 +107,8 @@ proptest! {
         }
     }
 
-    /// Quiet orbit summaries equal the dense twin's per-state analysis on
-    /// arbitrary thresholds.
+    /// Quiet orbit reports' counts equal the dense twin's per-state
+    /// analysis on arbitrary thresholds.
     #[test]
     fn orbit_quiet_frontiers_match_dense(
         n_bits in 1usize..13,
@@ -117,16 +116,15 @@ proptest! {
     ) {
         let need = ((n_bits as f64) * need_frac).ceil() as usize;
         let env: Arc<dyn Constraint> = Arc::new(AtLeastOnes::new(n_bits, need));
-        let summary = analyze_bit_dcsp_frontiers(n_bits, env.as_ref())
-            .expect("orbits reach 2^63 states");
+        let orbit = analyze_bit_dcsp(n_bits, env.as_ref());
         let dense = analyze_bit_dcsp(n_bits, &twin(&env));
-        prop_assert_eq!(&summary.frontier_sizes, &dense.frontier_sizes());
-        prop_assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
-        prop_assert_eq!(summary.min_k(), dense.min_k());
+        prop_assert_eq!(&orbit.frontier_sizes(), &dense.frontier_sizes());
+        prop_assert_eq!(orbit.hopeless(), dense.hopeless());
+        prop_assert_eq!(orbit.min_k(), dense.min_k());
     }
 
-    /// Adversarial orbit summaries equal the dense twin's min-max value
-    /// iteration level histogram.
+    /// Adversarial orbit reports' counts equal the dense twin's min-max
+    /// value iteration level histogram.
     #[test]
     fn orbit_adversarial_frontiers_match_dense(
         n_bits in 1usize..11,
@@ -136,11 +134,10 @@ proptest! {
     ) {
         let env: Arc<dyn Constraint> =
             Arc::new(AtLeastOnes::new(n_bits, n_bits - need_gap.min(n_bits)));
-        let summary = analyze_bit_dcsp_adversarial_frontiers(n_bits, env.as_ref(), damage, threads)
-            .expect("orbits reach 2^63 states");
+        let orbit = analyze_bit_dcsp_adversarial(n_bits, env.as_ref(), damage, threads);
         let dense = analyze_bit_dcsp_adversarial(n_bits, &twin(&env), damage, threads);
-        prop_assert_eq!(&summary.frontier_sizes, &dense.frontier_sizes());
-        prop_assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
+        prop_assert_eq!(&orbit.frontier_sizes(), &dense.frontier_sizes());
+        prop_assert_eq!(orbit.hopeless(), dense.hopeless());
     }
 }
 
@@ -223,10 +220,10 @@ fn orbit_reports_match_dense_twin_at_scale() {
         deep_adversarial |= adv.min_k() >= Some(2);
         two_way_state = two_way_state
             || (0..1usize << n).any(|s| {
-                let Some(l) = quiet.levels[s].filter(|&l| l > 0) else {
+                let Some(l) = quiet.level(s).filter(|&l| l > 0) else {
                     return false;
                 };
-                let reaches = |b: usize| quiet.levels[s ^ (1 << b)] == Some(l - 1);
+                let reaches = |b: usize| quiet.level(s ^ (1 << b)) == Some(l - 1);
                 let down = (0..*n).filter(|b| s >> b & 1 == 1).any(reaches);
                 let up = (0..*n).filter(|b| s >> b & 1 == 0).any(reaches);
                 down && up
@@ -243,15 +240,13 @@ fn orbit_frontiers_match_dense_at_scale() {
     for (n_bits, need) in [(12usize, 7usize), (16, 10), (20, 13)] {
         let env: Arc<dyn Constraint> = Arc::new(AtLeastOnes::new(n_bits, need));
         let dense = analyze_bit_dcsp(n_bits, &twin(&env));
-        let summary =
-            analyze_bit_dcsp_frontiers(n_bits, env.as_ref()).expect("orbits reach 2^63 states");
-        assert_eq!(summary.frontier_sizes, dense.frontier_sizes(), "n={n_bits}");
-        assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
+        let orbit = analyze_bit_dcsp(n_bits, env.as_ref());
+        assert_eq!(orbit.frontier_sizes(), dense.frontier_sizes(), "n={n_bits}");
+        assert_eq!(orbit.hopeless(), dense.hopeless());
         let dense = analyze_bit_dcsp_adversarial(n_bits, &twin(&env), 2, 4);
-        let summary = analyze_bit_dcsp_adversarial_frontiers(n_bits, env.as_ref(), 2, 4)
-            .expect("orbits reach 2^63 states");
-        assert_eq!(summary.frontier_sizes, dense.frontier_sizes(), "n={n_bits}");
-        assert_eq!(summary.hopeless, dense.hopeless_states().len() as u64);
+        let orbit = analyze_bit_dcsp_adversarial(n_bits, env.as_ref(), 2, 4);
+        assert_eq!(orbit.frontier_sizes(), dense.frontier_sizes(), "n={n_bits}");
+        assert_eq!(orbit.hopeless(), dense.hopeless());
     }
 }
 

@@ -18,10 +18,12 @@
 //! orbits. When a change is *meant* to alter an output, the failure
 //! message prints the complete new table to paste over `GOLDEN`.
 
-use systems_resilience::core::{AllOnes, AtLeastOnes, Config, PredicateConstraint, RunContext};
+use systems_resilience::core::{
+    AllOnes, AtLeastOnes, Config, Constraint, PredicateConstraint, RunContext,
+};
 use systems_resilience::dcsp::maintainability::{
-    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, analyze_bit_dcsp_adversarial_frontiers,
-    analyze_bit_dcsp_frontiers, FrontierSummary, MaintainabilityReport, TransitionSystem,
+    analyze_bit_dcsp, analyze_bit_dcsp_adversarial, try_analyze_bit_dcsp,
+    try_analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 use systems_resilience::dcsp::recoverability::{
     is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel_stats,
@@ -41,18 +43,18 @@ fn or_max(x: Option<usize>) -> u64 {
 }
 
 fn report_digest(report: &MaintainabilityReport) -> u64 {
-    fnv1a((0..report.levels.len()).flat_map(|s| {
-        [
-            or_max(report.levels[s]),
-            or_max(report.policy.next_state(s)),
-        ]
-    }))
+    fnv1a(
+        (0..report.n_states())
+            .flat_map(|s| [or_max(report.level(s)), or_max(report.next_state(s))]),
+    )
 }
 
-fn summary_digest(summary: &FrontierSummary) -> u64 {
-    let mut words = vec![summary.n_bits as u64, summary.frontier_sizes.len() as u64];
-    words.extend(&summary.frontier_sizes);
-    words.push(summary.hopeless);
+fn summary_digest(report: &MaintainabilityReport) -> u64 {
+    let sizes = report.frontier_sizes();
+    let n_bits = report.n_states().trailing_zeros();
+    let mut words = vec![u64::from(n_bits), sizes.len() as u64];
+    words.extend(&sizes);
+    words.push(report.hopeless());
     fnv1a(words)
 }
 
@@ -125,6 +127,16 @@ fn at_least_twin(need: usize) -> PredicateConstraint {
     PredicateConstraint::new("at-least", move |c: &Config| c.count_ones() >= need)
 }
 
+/// The quiet and the adversarial (damage 2) orbit reports of
+/// `AtLeastOnes(40, 30)`: 2^40 states, past the dense limit.
+fn wide_reports() -> [MaintainabilityReport; 2] {
+    let wide = AtLeastOnes::new(40, 30);
+    [
+        try_analyze_bit_dcsp(40, &wide).expect("orbit path"),
+        try_analyze_bit_dcsp_adversarial(40, &wide, 2, 1).expect("orbit path"),
+    ]
+}
+
 fn computed() -> Vec<(String, u64)> {
     let mut out = Vec::new();
 
@@ -191,17 +203,15 @@ fn computed() -> Vec<(String, u64)> {
         report_digest(&analyze_bit_dcsp_adversarial(12, &all_ones, 2, 1)),
     ));
 
-    // Orbit frontier summaries past the dense limit.
-    let wide = AtLeastOnes::new(40, 30);
+    // Orbit reports past the dense limit, summarized.
+    let [quiet, adversarial] = wide_reports();
     out.push((
         "summary quiet AtLeastOnes(40, 30)".to_string(),
-        summary_digest(&analyze_bit_dcsp_frontiers(40, &wide).expect("orbit path")),
+        summary_digest(&quiet),
     ));
     out.push((
         "summary adversarial AtLeastOnes(40, 30) d=2".to_string(),
-        summary_digest(
-            &analyze_bit_dcsp_adversarial_frontiers(40, &wide, 2, 1).expect("orbit path"),
-        ),
+        summary_digest(&adversarial),
     ));
 
     // Recoverability: the rank-range walk, the orbit walk and the
@@ -242,6 +252,43 @@ fn computed() -> Vec<(String, u64)> {
         recoverability_digest(&report, None),
     ));
     out
+}
+
+/// Past the dense limit the orbit reports still answer per state: from
+/// 1,000 seeded states the policy reaches a normal state in exactly
+/// `level(s)` steps, one level down per step, and hopeless states have
+/// no move.
+#[test]
+fn wide_orbit_reports_walk_to_normal_in_level_steps() {
+    let wide = AtLeastOnes::new(40, 30);
+    let normal = |s: usize| wide.is_fit(&Config::from_u64(s as u64, 40));
+    let mut rng = SplitMix(40);
+    let mask = (1u64 << 40) - 1;
+    for report in wide_reports() {
+        let (mut walked, mut hopeless) = (0, 0);
+        for i in 0..1_000 {
+            // Alternate plain and OR-ed draws: popcounts near 20 and
+            // near 30, so both sides of the threshold are sampled.
+            let draw = rng.next() | if i % 2 == 0 { 0 } else { rng.next() };
+            let mut s = (draw & mask) as usize;
+            let Some(level) = report.level(s) else {
+                assert_eq!(report.next_state(s), None, "hopeless {s:#x} has a move");
+                hopeless += 1;
+                continue;
+            };
+            for remaining in (1..=level).rev() {
+                assert!(!normal(s), "{s:#x} is normal {remaining} steps early");
+                let next = report.next_state(s).expect("a non-normal state has a move");
+                assert_eq!((s ^ next).count_ones(), 1, "a move flips one bit");
+                assert_eq!(report.level(next), Some(remaining - 1));
+                s = next;
+            }
+            assert!(normal(s), "{s:#x} is not normal after {level} steps");
+            assert_eq!(report.next_state(s), None);
+            walked += 1;
+        }
+        assert!(walked > 0 && walked + hopeless == 1_000);
+    }
 }
 
 #[test]
