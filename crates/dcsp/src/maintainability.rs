@@ -16,8 +16,8 @@
 //!   environment stays quiet during repair. Backward BFS (word-packed
 //!   bitset frontiers) from the normal states yields, for every state, the
 //!   minimum number of controllable steps to normality, and a repair
-//!   [`Policy`] achieving it. This is the polynomial-time construction of
-//!   Baral & Eiter.
+//!   policy achieving it ([`MaintainabilityReport::next_state`]). This is
+//!   the polynomial-time construction of Baral & Eiter.
 //! * [`TransitionSystem::analyze_adversarial`] — a strictly stronger
 //!   variant in which after every administrator action the environment may
 //!   take one worst-case exogenous step; computed as a min-max fixed point
@@ -60,7 +60,7 @@
 //! implicit generators agree exactly, which the test suite checks.
 
 use std::collections::VecDeque;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use crate::bitwords::BitWords;
 use resilience_core::{Config, Constraint, CoreError};
@@ -450,7 +450,7 @@ fn fixed_point<M: MoveSource>(moves: &M, threads: usize) -> (Vec<u32>, Vec<u32>)
 /// which is the quiet analysis's reply.
 fn report<M: MoveSource>(moves: &M, v: Vec<u32>, replies: Option<&[u32]>) -> MaintainabilityReport {
     let replies = replies.unwrap_or(&v);
-    let successors = (0..moves.n_states())
+    let next = (0..moves.n_states())
         .map(|s| {
             if moves.is_normal(s) || v[s] == INF {
                 return NO_MOVE;
@@ -461,15 +461,12 @@ fn report<M: MoveSource>(moves: &M, v: Vec<u32>, replies: Option<&[u32]>) -> Mai
                 .map_or(NO_MOVE, |t| t as u32)
         })
         .collect();
-    MaintainabilityReport {
-        levels: Levels(Column::Dense(v)),
-        policy: Policy(Column::Dense(successors)),
-    }
+    MaintainabilityReport::new(Storage::Dense { levels: v, next })
 }
 
 /// The orbit report of an `n_bits`-bit space, from the orbit values `v`
 /// and worst replies. The policy rule keeps every direction whose orbit
-/// reaches the target `v − 1`, and [`Policy::next_state`] flips the
+/// reaches the target `v − 1`, and [`Storage::next_state`] flips the
 /// lowest such bit of each state, which is the dense path's "lowest
 /// flipped bit" tie-break.
 fn orbit_report(
@@ -478,7 +475,7 @@ fn orbit_report(
     v: Vec<u32>,
     worst: &[u32],
 ) -> MaintainabilityReport {
-    let directions = (0..v.len())
+    let dirs = (0..v.len())
         .map(|p| {
             if orbits.is_normal(p) || v[p] == INF {
                 return 0;
@@ -489,13 +486,11 @@ fn orbit_report(
                 .fold(0, |dirs, t| dirs | if t < p { DOWN } else { UP })
         })
         .collect();
-    MaintainabilityReport {
-        levels: Levels(Column::Orbits { n_bits, words: v }),
-        policy: Policy(Column::Orbits {
-            n_bits,
-            words: directions,
-        }),
-    }
+    MaintainabilityReport::new(Storage::Orbits {
+        n_bits,
+        levels: v,
+        dirs,
+    })
 }
 
 /// Dense successor word of a state with no move (normal or hopeless).
@@ -504,110 +499,55 @@ const NO_MOVE: u32 = u32::MAX;
 
 /// Orbit direction flags: a set-bit flip (to the orbit below) or a
 /// clear-bit flip (to the orbit above) reaches the target.
-const DOWN: u32 = 1;
-const UP: u32 = 2;
+const DOWN: u8 = 1;
+const UP: u8 = 2;
 
-/// One per-state column of a [`MaintainabilityReport`].
-#[derive(Debug, Clone, PartialEq)]
-enum Column {
-    /// One word per state.
-    Dense(Vec<u32>),
-    /// One word per popcount orbit of an `n_bits`-bit space: `words[p]`
-    /// answers for each of the `C(n_bits, p)` states with `p` bits set.
-    Orbits { n_bits: usize, words: Vec<u32> },
+/// The private storage of a [`MaintainabilityReport`]. Its words are
+/// canonical: two storages of one kind answer alike iff they are equal.
+#[derive(Debug, PartialEq)]
+enum Storage {
+    /// Per state: the engine's value (`INF` = unreachable) and the
+    /// policy's successor (`NO_MOVE` = none).
+    Dense { levels: Vec<u32>, next: Vec<u32> },
+    /// Per popcount orbit `p` of an `n_bits`-bit space, answering for
+    /// each of its `C(n_bits, p)` states: the level and the `DOWN` / `UP`
+    /// directions whose orbit reaches the target.
+    Orbits {
+        n_bits: usize,
+        levels: Vec<u32>,
+        dirs: Vec<u8>,
+    },
 }
 
-impl Column {
-    fn len(&self) -> usize {
+impl Storage {
+    fn n_states(&self) -> usize {
         match self {
-            Column::Dense(words) => words.len(),
-            Column::Orbits { n_bits, .. } => 1 << n_bits,
+            Storage::Dense { levels, .. } => levels.len(),
+            Storage::Orbits { n_bits, .. } => 1 << n_bits,
         }
     }
 
-    /// The word answering for `state`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    fn word(&self, state: usize) -> u32 {
-        match self {
-            Column::Dense(words) => words[state],
-            Column::Orbits { n_bits, words } => {
-                assert!(state >> n_bits == 0, "state {state} is not {n_bits} bits");
-                words[state.count_ones() as usize]
-            }
-        }
+    /// The popcount orbit of `state`; panics past `n_bits` bits.
+    fn orbit(n_bits: usize, state: usize) -> usize {
+        assert!(state >> n_bits == 0, "state {state} is not {n_bits} bits");
+        state.count_ones() as usize
     }
 
-    /// Each stored word with the number of states it answers for.
-    fn weighted(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        let (words, n_bits) = match self {
-            Column::Dense(words) => (words, None),
-            Column::Orbits { n_bits, words } => (words, Some(*n_bits)),
+    fn level(&self, state: usize) -> Option<usize> {
+        let level = match self {
+            Storage::Dense { levels, .. } => levels[state],
+            Storage::Orbits { n_bits, levels, .. } => levels[Self::orbit(*n_bits, state)],
         };
-        let mut choose = 1u64;
-        words
-            .iter()
-            .enumerate()
-            .map(move |(p, &word)| match n_bits {
-                None => (word, 1),
-                Some(n) => {
-                    let states = choose;
-                    // C(n, p + 1) = C(n, p) · (n − p) / (p + 1), exact in u128.
-                    choose = (u128::from(choose) * (n - p) as u128 / (p as u128 + 1)) as u64;
-                    (word, states)
-                }
-            })
-    }
-
-    /// Whether both columns give every state the same `answer`. Columns
-    /// of one storage compare their words, which is the same test: the
-    /// words are canonical.
-    fn same_answers(&self, other: &Self, answer: impl Fn(&Self, usize) -> Option<usize>) -> bool {
-        if std::mem::discriminant(self) == std::mem::discriminant(other) {
-            return self == other;
-        }
-        self.len() == other.len() && (0..self.len()).all(|s| answer(self, s) == answer(other, s))
-    }
-}
-
-/// Every state's level: the minimum number of controllable steps to a
-/// normal state, `None` where normality is unreachable.
-#[derive(Debug, Clone)]
-pub struct Levels(Column);
-
-impl Levels {
-    fn get(column: &Column, state: usize) -> Option<usize> {
-        let level = column.word(state);
         (level != INF).then_some(level as usize)
     }
 
-    /// Every state's level, in state order.
-    pub fn iter(&self) -> impl Iterator<Item = Option<usize>> + '_ {
-        (0..self.0.len()).map(|s| Levels::get(&self.0, s))
-    }
-}
-
-impl PartialEq for Levels {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.same_answers(&other.0, Levels::get)
-    }
-}
-
-/// A memoryless repair policy: the controllable successor each state
-/// moves to, `None` at normal and hopeless states.
-#[derive(Debug, Clone)]
-pub struct Policy(Column);
-
-impl Policy {
-    fn get(column: &Column, state: usize) -> Option<usize> {
-        let word = column.word(state);
-        match column {
-            Column::Dense(_) => (word != NO_MOVE).then_some(word as usize),
-            Column::Orbits { .. } => {
-                let down = (word & DOWN != 0).then(|| state.trailing_zeros());
-                let up = (word & UP != 0).then(|| (!state).trailing_zeros());
+    fn next_state(&self, state: usize) -> Option<usize> {
+        match self {
+            Storage::Dense { next, .. } => (next[state] != NO_MOVE).then_some(next[state] as usize),
+            Storage::Orbits { n_bits, dirs, .. } => {
+                let dirs = dirs[Self::orbit(*n_bits, state)];
+                let down = (dirs & DOWN != 0).then(|| state.trailing_zeros());
+                let up = (dirs & UP != 0).then(|| (!state).trailing_zeros());
                 down.into_iter()
                     .chain(up)
                     .min()
@@ -616,19 +556,25 @@ impl Policy {
         }
     }
 
-    /// The successor this policy chooses in `state`, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `state` is out of range.
-    pub fn next_state(&self, state: usize) -> Option<usize> {
-        Policy::get(&self.0, state)
-    }
-}
-
-impl PartialEq for Policy {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.same_answers(&other.0, Policy::get)
+    /// Each stored level with the number of states it answers for.
+    fn weighted_levels(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
+        let (levels, n_bits) = match self {
+            Storage::Dense { levels, .. } => (levels, None),
+            Storage::Orbits { n_bits, levels, .. } => (levels, Some(*n_bits)),
+        };
+        let mut choose = 1u64;
+        levels
+            .iter()
+            .enumerate()
+            .map(move |(p, &level)| match n_bits {
+                None => (level, 1),
+                Some(n) => {
+                    let states = choose;
+                    // C(n, p + 1) = C(n, p) · (n − p) / (p + 1), exact in u128.
+                    choose = (u128::from(choose) * (n - p) as u128 / (p as u128 + 1)) as u64;
+                    (level, states)
+                }
+            })
     }
 }
 
@@ -641,20 +587,72 @@ impl PartialEq for Policy {
 /// each state from its popcount. Every query below works on both, each
 /// per-state one in O(1), and two reports are equal when every state's
 /// level and next state agree, whatever their storage.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct MaintainabilityReport {
-    /// The levels; [`MaintainabilityReport::level`] reads one.
-    /// `refbench/src/verify.rs` iterates this field.
+    #[doc(hidden)]
     pub levels: Levels,
-    /// The policy; [`MaintainabilityReport::next_state`] reads one move.
-    /// `refbench/src/verify.rs` reads this field.
+    #[doc(hidden)]
     pub policy: Policy,
 }
 
+/// Views `refbench/src/verify.rs` reads by field name. They share the
+/// report's storage and go once refbench reads the accessors.
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct Levels(Arc<Storage>);
+
+impl Levels {
+    /// Every state's level, in state order; panics past `2^24` states.
+    pub fn iter(&self) -> impl Iterator<Item = Option<usize>> + '_ {
+        let n_states = self.0.n_states();
+        assert!(
+            n_states <= 1 << DENSE_BIT_LIMIT,
+            "{n_states} states are too many to walk; read single states with level()"
+        );
+        (0..n_states).map(|s| self.0.level(s))
+    }
+}
+
+/// See [`Levels`].
+#[doc(hidden)]
+#[derive(Debug, Clone)]
+pub struct Policy(Arc<Storage>);
+
+impl Policy {
+    /// [`MaintainabilityReport::next_state`].
+    pub fn next_state(&self, state: usize) -> Option<usize> {
+        self.0.next_state(state)
+    }
+}
+
+impl PartialEq for MaintainabilityReport {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.storage(), other.storage());
+        if std::mem::discriminant(a) == std::mem::discriminant(b) {
+            return a == b;
+        }
+        a.n_states() == b.n_states()
+            && (0..a.n_states())
+                .all(|s| a.level(s) == b.level(s) && a.next_state(s) == b.next_state(s))
+    }
+}
+
 impl MaintainabilityReport {
+    fn new(storage: Storage) -> Self {
+        let storage = Arc::new(storage);
+        MaintainabilityReport {
+            levels: Levels(Arc::clone(&storage)),
+            policy: Policy(storage),
+        }
+    }
+
+    fn storage(&self) -> &Storage {
+        &self.policy.0
+    }
+
     /// Number of states the report covers.
     pub fn n_states(&self) -> usize {
-        self.levels.0.len()
+        self.storage().n_states()
     }
 
     /// Minimum controllable steps from `state` to a normal state, or
@@ -664,7 +662,7 @@ impl MaintainabilityReport {
     ///
     /// Panics if `state` is out of range.
     pub fn level(&self, state: usize) -> Option<usize> {
-        Levels::get(&self.levels.0, state)
+        self.storage().level(state)
     }
 
     /// The successor the policy chooses in `state`, or `None` at normal
@@ -674,7 +672,7 @@ impl MaintainabilityReport {
     ///
     /// Panics if `state` is out of range.
     pub fn next_state(&self, state: usize) -> Option<usize> {
-        self.policy.next_state(state)
+        self.storage().next_state(state)
     }
 
     /// Execute the policy from `state` for at most `budget` steps over
@@ -700,9 +698,8 @@ impl MaintainabilityReport {
     /// The smallest `k` such that the system is k-maintainable, or `None`
     /// if some state can never reach normality.
     pub fn min_k(&self) -> Option<usize> {
-        self.levels
-            .0
-            .weighted()
+        self.storage()
+            .weighted_levels()
             .try_fold(0, |max, (level, _)| (level != INF).then(|| max.max(level)))
             .map(|max| max as usize)
     }
@@ -715,21 +712,19 @@ impl MaintainabilityReport {
 
     /// Number of states from which normality is unreachable.
     pub fn hopeless(&self) -> u64 {
-        self.levels
-            .0
-            .weighted()
+        self.storage()
+            .weighted_levels()
             .filter(|&(level, _)| level == INF)
             .map(|(_, states)| states)
             .sum()
     }
 
-    /// Every state from which normality is unreachable, ascending. This
-    /// walks all [`n_states`](Self::n_states) states, which an orbit
-    /// report of a wide space cannot afford; [`hopeless`](Self::hopeless)
-    /// counts them without the walk. `refbench/src/verify.rs` calls it.
+    /// Every hopeless state, ascending; panics past `2^24` states like
+    /// [`Levels::iter`]. [`hopeless`](Self::hopeless) counts them.
+    #[doc(hidden)]
     pub fn hopeless_states(&self) -> Vec<usize> {
-        (0..self.n_states())
-            .filter(|&s| self.level(s).is_none())
+        (self.levels.iter().enumerate())
+            .filter_map(|(s, level)| level.is_none().then_some(s))
             .collect()
     }
 
@@ -740,7 +735,7 @@ impl MaintainabilityReport {
     /// identical however the analysis was scheduled or stored.
     pub fn frontier_sizes(&self) -> Vec<u64> {
         let mut sizes = Vec::new();
-        for (level, states) in self.levels.0.weighted() {
+        for (level, states) in self.storage().weighted_levels() {
             if level == INF {
                 continue;
             }
@@ -1168,7 +1163,8 @@ mod tests {
         ts5.add_controllable(3, 4);
         let report = ts5.analyze();
         assert_eq!(report.min_k(), None);
-        assert_eq!(report.hopeless_states(), vec![2, 3, 4]);
+        let hopeless: Vec<usize> = (0..5).filter(|&s| report.level(s).is_none()).collect();
+        assert_eq!(hopeless, vec![2, 3, 4]);
         assert_eq!(report.hopeless(), 3);
         assert!(!report.is_k_maintainable(100));
         // The original chain has no hopeless states.
@@ -1268,7 +1264,9 @@ mod tests {
         let ts = chain();
         let plain = ts.analyze();
         let adv = ts.analyze_adversarial(1);
-        assert_eq!(plain.levels, adv.levels);
+        for s in 0..ts.len() {
+            assert_eq!(plain.level(s), adv.level(s), "state {s}");
+        }
     }
 
     #[test]
@@ -1447,5 +1445,27 @@ mod tests {
                 limit: 24
             }
         ));
+    }
+
+    #[test]
+    fn refbench_views_answer_like_the_accessors() {
+        let orbit = analyze_bit_dcsp_adversarial(8, &AtLeastOnes::new(8, 5), 2, 1);
+        let dense = analyze_bit_dcsp_adversarial(8, &at_least_twin(5), 2, 1);
+        let hopeless = analyze_bit_dcsp(6, &ExplicitSet::new(Vec::<Config>::new()));
+        for report in [orbit, dense, hopeless] {
+            let levels: Vec<Option<usize>> = report.levels.iter().collect();
+            assert_eq!(levels.len(), report.n_states());
+            for (s, level) in levels.into_iter().enumerate() {
+                assert_eq!(level, report.level(s));
+                assert_eq!(report.policy.next_state(s), report.next_state(s));
+            }
+            assert_eq!(report.hopeless_states().len() as u64, report.hopeless());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too many to walk")]
+    fn refbench_views_refuse_wide_reports() {
+        analyze_bit_dcsp(40, &AtLeastOnes::new(40, 30)).hopeless_states();
     }
 }

@@ -241,8 +241,8 @@ fn rank_walk<S: RepairStrategy + ?Sized>(
 /// or whose step count is not an orbit invariant
 /// ([`RepairStrategy::is_symmetry_invariant`]). It also returns `None`
 /// when the damage-pattern count does not fit `u64`
-/// ([`SymmetryClasses::damage_orbits`]); the exhaustive engine then
-/// rejects the instance.
+/// ([`SymmetryClasses::damage_orbits`]) or `usize`; the exhaustive
+/// engine then rejects the instance.
 ///
 /// The report is bit-identical to the unreduced engine for any thread
 /// budget: counts and maxima aggregate orbit-wise, and the
@@ -279,6 +279,7 @@ pub fn is_k_recoverable_symmetric<S: RepairStrategy + ?Sized>(
     let n = start.len();
     let max_damage = max_damage.min(n);
     let orbits = classes.damage_orbits(max_damage)?;
+    usize::try_from(orbits.iter().map(|o| o.size).sum::<u64>()).ok()?;
     // The orbit sizes must partition the unreduced case count exactly —
     // this is what licenses reporting `cases` without enumerating them.
     debug_assert_eq!(
@@ -554,8 +555,11 @@ impl SubsetCounts {
             }
         }
         let counts = SubsetCounts { n, max_size, upto };
+        // Below u64::MAX the rank arithmetic cannot saturate; within
+        // usize the report's case counts are exact.
+        let total = counts.upto(n, max_size);
         assert!(
-            counts.upto(n, max_size) < u64::MAX,
+            total < u64::MAX && usize::try_from(total).is_ok(),
             "damage-pattern space exceeds the u64 rank space"
         );
         counts
@@ -612,6 +616,7 @@ impl SubsetCounts {
     /// `damaged`. The caller guarantees the subset has rank ≥ 1; the empty
     /// subset, which has no rank, is left as it is.
     fn predecessor(&self, subset: &mut Vec<usize>, damaged: &mut Config) {
+        debug_assert!(!subset.is_empty(), "the empty subset has no rank");
         let Some(&last) = subset.last() else {
             return;
         };
@@ -808,11 +813,14 @@ impl Partial {
     }
 
     fn finish(self, k: usize) -> (RecoverabilityReport, VerifyStats) {
+        debug_assert!(usize::try_from(self.cases).is_ok() && self.recovered <= self.cases);
         let report = RecoverabilityReport {
             k,
-            // Lossless on 64-bit targets; narrower ones saturate.
-            cases: usize::try_from(self.cases).unwrap_or(usize::MAX),
-            recovered_within_k: usize::try_from(self.recovered).unwrap_or(usize::MAX),
+            // Lossless: both counts are at most the instance's case
+            // count, which `SubsetCounts::new` and
+            // `is_k_recoverable_symmetric` keep within usize.
+            cases: self.cases as usize,
+            recovered_within_k: self.recovered as usize,
             worst_steps: self.worst_steps,
             counterexample: self.counterexample,
         };
@@ -950,8 +958,11 @@ fn eval_case<S: RepairStrategy + ?Sized>(
             // Walked k steps without reaching fitness: only the origin is
             // proven over budget (an intermediate state at index j has
             // only walked k - j steps).
+            // `path` starts with the origin, pushed before the walk.
             stats.states_explored += 1;
-            if let Some(origin) = path.drain(..).next() {
+            debug_assert!(!path.is_empty(), "path holds the origin");
+            path.truncate(1);
+            for origin in path.drain(..) {
                 memo.insert(origin, UNRECOVERABLE);
             }
             None

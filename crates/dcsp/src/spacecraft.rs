@@ -137,6 +137,7 @@ impl Spacecraft {
             .into_iter()
             .filter_map(|i| self.components.nth_one(i))
             .collect();
+        debug_assert_eq!(chosen.len(), k, "every sampled index has a set bit");
         for bit in chosen {
             self.components.clear(bit);
         }
