@@ -37,7 +37,7 @@ use resilience_anticipate::OperatingMode;
 use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
 use resilience_core::{resilience_loss, seeded_rng, FaultKind, FaultPlan, RecoveryPolicy};
 use resilience_dcsp::BitWords;
-use resilience_networks::{AttackStrategy, Graph, TopologyKind};
+use resilience_networks::{AttackStrategy, GiantTracker, Graph, TopologyKind};
 use resilience_telemetry::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 use serde::{Deserialize, Serialize};
 
@@ -52,7 +52,9 @@ pub const DISCONNECT_COST: f64 = 0.5;
 /// Static description of a cluster run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Number of nodes.
+    /// Number of nodes [`ClusterEngine::new`] generates; an engine built
+    /// over an existing graph with [`ClusterEngine::with_topology`] takes
+    /// its node count from the graph instead.
     pub n: usize,
     /// Topology generator family.
     pub topology: TopologyKind,
@@ -285,7 +287,8 @@ impl ClusterEngine {
         Self::with_topology(config, topology)
     }
 
-    /// Provision over an existing topology.
+    /// Provision over an existing topology. The fleet is the graph's
+    /// nodes, whatever `config.n` says.
     pub fn with_topology(config: ClusterConfig, topology: Graph) -> Self {
         let template = NodeFleet::provision(&topology, config.headroom);
         let attack_order = topology.nodes_by_degree_desc();
@@ -315,12 +318,13 @@ impl ClusterEngine {
         attack: Option<&AttackSpec>,
         plan: &FaultPlan,
     ) -> ClusterReport {
-        let n = self.config.n;
+        let n = self.topology.len();
         let policy = &self.config.recovery;
         let mut rng = seeded_rng(run_seed);
         let mut fleet = self.template.clone();
         let mut alive = BitWords::new_filled(n);
         let mut scratch = CascadeScratch::new(n);
+        let mut giant_tracker = GiantTracker::new(&self.topology);
         let mut obs = TrajectoryObserver::new(1.0);
         obs.push_full(); // baseline sample before any damage
 
@@ -603,7 +607,7 @@ impl ClusterEngine {
 
             // 9. Score the tick.
             let alive_count = alive.count() as u64;
-            let giant = self.topology.giant_component(|v| alive.get(v)) as u64;
+            let giant = giant_tracker.update(alive.words()) as u64;
             report.min_giant = report.min_giant.min(giant);
             let disconnected = alive_count.saturating_sub(giant);
             obs.charge(DeficitCause::Retry, scheduled.len() as f64);
@@ -627,7 +631,7 @@ impl ClusterEngine {
         }
 
         report.final_alive = alive.count() as u64;
-        report.final_giant = self.topology.giant_component(|v| alive.get(v)) as u64;
+        report.final_giant = giant_tracker.update(alive.words()) as u64;
         if report.min_giant == u64::MAX {
             report.min_giant = report.final_giant;
         }
@@ -661,6 +665,39 @@ mod tests {
         assert!(report.cascades.is_empty());
         for &q in report.quality.samples() {
             assert_eq!(q, FULL_QUALITY);
+        }
+    }
+
+    /// `config.n` only sizes the graph `ClusterEngine::new` generates:
+    /// an engine over a ready-made graph runs that graph's nodes, so a
+    /// larger or smaller `n` neither indexes past the fleet nor leaves
+    /// part of the alive set unscored.
+    #[test]
+    fn with_topology_takes_the_node_count_from_the_graph() {
+        let mut config = small_config();
+        config.surge_drops = 40;
+        let graph = Graph::generate(&config.topology, 400, 7);
+        let attack = AttackSpec {
+            tick: 3,
+            strategy: AttackStrategy::Random,
+            fraction: 0.1,
+            recoverable: true,
+        };
+        let plan = FaultPlan {
+            panic_rate: 0.01,
+            ..FaultPlan::none()
+        };
+        let run = |n| {
+            let config = ClusterConfig {
+                n,
+                ..config.clone()
+            };
+            ClusterEngine::with_topology(config, graph.clone()).run(3, Some(&attack), &plan)
+        };
+        let want = run(400);
+        assert_eq!(want.n, 400);
+        for n in [500, 300] {
+            assert_eq!(run(n), want, "config.n = {n}");
         }
     }
 

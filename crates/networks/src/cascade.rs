@@ -53,32 +53,30 @@ impl ThresholdCascade {
         let n = graph.len();
         let mut failed = vec![false; n];
         let mut failed_neighbors = vec![0usize; n];
-        let mut queue: VecDeque<usize> = VecDeque::new();
+        // Each queued node carries the round it failed in (seeds: 1).
+        let mut queue: VecDeque<(usize, usize)> = VecDeque::new();
         let mut failed_count = 0;
         for &s in seeds {
             if s < n && !failed[s] {
                 failed[s] = true;
                 failed_count += 1;
-                queue.push_back(s);
+                queue.push_back((s, 1));
             }
         }
         let mut rounds = 0;
-        while !queue.is_empty() {
-            rounds += 1;
-            for _ in 0..queue.len() {
-                let v = queue.pop_front().expect("nonempty");
-                for &w in graph.neighbors(v) {
-                    let w = w as usize;
-                    if failed[w] {
-                        continue;
-                    }
-                    failed_neighbors[w] += 1;
-                    let deg = graph.degree(w).max(1);
-                    if failed_neighbors[w] as f64 / deg as f64 >= self.threshold {
-                        failed[w] = true;
-                        failed_count += 1;
-                        queue.push_back(w);
-                    }
+        while let Some((v, round)) = queue.pop_front() {
+            rounds = round;
+            for &w in graph.neighbors(v) {
+                let w = w as usize;
+                if failed[w] {
+                    continue;
+                }
+                failed_neighbors[w] += 1;
+                let deg = graph.degree(w).max(1);
+                if failed_neighbors[w] as f64 / deg as f64 >= self.threshold {
+                    failed[w] = true;
+                    failed_count += 1;
+                    queue.push_back((w, round + 1));
                 }
             }
         }

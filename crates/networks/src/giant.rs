@@ -1,0 +1,503 @@
+//! Giant-component tracking across a sequence of alive sets.
+//!
+//! A simulation that scores the giant component every tick usually
+//! changes only a handful of nodes between ticks, so rebuilding a
+//! union–find over the whole graph each time repeats almost all of its
+//! work. [`GiantTracker`] keeps the previous alive set and the giant's
+//! member bitset and repairs both from the word-level diff:
+//!
+//! * **Deaths.** The dead leave the giant. A multi-source search starts
+//!   from the giant's surviving neighbours of the dead and runs inside
+//!   the old giant, all searches advancing together from one queue.
+//!   Searches that meet merge into one group; a group whose queue runs
+//!   dry has explored a whole split-off fragment, which leaves the
+//!   giant. The search stops as soon as at most one group is still
+//!   running. This is exact: the old giant was connected, so every
+//!   surviving member reaches one of the sources without crossing a
+//!   dead node, and every member not in a dry fragment therefore lies
+//!   in the one piece the running group belongs to. No node outside
+//!   the old giant can border it.
+//! * **Revivals.** A revived node with a neighbour in the giant pulls
+//!   in its whole alive non-giant component.
+//! * **Rebuild.** The tracker falls back to the full routine,
+//!   [`Graph::giant_component`], when the repair would visit more
+//!   neighbours than the graph's adjacency holds (more than a rebuild
+//!   reads), when every search group runs dry, and whenever the giant
+//!   holds no more than half the alive nodes. The last condition is what
+//!   makes the tracked component the unique largest one: any other
+//!   component is then strictly smaller, so repairing it stays exact.
+//!
+//! Scratch is one `u32` search label per node plus the two bitsets;
+//! the search queue grows only with the nodes a repair visits.
+
+use crate::graph::Graph;
+
+/// One group of the death search: a union–find node over the groups
+/// and how many of its queued nodes are still unexpanded (a group with
+/// none left has run dry).
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    parent: u32,
+    pending: u32,
+}
+
+/// Whether bit `i` of the word-packed set `words` is present.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Calls `f` on every index set in `words`, ascending.
+fn for_each_one(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
+    for (w, mut word) in words.enumerate() {
+        while word != 0 {
+            f(w * 64 + word.trailing_zeros() as usize);
+            word &= word - 1;
+        }
+    }
+}
+
+/// Representative of group `g` (path halving).
+fn find_group(groups: &mut [Group], mut g: u32) -> u32 {
+    while groups[g as usize].parent != g {
+        let grand = groups[groups[g as usize].parent as usize].parent;
+        groups[g as usize].parent = grand;
+        g = grand;
+    }
+    g
+}
+
+/// The size of a graph's giant component, kept up to date across
+/// successive alive sets (see the [module docs](self)).
+///
+/// Alive sets are passed as word-packed bitsets over the graph's nodes,
+/// 64 per `u64` word, with no bits set at or beyond the node count.
+///
+/// ```
+/// use resilience_networks::{generators::ring_lattice, GiantTracker};
+///
+/// let ring = ring_lattice(100, 1);
+/// let mut tracker = GiantTracker::new(&ring);
+/// let mut alive = vec![u64::MAX, (1 << 36) - 1];
+/// assert_eq!(tracker.update(&alive), 100);
+/// alive[0] &= !(1 << 10); // one cut leaves a path
+/// assert_eq!(tracker.update(&alive), 99);
+/// alive[0] &= !(1 << 30); // a second cut splits it 19 / 79
+/// assert_eq!(tracker.update(&alive), 79);
+/// ```
+#[derive(Debug)]
+pub struct GiantTracker<'g> {
+    graph: &'g Graph,
+    /// The alive set of the last update.
+    alive: Vec<u64>,
+    /// Members of the tracked giant component.
+    giant: Vec<u64>,
+    /// Number of members in `giant`.
+    size: usize,
+    /// Number of nodes in `alive`.
+    alive_count: usize,
+    /// Per node: 0, or 1 + the death-search group that reached it.
+    label: Vec<u32>,
+    /// The search queue; during the death search it also lists every
+    /// labelled node, so the labels can be reset afterwards.
+    queue: Vec<u32>,
+    groups: Vec<Group>,
+}
+
+impl<'g> GiantTracker<'g> {
+    /// A tracker over `graph`; the first update builds the giant from
+    /// scratch.
+    pub fn new(graph: &'g Graph) -> Self {
+        let words = graph.len().div_ceil(64);
+        GiantTracker {
+            graph,
+            alive: vec![0; words],
+            giant: vec![0; words],
+            size: 0,
+            alive_count: 0,
+            label: vec![0; graph.len()],
+            queue: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// Move to the alive set `alive` and return its giant-component
+    /// size (0 if no node is alive).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive` does not hold exactly one word per 64 nodes.
+    pub fn update(&mut self, alive: &[u64]) -> usize {
+        assert_eq!(
+            alive.len(),
+            self.alive.len(),
+            "alive set must hold one word per 64 nodes"
+        );
+        if !(self.unique() && self.repair(alive)) {
+            self.rebuild(alive);
+        }
+        self.alive.copy_from_slice(alive);
+        self.size
+    }
+
+    /// Whether the giant holds more than half the alive nodes, so it is
+    /// the unique largest component and may be repaired; when not, the
+    /// next update rebuilds.
+    fn unique(&self) -> bool {
+        2 * self.size > self.alive_count
+    }
+
+    /// Recompute the giant and its members with the full routine.
+    fn rebuild(&mut self, alive: &[u64]) {
+        self.size = self
+            .graph
+            .giant_members(|v| bit(alive, v), Some(&mut self.giant));
+        self.alive_count = alive.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
+    /// Repair the giant from the diff against the last alive set.
+    /// Returns `false` when the caller must rebuild instead; the
+    /// tracker's state is then stale but the rebuild overwrites it.
+    fn repair(&mut self, alive: &[u64]) -> bool {
+        let budget = 2 * self.graph.edge_count();
+        let mut visits = 0;
+        let (mut giant_lost, mut revived) = (0, 0);
+        self.alive_count = 0;
+        for ((&old, &new), &giant) in self.alive.iter().zip(alive).zip(&self.giant) {
+            giant_lost += (giant & !new).count_ones() as usize;
+            revived += (new & !old).count_ones() as usize;
+            self.alive_count += new.count_ones() as usize;
+        }
+        if revived == 0 && 2 * (self.size - giant_lost) <= self.alive_count {
+            // Without revivals the giant can only shrink: what is left of
+            // it cannot hold more than half the alive nodes.
+            return false;
+        }
+        if giant_lost > 0 {
+            if !self.split_off_fragments(alive, &mut visits, budget) {
+                return false;
+            }
+            for (giant, &new) in self.giant.iter_mut().zip(alive) {
+                *giant &= new;
+            }
+            self.size -= giant_lost;
+        }
+        if revived > 0 && !self.absorb_revivals(alive, &mut visits, budget) {
+            return false;
+        }
+        self.unique()
+    }
+
+    /// The death search: clear every split-off fragment of the old giant
+    /// from `giant` (the dead themselves are cleared by the caller).
+    /// Returns `false` if the search overran `budget` neighbour visits or
+    /// every group ran dry.
+    fn split_off_fragments(&mut self, alive: &[u64], visits: &mut usize, budget: usize) -> bool {
+        let graph = self.graph;
+        let (giant, label) = (&self.giant, &mut self.label);
+        // Surviving member of the old giant.
+        let survivor = |w: usize| bit(giant, w) && bit(alive, w);
+        self.queue.clear();
+        self.groups.clear();
+        let mut overran = false;
+        let dead_members = self.alive.iter().zip(alive).zip(giant);
+        for_each_one(dead_members.map(|((&old, &new), &g)| old & !new & g), |d| {
+            if overran {
+                return;
+            }
+            *visits += graph.degree(d);
+            overran = *visits > budget;
+            for &w in graph.neighbors(d) {
+                let w = w as usize;
+                if survivor(w) && label[w] == 0 {
+                    let g = self.groups.len() as u32;
+                    self.groups.push(Group {
+                        parent: g,
+                        pending: 1,
+                    });
+                    label[w] = g + 1;
+                    self.queue.push(w as u32);
+                }
+            }
+        });
+        let mut running = self.groups.len();
+        let mut head = 0;
+        while running > 1 && !overran {
+            // A running group has a queued node, so `head` is in range.
+            let u = self.queue[head] as usize;
+            head += 1;
+            *visits += graph.degree(u);
+            overran = *visits > budget;
+            let r = find_group(&mut self.groups, label[u] - 1);
+            for &w in graph.neighbors(u) {
+                let w = w as usize;
+                if !survivor(w) {
+                    continue;
+                }
+                if label[w] == 0 {
+                    label[w] = r + 1;
+                    self.queue.push(w as u32);
+                    self.groups[r as usize].pending += 1;
+                    continue;
+                }
+                let other = find_group(&mut self.groups, label[w] - 1);
+                if other != r {
+                    // Two searches met: one group fewer is running
+                    // (`r` is, since `u` is still counted).
+                    self.groups[other as usize].parent = r;
+                    let pending = self.groups[other as usize].pending;
+                    if pending > 0 {
+                        running -= 1;
+                    }
+                    self.groups[r as usize].pending += pending;
+                }
+            }
+            self.groups[r as usize].pending -= 1;
+            if self.groups[r as usize].pending == 0 {
+                running -= 1;
+            }
+        }
+        let repaired = running == 1 && !overran;
+        for &u in &self.queue {
+            let u = u as usize;
+            if repaired {
+                let g = find_group(&mut self.groups, label[u] - 1);
+                if self.groups[g as usize].pending == 0 {
+                    // A dry group: `u` lies in a split-off fragment.
+                    self.giant[u / 64] &= !(1 << (u % 64));
+                    self.size -= 1;
+                }
+            }
+            label[u] = 0;
+        }
+        repaired
+    }
+
+    /// Pull into the giant every alive non-giant component that a revived
+    /// node joins to it. Returns `false` if that overran `budget`
+    /// neighbour visits.
+    fn absorb_revivals(&mut self, alive: &[u64], visits: &mut usize, budget: usize) -> bool {
+        let graph = self.graph;
+        let revived = self.alive.iter().zip(alive).map(|(&old, &new)| new & !old);
+        let mut overran = false;
+        for_each_one(revived, |r| {
+            if overran || bit(&self.giant, r) {
+                return;
+            }
+            *visits += graph.degree(r);
+            overran = *visits > budget;
+            if !graph
+                .neighbors(r)
+                .iter()
+                .any(|&w| bit(&self.giant, w as usize))
+            {
+                return;
+            }
+            self.giant[r / 64] |= 1 << (r % 64);
+            self.size += 1;
+            self.queue.clear();
+            self.queue.push(r as u32);
+            let mut head = 0;
+            while head < self.queue.len() && !overran {
+                let u = self.queue[head] as usize;
+                head += 1;
+                *visits += graph.degree(u);
+                overran = *visits > budget;
+                for &w in graph.neighbors(u) {
+                    let w = w as usize;
+                    if bit(alive, w) && !bit(&self.giant, w) {
+                        self.giant[w / 64] |= 1 << (w % 64);
+                        self.size += 1;
+                        self.queue.push(w as u32);
+                    }
+                }
+            }
+        });
+        !overran
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::generators::{complete, ring_lattice, TopologyKind};
+    use proptest::prelude::*;
+    use rand::Rng;
+    use resilience_core::seeded_rng;
+    use std::collections::VecDeque;
+
+    /// Every alive component as a sorted member list, by plain BFS.
+    fn components(graph: &Graph, alive: &[bool]) -> Vec<Vec<usize>> {
+        let mut seen = vec![false; graph.len()];
+        let mut out = Vec::new();
+        for s in 0..graph.len() {
+            if !alive[s] || seen[s] {
+                continue;
+            }
+            seen[s] = true;
+            let mut members = vec![s];
+            let mut queue = VecDeque::from([s]);
+            while let Some(u) = queue.pop_front() {
+                for &w in graph.neighbors(u) {
+                    let w = w as usize;
+                    if alive[w] && !seen[w] {
+                        seen[w] = true;
+                        members.push(w);
+                        queue.push_back(w);
+                    }
+                }
+            }
+            members.sort_unstable();
+            out.push(members);
+        }
+        out
+    }
+
+    fn words(alive: &[bool]) -> Vec<u64> {
+        let mut words = vec![0u64; alive.len().div_ceil(64)];
+        for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
+            words[v / 64] |= 1 << (v % 64);
+        }
+        words
+    }
+
+    fn members(words: &[u64]) -> Vec<usize> {
+        let mut out = Vec::new();
+        for_each_one(words.iter().copied(), |v| out.push(v));
+        out
+    }
+
+    /// Update `tracker` to `alive` and check it, and the full routine,
+    /// against the BFS oracle; a tracker that will repair next time must
+    /// also hold exactly the members of the unique largest component.
+    fn check(tracker: &mut GiantTracker, alive: &[bool]) -> Result<(), String> {
+        let graph = tracker.graph;
+        let comps = components(graph, alive);
+        let want = comps.iter().map(Vec::len).max().unwrap_or(0);
+        prop_assert_eq!(tracker.update(&words(alive)), want);
+        prop_assert_eq!(graph.giant_component(|v| alive[v]), want);
+        let alive_count = alive.iter().filter(|&&a| a).count();
+        prop_assert_eq!(tracker.alive_count, alive_count);
+        if tracker.unique() {
+            let giant = members(&tracker.giant);
+            prop_assert!(comps.contains(&giant), "tracked giant is not a component");
+        }
+        prop_assert!(tracker.label.iter().all(|&l| l == 0), "labels left set");
+        Ok(())
+    }
+
+    /// A graph of `family`: scale-free, sparse random (many components,
+    /// equal-size ties), small-world, empty, or a single node.
+    fn graph(family: usize, n: usize, seed: u64) -> Graph {
+        let kind = match family {
+            0 => TopologyKind::ScaleFree {
+                m: 1 + seed as usize % 3,
+            },
+            1 => TopologyKind::Random {
+                mean_degree: 0.5 + (seed % 4) as f64 * 0.5,
+            },
+            2 => TopologyKind::SmallWorld { k: 4, beta: 0.1 },
+            3 => return Graph::from_edges(0, &[]),
+            _ => return Graph::from_edges(1, &[]),
+        };
+        Graph::generate(&kind, n, seed)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_tracker_matches_bfs_oracle(
+            family in 0usize..5,
+            n in 5usize..400,
+            seed in any::<u64>(),
+            steps in proptest::collection::vec((0u8..6, any::<u64>()), 1..40),
+        ) {
+            let graph = graph(family, n, seed);
+            let n = graph.len();
+            let mut tracker = GiantTracker::new(&graph);
+            let mut alive = vec![true; n];
+            check(&mut tracker, &alive)?;
+            for (kind, step_seed) in steps {
+                let mut rng = seeded_rng(step_seed);
+                match kind {
+                    // Single flips: the common tick, one death or revival.
+                    0 | 1 if n > 0 => {
+                        let flips = if kind == 0 { 1 } else { rng.gen_range(1..=n / 8 + 1) };
+                        for _ in 0..flips {
+                            let v = rng.gen_range(0..n);
+                            alive[v] = !alive[v];
+                        }
+                    }
+                    2 => alive.fill(false),
+                    3 => alive.fill(true),
+                    // Mass revival: most dead nodes come back at once.
+                    4 => alive.iter_mut().for_each(|a| *a |= rng.gen_bool(0.8)),
+                    // Mass death: an attack-sized batch of removals.
+                    _ => alive.iter_mut().for_each(|a| *a &= rng.gen_bool(0.7)),
+                }
+                check(&mut tracker, &alive)?;
+            }
+        }
+    }
+
+    #[test]
+    fn cuts_split_the_ring_and_revivals_rejoin_it() {
+        let ring = ring_lattice(200, 1);
+        let mut tracker = GiantTracker::new(&ring);
+        let mut alive = vec![true; 200];
+        check(&mut tracker, &alive).unwrap();
+        for cut in [0, 20, 40, 41, 180] {
+            alive[cut] = false;
+            check(&mut tracker, &alive).unwrap();
+            assert!(tracker.unique(), "the long arc stays the unique giant");
+        }
+        assert_eq!(tracker.size, 138);
+        for revive in [41, 40, 20, 0, 180] {
+            alive[revive] = true;
+            check(&mut tracker, &alive).unwrap();
+        }
+        assert_eq!(tracker.size, 200);
+    }
+
+    #[test]
+    fn ties_and_empty_sets_rebuild() {
+        // Two equal halves: no unique giant, so every update rebuilds.
+        let g = Graph::from_edges(4, &[(0, 1), (2, 3)]);
+        let mut tracker = GiantTracker::new(&g);
+        check(&mut tracker, &[true; 4]).unwrap();
+        assert!(!tracker.unique());
+        check(&mut tracker, &[true, true, true, false]).unwrap();
+        assert!(tracker.unique());
+        check(&mut tracker, &[false; 4]).unwrap();
+        assert_eq!(tracker.size, 0);
+        let empty = Graph::from_edges(0, &[]);
+        assert_eq!(GiantTracker::new(&empty).update(&[]), 0);
+    }
+
+    #[test]
+    fn a_hub_attack_falls_back_to_a_rebuild() {
+        // Killing a star's hub leaves every leaf's search dry at once.
+        let star = Graph::from_edges(50, &(1..50).map(|v| (0, v)).collect::<Vec<_>>());
+        let mut tracker = GiantTracker::new(&star);
+        let mut alive = vec![true; 50];
+        check(&mut tracker, &alive).unwrap();
+        alive[0] = false;
+        check(&mut tracker, &alive).unwrap();
+        assert_eq!(tracker.size, 1);
+        let k8 = complete(8);
+        let mut tracker = GiantTracker::new(&k8);
+        check(&mut tracker, &[true; 8]).unwrap();
+        check(
+            &mut tracker,
+            &[false, true, true, true, true, true, true, false],
+        )
+        .unwrap();
+        assert_eq!(tracker.size, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "one word per 64 nodes")]
+    fn rejects_a_short_alive_set() {
+        let ring = ring_lattice(100, 1);
+        GiantTracker::new(&ring).update(&[u64::MAX]);
+    }
+}

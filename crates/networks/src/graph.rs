@@ -132,10 +132,29 @@ impl Graph {
     /// Size of the largest connected component among the nodes for
     /// which `alive` holds (0 if none do).
     ///
-    /// Each alive edge is unioned once, from its higher endpoint; the
-    /// union–find tracks the largest component as it merges, so no
-    /// second pass over the nodes is needed.
+    /// The workspace's one full giant-component routine; the
+    /// incremental [`GiantTracker`](crate::GiantTracker) falls back to it.
     pub fn giant_component(&self, alive: impl Fn(usize) -> bool) -> usize {
+        self.giant_members(alive, None)
+    }
+
+    /// [`Graph::giant_component`], optionally also writing the members
+    /// of one largest component into `members`, a bitset over the nodes
+    /// packed 64 per word (cleared first; left empty when no node is
+    /// alive).
+    ///
+    /// Each alive edge is unioned once, from its higher endpoint: the
+    /// sorted neighbor list is read only up to the first `w >= v`. A
+    /// node is still a singleton when its turn comes (only higher nodes
+    /// have unioned with it so far), so its root is carried through its
+    /// own unions instead of being looked up again. The union–find
+    /// tracks the largest component as it merges; only marking takes a
+    /// second pass over the nodes.
+    pub(crate) fn giant_members(
+        &self,
+        alive: impl Fn(usize) -> bool,
+        members: Option<&mut [u64]>,
+    ) -> usize {
         let mut uf = UnionFind::new(self.len());
         let mut any_alive = false;
         for v in 0..self.len() {
@@ -143,18 +162,32 @@ impl Graph {
                 continue;
             }
             any_alive = true;
+            let mut root = v;
             for &w in self.neighbors(v) {
                 let w = w as usize;
-                if w < v && alive(w) {
-                    uf.union(v, w);
+                if w >= v {
+                    break;
+                }
+                if alive(w) {
+                    let rw = uf.find(w);
+                    root = uf.union_roots(root, rw);
                 }
             }
         }
-        if any_alive {
-            uf.largest_component()
-        } else {
-            0
+        let largest = if any_alive { uf.largest_component() } else { 0 };
+        if let Some(members) = members {
+            members.fill(0);
+            let giant_root = (0..self.len())
+                .find(|&v| alive(v) && uf.find(v) == v && uf.component_size(v) == largest);
+            if let Some(root) = giant_root {
+                for v in 0..self.len() {
+                    if alive(v) && uf.find(v) == root {
+                        members[v / 64] |= 1 << (v % 64);
+                    }
+                }
+            }
         }
+        largest
     }
 }
 

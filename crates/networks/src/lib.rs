@@ -3,7 +3,9 @@
 //!
 //! * [`graph`] / [`generators`] — the workspace's one graph type, a
 //!   compressed-sparse-row [`Graph`] with sorted neighbor lists and a
-//!   union–find giant-component routine over an `alive` predicate; one
+//!   union–find giant-component routine over an `alive` predicate,
+//!   which [`GiantTracker`] falls back to when it cannot repair a giant
+//!   incrementally across a sequence of alive sets; one
 //!   generator per family (Barabási–Albert, skip-sampled Erdős–Rényi,
 //!   Watts–Strogatz, planted partition, complete), and
 //!   [`Graph::generate`] for a seeded [`TopologyKind`]. The cluster
@@ -44,11 +46,13 @@
 // panics, never `unwrap()`; tests are exempt because a failed unwrap
 // there *is* the assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod attack;
 pub mod cascade;
 pub mod forest_fire;
 pub mod generators;
+pub mod giant;
 pub mod graph;
 pub mod percolation;
 pub mod sandpile;
@@ -61,6 +65,7 @@ pub use generators::{
     barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, watts_strogatz,
     TopologyKind,
 };
+pub use giant::GiantTracker;
 pub use graph::Graph;
 pub use sandpile::{InterventionPolicy, Sandpile, SandpileReport};
 pub use union_find::UnionFind;

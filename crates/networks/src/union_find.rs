@@ -39,18 +39,30 @@ impl UnionFind {
     /// Merge the components of `a` and `b`; returns `true` if they were
     /// distinct.
     pub fn union(&mut self, a: usize, b: usize) -> bool {
-        let (mut ra, mut rb) = (self.find(a), self.find(b));
+        let (ra, rb) = (self.find(a), self.find(b));
+        self.union_roots(ra, rb);
+        ra != rb
+    }
+
+    /// Merge the components whose representatives are `ra` and `rb`
+    /// (union by size) and return the merged representative — for
+    /// callers that already hold both roots and would otherwise pay a
+    /// second `find` per union.
+    pub(crate) fn union_roots(&mut self, ra: usize, rb: usize) -> usize {
+        debug_assert!(self.parent[ra] as usize == ra && self.parent[rb] as usize == rb);
         if ra == rb {
-            return false;
+            return ra;
         }
-        if self.size[ra] < self.size[rb] {
-            std::mem::swap(&mut ra, &mut rb);
-        }
-        self.parent[rb] = ra as u32;
-        self.size[ra] += self.size[rb];
+        let (big, small) = if self.size[ra] < self.size[rb] {
+            (rb, ra)
+        } else {
+            (ra, rb)
+        };
+        self.parent[small] = big as u32;
+        self.size[big] += self.size[small];
         self.components -= 1;
-        self.largest = self.largest.max(self.size[ra] as usize);
-        true
+        self.largest = self.largest.max(self.size[big] as usize);
+        big
     }
 
     /// Whether `a` and `b` are in the same component.
