@@ -140,9 +140,9 @@ pub fn sweep_budgets(
 /// population).
 pub fn best_allocation(outcomes: &[RegimeOutcome]) -> Option<&RegimeOutcome> {
     outcomes.iter().max_by(|a, b| {
-        (a.survival_rate(), a.mean_final_population)
-            .partial_cmp(&(b.survival_rate(), b.mean_final_population))
-            .expect("rates are finite")
+        a.survival_rate()
+            .total_cmp(&b.survival_rate())
+            .then(a.mean_final_population.total_cmp(&b.mean_final_population))
     })
 }
 

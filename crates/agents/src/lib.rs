@@ -37,9 +37,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must surface failures as typed errors or documented
-// panics, never `unwrap()`; tests are exempt because a failed unwrap
-// there *is* the assertion.
+// panics, never `unwrap()` or `expect()`; tests are exempt because a
+// failed unwrap there *is* the assertion.
 #![cfg_attr(not(test), warn(clippy::unwrap_used))]
+#![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod budget;
 pub mod dynamics;

@@ -4,11 +4,25 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use resilience_core::{seeded_rng, AllOnes, Config, RunContext, ShockKind};
 use resilience_dcsp::recoverability::{
-    is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, recoverability_reference,
+    check_recoverability, recoverability_reference, RecoverabilityOptions, RecoverabilityReport,
 };
 use resilience_dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
 use resilience_dcsp::DcspSystem;
 use std::sync::Arc;
+
+/// The rank walk of greedy repair from a fit `start`, without stats.
+fn exhaustive(
+    start: &Config,
+    env: &AllOnes,
+    d: usize,
+    k: usize,
+    ctx: &RunContext,
+) -> RecoverabilityReport {
+    let options = RecoverabilityOptions::default();
+    check_recoverability(start, env, &GreedyRepair::new(), d, k, ctx, options)
+        .expect("ones(n) is fit under AllOnes(n)")
+        .0
+}
 
 fn bench_repair(c: &mut Criterion) {
     let mut group = c.benchmark_group("dcsp_repair");
@@ -43,9 +57,8 @@ fn bench_repair(c: &mut Criterion) {
     group.bench_function("exhaustive_k_recoverable_n10_d2", |b| {
         let start = Config::ones(10);
         let env10 = AllOnes::new(10);
-        b.iter(|| {
-            is_k_recoverable_exhaustive(black_box(&start), &env10, &GreedyRepair::new(), 2, 2)
-        })
+        let ctx = RunContext::new(0);
+        b.iter(|| exhaustive(black_box(&start), &env10, 2, 2, &ctx))
     });
     // Engine vs retained reference on the headline n=16/d=3 workload
     // (696 damage patterns): the engine memoizes repair trajectories and
@@ -53,9 +66,8 @@ fn bench_repair(c: &mut Criterion) {
     let start16 = Config::ones(16);
     let env16 = AllOnes::new(16);
     group.bench_function("exhaustive_engine_n16_d3", |b| {
-        b.iter(|| {
-            is_k_recoverable_exhaustive(black_box(&start16), &env16, &GreedyRepair::new(), 3, 3)
-        })
+        let ctx = RunContext::new(0);
+        b.iter(|| exhaustive(black_box(&start16), &env16, 3, 3, &ctx))
     });
     group.bench_function("exhaustive_reference_n16_d3", |b| {
         b.iter(|| recoverability_reference(black_box(&start16), &env16, &GreedyRepair::new(), 3, 3))
@@ -66,16 +78,7 @@ fn bench_repair(c: &mut Criterion) {
     for threads in [1usize, 4] {
         group.bench_function(format!("exhaustive_parallel_n24_d4/t{threads}"), |b| {
             let ctx = RunContext::with_threads(0, threads);
-            b.iter(|| {
-                is_k_recoverable_exhaustive_parallel(
-                    black_box(&start24),
-                    &env24,
-                    &GreedyRepair::new(),
-                    4,
-                    4,
-                    &ctx,
-                )
-            })
+            b.iter(|| exhaustive(black_box(&start24), &env24, 4, 4, &ctx))
         });
     }
     group.finish();

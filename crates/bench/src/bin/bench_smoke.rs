@@ -34,14 +34,15 @@ use resilience_bench::harness::{
     serve_arm, ModeArms, RedundancyArms, REDUNDANCY_CHAOS, SERVE_CHAOS,
 };
 use resilience_core::{
-    AllOnes, AtLeastOnes, Config, FaultConfig, PredicateConstraint, RunContext, Supervision,
+    AllOnes, AtLeastOnes, Config, Constraint, FaultConfig, PredicateConstraint, RunContext,
+    Supervision,
 };
 use resilience_dcsp::maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 use resilience_dcsp::recoverability::{
-    is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
-    recoverability_reference,
+    check_recoverability, recoverability_reference, RecoverabilityOptions, RecoverabilityReport,
+    VerifyStats,
 };
 use resilience_dcsp::repair::GreedyRepair;
 
@@ -937,6 +938,32 @@ fn gate_covers_space(report: &MaintainabilityReport, what: &str) {
     );
 }
 
+/// The rank walk without stats, as the timed paths run it.
+const RANK_WALK: RecoverabilityOptions = RecoverabilityOptions {
+    symmetry: false,
+    stats: false,
+};
+
+/// The orbit walk where sound, without stats.
+const ORBIT_WALK: RecoverabilityOptions = RecoverabilityOptions {
+    symmetry: true,
+    stats: false,
+};
+
+/// `check_recoverability` with greedy repair on a smoke instance, each of
+/// which starts fit with a damage space far inside `u64`.
+fn greedy_check(
+    start: &Config,
+    env: &dyn Constraint,
+    d: usize,
+    k: usize,
+    ctx: &RunContext,
+    options: RecoverabilityOptions,
+) -> (RecoverabilityReport, Option<VerifyStats>) {
+    check_recoverability(start, env, &GreedyRepair::new(), d, k, ctx, options)
+        .expect("smoke instances start fit")
+}
+
 /// `bench_smoke dcsp`: symmetry-reduction speed, orbit-report scale
 /// numbers (2^30 states, beyond the dense path's 2^24 cap) and their
 /// equivalence gates.
@@ -945,16 +972,22 @@ fn run_dcsp_smoke(reps: usize) {
     let ctx1 = RunContext::with_threads(0, 1);
     let ctx4 = RunContext::with_threads(0, 4);
 
-    // Gate 1: on the timed instance the symmetric checker reproduces the
-    // exhaustive-parallel and reference reports bit-for-bit, at one and
-    // four threads.
+    // Gate 1: on the timed instance the orbit walk reproduces the rank
+    // walk and reference reports bit-for-bit, at one and four threads.
     let start = Config::ones(24);
     let env = AllOnes::new(24);
-    let (sym_report, sym_stats) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx4)
-        .expect("AllOnes declares a symmetry class");
-    let (sym_report1, _) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx1)
-        .expect("AllOnes declares a symmetry class");
-    let full = is_k_recoverable_exhaustive_parallel(&start, &env, &greedy, 4, 4, &ctx4);
+    let with_stats = RecoverabilityOptions {
+        symmetry: true,
+        stats: true,
+    };
+    let (sym_report, sym_stats) = greedy_check(&start, &env, 4, 4, &ctx4, with_stats);
+    let sym_stats = sym_stats.expect("greedy repair is deterministic");
+    gate(
+        sym_stats.orbit_hits > 0,
+        "AllOnes(24) did not take the orbit walk",
+    );
+    let (sym_report1, _) = greedy_check(&start, &env, 4, 4, &ctx1, ORBIT_WALK);
+    let (full, _) = greedy_check(&start, &env, 4, 4, &ctx4, RANK_WALK);
     let reference = recoverability_reference(&start, &env, &greedy, 4, 4);
     gate(
         sym_report == full && sym_report == reference && sym_report == sym_report1,
@@ -964,12 +997,8 @@ fn run_dcsp_smoke(reps: usize) {
     let ref_secs = median_secs(reps, || {
         recoverability_reference(&start, &env, &greedy, 4, 4)
     });
-    let sym1_secs = median_secs(reps, || {
-        is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx1)
-    });
-    let sym4_secs = median_secs(reps, || {
-        is_k_recoverable_symmetric(&start, &env, &greedy, 4, 4, &ctx4)
-    });
+    let sym1_secs = median_secs(reps, || greedy_check(&start, &env, 4, 4, &ctx1, ORBIT_WALK));
+    let sym4_secs = median_secs(reps, || greedy_check(&start, &env, 4, 4, &ctx4, ORBIT_WALK));
     let speedup = ref_secs / sym1_secs;
     gate(
         speedup > 2.8,
@@ -1060,7 +1089,9 @@ fn run_engine_smoke(reps: usize) {
     // Exhaustive k-recoverability, engine vs reference, n=16/d=3/k=3.
     let start16 = Config::ones(16);
     let env16 = AllOnes::new(16);
-    let engine_report = is_k_recoverable_exhaustive(&start16, &env16, &greedy, 3, 3);
+    let ctx1 = RunContext::with_threads(0, 1);
+    let ctx4 = RunContext::with_threads(0, 4);
+    let (engine_report, _) = greedy_check(&start16, &env16, 3, 3, &ctx1, RANK_WALK);
     let reference_report = recoverability_reference(&start16, &env16, &greedy, 3, 3);
     gate(
         engine_report == reference_report,
@@ -1068,7 +1099,7 @@ fn run_engine_smoke(reps: usize) {
     );
     let cases16 = engine_report.cases as f64;
     let engine_secs = median_secs(reps, || {
-        is_k_recoverable_exhaustive(&start16, &env16, &greedy, 3, 3)
+        greedy_check(&start16, &env16, 3, 3, &ctx1, RANK_WALK)
     });
     let reference_secs = median_secs(reps, || {
         recoverability_reference(&start16, &env16, &greedy, 3, 3)
@@ -1077,18 +1108,16 @@ fn run_engine_smoke(reps: usize) {
     // Thread scaling on the widened E2 workload, n=24/d=4/k=4.
     let start24 = Config::ones(24);
     let env24 = AllOnes::new(24);
-    let ctx1 = RunContext::with_threads(0, 1);
-    let ctx4 = RunContext::with_threads(0, 4);
     let serial = thread_invariant("recoverability report", |threads| {
         let ctx = RunContext::with_threads(0, threads);
-        is_k_recoverable_exhaustive_parallel(&start24, &env24, &greedy, 4, 4, &ctx)
+        greedy_check(&start24, &env24, 4, 4, &ctx, RANK_WALK).0
     });
     let cases24 = serial.cases as f64;
     let t1_secs = median_secs(reps, || {
-        is_k_recoverable_exhaustive_parallel(&start24, &env24, &greedy, 4, 4, &ctx1)
+        greedy_check(&start24, &env24, 4, 4, &ctx1, RANK_WALK)
     });
     let t4_secs = median_secs(reps, || {
-        is_k_recoverable_exhaustive_parallel(&start24, &env24, &greedy, 4, 4, &ctx4)
+        greedy_check(&start24, &env24, 4, 4, &ctx4, RANK_WALK)
     });
 
     // CSR backward BFS vs reference on the explicit 2^12-state system.

@@ -1,22 +1,19 @@
 //! E2 — spacecraft k-recoverability (paper §4.2 worked example).
 
 use resilience_core::{AllOnes, Config};
-use resilience_dcsp::recoverability::{
-    is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
-};
+use resilience_dcsp::recoverability::{check_recoverability, RecoverabilityOptions};
 use resilience_dcsp::repair::GreedyRepair;
 
 use crate::table::ExperimentTable;
 use resilience_core::RunContext;
 
-/// Run E2. Deterministic (exhaustive): the damage-pattern space is
-/// partitioned into rank ranges and checked on `ctx`'s worker threads;
-/// the rank-ordered fold makes the table identical for any thread count
-/// (and to the sequential reference checker). Rows beyond `n = 24` use
-/// the symmetry-orbit reduction — one repair walk per damage-count
-/// orbit, counts multiplied by orbit size — which
-/// `tests/symmetry_equivalence.rs` pins bit-identical to the exhaustive
-/// engine.
+/// Run E2. Deterministic (exhaustive): `check_recoverability` walks every
+/// damage pattern, cut into rank ranges on `ctx`'s worker threads; the
+/// rank-ordered fold makes the table identical for any thread count (and
+/// to the sequential reference checker). Rows beyond `n = 24` allow the
+/// orbit walk — one repair walk per damage-count orbit, counts multiplied
+/// by orbit size — which `tests/symmetry_equivalence.rs` pins
+/// bit-identical to the rank walk.
 pub fn run(ctx: &RunContext) -> ExperimentTable {
     let mut rows = Vec::new();
     let mut all_match = true;
@@ -37,13 +34,13 @@ pub fn run(ctx: &RunContext) -> ExperimentTable {
     ] {
         let start = Config::ones(n);
         let env = AllOnes::new(n);
-        let report = if n <= 24 {
-            is_k_recoverable_exhaustive_parallel(&start, &env, &GreedyRepair::new(), damage, k, ctx)
-        } else {
-            is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), damage, k, ctx)
-                .expect("AllOnes declares a symmetry class")
-                .0
+        let options = RecoverabilityOptions {
+            symmetry: n > 24,
+            stats: false,
         };
+        let (report, _) =
+            check_recoverability(&start, &env, &GreedyRepair::new(), damage, k, ctx, options)
+                .expect("ones(n) is fit under AllOnes(n) and the damage space fits u64");
         let expected = k >= damage;
         if report.is_k_recoverable() != expected {
             all_match = false;

@@ -14,7 +14,8 @@
 //!   move set.
 //! * [`recoverability`] — *k*-recoverability (§4.2): "If the system can fix
 //!   its configuration for any perturbations of type D within k steps, we
-//!   call the system k-recoverable." Exhaustive and Monte-Carlo checkers.
+//!   call the system k-recoverable." One exact check
+//!   ([`check_recoverability`]) and a Monte-Carlo estimate.
 //! * [`maintainability`] — *K*-maintainability (§4.3, after Baral & Eiter):
 //!   policy construction over an explicit transition system with exogenous
 //!   and controllable transitions.
@@ -69,9 +70,8 @@ pub use maintainability::{
 };
 pub use problem::{DcspSystem, EpisodeRecord};
 pub use recoverability::{
-    is_k_recoverable_auto, is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel,
-    is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_symmetric,
-    recoverability_reference, sampled_recoverability, RecoverabilityReport, VerifyStats,
+    check_recoverability, recoverability_reference, sampled_recoverability, RecoverabilityOptions,
+    RecoverabilityReport, VerifyStats,
 };
 pub use repair::{AnnealRepair, BfsRepair, GreedyRepair, RepairOutcome, RepairStrategy};
 pub use scenario::{Scenario, ScenarioReport, ScenarioStep};

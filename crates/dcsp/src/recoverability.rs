@@ -1,45 +1,48 @@
 //! *k*-recoverability (the paper's §4.2).
 //!
 //! "If the system can fix its configuration for any perturbations of type D
-//! within k-steps, we call the system k-recoverable."
+//! within k steps, we call the system k-recoverable."
 //!
-//! The checkers:
+//! [`check_recoverability`] is the one exact check: it repairs every
+//! perturbation of at most `max_damage` bit flips with the given strategy
+//! (one flip per step, shock-free) and returns one [`RecoverabilityReport`],
+//! with its [`VerifyStats`] when asked. The report is bit-identical for
+//! every thread budget and every [`RecoverabilityOptions`] value; the
+//! options only choose how the damage space is walked.
 //!
-//! * [`is_k_recoverable_exhaustive`] — exact enumeration of *every*
-//!   perturbation of at most `max_damage` bit flips, accelerated by a
-//!   transposition cache over repair outcomes and allocation-free
-//!   incremental damage enumeration (see the verification-engine section
-//!   of DESIGN.md). Falls back to the plain sequential walk for
-//!   non-deterministic strategies.
-//! * [`is_k_recoverable_exhaustive_parallel`] — the same check fanned out
-//!   over a [`RunContext`]'s thread budget: the damage-pattern space is
-//!   split into contiguous *rank ranges* by combinatorial unranking, each
-//!   range is verified independently, and the partial reports are folded
-//!   in rank order — so the report (including the counterexample, which
-//!   is always the lowest-ranked failure) is bit-identical for any thread
-//!   count. [`is_k_recoverable_exhaustive_parallel_stats`] adds the
-//!   [`VerifyStats`] of a fixed, thread-independent partition.
-//! * [`is_k_recoverable_symmetric`] — orbit-reduced verification for
-//!   environments declaring variable automorphisms
-//!   (`Constraint::symmetry_classes`): one repair walk per damage *orbit*
-//!   instead of one per damage pattern, with counts multiplied by orbit
-//!   size, returned with its [`VerifyStats`]. Breaks the
-//!   Σs·C(n,s)/ΣC(n,s) ceiling of the memoized engine because whole
-//!   orbits cost a single check. Reports (including the counterexample,
-//!   reconstructed as the preorder-minimal member of the lowest-ranked
-//!   failing orbit) are bit-identical to the unreduced engine; see
-//!   `tests/symmetry_equivalence.rs`.
-//! * [`is_k_recoverable_auto`] — routes to the orbit-reduced checker when
-//!   sound, else to the parallel exhaustive engine.
-//! * [`sampled_recoverability`] — Monte-Carlo estimate for systems too
-//!   large to enumerate.
+//! * The **rank walk** numbers the damage patterns in preorder, cuts the
+//!   rank space into contiguous ranges by combinatorial unranking, checks
+//!   each range with its own transposition cache over repair outcomes and
+//!   folds the partial reports in rank order (see the verification-engine
+//!   section of DESIGN.md).
+//! * The **orbit walk** (`symmetry`) applies when the constraint declares
+//!   variable automorphisms (`Constraint::symmetry_classes`) that fix
+//!   `start` and the strategy respects them
+//!   ([`RepairStrategy::is_symmetry_invariant`]): it repairs one
+//!   representative per damage *orbit* and multiplies by the orbit size,
+//!   so the fully symmetric spacecraft instances cost `max_damage` walks.
+//!   Otherwise the rank walk runs. `tests/symmetry_equivalence.rs` pins
+//!   the two walks to each other.
 //!
-//! The rank-range walk and the orbit walk fold one partial-report type,
-//! which keeps the preorder-minimal counterexample (preorder is rank
-//! order).
+//! Both walks fold one partial-report type, which keeps the
+//! preorder-minimal counterexample (preorder is rank order): the
+//! lowest-ranked failure, exactly the witness the forward-enumerating
+//! reference keeps. Each range starts with an empty cache, and a repair
+//! step usually lands in another range's ranks, so the partition decides
+//! how much work the cache saves:
 //!
-//! [`recoverability_reference`] retains the original clone-per-case
-//! recursive checker as the oracle the optimized engine is proven
+//! * without stats on a one-thread budget, one range;
+//! * without stats on more threads, `threads × 8` ranges, for load balance;
+//! * with stats, 64 rank ranges or one range per orbit. The counters are
+//!   a pure function of the partition, so a partition fixed by the problem
+//!   makes them the same for every thread budget.
+//!
+//! A non-deterministic strategy's proposals depend on global call order,
+//! so it runs the sequential reference walk and returns no stats.
+//!
+//! [`sampled_recoverability`] is the Monte-Carlo estimate for systems too
+//! large to enumerate. [`recoverability_reference`] keeps the original
+//! clone-per-case recursive checker as the oracle the engine is proven
 //! against (see `tests/verification_equivalence.rs`).
 
 use std::cmp::Ordering;
@@ -48,7 +51,7 @@ use std::ops::Range;
 
 use rand::Rng;
 
-use resilience_core::{Config, Constraint, RunContext, ShockKind};
+use resilience_core::{Config, Constraint, CoreError, RunContext, ShockKind};
 
 use crate::repair::RepairStrategy;
 use crate::symmetry::{preorder_cmp, DamageOrbit, SymmetryClasses};
@@ -95,55 +98,106 @@ impl RecoverabilityReport {
     }
 }
 
-/// Exhaustively check k-recoverability of `start` under `env` against all
-/// damage patterns of 1..=`max_damage` bit flips, repairing with
-/// `strategy` (one flip per step, the paper's repair model).
+/// How [`check_recoverability`] may walk the damage space. Neither field
+/// changes the report.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct RecoverabilityOptions {
+    /// Walk one representative per damage orbit when that is sound (the
+    /// constraint declares automorphisms that fix `start`, and the strategy
+    /// is deterministic and symmetry-invariant); otherwise, or when unset,
+    /// walk every damage pattern.
+    pub symmetry: bool,
+    /// Return the walk's [`VerifyStats`], counted on a partition fixed by
+    /// the problem so they are the same for every thread budget.
+    pub stats: bool,
+}
+
+/// Check k-recoverability of `start` under `env` against every damage
+/// pattern of 1..=`max_damage` bit flips, repairing with `strategy` (one
+/// flip per step, the paper's repair model) on `ctx`'s thread budget.
 ///
 /// The paper's side condition is honored: "once the spacecraft has
 /// component failures at time t, it will not have another component failure
 /// until time t + k" — i.e. repair runs shock-free.
 ///
-/// For deterministic strategies (see
-/// [`RepairStrategy::is_deterministic`]) the check runs on the memoized
-/// engine; the report is identical to [`recoverability_reference`], just
-/// faster. Non-deterministic strategies use the reference walk directly.
+/// The report is identical to [`recoverability_reference`] for every
+/// `ctx` and `options`; see the module docs for the walks and the
+/// partition rule. The stats are `Some` when `options.stats` is set and
+/// the strategy is deterministic ([`RepairStrategy::is_deterministic`]);
+/// a non-deterministic strategy runs the reference walk, which has no
+/// cache to count.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `start` does not satisfy `env` (recoverability is defined
-/// from a fit configuration).
-pub fn is_k_recoverable_exhaustive<S: RepairStrategy + ?Sized>(
+/// [`CoreError::InvalidParameter`] when `start` does not satisfy `env`
+/// (recoverability is defined from a fit configuration), or when the
+/// damage-pattern count does not fit the `u64` rank space.
+pub fn check_recoverability<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
     strategy: &S,
     max_damage: usize,
     k: usize,
-) -> RecoverabilityReport {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
+    ctx: &RunContext,
+    options: RecoverabilityOptions,
+) -> Result<(RecoverabilityReport, Option<VerifyStats>), CoreError> {
+    require_fit(start, env)?;
+    let n = start.len();
+    let counts = SubsetCounts::new(n, max_damage.min(n))?;
     if !strategy.is_deterministic() {
-        return reference_inner(start, env, strategy, max_damage, k);
+        return Ok((reference_inner(start, env, strategy, max_damage, k), None));
     }
-    rank_walk(start, env, strategy, max_damage, k, &RunContext::new(0), 1).0
+    let orbits = if options.symmetry && strategy.is_symmetry_invariant() {
+        SymmetryClasses::detect(env, start).and_then(|c| c.damage_orbits(counts.max_size))
+    } else {
+        None
+    };
+    // The orbit sizes must partition the unreduced case count exactly —
+    // this is what licenses reporting `cases` without enumerating them.
+    debug_assert!(orbits
+        .as_ref()
+        .is_none_or(|o| o.iter().map(|o| o.size).sum::<u64>() == counts.total_nonempty()));
+    let (total, stats_ranges) = match &orbits {
+        Some(orbits) => (orbits.len() as u64, orbits.len() as u64),
+        None => (counts.total_nonempty(), 64),
+    };
+    let ranges = if options.stats {
+        stats_ranges
+    } else if ctx.threads() == 1 {
+        1
+    } else {
+        ctx.threads() as u64 * 8
+    };
+    let (report, stats) = ctx
+        .run_ranges(
+            total,
+            // No damage (or no orbit) leaves nothing to cut.
+            (total / ranges.max(1)).clamp(1, total.max(1)),
+            // Orbit ranges split `0..orbits.len()`, so their bounds fit
+            // `usize`.
+            |r| match &orbits {
+                Some(orbits) => check_orbits(
+                    &orbits[r.start as usize..r.end as usize],
+                    start,
+                    env,
+                    strategy,
+                    k,
+                ),
+                None => check_rank_range(r, start, env, strategy, k, &counts),
+            },
+            Partial::default(),
+            Partial::merge,
+        )
+        .finish(k);
+    Ok((report, options.stats.then_some(stats)))
 }
 
-/// [`is_k_recoverable_exhaustive`] on `ctx`'s thread budget: the rank
-/// space of damage patterns is partitioned into contiguous chunks, chunks
-/// are verified on worker threads, and the partial reports are folded in
-/// rank order. The output is bit-identical to the sequential check for
-/// every thread count (each case's verdict is exact, sums and maxima are
-/// order-free, and the surviving counterexample is the lowest-ranked
-/// failure under any partition).
-///
-/// Non-deterministic strategies cannot be checked out of order (their
-/// proposals depend on global call order), so they fall back to the
-/// sequential [`recoverability_reference`] walk regardless of `ctx`.
+/// [`check_recoverability`] on the rank walk, without stats.
 ///
 /// # Panics
 ///
-/// Panics if `start` does not satisfy `env`.
+/// Panics where [`check_recoverability`] returns an error.
+#[doc(hidden)]
 pub fn is_k_recoverable_exhaustive_parallel<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
@@ -152,35 +206,20 @@ pub fn is_k_recoverable_exhaustive_parallel<S: RepairStrategy + ?Sized>(
     k: usize,
     ctx: &RunContext,
 ) -> RecoverabilityReport {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
-    if !strategy.is_deterministic() {
-        return reference_inner(start, env, strategy, max_damage, k);
-    }
-    // Aim for several chunks per worker so uneven repair costs still
-    // load-balance; chunk boundaries never affect the folded report.
-    let chunks = ctx.threads() as u64 * 8;
-    rank_walk(start, env, strategy, max_damage, k, ctx, chunks).0
+    let options = RecoverabilityOptions::default();
+    or_panic(check_recoverability(
+        start, env, strategy, max_damage, k, ctx, options,
+    ))
+    .0
 }
 
-/// [`is_k_recoverable_exhaustive_parallel`] with telemetry. Unlike the
-/// plain parallel checker — whose chunk boundaries adapt to
-/// `ctx.threads()` for load balance — this variant partitions the rank
-/// space into a **fixed** number of chunks independent of the thread
-/// budget. The transposition cache is per-range, so cache hit/miss
-/// counts are a pure function of the partition; pinning the partition
-/// makes the returned [`VerifyStats`] (and any telemetry derived from
-/// it) bit-identical for any `--threads` value, at a small
-/// load-balancing cost. The report itself is bit-identical to both
-/// other exhaustive checkers regardless.
+/// [`check_recoverability`] on the rank walk, with stats.
 ///
 /// # Panics
 ///
-/// Panics if `start` does not satisfy `env`, or if `strategy` is not
-/// deterministic (stats are defined over the memoized engine only —
-/// non-deterministic strategies never touch the cache).
+/// Panics where [`check_recoverability`] returns an error, and for a
+/// non-deterministic strategy, which has no stats.
+#[doc(hidden)]
 pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
@@ -189,143 +228,31 @@ pub fn is_k_recoverable_exhaustive_parallel_stats<S: RepairStrategy + ?Sized>(
     k: usize,
     ctx: &RunContext,
 ) -> (RecoverabilityReport, VerifyStats) {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
-    assert!(
-        strategy.is_deterministic(),
-        "verification stats require a deterministic strategy"
-    );
-    // Fixed 64-way partition: thread-count-independent stats (see the
-    // type-level docs). 64 chunks still load-balance well past the
-    // machine sizes the harness targets.
-    rank_walk(start, env, strategy, max_damage, k, ctx, 64)
-}
-
-/// Check every damage pattern of `1..=max_damage` flips with the
-/// rank-range walk: the rank space is cut into about `chunks` contiguous
-/// ranges, checked on `ctx`'s workers and folded in rank order.
-fn rank_walk<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-    chunks: u64,
-) -> (RecoverabilityReport, VerifyStats) {
-    let n = start.len();
-    let counts = SubsetCounts::new(n, max_damage.min(n));
-    let total = counts.total_nonempty();
-    ctx.run_ranges(
-        total,
-        (total / chunks).clamp(1, total.max(1)),
-        |r| check_rank_range(r, start, env, strategy, k, &counts),
-        Partial::default(),
-        Partial::merge,
-    )
-    .finish(k)
-}
-
-/// Orbit-reduced k-recoverability: when `env` declares variable
-/// automorphisms ([`Constraint::symmetry_classes`]) that fix `start`,
-/// damage patterns partition into orbits sharing one verdict, so the
-/// checker walks **one representative per orbit** and multiplies by the
-/// orbit size. For the paper's fully symmetric spacecraft instances the
-/// Σ_s C(n,s) cases collapse to `max_damage` representative walks.
-///
-/// Returns `None` — make no claim, caller falls back to the exhaustive
-/// engine — when the reduction is unsound: no declared symmetry, `start`
-/// not constant on some class, or a strategy that is non-deterministic
-/// or whose step count is not an orbit invariant
-/// ([`RepairStrategy::is_symmetry_invariant`]). It also returns `None`
-/// when the damage-pattern count does not fit `u64`
-/// ([`SymmetryClasses::damage_orbits`]) or `usize`; the exhaustive
-/// engine then rejects the instance.
-///
-/// The report is bit-identical to the unreduced engine for any thread
-/// budget: counts and maxima aggregate orbit-wise, and the
-/// counterexample is the preorder-minimal member of the lowest-ranked
-/// failing orbit — exactly the witness the forward-enumerating reference
-/// keeps.
-///
-/// The returned [`VerifyStats`] counts the representative walks' cache
-/// traffic plus `orbit_hits` — the damage cases settled by orbit
-/// multiplication without a walk of their own. Each orbit is checked in
-/// its own rank range with its own transposition cache, so the stats are
-/// a pure function of the orbit list and bit-identical for any thread
-/// budget.
-///
-/// # Panics
-///
-/// Panics if `start` does not satisfy `env`.
-pub fn is_k_recoverable_symmetric<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-) -> Option<(RecoverabilityReport, VerifyStats)> {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
-    if !strategy.is_deterministic() || !strategy.is_symmetry_invariant() {
-        return None;
+    let options = RecoverabilityOptions {
+        symmetry: false,
+        stats: true,
+    };
+    match or_panic(check_recoverability(
+        start, env, strategy, max_damage, k, ctx, options,
+    )) {
+        (report, Some(stats)) => (report, stats),
+        (_, None) => panic!("verification stats require a deterministic strategy"),
     }
-    let classes = SymmetryClasses::detect(env, start)?;
-    let n = start.len();
-    let max_damage = max_damage.min(n);
-    let orbits = classes.damage_orbits(max_damage)?;
-    usize::try_from(orbits.iter().map(|o| o.size).sum::<u64>()).ok()?;
-    // The orbit sizes must partition the unreduced case count exactly —
-    // this is what licenses reporting `cases` without enumerating them.
-    debug_assert_eq!(
-        orbits.iter().map(|o| o.size).sum::<u64>(),
-        SubsetCounts::new(n, max_damage).total_nonempty()
-    );
-    // One orbit per rank range: per-orbit caches make the stats a pure
-    // function of the orbit list (thread-invariant), and representative
-    // walks are cheap enough that cross-orbit sharing buys nothing.
-    let partial = ctx.run_ranges(
-        orbits.len() as u64,
-        1,
-        // The ranges split `0..orbits.len()`, so their bounds fit `usize`.
-        |r| {
-            check_orbits(
-                &orbits[r.start as usize..r.end as usize],
-                start,
-                env,
-                strategy,
-                k,
-            )
-        },
-        Partial::default(),
-        Partial::merge,
-    );
-    Some(partial.finish(k))
 }
 
-/// Route to the fastest sound checker: orbit-reduced when the constraint
-/// declares symmetry the strategy respects, else the parallel exhaustive
-/// engine. The report is identical either way.
-///
-/// # Panics
-///
-/// Panics if `start` does not satisfy `env`.
-pub fn is_k_recoverable_auto<S: RepairStrategy + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    max_damage: usize,
-    k: usize,
-    ctx: &RunContext,
-) -> RecoverabilityReport {
-    match is_k_recoverable_symmetric(start, env, strategy, max_damage, k, ctx) {
-        Some((report, _)) => report,
-        None => is_k_recoverable_exhaustive_parallel(start, env, strategy, max_damage, k, ctx),
+fn or_panic<T>(result: Result<T, CoreError>) -> T {
+    result.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Recoverability is defined from a fit configuration.
+fn require_fit(start: &Config, env: &dyn Constraint) -> Result<(), CoreError> {
+    if env.is_fit(start) {
+        Ok(())
+    } else {
+        Err(CoreError::InvalidParameter {
+            name: "start",
+            reason: "k-recoverability is checked from a fit configuration".to_string(),
+        })
     }
 }
 
@@ -371,8 +298,8 @@ fn check_orbits<S: RepairStrategy + ?Sized>(
 /// The original unmemoized sequential checker, retained verbatim as the
 /// reference oracle for the optimized engine: recursive subset
 /// enumeration, one `Config` clone per case, one full repair walk per
-/// case. Reports are identical to [`is_k_recoverable_exhaustive`]; only
-/// the running time differs.
+/// case. Reports are identical to [`check_recoverability`]'s; only the
+/// running time differs.
 ///
 /// # Panics
 ///
@@ -428,9 +355,9 @@ fn reference_inner<S: RepairStrategy + ?Sized>(
 /// Monte-Carlo recoverability estimate: strike `trials` shocks of `kind`
 /// against `start` and repair each within `k` steps.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `start` does not satisfy `env`.
+/// [`CoreError::InvalidParameter`] when `start` does not satisfy `env`.
 pub fn sampled_recoverability<S: RepairStrategy + ?Sized, R: Rng + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
@@ -439,11 +366,8 @@ pub fn sampled_recoverability<S: RepairStrategy + ?Sized, R: Rng + ?Sized>(
     k: usize,
     trials: usize,
     rng: &mut R,
-) -> RecoverabilityReport {
-    assert!(
-        env.is_fit(start),
-        "k-recoverability is checked from a fit configuration"
-    );
+) -> Result<RecoverabilityReport, CoreError> {
+    require_fit(start, env)?;
     let mut report = RecoverabilityReport::empty(k);
     for _ in 0..trials {
         let mut state = start.clone();
@@ -462,7 +386,7 @@ pub fn sampled_recoverability<S: RepairStrategy + ?Sized, R: Rng + ?Sized>(
             }
         }
     }
-    report
+    Ok(report)
 }
 
 /// Run the repair loop for at most `k` flips; `Some(steps)` if fitness was
@@ -537,7 +461,9 @@ struct SubsetCounts {
 }
 
 impl SubsetCounts {
-    fn new(n: usize, max_size: usize) -> Self {
+    /// The table for `n` elements and subsets of at most `max_size`, or
+    /// an error when their count does not fit the `u64` rank space.
+    fn new(n: usize, max_size: usize) -> Result<Self, CoreError> {
         let width = max_size + 1;
         let mut upto = vec![0u64; (n + 1) * width];
         for m in 0..=n {
@@ -558,11 +484,17 @@ impl SubsetCounts {
         // Below u64::MAX the rank arithmetic cannot saturate; within
         // usize the report's case counts are exact.
         let total = counts.upto(n, max_size);
-        assert!(
-            total < u64::MAX && usize::try_from(total).is_ok(),
-            "damage-pattern space exceeds the u64 rank space"
-        );
-        counts
+        if total < u64::MAX && usize::try_from(total).is_ok() {
+            Ok(counts)
+        } else {
+            Err(CoreError::InvalidParameter {
+                name: "max_damage",
+                reason: format!(
+                    "the damage patterns of up to {max_size} of {n} bits \
+                     exceed the u64 rank space"
+                ),
+            })
+        }
     }
 
     /// Subsets of size ≤ `c` from `m` elements, including the empty one.
@@ -713,14 +645,12 @@ impl Memo {
 /// transposition cache worked and how many states the repair walks
 /// visited.
 ///
-/// Stats are accumulated per rank range and folded in rank order, so
-/// for a *fixed* range partition they are a pure function of the
-/// problem — [`is_k_recoverable_exhaustive_parallel_stats`] (64 rank
-/// ranges) and [`is_k_recoverable_symmetric`] (one range per orbit) use
-/// thread-count-independent partitions precisely so these counters are
-/// bit-identical for any thread budget (unlike the adaptive partition of
-/// [`is_k_recoverable_exhaustive_parallel`], whose chunk boundaries —
-/// and therefore per-chunk cache contents — depend on `ctx.threads()`).
+/// Stats are accumulated per range, each with its own transposition
+/// cache, and folded in rank order, so they are a pure function of the
+/// problem and the partition. [`check_recoverability`] returns them only
+/// with [`RecoverabilityOptions::stats`] set, and then walks a partition
+/// the problem fixes (64 rank ranges, or one range per damage orbit), so
+/// the counters are bit-identical for any thread budget.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, serde::Serialize)]
 pub struct VerifyStats {
     /// Memo probes that found a finished entry (initial probe or a
@@ -731,9 +661,9 @@ pub struct VerifyStats {
     /// Distinct states assigned a distance by repair walks (memo
     /// insertions).
     pub states_explored: u64,
-    /// Damage cases settled by orbit multiplication in the
-    /// symmetry-reduced checker — cases counted in the report without a
-    /// repair walk of their own. Zero for the exhaustive engines.
+    /// Damage cases settled by orbit multiplication on the orbit walk —
+    /// cases counted in the report without a repair walk of their own.
+    /// Zero on the rank walk.
     pub orbit_hits: u64,
 }
 
@@ -817,8 +747,7 @@ impl Partial {
         let report = RecoverabilityReport {
             k,
             // Lossless: both counts are at most the instance's case
-            // count, which `SubsetCounts::new` and
-            // `is_k_recoverable_symmetric` keep within usize.
+            // count, which `SubsetCounts::new` keeps within usize.
             cases: self.cases as usize,
             recovered_within_k: self.recovered as usize,
             worst_steps: self.worst_steps,
@@ -836,10 +765,6 @@ impl Partial {
 /// but the *report* is independent of evaluation order: counts and maxima
 /// are order-free, and the counterexample kept is the lowest-ranked
 /// failure, matching the forward-enumerating reference checker exactly.
-///
-/// Every exhaustive entry point runs this walk, so
-/// [`is_k_recoverable_exhaustive_parallel_stats`] counts exactly the work
-/// the plain checkers do on the same partition.
 fn check_rank_range<S: RepairStrategy + ?Sized>(
     range: Range<u64>,
     start: &Config,
@@ -1003,6 +928,53 @@ mod tests {
     use crate::repair::{AnnealRepair, BfsRepair, GreedyRepair};
     use resilience_core::{seeded_rng, AllOnes, AtLeastOnes, ExplicitSet};
 
+    const EXHAUSTIVE: RecoverabilityOptions = RecoverabilityOptions {
+        symmetry: false,
+        stats: false,
+    };
+
+    /// `check_recoverability` on `threads` workers.
+    fn check<S: RepairStrategy + ?Sized>(
+        start: &Config,
+        env: &dyn Constraint,
+        strategy: &S,
+        d: usize,
+        k: usize,
+        threads: usize,
+        options: RecoverabilityOptions,
+    ) -> (RecoverabilityReport, Option<VerifyStats>) {
+        let ctx = RunContext::with_threads(0, threads);
+        check_recoverability(start, env, strategy, d, k, &ctx, options).unwrap()
+    }
+
+    /// The one-thread rank walk's report.
+    fn exhaustive<S: RepairStrategy + ?Sized>(
+        start: &Config,
+        env: &dyn Constraint,
+        strategy: &S,
+        d: usize,
+        k: usize,
+    ) -> RecoverabilityReport {
+        check(start, env, strategy, d, k, 1, EXHAUSTIVE).0
+    }
+
+    /// The report and stats of the orbit walk where it is sound.
+    fn symmetric<S: RepairStrategy + ?Sized>(
+        start: &Config,
+        env: &dyn Constraint,
+        strategy: &S,
+        d: usize,
+        k: usize,
+        threads: usize,
+    ) -> (RecoverabilityReport, VerifyStats) {
+        let options = RecoverabilityOptions {
+            symmetry: true,
+            stats: true,
+        };
+        let (report, stats) = check(start, env, strategy, d, k, threads, options);
+        (report, stats.unwrap())
+    }
+
     #[test]
     fn spacecraft_is_k_recoverable_for_k_damage() {
         // The paper's claim: fixing one component per step, the spacecraft
@@ -1011,7 +983,7 @@ mod tests {
         let start = Config::ones(n);
         let env = AllOnes::new(n);
         for k in 1..=3 {
-            let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), k, k);
+            let report = exhaustive(&start, &env, &GreedyRepair::new(), k, k);
             assert!(report.is_k_recoverable(), "k={k}: {report:?}");
             assert_eq!(report.worst_steps, k);
         }
@@ -1023,7 +995,7 @@ mod tests {
         let start = Config::ones(n);
         let env = AllOnes::new(n);
         // Damage up to 3 bits but only 2 repair steps allowed.
-        let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 2);
+        let report = exhaustive(&start, &env, &GreedyRepair::new(), 3, 2);
         assert!(!report.is_k_recoverable());
         let witness = report.counterexample.as_ref().expect("needs witness");
         assert_eq!(witness.len(), 3);
@@ -1037,7 +1009,7 @@ mod tests {
         let n = 6;
         let start = Config::ones(n);
         let env = AllOnes::new(n);
-        let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 2, 2);
+        let report = exhaustive(&start, &env, &GreedyRepair::new(), 2, 2);
         assert_eq!(report.cases, 6 + 15);
     }
 
@@ -1048,11 +1020,11 @@ mod tests {
         // fit). So everything recovers in 0 steps.
         let start = Config::ones(8);
         let env = AtLeastOnes::new(8, 6);
-        let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 2, 0);
+        let report = exhaustive(&start, &env, &GreedyRepair::new(), 2, 0);
         assert!(report.is_k_recoverable());
         assert_eq!(report.worst_steps, 0);
         // 3-bit damage needs exactly 1 repair step.
-        let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 1);
+        let report = exhaustive(&start, &env, &GreedyRepair::new(), 3, 1);
         assert!(report.is_k_recoverable());
         assert_eq!(report.worst_steps, 1);
     }
@@ -1066,35 +1038,82 @@ mod tests {
             .into_iter()
             .collect();
         let start: Config = "1111".parse().unwrap();
-        let report = is_k_recoverable_exhaustive(&start, &env, &BfsRepair::new(4), 3, 1);
+        let report = exhaustive(&start, &env, &BfsRepair::new(4), 3, 1);
         // Any ≤3 damage is within distance 1 of a fit config? damage 2 →
         // distance 2 from both members. So k=1 must fail for some case.
         assert!(!report.is_k_recoverable());
-        let report2 = is_k_recoverable_exhaustive(&start, &env, &BfsRepair::new(4), 3, 2);
+        let report2 = exhaustive(&start, &env, &BfsRepair::new(4), 3, 2);
         assert!(report2.is_k_recoverable());
     }
 
     #[test]
-    #[should_panic(expected = "fit configuration")]
     fn rejects_unfit_start() {
         let env = AllOnes::new(4);
         let start = Config::zeros(4);
-        let _ = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 1, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "fit configuration")]
-    fn parallel_rejects_unfit_start() {
-        let env = AllOnes::new(4);
-        let start = Config::zeros(4);
-        let _ = is_k_recoverable_exhaustive_parallel(
+        for threads in [1, 2] {
+            for symmetry in [false, true] {
+                let ctx = RunContext::with_threads(0, threads);
+                let options = RecoverabilityOptions {
+                    symmetry,
+                    stats: true,
+                };
+                let err =
+                    check_recoverability(&start, &env, &GreedyRepair::new(), 1, 1, &ctx, options)
+                        .unwrap_err();
+                assert!(
+                    matches!(err, CoreError::InvalidParameter { name: "start", .. }),
+                    "{err}"
+                );
+            }
+        }
+        let err = sampled_recoverability(
             &start,
             &env,
             &GreedyRepair::new(),
+            &ShockKind::BitDamage { flips: 1 },
             1,
-            1,
-            &RunContext::new(0),
-        );
+            10,
+            &mut seeded_rng(1),
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("fit configuration"), "{err}");
+    }
+
+    #[test]
+    fn damage_space_past_u64_is_an_error() {
+        // Σ_{s≤d} C(70, s) fits u64 at d = 25 and not at d = 26. Only the
+        // orbit walk makes d = 25 checkable in practice.
+        let start = Config::ones(70);
+        let env = AllOnes::new(70);
+        let ctx = RunContext::new(0);
+        let options = RecoverabilityOptions {
+            symmetry: true,
+            stats: true,
+        };
+        let (report, stats) =
+            check_recoverability(&start, &env, &GreedyRepair::new(), 25, 25, &ctx, options)
+                .unwrap();
+        assert!(report.is_k_recoverable());
+        assert_eq!(stats.unwrap().orbit_hits, report.cases as u64 - 25);
+        for symmetry in [false, true] {
+            let options = RecoverabilityOptions {
+                symmetry,
+                stats: false,
+            };
+            let err =
+                check_recoverability(&start, &env, &GreedyRepair::new(), 26, 26, &ctx, options)
+                    .unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    CoreError::InvalidParameter {
+                        name: "max_damage",
+                        ..
+                    }
+                ),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -1105,7 +1124,7 @@ mod tests {
             enumerate_subsets(n, d, 0, &mut cur, &mut |s: &[usize]| {
                 expected.push(s.to_vec());
             });
-            let counts = SubsetCounts::new(n, d);
+            let counts = SubsetCounts::new(n, d).unwrap();
             assert_eq!(
                 counts.total_nonempty(),
                 expected.len() as u64,
@@ -1146,7 +1165,7 @@ mod tests {
             for env in envs {
                 for d in 0..=4 {
                     for k in 0..=4 {
-                        let fast = is_k_recoverable_exhaustive(&start, env, strategy, d, k);
+                        let fast = exhaustive(&start, env, strategy, d, k);
                         let slow = recoverability_reference(&start, env, strategy, d, k);
                         assert_eq!(fast, slow, "d={d} k={k}");
                     }
@@ -1159,16 +1178,16 @@ mod tests {
     fn parallel_is_thread_invariant_and_matches_serial() {
         let start = Config::ones(12);
         let env = AllOnes::new(12);
-        let serial = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 2);
+        let serial = exhaustive(&start, &env, &GreedyRepair::new(), 3, 2);
         for threads in [1usize, 2, 4, 7] {
-            let ctx = RunContext::with_threads(0, threads);
-            let par = is_k_recoverable_exhaustive_parallel(
+            let (par, _) = check(
                 &start,
                 &env,
                 &GreedyRepair::new(),
                 3,
                 2,
-                &ctx,
+                threads,
+                EXHAUSTIVE,
             );
             assert_eq!(par, serial, "threads={threads}");
         }
@@ -1177,22 +1196,27 @@ mod tests {
     #[test]
     fn non_deterministic_strategy_falls_back_to_reference() {
         // AnnealRepair's proposals depend on its internal call counter, so
-        // the engine must route it through the sequential reference walk —
-        // both entry points, same call order, same answer shape.
+        // the engine must route it through the sequential reference walk
+        // for every thread budget and option, with no stats to return.
         let start = Config::ones(6);
         let env = AllOnes::new(6);
-        let direct = is_k_recoverable_exhaustive(&start, &env, &AnnealRepair::new(0.5, 7), 2, 6);
         let reference = recoverability_reference(&start, &env, &AnnealRepair::new(0.5, 7), 2, 6);
-        assert_eq!(direct, reference);
-        let parallel = is_k_recoverable_exhaustive_parallel(
-            &start,
-            &env,
-            &AnnealRepair::new(0.5, 7),
-            2,
-            6,
-            &RunContext::with_threads(0, 4),
-        );
-        assert_eq!(parallel, reference);
+        for threads in [1, 4] {
+            for (symmetry, stats) in [(false, false), (true, true)] {
+                let options = RecoverabilityOptions { symmetry, stats };
+                let (report, stats) = check(
+                    &start,
+                    &env,
+                    &AnnealRepair::new(0.5, 7),
+                    2,
+                    6,
+                    threads,
+                    options,
+                );
+                assert_eq!(report, reference, "threads={threads} {options:?}");
+                assert_eq!(stats, None);
+            }
+        }
     }
 
     #[test]
@@ -1201,7 +1225,7 @@ mod tests {
         let n = 70;
         let start = Config::ones(n);
         let env = AllOnes::new(n);
-        let fast = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 2, 1);
+        let fast = exhaustive(&start, &env, &GreedyRepair::new(), 2, 1);
         let slow = recoverability_reference(&start, &env, &GreedyRepair::new(), 2, 1);
         assert_eq!(fast, slow);
         assert_eq!(fast.cases, 70 + 70 * 69 / 2);
@@ -1222,7 +1246,8 @@ mod tests {
             3,
             200,
             &mut rng,
-        );
+        )
+        .unwrap();
         assert!(report.is_k_recoverable());
         assert_eq!(report.cases, 200);
         assert!((report.recovery_rate() - 1.0).abs() < f64::EPSILON);
@@ -1241,7 +1266,8 @@ mod tests {
             3,
             100,
             &mut rng,
-        );
+        )
+        .unwrap();
         assert_eq!(report.recovered_within_k, 0);
         assert!(report.counterexample.is_some());
         assert_eq!(report.recovery_rate(), 0.0);
@@ -1252,15 +1278,13 @@ mod tests {
         let n = 10;
         let start = Config::ones(n);
         let env = AllOnes::new(n);
-        let plain = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
-        let (report, stats) = is_k_recoverable_exhaustive_parallel_stats(
-            &start,
-            &env,
-            &GreedyRepair::new(),
-            3,
-            3,
-            &RunContext::new(0),
-        );
+        let plain = exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
+        let options = RecoverabilityOptions {
+            symmetry: false,
+            stats: true,
+        };
+        let (report, stats) = check(&start, &env, &GreedyRepair::new(), 3, 3, 1, options);
+        let stats = stats.unwrap();
         assert_eq!(report, plain);
         // Every case probes the cache at least once up front; repair
         // walks that land on memoized states probe again mid-walk.
@@ -1270,6 +1294,8 @@ mod tests {
         // transposition cache must see real traffic on this instance.
         assert!(stats.cache_hits > 0, "{stats:?}");
         assert!(stats.hit_rate() > 0.0 && stats.hit_rate() < 1.0);
+        // The rank walk settles no case by orbit multiplication.
+        assert_eq!(stats.orbit_hits, 0);
     }
 
     #[test]
@@ -1277,17 +1303,15 @@ mod tests {
         let n = 12;
         let start = Config::ones(n);
         let env = AllOnes::new(n);
-        let serial = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
+        let serial = exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
+        let options = RecoverabilityOptions {
+            symmetry: false,
+            stats: true,
+        };
         let mut expect: Option<VerifyStats> = None;
         for threads in [1, 2, 4, 7] {
-            let (report, stats) = is_k_recoverable_exhaustive_parallel_stats(
-                &start,
-                &env,
-                &GreedyRepair::new(),
-                3,
-                3,
-                &RunContext::with_threads(0, threads),
-            );
+            let (report, stats) = check(&start, &env, &GreedyRepair::new(), 3, 3, threads, options);
+            let stats = stats.unwrap();
             assert_eq!(report, serial, "threads={threads}");
             match &expect {
                 None => expect = Some(stats),
@@ -1297,8 +1321,28 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_matches_exhaustive_reports() {
+    fn hidden_shims_forward_to_the_rank_walk() {
+        let start = Config::ones(9);
+        let env = AtLeastOnes::new(9, 7);
         let ctx = RunContext::with_threads(0, 2);
+        let greedy = GreedyRepair::new();
+        let options = RecoverabilityOptions {
+            symmetry: false,
+            stats: true,
+        };
+        let (report, stats) = check(&start, &env, &greedy, 3, 1, 2, options);
+        assert_eq!(
+            is_k_recoverable_exhaustive_parallel(&start, &env, &greedy, 3, 1, &ctx),
+            report
+        );
+        assert_eq!(
+            is_k_recoverable_exhaustive_parallel_stats(&start, &env, &greedy, 3, 1, &ctx),
+            (report, stats.unwrap())
+        );
+    }
+
+    #[test]
+    fn symmetric_matches_exhaustive_reports() {
         let n = 9;
         let start = Config::ones(n);
         let all = AllOnes::new(n);
@@ -1306,10 +1350,12 @@ mod tests {
         let envs: [&dyn Constraint; 2] = [&all, &atleast];
         for env in envs {
             for (d, k) in [(2usize, 1usize), (3, 3), (4, 2)] {
-                let (sym, _) =
-                    is_k_recoverable_symmetric(&start, env, &GreedyRepair::new(), d, k, &ctx)
-                        .expect("counting constraints declare symmetry");
-                let full = is_k_recoverable_exhaustive(&start, env, &GreedyRepair::new(), d, k);
+                let (sym, stats) = symmetric(&start, env, &GreedyRepair::new(), d, k, 2);
+                assert!(
+                    stats.orbit_hits > 0,
+                    "counting constraints declare symmetry"
+                );
+                let full = exhaustive(&start, env, &GreedyRepair::new(), d, k);
                 assert_eq!(sym, full, "d={d} k={k}");
             }
         }
@@ -1317,11 +1363,10 @@ mod tests {
 
     #[test]
     fn symmetric_counterexample_matches_reference() {
-        let ctx = RunContext::with_threads(0, 3);
         let start = Config::ones(8);
         let env = AllOnes::new(8);
-        let (sym, _) =
-            is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 2, &ctx).unwrap();
+        let (sym, stats) = symmetric(&start, &env, &GreedyRepair::new(), 3, 2, 3);
+        assert!(stats.orbit_hits > 0);
         let reference = recoverability_reference(&start, &env, &GreedyRepair::new(), 3, 2);
         assert_eq!(sym, reference);
         // The preorder-minimal member of the failing size-3 orbit is the
@@ -1336,10 +1381,7 @@ mod tests {
         let env = AllOnes::new(n);
         let mut expect: Option<VerifyStats> = None;
         for threads in [1usize, 2, 4] {
-            let ctx = RunContext::with_threads(0, threads);
-            let (report, stats) =
-                is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
-                    .expect("symmetric");
+            let (report, stats) = symmetric(&start, &env, &GreedyRepair::new(), 3, 3, threads);
             assert!(report.is_k_recoverable());
             assert_eq!(report.cases, 10 + 45 + 120);
             // Three representative walks; everything else is settled by
@@ -1353,29 +1395,29 @@ mod tests {
     }
 
     #[test]
-    fn auto_routes_symmetric_and_falls_back() {
-        let ctx = RunContext::with_threads(0, 2);
+    fn symmetry_is_used_only_where_sound() {
         let start = Config::ones(8);
         let env = AllOnes::new(8);
-        let auto = is_k_recoverable_auto(&start, &env, &GreedyRepair::new(), 3, 3, &ctx);
-        let full = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
-        assert_eq!(auto, full);
-        // ExplicitSet declares no symmetry → the symmetric checker makes
-        // no claim and auto falls back to the exhaustive engine.
+        let full = exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
+        let (sym, stats) = symmetric(&start, &env, &GreedyRepair::new(), 3, 3, 2);
+        assert_eq!(sym, full);
+        assert!(stats.orbit_hits > 0);
+        // ExplicitSet declares no symmetry → the orbit walk is unsound and
+        // the rank walk runs instead.
         let set: ExplicitSet = ["11111111".parse().unwrap(), "00000000".parse().unwrap()]
             .into_iter()
             .collect();
-        assert!(
-            is_k_recoverable_symmetric(&start, &set, &GreedyRepair::new(), 2, 2, &ctx).is_none()
-        );
-        let auto = is_k_recoverable_auto(&start, &set, &GreedyRepair::new(), 2, 2, &ctx);
-        let full = is_k_recoverable_exhaustive(&start, &set, &GreedyRepair::new(), 2, 2);
-        assert_eq!(auto, full);
-        // Anneal is neither deterministic nor symmetry-invariant.
-        assert!(
-            is_k_recoverable_symmetric(&start, &env, &AnnealRepair::new(0.5, 7), 2, 2, &ctx)
-                .is_none()
-        );
+        let (sym, stats) = symmetric(&start, &set, &GreedyRepair::new(), 2, 2, 2);
+        assert_eq!(sym, exhaustive(&start, &set, &GreedyRepair::new(), 2, 2));
+        assert_eq!(stats.orbit_hits, 0);
+        // Symmetry off never takes the orbit walk.
+        let options = RecoverabilityOptions {
+            symmetry: false,
+            stats: true,
+        };
+        let (report, stats) = check(&start, &env, &GreedyRepair::new(), 3, 3, 2, options);
+        assert_eq!(report, full);
+        assert_eq!(stats.unwrap().orbit_hits, 0);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Telemetry recording for the verification engines.
 //!
 //! The DCSP checkers already return deterministic aggregates — the
-//! [`VerifyStats`] that
-//! [`is_k_recoverable_exhaustive_parallel_stats`](crate::is_k_recoverable_exhaustive_parallel_stats)
-//! and [`is_k_recoverable_symmetric`](crate::is_k_recoverable_symmetric)
-//! return beside their reports, and the
+//! [`VerifyStats`] that [`check_recoverability`](crate::check_recoverability)
+//! returns beside its report when
+//! [`RecoverabilityOptions::stats`](crate::RecoverabilityOptions::stats)
+//! is set, and the
 //! per-depth frontier sizes of a [`MaintainabilityReport`] — so, as with
 //! the supervised runtime, telemetry is derived from those results after
 //! the fact rather than emitted live from worker threads. Everything
@@ -117,9 +117,7 @@ pub fn record_maintainability(
 mod tests {
     use super::*;
     use crate::maintainability::analyze_bit_dcsp;
-    use crate::recoverability::{
-        is_k_recoverable_exhaustive_parallel_stats, is_k_recoverable_symmetric,
-    };
+    use crate::recoverability::{check_recoverability, RecoverabilityOptions};
     use crate::repair::GreedyRepair;
     use resilience_core::{AtLeastOnes, Config, PredicateConstraint, RunContext};
 
@@ -127,14 +125,21 @@ mod tests {
     fn verification_telemetry_reconciles_with_the_report() {
         let start = Config::ones(10);
         let env = AtLeastOnes::new(10, 6);
-        let (report, stats) = is_k_recoverable_exhaustive_parallel_stats(
+        let options = RecoverabilityOptions {
+            symmetry: false,
+            stats: true,
+        };
+        let (report, stats) = check_recoverability(
             &start,
             &env,
             &GreedyRepair::new(),
             3,
             4,
             &RunContext::new(0),
-        );
+            options,
+        )
+        .unwrap();
+        let stats = stats.unwrap();
         let mut tracer = Tracer::new();
         let mut registry = MetricsRegistry::new();
         record_verification(&mut tracer, &mut registry, &report, &stats);
@@ -177,9 +182,13 @@ mod tests {
         let start = Config::ones(10);
         let env = AtLeastOnes::new(10, 6);
         let ctx = RunContext::new(0);
+        let options = RecoverabilityOptions {
+            symmetry: true,
+            stats: true,
+        };
         let (report, stats) =
-            is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 4, &ctx)
-                .expect("counting constraints declare symmetry");
+            check_recoverability(&start, &env, &GreedyRepair::new(), 3, 4, &ctx, options).unwrap();
+        let stats = stats.unwrap();
         let mut tracer = Tracer::new();
         let mut registry = MetricsRegistry::new();
         record_verification(&mut tracer, &mut registry, &report, &stats);

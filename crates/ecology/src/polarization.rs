@@ -75,7 +75,7 @@ pub fn gini(wealth: &[f64]) -> f64 {
         "wealth must be non-negative"
     );
     let mut sorted: Vec<f64> = wealth.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN wealth"));
+    sorted.sort_by(f64::total_cmp);
     let n = sorted.len() as f64;
     let total: f64 = sorted.iter().sum();
     if total <= 0.0 {
@@ -98,7 +98,7 @@ pub fn top_share(wealth: &[f64], frac: f64) -> f64 {
     assert!(!wealth.is_empty(), "top share of empty distribution");
     assert!(frac > 0.0 && frac <= 1.0, "fraction must be in (0, 1]");
     let mut sorted: Vec<f64> = wealth.to_vec();
-    sorted.sort_by(|a, b| b.partial_cmp(a).expect("no NaN wealth"));
+    sorted.sort_by(|a, b| b.total_cmp(a));
     let take = ((sorted.len() as f64) * frac).ceil() as usize;
     let top: f64 = sorted[..take.min(sorted.len())].iter().sum();
     let total: f64 = sorted.iter().sum();

@@ -61,7 +61,7 @@ impl ReplicatorTrajectory {
         self.final_proportions
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("proportions are finite"))
+            .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, _)| i)
             .unwrap_or(0)
     }

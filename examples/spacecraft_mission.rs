@@ -10,11 +10,11 @@
 //! cargo run --example spacecraft_mission
 //! ```
 
-use systems_resilience::core::{seeded_rng, AllOnes, Config, ShockSchedule};
-use systems_resilience::dcsp::recoverability::is_k_recoverable_exhaustive;
+use systems_resilience::core::{seeded_rng, AllOnes, Config, CoreError, RunContext, ShockSchedule};
+use systems_resilience::dcsp::recoverability::{check_recoverability, RecoverabilityOptions};
 use systems_resilience::dcsp::{GreedyRepair, Spacecraft};
 
-fn main() {
+fn main() -> Result<(), CoreError> {
     println!("== mission simulations ==");
     for repairs_per_step in [1usize, 2, 4] {
         let mut rng = seeded_rng(7);
@@ -34,8 +34,17 @@ fn main() {
     println!("\n== exhaustive k-recoverability check (n = 10) ==");
     let start = Config::ones(10);
     let env = AllOnes::new(10);
+    let ctx = RunContext::new(0);
     for (damage, k) in [(2usize, 2usize), (3, 3), (3, 2)] {
-        let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), damage, k);
+        let (report, _) = check_recoverability(
+            &start,
+            &env,
+            &GreedyRepair::new(),
+            damage,
+            k,
+            &ctx,
+            RecoverabilityOptions::default(),
+        )?;
         println!(
             "debris ≤{damage}, budget k={k}: {} perturbations, worst {} steps, \
              k-recoverable: {}{}",
@@ -49,4 +58,5 @@ fn main() {
                 .unwrap_or_default()
         );
     }
+    Ok(())
 }

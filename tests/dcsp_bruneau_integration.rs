@@ -4,9 +4,13 @@
 use std::sync::Arc;
 
 use systems_resilience::core::bruneau::analyze_triangle;
-use systems_resilience::core::{resilience_loss, seeded_rng, AllOnes, Config, ShockKind};
+use systems_resilience::core::{
+    resilience_loss, seeded_rng, AllOnes, Config, RunContext, ShockKind,
+};
 use systems_resilience::dcsp::maintainability::TransitionSystem;
-use systems_resilience::dcsp::recoverability::is_k_recoverable_exhaustive;
+use systems_resilience::dcsp::recoverability::{
+    check_recoverability, RecoverabilityOptions, RecoverabilityReport,
+};
 use systems_resilience::dcsp::repair::BfsRepair;
 use systems_resilience::dcsp::{DcspSystem, GreedyRepair, Spacecraft};
 
@@ -48,6 +52,15 @@ fn faster_repair_means_smaller_bruneau_loss() {
     assert!(losses[0] > losses[1] && losses[1] > losses[2], "{losses:?}");
 }
 
+/// Greedy repair's one-thread rank walk from a fit `start`.
+fn exhaustive(start: &Config, env: &AllOnes, damage: usize, k: usize) -> RecoverabilityReport {
+    let ctx = RunContext::new(0);
+    let options = RecoverabilityOptions::default();
+    check_recoverability(start, env, &GreedyRepair::new(), damage, k, &ctx, options)
+        .expect("a fit start")
+        .0
+}
+
 #[test]
 fn recoverability_matches_spacecraft_guarantee() {
     // The exhaustive DCSP checker proves exactly the bound the spacecraft
@@ -56,10 +69,10 @@ fn recoverability_matches_spacecraft_guarantee() {
     let k = craft.guaranteed_k();
     let start = Config::ones(10);
     let env = AllOnes::new(10);
-    let ok = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, k);
+    let ok = exhaustive(&start, &env, 3, k);
     assert!(ok.is_k_recoverable());
     if k > 0 {
-        let tight = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, k - 1);
+        let tight = exhaustive(&start, &env, 3, k - 1);
         assert!(!tight.is_k_recoverable());
     }
 }

@@ -3,8 +3,12 @@
 
 use proptest::prelude::*;
 
-use systems_resilience::core::{seeded_rng, AllOnes, AtLeastOnes, Config, Constraint, ShockKind};
-use systems_resilience::dcsp::recoverability::is_k_recoverable_exhaustive;
+use systems_resilience::core::{
+    seeded_rng, AllOnes, AtLeastOnes, Config, Constraint, RunContext, ShockKind,
+};
+use systems_resilience::dcsp::recoverability::{
+    check_recoverability, RecoverabilityOptions, RecoverabilityReport,
+};
 use systems_resilience::dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
 use systems_resilience::engineering::nversion::{DesignStrategy, NVersionController};
 use systems_resilience::engineering::storage::StorageArray;
@@ -12,23 +16,31 @@ use systems_resilience::networks::generators::erdos_renyi;
 use systems_resilience::networks::percolation::removal_curve;
 use systems_resilience::stats::ews::kendall_tau;
 
+/// Greedy repair's one-thread rank walk from `ones(n)` under `AllOnes(n)`.
+fn exhaustive(n: usize, damage: usize, k: usize) -> RecoverabilityReport {
+    let ctx = RunContext::new(0);
+    let options = RecoverabilityOptions::default();
+    let (start, env) = (Config::ones(n), AllOnes::new(n));
+    check_recoverability(&start, &env, &GreedyRepair::new(), damage, k, &ctx, options)
+        .expect("ones(n) is fit under AllOnes(n)")
+        .0
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// k-recoverability is monotone in the repair budget k.
     #[test]
     fn recoverability_monotone_in_k(n in 4usize..9, damage in 1usize..4) {
-        let start = Config::ones(n);
-        let env = AllOnes::new(n);
         let mut prev_recovered = 0usize;
         for k in 0..=damage {
-            let report = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), damage, k);
+            let report = exhaustive(n, damage, k);
             prop_assert!(report.recovered_within_k >= prev_recovered,
                 "k={k}: {} < {prev_recovered}", report.recovered_within_k);
             prev_recovered = report.recovered_within_k;
         }
         // And at k = damage the system is fully recoverable.
-        let full = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), damage, damage);
+        let full = exhaustive(n, damage, damage);
         prop_assert!(full.is_k_recoverable());
     }
 

@@ -1,8 +1,9 @@
 //! Property-based equivalence of the ceiling-breaking verification paths
 //! against the engines they accelerate.
 //!
-//! The symmetry-reduced recoverability checker (one repair walk per
-//! damage *orbit*, counts multiplied by orbit size) and the
+//! The recoverability orbit walk (`check_recoverability` with `symmetry`
+//! set: one repair walk per damage *orbit*, counts multiplied by orbit
+//! size) and the
 //! popcount-orbit maintainability path (both analyses solved on the
 //! `n + 1` popcount orbits, answered per state from the popcount) must be
 //! observationally invisible: identical reports — including the
@@ -24,9 +25,45 @@ use systems_resilience::dcsp::maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, MaintainabilityReport,
 };
 use systems_resilience::dcsp::recoverability::{
-    is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, is_k_recoverable_symmetric,
+    check_recoverability, RecoverabilityOptions, RecoverabilityReport, VerifyStats,
 };
 use systems_resilience::dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
+
+/// The rank walk's report, without stats.
+fn exhaustive(
+    start: &Config,
+    env: &dyn Constraint,
+    strategy: &dyn RepairStrategy,
+    damage: usize,
+    k: usize,
+    ctx: &RunContext,
+) -> RecoverabilityReport {
+    let options = RecoverabilityOptions::default();
+    check_recoverability(start, env, strategy, damage, k, ctx, options)
+        .expect("a fit start")
+        .0
+}
+
+/// The orbit walk's report and stats; it must have run, which the orbit
+/// hits show wherever `start` has at least two bits.
+fn symmetric(
+    start: &Config,
+    env: &dyn Constraint,
+    strategy: &dyn RepairStrategy,
+    damage: usize,
+    k: usize,
+    ctx: &RunContext,
+) -> (RecoverabilityReport, VerifyStats) {
+    let options = RecoverabilityOptions {
+        symmetry: true,
+        stats: true,
+    };
+    let (report, stats) =
+        check_recoverability(start, env, strategy, damage, k, ctx, options).expect("a fit start");
+    let stats = stats.expect("a deterministic strategy");
+    assert!(stats.orbit_hits > 0, "the constraint declares symmetry");
+    (report, stats)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -52,9 +89,8 @@ proptest! {
         let strategy: &dyn RepairStrategy = if use_bfs { &bfs } else { &greedy };
         let ctx = RunContext::with_threads(0, threads);
         let env = AtLeastOnes::new(n, need);
-        let (sym, _) = is_k_recoverable_symmetric(&start, &env, strategy, damage, k, &ctx)
-            .expect("counting constraints declare symmetry");
-        let full = is_k_recoverable_exhaustive(&start, &env, strategy, damage, k);
+        let (sym, _) = symmetric(&start, &env, strategy, damage, k, &ctx);
+        let full = exhaustive(&start, &env, strategy, damage, k, &RunContext::new(0));
         prop_assert_eq!(sym, full);
     }
 
@@ -72,10 +108,7 @@ proptest! {
         let mut first = None;
         for threads in [1usize, 2, 4] {
             let ctx = RunContext::with_threads(0, threads);
-            let got = is_k_recoverable_symmetric(
-                &start, &env, &GreedyRepair::new(), damage, k, &ctx,
-            )
-            .expect("AllOnes declares symmetry");
+            let got = symmetric(&start, &env, &GreedyRepair::new(), damage, k, &ctx);
             match &first {
                 None => first = Some(got),
                 Some(want) => prop_assert_eq!(&got, want),
@@ -252,8 +285,8 @@ fn orbit_frontiers_match_dense_at_scale() {
 
 /// Chaos fault injection in the run context (panics, delays, poisoned
 /// slots, all recoverable) must not perturb verification output: the
-/// symmetric and exhaustive parallel checkers stay bit-identical to an
-/// unsupervised run at every thread count.
+/// orbit and rank walks stay bit-identical to an unsupervised run at
+/// every thread count.
 #[test]
 fn chaos_supervision_leaves_verification_bit_identical() {
     let cfg = FaultConfig::parse(
@@ -262,27 +295,17 @@ fn chaos_supervision_leaves_verification_bit_identical() {
     .expect("valid chaos spec");
     let start = Config::ones(10);
     let env = AllOnes::new(10);
-    let clean_sym = is_k_recoverable_symmetric(
-        &start,
-        &env,
-        &GreedyRepair::new(),
-        3,
-        3,
-        &RunContext::with_threads(0, 2),
-    )
-    .expect("symmetric")
-    .0;
-    let clean_full = is_k_recoverable_exhaustive(&start, &env, &GreedyRepair::new(), 3, 3);
+    let greedy = GreedyRepair::new();
+    let (clean_sym, _) = symmetric(&start, &env, &greedy, 3, 3, &RunContext::with_threads(0, 2));
+    let clean_full = exhaustive(&start, &env, &greedy, 3, 3, &RunContext::new(0));
     for threads in [1usize, 2, 4] {
         let ctx = RunContext::with_threads(0, threads)
             .supervised(Supervision::new("symmetry-chaos", cfg.clone()));
-        let (sym, _) = is_k_recoverable_symmetric(&start, &env, &GreedyRepair::new(), 3, 3, &ctx)
-            .expect("symmetric");
+        let (sym, _) = symmetric(&start, &env, &greedy, 3, 3, &ctx);
         assert_eq!(sym, clean_sym, "symmetric threads={threads}");
         let ctx = RunContext::with_threads(0, threads)
             .supervised(Supervision::new("exhaustive-chaos", cfg.clone()));
-        let full =
-            is_k_recoverable_exhaustive_parallel(&start, &env, &GreedyRepair::new(), 3, 3, &ctx);
+        let full = exhaustive(&start, &env, &greedy, 3, 3, &ctx);
         assert_eq!(full, clean_full, "exhaustive threads={threads}");
     }
 }

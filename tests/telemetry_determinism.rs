@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 use rand::Rng;
 use systems_resilience::core::{FaultConfig, FaultPlan, RunContext, Supervision};
-use systems_resilience::dcsp::recoverability::is_k_recoverable_exhaustive_parallel_stats;
+use systems_resilience::dcsp::recoverability::{check_recoverability, RecoverabilityOptions};
 use systems_resilience::dcsp::repair::GreedyRepair;
 use systems_resilience::dcsp::{record_maintainability, record_verification};
 use systems_resilience::service::{RequestTrace, ServiceConfig, ServiceEngine, TraceSpec};
@@ -123,8 +123,14 @@ fn dcsp_expositions(threads: usize) -> [String; 2] {
     let start = systems_resilience::core::Config::ones(14);
     let env = systems_resilience::core::AtLeastOnes::new(14, 9);
     let ctx = RunContext::with_threads(0, threads);
+    let options = RecoverabilityOptions {
+        symmetry: false,
+        stats: true,
+    };
     let (report, stats) =
-        is_k_recoverable_exhaustive_parallel_stats(&start, &env, &GreedyRepair::new(), 3, 5, &ctx);
+        check_recoverability(&start, &env, &GreedyRepair::new(), 3, 5, &ctx, options)
+            .expect("ones(14) is fit under AtLeastOnes(14, 9)");
+    let stats = stats.expect("greedy repair is deterministic");
     let mut tracer = Tracer::new();
     let mut registry = MetricsRegistry::new();
     record_verification(&mut tracer, &mut registry, &report, &stats);

@@ -1,11 +1,11 @@
 //! Property-based equivalence of the high-throughput verification engine
 //! against the retained reference implementations.
 //!
-//! The engine (rank-partitioned, memoized exhaustive recoverability; CSR +
-//! bitset-BFS + Jacobi maintainability) must produce *identical* reports —
-//! including the counterexample and the policy — to the straightforward
-//! sequential checkers it replaced, on arbitrary inputs, for any thread
-//! count.
+//! The engine (memoized exhaustive recoverability on the rank or orbit
+//! walk, under every `RecoverabilityOptions` value; CSR + bitset-BFS +
+//! Jacobi maintainability) must produce *identical* reports — including
+//! the counterexample and the policy — to the straightforward sequential
+//! checkers it replaced, on arbitrary inputs, for any thread count.
 
 use proptest::prelude::*;
 
@@ -14,7 +14,7 @@ use systems_resilience::dcsp::maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, TransitionSystem,
 };
 use systems_resilience::dcsp::recoverability::{
-    is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel, recoverability_reference,
+    check_recoverability, recoverability_reference, RecoverabilityOptions,
 };
 use systems_resilience::dcsp::repair::{BfsRepair, GreedyRepair, RepairStrategy};
 
@@ -43,11 +43,14 @@ fn random_system(seed: u64, n: usize, edge_factor: usize) -> TransitionSystem {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Exhaustive k-recoverability: engine and rank-partitioned parallel
-    /// engine agree with the sequential reference checker bit-for-bit —
-    /// same case count, same worst repair distance, same verdict, and the
+    /// Exhaustive k-recoverability: every option value — symmetry on and
+    /// off, stats on and off — at 1, 2, 3 and the drawn number of threads
+    /// agrees with the sequential reference checker bit-for-bit — same
+    /// case count, same worst repair distance, same verdict, and the
     /// *same* (lowest-rank) counterexample — for arbitrary constraints,
-    /// damage bounds, budgets, strategies, and thread counts.
+    /// damage bounds, budgets and strategies. The stats are the same for
+    /// every thread budget, and count orbit hits exactly when the orbit
+    /// walk ran.
     #[test]
     fn recoverability_engine_matches_reference(
         n in 2usize..10,
@@ -64,14 +67,37 @@ proptest! {
         for strategy in &strategies {
             let reference =
                 recoverability_reference(&start, &env, strategy.as_ref(), damage, k);
-            let engine =
-                is_k_recoverable_exhaustive(&start, &env, strategy.as_ref(), damage, k);
-            prop_assert_eq!(&engine, &reference);
-            let ctx = RunContext::with_threads(0, threads);
-            let parallel = is_k_recoverable_exhaustive_parallel(
-                &start, &env, strategy.as_ref(), damage, k, &ctx,
-            );
-            prop_assert_eq!(&parallel, &reference);
+            for symmetry in [false, true] {
+                let mut first_stats = None;
+                for stats in [false, true] {
+                    for threads in [1, 2, 3, threads] {
+                        let ctx = RunContext::with_threads(0, threads);
+                        let options = RecoverabilityOptions { symmetry, stats };
+                        let (report, got) = check_recoverability(
+                            &start, &env, strategy.as_ref(), damage, k, &ctx, options,
+                        )
+                        .expect("ones(n) is fit under AtLeastOnes(n, need)");
+                        prop_assert!(
+                            report == reference,
+                            "{options:?} threads={threads}: {report:?} vs {reference:?}"
+                        );
+                        prop_assert_eq!(got.is_some(), stats);
+                        if let Some(got) = got {
+                            // AtLeastOnes declares symmetry and both
+                            // strategies respect it; n ≥ 2, so any damage
+                            // leaves an orbit of more than one pattern.
+                            prop_assert_eq!(got.orbit_hits > 0, symmetry && damage > 0);
+                            match first_stats {
+                                None => first_stats = Some(got),
+                                Some(want) => prop_assert!(
+                                    got == want,
+                                    "threads={threads}: {got:?} vs {want:?}"
+                                ),
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -26,8 +26,7 @@ use systems_resilience::dcsp::maintainability::{
     try_analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 use systems_resilience::dcsp::recoverability::{
-    is_k_recoverable_exhaustive, is_k_recoverable_exhaustive_parallel_stats,
-    is_k_recoverable_symmetric, RecoverabilityReport, VerifyStats,
+    check_recoverability, RecoverabilityOptions, RecoverabilityReport, VerifyStats,
 };
 use systems_resilience::dcsp::repair::GreedyRepair;
 
@@ -214,16 +213,27 @@ fn computed() -> Vec<(String, u64)> {
         summary_digest(&adversarial),
     ));
 
-    // Recoverability: the rank-range walk, the orbit walk and the
-    // sequential entry point, recoverable and failing.
+    // Recoverability: the rank walk with stats (64 ranges), the orbit walk
+    // with stats (one range per orbit) and the one-thread rank walk (one
+    // range), recoverable and failing.
     let greedy = GreedyRepair::new();
+    let check = |start: &Config,
+                 env: &dyn Constraint,
+                 d: usize,
+                 k: usize,
+                 ctx: &RunContext,
+                 symmetry: bool,
+                 stats: bool| {
+        let options = RecoverabilityOptions { symmetry, stats };
+        check_recoverability(start, env, &greedy, d, k, ctx, options).expect("a fit start")
+    };
     let start = Config::ones(14);
     let env = AtLeastOnes::new(14, 13);
     for k in [3, 1] {
         for threads in [1, 3] {
             let ctx = RunContext::with_threads(0, threads);
-            let (report, stats) =
-                is_k_recoverable_exhaustive_parallel_stats(&start, &env, &greedy, 3, k, &ctx);
+            let (report, stats) = check(&start, &env, 3, k, &ctx, false, true);
+            let stats = stats.expect("greedy repair is deterministic");
             out.push((
                 format!("parallel_stats AtLeastOnes(14, 13) d=3 k={k} threads={threads}"),
                 recoverability_digest(&report, Some(&stats)),
@@ -235,8 +245,9 @@ fn computed() -> Vec<(String, u64)> {
     for k in [4, 3] {
         for threads in [1, 3] {
             let ctx = RunContext::with_threads(0, threads);
-            let (report, stats) = is_k_recoverable_symmetric(&start, &env, &greedy, 4, k, &ctx)
-                .expect("AllOnes declares symmetry");
+            let (report, stats) = check(&start, &env, 4, k, &ctx, true, true);
+            let stats = stats.expect("greedy repair is deterministic");
+            assert!(stats.orbit_hits > 0, "AllOnes declares symmetry");
             out.push((
                 format!("symmetric AllOnes(20) d=4 k={k} threads={threads}"),
                 recoverability_digest(&report, Some(&stats)),
@@ -245,7 +256,7 @@ fn computed() -> Vec<(String, u64)> {
     }
     let start = Config::ones(12);
     let env = at_least_twin(10);
-    let report = is_k_recoverable_exhaustive(&start, &env, &greedy, 4, 1);
+    let (report, _) = check(&start, &env, 4, 1, &RunContext::new(0), false, false);
     assert!(report.counterexample.is_some(), "the failing k fails");
     out.push((
         "exhaustive AtLeastOnes(12, 10) twin d=4 k=1".to_string(),
