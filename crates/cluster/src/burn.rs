@@ -11,6 +11,7 @@
 //! more than the steady trickle of small, controlled ones. That trade is
 //! exactly what the `cluster_burn` experiment scores as ΔR.
 
+use resilience_core::Config;
 use serde::{Deserialize, Serialize};
 
 /// When and which nodes to burn.
@@ -73,16 +74,16 @@ impl BurnPolicy {
 pub fn select_most_stressed(
     load: &[f64],
     baseline: &[f64],
-    alive: &resilience_dcsp::BitWords,
+    alive: &Config,
     count: usize,
 ) -> Vec<u32> {
     let mut stressed: Vec<(f64, u32)> = Vec::new();
-    alive.for_each_one(|v| {
+    for v in alive.iter_ones() {
         let excess = load[v] - baseline[v];
         if excess > 0.0 {
             stressed.push((excess, v as u32));
         }
-    });
+    }
     // Largest excess first; f64 total order is safe (no NaNs in loads).
     stressed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
     stressed.truncate(count);
@@ -94,7 +95,6 @@ pub fn select_most_stressed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use resilience_dcsp::BitWords;
 
     #[test]
     fn firing_schedule() {
@@ -115,7 +115,7 @@ mod tests {
     fn most_stressed_selection() {
         let load = vec![1.0, 3.0, 2.0, 0.5, 9.0];
         let baseline = vec![1.0, 1.0, 1.0, 1.0, 1.0];
-        let mut alive = BitWords::new_filled(5);
+        let mut alive = Config::ones(5);
         alive.clear(4); // most stressed node is dead — skip it
         let picked = select_most_stressed(&load, &baseline, &alive, 2);
         // Excess: node1=2.0, node2=1.0, node0=0, node3<0 → top two are

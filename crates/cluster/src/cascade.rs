@@ -9,12 +9,12 @@
 //!
 //! Determinism contract: within a wave, dead nodes redistribute in
 //! ascending node-id order and overload checks scan the touched set in
-//! ascending order (both via [`BitWords`] iteration), so the float
+//! ascending order (both via [`Config::iter_ones`]), so the float
 //! accumulation order — and therefore every bit of the outcome — is a
 //! pure function of `(topology, loads, initial frontier)`. No RNG, no
 //! thread-dependent ordering.
 
-use resilience_dcsp::BitWords;
+use resilience_core::Config;
 use resilience_networks::Graph;
 use serde::{Deserialize, Serialize};
 
@@ -43,7 +43,7 @@ impl CascadeStats {
 #[derive(Debug, Clone)]
 pub struct CascadeScratch {
     /// Alive nodes whose load changed this wave (overload candidates).
-    touched: BitWords,
+    touched: Config,
     /// The next wave's frontier.
     next: Vec<u32>,
     /// Every node that toppled during the last [`propagate`] call, in
@@ -55,7 +55,7 @@ impl CascadeScratch {
     /// Scratch for an `n`-node cluster.
     pub fn new(n: usize) -> Self {
         CascadeScratch {
-            touched: BitWords::new(n),
+            touched: Config::zeros(n),
             next: Vec::new(),
             toppled_ids: Vec::new(),
         }
@@ -70,7 +70,7 @@ impl CascadeScratch {
 /// toppled: cleared from `alive`, load redistributed onward.
 pub fn propagate(
     topology: &Graph,
-    alive: &mut BitWords,
+    alive: &mut Config,
     load: &mut [f64],
     capacity: &[f64],
     frontier: &mut Vec<u32>,
@@ -114,7 +114,7 @@ pub fn propagate(
         }
         // Overload check in ascending order over the touched set.
         scratch.next.clear();
-        scratch.touched.for_each_one(|w| {
+        scratch.touched.iter_ones().for_each(|w| {
             if load[w] > capacity[w] {
                 scratch.next.push(w as u32);
             }
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn hub_death_spreads_equally() {
         let top = star();
-        let mut alive = BitWords::new_filled(5);
+        let mut alive = Config::ones(5);
         let mut load = vec![4.0, 1.0, 1.0, 1.0, 1.0];
         let capacity = vec![8.0, 3.0, 3.0, 3.0, 3.0];
         alive.clear(0);
@@ -173,7 +173,7 @@ mod tests {
         // Chain 0-1-2-3 with tight capacities: killing 0 overloads 1,
         // whose shed overloads 2, etc.
         let top = Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
-        let mut alive = BitWords::new_filled(4);
+        let mut alive = Config::ones(4);
         let mut load = vec![1.0, 1.0, 1.0, 1.0];
         let capacity = vec![1.5, 1.5, 1.5, 10.0];
         alive.clear(0);
@@ -200,7 +200,7 @@ mod tests {
     #[test]
     fn isolated_death_sheds_load() {
         let top = Graph::from_edges(3, &[(0, 1)]);
-        let mut alive = BitWords::new_filled(3);
+        let mut alive = Config::ones(3);
         let mut load = vec![1.0, 1.0, 2.5];
         let capacity = vec![5.0, 5.0, 5.0];
         alive.clear(2);
@@ -222,7 +222,7 @@ mod tests {
     fn cascade_is_deterministic() {
         let top = Graph::generate(&crate::TopologyKind::ScaleFree { m: 3 }, 2_000, 9);
         let run = || {
-            let mut alive = BitWords::new_filled(2_000);
+            let mut alive = Config::ones(2_000);
             let mut load: Vec<f64> = (0..2_000).map(|v| top.degree(v) as f64 / 6.0).collect();
             let capacity: Vec<f64> = load.iter().map(|l| 1.05 * l).collect();
             let order = top.nodes_by_degree_desc();

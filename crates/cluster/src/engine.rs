@@ -35,8 +35,7 @@ use crate::node::NodeFleet;
 use rand::Rng;
 use resilience_anticipate::OperatingMode;
 use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
-use resilience_core::{resilience_loss, seeded_rng, FaultKind, FaultPlan, RecoveryPolicy};
-use resilience_dcsp::BitWords;
+use resilience_core::{resilience_loss, seeded_rng, Config, FaultKind, FaultPlan, RecoveryPolicy};
 use resilience_networks::{AttackStrategy, GiantTracker, Graph, TopologyKind};
 use resilience_telemetry::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 use serde::{Deserialize, Serialize};
@@ -322,7 +321,7 @@ impl ClusterEngine {
         let policy = &self.config.recovery;
         let mut rng = seeded_rng(run_seed);
         let mut fleet = self.template.clone();
-        let mut alive = BitWords::new_filled(n);
+        let mut alive = Config::ones(n);
         let mut scratch = CascadeScratch::new(n);
         let mut giant_tracker = GiantTracker::new(&self.topology);
         let mut obs = TrajectoryObserver::new(1.0);
@@ -593,7 +592,7 @@ impl ClusterEngine {
                 let alert_keep = self.config.anticipation.as_ref().map(|a| {
                     1.0 - (self.config.drain * a.alert_drain_milli as f64 / 1000.0).min(1.0)
                 });
-                alive.for_each_one(|v| {
+                alive.iter_ones().for_each(|v| {
                     let excess = fleet.load[v] - fleet.baseline[v];
                     if excess != 0.0 {
                         let k = match alert_keep {
@@ -606,8 +605,8 @@ impl ClusterEngine {
             }
 
             // 9. Score the tick.
-            let alive_count = alive.count() as u64;
-            let giant = giant_tracker.update(alive.words()) as u64;
+            let alive_count = alive.count_ones() as u64;
+            let giant = giant_tracker.update(&alive) as u64;
             report.min_giant = report.min_giant.min(giant);
             let disconnected = alive_count.saturating_sub(giant);
             obs.charge(DeficitCause::Retry, scheduled.len() as f64);
@@ -630,8 +629,8 @@ impl ClusterEngine {
             obs.end_tick(n as u64);
         }
 
-        report.final_alive = alive.count() as u64;
-        report.final_giant = giant_tracker.update(alive.words()) as u64;
+        report.final_alive = alive.count_ones() as u64;
+        report.final_giant = giant_tracker.update(&alive) as u64;
         if report.min_giant == u64::MAX {
             report.min_giant = report.final_giant;
         }

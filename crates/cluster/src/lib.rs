@@ -18,7 +18,7 @@
 //! * [`NodeFleet`] — structure-of-arrays per-node service state
 //!   (baseline demand, Motter–Lai capacity, load, MAPE-K bookkeeping).
 //! * [`propagate`] — deterministic cascade waves over word-packed
-//!   alive-sets ([`resilience_dcsp::BitWords`]).
+//!   alive-sets ([`resilience_core::Config`]).
 //! * [`ClusterEngine`] — the tick loop: revive → burn → surge → chaos
 //!   → attack → cascade → plan → drain → score.
 //! * [`BurnPolicy`] — prescribed burns: periodic controlled relief of

@@ -14,13 +14,6 @@ pub enum CoreError {
         /// Length of the right-hand operand.
         right: usize,
     },
-    /// A bit index was out of range for the configuration length.
-    IndexOutOfRange {
-        /// The offending index.
-        index: usize,
-        /// The configuration length.
-        len: usize,
-    },
     /// A parameter was outside its valid domain.
     InvalidParameter {
         /// Name of the offending parameter.
@@ -67,9 +60,6 @@ impl fmt::Display for CoreError {
         match self {
             CoreError::LengthMismatch { left, right } => {
                 write!(f, "configuration length mismatch: {left} vs {right}")
-            }
-            CoreError::IndexOutOfRange { index, len } => {
-                write!(f, "bit index {index} out of range for length {len}")
             }
             CoreError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter `{name}`: {reason}")
@@ -118,8 +108,6 @@ mod tests {
     fn display_is_informative() {
         let err = CoreError::LengthMismatch { left: 3, right: 5 };
         assert!(err.to_string().contains("3 vs 5"));
-        let err = CoreError::IndexOutOfRange { index: 9, len: 4 };
-        assert!(err.to_string().contains("9"));
         let err = invalid_param("alpha", "must be positive");
         assert!(err.to_string().contains("alpha"));
         assert!(CoreError::EmptyTrajectory

@@ -49,7 +49,6 @@
 #![cfg_attr(not(test), warn(clippy::expect_used))]
 
 pub mod belief;
-pub mod bitwords;
 pub mod cost;
 pub mod maintainability;
 pub mod problem;
@@ -62,7 +61,6 @@ pub mod telemetry;
 pub mod tiger_team;
 
 pub use belief::BeliefState;
-pub use bitwords::BitWords;
 pub use cost::{CostConstraint, CostFunction, WeightedClauses, WeightedMismatch};
 pub use maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, try_analyze_bit_dcsp,

@@ -62,7 +62,6 @@
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
 
-use crate::bitwords::BitWords;
 use resilience_core::{Config, Constraint, CoreError};
 
 /// "Unreachable / unbounded" sentinel for levels and adversarial values;
@@ -229,7 +228,7 @@ impl MoveSource for CsrMoves<'_> {
 /// [`TransitionSystem::from_bit_dcsp`]).
 struct BitFlips {
     n_bits: usize,
-    normal: BitWords,
+    normal: Config,
     /// Every non-zero damage pattern as an XOR mask (order irrelevant:
     /// only the max over the ball is taken).
     masks: Vec<usize>,
@@ -238,7 +237,7 @@ struct BitFlips {
 impl BitFlips {
     fn new(n_bits: usize, env: &dyn Constraint, max_damage: usize) -> Self {
         let n_states = 1usize << n_bits;
-        let mut normal = BitWords::new(n_states);
+        let mut normal = Config::zeros(n_states);
         let mut probe = Config::zeros(n_bits);
         for s in 0..n_states {
             probe.set_from_u64(s as u64);
@@ -361,8 +360,8 @@ where
 fn bfs_levels<M: MoveSource>(moves: &M) -> Vec<u32> {
     let n_states = moves.n_states();
     let mut levels = vec![INF; n_states];
-    let mut frontier = BitWords::new(n_states);
-    let mut next = BitWords::new(n_states);
+    let mut frontier = Config::zeros(n_states);
+    let mut next = Config::zeros(n_states);
     for (s, level) in levels.iter_mut().enumerate() {
         if moves.is_normal(s) {
             *level = 0;
@@ -372,7 +371,7 @@ fn bfs_levels<M: MoveSource>(moves: &M) -> Vec<u32> {
     let mut depth = 0;
     loop {
         let mut any = false;
-        frontier.for_each_one(|s| {
+        frontier.iter_ones().for_each(|s| {
             for p in moves.predecessors(s) {
                 if levels[p] == INF {
                     levels[p] = depth + 1;
@@ -855,7 +854,7 @@ impl TransitionSystem {
         // flip. Dedup via a bitset reset per source through the `touched`
         // list; discovery order (frontier order × bit order) is unchanged,
         // so the edge lists are identical to a naive linear-scan dedup.
-        let mut seen = BitWords::new(n_states);
+        let mut seen = Config::zeros(n_states);
         let mut touched: Vec<usize> = Vec::new();
         let mut frontier: Vec<usize> = Vec::new();
         let mut next: Vec<usize> = Vec::new();

@@ -1137,7 +1137,11 @@ mod tests {
                 let mut damaged = base.clone();
                 counts.unrank_into(rank as u64, &mut subset, &mut damaged);
                 assert_eq!(&subset, want, "n={n} d={d} rank={rank}");
-                assert_eq!(damaged.ones_indices(), *want, "damage bits track subset");
+                assert_eq!(
+                    damaged.iter_ones().collect::<Vec<_>>(),
+                    *want,
+                    "damage bits track subset"
+                );
             }
             // Predecessor walks the whole order backwards.
             let mut subset = Vec::new();
@@ -1146,7 +1150,7 @@ mod tests {
             for rank in (0..expected.len() - 1).rev() {
                 counts.predecessor(&mut subset, &mut damaged);
                 assert_eq!(subset, expected[rank], "n={n} d={d} rank={rank}");
-                assert_eq!(damaged.ones_indices(), expected[rank]);
+                assert_eq!(damaged.iter_ones().collect::<Vec<_>>(), expected[rank]);
             }
         }
     }

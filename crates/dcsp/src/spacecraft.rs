@@ -127,9 +127,9 @@ impl Spacecraft {
         let k = rng.gen_range(1..=self.max_debris_damage);
         let before = self.failed_components();
         // Damage only good components: debris cannot "repair". Sampling
-        // over the count and selecting with `nth_one` keeps the RNG
-        // stream (and the chosen bits) identical to the former
-        // materialized `ones_indices()` vector, without the O(n) alloc.
+        // over the count and selecting with `nth_one` picks the same bits
+        // as indexing a collected `iter_ones()` vector, without the O(n)
+        // alloc.
         let good = self.components.count_ones();
         let k = k.min(good);
         // Every sampled index is below `good`, so `nth_one` finds each.

@@ -4,7 +4,8 @@
 //! changes only a handful of nodes between ticks, so rebuilding a
 //! union–find over the whole graph each time repeats almost all of its
 //! work. [`GiantTracker`] keeps the previous alive set and the giant's
-//! member bitset and repairs both from the word-level diff:
+//! member set, both [`Config`]s, and repairs the giant from the
+//! word-level diff of the alive sets:
 //!
 //! * **Deaths.** The dead leave the giant. A multi-source search starts
 //!   from the giant's surviving neighbours of the dead and runs inside
@@ -27,8 +28,10 @@
 //!   makes the tracked component the unique largest one: any other
 //!   component is then strictly smaller, so repairing it stays exact.
 //!
-//! Scratch is one `u32` search label per node plus the two bitsets;
-//! the search queue grows only with the nodes a repair visits.
+//! Scratch is one `u32` search label per node plus the two sets; the
+//! search queue grows only with the nodes a repair visits.
+
+use resilience_core::{BitIndexIter, Config};
 
 use crate::graph::Graph;
 
@@ -39,21 +42,6 @@ use crate::graph::Graph;
 struct Group {
     parent: u32,
     pending: u32,
-}
-
-/// Whether bit `i` of the word-packed set `words` is present.
-fn bit(words: &[u64], i: usize) -> bool {
-    words[i / 64] >> (i % 64) & 1 == 1
-}
-
-/// Calls `f` on every index set in `words`, ascending.
-fn for_each_one(words: impl Iterator<Item = u64>, mut f: impl FnMut(usize)) {
-    for (w, mut word) in words.enumerate() {
-        while word != 0 {
-            f(w * 64 + word.trailing_zeros() as usize);
-            word &= word - 1;
-        }
-    }
 }
 
 /// Representative of group `g` (path halving).
@@ -69,28 +57,29 @@ fn find_group(groups: &mut [Group], mut g: u32) -> u32 {
 /// The size of a graph's giant component, kept up to date across
 /// successive alive sets (see the [module docs](self)).
 ///
-/// Alive sets are passed as word-packed bitsets over the graph's nodes,
-/// 64 per `u64` word, with no bits set at or beyond the node count.
+/// Alive sets are [`Config`]s over the graph's nodes: bit `v` set means
+/// node `v` is alive.
 ///
 /// ```
+/// use resilience_core::Config;
 /// use resilience_networks::{generators::ring_lattice, GiantTracker};
 ///
 /// let ring = ring_lattice(100, 1);
 /// let mut tracker = GiantTracker::new(&ring);
-/// let mut alive = vec![u64::MAX, (1 << 36) - 1];
+/// let mut alive = Config::ones(100);
 /// assert_eq!(tracker.update(&alive), 100);
-/// alive[0] &= !(1 << 10); // one cut leaves a path
+/// alive.clear(10); // one cut leaves a path
 /// assert_eq!(tracker.update(&alive), 99);
-/// alive[0] &= !(1 << 30); // a second cut splits it 19 / 79
+/// alive.clear(30); // a second cut splits it 19 / 79
 /// assert_eq!(tracker.update(&alive), 79);
 /// ```
 #[derive(Debug)]
 pub struct GiantTracker<'g> {
     graph: &'g Graph,
     /// The alive set of the last update.
-    alive: Vec<u64>,
+    alive: Config,
     /// Members of the tracked giant component.
-    giant: Vec<u64>,
+    giant: Config,
     /// Number of members in `giant`.
     size: usize,
     /// Number of nodes in `alive`.
@@ -107,11 +96,10 @@ impl<'g> GiantTracker<'g> {
     /// A tracker over `graph`; the first update builds the giant from
     /// scratch.
     pub fn new(graph: &'g Graph) -> Self {
-        let words = graph.len().div_ceil(64);
         GiantTracker {
             graph,
-            alive: vec![0; words],
-            giant: vec![0; words],
+            alive: Config::zeros(graph.len()),
+            giant: Config::zeros(graph.len()),
             size: 0,
             alive_count: 0,
             label: vec![0; graph.len()],
@@ -125,17 +113,18 @@ impl<'g> GiantTracker<'g> {
     ///
     /// # Panics
     ///
-    /// Panics if `alive` does not hold exactly one word per 64 nodes.
-    pub fn update(&mut self, alive: &[u64]) -> usize {
-        assert_eq!(
+    /// Panics if `alive` is not a set over exactly the graph's nodes.
+    pub fn update(&mut self, alive: &Config) -> usize {
+        assert!(
+            alive.len() == self.graph.len(),
+            "alive set has {} nodes but the graph has {}",
             alive.len(),
-            self.alive.len(),
-            "alive set must hold one word per 64 nodes"
+            self.graph.len()
         );
         if !(self.unique() && self.repair(alive)) {
             self.rebuild(alive);
         }
-        self.alive.copy_from_slice(alive);
+        self.alive.clone_from(alive);
         self.size
     }
 
@@ -147,22 +136,21 @@ impl<'g> GiantTracker<'g> {
     }
 
     /// Recompute the giant and its members with the full routine.
-    fn rebuild(&mut self, alive: &[u64]) {
-        self.size = self
-            .graph
-            .giant_members(|v| bit(alive, v), Some(&mut self.giant));
-        self.alive_count = alive.iter().map(|w| w.count_ones() as usize).sum();
+    fn rebuild(&mut self, alive: &Config) {
+        self.size = self.graph.giant_members(alive, Some(&mut self.giant));
+        self.alive_count = alive.count_ones();
     }
 
     /// Repair the giant from the diff against the last alive set.
     /// Returns `false` when the caller must rebuild instead; the
     /// tracker's state is then stale but the rebuild overwrites it.
-    fn repair(&mut self, alive: &[u64]) -> bool {
+    fn repair(&mut self, alive: &Config) -> bool {
         let budget = 2 * self.graph.edge_count();
         let mut visits = 0;
         let (mut giant_lost, mut revived) = (0, 0);
         self.alive_count = 0;
-        for ((&old, &new), &giant) in self.alive.iter().zip(alive).zip(&self.giant) {
+        let words = self.alive.words().iter().zip(alive.words());
+        for ((&old, &new), &giant) in words.zip(self.giant.words()) {
             giant_lost += (giant & !new).count_ones() as usize;
             revived += (new & !old).count_ones() as usize;
             self.alive_count += new.count_ones() as usize;
@@ -176,9 +164,7 @@ impl<'g> GiantTracker<'g> {
             if !self.split_off_fragments(alive, &mut visits, budget) {
                 return false;
             }
-            for (giant, &new) in self.giant.iter_mut().zip(alive) {
-                *giant &= new;
-            }
+            self.giant.intersect_with(alive);
             self.size -= giant_lost;
         }
         if revived > 0 && !self.absorb_revivals(alive, &mut visits, budget) {
@@ -191,18 +177,19 @@ impl<'g> GiantTracker<'g> {
     /// from `giant` (the dead themselves are cleared by the caller).
     /// Returns `false` if the search overran `budget` neighbour visits or
     /// every group ran dry.
-    fn split_off_fragments(&mut self, alive: &[u64], visits: &mut usize, budget: usize) -> bool {
+    fn split_off_fragments(&mut self, alive: &Config, visits: &mut usize, budget: usize) -> bool {
         let graph = self.graph;
         let (giant, label) = (&self.giant, &mut self.label);
         // Surviving member of the old giant.
-        let survivor = |w: usize| bit(giant, w) && bit(alive, w);
+        let survivor = |w: usize| giant.get(w) && alive.get(w);
         self.queue.clear();
         self.groups.clear();
         let mut overran = false;
-        let dead_members = self.alive.iter().zip(alive).zip(giant);
-        for_each_one(dead_members.map(|((&old, &new), &g)| old & !new & g), |d| {
+        let words = self.alive.words().iter().zip(alive.words());
+        let dead_members = words.zip(giant.words());
+        for d in BitIndexIter::new(dead_members.map(|((&old, &new), &g)| old & !new & g)) {
             if overran {
-                return;
+                break;
             }
             *visits += graph.degree(d);
             overran = *visits > budget;
@@ -218,7 +205,7 @@ impl<'g> GiantTracker<'g> {
                     self.queue.push(w as u32);
                 }
             }
-        });
+        }
         let mut running = self.groups.len();
         let mut head = 0;
         while running > 1 && !overran {
@@ -263,7 +250,7 @@ impl<'g> GiantTracker<'g> {
                 let g = find_group(&mut self.groups, label[u] - 1);
                 if self.groups[g as usize].pending == 0 {
                     // A dry group: `u` lies in a split-off fragment.
-                    self.giant[u / 64] &= !(1 << (u % 64));
+                    self.giant.clear(u);
                     self.size -= 1;
                 }
             }
@@ -275,24 +262,27 @@ impl<'g> GiantTracker<'g> {
     /// Pull into the giant every alive non-giant component that a revived
     /// node joins to it. Returns `false` if that overran `budget`
     /// neighbour visits.
-    fn absorb_revivals(&mut self, alive: &[u64], visits: &mut usize, budget: usize) -> bool {
+    fn absorb_revivals(&mut self, alive: &Config, visits: &mut usize, budget: usize) -> bool {
         let graph = self.graph;
-        let revived = self.alive.iter().zip(alive).map(|(&old, &new)| new & !old);
+        let words = self.alive.words().iter().zip(alive.words());
         let mut overran = false;
-        for_each_one(revived, |r| {
-            if overran || bit(&self.giant, r) {
-                return;
+        for r in BitIndexIter::new(words.map(|(&old, &new)| new & !old)) {
+            if overran {
+                break;
+            }
+            if self.giant.get(r) {
+                continue;
             }
             *visits += graph.degree(r);
             overran = *visits > budget;
             if !graph
                 .neighbors(r)
                 .iter()
-                .any(|&w| bit(&self.giant, w as usize))
+                .any(|&w| self.giant.get(w as usize))
             {
-                return;
+                continue;
             }
-            self.giant[r / 64] |= 1 << (r % 64);
+            self.giant.set(r);
             self.size += 1;
             self.queue.clear();
             self.queue.push(r as u32);
@@ -304,14 +294,14 @@ impl<'g> GiantTracker<'g> {
                 overran = *visits > budget;
                 for &w in graph.neighbors(u) {
                     let w = w as usize;
-                    if bit(alive, w) && !bit(&self.giant, w) {
-                        self.giant[w / 64] |= 1 << (w % 64);
+                    if alive.get(w) && !self.giant.get(w) {
+                        self.giant.set(w);
                         self.size += 1;
                         self.queue.push(w as u32);
                     }
                 }
             }
-        });
+        }
         !overran
     }
 }
@@ -352,20 +342,6 @@ mod tests {
         out
     }
 
-    fn words(alive: &[bool]) -> Vec<u64> {
-        let mut words = vec![0u64; alive.len().div_ceil(64)];
-        for (v, _) in alive.iter().enumerate().filter(|(_, &a)| a) {
-            words[v / 64] |= 1 << (v % 64);
-        }
-        words
-    }
-
-    fn members(words: &[u64]) -> Vec<usize> {
-        let mut out = Vec::new();
-        for_each_one(words.iter().copied(), |v| out.push(v));
-        out
-    }
-
     /// Update `tracker` to `alive` and check it, and the full routine,
     /// against the BFS oracle; a tracker that will repair next time must
     /// also hold exactly the members of the unique largest component.
@@ -373,12 +349,13 @@ mod tests {
         let graph = tracker.graph;
         let comps = components(graph, alive);
         let want = comps.iter().map(Vec::len).max().unwrap_or(0);
-        prop_assert_eq!(tracker.update(&words(alive)), want);
-        prop_assert_eq!(graph.giant_component(|v| alive[v]), want);
+        let set: Config = alive.iter().copied().collect();
+        prop_assert_eq!(tracker.update(&set), want);
+        prop_assert_eq!(graph.giant_component(&set), want);
         let alive_count = alive.iter().filter(|&&a| a).count();
         prop_assert_eq!(tracker.alive_count, alive_count);
         if tracker.unique() {
-            let giant = members(&tracker.giant);
+            let giant: Vec<usize> = tracker.giant.iter_ones().collect();
             prop_assert!(comps.contains(&giant), "tracked giant is not a component");
         }
         prop_assert!(tracker.label.iter().all(|&l| l == 0), "labels left set");
@@ -470,7 +447,7 @@ mod tests {
         check(&mut tracker, &[false; 4]).unwrap();
         assert_eq!(tracker.size, 0);
         let empty = Graph::from_edges(0, &[]);
-        assert_eq!(GiantTracker::new(&empty).update(&[]), 0);
+        assert_eq!(GiantTracker::new(&empty).update(&Config::zeros(0)), 0);
     }
 
     #[test]
@@ -495,9 +472,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one word per 64 nodes")]
-    fn rejects_a_short_alive_set() {
+    #[should_panic(expected = "alive set has 99 nodes but the graph has 100")]
+    fn rejects_an_alive_set_of_another_length() {
+        // 99 and 100 nodes both fill two words.
         let ring = ring_lattice(100, 1);
-        GiantTracker::new(&ring).update(&[u64::MAX]);
+        GiantTracker::new(&ring).update(&Config::ones(99));
     }
 }

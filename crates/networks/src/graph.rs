@@ -6,6 +6,7 @@
 //! Every generator in [`crate::generators`] builds an edge list and
 //! hands it to [`Graph::from_edges`].
 
+use resilience_core::Config;
 use serde::{Deserialize, Serialize};
 
 use crate::union_find::UnionFind;
@@ -129,19 +130,22 @@ impl Graph {
         counts.into_iter().collect()
     }
 
-    /// Size of the largest connected component among the nodes for
-    /// which `alive` holds (0 if none do).
+    /// Size of the largest connected component among the nodes in the
+    /// set `alive` (0 if it is empty).
     ///
     /// The workspace's one full giant-component routine; the
     /// incremental [`GiantTracker`](crate::GiantTracker) falls back to it.
-    pub fn giant_component(&self, alive: impl Fn(usize) -> bool) -> usize {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alive` is not a set over exactly the graph's nodes.
+    pub fn giant_component(&self, alive: &Config) -> usize {
         self.giant_members(alive, None)
     }
 
-    /// [`Graph::giant_component`], optionally also writing the members
-    /// of one largest component into `members`, a bitset over the nodes
-    /// packed 64 per word (cleared first; left empty when no node is
-    /// alive).
+    /// [`Graph::giant_component`], optionally also marking the members
+    /// of one largest component in `members`, a set over the nodes
+    /// (cleared first; left empty when no node is alive).
     ///
     /// Each alive edge is unioned once, from its higher endpoint: the
     /// sorted neighbor list is read only up to the first `w >= v`. A
@@ -149,18 +153,17 @@ impl Graph {
     /// have unioned with it so far), so its root is carried through its
     /// own unions instead of being looked up again. The union–find
     /// tracks the largest component as it merges; only marking takes a
-    /// second pass over the nodes.
-    pub(crate) fn giant_members(
-        &self,
-        alive: impl Fn(usize) -> bool,
-        members: Option<&mut [u64]>,
-    ) -> usize {
+    /// second pass over the alive nodes.
+    pub(crate) fn giant_members(&self, alive: &Config, members: Option<&mut Config>) -> usize {
+        assert!(
+            alive.len() == self.len(),
+            "alive set has {} nodes but the graph has {}",
+            alive.len(),
+            self.len()
+        );
         let mut uf = UnionFind::new(self.len());
         let mut any_alive = false;
-        for v in 0..self.len() {
-            if !alive(v) {
-                continue;
-            }
+        alive.iter_ones().for_each(|v| {
             any_alive = true;
             let mut root = v;
             for &w in self.neighbors(v) {
@@ -168,23 +171,24 @@ impl Graph {
                 if w >= v {
                     break;
                 }
-                if alive(w) {
+                if alive.get(w) {
                     let rw = uf.find(w);
                     root = uf.union_roots(root, rw);
                 }
             }
-        }
+        });
         let largest = if any_alive { uf.largest_component() } else { 0 };
         if let Some(members) = members {
-            members.fill(0);
-            let giant_root = (0..self.len())
-                .find(|&v| alive(v) && uf.find(v) == v && uf.component_size(v) == largest);
+            members.clear_all();
+            let giant_root = alive
+                .iter_ones()
+                .find(|&v| uf.find(v) == v && uf.component_size(v) == largest);
             if let Some(root) = giant_root {
-                for v in 0..self.len() {
-                    if alive(v) && uf.find(v) == root {
-                        members[v / 64] |= 1 << (v % 64);
+                alive.iter_ones().for_each(|v| {
+                    if uf.find(v) == root {
+                        members.set(v);
                     }
-                }
+                });
             }
         }
         largest
@@ -232,23 +236,21 @@ mod tests {
         assert!(g.is_empty());
         assert_eq!(g.mean_degree(), 0.0);
         assert!(g.nodes_by_degree_desc().is_empty());
-        assert_eq!(g.giant_component(|_| true), 0);
+        assert_eq!(g.giant_component(&Config::zeros(0)), 0);
     }
 
     #[test]
     fn giant_component_tracks_alive_set() {
         // Path 0-1-2-3 plus isolated 4.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3)]);
-        let mut alive = [true; 5];
-        assert_eq!(g.giant_component(|v| alive[v]), 4);
-        alive[1] = false; // split the path
-        assert_eq!(g.giant_component(|v| alive[v]), 2);
-        alive = [false, false, false, false, true];
-        assert_eq!(g.giant_component(|v| alive[v]), 1);
-        assert_eq!(g.giant_component(|_| false), 0);
+        let alive = |bits: &str| bits.parse::<Config>().unwrap();
+        assert_eq!(g.giant_component(&alive("11111")), 4);
+        assert_eq!(g.giant_component(&alive("10111")), 2); // split the path
+        assert_eq!(g.giant_component(&alive("00001")), 1);
+        assert_eq!(g.giant_component(&alive("00000")), 0);
         // A clique stays one component whichever nodes survive.
         let k6 = crate::generators::complete(6);
-        assert_eq!(k6.giant_component(|_| true), 6);
-        assert_eq!(k6.giant_component(|v| v != 2), 5);
+        assert_eq!(k6.giant_component(&alive("111111")), 6);
+        assert_eq!(k6.giant_component(&alive("110111")), 5);
     }
 }

@@ -54,6 +54,7 @@ pub fn removal_curve(graph: &Graph, removal_order: &[usize]) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::generators::{complete, ring_lattice};
+    use resilience_core::Config;
 
     #[test]
     fn removal_curve_is_monotone_decreasing() {
@@ -75,11 +76,11 @@ mod tests {
         let order = vec![0, 3, 7, 9, 1];
         let curve = removal_curve(&g, &order);
         for k in 0..=order.len() {
-            let mut alive = [true; 12];
+            let mut alive = Config::ones(12);
             for &v in &order[..k] {
-                alive[v] = false;
+                alive.clear(v);
             }
-            let direct = g.giant_component(|v| alive[v]) as f64 / 12.0;
+            let direct = g.giant_component(&alive) as f64 / 12.0;
             assert!(
                 (curve[k] - direct).abs() < 1e-12,
                 "k={k}: curve {} vs direct {direct}",
