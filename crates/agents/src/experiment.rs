@@ -277,4 +277,28 @@ mod tests {
         ));
         assert_eq!(ShockRegime::ALL.len(), 4);
     }
+
+    /// Pins the testbed's fixed parameters (genome length, founding
+    /// population, fitness and reproduction thresholds) through one seeded
+    /// drifting run, built the way [`evaluate_allocation`] builds it: the
+    /// population and mean-fitness series are hashed bit for bit. (The
+    /// genotype-diversity series sums over a `HashMap`, so its last bits
+    /// vary from run to run.)
+    #[test]
+    fn seeded_drift_run_matches_pinned_digest() {
+        let config = SimConfig::default();
+        let params = BudgetedParams::from_allocation(&BudgetAllocation::uniform());
+        let mut rng = seeded_rng(11);
+        let kind = EnvironmentKind::Drift { bits_per_step: 2 };
+        let env = Environment::random(config.n_bits, kind, &mut rng);
+        let out = Simulation::new(config, params, env, &mut rng).run(60, &mut rng);
+        let series = [&out.population_series, &out.fitness_series];
+        let digest = series
+            .iter()
+            .flat_map(|s| s.values())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0xf5fb_d2af_628b_9df1);
+    }
 }

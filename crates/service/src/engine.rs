@@ -1604,6 +1604,78 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// Each mode change with the pressure bias (as bits) it provisions.
+    type ModeBiases = Vec<(OperatingMode, u64)>;
+
+    /// Drive one serve loop's steering stage by hand: the loop's loss
+    /// window takes `losses`, then the involuntary-loss signal swings
+    /// between 0 and 1 every tick until the anticipation loop reaches
+    /// Emergency. Returns each mode change with the pressure bias it set,
+    /// and with the bias a reference window of the last 256 losses
+    /// provisions under the mode's policy at p95 with cut-off α = 2.5.
+    fn provisioned_biases(losses: &[f64]) -> (ModeBiases, ModeBiases) {
+        let mut anticipation = AnticipationConfig::default();
+        anticipation.switch.emergency_on = 0.45;
+        let cfg = ServiceConfig {
+            anticipation: Some(anticipation.clone()),
+            ..ServiceConfig::default()
+        };
+        let trace = RequestTrace::generate(&crate::request::TraceSpec::new(8, 1));
+        let plan = FaultPlan::none();
+        let mut state = ServeLoop::new(&cfg, &trace, &plan, None);
+        let mut reference = LossWindow::new(256);
+        for &loss in losses {
+            if let Some((_, window)) = state.anticipation.as_mut() {
+                window.record(loss);
+            }
+            reference.record(loss);
+        }
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut mode = OperatingMode::Normal;
+        while mode != OperatingMode::Emergency && state.tick < 400 {
+            // No deficit this tick, so the window takes no new loss.
+            state.deficit = 0.0;
+            state.adjudicated = 1;
+            state.hard = state.tick % 2;
+            state.steer();
+            state.tick += 1;
+            let now = state.anticipation.as_ref().map(|(c, _)| c.mode());
+            if let Some(now) = now.filter(|&m| m != mode) {
+                mode = now;
+                got.push((mode, state.pressure_bias.to_bits()));
+                let policy = anticipation.policy(mode).provisioning;
+                let bias = reference.provision(policy, 950, 2.5).clamp(0.0, 1.0);
+                want.push((mode, bias.to_bits()));
+            }
+        }
+        (got, want)
+    }
+
+    /// Pins the anticipation loop's provisioning: at each mode change
+    /// the pressure bias is the mode's policy applied to the last 256
+    /// observed losses, with the tail quantile at p95 and the heavy-tail
+    /// cut-off at α = 2.5. Two Pareto-shaped loss streams straddle the
+    /// cut-off (α ≈ 2.3 and α ≈ 2.7), so Alert's automatic policy picks
+    /// the tail quantile for one and the sample mean for the other.
+    #[test]
+    fn mode_changes_provision_from_the_loss_window() {
+        for tail in [2.3, 2.7] {
+            // Deterministic Pareto quantiles, oldest first, scaled into
+            // [0, 1]; 300 of them overflow the 256-loss window.
+            let losses: Vec<f64> = (1..=300)
+                .map(|i| 0.01 * (1.0 - f64::from(i) / 301.0).powf(-1.0 / tail))
+                .collect();
+            let (got, want) = provisioned_biases(&losses);
+            let modes: Vec<OperatingMode> = got.iter().map(|&(m, _)| m).collect();
+            assert_eq!(
+                modes,
+                vec![OperatingMode::Alert, OperatingMode::Emergency],
+                "tail {tail}"
+            );
+            assert_eq!(got, want, "tail {tail}");
+        }
+    }
+
     /// The chunked one-block fold equals the per-trial generator fold it
     /// replaced, across chunk edges and the multi-chunk fan-out path.
     #[test]
