@@ -2,7 +2,7 @@
 //!
 //! §4.4's open question — "Should we invest our resource on redundancy,
 //! diversity, adaptability…?" — needs the three investments priced in a
-//! common currency. We give every population [`BUDGET_POINTS`] points and
+//! common currency. We give every population the same 12 points and
 //! convert:
 //!
 //! * **redundancy** points → initial resource endowment per organism,
@@ -14,7 +14,7 @@ use resilience_core::BudgetAllocation;
 use serde::{Deserialize, Serialize};
 
 /// Total budget points every configuration spends (equal total cost).
-pub const BUDGET_POINTS: f64 = 12.0;
+const BUDGET_POINTS: f64 = 12.0;
 
 /// Concrete parameters derived from a budget split.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

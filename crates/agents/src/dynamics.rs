@@ -13,35 +13,32 @@ use crate::environment::Environment;
 use crate::organism::Organism;
 use crate::population::{Population, PopulationStats};
 
+/// Genome length.
+pub const N_BITS: usize = 32;
+/// Initial population size.
+pub const INITIAL_POPULATION: usize = 40;
+/// Fitness threshold for "satisfies the constraint".
+pub const FIT_THRESHOLD: f64 = 0.85;
+/// Resource above which an organism reproduces.
+pub const REPRODUCE_AT: f64 = 8.0;
+
 /// Fixed (non-budget) simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
-    /// Genome length.
-    pub n_bits: usize,
-    /// Initial population size.
-    pub initial_population: usize,
     /// Hard population cap (carrying capacity).
     pub capacity: usize,
-    /// Fitness threshold for "satisfies the constraint".
-    pub fit_threshold: f64,
     /// Income per step while fit.
     pub income: f64,
     /// Upkeep per step, always paid.
     pub upkeep: f64,
-    /// Resource above which an organism reproduces.
-    pub reproduce_at: f64,
 }
 
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            n_bits: 32,
-            initial_population: 40,
             capacity: 200,
-            fit_threshold: 0.85,
             income: 1.0,
             upkeep: 0.6,
-            reproduce_at: 8.0,
         }
     }
 }
@@ -80,9 +77,9 @@ impl Simulation {
         rng: &mut R,
     ) -> Self {
         let mut population = Population::new();
-        for _ in 0..config.initial_population {
+        for _ in 0..INITIAL_POPULATION {
             let mut genome = environment.target().clone();
-            let spread_bits = (config.n_bits as f64 * params.initial_spread).round() as usize;
+            let spread_bits = (N_BITS as f64 * params.initial_spread).round() as usize;
             genome.flip_random(spread_bits, rng);
             population.push(Organism::new(
                 genome,
@@ -101,7 +98,7 @@ impl Simulation {
     /// Current population statistics.
     pub fn stats(&self) -> PopulationStats {
         self.population
-            .stats(self.environment.target(), self.config.fit_threshold)
+            .stats(self.environment.target(), FIT_THRESHOLD)
     }
 
     /// The population.
@@ -124,11 +121,11 @@ impl Simulation {
         for o in self.population.members_mut() {
             o.age += 1;
             o.adapt(&target);
-            if o.is_fit(&target, self.config.fit_threshold) {
+            if o.is_fit(&target, FIT_THRESHOLD) {
                 o.resource += self.config.income;
             }
             o.resource -= self.config.upkeep;
-            if o.resource >= self.config.reproduce_at && alive + offspring.len() < capacity {
+            if o.resource >= REPRODUCE_AT && alive + offspring.len() < capacity {
                 offspring.push(o.reproduce(self.params.mutation_rate, rng));
             }
         }

@@ -6,13 +6,11 @@
 //! [`sweep_budgets`] runs the multi-agent simulation across the budget
 //! simplex for a given shock regime and reports survival probabilities.
 
-use rand::Rng;
-
 use resilience_core::{derive_seed, seeded_rng, BudgetAllocation};
 use serde::{Deserialize, Serialize};
 
 use crate::budget::BudgetedParams;
-use crate::dynamics::{SimConfig, Simulation};
+use crate::dynamics::{SimConfig, Simulation, N_BITS};
 use crate::environment::{Environment, EnvironmentKind};
 
 /// The environmental regime a population must endure.
@@ -38,7 +36,7 @@ impl ShockRegime {
     ];
 
     /// The environment law for this regime.
-    pub fn environment_kind(&self) -> EnvironmentKind {
+    fn environment_kind(&self) -> EnvironmentKind {
         match self {
             ShockRegime::Calm => EnvironmentKind::Static,
             ShockRegime::SteadyDrift => EnvironmentKind::Drift { bits_per_step: 2 },
@@ -95,7 +93,7 @@ pub fn evaluate_allocation(
     let mut pop_sum = 0.0;
     for rep in 0..replicates {
         let mut rng = seeded_rng(derive_seed(seed, rep as u64));
-        let env = Environment::random(config.n_bits, regime.environment_kind(), &mut rng);
+        let env = Environment::random(N_BITS, regime.environment_kind(), &mut rng);
         let mut sim = Simulation::new(config, params, env, &mut rng);
         let out = sim.run(steps, &mut rng);
         if !out.extinct {
@@ -174,16 +172,6 @@ pub fn ablation_rows(
             )
         })
         .collect()
-}
-
-/// A deterministic RNG helper for external drivers that want their own
-/// environments.
-pub fn regime_environment<R: Rng + ?Sized>(
-    regime: ShockRegime,
-    n_bits: usize,
-    rng: &mut R,
-) -> Environment {
-    Environment::random(n_bits, regime.environment_kind(), rng)
 }
 
 #[cfg(test)]
@@ -290,7 +278,7 @@ mod tests {
         let params = BudgetedParams::from_allocation(&BudgetAllocation::uniform());
         let mut rng = seeded_rng(11);
         let kind = EnvironmentKind::Drift { bits_per_step: 2 };
-        let env = Environment::random(config.n_bits, kind, &mut rng);
+        let env = Environment::random(N_BITS, kind, &mut rng);
         let out = Simulation::new(config, params, env, &mut rng).run(60, &mut rng);
         let series = [&out.population_series, &out.fitness_series];
         let digest = series

@@ -49,7 +49,7 @@ pub mod experiment;
 pub mod organism;
 pub mod population;
 
-pub use budget::{BudgetedParams, BUDGET_POINTS};
+pub use budget::BudgetedParams;
 pub use dynamics::{SimConfig, SimOutcome, Simulation};
 pub use environment::{Environment, EnvironmentKind};
 pub use experiment::{sweep_budgets, RegimeOutcome, ShockRegime};

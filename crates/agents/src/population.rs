@@ -38,11 +38,6 @@ impl Population {
         }
     }
 
-    /// Build from organisms.
-    pub fn from_members(members: Vec<Organism>) -> Self {
-        Population { members }
-    }
-
     /// Number of living members.
     pub fn len(&self) -> usize {
         self.members.len()
@@ -126,7 +121,9 @@ mod tests {
 
     #[test]
     fn reap_removes_dead() {
-        let mut p = Population::from_members(vec![org("11", 1.0), org("10", 0.0), org("01", -1.0)]);
+        let mut p = Population {
+            members: vec![org("11", 1.0), org("10", 0.0), org("01", -1.0)],
+        };
         assert_eq!(p.len(), 3);
         assert_eq!(p.reap(), 2);
         assert_eq!(p.len(), 1);
@@ -147,12 +144,14 @@ mod tests {
         let target: Config = "1111".parse().unwrap();
         // Two copies of one genotype + two distinct others: G over counts
         // [2,1,1] = 1/(0.25+0.0625+0.0625) = 8/3.
-        let p = Population::from_members(vec![
-            org("1111", 1.0),
-            org("1111", 1.0),
-            org("0000", 1.0),
-            org("1010", 1.0),
-        ]);
+        let p = Population {
+            members: vec![
+                org("1111", 1.0),
+                org("1111", 1.0),
+                org("0000", 1.0),
+                org("1010", 1.0),
+            ],
+        };
         let s = p.stats(&target, 0.9);
         assert!((s.genotype_diversity - 8.0 / 3.0).abs() < 1e-9);
         assert_eq!(s.size, 4);

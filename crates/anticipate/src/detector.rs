@@ -27,28 +27,29 @@
 
 use serde::{Deserialize, Serialize};
 
+/// EMA smoothing factor for the detrend baseline, in `(0, 1]`.
+pub const DETREND_ALPHA: f64 = 0.15;
+/// Residual standard deviation that saturates the variance term of the
+/// score (the signal the serving layer feeds is a `[0, 1]` deficit
+/// fraction, so 0.25 ≈ "a quarter of capacity is flapping").
+pub const VARIANCE_SCALE: f64 = 0.25;
+/// Weight of the variance term in the composite score.
+pub const VARIANCE_WEIGHT: f64 = 0.5;
+/// Weight of the lag-1 autocorrelation term in the composite score.
+pub const AUTOCORR_WEIGHT: f64 = 0.5;
+/// Latch the warning off after the score holds at or below this for
+/// [`EarlyWarningConfig::confirm`] consecutive samples.
+pub const WARN_OFF: f64 = 0.15;
+
 /// Tuning of the online early-warning detector.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EarlyWarningConfig {
     /// Rolling-window length (samples). The detector reports a zero
     /// score until the window has filled once.
     pub window: usize,
-    /// EMA smoothing factor for the detrend baseline, in `(0, 1]`.
-    pub detrend_alpha: f64,
-    /// Residual standard deviation that saturates the variance term of
-    /// the score (the signal the serving layer feeds is a `[0, 1]`
-    /// deficit fraction, so 0.25 ≈ "a quarter of capacity is flapping").
-    pub variance_scale: f64,
-    /// Weight of the variance term in the composite score.
-    pub variance_weight: f64,
-    /// Weight of the lag-1 autocorrelation term in the composite score.
-    pub autocorr_weight: f64,
     /// Latch the warning on after the score holds at or above this for
     /// [`confirm`](Self::confirm) consecutive samples.
     pub warn_on: f64,
-    /// Latch the warning off after the score holds at or below this for
-    /// [`confirm`](Self::confirm) consecutive samples.
-    pub warn_off: f64,
     /// Consecutive samples on a flank required to move the latch — the
     /// anti-flap guard: one spike can never toggle the warning.
     pub confirm: u32,
@@ -58,12 +59,7 @@ impl Default for EarlyWarningConfig {
     fn default() -> Self {
         EarlyWarningConfig {
             window: 32,
-            detrend_alpha: 0.15,
-            variance_scale: 0.25,
-            variance_weight: 0.5,
-            autocorr_weight: 0.5,
             warn_on: 0.35,
-            warn_off: 0.15,
             confirm: 3,
         }
     }
@@ -114,14 +110,9 @@ impl EarlyWarning {
     /// # Panics
     ///
     /// Panics if `window < 4` (variance and lag-1 autocorrelation need
-    /// a few points to mean anything) or the detrend alpha is outside
-    /// `(0, 1]`.
+    /// a few points to mean anything).
     pub fn new(config: EarlyWarningConfig) -> Self {
         assert!(config.window >= 4, "window must be at least 4 samples");
-        assert!(
-            config.detrend_alpha > 0.0 && config.detrend_alpha <= 1.0,
-            "detrend alpha must be in (0, 1]"
-        );
         let window = config.window;
         EarlyWarning {
             config,
@@ -149,7 +140,7 @@ impl EarlyWarning {
 
     /// Whether the rolling window has filled once (scores are 0 before
     /// that — the detector refuses to warn on insufficient evidence).
-    pub fn is_warm(&self) -> bool {
+    fn is_warm(&self) -> bool {
         self.len == self.config.window
     }
 
@@ -183,7 +174,7 @@ impl EarlyWarning {
             0.0
         } else {
             let r = sample - self.trend;
-            self.trend += self.config.detrend_alpha * (sample - self.trend);
+            self.trend += DETREND_ALPHA * (sample - self.trend);
             r
         };
         self.seen += 1;
@@ -249,16 +240,10 @@ impl EarlyWarning {
             // residuals whose lag-1 autocorrelation sits near +1, and
             // an ungated memory term would hold the score above the
             // release band forever. No variability, no warning.
-            let spread = (self.variance.sqrt() / self.config.variance_scale).clamp(0.0, 1.0);
+            let spread = (self.variance.sqrt() / VARIANCE_SCALE).clamp(0.0, 1.0);
             let memory = self.autocorr.clamp(0.0, 1.0);
-            let total = self.config.variance_weight + self.config.autocorr_weight;
-            if total > 0.0 {
-                (spread * (self.config.variance_weight + self.config.autocorr_weight * memory)
-                    / total)
-                    .clamp(0.0, 1.0)
-            } else {
-                0.0
-            }
+            let total = VARIANCE_WEIGHT + AUTOCORR_WEIGHT;
+            (spread * (VARIANCE_WEIGHT + AUTOCORR_WEIGHT * memory) / total).clamp(0.0, 1.0)
         } else {
             0.0
         };
@@ -274,7 +259,7 @@ impl EarlyWarning {
             if self.above >= self.config.confirm {
                 self.active = true;
             }
-        } else if self.score <= self.config.warn_off {
+        } else if self.score <= WARN_OFF {
             self.below += 1;
             self.above = 0;
             if self.below >= self.config.confirm {
@@ -351,7 +336,7 @@ mod tests {
             let mut detector = EarlyWarning::new(cfg.clone());
             for (i, &x) in samples.iter().enumerate() {
                 let snap = detector.observe(x);
-                let (var, ac) = reference_indicators(&samples[..=i], cfg.detrend_alpha, cfg.window);
+                let (var, ac) = reference_indicators(&samples[..=i], DETREND_ALPHA, cfg.window);
                 assert!(
                     (snap.variance - var).abs() <= 1e-9 * var.max(1.0),
                     "seed {seed} sample {i}: variance {} vs reference {var}",

@@ -166,15 +166,6 @@ pub struct AnticipationConfig {
     pub alert: ModePolicy,
     /// Policy set for Emergency.
     pub emergency: ModePolicy,
-    /// Retained loss-window length for the provisioning estimator.
-    pub loss_window: usize,
-    /// Tail quantile used by quantile provisioning, in milli-units
-    /// (950 = p95).
-    pub quantile_milli: u64,
-    /// Hill tail exponent below which the loss distribution is treated
-    /// as heavy-tailed (α < 2 has infinite variance; the default hedges
-    /// a little above that).
-    pub heavy_tail_alpha: f64,
 }
 
 impl Default for AnticipationConfig {
@@ -203,9 +194,6 @@ impl Default for AnticipationConfig {
                 deadline_scale_milli: 900,
                 provisioning: ProvisioningPolicy::TailQuantile,
             },
-            loss_window: 256,
-            quantile_milli: 950,
-            heavy_tail_alpha: 2.5,
         }
     }
 }
@@ -284,11 +272,6 @@ impl AnticipationController {
     /// incident-flight-recorder trigger point.
     pub fn escalations(&self) -> impl Iterator<Item = &ModeTransition> {
         self.transitions().iter().filter(|t| t.is_escalation())
-    }
-
-    /// Transitions beyond the cap that were counted but not retained.
-    pub fn truncated_transitions(&self) -> u64 {
-        self.transitions.truncated()
     }
 
     /// Ticks spent in Alert so far.
@@ -416,7 +399,7 @@ mod tests {
         let mut c = AnticipationController::new(config);
         // Alternate stress and calm until the log overflows.
         let mut t = 0;
-        while c.truncated_transitions() == 0 && t < 1_000_000 {
+        while c.transitions.truncated() == 0 && t < 1_000_000 {
             t = stress(&mut c, 40, t);
             for _ in 0..60 {
                 c.observe(t, 0.0);
@@ -424,7 +407,7 @@ mod tests {
             }
         }
         assert_eq!(c.transitions().len(), LOG_CAP, "log capped");
-        assert!(c.truncated_transitions() > 0, "overflow counted");
+        assert!(c.transitions.truncated() > 0, "overflow counted");
     }
 
     #[test]

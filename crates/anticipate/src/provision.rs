@@ -15,6 +15,16 @@ use serde::{Deserialize, Serialize};
 
 use resilience_stats::hill_estimator;
 
+/// Losses the serving layer's provisioning window retains.
+pub const LOSS_WINDOW: usize = 256;
+/// Tail quantile used by quantile provisioning, in milli-units
+/// (950 = p95).
+pub const QUANTILE_MILLI: u64 = 950;
+/// Hill tail exponent below which the loss distribution is treated as
+/// heavy-tailed (α < 2 has infinite variance; this hedges a little
+/// above that).
+pub const HEAVY_TAIL_ALPHA: f64 = 2.5;
+
 /// How observed losses become a provisioning estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProvisioningPolicy {
@@ -117,14 +127,14 @@ impl LossWindow {
     /// Hill tail-exponent estimate over the retained losses, using the
     /// top ~10% of the window (k clamped to [2, 64]). `None` until
     /// enough positive losses have accumulated.
-    pub fn hill_alpha(&self) -> Option<f64> {
+    fn hill_alpha(&self) -> Option<f64> {
         let k = (self.ring.len() / 10).clamp(2, 64);
         hill_estimator(&self.ring, k)
     }
 
     /// Resolve [`ProvisioningPolicy::Auto`] against the measured tail:
     /// heavy (α̂ < `heavy_alpha`) selects the tail quantile.
-    pub fn auto_policy(&self, heavy_alpha: f64) -> ProvisioningPolicy {
+    fn auto_policy(&self, heavy_alpha: f64) -> ProvisioningPolicy {
         match self.hill_alpha() {
             Some(alpha) if alpha < heavy_alpha => ProvisioningPolicy::TailQuantile,
             _ => ProvisioningPolicy::SampleMean,
@@ -132,7 +142,8 @@ impl LossWindow {
     }
 
     /// The provisioning estimate a policy yields on this window.
-    /// `Auto` is resolved via [`Self::auto_policy`] with `heavy_alpha`.
+    /// `Auto` takes the tail quantile when the Hill estimate of the tail
+    /// exponent is below `heavy_alpha`, the sample mean otherwise.
     pub fn provision(&self, policy: ProvisioningPolicy, q_milli: u64, heavy_alpha: f64) -> f64 {
         match policy {
             ProvisioningPolicy::SampleMean => self.mean(),

@@ -15,7 +15,7 @@ use resilience_core::{FaultPlan, RunContext};
 use resilience_networks::AttackStrategy;
 
 /// Node-removal fractions swept (0 first: the fault-free baseline).
-pub const FRACTIONS: [f64; 6] = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3];
+const FRACTIONS: [f64; 6] = [0.0, 0.02, 0.05, 0.1, 0.2, 0.3];
 
 /// Fleet size per run.
 const N: usize = 4_000;

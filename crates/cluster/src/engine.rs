@@ -42,11 +42,11 @@ use serde::{Deserialize, Serialize};
 
 /// Quality-point cost of one burned node for one tick (the controlled
 /// degradation a prescribed burn accepts).
-pub const BURN_COST: f64 = 0.25;
+const BURN_COST: f64 = 0.25;
 
 /// Quality-point cost of one alive-but-disconnected node for one tick
 /// (it still serves locally but is cut off from the collective).
-pub const DISCONNECT_COST: f64 = 0.5;
+const DISCONNECT_COST: f64 = 0.5;
 
 /// Static description of a cluster run.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,6 +97,10 @@ impl ClusterConfig {
     }
 }
 
+/// Drain multiplier for Alert nodes, in milli-units (3000 = 3× the
+/// configured drain, capped at full drain).
+pub const ALERT_DRAIN_MILLI: u64 = 3000;
+
 /// Tuning of per-node anticipatory mode switching.
 ///
 /// Each alive node watches its *neighborhood cascade pressure*: the
@@ -125,9 +129,6 @@ pub struct NodeAnticipationConfig {
     /// Minimum ticks a node holds a mode before it may *de-escalate*
     /// (escalations are never delayed).
     pub dwell: u64,
-    /// Drain multiplier for Alert nodes, in milli-units (3000 = 3× the
-    /// configured drain, capped at full drain).
-    pub alert_drain_milli: u64,
 }
 
 impl Default for NodeAnticipationConfig {
@@ -138,7 +139,6 @@ impl Default for NodeAnticipationConfig {
             emergency_on: 0.50,
             emergency_off: 0.25,
             dwell: 4,
-            alert_drain_milli: 3000,
         }
     }
 }
@@ -589,8 +589,8 @@ impl ClusterEngine {
             // arrives" policy).
             if self.config.drain > 0.0 {
                 let keep = 1.0 - self.config.drain;
-                let alert_keep = self.config.anticipation.as_ref().map(|a| {
-                    1.0 - (self.config.drain * a.alert_drain_milli as f64 / 1000.0).min(1.0)
+                let alert_keep = self.config.anticipation.as_ref().map(|_| {
+                    1.0 - (self.config.drain * ALERT_DRAIN_MILLI as f64 / 1000.0).min(1.0)
                 });
                 alive.iter_ones().for_each(|v| {
                     let excess = fleet.load[v] - fleet.baseline[v];

@@ -68,10 +68,10 @@ pub use burn::{select_most_stressed, BurnPolicy};
 pub use cascade::{propagate, CascadeScratch, CascadeStats};
 pub use engine::{
     AttackSpec, CascadeRecord, ClusterConfig, ClusterEngine, ClusterReport, NodeAnticipationConfig,
-    NodeModeShift, BURN_COST, DISCONNECT_COST,
+    NodeModeShift,
 };
 pub use node::{NodeFleet, NEVER};
-pub use telemetry::{record_cluster, CASCADE_SIZE_BOUNDS};
+pub use telemetry::record_cluster;
 // `Graph` keeps its old cluster-side name for the reference benchmark
 // (`refbench/`), which is pinned to this import path; everything in the
 // workspace itself names `resilience_networks::Graph`.

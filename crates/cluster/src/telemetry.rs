@@ -18,7 +18,7 @@ fn milli(x: f64) -> u64 {
 
 /// Histogram bounds for cascade sizes (powers of two — cascade-size
 /// distributions are judged on their tail).
-pub const CASCADE_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
+const CASCADE_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0];
 
 /// Derive a run's telemetry from its report: the trace events, the
 /// flight-recorder triggers and the metric families.

@@ -229,11 +229,6 @@ impl Catalogue {
             .collect()
     }
 
-    /// Entries observed in `domain`.
-    pub fn by_domain(&self, domain: Domain) -> Vec<&BokEntry> {
-        self.entries.iter().filter(|e| e.domain == domain).collect()
-    }
-
     /// Entries whose strategy is active (human in the loop).
     pub fn active_entries(&self) -> Vec<&BokEntry> {
         self.entries
@@ -310,8 +305,6 @@ mod tests {
             implemented_by: "resilience-test",
         });
         assert_eq!(bok.len(), 1);
-        assert_eq!(bok.by_domain(Domain::Engineering).len(), 1);
-        assert!(bok.by_domain(Domain::Biological).is_empty());
         let collected: Catalogue = bok.entries().to_vec().into_iter().collect();
         assert_eq!(collected.len(), 1);
     }

@@ -119,14 +119,6 @@ pub fn analyze_triangle(
     }))
 }
 
-/// The exact triangle area for the canonical linear-recovery shape with an
-/// instantaneous drop: a drop of `drop` recovered linearly over
-/// `recovery_time` gives `R = drop · recovery_time / 2`. Useful as an
-/// analytic cross-check.
-pub fn analytic_triangle_loss(drop: f64, recovery_time: f64) -> f64 {
-    0.5 * drop * recovery_time
-}
-
 /// The exact trapezoidal-rule area of a *sampled* Bruneau shape, where the
 /// "instantaneous" drop necessarily occupies one sample interval `dt`:
 /// `R = drop·dt/2 + drop·recovery_time/2`. [`resilience_loss`] of a
@@ -139,6 +131,13 @@ pub fn discrete_triangle_loss(drop: f64, recovery_time: f64, dt: f64) -> f64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The exact triangle area for the canonical linear-recovery shape
+    /// with an instantaneous drop: a drop of `drop` recovered linearly
+    /// over `recovery_time` gives `R = drop · recovery_time / 2`.
+    fn analytic_triangle_loss(drop: f64, recovery_time: f64) -> f64 {
+        0.5 * drop * recovery_time
+    }
 
     #[test]
     fn loss_zero_when_quality_full() {

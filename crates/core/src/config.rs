@@ -25,7 +25,7 @@ const WORD_BITS: usize = 64;
 /// As a set over `0..len`, bit `i = 1` means index `i` is present.
 ///
 /// Bits at or past `len` in the last word are always zero: equality,
-/// hashing, [`Config::count_zeros`] and [`Config::iter_zeros`] rely on it,
+/// hashing and [`Config::count_zeros`] rely on it,
 /// so the words are readable ([`Config::words`]) but never writable.
 ///
 /// # Example
@@ -82,18 +82,6 @@ impl Config {
             *w = rng.gen();
         }
         c.mask_tail();
-        c
-    }
-
-    /// Build from an iterator of booleans.
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let bits: Vec<bool> = bits.into_iter().collect();
-        let mut c = Config::zeros(bits.len());
-        for (i, b) in bits.iter().enumerate() {
-            if *b {
-                c.set(i);
-            }
-        }
         c
     }
 
@@ -277,18 +265,6 @@ impl Config {
         BitIndexIter::new(self.words.iter().copied())
     }
 
-    /// Iterate over the indices of 0-bits in ascending order without
-    /// allocating (complement of [`Config::iter_ones`]).
-    pub fn iter_zeros(&self) -> BitIndexIter<impl Iterator<Item = u64> + '_> {
-        let last = self.words.len().saturating_sub(1);
-        let tail = match self.len % WORD_BITS {
-            0 => u64::MAX,
-            rem => (1u64 << rem) - 1,
-        };
-        let words = self.words.iter().enumerate();
-        BitIndexIter::new(words.map(move |(w, &word)| if w == last { !word & tail } else { !word }))
-    }
-
     /// The packed words, 64 bits each, bit `i` in bit `i % 64` of word
     /// `i / 64`; bits at or past `len` are zero.
     #[inline]
@@ -386,8 +362,8 @@ impl Config {
 
 /// Allocation-free iterator over the indices of the 1-bits of a stream
 /// of packed words, in ascending order: bit `b` of word `w` is index
-/// `64 * w + b`. Created by [`Config::iter_ones`] and
-/// [`Config::iter_zeros`], or by [`BitIndexIter::new`] over a word-wise
+/// `64 * w + b`. Created by [`Config::iter_ones`], or by
+/// [`BitIndexIter::new`] over a word-wise
 /// combination of equal-length configurations (such as `a & !b`), which
 /// walks it without building it.
 #[derive(Debug, Clone)]
@@ -496,7 +472,14 @@ impl FromStr for Config {
 
 impl FromIterator<bool> for Config {
     fn from_iter<I: IntoIterator<Item = bool>>(iter: I) -> Self {
-        Config::from_bits(iter)
+        let bits: Vec<bool> = iter.into_iter().collect();
+        let mut c = Config::zeros(bits.len());
+        for (i, b) in bits.iter().enumerate() {
+            if *b {
+                c.set(i);
+            }
+        }
+        c
     }
 }
 
@@ -596,18 +579,15 @@ mod tests {
         let b: Config = "0011".parse().unwrap();
         assert_eq!(a.differing_bits(&b).unwrap(), vec![0, 3]);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(a.iter_zeros().collect::<Vec<_>>(), vec![1, 3]);
     }
 
     #[test]
-    fn iter_ones_and_zeros_match_get() {
+    fn iter_ones_matches_get() {
         for len in [0usize, 1, 7, 63, 64, 65, 128, 130] {
             for seed in 0..4u64 {
                 let c = Config::random(len, &mut seeded_rng(seed ^ len as u64));
                 let ones: Vec<usize> = (0..len).filter(|&i| c.get(i)).collect();
-                let zeros: Vec<usize> = (0..len).filter(|&i| !c.get(i)).collect();
                 assert_eq!(c.iter_ones().collect::<Vec<_>>(), ones);
-                assert_eq!(c.iter_zeros().collect::<Vec<_>>(), zeros);
             }
         }
     }
@@ -624,17 +604,6 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn intersect_with_rejects_a_length_mismatch() {
         Config::ones(64).intersect_with(&Config::ones(65));
-    }
-
-    #[test]
-    fn iter_zeros_skips_phantom_tail_bits() {
-        // A 65-bit all-ones config: the second word has 63 phantom zero
-        // bits that must not leak out of iter_zeros.
-        let c = Config::ones(65);
-        assert_eq!(c.iter_zeros().count(), 0);
-        let z = Config::zeros(65);
-        assert_eq!(z.iter_zeros().count(), 65);
-        assert_eq!(z.iter_ones().count(), 0);
     }
 
     #[test]
@@ -808,9 +777,6 @@ mod tests {
             let mut resumed: Vec<usize> = iter.by_ref().take(expected.len() / 2).collect();
             iter.for_each(|i| resumed.push(i));
             prop_assert_eq!(&resumed, &expected);
-            let zeros: Vec<usize> = bits.iter_zeros().collect();
-            let expected: Vec<usize> = (0..len).filter(|j| !reference.contains(j)).collect();
-            prop_assert_eq!(zeros, expected);
             for i in 0..len {
                 prop_assert_eq!(bits.get(i), reference.contains(&i));
             }

@@ -217,7 +217,7 @@ impl ExplicitSet {
 
     /// Minimum Hamming distance from `config` to any member (repair
     /// distance); `None` if the set is empty.
-    pub fn distance_to_fit(&self, config: &Config) -> Option<usize> {
+    fn distance_to_fit(&self, config: &Config) -> Option<usize> {
         self.members
             .iter()
             .filter_map(|m| config.hamming(m).ok())

@@ -76,7 +76,7 @@ pub struct SlotFault {
 
 impl SlotFault {
     /// Whether this fault fires on the given (0-based) attempt.
-    pub fn fires_on(&self, attempt: u32) -> bool {
+    fn fires_on(&self, attempt: u32) -> bool {
         attempt < self.attempts
     }
 

@@ -7,8 +7,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::CoreError;
-
 /// Full quality (the pre-event baseline).
 pub const FULL_QUALITY: f64 = 100.0;
 
@@ -24,7 +22,6 @@ pub const FULL_QUALITY: f64 = 100.0;
 /// q.push(80.0);
 /// q.push(100.0);
 /// assert_eq!(q.len(), 4);
-/// assert_eq!(q.min_quality(), 60.0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QualityTrajectory {
@@ -98,12 +95,6 @@ impl QualityTrajectory {
         }
     }
 
-    /// Minimum quality reached (`+∞` if empty — prefer checking
-    /// [`QualityTrajectory::is_empty`] first).
-    pub fn min_quality(&self) -> f64 {
-        self.samples.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
     /// Index of the first sample where quality drops below `threshold`,
     /// if any.
     pub fn first_drop_below(&self, threshold: f64) -> Option<usize> {
@@ -150,32 +141,6 @@ impl QualityTrajectory {
         }
         t
     }
-
-    /// Synthesize exponential recovery: quality drops by `drop` at `t0` and
-    /// recovers as `100 - drop·e^(−rate·τ)` for `steps` steps after the drop.
-    pub fn exponential_recovery(dt: f64, t0: usize, drop: f64, rate: f64, steps: usize) -> Self {
-        let mut t = QualityTrajectory::new(dt);
-        for _ in 0..t0 {
-            t.push(FULL_QUALITY);
-        }
-        for i in 0..=steps {
-            let tau = i as f64 * dt;
-            t.push(FULL_QUALITY - drop * (-rate * tau).exp());
-        }
-        t
-    }
-
-    /// Mean quality over the trajectory.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::EmptyTrajectory`] if there are no samples.
-    pub fn mean_quality(&self) -> Result<f64, CoreError> {
-        if self.samples.is_empty() {
-            return Err(CoreError::EmptyTrajectory);
-        }
-        Ok(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-    }
 }
 
 impl Extend<f64> for QualityTrajectory {
@@ -221,7 +186,6 @@ mod tests {
         assert_eq!(t.first_recovery_at(2, 100.0), Some(4));
         assert_eq!(t.first_drop_below(50.0), None);
         assert_eq!(t.first_recovery_at(2, 100.1), None);
-        assert_eq!(t.min_quality(), 60.0);
     }
 
     #[test]
@@ -246,26 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn exponential_recovery_approaches_full() {
-        let t = QualityTrajectory::exponential_recovery(1.0, 2, 50.0, 0.5, 30);
-        assert_eq!(t.samples()[2], 50.0);
-        assert!(*t.samples().last().unwrap() > 99.9);
-        for w in t.samples()[2..].windows(2) {
-            assert!(w[1] >= w[0], "recovery must be monotone");
-        }
-    }
-
-    #[test]
-    fn mean_quality() {
-        let t = QualityTrajectory::from_samples(1.0, vec![100.0, 50.0]);
-        assert_eq!(t.mean_quality().unwrap(), 75.0);
-        assert_eq!(
-            QualityTrajectory::new(1.0).mean_quality(),
-            Err(CoreError::EmptyTrajectory)
-        );
-    }
-
-    #[test]
     fn extend_pushes_clamped() {
         let mut t = QualityTrajectory::new(1.0);
         t.extend([120.0, 80.0]);
@@ -284,7 +228,8 @@ mod tests {
         #[test]
         fn prop_bruneau_shape_min_is_drop(drop in 0.0f64..100.0, rec in 1usize..20) {
             let t = QualityTrajectory::bruneau_shape(1.0, 2, drop, rec, 2);
-            prop_assert!((t.min_quality() - (100.0 - drop)).abs() < 1e-9);
+            let min = t.samples().iter().copied().fold(f64::INFINITY, f64::min);
+            prop_assert!((min - (100.0 - drop)).abs() < 1e-9);
         }
     }
 }

@@ -112,9 +112,8 @@ impl RunContext {
         self.trials_run.load(Ordering::Relaxed)
     }
 
-    /// Record `n` trials executed outside [`RunContext::run_trials`]
-    /// (e.g. a sequential simulation loop that still counts as work).
-    pub fn record_trials(&self, n: u64) {
+    /// Count `n` trials toward this context's work total.
+    fn record_trials(&self, n: u64) {
         self.trials_run.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -142,9 +141,9 @@ impl RunContext {
     /// fold the results in trial order. See [`ParallelTrials::run`].
     ///
     /// On a [`RunContext::supervised`] context the trials run under the
-    /// fault-injection and recovery layer instead (see
-    /// [`ParallelTrials::run_supervised`]); trials lost after exhausting
-    /// the retry budget are skipped by the fold, never aborting the run.
+    /// fault-injection and recovery layer instead; trials lost after
+    /// exhausting the retry budget are skipped by the fold, never
+    /// aborting the run.
     pub fn run_trials<T, Acc, F, R>(
         &self,
         n_trials: u64,
@@ -260,7 +259,7 @@ impl ParallelTrials {
     /// Returns the accumulator plus the run's [`RunReport`] — including
     /// the health trajectory in deterministic logical time and its
     /// Bruneau score.
-    pub fn run_supervised<T, Acc, F, R>(
+    fn run_supervised<T, Acc, F, R>(
         &self,
         supervision: &Supervision,
         n_trials: u64,

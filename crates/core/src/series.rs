@@ -116,16 +116,6 @@ impl TimeSeries {
         m3
     }
 
-    /// Non-overlapping trailing window of the last `w` samples, if
-    /// available.
-    pub fn tail_window(&self, w: usize) -> Option<&[f64]> {
-        if self.values.len() < w {
-            None
-        } else {
-            Some(&self.values[self.values.len() - w..])
-        }
-    }
-
     /// Iterate over sliding windows of width `w` (stride 1).
     pub fn windows(&self, w: usize) -> impl Iterator<Item = &[f64]> {
         self.values.windows(w.max(1))
@@ -226,13 +216,6 @@ mod tests {
         // Symmetric.
         let sym: TimeSeries = (-50..=50).map(|i| i as f64).collect();
         assert!(sym.skewness().abs() < 1e-9);
-    }
-
-    #[test]
-    fn tail_window() {
-        let s: TimeSeries = (0..5).map(|i| i as f64).collect();
-        assert_eq!(s.tail_window(2), Some(&[3.0, 4.0][..]));
-        assert_eq!(s.tail_window(6), None);
     }
 
     #[test]

@@ -120,8 +120,7 @@ impl BudgetAllocation {
     /// # Panics
     ///
     /// Panics if `strategy` is an active strategy (budgets cover the
-    /// passive axes only). Use [`BudgetAllocation::checked_pure`] to
-    /// handle that case as a typed error instead.
+    /// passive axes only).
     pub fn pure(strategy: Strategy) -> Self {
         match Self::checked_pure(strategy) {
             Ok(alloc) => alloc,
@@ -131,7 +130,7 @@ impl BudgetAllocation {
 
     /// Everything on one strategy, rejecting active strategies with
     /// [`CoreError::ActiveStrategyUnsupported`] instead of panicking.
-    pub fn checked_pure(strategy: Strategy) -> Result<Self, CoreError> {
+    fn checked_pure(strategy: Strategy) -> Result<Self, CoreError> {
         match strategy {
             Strategy::Redundancy => Ok(BudgetAllocation {
                 redundancy: 1.0,
@@ -171,9 +170,7 @@ impl BudgetAllocation {
     ///
     /// # Panics
     ///
-    /// Panics on an active strategy. Use
-    /// [`BudgetAllocation::checked_fraction`] to handle that case as a
-    /// typed error instead.
+    /// Panics on an active strategy.
     pub fn fraction(&self, strategy: Strategy) -> f64 {
         match self.checked_fraction(strategy) {
             Ok(fraction) => fraction,
@@ -184,7 +181,7 @@ impl BudgetAllocation {
     /// Fraction allocated to one strategy, rejecting active strategies
     /// with [`CoreError::ActiveStrategyUnsupported`] instead of
     /// panicking.
-    pub fn checked_fraction(&self, strategy: Strategy) -> Result<f64, CoreError> {
+    fn checked_fraction(&self, strategy: Strategy) -> Result<f64, CoreError> {
         match strategy {
             Strategy::Redundancy => Ok(self.redundancy),
             Strategy::Diversity => Ok(self.diversity),

@@ -63,15 +63,9 @@ impl BeliefState {
         self.possible.retain(|c| i < c.len() && c.get(i) == value);
     }
 
-    /// Incorporate a fitness observation: the system is (or is not) fit
-    /// under `env`.
-    pub fn observe_fitness(&mut self, env: &dyn Constraint, fit: bool) {
-        self.possible.retain(|c| env.is_fit(c) == fit);
-    }
-
     /// Apply an *action* the administrator performs: flip bit `i` in every
     /// possibility (actions are deterministic even when state is unknown).
-    pub fn apply_flip(&mut self, i: usize) {
+    fn apply_flip(&mut self, i: usize) {
         let flipped: HashSet<Config> = self
             .possible
             .iter()
@@ -95,11 +89,6 @@ impl BeliefState {
     /// observations).
     pub fn is_contradictory(&self) -> bool {
         self.possible.is_empty()
-    }
-
-    /// Whether exactly one configuration remains.
-    pub fn is_certain(&self) -> bool {
-        self.possible.len() == 1
     }
 
     /// Whether *every* possibility is fit — the only situation where the
@@ -202,7 +191,6 @@ mod tests {
     #[test]
     fn certain_belief() {
         let b = BeliefState::certain("101".parse().unwrap());
-        assert!(b.is_certain());
         assert_eq!(b.cardinality(), 1);
         assert!(!b.is_contradictory());
     }
@@ -227,7 +215,7 @@ mod tests {
         b.observe_bit(1, true);
         assert_eq!(b.cardinality(), 2); // 111, 110
         b.observe_bit(2, true);
-        assert!(b.is_certain());
+        assert_eq!(b.cardinality(), 1);
     }
 
     #[test]
@@ -236,16 +224,6 @@ mod tests {
         b.observe_bit(0, false);
         assert!(b.is_contradictory());
         assert!(!b.certainly_fit(&AllOnes::new(2)));
-    }
-
-    #[test]
-    fn fitness_observation() {
-        let env = AllOnes::new(3);
-        let mut b = BeliefState::certain(Config::ones(3)).after_unobserved_damage(1);
-        // Told the system is NOT fit: the intact possibility drops out.
-        b.observe_fitness(&env, false);
-        assert_eq!(b.cardinality(), 3);
-        assert!(!b.possibly_fit(&env));
     }
 
     #[test]

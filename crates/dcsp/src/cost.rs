@@ -68,65 +68,6 @@ impl CostFunction for WeightedMismatch {
     }
 }
 
-/// Weighted clauses: each clause is a set of `(bit, polarity)` literals
-/// and a weight; a clause is satisfied if any literal matches. Cost = sum
-/// of weights of violated clauses (weighted MaxSAT-style soft constraints).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedClauses {
-    arity: usize,
-    clauses: Vec<(Vec<(usize, bool)>, f64)>,
-}
-
-impl WeightedClauses {
-    /// New soft-clause cost over configurations of length `arity`.
-    pub fn new(arity: usize) -> Self {
-        WeightedClauses {
-            arity,
-            clauses: Vec::new(),
-        }
-    }
-
-    /// Add a clause (`literals` as `(bit, required_value)`, any match
-    /// satisfies) with `weight`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty clause, out-of-range bit, or a bad weight.
-    pub fn add_clause(&mut self, literals: Vec<(usize, bool)>, weight: f64) -> &mut Self {
-        assert!(!literals.is_empty(), "clauses need at least one literal");
-        assert!(
-            literals.iter().all(|&(bit, _)| bit < self.arity),
-            "literal bit out of range"
-        );
-        assert!(weight.is_finite() && weight >= 0.0, "bad clause weight");
-        self.clauses.push((literals, weight));
-        self
-    }
-
-    /// Number of clauses.
-    pub fn len(&self) -> usize {
-        self.clauses.len()
-    }
-
-    /// Whether there are no clauses.
-    pub fn is_empty(&self) -> bool {
-        self.clauses.is_empty()
-    }
-}
-
-impl CostFunction for WeightedClauses {
-    fn cost(&self, config: &Config) -> f64 {
-        if config.len() != self.arity {
-            return f64::INFINITY;
-        }
-        self.clauses
-            .iter()
-            .filter(|(lits, _)| !lits.iter().any(|&(bit, val)| config.get(bit) == val))
-            .map(|(_, w)| w)
-            .sum()
-    }
-}
-
 /// Adapts a cost function into a [`Constraint`]: fit iff cost ≤
 /// `threshold`; the violation degree is the excess cost, so greedy repair
 /// descends the weighted landscape.
@@ -221,20 +162,6 @@ mod tests {
     #[should_panic(expected = "one weight per")]
     fn mismatched_weights_rejected() {
         let _ = WeightedMismatch::new(Config::zeros(3), vec![1.0]);
-    }
-
-    #[test]
-    fn weighted_clauses_cost() {
-        let mut wc = WeightedClauses::new(3);
-        wc.add_clause(vec![(0, true)], 5.0);
-        wc.add_clause(vec![(1, true), (2, true)], 2.0);
-        assert_eq!(wc.len(), 2);
-        assert!(!wc.is_empty());
-        assert_eq!(wc.cost(&"111".parse().unwrap()), 0.0);
-        assert_eq!(wc.cost(&"011".parse().unwrap()), 5.0);
-        assert_eq!(wc.cost(&"100".parse().unwrap()), 2.0);
-        assert_eq!(wc.cost(&"000".parse().unwrap()), 7.0);
-        assert!(wc.cost(&Config::zeros(2)).is_infinite());
     }
 
     #[test]

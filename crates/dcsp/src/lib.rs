@@ -61,15 +61,15 @@ pub mod telemetry;
 pub mod tiger_team;
 
 pub use belief::BeliefState;
-pub use cost::{CostConstraint, CostFunction, WeightedClauses, WeightedMismatch};
+pub use cost::{CostConstraint, CostFunction, WeightedMismatch};
 pub use maintainability::{
     analyze_bit_dcsp, analyze_bit_dcsp_adversarial, try_analyze_bit_dcsp,
     try_analyze_bit_dcsp_adversarial, MaintainabilityReport, TransitionSystem,
 };
 pub use problem::{DcspSystem, EpisodeRecord};
 pub use recoverability::{
-    check_recoverability, recoverability_reference, sampled_recoverability, RecoverabilityOptions,
-    RecoverabilityReport, VerifyStats,
+    check_recoverability, recoverability_reference, RecoverabilityOptions, RecoverabilityReport,
+    VerifyStats,
 };
 pub use repair::{AnnealRepair, BfsRepair, GreedyRepair, RepairOutcome, RepairStrategy};
 pub use scenario::{Scenario, ScenarioReport, ScenarioStep};

@@ -703,12 +703,6 @@ impl MaintainabilityReport {
             .map(|max| max as usize)
     }
 
-    /// Whether every state reaches a normal state within `k` controllable
-    /// steps.
-    pub fn is_k_maintainable(&self, k: usize) -> bool {
-        matches!(self.min_k(), Some(m) if m <= k)
-    }
-
     /// Number of states from which normality is unreachable.
     pub fn hopeless(&self) -> u64 {
         self.storage()
@@ -780,7 +774,7 @@ impl TransitionSystem {
     }
 
     /// Whether `state` is normal.
-    pub fn is_normal(&self, state: usize) -> bool {
+    fn is_normal(&self, state: usize) -> bool {
         self.normal[state]
     }
 
@@ -809,11 +803,6 @@ impl TransitionSystem {
     /// Controllable successors of `state`.
     pub fn controllable_moves(&self, state: usize) -> &[usize] {
         &self.controllable[state]
-    }
-
-    /// Exogenous successors of `state`.
-    pub fn exogenous_moves(&self, state: usize) -> &[usize] {
-        &self.exogenous[state]
     }
 
     fn moves(&self) -> CsrMoves<'_> {
@@ -1143,8 +1132,6 @@ mod tests {
         let levels: Vec<_> = (0..4).map(|s| report.level(s)).collect();
         assert_eq!(levels, vec![Some(0), Some(1), Some(2), Some(3)]);
         assert_eq!(report.min_k(), Some(3));
-        assert!(report.is_k_maintainable(3));
-        assert!(!report.is_k_maintainable(2));
         assert_eq!(report.next_state(3), Some(2));
         assert_eq!(report.next_state(0), None);
         let ts = chain();
@@ -1165,7 +1152,6 @@ mod tests {
         let hopeless: Vec<usize> = (0..5).filter(|&s| report.level(s).is_none()).collect();
         assert_eq!(hopeless, vec![2, 3, 4]);
         assert_eq!(report.hopeless(), 3);
-        assert!(!report.is_k_maintainable(100));
         // The original chain has no hopeless states.
         assert_eq!(chain().analyze().hopeless(), 0);
         ts.add_exogenous(0, 3); // exogenous moves don't affect plain analysis
@@ -1203,8 +1189,7 @@ mod tests {
         let report = ts.analyze();
         let normal = (1usize << n) - 1; // all ones encoded
         assert!(ts.is_normal(normal));
-        let worst = ts
-            .exogenous_moves(normal)
+        let worst = ts.exogenous[normal]
             .iter()
             .map(|&s| report.level(s).unwrap())
             .max()
@@ -1408,7 +1393,6 @@ mod tests {
         let report = try_analyze_bit_dcsp(6, &never).expect("in range");
         assert_eq!(report.hopeless(), 64);
         assert_eq!(report.min_k(), None);
-        assert!(!report.is_k_maintainable(100));
         assert!(report.frontier_sizes().is_empty());
     }
 

@@ -64,9 +64,7 @@ impl DcspSystem {
     ///
     /// # Panics
     ///
-    /// Panics if the constraint has no arity. Use
-    /// [`DcspSystem::try_fit_under`] to handle that case as a typed
-    /// error instead.
+    /// Panics if the constraint has no arity.
     pub fn fit_under(env: Arc<dyn Constraint>) -> Self {
         match Self::try_fit_under(env) {
             Ok(system) => system,
@@ -78,7 +76,7 @@ impl DcspSystem {
     /// rejecting arity-less constraints with
     /// [`CoreError::UnknownArity`](resilience_core::CoreError::UnknownArity)
     /// instead of panicking.
-    pub fn try_fit_under(env: Arc<dyn Constraint>) -> Result<Self, resilience_core::CoreError> {
+    fn try_fit_under(env: Arc<dyn Constraint>) -> Result<Self, resilience_core::CoreError> {
         let n = env
             .arity()
             .ok_or(resilience_core::CoreError::UnknownArity)?;
@@ -196,42 +194,6 @@ impl DcspSystem {
         self.tick();
     }
 
-    /// Verify k-recoverability of the *current* state against all damage
-    /// patterns of at most `max_damage` flips, repaired by `strategy`
-    /// within `k` steps: [`crate::recoverability::check_recoverability`]
-    /// with the orbit walk allowed, so a constraint declaring automorphisms
-    /// the strategy respects costs one repair walk per damage orbit.
-    /// Verification is a pure query — the clock and state are untouched.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidParameter`](resilience_core::CoreError::InvalidParameter)
-    /// when the system is not currently fit (recoverability is defined
-    /// from a fit configuration) or the damage-pattern count does not fit
-    /// `u64`.
-    pub fn verify_recoverability<S: RepairStrategy + ?Sized>(
-        &self,
-        strategy: &S,
-        max_damage: usize,
-        k: usize,
-        ctx: &resilience_core::RunContext,
-    ) -> Result<crate::recoverability::RecoverabilityReport, resilience_core::CoreError> {
-        let options = crate::recoverability::RecoverabilityOptions {
-            symmetry: true,
-            stats: false,
-        };
-        crate::recoverability::check_recoverability(
-            &self.state,
-            self.env.as_ref(),
-            strategy,
-            max_damage,
-            k,
-            ctx,
-            options,
-        )
-        .map(|(report, _)| report)
-    }
-
     fn tick(&mut self) {
         self.time += 1;
         self.quality.push(self.quality());
@@ -261,56 +223,6 @@ mod tests {
         assert!(DcspSystem::try_fit_under(Arc::new(AllOnes::new(8)))
             .unwrap()
             .is_fit());
-    }
-
-    #[test]
-    fn system_level_verification_uses_the_orbit_walk() {
-        let ctx = resilience_core::RunContext::with_threads(0, 2);
-        let sys = DcspSystem::fit_under(Arc::new(AllOnes::new(10)));
-        let report = sys
-            .verify_recoverability(&GreedyRepair::new(), 3, 3, &ctx)
-            .unwrap();
-        assert!(report.is_k_recoverable());
-        assert_eq!(report.cases, 10 + 45 + 120);
-        // Same verdict as the one-thread rank walk.
-        let (direct, _) = crate::recoverability::check_recoverability(
-            sys.state(),
-            sys.environment().as_ref(),
-            &GreedyRepair::new(),
-            3,
-            3,
-            &resilience_core::RunContext::new(0),
-            crate::recoverability::RecoverabilityOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(report, direct);
-    }
-
-    #[test]
-    fn verification_errors_instead_of_panicking() {
-        let ctx = resilience_core::RunContext::new(0);
-        let greedy = GreedyRepair::new();
-        // Σ_{s≤26} C(70, s) does not fit the u64 rank space.
-        let wide = DcspSystem::fit_under(Arc::new(AllOnes::new(70)));
-        let err = wide
-            .verify_recoverability(&greedy, 26, 26, &ctx)
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            resilience_core::CoreError::InvalidParameter {
-                name: "max_damage",
-                ..
-            }
-        ));
-        // An unfit system has no recoverability to check.
-        let mut rng = seeded_rng(3);
-        let mut sys = DcspSystem::fit_under(Arc::new(AllOnes::new(8)));
-        sys.strike(&ShockKind::BitDamage { flips: 2 }, &mut rng);
-        let err = sys.verify_recoverability(&greedy, 2, 2, &ctx).unwrap_err();
-        assert!(matches!(
-            err,
-            resilience_core::CoreError::InvalidParameter { name: "start", .. }
-        ));
     }
 
     #[test]

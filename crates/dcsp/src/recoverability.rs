@@ -40,8 +40,7 @@
 //! A non-deterministic strategy's proposals depend on global call order,
 //! so it runs the sequential reference walk and returns no stats.
 //!
-//! [`sampled_recoverability`] is the Monte-Carlo estimate for systems too
-//! large to enumerate. [`recoverability_reference`] keeps the original
+//! [`recoverability_reference`] keeps the original
 //! clone-per-case recursive checker as the oracle the engine is proven
 //! against (see `tests/verification_equivalence.rs`).
 
@@ -49,9 +48,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Range;
 
-use rand::Rng;
-
-use resilience_core::{Config, Constraint, CoreError, RunContext, ShockKind};
+use resilience_core::{Config, Constraint, CoreError, RunContext};
 
 use crate::repair::RepairStrategy;
 use crate::symmetry::{preorder_cmp, DamageOrbit, SymmetryClasses};
@@ -76,15 +73,6 @@ impl RecoverabilityReport {
     /// Whether every examined perturbation recovered within `k`.
     pub fn is_k_recoverable(&self) -> bool {
         self.cases == self.recovered_within_k
-    }
-
-    /// Fraction of cases recovered within `k` (1.0 if no cases).
-    pub fn recovery_rate(&self) -> f64 {
-        if self.cases == 0 {
-            1.0
-        } else {
-            self.recovered_within_k as f64 / self.cases as f64
-        }
     }
 
     fn empty(k: usize) -> Self {
@@ -350,43 +338,6 @@ fn reference_inner<S: RepairStrategy + ?Sized>(
         }
     });
     report
-}
-
-/// Monte-Carlo recoverability estimate: strike `trials` shocks of `kind`
-/// against `start` and repair each within `k` steps.
-///
-/// # Errors
-///
-/// [`CoreError::InvalidParameter`] when `start` does not satisfy `env`.
-pub fn sampled_recoverability<S: RepairStrategy + ?Sized, R: Rng + ?Sized>(
-    start: &Config,
-    env: &dyn Constraint,
-    strategy: &S,
-    kind: &ShockKind,
-    k: usize,
-    trials: usize,
-    rng: &mut R,
-) -> Result<RecoverabilityReport, CoreError> {
-    require_fit(start, env)?;
-    let mut report = RecoverabilityReport::empty(k);
-    for _ in 0..trials {
-        let mut state = start.clone();
-        let shock = kind.strike(&mut state, rng);
-        report.cases += 1;
-        match run_repair(&mut state, env, strategy, k) {
-            Some(s) => {
-                report.recovered_within_k += 1;
-                report.worst_steps = report.worst_steps.max(s);
-            }
-            None => {
-                report.worst_steps = report.worst_steps.max(k);
-                if report.counterexample.is_none() {
-                    report.counterexample = Some(shock.flipped_bits.clone());
-                }
-            }
-        }
-    }
-    Ok(report)
 }
 
 /// Run the repair loop for at most `k` flips; `Some(steps)` if fitness was
@@ -926,7 +877,7 @@ fn eval_case<S: RepairStrategy + ?Sized>(
 mod tests {
     use super::*;
     use crate::repair::{AnnealRepair, BfsRepair, GreedyRepair};
-    use resilience_core::{seeded_rng, AllOnes, AtLeastOnes, ExplicitSet};
+    use resilience_core::{AllOnes, AtLeastOnes, ExplicitSet};
 
     const EXHAUSTIVE: RecoverabilityOptions = RecoverabilityOptions {
         symmetry: false,
@@ -1066,17 +1017,6 @@ mod tests {
                 );
             }
         }
-        let err = sampled_recoverability(
-            &start,
-            &env,
-            &GreedyRepair::new(),
-            &ShockKind::BitDamage { flips: 1 },
-            1,
-            10,
-            &mut seeded_rng(1),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("fit configuration"), "{err}");
     }
 
     #[test]
@@ -1237,47 +1177,6 @@ mod tests {
     }
 
     #[test]
-    fn sampled_agrees_with_exhaustive_on_small_system() {
-        let mut rng = seeded_rng(9);
-        let n = 10;
-        let start = Config::ones(n);
-        let env = AllOnes::new(n);
-        let report = sampled_recoverability(
-            &start,
-            &env,
-            &GreedyRepair::new(),
-            &ShockKind::BoundedBitDamage { max_flips: 3 },
-            3,
-            200,
-            &mut rng,
-        )
-        .unwrap();
-        assert!(report.is_k_recoverable());
-        assert_eq!(report.cases, 200);
-        assert!((report.recovery_rate() - 1.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn sampled_detects_failures_under_tight_budget() {
-        let mut rng = seeded_rng(10);
-        let start = Config::ones(12);
-        let env = AllOnes::new(12);
-        let report = sampled_recoverability(
-            &start,
-            &env,
-            &GreedyRepair::new(),
-            &ShockKind::BitDamage { flips: 5 },
-            3,
-            100,
-            &mut rng,
-        )
-        .unwrap();
-        assert_eq!(report.recovered_within_k, 0);
-        assert!(report.counterexample.is_some());
-        assert_eq!(report.recovery_rate(), 0.0);
-    }
-
-    #[test]
     fn stats_variant_matches_plain_report_and_counts_cache_traffic() {
         let n = 10;
         let start = Config::ones(n);
@@ -1425,7 +1324,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_report_rate_is_one() {
+    fn empty_report_is_recoverable() {
         let r = RecoverabilityReport {
             k: 1,
             cases: 0,
@@ -1433,7 +1332,6 @@ mod tests {
             worst_steps: 0,
             counterexample: None,
         };
-        assert_eq!(r.recovery_rate(), 1.0);
         assert!(r.is_k_recoverable());
     }
 }

@@ -103,12 +103,12 @@ impl Spacecraft {
     }
 
     /// Whether all components are good (`s ∈ C = 1ⁿ`).
-    pub fn is_operational(&self) -> bool {
+    fn is_operational(&self) -> bool {
         self.components.count_ones() == self.components.len()
     }
 
     /// Number of failed components.
-    pub fn failed_components(&self) -> usize {
+    fn failed_components(&self) -> usize {
         self.components.count_zeros()
     }
 
@@ -120,7 +120,7 @@ impl Spacecraft {
     }
 
     /// One debris strike: damages `1..=max_debris_damage` good components.
-    pub fn debris_strike<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
+    fn debris_strike<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         if self.max_debris_damage == 0 {
             return 0;
         }
@@ -146,7 +146,7 @@ impl Spacecraft {
 
     /// One repair step: fix up to `repairs_per_step` failed components.
     /// Returns how many were fixed.
-    pub fn repair_step(&mut self) -> usize {
+    fn repair_step(&mut self) -> usize {
         let mut fixed = 0;
         for i in 0..self.components.len() {
             if fixed == self.repairs_per_step {

@@ -81,30 +81,18 @@ impl SymmetryClasses {
     }
 
     /// Number of variables covered.
-    pub fn n_vars(&self) -> usize {
+    fn n_vars(&self) -> usize {
         self.class_of.len()
     }
 
     /// Number of interchangeability classes.
-    pub fn n_classes(&self) -> usize {
+    fn n_classes(&self) -> usize {
         self.members.len()
     }
 
     /// Class id of a variable.
     pub fn class_of(&self, var: usize) -> usize {
         self.class_of[var]
-    }
-
-    /// Members of class `c`, ascending.
-    pub fn class_members(&self, c: usize) -> &[usize] {
-        &self.members[c]
-    }
-
-    /// Whether every variable is interchangeable with every other (one
-    /// class — the spacecraft/tiger-team shape, where orbits are exactly
-    /// the damage sizes).
-    pub fn is_fully_symmetric(&self) -> bool {
-        self.members.len() == 1
     }
 
     /// Enumerate every damage orbit with `1..=max_damage` damaged
@@ -253,9 +241,8 @@ mod tests {
     fn detect_accepts_counting_constraints_from_uniform_start() {
         let start = Config::ones(6);
         let classes = SymmetryClasses::detect(&AllOnes::new(6), &start).expect("symmetric");
-        assert!(classes.is_fully_symmetric());
         assert_eq!(classes.n_vars(), 6);
-        assert_eq!(classes.class_members(0), &[0, 1, 2, 3, 4, 5]);
+        assert_eq!(classes.members, vec![vec![0, 1, 2, 3, 4, 5]]);
         assert!(SymmetryClasses::detect(&AtLeastOnes::new(6, 2), &start).is_some());
     }
 

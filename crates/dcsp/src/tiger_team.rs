@@ -34,7 +34,7 @@ pub struct AttackReport {
 /// Score one damage pattern: apply it to `start` and count the repair
 /// steps `strategy` needs; `budget + 1` means the repair failed (stuck or
 /// out of budget) — the jackpot a tiger team is hunting for.
-pub fn score_damage<S: RepairStrategy + ?Sized>(
+fn score_damage<S: RepairStrategy + ?Sized>(
     start: &Config,
     env: &dyn Constraint,
     strategy: &S,

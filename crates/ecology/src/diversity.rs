@@ -6,8 +6,8 @@
 //! (dimensional analysis and the stated extremes only work on
 //! *proportions*); the intended quantity is the standard **inverse Simpson
 //! index** `G = 1/Σ qᵢ²` over proportions `qᵢ = pᵢ/Σp`, which ranges from 1
-//! (monoculture) to N (uniform). Both the corrected and the literal
-//! formulas are provided.
+//! (monoculture) to N (uniform); that corrected formula is the one
+//! implemented.
 
 use resilience_core::error::invalid_param;
 use resilience_core::CoreError;
@@ -46,27 +46,13 @@ pub fn diversity_index(populations: &[f64]) -> Result<f64, CoreError> {
     Ok(1.0 / sum_sq)
 }
 
-/// The paper's formula exactly as printed: `G = (Σ pᵢ²/N)⁻¹` over raw
-/// populations (not proportions). Kept for fidelity; prefer
-/// [`diversity_index`].
-///
-/// # Errors
-///
-/// Same domain errors as [`diversity_index`].
-pub fn raw_diversity_index(populations: &[f64]) -> Result<f64, CoreError> {
-    validate(populations)?;
-    let n = populations.len() as f64;
-    let sum_sq: f64 = populations.iter().map(|p| p * p / n).sum();
-    Ok(1.0 / sum_sq)
-}
-
 /// Shannon entropy `H = −Σ qᵢ ln qᵢ` (nats). Zero-population species
 /// contribute zero.
 ///
 /// # Errors
 ///
 /// Same domain errors as [`diversity_index`].
-pub fn shannon_entropy(populations: &[f64]) -> Result<f64, CoreError> {
+fn shannon_entropy(populations: &[f64]) -> Result<f64, CoreError> {
     let total = validate(populations)?;
     Ok(populations
         .iter()
@@ -136,27 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn raw_index_matches_paper_extremes_shape() {
-        // The paper: "takes the largest value 1/p² when all species have
-        // the same size p". With N species of size p: Σ pᵢ²/N = p², so
-        // G_raw = 1/p².
-        let p = 3.0;
-        let g = raw_diversity_index(&[p, p, p, p]).unwrap();
-        assert!((g - 1.0 / (p * p)).abs() < 1e-12);
-        // "smallest when one species dominates: p₁ = N·p ⇒ G = 1/(p²N)".
-        let n = 4.0;
-        let g_dom = raw_diversity_index(&[n * p, 0.0, 0.0, 0.0]).unwrap();
-        assert!((g_dom - 1.0 / (p * p * n)).abs() < 1e-12);
-        assert!(g > g_dom);
-    }
-
-    #[test]
     fn rejects_bad_inputs() {
         assert!(diversity_index(&[]).is_err());
         assert!(diversity_index(&[-1.0, 2.0]).is_err());
         assert!(diversity_index(&[f64::NAN]).is_err());
         assert!(diversity_index(&[0.0, 0.0]).is_err());
-        assert!(raw_diversity_index(&[]).is_err());
         assert!(shannon_entropy(&[]).is_err());
         assert!(evenness(&[]).is_err());
     }

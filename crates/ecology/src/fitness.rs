@@ -149,12 +149,6 @@ impl ConcaveFitness {
         (1.0 + advantage.max(0.0)).powf(self.exponent)
     }
 
-    /// The linear comparison curve `π(a) = 1 + exponent·a` (same slope at
-    /// the origin, no diminishing returns).
-    pub fn linear_at(&self, advantage: f64) -> f64 {
-        1.0 + self.exponent * advantage.max(0.0)
-    }
-
     /// Relative selection coefficient of one extra unit of advantage at
     /// level `a`: `s(a) = π(a+1)/π(a) − 1`. Strictly decreasing in `a` —
     /// the weak-selection regime of the near-neutral theory.
@@ -167,6 +161,12 @@ impl ConcaveFitness {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The linear comparison curve `π(a) = 1 + exponent·a` (same slope at
+    /// the origin, no diminishing returns).
+    fn linear_at(c: &ConcaveFitness, advantage: f64) -> f64 {
+        1.0 + c.exponent * advantage.max(0.0)
+    }
 
     #[test]
     fn linear_fitness_constant() {
@@ -233,9 +233,9 @@ mod tests {
     fn concave_beats_linear_nowhere_after_origin() {
         let c = ConcaveFitness::new(0.5);
         for a in [0.5, 1.0, 5.0, 20.0] {
-            assert!(c.at(a) < c.linear_at(a), "a={a}");
+            assert!(c.at(a) < linear_at(&c, a), "a={a}");
         }
-        assert!((c.at(0.0) - c.linear_at(0.0)).abs() < 1e-12);
+        assert!((c.at(0.0) - linear_at(&c, 0.0)).abs() < 1e-12);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! … In general, the more coarse the system is, the easier it is to make
 //! the system resilient."
 //!
-//! [`hierarchical_survival`] measures one shock at all three levels;
-//! [`hierarchical_experiment`] averages over shocks — confirming the
+//! [`hierarchical_experiment`] measures each shock at all three levels
+//! and averages over shocks — confirming the
 //! monotone ordering individual ≤ species ≤ ecosystem.
 
 use rand::Rng;
@@ -43,11 +43,7 @@ impl GranularityReport {
 
 /// Measure one environment `(optimum, tolerance)` against `community` at
 /// all three levels.
-pub fn hierarchical_survival(
-    community: &Community,
-    optimum: f64,
-    tolerance: f64,
-) -> GranularityReport {
+fn hierarchical_survival(community: &Community, optimum: f64, tolerance: f64) -> GranularityReport {
     let total_pop: f64 = community.populations.iter().sum();
     let survivors = community.survivors(optimum, tolerance);
     // Within a surviving species, the member survival fraction falls

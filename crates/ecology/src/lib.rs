@@ -51,12 +51,12 @@ pub mod polarization;
 pub mod replicator;
 pub mod weak_selection;
 
-pub use diversity::{diversity_index, evenness, raw_diversity_index, richness, shannon_entropy};
+pub use diversity::{diversity_index, evenness, richness};
 pub use dormant::{DormantTraitModel, DormantTraitOutcome};
 pub use extinction::{ExtinctionExperiment, ExtinctionOutcome};
 pub use fitness::{ConcaveFitness, DensityDependent, FitnessFn, LinearFitness};
 pub use genome::{KnockoutOutcome, RedundantGenome};
-pub use granularity::{hierarchical_experiment, hierarchical_survival, GranularityReport};
+pub use granularity::{hierarchical_experiment, GranularityReport};
 pub use moran::MoranProcess;
 pub use polarization::{gini, top_share, WealthModel};
 pub use replicator::{ReplicatorSim, ReplicatorTrajectory};

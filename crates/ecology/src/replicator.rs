@@ -31,7 +31,6 @@ use crate::fitness::FitnessFn;
 pub struct ReplicatorSim {
     fitness: Arc<dyn FitnessFn>,
     proportions: Vec<f64>,
-    mutation: f64,
 }
 
 impl std::fmt::Debug for ReplicatorSim {
@@ -39,7 +38,6 @@ impl std::fmt::Debug for ReplicatorSim {
         f.debug_struct("ReplicatorSim")
             .field("n_species", &self.proportions.len())
             .field("proportions", &self.proportions)
-            .field("mutation", &self.mutation)
             .finish()
     }
 }
@@ -90,7 +88,6 @@ impl ReplicatorSim {
         ReplicatorSim {
             fitness,
             proportions,
-            mutation: 0.0,
         }
     }
 
@@ -100,25 +97,12 @@ impl ReplicatorSim {
         ReplicatorSim::new(fitness, vec![1.0; n])
     }
 
-    /// Enable symmetric mutation: after selection, a fraction `mu` of each
-    /// species redistributes uniformly over all species (keeps extinct
-    /// types recoverable; `mu = 0` is pure selection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mu ∉ [0, 1]`.
-    pub fn with_mutation(mut self, mu: f64) -> Self {
-        assert!((0.0..=1.0).contains(&mu), "mutation rate must be in [0,1]");
-        self.mutation = mu;
-        self
-    }
-
     /// Current proportions (sum to 1).
     pub fn proportions(&self) -> &[f64] {
         &self.proportions
     }
 
-    /// One generation of selection (+ optional mutation).
+    /// One generation of selection.
     pub fn step(&mut self) {
         let mean = self.fitness.mean_fitness(&self.proportions);
         if mean <= 0.0 {
@@ -132,12 +116,6 @@ impl ReplicatorSim {
         let total: f64 = next.iter().sum();
         for p in &mut next {
             *p /= total;
-        }
-        if self.mutation > 0.0 {
-            let share = self.mutation / n as f64;
-            for p in &mut next {
-                *p = *p * (1.0 - self.mutation) + share;
-            }
         }
         self.proportions = next;
     }
@@ -217,16 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn mutation_keeps_extinct_types_alive() {
-        let f = Arc::new(LinearFitness::graded(3, 0.5));
-        let mut sim = ReplicatorSim::new(f, vec![1.0, 1.0, 0.0]).with_mutation(0.01);
-        let traj = sim.run(200);
-        // Species 2 was absent but mutation reintroduces it; being fittest
-        // it then dominates.
-        assert!(traj.final_proportions[2] > 0.5);
-    }
-
-    #[test]
     fn extinct_stays_extinct_without_mutation() {
         let f = Arc::new(LinearFitness::graded(3, 0.5));
         let mut sim = ReplicatorSim::new(f, vec![1.0, 1.0, 0.0]);
@@ -237,7 +205,7 @@ mod tests {
     #[test]
     fn proportions_always_normalized() {
         let f = Arc::new(LinearFitness::graded(6, 0.3));
-        let mut sim = ReplicatorSim::uniform(f).with_mutation(0.05);
+        let mut sim = ReplicatorSim::uniform(f);
         for _ in 0..50 {
             sim.step();
             let total: f64 = sim.proportions().iter().sum();

@@ -83,7 +83,7 @@ impl AlleleDynamics {
 
     /// Simulate one trajectory from `copies` initial copies until fixation
     /// (`true`) or loss (`false`).
-    pub fn simulate_to_fixation<R: Rng + ?Sized>(&self, copies: usize, rng: &mut R) -> bool {
+    fn simulate_to_fixation<R: Rng + ?Sized>(&self, copies: usize, rng: &mut R) -> bool {
         let mut i = copies.min(self.n);
         loop {
             if i == 0 {

@@ -87,12 +87,12 @@ impl NVersionController {
     }
 
     /// Maximum simultaneous unit failures the voter tolerates.
-    pub fn fault_tolerance(&self) -> usize {
+    fn fault_tolerance(&self) -> usize {
         (self.units - 1) / 2
     }
 
     /// Simulate one scenario; `true` = system failed.
-    pub fn scenario_fails<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
+    fn scenario_fails<R: Rng + ?Sized>(&self, rng: &mut R) -> bool {
         let mut failed = 0usize;
         match self.strategy {
             DesignStrategy::Identical => {

@@ -42,18 +42,6 @@ pub struct RegulationOutcome {
     pub gap: TimeSeries,
 }
 
-impl RegulationOutcome {
-    /// Mean regulatory gap over the run.
-    pub fn mean_gap(&self) -> f64 {
-        self.gap.mean()
-    }
-
-    /// Worst regulatory gap over the run.
-    pub fn max_gap(&self) -> f64 {
-        self.gap.max()
-    }
-}
-
 /// Track an environment performing a Gaussian random walk with per-step
 /// standard deviation `drift` for `steps` steps.
 ///
@@ -144,12 +132,12 @@ mod tests {
             &mut rng,
         );
         assert!(
-            co.mean_gap() * 2.0 < top_down.mean_gap(),
+            co.gap.mean() * 2.0 < top_down.gap.mean(),
             "co {} vs top-down {}",
-            co.mean_gap(),
-            top_down.mean_gap()
+            co.gap.mean(),
+            top_down.gap.mean()
         );
-        assert!(co.max_gap() < top_down.max_gap());
+        assert!(co.gap.max() < top_down.gap.max());
     }
 
     #[test]
@@ -164,7 +152,7 @@ mod tests {
             1_000,
             &mut rng,
         );
-        assert_eq!(top_down.mean_gap(), 0.0);
+        assert_eq!(top_down.gap.mean(), 0.0);
     }
 
     #[test]
@@ -188,7 +176,7 @@ mod tests {
             4_000,
             &mut rng,
         );
-        assert!(fast.mean_gap() < slow.mean_gap());
+        assert!(fast.gap.mean() < slow.gap.mean());
     }
 
     #[test]
@@ -201,7 +189,7 @@ mod tests {
             &mut rng,
         );
         // Closing the whole gap each step leaves only the one-step drift.
-        assert!(co.mean_gap() < 0.6);
+        assert!(co.gap.mean() < 0.6);
     }
 
     #[test]

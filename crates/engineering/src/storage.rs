@@ -74,7 +74,7 @@ impl StorageArray {
     }
 
     /// Total disks.
-    pub fn total_disks(&self) -> usize {
+    fn total_disks(&self) -> usize {
         self.data_disks + self.parity_disks
     }
 

@@ -184,12 +184,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 /// # Panics
 ///
 /// Panics if `ring_degree` is odd or below 2, or `beta ∉ [0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    ring_degree: usize,
-    beta: f64,
-    rng: &mut R,
-) -> Graph {
+fn watts_strogatz<R: Rng + ?Sized>(n: usize, ring_degree: usize, beta: f64, rng: &mut R) -> Graph {
     assert!(
         ring_degree >= 2 && ring_degree.is_multiple_of(2),
         "small-world ring degree k must be even and >= 2"
@@ -219,9 +214,9 @@ pub fn watts_strogatz<R: Rng + ?Sized>(
 }
 
 /// A ring lattice where each node connects to its `k` nearest neighbors
-/// on each side, so every degree is `2k`: [`watts_strogatz`] at ring
-/// degree `2k` (that function takes the total degree, not the per-side
-/// count) and `beta = 0`.
+/// on each side, so every degree is `2k`: the Watts–Strogatz generator
+/// ([`TopologyKind::SmallWorld`]) at ring degree `2k` (it takes the total
+/// degree, not the per-side count) and `beta = 0`.
 ///
 /// # Panics
 ///

@@ -121,15 +121,6 @@ impl Graph {
         order
     }
 
-    /// Degree distribution as `(degree, count)` pairs, ascending.
-    pub fn degree_distribution(&self) -> Vec<(usize, usize)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for v in 0..self.len() {
-            *counts.entry(self.degree(v)).or_insert(0usize) += 1;
-        }
-        counts.into_iter().collect()
-    }
-
     /// Size of the largest connected component among the nodes in the
     /// set `alive` (0 if it is empty).
     ///
@@ -222,12 +213,6 @@ mod tests {
         let g = Graph::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2)]);
         // Hub first; the degree-2 tie between 1 and 2 breaks by id.
         assert_eq!(g.nodes_by_degree_desc(), vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn degree_distribution_counts() {
-        let g = Graph::from_edges(3, &[(0, 1)]);
-        assert_eq!(g.degree_distribution(), vec![(0, 1), (1, 2)]);
     }
 
     #[test]

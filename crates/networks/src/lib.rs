@@ -15,8 +15,7 @@
 //!   However, … a spreading virus deliberately designed to attack the hubs
 //!   … such connectivity becomes a vulnerability" (Barabási, §5.1).
 //!   Giant-component tracking under random vs. targeted node removal.
-//! * [`cascade`] — Watts-style threshold cascades and SIR epidemics with
-//!   hub-targeted vs. random immunization.
+//! * [`cascade`] — Watts-style threshold cascades.
 //! * [`sandpile`] — the Bak–Tang–Wiesenfeld sandpile: "many decentralized
 //!   systems … naturally reach a critical state … a small disturbance …
 //!   could cause cascading failures" (§4.5). Includes centrally-coordinated
@@ -59,11 +58,10 @@ pub mod sandpile;
 pub mod union_find;
 
 pub use attack::{attack_sweep, AttackCurve, AttackStrategy};
-pub use cascade::{CascadeOutcome, SirOutcome, ThresholdCascade};
+pub use cascade::{CascadeOutcome, ThresholdCascade};
 pub use forest_fire::{ForestFire, ForestPolicy, ForestReport};
 pub use generators::{
-    barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, watts_strogatz,
-    TopologyKind,
+    barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, TopologyKind,
 };
 pub use giant::GiantTracker;
 pub use graph::Graph;

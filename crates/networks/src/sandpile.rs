@@ -76,15 +76,6 @@ impl SandpileReport {
         self.avalanche_sizes.iter().copied().max().unwrap_or(0)
     }
 
-    /// Mean avalanche size.
-    pub fn mean_avalanche(&self) -> f64 {
-        if self.avalanche_sizes.is_empty() {
-            0.0
-        } else {
-            self.avalanche_sizes.iter().sum::<usize>() as f64 / self.avalanche_sizes.len() as f64
-        }
-    }
-
     /// Fraction of avalanches at least `size`.
     pub fn tail_fraction(&self, size: usize) -> f64 {
         if self.avalanche_sizes.is_empty() {
@@ -131,7 +122,7 @@ impl Sandpile {
     }
 
     /// Total grains on the pile.
-    pub fn total_grains(&self) -> usize {
+    fn total_grains(&self) -> usize {
         self.grains.iter().map(|&g| g as usize).sum()
     }
 
@@ -187,7 +178,7 @@ impl Sandpile {
     }
 
     /// Drop one grain at a random cell; returns the avalanche size.
-    pub fn drop_random<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
+    fn drop_random<R: Rng + ?Sized>(&mut self, rng: &mut R) -> usize {
         let x = rng.gen_range(0..self.width);
         let y = rng.gen_range(0..self.height);
         self.drop_at(x, y)
@@ -386,14 +377,12 @@ mod tests {
             grains_relieved: 0,
         };
         assert_eq!(r.max_avalanche(), 10);
-        assert!((r.mean_avalanche() - 4.0).abs() < 1e-12);
         assert!((r.tail_fraction(2) - 2.0 / 3.0).abs() < 1e-12);
         let empty = SandpileReport {
             avalanche_sizes: vec![],
             grains_relieved: 0,
         };
         assert_eq!(empty.max_avalanche(), 0);
-        assert_eq!(empty.mean_avalanche(), 0.0);
         assert_eq!(empty.tail_fraction(1), 0.0);
     }
 

@@ -6,7 +6,6 @@
 pub struct UnionFind {
     parent: Vec<u32>,
     size: Vec<u32>,
-    components: usize,
     largest: usize,
 }
 
@@ -16,7 +15,6 @@ impl UnionFind {
         UnionFind {
             parent: (0..n as u32).collect(),
             size: vec![1; n],
-            components: n,
             largest: usize::from(n > 0),
         }
     }
@@ -60,7 +58,6 @@ impl UnionFind {
         };
         self.parent[small] = big as u32;
         self.size[big] += self.size[small];
-        self.components -= 1;
         self.largest = self.largest.max(self.size[big] as usize);
         big
     }
@@ -74,11 +71,6 @@ impl UnionFind {
     pub fn component_size(&mut self, x: usize) -> usize {
         let r = self.find(x);
         self.size[r] as usize
-    }
-
-    /// Number of components.
-    pub fn component_count(&self) -> usize {
-        self.components
     }
 
     /// Size of the largest component (0 for an empty structure).
@@ -95,7 +87,6 @@ mod tests {
     #[test]
     fn singletons() {
         let mut uf = UnionFind::new(5);
-        assert_eq!(uf.component_count(), 5);
         assert_eq!(uf.largest_component(), 1);
         assert!(!uf.connected(0, 1));
         assert_eq!(uf.component_size(3), 1);
@@ -110,14 +101,12 @@ mod tests {
         assert!(uf.union(0, 2));
         assert!(uf.connected(1, 3));
         assert_eq!(uf.component_size(3), 4);
-        assert_eq!(uf.component_count(), 3); // {0,1,2,3}, {4}, {5}
         assert_eq!(uf.largest_component(), 4);
     }
 
     #[test]
     fn empty_structure() {
         let uf = UnionFind::new(0);
-        assert_eq!(uf.component_count(), 0);
         assert_eq!(uf.largest_component(), 0);
     }
 
@@ -139,7 +128,6 @@ mod tests {
                 }
             }
             prop_assert_eq!(total, n);
-            prop_assert_eq!(seen.len(), uf.component_count());
         }
     }
 }

@@ -78,7 +78,7 @@ impl CircuitBreaker {
 
     /// Current state (after applying any due open → half-open lapse at
     /// `now`; this is the observing side of the logical clock).
-    pub fn state_at(&mut self, now: u64) -> BreakerState {
+    fn state_at(&mut self, now: u64) -> BreakerState {
         if self.state == BreakerState::Open && now >= self.opened_at + self.cooldown {
             self.transition(now, BreakerState::HalfOpen);
             self.probe_in_flight = false;

@@ -153,11 +153,6 @@ impl BrownoutController {
         self.history.entries()
     }
 
-    /// Level changes beyond the cap that were counted but not retained.
-    pub fn truncated_history(&self) -> u64 {
-        self.history.truncated()
-    }
-
     /// Feed one tick of self-measurement: `deficit` is the tick's
     /// *involuntary* quality deficit (the fraction of adjudications
     /// shed or hard-failed — planned degradation excluded), `occupancy`
@@ -306,6 +301,6 @@ mod tests {
             c.set_floor(2 * i + 1, 0);
         }
         assert_eq!(c.history().len(), LOG_CAP, "log capped");
-        assert_eq!(c.truncated_history(), 20, "overflow counted exactly");
+        assert_eq!(c.history.truncated(), 20, "overflow counted exactly");
     }
 }

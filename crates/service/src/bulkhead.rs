@@ -97,11 +97,6 @@ impl Bulkhead {
         queued + serving
     }
 
-    /// Whether any request is queued or in service.
-    pub fn is_busy(&self) -> bool {
-        !self.queue.is_empty() || self.in_service.iter().any(Option::is_some)
-    }
-
     /// Ticks until a request of `work` units admitted *now* would
     /// complete, assuming FIFO drain at full aggregate rate. The
     /// aggregate-rate approximation can only underestimate server
@@ -200,7 +195,7 @@ mod tests {
         let mut b = Bulkhead::new(4, 1, 10);
         b.admit(Job { id: 0, work: 10 });
         b.admit(Job { id: 1, work: 10 });
-        assert!(b.is_busy());
+        assert_eq!(b.backlog(), 20);
         // Tick 1: nothing in service yet; the server picks up job 0.
         assert!(b.tick().is_empty());
         // Tick 2: job 0 retires, job 1 enters service.
@@ -209,7 +204,7 @@ mod tests {
         assert_eq!(done[0].id, 0);
         let done = b.tick();
         assert_eq!(done[0].id, 1);
-        assert!(!b.is_busy());
+        assert_eq!(b.backlog(), 0);
     }
 
     #[test]
@@ -284,7 +279,6 @@ mod tests {
         let serving = b.cancel(0).expect("in-service job cancels");
         assert_eq!(serving.work, 8, "only the remaining work is reclaimed");
         assert!(b.cancel(0).is_none(), "a job cancels at most once");
-        assert!(!b.is_busy());
         assert_eq!(b.backlog(), 0);
     }
 

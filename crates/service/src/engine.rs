@@ -62,12 +62,12 @@
 //! **Q(t) definition.** For a tick with `n > 0` adjudications,
 //! `Q(t) = 100 · (1 − deficit/n)` where each shed or failed request
 //! contributes `1.0` to the deficit and each degraded response
-//! contributes [`ServiceConfig::reduced_penalty`] or
-//! [`ServiceConfig::cached_penalty`]; ticks with no adjudications
-//! sample 100 (no demand went unserved). The run's resilience loss is
+//! contributes [`REDUCED_PENALTY`] or [`CACHED_PENALTY`]; ticks with no
+//! adjudications sample 100 (no demand went unserved). The run's resilience loss is
 //! `bruneau::resilience_loss` over this trajectory — the service scores
 //! its own resilience triangle.
 
+use resilience_anticipate::provision::{HEAVY_TAIL_ALPHA, LOSS_WINDOW, QUANTILE_MILLI};
 use resilience_anticipate::{
     AnticipationConfig, AnticipationController, LossWindow, ModeTransition, OperatingMode,
 };
@@ -87,8 +87,23 @@ use crate::brownout::{BrownoutConfig, BrownoutController};
 use crate::bulkhead::{Bulkhead, Job};
 use crate::replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
+    HEDGE_FRACTION_MILLI,
 };
 use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason};
+
+/// Work units one logical server retires per tick.
+pub const RATE_PER_SERVER: u64 = 8;
+/// Queue slots per family bulkhead (split across a family's replicas).
+pub const QUEUE_CAPACITY: usize = 16;
+/// Consecutive backend failures that trip a replica's breaker.
+pub const BREAKER_THRESHOLD: u32 = 3;
+/// Ticks a tripped breaker stays open before probing, before the
+/// anticipation loop's cooldown scale.
+pub const BREAKER_COOLDOWN: u64 = 30;
+/// Quality deficit charged for a reduced-fidelity response.
+pub const REDUCED_PENALTY: f64 = 0.25;
+/// Quality deficit charged for a cached response.
+pub const CACHED_PENALTY: f64 = 0.5;
 
 /// Tuning of the serving layer. All quantities are logical-clock units;
 /// `threads` is the only physical knob and never changes any output.
@@ -96,24 +111,12 @@ use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrac
 pub struct ServiceConfig {
     /// Logical servers dedicated to each family bulkhead.
     pub servers_per_family: usize,
-    /// Work units one logical server retires per tick.
-    pub rate_per_server: u64,
-    /// Queue slots per family bulkhead.
-    pub queue_capacity: usize,
-    /// Consecutive backend failures that trip a family's breaker.
-    pub breaker_threshold: u32,
-    /// Ticks a tripped breaker stays open before probing.
-    pub breaker_cooldown: u64,
     /// Whether graceful degradation (brownout + cached fallbacks) is on.
     /// Off, the service can only serve at full fidelity or say no — the
     /// ablation arm of the BENCH_4 comparison.
     pub degradation: bool,
     /// Brownout controller tuning (unused when `degradation` is off).
     pub brownout: BrownoutConfig,
-    /// Quality deficit charged for a reduced-fidelity response.
-    pub reduced_penalty: f64,
-    /// Quality deficit charged for a cached response.
-    pub cached_penalty: f64,
     /// Monte Carlo trials per work unit in the backend computation.
     pub trials_per_work_unit: u64,
     /// Physical worker threads for backend computations. Only a backend
@@ -139,14 +142,8 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             servers_per_family: 2,
-            rate_per_server: 8,
-            queue_capacity: 16,
-            breaker_threshold: 3,
-            breaker_cooldown: 30,
             degradation: true,
             brownout: BrownoutConfig::default(),
-            reduced_penalty: 0.25,
-            cached_penalty: 0.5,
             trials_per_work_unit: 16,
             threads: 1,
             anticipation: None,
@@ -308,11 +305,14 @@ impl ServiceEngine {
     ///
     /// # Panics
     ///
-    /// Panics if `threads == 0`, if a replication config asks for zero
-    /// replicas, or (delegated to the bulkhead constructor) if
-    /// `servers_per_family == 0` or `rate_per_server == 0`.
+    /// Panics if `threads == 0`, if `servers_per_family == 0`, or if a
+    /// replication config asks for zero replicas.
     pub fn new(config: ServiceConfig) -> Self {
         assert!(config.threads >= 1, "thread budget must be at least 1");
+        assert!(
+            config.servers_per_family >= 1,
+            "servers_per_family must be at least 1"
+        );
         if let Some(rcfg) = &config.replication {
             assert!(
                 rcfg.replicas >= 1,
@@ -534,7 +534,6 @@ struct ServeLoop<'a> {
     /// Whether the config asked for replication; an unreplicated serve
     /// runs every family as a set of one. Read in exactly three places.
     replicated: bool,
-    hedge_fraction_milli: u64,
     pool: ParallelTrials,
     backend_master: u64,
     /// Per-family cache tables: the level-2 / fallback answer.
@@ -571,7 +570,7 @@ struct ServeLoop<'a> {
     /// occupancy), not the full deficit: counting its own planned
     /// degradation as pressure would be a positive feedback loop that
     /// never lets the dimmer recover (at level 2 every response charges
-    /// `cached_penalty`, which would hold the pressure above the raise
+    /// [`CACHED_PENALTY`], which would hold the pressure above the raise
     /// threshold forever).
     hard: u64,
     adjudicated: u64,
@@ -611,10 +610,10 @@ impl<'a> ServeLoop<'a> {
                 ReplicaSet::new(
                     &rcfg,
                     cfg.servers_per_family,
-                    cfg.rate_per_server,
-                    cfg.queue_capacity,
-                    cfg.breaker_threshold,
-                    cfg.breaker_cooldown,
+                    RATE_PER_SERVER,
+                    QUEUE_CAPACITY,
+                    BREAKER_THRESHOLD,
+                    BREAKER_COOLDOWN,
                 )
             })
             .collect();
@@ -623,7 +622,7 @@ impl<'a> ServeLoop<'a> {
         let anticipation = cfg.anticipation.as_ref().map(|a| {
             (
                 AnticipationController::new(a.clone()),
-                LossWindow::new(a.loss_window),
+                LossWindow::new(LOSS_WINDOW),
             )
         });
         // The controller starts in Normal, so Normal's policy set
@@ -633,7 +632,7 @@ impl<'a> ServeLoop<'a> {
             brownout.set_floor(0, acfg.normal.brownout_floor);
             brownout.set_ceiling(0, acfg.normal.brownout_ceiling);
             deadline_scale_milli = acfg.normal.deadline_scale_milli;
-            set_cooldowns(&mut sets, cfg, acfg.normal.cooldown_scale_milli);
+            set_cooldowns(&mut sets, acfg.normal.cooldown_scale_milli);
         }
 
         // Hard ceiling so a logic bug can never hang the run: up to
@@ -641,7 +640,7 @@ impl<'a> ServeLoop<'a> {
         // possibly gray- or delay-inflated. It only guards against
         // non-convergence, so it is deliberately generous.
         let total_work: u64 = trace.requests.iter().map(|r| r.cost).sum();
-        let delay_work = plan.delay_ms().saturating_mul(cfg.rate_per_server);
+        let delay_work = plan.delay_ms().saturating_mul(RATE_PER_SERVER);
         let tick_ceiling = trace
             .horizon()
             .saturating_add(
@@ -650,7 +649,7 @@ impl<'a> ServeLoop<'a> {
                     .saturating_mul(plan.gray_work_factor()),
             )
             .saturating_add((trace.len() as u64).saturating_mul(3 * delay_work))
-            .saturating_add(cfg.breaker_cooldown + 1000);
+            .saturating_add(BREAKER_COOLDOWN + 1000);
 
         ServeLoop {
             cfg,
@@ -658,7 +657,6 @@ impl<'a> ServeLoop<'a> {
             plan,
             telemetry,
             replicated: cfg.replication.is_some(),
-            hedge_fraction_milli: rcfg.hedge_fraction_milli,
             pool,
             backend_master,
             cached_values,
@@ -764,7 +762,7 @@ impl<'a> ServeLoop<'a> {
                     latency,
                     value,
                 };
-                (served, cfg.cached_penalty)
+                (served, CACHED_PENALTY)
             } else {
                 let cause = attempt.cause().to_string();
                 (Disposition::Failed { cause }, 1.0)
@@ -802,8 +800,8 @@ impl<'a> ServeLoop<'a> {
         });
         let penalty = match flight.fidelity {
             Fidelity::Full => 0.0,
-            Fidelity::Reduced => cfg.reduced_penalty,
-            Fidelity::Cached => cfg.cached_penalty,
+            Fidelity::Reduced => REDUCED_PENALTY,
+            Fidelity::Cached => CACHED_PENALTY,
         };
         let disposition = Disposition::Served {
             fidelity: flight.fidelity,
@@ -858,7 +856,7 @@ impl<'a> ServeLoop<'a> {
             return Some(if cfg.degradation {
                 // Brownout the failure: answer from cache rather than
                 // turning the caller away.
-                (cached, cfg.cached_penalty, None)
+                (cached, CACHED_PENALTY, None)
             } else {
                 // Dwell anchor: the lock-out became total when the
                 // *last* replica's breaker opened.
@@ -881,12 +879,12 @@ impl<'a> ServeLoop<'a> {
             (false, _) => &[Fidelity::Full],
             (true, 0) => &[Fidelity::Full, Fidelity::Reduced],
             (true, 1) => &[Fidelity::Reduced],
-            (true, _) => return Some((cached, cfg.cached_penalty, None)),
+            (true, _) => return Some((cached, CACHED_PENALTY, None)),
         };
 
         // The blame model for gate sheds reasons about the family's
         // total capacity and backlog.
-        let aggregate_rate = cfg.rate_per_server * cfg.servers_per_family as u64;
+        let aggregate_rate = RATE_PER_SERVER * cfg.servers_per_family as u64;
         ReplicaRouter::rank(set, &self.eligible, tick, &mut self.ranked);
         if self.ranked.is_empty() {
             let backlog = set.bulkheads.iter().map(Bulkhead::backlog).sum();
@@ -1022,7 +1020,7 @@ impl<'a> ServeLoop<'a> {
     }
 
     /// Launch a hedge attempt when the primary's projected completion
-    /// eats more than `hedge_fraction_milli` of the deadline. Probe
+    /// eats more than [`HEDGE_FRACTION_MILLI`] of the deadline. Probe
     /// safety: both the primary and the hedge target must *peek*
     /// Closed — hedging a half-open probe (or onto one) could cancel
     /// the probe and wedge the breaker's half-open state forever.
@@ -1030,7 +1028,7 @@ impl<'a> ServeLoop<'a> {
         let set = &self.sets[fam];
         if set.len() < 2
             || primary_est.saturating_mul(1000)
-                <= self.hedge_fraction_milli.saturating_mul(flight.deadline)
+                <= HEDGE_FRACTION_MILLI.saturating_mul(flight.deadline)
             || set.breakers[primary as usize].peek_state(self.tick) != BreakerState::Closed
         {
             return;
@@ -1157,8 +1155,9 @@ impl<'a> ServeLoop<'a> {
             match how {
                 Decided::AtArrival(_, gate) => sketch.gate = gate,
                 Decided::Flight(flight) => {
-                    let rate = self.cfg.rate_per_server;
-                    let attempts = flight.attempts().map(|a| a.sketch(flight.base_work, rate));
+                    let attempts = flight
+                        .attempts()
+                        .map(|a| a.sketch(flight.base_work, RATE_PER_SERVER));
                     sketch.attempts.extend(attempts);
                     sketch.attempts.sort_by_key(|a| (a.enqueued, a.replica));
                     sketch.admitted = Some(flight.fidelity.as_str());
@@ -1241,7 +1240,7 @@ impl<'a> ServeLoop<'a> {
         let policy = acfg.policy(mode);
         self.brownout.set_floor(tick, policy.brownout_floor);
         self.brownout.set_ceiling(tick, policy.brownout_ceiling);
-        set_cooldowns(&mut self.sets, cfg, policy.cooldown_scale_milli);
+        set_cooldowns(&mut self.sets, policy.cooldown_scale_milli);
         self.deadline_scale_milli = policy.deadline_scale_milli;
         // Provisioning is re-estimated at mode changes (not every tick):
         // the quantile sort stays off the hot path and the bias is
@@ -1249,11 +1248,7 @@ impl<'a> ServeLoop<'a> {
         self.pressure_bias = match mode {
             OperatingMode::Normal => 0.0,
             _ => losses
-                .provision(
-                    policy.provisioning,
-                    acfg.quantile_milli,
-                    acfg.heavy_tail_alpha,
-                )
+                .provision(policy.provisioning, QUANTILE_MILLI, HEAVY_TAIL_ALPHA)
                 .clamp(0.0, 1.0),
         };
     }
@@ -1350,10 +1345,10 @@ impl<'a> ServeLoop<'a> {
     }
 }
 
-/// Scale every replica breaker's cooldown to `scale_milli` of the
-/// configured one (an anticipation policy lever).
-fn set_cooldowns(sets: &mut [ReplicaSet], cfg: &ServiceConfig, scale_milli: u64) {
-    let cooldown = cfg.breaker_cooldown.saturating_mul(scale_milli) / 1000;
+/// Scale every replica breaker's cooldown to `scale_milli` of
+/// [`BREAKER_COOLDOWN`] (an anticipation policy lever).
+fn set_cooldowns(sets: &mut [ReplicaSet], scale_milli: u64) {
+    let cooldown = BREAKER_COOLDOWN.saturating_mul(scale_milli) / 1000;
     for breaker in sets.iter_mut().flat_map(|s| s.breakers.iter_mut()) {
         breaker.set_cooldown(cooldown);
     }
@@ -1699,5 +1694,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A family with no servers is rejected up front, naming the field,
+    /// before any replica set splits (or, unreplicated, a bulkhead
+    /// receives) the zero.
+    #[test]
+    #[should_panic(expected = "servers_per_family")]
+    fn new_rejects_zero_servers_per_family() {
+        ServiceEngine::new(ServiceConfig {
+            servers_per_family: 0,
+            replication: Some(ReplicationConfig::default()),
+            ..ServiceConfig::default()
+        });
     }
 }

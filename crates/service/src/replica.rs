@@ -39,6 +39,10 @@
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::bulkhead::Bulkhead;
 
+/// Hedge when the primary's projected completion exceeds this fraction
+/// of the deadline, in milli-units (600 = 60%).
+pub const HEDGE_FRACTION_MILLI: u64 = 600;
+
 /// Tuning of the replication layer. All quantities are logical-clock
 /// units; replication redistributes the family's existing capacity
 /// across replicas (it never adds servers). `N = 1` splits nothing,
@@ -49,7 +53,7 @@ use crate::bulkhead::Bulkhead;
 pub struct ReplicationConfig {
     /// Replicas per family (`N`). For `N > 1` each replica gets
     /// `(servers_per_family / N).max(1)` servers and
-    /// `(queue_capacity / N).max(1)` queue slots; a set of one keeps
+    /// `(QUEUE_CAPACITY / N).max(1)` queue slots; a set of one keeps
     /// the family's capacity exactly.
     pub replicas: usize,
     /// Diversity-class assignment: replica `i` belongs to class
@@ -57,10 +61,6 @@ pub struct ReplicationConfig {
     /// replica its own class — maximal diversity; `vec![0]` makes the
     /// set homogeneous, so one correlated draw fells all of it.
     pub diversity_classes: Vec<u32>,
-    /// Hedge when the primary's projected completion exceeds this
-    /// fraction of the deadline, in milli-units (600 = 60%). A huge
-    /// value disables hedging.
-    pub hedge_fraction_milli: u64,
     /// Retry-budget capacity in whole tokens; each hedge or failover
     /// spends one. The bucket starts full.
     pub budget_capacity: u32,
@@ -74,7 +74,6 @@ impl Default for ReplicationConfig {
         ReplicationConfig {
             replicas: 2,
             diversity_classes: Vec::new(),
-            hedge_fraction_milli: 600,
             budget_capacity: 8,
             budget_refill_milli: 125,
         }
@@ -136,11 +135,6 @@ impl RetryBudget {
             self.exhausted += 1;
             false
         }
-    }
-
-    /// Milli-tokens currently in the bucket.
-    pub fn tokens_milli(&self) -> u64 {
-        self.tokens_milli
     }
 
     /// Tokens spent so far.
@@ -321,7 +315,7 @@ mod tests {
         for _ in 0..100 {
             b.tick();
         }
-        assert_eq!(b.tokens_milli(), 2000, "refill caps at capacity");
+        assert_eq!(b.tokens_milli, 2000, "refill caps at capacity");
     }
 
     #[test]

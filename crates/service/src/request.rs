@@ -173,11 +173,6 @@ impl Fidelity {
             Fidelity::Cached => "cached",
         }
     }
-
-    /// Whether this fidelity counts as degraded service.
-    pub fn is_degraded(&self) -> bool {
-        !matches!(self, Fidelity::Full)
-    }
 }
 
 impl fmt::Display for Fidelity {

@@ -17,7 +17,7 @@ use crate::distributions::Sampler;
 
 /// Running means `x̄₁, x̄₂, …, x̄ₙ` of a sample — the insurer's premium
 /// estimate as history accumulates.
-pub fn running_means(data: &[f64]) -> Vec<f64> {
+fn running_means(data: &[f64]) -> Vec<f64> {
     let mut out = Vec::with_capacity(data.len());
     let mut sum = 0.0;
     for (i, &x) in data.iter().enumerate() {

@@ -47,5 +47,5 @@ pub use bistable::{BistableProcess, TippingRun};
 pub use descriptive::{histogram, log_histogram, quantile, Summary};
 pub use distributions::{Gaussian, Lognormal, Pareto, Sampler};
 pub use ews::{kendall_tau, EwsConfig, EwsReport};
-pub use heavy_tail::{running_means, InsuranceExperiment, MeanStability};
-pub use tail::{ccdf, fit_pareto_mle, hill_estimator};
+pub use heavy_tail::{InsuranceExperiment, MeanStability};
+pub use tail::hill_estimator;

@@ -7,7 +7,7 @@
 //! resilience analyst must answer about a loss process.
 
 /// Empirical complementary CDF: sorted `(x, P(X > x))` pairs.
-pub fn ccdf(data: &[f64]) -> Vec<(f64, f64)> {
+fn ccdf(data: &[f64]) -> Vec<(f64, f64)> {
     let mut sorted: Vec<f64> = data.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
     let n = sorted.len() as f64;
@@ -16,29 +16,6 @@ pub fn ccdf(data: &[f64]) -> Vec<(f64, f64)> {
         .enumerate()
         .map(|(i, &x)| (x, 1.0 - (i + 1) as f64 / n))
         .collect()
-}
-
-/// Maximum-likelihood Pareto shape estimate for data with known scale
-/// `xm`: `α̂ = n / Σ ln(xᵢ/xm)` over the observations ≥ `xm`.
-///
-/// Returns `None` if fewer than 2 observations exceed `xm` or `xm ≤ 0`.
-pub fn fit_pareto_mle(data: &[f64], xm: f64) -> Option<f64> {
-    if xm <= 0.0 {
-        return None;
-    }
-    let logs: Vec<f64> = data
-        .iter()
-        .filter(|&&x| x >= xm)
-        .map(|&x| (x / xm).ln())
-        .collect();
-    if logs.len() < 2 {
-        return None;
-    }
-    let sum: f64 = logs.iter().sum();
-    if sum <= 0.0 {
-        return None;
-    }
-    Some(logs.len() as f64 / sum)
 }
 
 /// Hill estimator of the tail index using the `k` largest observations:
@@ -114,27 +91,6 @@ mod tests {
             assert!(w[0].1 >= w[1].1);
         }
         assert_eq!(c.last().unwrap().1, 0.0);
-    }
-
-    #[test]
-    fn mle_recovers_alpha() {
-        for alpha in [1.2, 2.0, 3.0] {
-            let xs = pareto_sample(alpha, 50_000, 42);
-            let est = fit_pareto_mle(&xs, 1.0).unwrap();
-            assert!(
-                (est - alpha).abs() / alpha < 0.05,
-                "alpha {alpha}: est {est}"
-            );
-        }
-    }
-
-    #[test]
-    fn mle_degenerate_inputs() {
-        assert_eq!(fit_pareto_mle(&[2.0], 1.0), None);
-        assert_eq!(fit_pareto_mle(&[2.0, 3.0], 0.0), None);
-        assert_eq!(fit_pareto_mle(&[0.5, 0.7], 1.0), None);
-        // All at xm ⇒ zero log-sum.
-        assert_eq!(fit_pareto_mle(&[1.0, 1.0, 1.0], 1.0), None);
     }
 
     #[test]

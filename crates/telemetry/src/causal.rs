@@ -20,7 +20,7 @@ use crate::metrics::MetricsRegistry;
 
 /// Bucket bounds for the `service_queue_wait_ticks` histogram (ticks a
 /// winning attempt spent between enqueue and service start).
-pub const QUEUE_WAIT_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+const QUEUE_WAIT_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
 
 /// What a causal span represents in the request lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -414,7 +414,7 @@ impl CausalTracer {
     }
 
     /// Winning-attempt queue waits, one per request that ran an attempt.
-    pub fn queue_waits(&self) -> &[u64] {
+    fn queue_waits(&self) -> &[u64] {
         &self.queue_waits
     }
 

@@ -16,6 +16,7 @@
 //!   pays its price.
 
 use proptest::prelude::*;
+use systems_resilience::anticipate::detector::DETREND_ALPHA;
 use systems_resilience::anticipate::{
     AnticipationConfig, EarlyWarning, EarlyWarningConfig, OperatingMode,
 };
@@ -116,11 +117,10 @@ proptest! {
             window,
             ..EarlyWarningConfig::default()
         };
-        let alpha = config.detrend_alpha;
         let mut detector = EarlyWarning::new(config);
         for (i, &x) in samples.iter().enumerate() {
             let snap = detector.observe(x);
-            let (var, ac) = reference_indicators(&samples[..=i], alpha, window);
+            let (var, ac) = reference_indicators(&samples[..=i], DETREND_ALPHA, window);
             prop_assert!(
                 (snap.variance - var).abs() <= 1e-9 * var.max(1.0),
                 "sample {}: incremental variance {} vs reference {}",

@@ -282,7 +282,6 @@ proptest! {
             emergency_on,
             emergency_off,
             dwell,
-            ..NodeAnticipationConfig::default()
         };
         let obs = stream(&obs, &[alert_on, alert_off, emergency_on, emergency_off], 0);
         prop_assert_eq!(
