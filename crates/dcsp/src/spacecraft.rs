@@ -22,16 +22,16 @@ use resilience_core::{resilience_loss, Config, QualityTrajectory, ShockSchedule}
 ///
 /// ```
 /// use resilience_dcsp::Spacecraft;
-/// use resilience_core::seeded_rng;
+/// use resilience_core::{seeded_rng, ShockSchedule};
 ///
 /// let mut craft = Spacecraft::new(12, 3, 1);
 /// assert_eq!(craft.guaranteed_k(), 3); // ≤3 damage, 1 repair/step
-/// let mut rng = seeded_rng(1);
-/// craft.debris_strike(&mut rng);
-/// for _ in 0..craft.guaranteed_k() {
-///     craft.repair_step();
-/// }
-/// assert!(craft.is_operational());
+/// // Debris every 10 steps: each strike is repaired before the next.
+/// let schedule = ShockSchedule::Periodic { period: 10 };
+/// let log = craft.simulate_mission(55, &schedule, &mut seeded_rng(1));
+/// assert_eq!(log.strikes, 5);
+/// assert!(log.longest_outage <= craft.guaranteed_k());
+/// assert_eq!(craft.quality(), 100.0);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Spacecraft {
