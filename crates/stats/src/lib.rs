@@ -9,7 +9,7 @@
 //!   distribution may not have a finite average value or a finite standard
 //!   deviation. This means that we can not rely on insurance." The
 //!   [`distributions`] and [`heavy_tail`] modules sample and diagnose such
-//!   distributions; [`tail`] estimates tail exponents (Hill / MLE).
+//!   distributions; [`tail`] estimates tail exponents (Hill / log-log slope).
 //! * **§3.4.1 (anticipation):** "for any dynamical systems there could be
 //!   early-warning signals that indicate the system is near a tipping
 //!   point" (Scheffer et al. 2009). The [`bistable`] module generates the
