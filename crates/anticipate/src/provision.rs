@@ -15,16 +15,6 @@ use serde::{Deserialize, Serialize};
 
 use resilience_stats::hill_estimator;
 
-/// Losses the serving layer's provisioning window retains.
-pub const LOSS_WINDOW: usize = 256;
-/// Tail quantile used by quantile provisioning, in milli-units
-/// (950 = p95).
-pub const QUANTILE_MILLI: u64 = 950;
-/// Hill tail exponent below which the loss distribution is treated as
-/// heavy-tailed (α < 2 has infinite variance; this hedges a little
-/// above that).
-pub const HEAVY_TAIL_ALPHA: f64 = 2.5;
-
 /// How observed losses become a provisioning estimate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProvisioningPolicy {

@@ -67,7 +67,6 @@
 //! `bruneau::resilience_loss` over this trajectory — the service scores
 //! its own resilience triangle.
 
-use resilience_anticipate::provision::{HEAVY_TAIL_ALPHA, LOSS_WINDOW, QUANTILE_MILLI};
 use resilience_anticipate::{
     AnticipationConfig, AnticipationController, LossWindow, ModeTransition, OperatingMode,
 };
@@ -87,7 +86,6 @@ use crate::brownout::{BrownoutConfig, BrownoutController};
 use crate::bulkhead::{Bulkhead, Job};
 use crate::replica::{
     ReplicaFamilyStats, ReplicaOutcome, ReplicaRouter, ReplicaSet, ReplicationConfig, RetryBudget,
-    HEDGE_FRACTION_MILLI,
 };
 use crate::request::{Disposition, Fidelity, Request, RequestOutcome, RequestTrace, ShedReason};
 
@@ -104,6 +102,18 @@ pub const BREAKER_COOLDOWN: u64 = 30;
 pub const REDUCED_PENALTY: f64 = 0.25;
 /// Quality deficit charged for a cached response.
 pub const CACHED_PENALTY: f64 = 0.5;
+/// Hedge when the primary's projected completion exceeds this fraction
+/// of the deadline, in milli-units (600 = 60%).
+pub const HEDGE_FRACTION_MILLI: u64 = 600;
+/// Losses the anticipation loop's provisioning window retains.
+pub const LOSS_WINDOW: usize = 256;
+/// Tail quantile used by quantile provisioning, in milli-units
+/// (950 = p95).
+pub const QUANTILE_MILLI: u64 = 950;
+/// Hill tail exponent below which the loss distribution is treated as
+/// heavy-tailed (α < 2 has infinite variance; this hedges a little
+/// above that).
+pub const HEAVY_TAIL_ALPHA: f64 = 2.5;
 
 /// Tuning of the serving layer. All quantities are logical-clock units;
 /// `threads` is the only physical knob and never changes any output.

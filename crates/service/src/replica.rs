@@ -39,10 +39,6 @@
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::bulkhead::Bulkhead;
 
-/// Hedge when the primary's projected completion exceeds this fraction
-/// of the deadline, in milli-units (600 = 60%).
-pub const HEDGE_FRACTION_MILLI: u64 = 600;
-
 /// Tuning of the replication layer. All quantities are logical-clock
 /// units; replication redistributes the family's existing capacity
 /// across replicas (it never adds servers). `N = 1` splits nothing,
