@@ -270,8 +270,8 @@ mod tests {
     /// population, fitness and reproduction thresholds) through one seeded
     /// drifting run, built the way [`evaluate_allocation`] builds it: the
     /// population and mean-fitness series are hashed bit for bit. (The
-    /// genotype-diversity series sums over a `HashMap`, so its last bits
-    /// vary from run to run.)
+    /// genotype-diversity series is pinned on its own, by
+    /// `seeded_drift_diversity_series_matches_pinned_digest`.)
     #[test]
     fn seeded_drift_run_matches_pinned_digest() {
         let config = SimConfig::default();
@@ -288,5 +288,26 @@ mod tests {
                 (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
             });
         assert_eq!(digest, 0xf5fb_d2af_628b_9df1);
+    }
+
+    /// The genotype-diversity series of the same run, bit for bit: the
+    /// inverse-Simpson sum runs over sorted class counts, so no map
+    /// order reaches it.
+    #[test]
+    fn seeded_drift_diversity_series_matches_pinned_digest() {
+        let config = SimConfig::default();
+        let params = BudgetedParams::from_allocation(&BudgetAllocation::uniform());
+        let mut rng = seeded_rng(11);
+        let kind = EnvironmentKind::Drift { bits_per_step: 2 };
+        let env = Environment::random(N_BITS, kind, &mut rng);
+        let out = Simulation::new(config, params, env, &mut rng).run(60, &mut rng);
+        let digest = out
+            .diversity_series
+            .values()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, v| {
+                (h ^ v.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+        assert_eq!(digest, 0x0fa9_28e9_bac2_3d9f);
     }
 }

@@ -86,7 +86,11 @@ impl Population {
         for o in &self.members {
             *classes.entry(&o.genome).or_insert(0) += 1;
         }
-        let counts: Vec<f64> = classes.values().map(|&c| c as f64).collect();
+        // Sorted, so the diversity sum runs in one order whatever the
+        // map's iteration order: the statistic is then bit-identical
+        // between runs of one seed.
+        let mut counts: Vec<f64> = classes.values().map(|&c| c as f64).collect();
+        counts.sort_by(f64::total_cmp);
         let n = self.members.len() as f64;
         PopulationStats {
             size: self.members.len(),

@@ -17,6 +17,15 @@ use crate::config::Config;
 /// [`Constraint::violation`] with a cheaper or better-shaped measure of
 /// "how unfit" a configuration is (repair heuristics descend on it).
 ///
+/// Greedy repair reads every single-bit neighbour's violation through
+/// [`Constraint::flip_violations`]. Its default probes one reused copy,
+/// which is right for any constraint; override it only where the whole
+/// neighbourhood follows from one pass over the configuration, as the
+/// counting constraints ([`AllOnes`], [`AtLeastOnes`]) do from one
+/// popcount. An override must be bit-exact: each entry equal, by
+/// `f64::to_bits`, to what the probe would read, for every
+/// configuration including ones of the wrong length.
+///
 /// The trait is object-safe; environments are commonly handled as
 /// `Arc<dyn Constraint>` so a shock can swap them atomically.
 pub trait Constraint: Send + Sync {
@@ -33,6 +42,27 @@ pub trait Constraint: Send + Sync {
             0.0
         } else {
             1.0
+        }
+    }
+
+    /// Write into `out[i]` the violation of `config` with bit `i`
+    /// flipped, for every `i` — one call for the whole single-flip
+    /// neighbourhood a repair step chooses from.
+    ///
+    /// The default flips each bit of one copy of `config`, reads
+    /// [`Constraint::violation`] and flips it back. Overrides must match
+    /// it bit for bit (see the trait docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out.len() != config.len()`.
+    fn flip_violations(&self, config: &Config, out: &mut [f64]) {
+        assert_eq!(out.len(), config.len(), "one slot per configuration bit");
+        let mut probe = config.clone();
+        for (i, slot) in out.iter_mut().enumerate() {
+            probe.flip(i);
+            *slot = self.violation(&probe);
+            probe.flip(i);
         }
     }
 
@@ -113,6 +143,20 @@ impl Constraint for AllOnes {
         config.count_zeros() as f64
     }
 
+    /// Flipping a one adds a zero and flipping a zero removes one.
+    fn flip_violations(&self, config: &Config, out: &mut [f64]) {
+        if config.len() != self.len {
+            return fill_infinite(config, out);
+        }
+        let zeros = config.count_zeros();
+        fill_by_bit(
+            config,
+            out,
+            (zeros + 1) as f64,
+            zeros.saturating_sub(1) as f64,
+        );
+    }
+
     fn arity(&self) -> Option<usize> {
         Some(self.len)
     }
@@ -165,6 +209,17 @@ impl Constraint for AtLeastOnes {
         self.k.saturating_sub(config.count_ones()) as f64
     }
 
+    /// Flipping a one loses one and flipping a zero gains one.
+    fn flip_violations(&self, config: &Config, out: &mut [f64]) {
+        if config.len() != self.len {
+            return fill_infinite(config, out);
+        }
+        let ones = config.count_ones();
+        let lose = self.k.saturating_sub(ones.saturating_sub(1)) as f64;
+        let gain = self.k.saturating_sub(ones + 1) as f64;
+        fill_by_bit(config, out, lose, gain);
+    }
+
     fn arity(&self) -> Option<usize> {
         Some(self.len)
     }
@@ -177,6 +232,26 @@ impl Constraint for AtLeastOnes {
 
     fn describe(&self) -> String {
         format!("at least {} of {} components good", self.k, self.len)
+    }
+}
+
+/// Fill `out` with `INFINITY`: every neighbour of a wrong-length
+/// configuration has the wrong length too.
+fn fill_infinite(config: &Config, out: &mut [f64]) {
+    assert_eq!(out.len(), config.len(), "one slot per configuration bit");
+    out.fill(f64::INFINITY);
+}
+
+/// Write `one` where `config` has a 1-bit and `zero` where it has a
+/// 0-bit, a word at a time. The bit indexes a two-entry table rather
+/// than a branch, which damaged states would mispredict.
+fn fill_by_bit(config: &Config, out: &mut [f64], one: f64, zero: f64) {
+    assert_eq!(out.len(), config.len(), "one slot per configuration bit");
+    let pick = [zero, one];
+    for (chunk, &word) in out.chunks_mut(64).zip(config.words()) {
+        for (b, slot) in chunk.iter_mut().enumerate() {
+            *slot = pick[((word >> b) & 1) as usize];
+        }
     }
 }
 

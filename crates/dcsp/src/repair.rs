@@ -87,22 +87,32 @@ impl RepairStrategy for GreedyRepair {
         true
     }
 
+    /// One [`Constraint::flip_violations`] call reads the whole
+    /// neighbourhood into a stack buffer (a heap one past 64 bits); one
+    /// scan keeps the best violation so far, starting from the current
+    /// one, and moves only on a strict `<`. So the lowest index wins
+    /// ties, and a NaN neither wins nor blocks a later bit. The scan
+    /// selects rather than branches: the winning bit's position varies
+    /// from state to state, so a branch on it mispredicts.
     fn propose_flip(&self, state: &Config, env: &dyn Constraint) -> Option<usize> {
         let current = env.violation(state);
-        let mut best: Option<(usize, f64)> = None;
-        let mut probe = state.clone();
-        for i in 0..state.len() {
-            probe.flip(i);
-            let v = env.violation(&probe);
-            probe.flip(i);
-            if v < current {
-                match best {
-                    Some((_, bv)) if bv <= v => {}
-                    _ => best = Some((i, v)),
-                }
-            }
+        let mut stack = [0.0; 64];
+        let mut heap = Vec::new();
+        let out = if state.len() <= stack.len() {
+            &mut stack[..state.len()]
+        } else {
+            heap.resize(state.len(), 0.0);
+            &mut heap[..]
+        };
+        env.flip_violations(state, out);
+        let mut best = usize::MAX;
+        let mut best_v = current;
+        for (i, &v) in out.iter().enumerate() {
+            let better = v < best_v;
+            best = if better { i } else { best };
+            best_v = if better { v } else { best_v };
         }
-        best.map(|(i, _)| i)
+        (best != usize::MAX).then_some(best)
     }
 }
 

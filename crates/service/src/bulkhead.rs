@@ -158,13 +158,14 @@ impl Bulkhead {
     }
 
     /// Advance one logical tick: each server retires up to `rate` work
-    /// units, completed jobs are returned (in server order, which is
-    /// itself deterministic FIFO dispatch order), and freed servers pull
-    /// the next queued jobs. A single job's leftover tick capacity does
-    /// not spill into the next queued job — one job per server per tick
-    /// keeps the model simple and strictly deterministic.
-    pub fn tick(&mut self) -> Vec<Job> {
-        let mut completed = Vec::new();
+    /// units, completed jobs are appended to `completed` (in server
+    /// order, which is itself deterministic FIFO dispatch order), and
+    /// freed servers pull the next queued jobs. A single job's leftover
+    /// tick capacity does not spill into the next queued job — one job
+    /// per server per tick keeps the model simple and strictly
+    /// deterministic. The caller owns and clears the buffer, so a serve
+    /// reuses one across every tick.
+    pub fn tick(&mut self, completed: &mut Vec<Job>) {
         for slot in &mut self.in_service {
             if let Some(job) = slot {
                 job.work = job.work.saturating_sub(self.rate);
@@ -182,13 +183,19 @@ impl Bulkhead {
                 }
             }
         }
-        completed
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One tick's completions.
+    fn tick(b: &mut Bulkhead) -> Vec<Job> {
+        let mut done = Vec::new();
+        b.tick(&mut done);
+        done
+    }
 
     #[test]
     fn drains_fifo_and_reports_completions() {
@@ -197,12 +204,12 @@ mod tests {
         b.admit(Job { id: 1, work: 10 });
         assert_eq!(b.backlog(), 20);
         // Tick 1: nothing in service yet; the server picks up job 0.
-        assert!(b.tick().is_empty());
+        assert!(tick(&mut b).is_empty());
         // Tick 2: job 0 retires, job 1 enters service.
-        let done = b.tick();
+        let done = tick(&mut b);
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].id, 0);
-        let done = b.tick();
+        let done = tick(&mut b);
         assert_eq!(done[0].id, 1);
         assert_eq!(b.backlog(), 0);
     }
@@ -212,8 +219,8 @@ mod tests {
         let mut b = Bulkhead::new(4, 2, 5);
         b.admit(Job { id: 7, work: 5 });
         b.admit(Job { id: 8, work: 5 });
-        b.tick(); // both enter service
-        let done = b.tick();
+        tick(&mut b); // both enter service
+        let done = tick(&mut b);
         assert_eq!(done.iter().map(|j| j.id).collect::<Vec<_>>(), vec![7, 8]);
     }
 
@@ -256,7 +263,7 @@ mod tests {
         let mut b = Bulkhead::new(2, 1, 4);
         b.admit(Job { id: 0, work: 8 });
         b.admit(Job { id: 1, work: 4 });
-        b.tick(); // job 0 enters service with 4 work left
+        tick(&mut b); // job 0 enters service with 4 work left
         let probe = b.peek_backlog();
         assert_eq!(probe.queued, b.queued());
         assert_eq!(probe.in_service, 1);
@@ -272,8 +279,8 @@ mod tests {
         let mut b = Bulkhead::new(4, 1, 4);
         b.admit(Job { id: 0, work: 12 });
         b.admit(Job { id: 1, work: 6 });
-        b.tick(); // job 0 enters service
-        b.tick(); // job 0 retires 4 units: 8 work left
+        tick(&mut b); // job 0 enters service
+        tick(&mut b); // job 0 retires 4 units: 8 work left
         let queued = b.cancel(1).expect("queued job cancels");
         assert_eq!(queued.work, 6, "queued work untouched before cancel");
         let serving = b.cancel(0).expect("in-service job cancels");
@@ -287,13 +294,13 @@ mod tests {
         let mut b = Bulkhead::new(4, 1, 10);
         b.admit(Job { id: 0, work: 25 });
         b.admit(Job { id: 1, work: 10 });
-        b.tick(); // job 0 in service
+        tick(&mut b); // job 0 in service
         b.cancel(0);
         // The freed server stays idle this tick; job 1 is picked up on
         // the next tick and completes on the one after.
-        let done = b.tick();
+        let done = tick(&mut b);
         assert!(done.is_empty());
-        let done = b.tick();
+        let done = tick(&mut b);
         assert_eq!(done.iter().map(|j| j.id).collect::<Vec<_>>(), vec![1]);
     }
 }

@@ -589,6 +589,8 @@ struct ServeLoop<'a> {
     /// router's ranking of the eligible replicas.
     eligible: Vec<bool>,
     ranked: Vec<u32>,
+    /// Reusable buffer for one bulkhead tick's completed attempts.
+    completed: Vec<Job>,
     /// Last family queue depth traced (occupancy fires on change).
     traced_queued: Vec<Option<usize>>,
 }
@@ -701,6 +703,7 @@ impl<'a> ServeLoop<'a> {
             adjudicated: 0,
             eligible: Vec::with_capacity(rcfg.replicas),
             ranked: Vec::with_capacity(rcfg.replicas),
+            completed: Vec::new(),
             traced_queued: vec![None; n_families],
         }
     }
@@ -727,14 +730,18 @@ impl<'a> ServeLoop<'a> {
     /// attempts of a hedged request complete on the same tick the
     /// winner is always the lower replica index.
     fn complete(&mut self) {
+        let mut done = std::mem::take(&mut self.completed);
         for fam in 0..self.sets.len() {
             for r in 0..self.sets[fam].len() {
-                for job in self.sets[fam].bulkheads[r].tick() {
+                done.clear();
+                self.sets[fam].bulkheads[r].tick(&mut done);
+                for job in &done {
                     let idx = usize::try_from(job.id).expect("request id fits usize");
                     self.resolve(fam, r as u32, idx);
                 }
             }
         }
+        self.completed = done;
     }
 
     /// Resolve one completed attempt: run the backend or record the
