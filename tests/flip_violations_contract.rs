@@ -1,8 +1,9 @@
 //! The `Constraint::flip_violations` contract: every entry equals, bit
 //! for bit, the violation a probe reads after flipping that one bit of a
 //! copy. The counting constraints override the default from one
-//! popcount; the combinators and the cost adapter keep the default, and
-//! are checked here over counting parts.
+//! popcount. The combinators and the cost adapter keep the default;
+//! they are checked too, over counting parts, so that an override added
+//! to them later is held to the same contract.
 
 use std::sync::Arc;
 
@@ -33,8 +34,8 @@ fn batched(env: &dyn Constraint, config: &Config) -> Vec<u64> {
     out.iter().map(|v| v.to_bits()).collect()
 }
 
-/// The constraints of arity `n` with a batched override, alone and
-/// under each combinator, plus the cost adapter.
+/// The constraints of arity `n` with an override, alone and under each
+/// combinator, plus the cost adapter.
 fn constraints(n: usize, k: usize, seed: u64) -> Vec<Arc<dyn Constraint>> {
     let all_ones: Arc<dyn Constraint> = Arc::new(AllOnes::new(n));
     let at_least: Arc<dyn Constraint> = Arc::new(AtLeastOnes::new(n, k));
