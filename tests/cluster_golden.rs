@@ -16,8 +16,10 @@ use systems_resilience::cluster::{
     AttackSpec, BurnPolicy, ClusterConfig, ClusterEngine, ClusterReport, NodeAnticipationConfig,
     TopologyKind,
 };
-use systems_resilience::core::FaultPlan;
+use systems_resilience::core::{FaultPlan, RecoveryPolicy};
 use systems_resilience::networks::AttackStrategy;
+
+use std::time::Duration;
 
 /// 64-bit FNV-1a over bytes.
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -88,6 +90,15 @@ fn cases() -> Vec<Case> {
     random_burn.burn = BurnPolicy::RandomRelief {
         fraction: 0.05,
         period: 3,
+    };
+    // A slow supervisor: many victims of one tick share a due tick, and
+    // later backoffs land past the horizon.
+    let mut slow_recovery = surging(2_000, TopologyKind::ScaleFree { m: 3 });
+    slow_recovery.recovery = RecoveryPolicy {
+        retries: 5,
+        backoff: Duration::from_millis(3),
+        backoff_cap: Duration::from_millis(20),
+        deadline: None,
     };
     let mut quiet_one = ClusterConfig::new(1, TopologyKind::ScaleFree { m: 1 });
     quiet_one.ticks = 20;
@@ -204,10 +215,18 @@ fn cases() -> Vec<Case> {
             Some(attack(3, Random, 1.0, true)),
             panics(),
         ),
+        case(
+            "slow_recovery_backoff",
+            slow_recovery,
+            13,
+            24,
+            Some(attack(5, TargetedByDegree, 0.1, true)),
+            panics(),
+        ),
     ]
 }
 
-const GOLDEN: [(&str, u64); 13] = [
+const GOLDEN: [(&str, u64); 14] = [
     ("sf_m1_targeted_unrecoverable", 0x5b4a3ce4cd41075e),
     ("sf_m1_random_recoverable", 0x992c5a4161dc3daa),
     ("sf_m3_targeted_recoverable", 0x91717066e2715ded),
@@ -221,6 +240,7 @@ const GOLDEN: [(&str, u64); 13] = [
     ("random_relief_burn", 0xedce38354efa24a3),
     ("anticipation_surge", 0x41f24787673fff10),
     ("one_node_panics", 0x07cb30dd031d65b8),
+    ("slow_recovery_backoff", 0x505d94fd2291ae03),
 ];
 
 #[test]
