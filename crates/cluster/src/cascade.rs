@@ -46,6 +46,8 @@ pub struct CascadeScratch {
     touched: Config,
     /// The next wave's frontier.
     next: Vec<u32>,
+    /// The alive neighbours of the dead node being redistributed.
+    survivors: Vec<u32>,
     /// Every node that toppled during the last [`propagate`] call, in
     /// topple order — the engine plans MAPE-K recovery from this list.
     pub toppled_ids: Vec<u32>,
@@ -57,6 +59,7 @@ impl CascadeScratch {
         CascadeScratch {
             touched: Config::zeros(n),
             next: Vec::new(),
+            survivors: Vec::new(),
             toppled_ids: Vec::new(),
         }
     }
@@ -94,22 +97,25 @@ pub fn propagate(
             if shed == 0.0 {
                 continue;
             }
-            let survivors = topology
-                .neighbors(v)
-                .iter()
-                .filter(|&&w| alive.get(w as usize))
-                .count();
-            if survivors == 0 {
+            // Each neighbour is probed once; the list keeps their
+            // ascending order for the accumulation.
+            let survivors = &mut scratch.survivors;
+            survivors.clear();
+            survivors.extend(
+                topology
+                    .neighbors(v)
+                    .iter()
+                    .filter(|&&w| alive.get(w as usize)),
+            );
+            if survivors.is_empty() {
                 stats.shed_load += shed;
                 continue;
             }
-            let share = shed / survivors as f64;
-            for &w in topology.neighbors(v) {
+            let share = shed / survivors.len() as f64;
+            for &w in survivors.iter() {
                 let w = w as usize;
-                if alive.get(w) {
-                    load[w] += share;
-                    scratch.touched.set(w);
-                }
+                load[w] += share;
+                scratch.touched.set(w);
             }
         }
         // Overload check in ascending order over the touched set.

@@ -5,6 +5,9 @@
 //! function of `(config, topology seed, run seed, attack, fault plan)`:
 //!
 //! 1. **Execute** (MAPE-K) — revivals scheduled by earlier planning fire.
+//!    Scheduled revivals wait in a calendar keyed by due tick, so a tick
+//!    reads only its own bucket; a revival touches only its own node, so
+//!    the order within a bucket is invisible.
 //! 2. **Burn** — the prescribed-burn policy relieves stressed nodes.
 //! 3. **Surge** — seeded load grains drop onto random nodes (the slow
 //!    sandpile drive toward criticality).
@@ -18,7 +21,8 @@
 //!    recovery policy's retry budget; survivors of the budget get a
 //!    revival scheduled after capped-exponential backoff.
 //! 8. **Drain** — served work relaxes each alive node's load toward
-//!    baseline.
+//!    baseline, a word of the alive set at a time with a per-lane select
+//!    instead of a branch per node.
 //! 9. **Score** — giant-component analysis, then per-cause deficit
 //!    charges into the [`TrajectoryObserver`]: dead-awaiting-retry
 //!    (Retry), dead-for-good (Failed), alive-but-disconnected
@@ -36,9 +40,10 @@ use rand::Rng;
 use resilience_anticipate::OperatingMode;
 use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
 use resilience_core::{resilience_loss, seeded_rng, Config, FaultKind, FaultPlan, RecoveryPolicy};
-use resilience_networks::{AttackStrategy, GiantTracker, Graph, TopologyKind};
+use resilience_networks::{AttackStrategy, GiantSnapshot, GiantTracker, Graph, TopologyKind};
 use resilience_telemetry::{DeficitAttribution, DeficitCause, TrajectoryObserver};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Quality-point cost of one burned node for one tick (the controlled
 /// degradation a prescribed burn accepts).
@@ -275,6 +280,9 @@ pub struct ClusterEngine {
     topology: Graph,
     template: NodeFleet,
     attack_order: Vec<u32>,
+    /// The giant of the all-alive fleet every run starts from: the
+    /// topology is fixed, so it is computed once here, not per run.
+    giant_start: GiantSnapshot,
     config: ClusterConfig,
 }
 
@@ -291,10 +299,14 @@ impl ClusterEngine {
     pub fn with_topology(config: ClusterConfig, topology: Graph) -> Self {
         let template = NodeFleet::provision(&topology, config.headroom);
         let attack_order = topology.nodes_by_degree_desc();
+        let mut tracker = GiantTracker::new(&topology);
+        tracker.update(&Config::ones(topology.len()));
+        let giant_start = tracker.snapshot();
         ClusterEngine {
             topology,
             template,
             attack_order,
+            giant_start,
             config,
         }
     }
@@ -323,12 +335,13 @@ impl ClusterEngine {
         let mut fleet = self.template.clone();
         let mut alive = Config::ones(n);
         let mut scratch = CascadeScratch::new(n);
-        let mut giant_tracker = GiantTracker::new(&self.topology);
+        let mut giant_tracker = GiantTracker::resume(&self.topology, &self.giant_start);
         let mut obs = TrajectoryObserver::new(1.0);
         obs.push_full(); // baseline sample before any damage
 
-        let mut scheduled: Vec<u32> = Vec::new(); // dead, revival planned
-        let mut due: Vec<u32> = Vec::new();
+        // Dead nodes with a revival planned, by due tick, and their count.
+        let mut calendar: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut scheduled: usize = 0;
         let mut newly_dead: Vec<u32> = Vec::new();
         let mut spiked: Vec<u32> = Vec::new();
         let mut report = ClusterReport {
@@ -368,21 +381,19 @@ impl ClusterEngine {
         let mut mode_shifts = CappedLog::default();
 
         for tick in 0..self.config.ticks {
-            // 1. Execute: fire due revivals in ascending node order.
-            due.clear();
-            scheduled.retain(|&v| {
-                if fleet.revive_at[v as usize] <= tick {
-                    due.push(v);
-                    false
-                } else {
-                    true
+            // 1. Execute: fire this tick's revivals. Every due tick is
+            // after the tick that planned it, so each bucket is popped on
+            // its own tick.
+            while let Some(bucket) = calendar.first_entry().filter(|b| *b.key() <= tick) {
+                let due = bucket.remove();
+                scheduled -= due.len();
+                for v in due {
+                    let v = v as usize;
+                    debug_assert_eq!(fleet.revive_at[v], tick);
+                    fleet.revive(v);
+                    alive.set(v);
+                    report.recovered += 1;
                 }
-            });
-            due.sort_unstable();
-            for &v in &due {
-                fleet.revive(v as usize);
-                alive.set(v as usize);
-                report.recovered += 1;
             }
 
             // 2. Burn.
@@ -522,7 +533,11 @@ impl ClusterEngine {
                         // attack): dead for good.
                         lost_count += 1;
                     } else if fleet.plan_recovery(v, tick, policy) {
-                        scheduled.push(v as u32);
+                        calendar
+                            .entry(fleet.revive_at[v])
+                            .or_default()
+                            .push(v as u32);
+                        scheduled += 1;
                     } else {
                         lost_count += 1;
                     }
@@ -589,19 +604,12 @@ impl ClusterEngine {
             // arrives" policy).
             if self.config.drain > 0.0 {
                 let keep = 1.0 - self.config.drain;
-                let alert_keep = self.config.anticipation.as_ref().map(|_| {
-                    1.0 - (self.config.drain * ALERT_DRAIN_MILLI as f64 / 1000.0).min(1.0)
+                let alert = self.config.anticipation.as_ref().map(|_| {
+                    let keep =
+                        1.0 - (self.config.drain * ALERT_DRAIN_MILLI as f64 / 1000.0).min(1.0);
+                    (keep, &modes[..])
                 });
-                alive.iter_ones().for_each(|v| {
-                    let excess = fleet.load[v] - fleet.baseline[v];
-                    if excess != 0.0 {
-                        let k = match alert_keep {
-                            Some(ak) if modes[v].level() == 1 => ak,
-                            _ => keep,
-                        };
-                        fleet.load[v] = fleet.baseline[v] + excess * k;
-                    }
-                });
+                drain(&mut fleet.load, &fleet.baseline, &alive, keep, alert);
             }
 
             // 9. Score the tick.
@@ -609,7 +617,7 @@ impl ClusterEngine {
             let giant = giant_tracker.update(&alive) as u64;
             report.min_giant = report.min_giant.min(giant);
             let disconnected = alive_count.saturating_sub(giant);
-            obs.charge(DeficitCause::Retry, scheduled.len() as f64);
+            obs.charge(DeficitCause::Retry, scheduled as f64);
             obs.charge(DeficitCause::Failed, lost_count as f64);
             obs.charge(
                 DeficitCause::Degraded,
@@ -621,7 +629,7 @@ impl ClusterEngine {
             // (dead + ½·disconnected + ¼·burned is provably ≤ n, so
             // only the shed component needs the guard — this keeps the
             // per-cause areas reconciling exactly with total R).
-            let base = scheduled.len() as f64
+            let base = scheduled as f64
                 + lost_count as f64
                 + DISCONNECT_COST * disconnected as f64
                 + BURN_COST * burned_now as f64;
@@ -642,11 +650,49 @@ impl ClusterEngine {
     }
 }
 
+/// Phase 8: keep the fraction `keep` of each alive node's excess load
+/// over `baseline`, or `alert.0` for a node whose ladder level in
+/// `alert.1` is Alert. Walks `alive` a word at a time and picks each
+/// lane's value with a select: a lane moves only when it is alive and
+/// its excess is nonzero, as in a per-node loop. The zero-excess test is
+/// load-bearing: with an infinite drain `keep` is −∞, and
+/// `baseline + 0·keep` would be NaN.
+fn drain(
+    load: &mut [f64],
+    baseline: &[f64],
+    alive: &Config,
+    keep: f64,
+    alert: Option<(f64, &[LadderState])>,
+) {
+    const LANES: usize = u64::BITS as usize;
+    for (i, &word) in alive.words().iter().enumerate() {
+        if word == 0 {
+            continue;
+        }
+        let lo = i * LANES;
+        let hi = (lo + LANES).min(load.len());
+        for (j, (l, &b)) in load[lo..hi].iter_mut().zip(&baseline[lo..hi]).enumerate() {
+            let excess = *l - b;
+            let k = match alert {
+                Some((alert_keep, modes)) if modes[lo + j].level() == 1 => alert_keep,
+                _ => keep,
+            };
+            let drained = b + excess * k;
+            *l = if word >> j & 1 != 0 && excess != 0.0 {
+                drained
+            } else {
+                *l
+            };
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use resilience_core::modes::LOG_CAP;
     use resilience_core::quality::FULL_QUALITY;
+    use std::time::Duration;
 
     fn small_config() -> ClusterConfig {
         let mut c = ClusterConfig::new(400, TopologyKind::ScaleFree { m: 3 });
@@ -777,6 +823,107 @@ mod tests {
         let plateau = engine.run(2, Some(&unrec), &FaultPlan::none());
         assert!(report.resilience_loss() > 0.0);
         assert!(report.resilience_loss() < plateau.resilience_loss());
+    }
+
+    /// A backoff too long for the tick clock schedules a revival past any
+    /// horizon: the run neither overflows nor revives a victim early.
+    #[test]
+    fn a_huge_recovery_backoff_never_revives_inside_the_horizon() {
+        let forever = Duration::from_millis(u64::MAX);
+        let mut config = ClusterConfig::new(200, TopologyKind::ScaleFree { m: 3 });
+        config.recovery = RecoveryPolicy {
+            backoff: forever,
+            backoff_cap: forever,
+            ..RecoveryPolicy::default()
+        };
+        let attack = AttackSpec {
+            tick: 2,
+            strategy: AttackStrategy::Random,
+            fraction: 0.1,
+            recoverable: true,
+        };
+        let report = ClusterEngine::new(config, 7).run(1, Some(&attack), &FaultPlan::none());
+        assert_eq!(report.attack_kills, 20);
+        assert_eq!(report.recovered, 0);
+        assert_eq!(report.lost, 0);
+        assert!(report.final_alive <= 180);
+        // Every victim is still charged as awaiting its retry.
+        assert!(report.attribution.retry > 0.0);
+    }
+
+    /// The drain as a per-node loop with a branch, the form the
+    /// word-wise [`drain`] must match bit for bit.
+    fn drain_per_node(
+        load: &mut [f64],
+        baseline: &[f64],
+        alive: &Config,
+        keep: f64,
+        alert: Option<(f64, &[LadderState])>,
+    ) {
+        alive.iter_ones().for_each(|v| {
+            let excess = load[v] - baseline[v];
+            if excess != 0.0 {
+                let k = match alert {
+                    Some((alert_keep, modes)) if modes[v].level() == 1 => alert_keep,
+                    _ => keep,
+                };
+                load[v] = baseline[v] + excess * k;
+            }
+        });
+    }
+
+    #[test]
+    fn word_wise_drain_matches_the_per_node_loop_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1.0,
+            2.5,
+            -3.0,
+        ];
+        let ladder = NodeAnticipationConfig::default().ladder();
+        let mut levels = [LadderState::default(); 3];
+        ladder.step(&mut levels[1], 0, 0.3);
+        ladder.step(&mut levels[2], 0, 0.6);
+        ladder.step(&mut levels[2], 1, 0.6);
+        assert_eq!(levels.map(|m| m.level()), [0, 1, 2]);
+        // Alive patterns: none, all, every third node, and whole words
+        // alternating with half-filled ones.
+        let patterns: [fn(usize) -> bool; 4] = [
+            |_| false,
+            |_| true,
+            |v| v % 3 == 0,
+            |v| (v / 64) % 2 == 0 || v % 2 == 1,
+        ];
+        for n in [0, 1, 63, 64, 65, 130] {
+            // Every (load, baseline) pair of specials meets in 64 nodes.
+            let load: Vec<f64> = (0..n).map(|v| specials[v % 8]).collect();
+            let baseline: Vec<f64> = (0..n).map(|v| specials[(v / 8) % 8]).collect();
+            let modes: Vec<LadderState> = (0..n).map(|v| levels[v % 3]).collect();
+            for pattern in patterns {
+                let alive: Config = (0..n).map(pattern).collect();
+                for rate in [0.05, 1.0, 2.0, f64::INFINITY] {
+                    let keep = 1.0 - rate;
+                    let alert_keep = 1.0 - (rate * ALERT_DRAIN_MILLI as f64 / 1000.0).min(1.0);
+                    for alert in [None, Some((alert_keep, &modes[..]))] {
+                        let mut want = load.clone();
+                        drain_per_node(&mut want, &baseline, &alive, keep, alert);
+                        let mut got = load.clone();
+                        drain(&mut got, &baseline, &alive, keep, alert);
+                        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(&got),
+                            bits(&want),
+                            "n {n}, alive {alive}, drain {rate}, alert {}",
+                            alert.is_some()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -68,12 +68,15 @@ impl NodeFleet {
     /// count and, if the retry budget allows, schedule a revival after
     /// the policy's capped-exponential backoff (milliseconds read as
     /// logical ticks). Returns `true` if a revival was scheduled,
-    /// `false` if the budget is exhausted (the node is lost).
+    /// `false` if the budget is exhausted (the node is lost). A backoff
+    /// too long for a `u64` tick saturates: the revival is due at
+    /// `u64::MAX`, past any horizon.
     pub fn plan_recovery(&mut self, v: usize, now: u64, policy: &RecoveryPolicy) -> bool {
         self.failures[v] += 1;
         if self.failures[v] <= policy.retries {
-            let backoff = policy.backoff_for(self.failures[v]).as_millis() as u64;
-            self.revive_at[v] = now + 1 + backoff;
+            let backoff = policy.backoff_for(self.failures[v]).as_millis();
+            let backoff = u64::try_from(backoff).unwrap_or(u64::MAX);
+            self.revive_at[v] = now.saturating_add(1).saturating_add(backoff);
             true
         } else {
             self.revive_at[v] = NEVER;
@@ -143,5 +146,27 @@ mod tests {
         fleet.condemn(1, &p);
         assert_eq!(fleet.revive_at[1], NEVER);
         assert!(fleet.failures[1] > p.retries);
+    }
+
+    #[test]
+    fn a_huge_backoff_saturates_instead_of_wrapping() {
+        let top = Graph::from_edges(2, &[(0, 1)]);
+        let mut fleet = NodeFleet::provision(&top, 0.5);
+        let forever = Duration::from_millis(u64::MAX);
+        let p = RecoveryPolicy {
+            backoff: forever,
+            backoff_cap: forever,
+            ..policy()
+        };
+        assert!(fleet.plan_recovery(0, 10, &p));
+        assert_eq!(fleet.revive_at[0], u64::MAX);
+        // A backoff past `u64::MAX` milliseconds saturates too.
+        let p = RecoveryPolicy {
+            backoff: Duration::MAX,
+            backoff_cap: Duration::MAX,
+            ..policy()
+        };
+        assert!(fleet.plan_recovery(1, u64::MAX - 1, &p));
+        assert_eq!(fleet.revive_at[1], u64::MAX);
     }
 }

@@ -27,9 +27,19 @@
 //!   holds no more than half the alive nodes. The last condition is what
 //!   makes the tracked component the unique largest one: any other
 //!   component is then strictly smaller, so repairing it stays exact.
+//!   It also rebuilds at once, without trying a repair, when more than
+//!   half the giant died or the revivals outnumber half the alive
+//!   nodes: a repair that large cannot beat a rebuild, and a collapse's
+//!   death search ends in one anyway.
 //!
 //! Scratch is one `u32` search label per node plus the two sets; the
 //! search queue grows only with the nodes a repair visits.
+//!
+//! A [`GiantSnapshot`] is an owned copy of a tracker's state between
+//! updates. A simulation that starts every run from the same alive set
+//! computes that set's giant once, exports it with
+//! [`GiantTracker::snapshot`], and starts each run's tracker from it
+//! with [`GiantTracker::resume`] instead of rebuilding it per run.
 
 use resilience_core::{BitIndexIter, Config};
 
@@ -52,6 +62,17 @@ fn find_group(groups: &mut [Group], mut g: u32) -> u32 {
         g = grand;
     }
     g
+}
+
+/// A [`GiantTracker`]'s state between two updates: the last alive set
+/// and its tracked giant. Only a tracker makes one, so the members it
+/// holds are always the giant a tracker computed for that alive set.
+#[derive(Debug, Clone)]
+pub struct GiantSnapshot {
+    alive: Config,
+    giant: Config,
+    size: usize,
+    alive_count: usize,
 }
 
 /// The size of a graph's giant component, kept up to date across
@@ -108,6 +129,44 @@ impl<'g> GiantTracker<'g> {
         }
     }
 
+    /// A tracker over `graph` that continues from `snapshot`, as if it
+    /// were the tracker the snapshot was taken from: the next update
+    /// diffs against the snapshot's alive set.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `snapshot` was taken over a graph with another node
+    /// count.
+    pub fn resume(graph: &'g Graph, snapshot: &GiantSnapshot) -> Self {
+        assert!(
+            snapshot.alive.len() == graph.len(),
+            "snapshot covers {} nodes but the graph has {}",
+            snapshot.alive.len(),
+            graph.len()
+        );
+        GiantTracker {
+            graph,
+            alive: snapshot.alive.clone(),
+            giant: snapshot.giant.clone(),
+            size: snapshot.size,
+            alive_count: snapshot.alive_count,
+            label: vec![0; graph.len()],
+            queue: Vec::new(),
+            groups: Vec::new(),
+        }
+    }
+
+    /// The tracker's state after its last update, for
+    /// [`GiantTracker::resume`].
+    pub fn snapshot(&self) -> GiantSnapshot {
+        GiantSnapshot {
+            alive: self.alive.clone(),
+            giant: self.giant.clone(),
+            size: self.size,
+            alive_count: self.alive_count,
+        }
+    }
+
     /// Move to the alive set `alive` and return its giant-component
     /// size (0 if no node is alive).
     ///
@@ -158,6 +217,10 @@ impl<'g> GiantTracker<'g> {
         if revived == 0 && 2 * (self.size - giant_lost) <= self.alive_count {
             // Without revivals the giant can only shrink: what is left of
             // it cannot hold more than half the alive nodes.
+            return false;
+        }
+        if 2 * giant_lost > self.size || 2 * revived > self.alive_count {
+            // A change this large is cheaper to rebuild than to repair.
             return false;
         }
         if giant_lost > 0 {
@@ -386,13 +449,14 @@ mod tests {
             family in 0usize..5,
             n in 5usize..400,
             seed in any::<u64>(),
-            steps in proptest::collection::vec((0u8..6, any::<u64>()), 1..40),
+            steps in proptest::collection::vec((0u8..7, any::<u64>()), 1..40),
         ) {
             let graph = graph(family, n, seed);
             let n = graph.len();
             let mut tracker = GiantTracker::new(&graph);
             let mut alive = vec![true; n];
             check(&mut tracker, &alive)?;
+            let start = tracker.snapshot();
             for (kind, step_seed) in steps {
                 let mut rng = seeded_rng(step_seed);
                 match kind {
@@ -409,9 +473,15 @@ mod tests {
                     // Mass revival: most dead nodes come back at once.
                     4 => alive.iter_mut().for_each(|a| *a |= rng.gen_bool(0.8)),
                     // Mass death: an attack-sized batch of removals.
-                    _ => alive.iter_mut().for_each(|a| *a &= rng.gen_bool(0.7)),
+                    5 => alive.iter_mut().for_each(|a| *a &= rng.gen_bool(0.7)),
+                    // Collapse: most of the giant dies, a few survive.
+                    _ => alive.iter_mut().for_each(|a| *a &= rng.gen_bool(0.2)),
                 }
                 check(&mut tracker, &alive)?;
+                // A tracker resumed from the all-alive state, and a fresh
+                // one, reach the same giant in one update.
+                check(&mut GiantTracker::resume(&graph, &start), &alive)?;
+                check(&mut GiantTracker::new(&graph), &alive)?;
             }
         }
     }
@@ -469,6 +539,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(tracker.size, 6);
+    }
+
+    #[test]
+    #[should_panic(expected = "snapshot covers 99 nodes but the graph has 100")]
+    fn rejects_a_snapshot_of_another_graph() {
+        let small = ring_lattice(99, 1);
+        let mut tracker = GiantTracker::new(&small);
+        tracker.update(&Config::ones(99));
+        let snapshot = tracker.snapshot();
+        GiantTracker::resume(&ring_lattice(100, 1), &snapshot);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use forest_fire::{ForestFire, ForestPolicy, ForestReport};
 pub use generators::{
     barabasi_albert, complete, erdos_renyi, planted_partition, ring_lattice, TopologyKind,
 };
-pub use giant::GiantTracker;
+pub use giant::{GiantSnapshot, GiantTracker};
 pub use graph::Graph;
 pub use sandpile::{InterventionPolicy, Sandpile, SandpileReport};
 pub use union_find::UnionFind;

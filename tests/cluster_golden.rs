@@ -3,11 +3,12 @@
 //! A grid of small cluster runs crosses every topology family (scale-free
 //! trees and meshes, a sparse Erdős–Rényi graph with isolated nodes and
 //! many equal-size components, small-world), targeted and random attacks
-//! (recoverable or not), both burn policies, node anticipation and a
-//! fault plan with transient and permanent panics. Each run's serialized
-//! [`ClusterReport`] is hashed with 64-bit FNV-1a and pinned below, so a
-//! change to the engine's phase order, its draws, or the giant-component
-//! sizes it scores shows up here.
+//! (recoverable or not), both burn policies, node anticipation, a slow
+//! recovery policy whose revivals share due ticks and outlast the run,
+//! and a fault plan with transient and permanent panics. Each run's
+//! serialized [`ClusterReport`] is hashed with 64-bit FNV-1a and pinned
+//! below, so a change to the engine's phase order, its draws, or the
+//! giant-component sizes it scores shows up here.
 //!
 //! When a change is *meant* to alter a report, the failure message
 //! prints the complete new table to paste over `GOLDEN`.
