@@ -44,7 +44,7 @@
 //! assert!(loss > 0.0);
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // Library code must surface failures as typed `CoreError`s, never
 // `unwrap()`; tests are exempt (the `not(test)` gate) because a failed

@@ -21,13 +21,21 @@ pub enum BreakerState {
     HalfOpen,
 }
 
+impl BreakerState {
+    /// The trace label of this state.
+    pub fn label(&self) -> resilience_telemetry::BreakerState {
+        use resilience_telemetry::BreakerState as Label;
+        match self {
+            BreakerState::Closed => Label::Closed,
+            BreakerState::Open => Label::Open,
+            BreakerState::HalfOpen => Label::HalfOpen,
+        }
+    }
+}
+
 impl fmt::Display for BreakerState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            BreakerState::Closed => write!(f, "closed"),
-            BreakerState::Open => write!(f, "open"),
-            BreakerState::HalfOpen => write!(f, "half-open"),
-        }
+        f.write_str(self.label().as_str())
     }
 }
 

@@ -67,19 +67,23 @@
 //! `bruneau::resilience_loss` over this trajectory — the service scores
 //! its own resilience triangle.
 
+use std::ops::Range;
+
 use resilience_anticipate::{
     AnticipationConfig, AnticipationController, LossWindow, ModeTransition, OperatingMode,
 };
 use resilience_core::bruneau::resilience_loss;
 use resilience_core::faults::{FaultKind, FaultPlan};
 use resilience_core::quality::{QualityTrajectory, FULL_QUALITY};
-use resilience_core::rng::{derive_seed, first_draw};
+use resilience_core::rng::{derive_seed, first_draw_fold};
 use resilience_core::runtime::ParallelTrials;
 use resilience_telemetry::causal::{
     AttemptKind, AttemptSketch, RequestSketch, ShedGate, SketchOutcome,
 };
 use resilience_telemetry::incident::TriggerKind;
-use resilience_telemetry::{record_causal_metrics, record_incident_metrics, Event, Telemetry};
+use resilience_telemetry::{
+    label, record_causal_metrics, record_incident_metrics, Event, Telemetry,
+};
 
 use crate::breaker::{BreakerState, BreakerTransition, CircuitBreaker};
 use crate::brownout::{BrownoutConfig, BrownoutController};
@@ -395,18 +399,24 @@ impl ServiceEngine {
     }
 
     /// The backend computation: an XOR fold of one seeded Monte Carlo
-    /// draw per trial, in [`BACKEND_CHUNK`]-sized ranges folded in chunk
-    /// order — bit-identical for any thread budget.
+    /// draw per trial ([`first_draw_fold`]), in [`BACKEND_CHUNK`]-sized
+    /// ranges folded in chunk order — bit-identical for any thread budget
+    /// and any CPU.
     fn backend_value(pool: &ParallelTrials, seed: u64, trials: u64) -> u64 {
+        Self::backend_value_with(pool, seed, trials, first_draw_fold)
+    }
+
+    /// [`ServiceEngine::backend_value`] with the range fold `fold`.
+    fn backend_value_with(
+        pool: &ParallelTrials,
+        seed: u64,
+        trials: u64,
+        fold: fn(u64, Range<u64>) -> u64,
+    ) -> u64 {
         pool.run_ranges(
             trials,
             BACKEND_CHUNK,
-            |range| {
-                range.fold(0u64, |acc, idx| {
-                    acc ^ idx.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                        ^ first_draw(derive_seed(seed, idx))
-                })
-            },
+            |range| fold(seed, range),
             0u64,
             |acc, x| acc ^ x,
         )
@@ -418,6 +428,14 @@ impl ServiceEngine {
 /// ~2000 trials) run inline, because opening a thread scope costs more
 /// than the whole call.
 const BACKEND_CHUNK: u64 = 4096;
+
+/// Trace events and causal spans reserved per request of a traced serve,
+/// so the recorders never grow mid-serve: an admitted request records
+/// about 3.6–3.9 events and 4.2–4.5 spans, a storm of mostly shed and
+/// cached answers about 2.2 and 2.4. Reserved pages a serve never writes
+/// are never made resident.
+const TRACED_EVENTS_PER_REQUEST: usize = 4;
+const TRACED_SPANS_PER_REQUEST: usize = 5;
 
 /// One dispatched attempt of an in-flight request.
 #[derive(Debug, Clone, Copy)]
@@ -591,6 +609,8 @@ struct ServeLoop<'a> {
     ranked: Vec<u32>,
     /// Reusable buffer for one bulkhead tick's completed attempts.
     completed: Vec<Job>,
+    /// Reusable buffer for a settled request's sketched attempts.
+    sketch_attempts: Vec<AttemptSketch>,
     /// Last family queue depth traced (occupancy fires on change).
     traced_queued: Vec<Option<usize>>,
 }
@@ -600,9 +620,13 @@ impl<'a> ServeLoop<'a> {
         cfg: &'a ServiceConfig,
         trace: &'a RequestTrace,
         plan: &'a FaultPlan,
-        telemetry: Option<&'a mut Telemetry>,
+        mut telemetry: Option<&'a mut Telemetry>,
     ) -> Self {
         let n_families = trace.families.len().max(1);
+        if let Some(tel) = telemetry.as_deref_mut() {
+            tel.tracer.reserve(trace.len() * TRACED_EVENTS_PER_REQUEST);
+            tel.causal.reserve(trace.len(), TRACED_SPANS_PER_REQUEST);
+        }
         let rcfg = cfg.replication.clone().unwrap_or(ReplicationConfig {
             replicas: 1,
             ..ReplicationConfig::default()
@@ -704,6 +728,7 @@ impl<'a> ServeLoop<'a> {
             eligible: Vec::with_capacity(rcfg.replicas),
             ranked: Vec::with_capacity(rcfg.replicas),
             completed: Vec::new(),
+            sketch_attempts: Vec::with_capacity(3),
             traced_queued: vec![None; n_families],
         }
     }
@@ -1141,7 +1166,7 @@ impl<'a> ServeLoop<'a> {
                 Disposition::Served {
                     fidelity, latency, ..
                 } => SketchOutcome::Served {
-                    fidelity: fidelity.as_str(),
+                    fidelity: fidelity.label(),
                     latency: *latency,
                     // A cached answer after attempts ran is the fallback
                     // for a dead backend.
@@ -1149,9 +1174,18 @@ impl<'a> ServeLoop<'a> {
                 },
                 Disposition::Failed { cause } => SketchOutcome::Failed { cause },
                 Disposition::Shed { reason } => SketchOutcome::Shed {
-                    reason: reason.as_str(),
+                    reason: reason.label(),
                 },
             };
+            self.sketch_attempts.clear();
+            if let Decided::Flight(flight) = &how {
+                let attempts = flight
+                    .attempts()
+                    .map(|a| a.sketch(flight.base_work, RATE_PER_SERVER));
+                self.sketch_attempts.extend(attempts);
+                self.sketch_attempts
+                    .sort_by_key(|a| (a.enqueued, a.replica));
+            }
             let mut sketch = RequestSketch {
                 id: request.id,
                 family: fam as u32,
@@ -1159,7 +1193,7 @@ impl<'a> ServeLoop<'a> {
                 deadline,
                 decided_at: tick,
                 outcome,
-                attempts: Vec::new(),
+                attempts: &self.sketch_attempts,
                 gate: None,
                 admitted: None,
                 // Replicated-only site 3 of 3: a set of one has no
@@ -1172,12 +1206,7 @@ impl<'a> ServeLoop<'a> {
             match how {
                 Decided::AtArrival(_, gate) => sketch.gate = gate,
                 Decided::Flight(flight) => {
-                    let attempts = flight
-                        .attempts()
-                        .map(|a| a.sketch(flight.base_work, RATE_PER_SERVER));
-                    sketch.attempts.extend(attempts);
-                    sketch.attempts.sort_by_key(|a| (a.enqueued, a.replica));
-                    sketch.admitted = Some(flight.fidelity.as_str());
+                    sketch.admitted = Some(flight.fidelity.label());
                     sketch.reclaimed = flight.reclaimed;
                     sketch.refused_hedge = flight.refused_hedge;
                     sketch.refused_failover = flight.refused_failover;
@@ -1362,6 +1391,15 @@ impl<'a> ServeLoop<'a> {
     }
 }
 
+/// The trace label of an anticipation mode.
+fn mode_label(mode: OperatingMode) -> label::Mode {
+    match mode {
+        OperatingMode::Normal => label::Mode::Normal,
+        OperatingMode::Alert => label::Mode::Alert,
+        OperatingMode::Emergency => label::Mode::Emergency,
+    }
+}
+
 /// Scale every replica breaker's cooldown to `scale_milli` of
 /// [`BREAKER_COOLDOWN`] (an anticipation policy lever).
 fn set_cooldowns(sets: &mut [ReplicaSet], scale_milli: u64) {
@@ -1385,7 +1423,7 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
     let tracer = &mut tel.tracer;
     for (family, log) in report.breaker_transitions.iter().enumerate() {
         for t in log {
-            let (from, to) = (t.from.to_string(), t.to.to_string());
+            let (from, to) = (t.from.label(), t.to.label());
             let family = family as u32;
             tracer.record(t.tick, Event::BreakerTransition { family, from, to });
         }
@@ -1395,7 +1433,7 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
     }
     let (entries, spans) = (tel.causal.entries(), tel.causal.spans());
     for t in &report.mode_transitions {
-        let (from, to, score_milli) = (t.from.to_string(), t.to.to_string(), t.score_milli);
+        let (from, to, score_milli) = (mode_label(t.from), mode_label(t.to), t.score_milli);
         let detail = format!("{from}->{to}");
         let event = Event::ModeTransition {
             from,
@@ -1414,7 +1452,7 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
                 .incidents
                 .trigger(decided, t.tick, kind, score_milli, detail);
             let snapshot = Event::IncidentSnapshot {
-                trigger: kind.as_str().to_string(),
+                trigger: kind,
                 trigger_tick: t.tick,
                 captured,
             };
@@ -1488,16 +1526,15 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
         "Bruneau resilience loss of the run's Q(t)",
         report.resilience_loss(),
     );
-    for o in &report.outcomes {
-        if let Disposition::Served { latency, .. } = o.disposition {
-            registry.observe(
-                "service_latency_ticks",
-                "Served-request latency in logical ticks",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-                latency as f64,
-            );
-        }
-    }
+    registry.observe_all(
+        "service_latency_ticks",
+        "Served-request latency in logical ticks",
+        &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+        report.outcomes.iter().filter_map(|o| match o.disposition {
+            Disposition::Served { latency, .. } => Some(latency as f64),
+            _ => None,
+        }),
+    );
     // Anticipation families only exist on anticipatory runs: an empty
     // warning-score log means the loop was off, and registering zeroed
     // families would change the reactive arm's exposition bytes.
@@ -1522,14 +1559,12 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
             "Final warning score of the run, in milli-units",
             report.warning_scores.last().copied().unwrap_or(0) as f64,
         );
-        for &score in &report.warning_scores {
-            registry.observe(
-                "anticipate_warning_score_ticks",
-                "Per-tick warning score in milli-units",
-                &[50.0, 100.0, 200.0, 350.0, 500.0, 750.0, 900.0],
-                score as f64,
-            );
-        }
+        registry.observe_all(
+            "anticipate_warning_score_ticks",
+            "Per-tick warning score in milli-units",
+            &[50.0, 100.0, 200.0, 350.0, 500.0, 750.0, 900.0],
+            report.warning_scores.iter().map(|&score| score as f64),
+        );
     }
     // Replication families only exist on replicated runs, mirroring
     // the anticipation gate above: registering zeroed families would
@@ -1615,6 +1650,7 @@ fn last_open_tick(breaker: &CircuitBreaker) -> Option<u64> {
 mod tests {
     use super::*;
     use rand::Rng;
+    use resilience_core::rng::{first_draw_fold_avx2, first_draw_fold_portable};
 
     /// Each mode change with the pressure bias (as bits) it provisions.
     type ModeBiases = Vec<(OperatingMode, u64)>;
@@ -1708,6 +1744,19 @@ mod tests {
                         per_trial,
                         "trials {trials}, seed {seed}, threads {threads}"
                     );
+                    let portable = ServiceEngine::backend_value_with(
+                        &pool,
+                        seed,
+                        trials,
+                        first_draw_fold_portable,
+                    );
+                    assert_eq!(portable, per_trial, "portable, trials {trials}");
+                    // Only a CPU with AVX2 can run the vector path.
+                    if first_draw_fold_avx2(0, 0..0).is_some() {
+                        let avx2 = |seed, range| first_draw_fold_avx2(seed, range).unwrap();
+                        let vector = ServiceEngine::backend_value_with(&pool, seed, trials, avx2);
+                        assert_eq!(vector, per_trial, "avx2, trials {trials}");
+                    }
                 }
             }
         }

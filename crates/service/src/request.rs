@@ -167,10 +167,16 @@ pub enum Fidelity {
 impl Fidelity {
     /// Stable lowercase label used in logs and exports.
     pub fn as_str(&self) -> &'static str {
+        self.label().as_str()
+    }
+
+    /// The trace label of this fidelity.
+    pub fn label(&self) -> resilience_telemetry::Fidelity {
+        use resilience_telemetry::Fidelity as Label;
         match self {
-            Fidelity::Full => "full",
-            Fidelity::Reduced => "reduced",
-            Fidelity::Cached => "cached",
+            Fidelity::Full => Label::Full,
+            Fidelity::Reduced => Label::Reduced,
+            Fidelity::Cached => Label::Cached,
         }
     }
 }
@@ -196,10 +202,16 @@ pub enum ShedReason {
 impl ShedReason {
     /// Stable lowercase label used in logs and exports.
     pub fn as_str(&self) -> &'static str {
+        self.label().as_str()
+    }
+
+    /// The trace label of this reason.
+    pub fn label(&self) -> resilience_telemetry::ShedReason {
+        use resilience_telemetry::ShedReason as Label;
         match self {
-            ShedReason::QueueFull => "queue-full",
-            ShedReason::DeadlineUnmeetable => "deadline-unmeetable",
-            ShedReason::BreakerOpen => "breaker-open",
+            ShedReason::QueueFull => Label::QueueFull,
+            ShedReason::DeadlineUnmeetable => Label::DeadlineUnmeetable,
+            ShedReason::BreakerOpen => Label::BreakerOpen,
         }
     }
 }

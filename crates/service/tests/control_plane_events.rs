@@ -91,6 +91,14 @@ fn row(tick: u64, event: &Event) -> (u64, String) {
     )
 }
 
+/// The trace label whose serialized form is `display`'s text: the oracle
+/// reads labels from the report types' display forms, not from the
+/// engine's conversions.
+fn label<T: serde::Deserialize>(display: impl std::fmt::Display) -> T {
+    let text = serde::Value::String(display.to_string());
+    T::deserialize(&text).expect("display form is a trace label")
+}
+
 fn is_control_plane(event: &Event) -> bool {
     matches!(
         event,
@@ -122,8 +130,8 @@ fn derived(report: &ServiceReport) -> Vec<(u64, String)> {
         for t in log {
             let event = Event::BreakerTransition {
                 family: family as u32,
-                from: t.from.to_string(),
-                to: t.to.to_string(),
+                from: label(t.from),
+                to: label(t.to),
             };
             rows.push(row(t.tick, &event));
         }
@@ -134,8 +142,8 @@ fn derived(report: &ServiceReport) -> Vec<(u64, String)> {
     let mut kept = 0;
     for t in &report.mode_transitions {
         let event = Event::ModeTransition {
-            from: t.from.to_string(),
-            to: t.to.to_string(),
+            from: label(t.from),
+            to: label(t.to),
             score_milli: t.score_milli,
         };
         rows.push(row(t.tick, &event));
@@ -147,7 +155,7 @@ fn derived(report: &ServiceReport) -> Vec<(u64, String)> {
             };
             kept += 1;
             let snapshot = Event::IncidentSnapshot {
-                trigger: "mode-escalation".to_string(),
+                trigger: label("mode-escalation"),
                 trigger_tick: t.tick,
                 captured,
             };

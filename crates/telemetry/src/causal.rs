@@ -16,6 +16,7 @@
 //! tables and the derived `critical_path_*` metric families are
 //! byte-identical across thread budgets.
 
+use crate::label::{Fidelity, ShedReason};
 use crate::metrics::MetricsRegistry;
 
 /// Bucket bounds for the `service_queue_wait_ticks` histogram (ticks a
@@ -289,14 +290,15 @@ pub enum ShedGate {
     },
 }
 
-/// Final disposition of a sketched request. Labels are borrowed; the
-/// tracer formats them only into the critical paths it keeps.
+/// Final disposition of a sketched request. The free-text failure cause
+/// is borrowed; the tracer formats labels only into the critical paths
+/// it keeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SketchOutcome<'a> {
     /// Served (possibly degraded or via cached fallback).
     Served {
-        /// Fidelity label (`full`, `reduced`, `cached`).
-        fidelity: &'a str,
+        /// Fidelity served at.
+        fidelity: Fidelity,
         /// Ticks from arrival to response.
         latency: u64,
         /// Whether a cached fallback resolved the request after a fault.
@@ -304,8 +306,8 @@ pub enum SketchOutcome<'a> {
     },
     /// Shed at admission.
     Shed {
-        /// Shed cause label (`breaker-open`, `queue-full`, ...).
-        reason: &'a str,
+        /// Why admission shed it.
+        reason: ShedReason,
     },
     /// Failed after admission.
     Failed {
@@ -329,13 +331,14 @@ pub struct RequestSketch<'a> {
     pub decided_at: u64,
     /// Final disposition.
     pub outcome: SketchOutcome<'a>,
-    /// Attempts in launch order (empty for admission-time decisions).
-    pub attempts: Vec<AttemptSketch>,
+    /// Attempts in launch order (empty for admission-time decisions),
+    /// borrowed so an engine can reuse one buffer for every request.
+    pub attempts: &'a [AttemptSketch],
     /// Gate evidence, present iff the request was shed.
     pub gate: Option<ShedGate>,
-    /// Fidelity label the request was admitted at; `None` when it was
+    /// Fidelity the request was admitted at; `None` when it was
     /// decided at arrival.
-    pub admitted: Option<&'a str>,
+    pub admitted: Option<Fidelity>,
     /// Whether the serve is replicated (only then is the primary's
     /// routing reported).
     pub replicated: bool,
@@ -396,6 +399,15 @@ impl CausalTracer {
     /// Fresh, empty tracer.
     pub fn new() -> Self {
         CausalTracer::default()
+    }
+
+    /// Make room for `requests` more sketches of about `spans_per_request`
+    /// spans each, so a serve of known length records without growing
+    /// its stores.
+    pub fn reserve(&mut self, requests: usize, spans_per_request: usize) {
+        self.spans.reserve(requests * spans_per_request);
+        self.queue_waits.reserve(requests);
+        self.entries.reserve(requests);
     }
 
     /// All spans, in request-decision order (tree nodes pre-order).
@@ -654,7 +666,7 @@ fn decompose(sketch: &RequestSketch<'_>, latency: u64) -> (u64, Blame, BlameEdge
     // the deficit is covered. Σraw >= deficit by construction for every
     // gate above; any defensive residue lands on intrinsic work so the
     // components always sum exactly to the deficit.
-    let mut order: Vec<usize> = (0..5).collect();
+    let mut order = [0, 1, 2, 3, 4];
     order.sort_by(|&a, &b| raw[b].cmp(&raw[a]).then(a.cmp(&b)));
     let mut blame = Blame::default();
     let mut remaining = deficit;
@@ -710,14 +722,12 @@ pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTrac
             totals.poles[edge as usize],
         );
     }
-    for qw in causal.queue_waits() {
-        registry.observe(
-            "service_queue_wait_ticks",
-            "Ticks winning attempts spent queued before service",
-            &QUEUE_WAIT_BOUNDS,
-            *qw as f64,
-        );
-    }
+    registry.observe_all(
+        "service_queue_wait_ticks",
+        "Ticks winning attempts spent queued before service",
+        &QUEUE_WAIT_BOUNDS,
+        causal.queue_waits().iter().map(|&qw| qw as f64),
+    );
 }
 
 #[cfg(test)]
@@ -732,11 +742,11 @@ mod tests {
             deadline: 4,
             decided_at: 19,
             outcome: SketchOutcome::Served {
-                fidelity: "full",
+                fidelity: Fidelity::Full,
                 latency: 9,
                 fallback: false,
             },
-            attempts: vec![AttemptSketch {
+            attempts: &[AttemptSketch {
                 replica: 0,
                 kind: AttemptKind::Primary,
                 enqueued: 10,
@@ -747,7 +757,7 @@ mod tests {
                 won: true,
             }],
             gate: None,
-            admitted: Some("full"),
+            admitted: Some(Fidelity::Full),
             replicated: false,
             reclaimed: 0,
             refused_hedge: false,
@@ -793,10 +803,10 @@ mod tests {
         let mut tracer = CausalTracer::new();
         let mut s = served_sketch();
         s.id = 8;
-        s.attempts.clear();
+        s.attempts = &[];
         s.decided_at = 10;
         s.outcome = SketchOutcome::Shed {
-            reason: "queue-full",
+            reason: ShedReason::QueueFull,
         };
         s.gate = Some(ShedGate::QueueFull {
             backlog: 33,
@@ -815,10 +825,10 @@ mod tests {
         let mut tracer = CausalTracer::new();
         let mut s = served_sketch();
         s.id = 9;
-        s.attempts.clear();
+        s.attempts = &[];
         s.decided_at = 42;
         s.outcome = SketchOutcome::Shed {
-            reason: "breaker-open",
+            reason: ShedReason::BreakerOpen,
         };
         s.gate = Some(ShedGate::BreakerOpen {
             open_since: Some(30),
@@ -837,7 +847,7 @@ mod tests {
         tracer.record(&s);
         s.id = 8;
         s.outcome = SketchOutcome::Served {
-            fidelity: "cached",
+            fidelity: Fidelity::Cached,
             latency: 9,
             fallback: true,
         };
@@ -850,7 +860,7 @@ mod tests {
         s.id = 10;
         s.deadline = 100;
         s.outcome = SketchOutcome::Served {
-            fidelity: "full",
+            fidelity: Fidelity::Full,
             latency: 9,
             fallback: false,
         };
@@ -882,10 +892,10 @@ mod tests {
         tracer.record(&served_sketch()); // queue wait 5
         let mut s = served_sketch();
         s.id = 9;
-        s.attempts.clear();
+        s.attempts = &[];
         s.decided_at = 42;
         s.outcome = SketchOutcome::Shed {
-            reason: "breaker-open",
+            reason: ShedReason::BreakerOpen,
         };
         s.gate = Some(ShedGate::BreakerOpen {
             open_since: Some(30),

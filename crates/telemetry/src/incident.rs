@@ -28,27 +28,7 @@ pub const TOP_K: usize = 5;
 /// Warning-score samples kept before and after the trigger tick.
 pub const WARNING_WINDOW: usize = 16;
 
-/// What tripped the flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TriggerKind {
-    /// The anticipation controller escalated to Emergency mode.
-    ModeEscalation,
-    /// A cluster cascade ignited after a quiet tick.
-    CascadeOnset,
-    /// A Monte-Carlo trial was lost after exhausting retries.
-    TrialLoss,
-}
-
-impl TriggerKind {
-    /// Stable label used in exports; pinned by `schemas/incident.schema.json`.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            TriggerKind::ModeEscalation => "mode-escalation",
-            TriggerKind::CascadeOnset => "cascade-onset",
-            TriggerKind::TrialLoss => "trial-loss",
-        }
-    }
-}
+pub use crate::label::TriggerKind;
 
 /// One recorded trigger with its snapshot.
 #[derive(Debug, Clone)]
@@ -394,6 +374,7 @@ pub fn render_postmortem(
 mod tests {
     use super::*;
     use crate::causal::{AttemptKind, AttemptSketch, RequestSketch, SketchOutcome};
+    use crate::label::Fidelity;
 
     fn traced_request(id: u64, family: u32, deadline: u64) -> RequestSketch<'static> {
         RequestSketch {
@@ -403,11 +384,11 @@ mod tests {
             deadline,
             decided_at: 5 + 9,
             outcome: SketchOutcome::Served {
-                fidelity: "full",
+                fidelity: Fidelity::Full,
                 latency: 9,
                 fallback: false,
             },
-            attempts: vec![AttemptSketch {
+            attempts: &[AttemptSketch {
                 replica: 1,
                 kind: AttemptKind::Primary,
                 enqueued: 5,
@@ -418,7 +399,7 @@ mod tests {
                 won: true,
             }],
             gate: None,
-            admitted: Some("full"),
+            admitted: Some(Fidelity::Full),
             replicated: false,
             reclaimed: 0,
             refused_hedge: false,

@@ -60,6 +60,7 @@
 
 pub mod causal;
 pub mod incident;
+pub mod label;
 pub mod metrics;
 pub mod report;
 pub mod schema;
@@ -72,6 +73,7 @@ pub use incident::{
     postmortem_bundle, record_incident_metrics, render_postmortem, FlightRecorder, IncidentReport,
     TriggerKind,
 };
+pub use label::{BreakerState, BudgetKind, Fidelity, Mode, ShedReason};
 pub use metrics::{Histogram, MetricValue, MetricsRegistry};
 pub use report::{record_run_events, record_run_metrics, trajectory_of_run};
 pub use schema::validate;
@@ -116,11 +118,8 @@ impl Telemetry {
     pub fn record_request(&mut self, sketch: &RequestSketch<'_>, penalty: f64) {
         let (id, family, tracer) = (sketch.id, sketch.family, &mut self.tracer);
         let (arrival, tick) = (sketch.arrival, sketch.decided_at);
-        let exhausted = |kind: &str| Event::RetryBudgetExhausted {
-            family,
-            kind: kind.to_string(),
-        };
-        if let Some(fidelity) = sketch.admitted.map(str::to_string) {
+        let exhausted = |kind| Event::RetryBudgetExhausted { family, kind };
+        if let Some(fidelity) = sketch.admitted {
             let admitted = Event::RequestAdmitted {
                 id,
                 family,
@@ -129,9 +128,9 @@ impl Telemetry {
             tracer.record(arrival, admitted);
         }
         if sketch.refused_hedge {
-            tracer.record(arrival, exhausted("hedge"));
+            tracer.record(arrival, exhausted(BudgetKind::Hedge));
         }
-        for a in &sketch.attempts {
+        for a in sketch.attempts {
             let replica = a.replica;
             let event = match a.kind {
                 AttemptKind::Primary if !sketch.replicated => continue,
@@ -173,15 +172,13 @@ impl Telemetry {
             }
         }
         if sketch.refused_failover {
-            tracer.record(tick, exhausted("failover"));
+            tracer.record(tick, exhausted(BudgetKind::Failover));
         }
         let cause = match sketch.outcome {
             SketchOutcome::Served {
                 fidelity, latency, ..
             } => {
-                // `cached` is the label of an answer from the cache table.
-                let hit = fidelity == "cached";
-                let fidelity = fidelity.to_string();
+                let hit = fidelity == Fidelity::Cached;
                 let served = Event::RequestServed {
                     id,
                     family,
@@ -203,7 +200,6 @@ impl Telemetry {
                 DeficitCause::Failed
             }
             SketchOutcome::Shed { reason } => {
-                let reason = reason.to_string();
                 tracer.record(tick, Event::RequestShed { id, family, reason });
                 DeficitCause::Shed
             }

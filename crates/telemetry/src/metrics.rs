@@ -164,11 +164,31 @@ impl MetricsRegistry {
     ///
     /// Panics if `name` is already registered as a different type.
     pub fn observe(&mut self, name: &str, help: &str, bounds: &[f64], v: f64) {
+        self.observe_all(name, help, bounds, [v]);
+    }
+
+    /// [`MetricsRegistry::observe`] every value of `values` in order,
+    /// looking the family up once. No values register nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `name` is already registered as a different type.
+    pub fn observe_all(
+        &mut self,
+        name: &str,
+        help: &str,
+        bounds: &[f64],
+        values: impl IntoIterator<Item = f64>,
+    ) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_none() {
+            return;
+        }
         let metric = self.entry(name, help, || {
             MetricValue::Histogram(Histogram::new(bounds))
         });
         match &mut metric.value {
-            MetricValue::Histogram(h) => h.observe(v),
+            MetricValue::Histogram(h) => values.for_each(|v| h.observe(v)),
             other => panic!(
                 "metric `{name}` is a {}, not a histogram",
                 other.type_name()

@@ -14,6 +14,8 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::label::{BreakerState, BudgetKind, Fidelity, Mode, ShedReason, TriggerKind};
+
 /// What the supervisor decided to do about a failed attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum PlanAction {
@@ -58,10 +60,10 @@ pub enum Event {
     BreakerTransition {
         /// Family index.
         family: u32,
-        /// State before (display form: `closed`/`open`/`half-open`).
-        from: String,
+        /// State before (`closed`/`open`/`half-open`).
+        from: BreakerState,
         /// State after.
-        to: String,
+        to: BreakerState,
     },
     /// The brownout dimmer moved to a new level (service layer).
     BrownoutLevelChange {
@@ -76,7 +78,7 @@ pub enum Event {
         /// Family index.
         family: u32,
         /// Fidelity admitted at (`full`/`reduced`).
-        fidelity: String,
+        fidelity: Fidelity,
     },
     /// A request was served (service layer).
     RequestServed {
@@ -85,7 +87,7 @@ pub enum Event {
         /// Family index.
         family: u32,
         /// Fidelity served at (`full`/`reduced`/`cached`).
-        fidelity: String,
+        fidelity: Fidelity,
         /// Logical ticks from arrival to adjudication.
         latency: u64,
     },
@@ -95,8 +97,8 @@ pub enum Event {
         id: u64,
         /// Family index.
         family: u32,
-        /// Shed reason label.
-        reason: String,
+        /// Shed reason.
+        reason: ShedReason,
     },
     /// A request failed hard — degradation off only (service layer).
     RequestFailed {
@@ -186,10 +188,10 @@ pub enum Event {
     /// The anticipation loop switched operating mode (anticipation
     /// layer).
     ModeTransition {
-        /// Mode left (display form: `normal`/`alert`/`emergency`).
-        from: String,
+        /// Mode left (`normal`/`alert`/`emergency`).
+        from: Mode,
         /// Mode entered.
-        to: String,
+        to: Mode,
         /// Warning score at the switch, in milli-units.
         score_milli: u64,
     },
@@ -251,14 +253,14 @@ pub enum Event {
         /// Family index.
         family: u32,
         /// What was rejected: `hedge` or `failover`.
-        kind: String,
+        kind: BudgetKind,
     },
     /// The incident flight recorder snapshotted its lane rings
     /// (observability layer).
     IncidentSnapshot {
         /// What tripped the recorder: `mode-escalation`,
         /// `cascade-onset`, or `trial-loss`.
-        trigger: String,
+        trigger: TriggerKind,
         /// Tick the trigger fired on its own clock.
         trigger_tick: u64,
         /// Request ids captured from the rings.
@@ -355,6 +357,12 @@ impl Tracer {
     /// sites: tick loops, post-run log walks).
     pub fn record(&mut self, tick: u64, event: Event) {
         self.root.record(tick, event);
+    }
+
+    /// Make room for `additional` more events on lane 0, so a run of
+    /// known length records without growing the buffer.
+    pub fn reserve(&mut self, additional: usize) {
+        self.root.events.reserve(additional);
     }
 
     /// A fresh buffer for worker `lane` (lane 0 is reserved for
@@ -468,9 +476,9 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             out.push_str("{\"BreakerTransition\":{\"family\":");
             ju64(out, *family as u64);
             out.push_str(",\"from\":");
-            jstr(out, from);
+            jstr(out, from.as_str());
             out.push_str(",\"to\":");
-            jstr(out, to);
+            jstr(out, to.as_str());
             out.push_str("}}");
         }
         Event::BrownoutLevelChange { level } => {
@@ -488,7 +496,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             out.push_str(",\"family\":");
             ju64(out, *family as u64);
             out.push_str(",\"fidelity\":");
-            jstr(out, fidelity);
+            jstr(out, fidelity.as_str());
             out.push_str("}}");
         }
         Event::RequestServed {
@@ -502,7 +510,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             out.push_str(",\"family\":");
             ju64(out, *family as u64);
             out.push_str(",\"fidelity\":");
-            jstr(out, fidelity);
+            jstr(out, fidelity.as_str());
             out.push_str(",\"latency\":");
             ju64(out, *latency);
             out.push_str("}}");
@@ -513,7 +521,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             out.push_str(",\"family\":");
             ju64(out, *family as u64);
             out.push_str(",\"reason\":");
-            jstr(out, reason);
+            jstr(out, reason.as_str());
             out.push_str("}}");
         }
         Event::RequestFailed { id, family, cause } => {
@@ -615,9 +623,9 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             score_milli,
         } => {
             out.push_str("{\"ModeTransition\":{\"from\":");
-            jstr(out, from);
+            jstr(out, from.as_str());
             out.push_str(",\"to\":");
-            jstr(out, to);
+            jstr(out, to.as_str());
             out.push_str(",\"score_milli\":");
             ju64(out, *score_milli);
             out.push_str("}}");
@@ -691,7 +699,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             out.push_str("{\"RetryBudgetExhausted\":{\"family\":");
             ju64(out, *family as u64);
             out.push_str(",\"kind\":");
-            jstr(out, kind);
+            jstr(out, kind.as_str());
             out.push_str("}}");
         }
         Event::IncidentSnapshot {
@@ -700,7 +708,7 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             captured,
         } => {
             out.push_str("{\"IncidentSnapshot\":{\"trigger\":");
-            jstr(out, trigger);
+            jstr(out, trigger.as_str());
             out.push_str(",\"trigger_tick\":");
             ju64(out, *trigger_tick);
             out.push_str(",\"captured\":");
@@ -742,25 +750,25 @@ mod tests {
             },
             Event::BreakerTransition {
                 family: 0,
-                from: "closed".to_string(),
-                to: "open".to_string(),
+                from: BreakerState::Closed,
+                to: BreakerState::Open,
             },
             Event::BrownoutLevelChange { level: 2 },
             Event::RequestAdmitted {
                 id: 10,
                 family: 1,
-                fidelity: "full".to_string(),
+                fidelity: Fidelity::Full,
             },
             Event::RequestServed {
                 id: 11,
                 family: 1,
-                fidelity: "reduced".to_string(),
+                fidelity: Fidelity::Reduced,
                 latency: 5,
             },
             Event::RequestShed {
                 id: 12,
                 family: 2,
-                reason: "queue-full".to_string(),
+                reason: ShedReason::QueueFull,
             },
             Event::RequestFailed {
                 id: 13,
@@ -800,8 +808,8 @@ mod tests {
             },
             Event::WarningScore { score_milli: 437 },
             Event::ModeTransition {
-                from: "normal".to_string(),
-                to: "alert".to_string(),
+                from: Mode::Normal,
+                to: Mode::Alert,
                 score_milli: 512,
             },
             Event::ClusterModeCensus {
@@ -832,10 +840,10 @@ mod tests {
             },
             Event::RetryBudgetExhausted {
                 family: 2,
-                kind: "hedge".to_string(),
+                kind: BudgetKind::Hedge,
             },
             Event::IncidentSnapshot {
-                trigger: "mode-escalation".to_string(),
+                trigger: TriggerKind::ModeEscalation,
                 trigger_tick: 41,
                 captured: 64,
             },
@@ -908,7 +916,7 @@ mod tests {
             Event::RequestShed {
                 id: 9,
                 family: 1,
-                reason: "queue-full".to_string(),
+                reason: ShedReason::QueueFull,
             },
         );
         let json = tr.to_json();

@@ -19,7 +19,7 @@ use systems_resilience::telemetry::causal::{
 use systems_resilience::telemetry::incident::{
     FlightRecorder, TriggerKind, MAX_TRIGGERS, RING_CAPACITY, TOP_K, WARNING_WINDOW,
 };
-use systems_resilience::telemetry::{CausalTracer, CriticalPath};
+use systems_resilience::telemetry::{CausalTracer, CriticalPath, Fidelity, ShedReason};
 
 /// The old recorder: bounded per-family rings of request ids, snapshot
 /// in family order then age order.
@@ -120,9 +120,15 @@ fn ring_finalize(
 /// deadline, and up to three attempts as (replica, completed, won).
 type ReqDraw = ((u32, u8), u64, u64, Vec<(u32, bool, bool)>);
 
-/// Build a sketch from its draws. Ids come from an odd multiplier, a
-/// bijection on `u64`, so they are unique but not in decision order.
-fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> {
+/// Build a sketch from its draws, its attempts written to `buf`. Ids come
+/// from an odd multiplier, a bijection on `u64`, so they are unique but
+/// not in decision order.
+fn sketch<'a>(
+    position: usize,
+    salt: u64,
+    draw: &ReqDraw,
+    buf: &'a mut Vec<AttemptSketch>,
+) -> RequestSketch<'a> {
     let ((family, selector), latency, deadline, attempts) = draw;
     let id = (position as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
     let arrival = position as u64;
@@ -130,7 +136,7 @@ fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> 
     let (outcome, gate) = match selector % 4 {
         0 => (
             SketchOutcome::Shed {
-                reason: "queue-full",
+                reason: ShedReason::QueueFull,
             },
             Some(ShedGate::QueueFull {
                 backlog: *latency * 8,
@@ -145,17 +151,20 @@ fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> 
         ),
         s => (
             SketchOutcome::Served {
-                fidelity: if s == 2 { "full" } else { "cached" },
+                fidelity: if s == 2 {
+                    Fidelity::Full
+                } else {
+                    Fidelity::Cached
+                },
                 latency: *latency,
                 fallback: s == 3,
             },
             None,
         ),
     };
-    let attempts = if gate.is_some() {
-        Vec::new()
-    } else {
-        attempts
+    buf.clear();
+    if gate.is_none() {
+        let attempts = attempts
             .iter()
             .enumerate()
             .map(|(i, &(replica, completed, won))| AttemptSketch {
@@ -171,9 +180,9 @@ fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> 
                 rate: 8,
                 completed: completed.then_some(decided_at),
                 won,
-            })
-            .collect()
-    };
+            });
+        buf.extend(attempts);
+    }
     RequestSketch {
         id,
         family: *family,
@@ -181,9 +190,9 @@ fn sketch(position: usize, salt: u64, draw: &ReqDraw) -> RequestSketch<'static> 
         deadline: *deadline,
         decided_at,
         outcome,
-        attempts,
+        attempts: buf,
         gate,
-        admitted: gate.is_none().then_some("full"),
+        admitted: gate.is_none().then_some(Fidelity::Full),
         replicated: false,
         reclaimed: 0,
         refused_hedge: false,
@@ -237,7 +246,8 @@ proptest! {
                 prop_assert_eq!(captured, rings.trigger(tick));
             }
             let Some(draw) = draws.get(position) else { break };
-            let s = sketch(position, salt, draw);
+            let mut buf = Vec::new();
+            let s = sketch(position, salt, draw, &mut buf);
             let spans_before = causal.spans().len();
             let paths_before = causal.paths().len();
             causal.record(&s);
@@ -290,7 +300,8 @@ fn window_keeps_the_newest_requests_per_family() {
     let mut rings = RingRecorder::default();
     for position in 0..(3 * RING_CAPACITY) {
         let draw: ReqDraw = (((position % 2) as u32, 2), 1, 4, vec![(0, true, true)]);
-        let s = sketch(position, 7, &draw);
+        let mut buf = Vec::new();
+        let s = sketch(position, 7, &draw, &mut buf);
         causal.record(&s);
         rings.observe(s.family, s.id);
     }
