@@ -168,14 +168,12 @@ pub fn record_cluster(tel: &mut Telemetry, report: &ClusterReport) {
         "Bruneau R of the last recorded run",
         report.resilience_loss(),
     );
-    for size in report.cascade_sizes() {
-        registry.observe(
-            "cluster_cascade_size",
-            "Nodes lost per cascade (trigger + toppled)",
-            &CASCADE_SIZE_BOUNDS,
-            size as f64,
-        );
-    }
+    registry.observe(
+        "cluster_cascade_size",
+        "Nodes lost per cascade (trigger + toppled)",
+        &CASCADE_SIZE_BOUNDS,
+        report.cascade_sizes().into_iter().map(|size| size as f64),
+    );
     // Anticipation families only exist on runs where the loop acted:
     // registering zeroed families would change reactive expositions.
     if !report.mode_shifts.is_empty() || report.truncated_mode_shifts > 0 {

@@ -1526,7 +1526,7 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
         "Bruneau resilience loss of the run's Q(t)",
         report.resilience_loss(),
     );
-    registry.observe_all(
+    registry.observe(
         "service_latency_ticks",
         "Served-request latency in logical ticks",
         &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
@@ -1559,7 +1559,7 @@ pub fn record_service(tel: &mut Telemetry, report: &ServiceReport) {
             "Final warning score of the run, in milli-units",
             report.warning_scores.last().copied().unwrap_or(0) as f64,
         );
-        registry.observe_all(
+        registry.observe(
             "anticipate_warning_score_ticks",
             "Per-tick warning score in milli-units",
             &[50.0, 100.0, 200.0, 350.0, 500.0, 750.0, 900.0],

@@ -722,7 +722,7 @@ pub fn record_causal_metrics(registry: &mut MetricsRegistry, causal: &CausalTrac
             totals.poles[edge as usize],
         );
     }
-    registry.observe_all(
+    registry.observe(
         "service_queue_wait_ticks",
         "Ticks winning attempts spent queued before service",
         &QUEUE_WAIT_BOUNDS,

@@ -157,23 +157,15 @@ impl MetricsRegistry {
         }
     }
 
-    /// Observe `v` into histogram `name`, registering it with `help`
-    /// and `bounds` on first use (later calls keep the first bounds).
+    /// Observe every value of `values`, in order, into histogram
+    /// `name`, registering it with `help` and `bounds` on first use
+    /// (later calls keep the first bounds). The family is looked up once
+    /// per call, and no values register nothing.
     ///
     /// # Panics
     ///
     /// Panics if `name` is already registered as a different type.
-    pub fn observe(&mut self, name: &str, help: &str, bounds: &[f64], v: f64) {
-        self.observe_all(name, help, bounds, [v]);
-    }
-
-    /// [`MetricsRegistry::observe`] every value of `values` in order,
-    /// looking the family up once. No values register nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `name` is already registered as a different type.
-    pub fn observe_all(
+    pub fn observe(
         &mut self,
         name: &str,
         help: &str,
@@ -383,7 +375,7 @@ mod tests {
     fn histogram_buckets_are_cumulative() {
         let mut reg = MetricsRegistry::new();
         for v in [0.5, 1.5, 1.5, 9.0] {
-            reg.observe("lat", "latency", &[1.0, 2.0, 4.0], v);
+            reg.observe("lat", "latency", &[1.0, 2.0, 4.0], [v]);
         }
         let prom = reg.to_prometheus();
         assert!(prom.contains("lat_bucket{le=\"1\"} 1"));
@@ -417,7 +409,7 @@ mod tests {
         let mut reg = MetricsRegistry::new();
         // 10 observations spread as: 4 in (0,10], 4 in (10,20], 2 in +Inf.
         for v in [1.0, 2.0, 5.0, 9.0, 11.0, 12.0, 15.0, 19.0, 30.0, 40.0] {
-            reg.observe("lat", "latency", &[10.0, 20.0], v);
+            reg.observe("lat", "latency", &[10.0, 20.0], [v]);
         }
         // p50: rank 5 lands in the second bucket (cum 4 -> 8);
         // 10 + 10 * (5-4)/4 = 12.5.
@@ -443,7 +435,7 @@ mod tests {
         assert_eq!(reg.histogram_quantile("missing", 0.5), None);
         reg.inc_counter("ctr", "not a histogram", 1);
         assert_eq!(reg.histogram_quantile("ctr", 0.5), None);
-        reg.observe("h", "empty later", &[1.0], 0.5);
+        reg.observe("h", "empty later", &[1.0], [0.5]);
         assert_eq!(reg.histogram_quantile("h", 1.5), None);
         assert_eq!(reg.histogram_quantile("h", -0.1), None);
     }
@@ -454,10 +446,10 @@ mod tests {
         let mut a = MetricsRegistry::new();
         let mut b = MetricsRegistry::new();
         for v in values {
-            a.observe("h", "h", &[2.0, 4.0, 8.0], v);
+            a.observe("h", "h", &[2.0, 4.0, 8.0], [v]);
         }
         for v in values.iter().rev() {
-            b.observe("h", "h", &[2.0, 4.0, 8.0], *v);
+            b.observe("h", "h", &[2.0, 4.0, 8.0], [*v]);
         }
         for q in [0.0, 0.25, 0.5, 0.75, 0.9, 1.0] {
             assert_eq!(a.histogram_quantile("h", q), b.histogram_quantile("h", q));
