@@ -114,14 +114,14 @@ impl Simulation {
     /// One simulation step.
     pub fn step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         self.environment.step(rng);
-        let target = self.environment.target().clone();
+        let target = self.environment.target();
         let mut offspring = Vec::new();
         let capacity = self.config.capacity;
         let alive = self.population.len();
         for o in self.population.members_mut() {
             o.age += 1;
-            o.adapt(&target);
-            if o.is_fit(&target, FIT_THRESHOLD) {
+            o.adapt(target);
+            if o.is_fit(target, FIT_THRESHOLD) {
                 o.resource += self.config.income;
             }
             o.resource -= self.config.upkeep;

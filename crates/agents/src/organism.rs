@@ -48,18 +48,13 @@ impl Organism {
     }
 
     /// One adaptation move: flip up to `adaptation_rate` mismatched bits
-    /// toward the target (the organism senses its own misfit). Returns the
-    /// number of bits fixed.
+    /// toward the target, lowest-indexed first (the organism senses its
+    /// own misfit). Returns the number of bits fixed; a target of the
+    /// wrong length fixes none.
     pub fn adapt(&mut self, target: &Config) -> usize {
-        let mismatched = match self.genome.differing_bits(target) {
-            Ok(m) => m,
-            Err(_) => return 0,
-        };
-        let fix = mismatched.len().min(self.adaptation_rate);
-        for &bit in mismatched.iter().take(fix) {
-            self.genome.flip(bit);
-        }
-        fix
+        self.genome
+            .flip_toward(target, self.adaptation_rate)
+            .unwrap_or(0)
     }
 
     /// Produce an offspring: the parent's resource is split in half, and
@@ -108,6 +103,14 @@ mod tests {
         assert_eq!(o.adapt(&target), 2);
         assert_eq!(o.adapt(&target), 0); // already perfect
         assert!(o.is_fit(&target, 1.0));
+    }
+
+    #[test]
+    fn wrong_length_target_leaves_the_genome_unchanged() {
+        let mut o = Organism::new("0101".parse().unwrap(), 1.0, 3);
+        assert_eq!(o.adapt(&Config::ones(5)), 0);
+        assert_eq!(o.adapt(&Config::ones(3)), 0);
+        assert_eq!(o.genome, "0101".parse().unwrap());
     }
 
     #[test]

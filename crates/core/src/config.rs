@@ -240,21 +240,47 @@ impl Config {
         (0..self.len).map(move |i| self.get(i))
     }
 
-    /// Indices where this configuration differs from `other`.
+    /// One budgeted repair step: flip up to `budget` of the
+    /// lowest-indexed bits where `self` differs from `target`, and return
+    /// how many were flipped. This is the paper's one repair rule — the
+    /// spacecraft "can fix one component at each time step" (§4.2), an
+    /// organism flips its adaptation rate of bits per step (§4.4) — with
+    /// the rate as `budget`. The XOR words are walked with the same
+    /// lowest-set-bit drain as [`Config::iter_ones`], so a step neither
+    /// probes bit by bit nor allocates.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::LengthMismatch`] if lengths differ.
-    pub fn differing_bits(&self, other: &Config) -> Result<Vec<usize>, CoreError> {
-        if self.len != other.len {
+    /// Returns [`CoreError::LengthMismatch`] if lengths differ, leaving
+    /// `self` unchanged.
+    pub fn flip_toward(&mut self, target: &Config, budget: usize) -> Result<usize, CoreError> {
+        if self.len != target.len {
             return Err(CoreError::LengthMismatch {
                 left: self.len,
-                right: other.len,
+                right: target.len,
             });
         }
-        Ok((0..self.len)
-            .filter(|&i| self.get(i) != other.get(i))
-            .collect())
+        let mut flipped = 0;
+        for (word, &goal) in self.words.iter_mut().zip(&target.words) {
+            let left = budget - flipped;
+            if left == 0 {
+                break;
+            }
+            let diff = *word ^ goal;
+            let pop = diff.count_ones() as usize;
+            let mut take = diff;
+            if pop > left {
+                // Drain the lowest `left` set bits; the rest stay.
+                let mut rest = diff;
+                for _ in 0..left {
+                    rest &= rest - 1;
+                }
+                take ^= rest;
+            }
+            *word ^= take;
+            flipped += pop.min(left);
+        }
+        Ok(flipped)
     }
 
     /// Iterate over the indices of 1-bits in ascending order without
@@ -574,11 +600,49 @@ mod tests {
     }
 
     #[test]
-    fn differing_bits_and_indices() {
-        let a: Config = "1010".parse().unwrap();
-        let b: Config = "0011".parse().unwrap();
-        assert_eq!(a.differing_bits(&b).unwrap(), vec![0, 3]);
-        assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 2]);
+    fn flip_toward_fixes_the_lowest_differing_bits() {
+        // Budget 0 flips nothing; a budget at or above the distance
+        // reaches the target; word edges fall inside the budget.
+        for len in [0usize, 1, 63, 64, 65, 130] {
+            for seed in 0..4u64 {
+                let mut rng = seeded_rng(seed ^ ((len as u64) << 8));
+                let start = Config::random(len, &mut rng);
+                let target = Config::random(len, &mut rng);
+                let distance = start.hamming(&target).unwrap();
+                let differing: Vec<usize> = (0..len)
+                    .filter(|&i| start.get(i) != target.get(i))
+                    .collect();
+                for budget in [0, 1, 2, 31, 63, 64, 65, distance, distance + 1, usize::MAX] {
+                    let mut c = start.clone();
+                    let flipped = c.flip_toward(&target, budget).unwrap();
+                    assert_eq!(flipped, budget.min(distance), "len {len} budget {budget}");
+                    let mut want = start.clone();
+                    differing.iter().take(budget).for_each(|&i| want.flip(i));
+                    assert_eq!(c, want, "len {len} budget {budget}");
+                }
+            }
+        }
+        // The budget runs out exactly at a word edge.
+        let mut c = Config::zeros(130);
+        assert_eq!(c.flip_toward(&Config::ones(130), 64).unwrap(), 64);
+        assert_eq!(
+            c.iter_ones().collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+        assert_eq!(c.flip_toward(&Config::ones(130), 65).unwrap(), 65);
+        assert_eq!(c.count_ones(), 129);
+        assert!(!c.get(129));
+    }
+
+    #[test]
+    fn flip_toward_length_mismatch_errors_and_leaves_self_unchanged() {
+        let mut a: Config = "1010".parse().unwrap();
+        let b = Config::ones(5);
+        assert_eq!(
+            a.flip_toward(&b, 3),
+            Err(CoreError::LengthMismatch { left: 4, right: 5 })
+        );
+        assert_eq!(a, "1010".parse().unwrap());
     }
 
     #[test]

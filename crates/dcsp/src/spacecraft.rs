@@ -36,6 +36,8 @@ use resilience_core::{resilience_loss, Config, QualityTrajectory, ShockSchedule}
 #[derive(Debug, Clone)]
 pub struct Spacecraft {
     components: Config,
+    /// The constraint's one fit configuration, `1ⁿ`: the repair goal.
+    all_good: Config,
     max_debris_damage: usize,
     repairs_per_step: usize,
 }
@@ -87,6 +89,7 @@ impl Spacecraft {
         );
         Spacecraft {
             components: Config::ones(n),
+            all_good: Config::ones(n),
             max_debris_damage,
             repairs_per_step,
         }
@@ -144,20 +147,13 @@ impl Spacecraft {
         self.failed_components() - before
     }
 
-    /// One repair step: fix up to `repairs_per_step` failed components.
-    /// Returns how many were fixed.
+    /// One repair step: fix up to `repairs_per_step` failed components,
+    /// lowest-indexed first. Returns how many were fixed.
     fn repair_step(&mut self) -> usize {
-        let mut fixed = 0;
-        for i in 0..self.components.len() {
-            if fixed == self.repairs_per_step {
-                break;
-            }
-            if !self.components.get(i) {
-                self.components.set(i);
-                fixed += 1;
-            }
-        }
-        fixed
+        // Both configurations have `n` bits, so the step cannot fail.
+        self.components
+            .flip_toward(&self.all_good, self.repairs_per_step)
+            .unwrap_or(0)
     }
 
     /// Quality: percentage of good components.

@@ -95,15 +95,11 @@ impl MapeLoop {
             if self.sensor_noise > 0.0 {
                 sensed.mutate(self.sensor_noise, rng);
             }
-            // Analyze: diff sensed target against state.
-            let mismatched = state
-                .differing_bits(&sensed)
+            // Analyze, Plan, Execute: diff the sensed target against the
+            // state and fix the first `adaptation_rate` mismatches.
+            state
+                .flip_toward(&sensed, self.adaptation_rate)
                 .expect("lengths match by construction");
-            // Plan: fix the first `adaptation_rate` mismatches.
-            // Execute.
-            for &bit in mismatched.iter().take(self.adaptation_rate) {
-                state.flip(bit);
-            }
             let err = state.hamming(&target).expect("lengths match");
             error.push(err as f64);
             if err == 0 {
@@ -135,10 +131,9 @@ impl MapeLoop {
             if self.sensor_noise > 0.0 {
                 sensed.mutate(self.sensor_noise, rng);
             }
-            let mismatched = state.differing_bits(&sensed).expect("lengths match");
-            for &bit in mismatched.iter().take(self.adaptation_rate) {
-                state.flip(bit);
-            }
+            state
+                .flip_toward(&sensed, self.adaptation_rate)
+                .expect("lengths match");
             if state == target {
                 return Some(t);
             }

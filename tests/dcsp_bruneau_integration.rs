@@ -61,19 +61,72 @@ fn exhaustive(start: &Config, env: &AllOnes, damage: usize, k: usize) -> Recover
         .0
 }
 
+/// The least single-flip budget the verifier certifies for damage up to
+/// `damage` from `1ⁿ`, with the counterexample one budget below it
+/// (`None` when that least budget is 0).
+fn least_certified_budget(n: usize, damage: usize) -> (usize, Option<Vec<usize>>) {
+    let start = Config::ones(n);
+    let env = AllOnes::new(n);
+    let mut below = None;
+    for k in 0..=n {
+        let report = exhaustive(&start, &env, damage, k);
+        if report.is_k_recoverable() {
+            return (k, below);
+        }
+        below = Some(report.counterexample.expect("a failed bound has a witness"));
+    }
+    panic!("n {n}, damage {damage}: no budget up to n certified");
+}
+
 #[test]
 fn recoverability_matches_spacecraft_guarantee() {
-    // The exhaustive DCSP checker proves exactly the bound the spacecraft
-    // API promises via guaranteed_k().
-    let craft = Spacecraft::new(10, 3, 1);
-    let k = craft.guaranteed_k();
-    let start = Config::ones(10);
-    let env = AllOnes::new(10);
-    let ok = exhaustive(&start, &env, 3, k);
-    assert!(ok.is_k_recoverable());
-    if k > 0 {
-        let tight = exhaustive(&start, &env, 3, k - 1);
-        assert!(!tight.is_k_recoverable());
+    // The simulated spacecraft against the exhaustive DCSP checker, over
+    // n ≤ 16, damage d ≤ 4 and r ∈ {1, 2, 3} repairs per step: the
+    // verifier certifies k* single flips, so r flips a step need
+    // ⌈k*/r⌉ steps, which is exactly what guaranteed_k() promises.
+    use systems_resilience::core::ShockSchedule;
+    for n in 1..=16usize {
+        for d in 0..=n.min(4) {
+            let (k_star, counterexample) = least_certified_budget(n, d);
+            for r in 1..=3usize {
+                let craft = Spacecraft::new(n, d, r);
+                let k = craft.guaranteed_k();
+                let at = format!("n {n}, d {d}, r {r}");
+                // 1. The promise is the certified budget in steps of r.
+                assert_eq!(k, k_star.div_ceil(r), "{at}");
+                // 2. The witness at k* − 1 needs exactly ⌈k*/r⌉ budgeted
+                //    repair steps.
+                if let Some(damaged) = &counterexample {
+                    let mut state = Config::ones(n);
+                    damaged.iter().for_each(|&bit| state.flip(bit));
+                    let goal = Config::ones(n);
+                    assert_eq!(damaged.len(), k_star, "{at}");
+                    let mut steps = 0;
+                    while state != goal {
+                        let remaining = state.hamming(&goal).unwrap();
+                        assert_eq!(state.flip_toward(&goal, r), Ok(remaining.min(r)), "{at}");
+                        steps += 1;
+                    }
+                    assert_eq!(steps, k_star.div_ceil(r), "{at}");
+                }
+                // 3. Debris every k + 1 steps or more never keeps the
+                //    craft down longer than k.
+                for period in [k + 1, k + 2, 2 * k + 3] {
+                    for seed in 0..3u64 {
+                        let mut craft = Spacecraft::new(n, d, r);
+                        let mut rng = seeded_rng(seed ^ (((n * 64 + d * 8 + r) as u64) << 16));
+                        let schedule = ShockSchedule::Periodic { period };
+                        let log = craft.simulate_mission(120, &schedule, &mut rng);
+                        assert!(log.strikes > 0, "{at}, period {period}");
+                        assert!(
+                            log.longest_outage <= k,
+                            "{at}, period {period}, seed {seed}: outage {}",
+                            log.longest_outage
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
