@@ -21,15 +21,13 @@
 //! * [`modes`] — [`AnticipationController`]: explicit Normal / Alert /
 //!   Emergency operating modes (§3.4.6) driven by the warning score on
 //!   the core hysteresis ladder (`resilience_core::modes`), each
-//!   carrying a policy set — brownout pre-dim floor, breaker
-//!   cooldown widening, admission deadline tightening, and the
-//!   provisioning rule.
+//!   carrying a policy set — brownout pre-dim floor and ceiling,
+//!   breaker cooldown widening, admission deadline tightening.
 //! * [`provision`] — [`LossWindow`]: the Taleb caveat made executable.
 //!   Sample-mean provisioning fails when losses are heavy-tailed
 //!   (§3.4.6: a power law "may not have a finite average value"), so
-//!   the loss window estimates the tail index with the Hill estimator
-//!   (`resilience-stats`) and switches from mean-based to
-//!   tail-quantile-based provisioning when the tail is heavy.
+//!   the loss window provisions from a tail quantile, which holds
+//!   whether the tail is light or heavy.
 //!
 //! Everything here is a pure function of the samples fed in: no clocks,
 //! no randomness, no thread-dependence. The serving layer's
@@ -53,4 +51,4 @@ pub use modes::{
     AnticipationConfig, AnticipationController, ModePolicy, ModeSwitchConfig, ModeTransition,
     OperatingMode,
 };
-pub use provision::{LossWindow, ProvisioningPolicy};
+pub use provision::LossWindow;

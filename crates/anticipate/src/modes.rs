@@ -11,9 +11,10 @@
 //! release alike (a mode's first change is exempt), and the detector's
 //! warning latch holds the ladder at Alert or above. Each mode carries
 //! a [`ModePolicy`]: how far to pre-dim the brownout floor, how much to
-//! widen breaker cooldowns, how much to tighten admission deadlines,
-//! and which provisioning rule (sample mean vs heavy-tail quantile) to
-//! trust.
+//! widen breaker cooldowns, and how much to tighten admission
+//! deadlines. (Outside Normal the serving layer also provisions from
+//! the tail quantile of its loss window; that rule is the same in every
+//! non-Normal mode, so it is not a policy field.)
 //!
 //! The transition log is the core [`CappedLog`]: the first
 //! [`LOG_CAP`](resilience_core::modes::LOG_CAP) transitions are retained
@@ -27,7 +28,6 @@ use resilience_core::modes::{CappedLog, Escalation, Ladder, LadderState, Rung};
 use serde::{Deserialize, Serialize};
 
 use crate::detector::{EarlyWarning, EarlyWarningConfig, WarningSnapshot};
-use crate::provision::ProvisioningPolicy;
 
 /// The three operating modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -85,9 +85,6 @@ pub struct ModePolicy {
     /// admission instead of letting them pile onto queues that the
     /// warning says are about to stop draining.
     pub deadline_scale_milli: u64,
-    /// How this mode turns observed losses into a provisioning
-    /// estimate (the pressure bias fed to the dimmer).
-    pub provisioning: ProvisioningPolicy,
 }
 
 /// Hysteresis bands and dwell of the three-state machine.
@@ -178,21 +175,18 @@ impl Default for AnticipationConfig {
                 brownout_ceiling: 0,
                 cooldown_scale_milli: 1000,
                 deadline_scale_milli: 1000,
-                provisioning: ProvisioningPolicy::SampleMean,
             },
             alert: ModePolicy {
                 brownout_floor: 0,
                 brownout_ceiling: 2,
                 cooldown_scale_milli: 1500,
                 deadline_scale_milli: 1000,
-                provisioning: ProvisioningPolicy::Auto,
             },
             emergency: ModePolicy {
                 brownout_floor: 2,
                 brownout_ceiling: 2,
                 cooldown_scale_milli: 2000,
                 deadline_scale_milli: 900,
-                provisioning: ProvisioningPolicy::TailQuantile,
             },
         }
     }
@@ -421,13 +415,8 @@ mod tests {
     }
 
     #[test]
-    fn policies_expose_the_taleb_ladder() {
+    fn policies_escalate_with_the_mode() {
         let config = AnticipationConfig::default();
-        assert_eq!(config.normal.provisioning, ProvisioningPolicy::SampleMean);
-        assert_eq!(
-            config.emergency.provisioning,
-            ProvisioningPolicy::TailQuantile
-        );
         assert!(config.emergency.cooldown_scale_milli > config.normal.cooldown_scale_milli);
         assert!(config.emergency.deadline_scale_milli < config.normal.deadline_scale_milli);
         assert!(config.emergency.brownout_floor > config.alert.brownout_floor);

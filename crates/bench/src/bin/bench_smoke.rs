@@ -534,7 +534,6 @@ fn run_anticipate_smoke(reps: usize) {
             brownout_ceiling: 2,
             cooldown_scale_milli: 1000,
             deadline_scale_milli: 1000,
-            provisioning: resilience_anticipate::ProvisioningPolicy::SampleMean,
         };
         cfg.normal = inert.clone();
         cfg.alert = inert.clone();

@@ -111,13 +111,9 @@ pub const CACHED_PENALTY: f64 = 0.5;
 pub const HEDGE_FRACTION_MILLI: u64 = 600;
 /// Losses the anticipation loop's provisioning window retains.
 pub const LOSS_WINDOW: usize = 256;
-/// Tail quantile used by quantile provisioning, in milli-units
+/// Tail quantile the anticipation loop provisions from, in milli-units
 /// (950 = p95).
 pub const QUANTILE_MILLI: u64 = 950;
-/// Hill tail exponent below which the loss distribution is treated as
-/// heavy-tailed (α < 2 has infinite variance; this hedges a little
-/// above that).
-pub const HEAVY_TAIL_ALPHA: f64 = 2.5;
 
 /// Tuning of the serving layer. All quantities are logical-clock units;
 /// `threads` is the only physical knob and never changes any output.
@@ -1290,12 +1286,12 @@ impl<'a> ServeLoop<'a> {
         self.deadline_scale_milli = policy.deadline_scale_milli;
         // Provisioning is re-estimated at mode changes (not every tick):
         // the quantile sort stays off the hot path and the bias is
-        // constant within a mode.
+        // constant within a mode. Outside Normal it is the loss window's
+        // tail quantile, which the Taleb caveat (§3.4.6) favours over the
+        // sample mean whatever the tail.
         self.pressure_bias = match mode {
             OperatingMode::Normal => 0.0,
-            _ => losses
-                .provision(policy.provisioning, QUANTILE_MILLI, HEAVY_TAIL_ALPHA)
-                .clamp(0.0, 1.0),
+            _ => losses.quantile(QUANTILE_MILLI).clamp(0.0, 1.0),
         };
     }
 
@@ -1659,13 +1655,12 @@ mod tests {
     /// window takes `losses`, then the involuntary-loss signal swings
     /// between 0 and 1 every tick until the anticipation loop reaches
     /// Emergency. Returns each mode change with the pressure bias it set,
-    /// and with the bias a reference window of the last 256 losses
-    /// provisions under the mode's policy at p95 with cut-off α = 2.5.
+    /// and with the p95 of a reference window of the last 256 losses.
     fn provisioned_biases(losses: &[f64]) -> (ModeBiases, ModeBiases) {
         let mut anticipation = AnticipationConfig::default();
         anticipation.switch.emergency_on = 0.45;
         let cfg = ServiceConfig {
-            anticipation: Some(anticipation.clone()),
+            anticipation: Some(anticipation),
             ..ServiceConfig::default()
         };
         let trace = RequestTrace::generate(&crate::request::TraceSpec::new(8, 1));
@@ -1691,20 +1686,17 @@ mod tests {
             if let Some(now) = now.filter(|&m| m != mode) {
                 mode = now;
                 got.push((mode, state.pressure_bias.to_bits()));
-                let policy = anticipation.policy(mode).provisioning;
-                let bias = reference.provision(policy, 950, 2.5).clamp(0.0, 1.0);
+                let bias = reference.quantile(950).clamp(0.0, 1.0);
                 want.push((mode, bias.to_bits()));
             }
         }
         (got, want)
     }
 
-    /// Pins the anticipation loop's provisioning: at each mode change
-    /// the pressure bias is the mode's policy applied to the last 256
-    /// observed losses, with the tail quantile at p95 and the heavy-tail
-    /// cut-off at α = 2.5. Two Pareto-shaped loss streams straddle the
-    /// cut-off (α ≈ 2.3 and α ≈ 2.7), so Alert's automatic policy picks
-    /// the tail quantile for one and the sample mean for the other.
+    /// Pins the anticipation loop's provisioning: at each change into
+    /// Alert or Emergency the pressure bias is the p95 of the last 256
+    /// observed losses. Two Pareto-shaped loss streams, one heavier
+    /// (α ≈ 2.3) and one lighter (α ≈ 2.7), provision by the same rule.
     #[test]
     fn mode_changes_provision_from_the_loss_window() {
         for tail in [2.3, 2.7] {

@@ -31,7 +31,7 @@
 //!   attribution.
 //! * [`anticipate`] — the anticipation layer: online early-warning
 //!   detection (critical slowing down) over the live deficit stream,
-//!   Normal/Alert/Emergency mode switching, and heavy-tail-aware loss
+//!   Normal/Alert/Emergency mode switching, and tail-quantile loss
 //!   provisioning.
 //!
 //! # Quickstart
