@@ -101,8 +101,9 @@ fn recoverability_matches_spacecraft_guarantee() {
                     damaged.iter().for_each(|&bit| state.flip(bit));
                     let goal = Config::ones(n);
                     assert_eq!(damaged.len(), k_star, "{at}");
+                    // Bounded, so a step that stalls fails instead of hanging.
                     let mut steps = 0;
-                    while state != goal {
+                    while state != goal && steps <= n {
                         let remaining = state.hamming(&goal).unwrap();
                         assert_eq!(state.flip_toward(&goal, r), Ok(remaining.min(r)), "{at}");
                         steps += 1;
