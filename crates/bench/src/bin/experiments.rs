@@ -85,7 +85,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut seed = 42u64;
     let mut json = false;
-    let mut threads = env_threads();
+    let mut threads = resilience_bench::env_threads().unwrap_or_else(|e| die(&e));
     let mut fault_spec = env_faults();
     let mut resume_path: Option<String> = None;
     let mut report_json: Option<String> = None;
@@ -429,22 +429,6 @@ fn parse_id_list(raw: &str) -> Vec<String> {
         .filter(|s| !s.is_empty())
         .map(str::to_ascii_lowercase)
         .collect()
-}
-
-/// Thread budget from `RESILIENCE_THREADS` (default 1; rejects 0).
-fn env_threads() -> usize {
-    match std::env::var("RESILIENCE_THREADS") {
-        Ok(raw) => match raw.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => die(&format!(
-                "RESILIENCE_THREADS must be a positive integer, got `{raw}`"
-            )),
-        },
-        Err(std::env::VarError::NotPresent) => 1,
-        Err(std::env::VarError::NotUnicode(raw)) => {
-            die(&format!("RESILIENCE_THREADS is not valid unicode: {raw:?}"))
-        }
-    }
 }
 
 /// Default fault plan from `RESILIENCE_FAULTS` (validated later with

@@ -333,18 +333,10 @@ fn int_arg<T: std::str::FromStr>(it: &mut impl Iterator<Item = String>, flag: &s
         .unwrap_or_else(|_| die(&format!("{flag} needs an integer, got `{raw}`")))
 }
 
-fn env_threads() -> usize {
-    std::env::var("RESILIENCE_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t: &usize| t >= 1)
-        .unwrap_or(1)
-}
-
 fn main() {
     let mut requests = 600u64;
     let mut seed = 42u64;
-    let mut threads = env_threads();
+    let mut threads = resilience_bench::env_threads().unwrap_or_else(|e| die(&e));
     let mut fault_spec: Option<String> = None;
     let mut degradation: Option<bool> = None;
     let mut json = false;

@@ -34,3 +34,25 @@ pub mod table;
 
 pub use checkpoint::{sidecar_for, CheckpointEntry, Journal, ReportEntry};
 pub use table::{ExperimentTable, PerfSummary};
+
+/// The worker-thread budget from `RESILIENCE_THREADS`, shared by every
+/// binary that takes `--threads`: 1 when the variable is unset.
+///
+/// # Errors
+///
+/// A one-line message naming the variable when its value is not a
+/// positive integer or not valid unicode.
+pub fn env_threads() -> Result<usize, String> {
+    match std::env::var("RESILIENCE_THREADS") {
+        Ok(raw) => match raw.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!(
+                "RESILIENCE_THREADS must be a positive integer, got `{raw}`"
+            )),
+        },
+        Err(std::env::VarError::NotPresent) => Ok(1),
+        Err(std::env::VarError::NotUnicode(raw)) => {
+            Err(format!("RESILIENCE_THREADS is not valid unicode: {raw:?}"))
+        }
+    }
+}

@@ -125,17 +125,22 @@ fn checkpoint_is_keyed_by_seed() {
 
 #[test]
 fn exhausted_retry_budget_degrades_instead_of_aborting() {
-    let run = || {
+    let run = |threads: &str, report: &PathBuf| {
         experiments()
             .args([
                 "--fault-plan",
                 "seed=3,permanent=0.001,retries=2,backoff_ms=0",
+                "--threads",
+                threads,
+                "--report-json",
+                report.to_str().expect("utf-8 temp path"),
                 "e8",
             ])
             .output()
             .expect("binary runs")
     };
-    let first = run();
+    let report1 = tmp("lossy-threads1.json");
+    let first = run("1", &report1);
     assert_eq!(
         first.status.code(),
         Some(0),
@@ -151,6 +156,20 @@ fn exhausted_retry_budget_degrades_instead_of_aborting() {
     assert!(!stderr.contains("lost=0"), "this plan must lose trials");
 
     // Degradation is deterministic: same plan, same partial table.
-    let second = run();
+    let second = run("1", &tmp("lossy-threads1-again.json"));
     assert_eq!(first.stdout, second.stdout);
+
+    // And the loss accounting does not depend on the worker count: four
+    // workers give the same table and the same report document.
+    let report4 = tmp("lossy-threads4.json");
+    let parallel = run("4", &report4);
+    assert_eq!(parallel.status.code(), Some(0));
+    assert_eq!(first.stdout, parallel.stdout);
+    let doc1 = std::fs::read(&report1).expect("threads-1 report written");
+    let doc4 = std::fs::read(&report4).expect("threads-4 report written");
+    assert!(
+        String::from_utf8_lossy(&doc1).contains("\"cause\": \"panicked\""),
+        "the report lists the lost trials"
+    );
+    assert_eq!(doc1, doc4, "run reports differ between 1 and 4 workers");
 }

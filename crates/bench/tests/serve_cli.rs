@@ -111,6 +111,22 @@ fn threads_env_var_is_honoured_and_harmless() {
 }
 
 #[test]
+fn invalid_threads_env_var_exits_2_naming_it() {
+    for bad in ["0", "banana"] {
+        let out = serve()
+            .env("RESILIENCE_THREADS", bad)
+            .args(["--requests", "10"])
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "RESILIENCE_THREADS={bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("RESILIENCE_THREADS"), "stderr: {stderr}");
+        assert!(stderr.contains(bad), "stderr: {stderr}");
+        assert!(out.stdout.is_empty(), "nothing may run: {stderr}");
+    }
+}
+
+#[test]
 fn single_run_flag_under_compare_exits_2_naming_it() {
     // A comparison fixes its own arms and output, so a single-run flag
     // beside it would be silently ignored; it is rejected instead.

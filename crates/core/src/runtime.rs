@@ -17,12 +17,14 @@
 //! run under per-trial panic isolation ([`std::panic::catch_unwind`]),
 //! deterministic fault injection from a
 //! [`FaultPlan`](crate::faults::FaultPlan), bounded retries with capped
-//! exponential backoff, optional per-attempt deadlines, and
-//! a supervisor thread running a small MAPE-K loop (Monitor worker
-//! events, Analyze failures against the retry budget, Plan backed-off
-//! re-dispatches, Execute them through the work queue, with the attempt
-//! log as its Knowledge base). Because a retried trial re-seeds its rng
-//! from scratch, recovered trials reproduce their fault-free results
+//! exponential backoff, and optional per-attempt deadlines. They run in
+//! attempt rounds on the same workers as [`ParallelTrials::run_ranges`]:
+//! round `a` runs attempt `a` of every trial not yet settled, and each
+//! round is one step of a small MAPE-K loop (Monitor the round's
+//! outcomes, Analyze failures against the retry budget, Plan the next
+//! round and its backoff, Execute it, with the attempt log as its
+//! Knowledge base). Because a retried trial re-seeds its rng from
+//! scratch, recovered trials reproduce their fault-free results
 //! bit-for-bit; trials that exhaust the budget are *lost* — the fold
 //! skips them and the [`RunReport`] names them — instead of aborting the
 //! process.
@@ -34,8 +36,8 @@ use crate::rng::{derive_seed, seeded_rng};
 use rand_chacha::ChaCha8Rng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Mutex;
+use std::time::Instant;
 
 /// Per-run inputs shared by every experiment: the master seed and the
 /// worker-thread budget, plus a running count of Monte Carlo trials for
@@ -81,11 +83,6 @@ impl RunContext {
         self.supervision = Some(supervision);
         self.report = Mutex::new(Some(RunReport::new(experiment)));
         self
-    }
-
-    /// The active supervision settings, if any.
-    pub fn supervision(&self) -> Option<&Supervision> {
-        self.supervision.as_ref()
     }
 
     /// The aggregated self-measurement of all supervised `run_trials`
@@ -202,11 +199,6 @@ impl ParallelTrials {
         ParallelTrials { threads }
     }
 
-    /// The configured thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Run `n_trials` independent trials and fold their results.
     ///
     /// `trial_fn(i, rng)` computes trial `i` on an rng seeded with
@@ -243,10 +235,15 @@ impl ParallelTrials {
     /// Run `n_trials` trials under the fault-injection and self-healing
     /// layer: per-trial panic isolation, deterministic injected faults
     /// from `supervision.config.plan`, bounded retries with capped
-    /// exponential backoff, optional per-attempt deadlines, and a
-    /// supervisor thread (a MAPE-K loop) that monitors worker events,
-    /// re-dispatches failed trials, and abandons a trial only after its
-    /// retry budget is exhausted.
+    /// exponential backoff, and optional per-attempt deadlines.
+    ///
+    /// The trials run in attempt rounds, each one step of a MAPE-K loop.
+    /// Round `a` executes attempt `a` of every still-pending trial
+    /// through [`ParallelTrials::run_ranges`] (Execute); its outcomes,
+    /// taken in trial order, are the Monitor step; each failure is
+    /// checked against the retry budget (Analyze), and the failures
+    /// still within it form the next round, which starts after one
+    /// backoff (Plan). The attempt log is the loop's Knowledge.
     ///
     /// Determinism contract: a retried trial re-seeds its rng from
     /// scratch, so any trial that *completes* contributes exactly the
@@ -284,21 +281,8 @@ impl ParallelTrials {
         let plan = &supervision.config.plan;
         let policy = &supervision.config.policy;
         let experiment = supervision.experiment.as_str();
-        let workers = self
-            .threads
-            .min(usize::try_from(n_trials).unwrap_or(usize::MAX))
-            .max(1);
-
-        let next_fresh = AtomicU64::new(0);
         let faults_injected = AtomicU64::new(0);
-        let queue: Mutex<WorkQueue> = Mutex::new(WorkQueue {
-            retries: std::collections::VecDeque::new(),
-            done: false,
-        });
-        let idle = Condvar::new();
-        let (tx, rx) = mpsc::channel::<Event<T>>();
-
-        let run_attempt = |trial: u64, attempt: u32, events: &mpsc::Sender<Event<T>>| {
+        let run_attempt = |trial: u64, attempt: u32| -> Result<T, (FailureCause, String)> {
             let fault = plan.fires(experiment, master_seed, trial, attempt);
             if fault.is_some() {
                 faults_injected.fetch_add(1, Ordering::Relaxed);
@@ -318,112 +302,74 @@ impl ParallelTrials {
                     trial_fn(trial, &mut rng)
                 }))
             });
-            let outcome = match caught {
-                Err(payload) => {
-                    Outcome::Fail(FailureCause::Panicked, panic_message(payload.as_ref()))
-                }
-                Ok(value) => {
-                    if fault == Some(FaultKind::Poison) {
-                        Outcome::Fail(
-                            FailureCause::Poisoned,
-                            format!("injected fault: poisoned result (trial {trial})"),
-                        )
-                    } else if policy.deadline.is_some_and(|d| started.elapsed() > d) {
-                        Outcome::Fail(
-                            FailureCause::DeadlineExceeded,
-                            format!("attempt exceeded the per-trial deadline (trial {trial})"),
-                        )
-                    } else {
-                        Outcome::Ok(value)
-                    }
-                }
-            };
-            // The supervisor owns the receiving end for the whole scope.
-            let _ = events.send(Event {
-                trial,
-                attempt,
-                outcome,
-            });
+            match caught {
+                Err(payload) => Err((FailureCause::Panicked, panic_message(payload.as_ref()))),
+                Ok(_) if fault == Some(FaultKind::Poison) => Err((
+                    FailureCause::Poisoned,
+                    format!("injected fault: poisoned result (trial {trial})"),
+                )),
+                Ok(_) if policy.deadline.is_some_and(|d| started.elapsed() > d) => Err((
+                    FailureCause::DeadlineExceeded,
+                    format!("attempt exceeded the per-trial deadline (trial {trial})"),
+                )),
+                Ok(value) => Ok(value),
+            }
         };
 
-        let supervised = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let events = tx.clone();
-                scope.spawn(|| {
-                    let events = events;
-                    loop {
-                        // Re-dispatched work first, then fresh trials,
-                        // then block until the supervisor produces more
-                        // work or declares the run finished.
-                        let mut job = {
-                            let mut q = queue.lock().expect("work queue mutex poisoned");
-                            if q.done && q.retries.is_empty() {
-                                return;
-                            }
-                            q.retries.pop_front()
-                        };
-                        if job.is_none() {
-                            let fresh = next_fresh.fetch_add(1, Ordering::Relaxed);
-                            if fresh < n_trials {
-                                job = Some((fresh, 0));
-                            }
-                        }
-                        let (trial, attempt) = match job {
-                            Some(job) => job,
-                            None => {
-                                let mut q = queue.lock().expect("work queue mutex poisoned");
-                                loop {
-                                    if let Some(job) = q.retries.pop_front() {
-                                        break job;
-                                    }
-                                    if q.done {
-                                        return;
-                                    }
-                                    q = idle
-                                        .wait_timeout(q, Duration::from_millis(1))
-                                        .expect("work queue mutex poisoned")
-                                        .0;
-                                }
-                            }
-                        };
-                        run_attempt(trial, attempt, &events);
-                    }
-                });
+        let n = usize::try_from(n_trials).expect("trial count fits usize");
+        let mut results: Vec<Option<T>> = Vec::with_capacity(n);
+        results.resize_with(n, || None);
+        let mut log: Vec<AttemptRecord> = Vec::with_capacity(n);
+        let mut pending: Vec<u64> = (0..n_trials).collect();
+        let mut attempt = 0u32;
+        while !pending.is_empty() {
+            if attempt > 0 {
+                std::thread::sleep(policy.backoff_for(attempt));
             }
-            drop(tx);
+            let outcomes = self.run_ranges(
+                pending.len() as u64,
+                1,
+                |r| run_attempt(pending[r.start as usize], attempt),
+                Vec::with_capacity(pending.len()),
+                |mut acc, outcome| {
+                    acc.push(outcome);
+                    acc
+                },
+            );
+            let mut retry = Vec::new();
+            for (&trial, outcome) in pending.iter().zip(outcomes) {
+                log.push(AttemptRecord {
+                    trial,
+                    attempt,
+                    ok: outcome.is_ok(),
+                });
+                match outcome {
+                    Ok(value) => {
+                        report.recovered += u64::from(attempt > 0);
+                        results[trial as usize] = Some(value);
+                    }
+                    // Every budget ends in the same round, so losses are
+                    // recorded in trial order.
+                    Err((cause, detail)) if attempt + 1 >= policy.max_attempts() => {
+                        report.lost.push(LostTrial {
+                            stream: master_seed,
+                            trial,
+                            cause,
+                            detail,
+                        })
+                    }
+                    Err(_) => retry.push(trial),
+                }
+            }
+            pending = retry;
+            attempt += 1;
+        }
 
-            // The MAPE-K supervisor: Monitor events, Analyze failures
-            // against the retry budget, Plan backed-off re-dispatches,
-            // Execute them through the work queue; the attempt log is its
-            // knowledge base (and the source of the health trajectory).
-            let supervisor = scope.spawn(|| supervise(n_trials, policy, rx, &queue, &idle));
-            supervisor.join().expect("supervisor thread panicked")
-        });
-
-        let SupervisorVerdict {
-            results,
-            mut log,
-            recovered,
-            mut lost,
-        } = supervised;
-        // The supervisor records losses as events arrive, i.e. in
-        // thread-schedule order; the report lists them by trial.
-        lost.sort_unstable_by_key(|&(trial, _, _)| trial);
         report.attempts = log.len() as u64;
-        report.faults_injected = faults_injected.load(Ordering::Relaxed);
-        report.recovered = recovered;
-        report.lost = lost
-            .into_iter()
-            .map(|(trial, cause, detail)| LostTrial {
-                stream: master_seed,
-                trial,
-                cause,
-                detail,
-            })
-            .collect();
+        report.faults_injected = faults_injected.into_inner();
         report.health = RunReport::health_from_log(n_trials, &mut log);
-        // Retain the sorted log so telemetry can replay the supervisor's
-        // decisions (retries, plans, losses) in logical order post-run.
+        // Retain the log, already in `(attempt, trial)` order, so
+        // telemetry can replay the retries, plans and losses post-run.
         report.segments = vec![AttemptSegment {
             trials: n_trials,
             log,
@@ -501,156 +447,6 @@ impl ParallelTrials {
         collected
             .into_iter()
             .fold(init, |acc, (_, value)| reduce(acc, value))
-    }
-}
-
-/// Re-dispatch queue shared between the supervisor and the workers.
-#[derive(Debug)]
-struct WorkQueue {
-    retries: std::collections::VecDeque<(u64, u32)>,
-    done: bool,
-}
-
-/// One adjudicable worker event: the outcome of a single attempt.
-struct Event<T> {
-    trial: u64,
-    attempt: u32,
-    outcome: Outcome<T>,
-}
-
-enum Outcome<T> {
-    Ok(T),
-    Fail(FailureCause, String),
-}
-
-/// What the supervisor hands back once every trial is accounted for.
-struct SupervisorVerdict<T> {
-    /// Per-trial results in index order; `None` marks a lost trial.
-    results: Vec<Option<T>>,
-    /// Every adjudicated attempt (the MAPE-K knowledge base).
-    log: Vec<AttemptRecord>,
-    /// Trials that failed at least once but ultimately completed.
-    recovered: u64,
-    /// `(trial, final cause, detail)` for abandoned trials.
-    lost: Vec<(u64, FailureCause, String)>,
-}
-
-/// The supervisor loop. Runs on its own thread until `completed + lost`
-/// accounts for every trial, then flips the queue's `done` flag and
-/// wakes every idle worker.
-fn supervise<T>(
-    n_trials: u64,
-    policy: &crate::faults::RecoveryPolicy,
-    events: mpsc::Receiver<Event<T>>,
-    queue: &Mutex<WorkQueue>,
-    idle: &Condvar,
-) -> SupervisorVerdict<T> {
-    let n = usize::try_from(n_trials).expect("trial count fits usize");
-    let mut results: Vec<Option<T>> = Vec::with_capacity(n);
-    results.resize_with(n, || None);
-    let mut failures: Vec<u32> = vec![0; n];
-    let mut log: Vec<AttemptRecord> = Vec::new();
-    let mut recovered = 0u64;
-    let mut lost: Vec<(u64, FailureCause, String)> = Vec::new();
-    // Plan phase output: re-dispatches waiting out their backoff.
-    let mut pending: std::collections::BinaryHeap<std::cmp::Reverse<(Instant, u64, u32)>> =
-        std::collections::BinaryHeap::new();
-    let mut settled = 0u64;
-
-    while settled < n_trials {
-        // Monitor: wait for worker events, but never past the next
-        // planned re-dispatch.
-        let timeout = pending
-            .peek()
-            .map(|std::cmp::Reverse((at, _, _))| at.saturating_duration_since(Instant::now()))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5));
-        let first = match events.recv_timeout(timeout) {
-            Ok(event) => Some(event),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // All workers exited with trials unaccounted for —
-                // impossible unless a worker thread itself died; abandon
-                // what remains rather than spinning forever.
-                for (trial, slot) in results.iter().enumerate() {
-                    if slot.is_none() && !lost.iter().any(|(t, _, _)| *t == trial as u64) {
-                        lost.push((
-                            trial as u64,
-                            FailureCause::Panicked,
-                            "worker pool died before the trial settled".to_string(),
-                        ));
-                    }
-                }
-                break;
-            }
-        };
-        for event in first.into_iter().chain(events.try_iter()) {
-            let idx = usize::try_from(event.trial).expect("trial fits usize");
-            match event.outcome {
-                Outcome::Ok(value) => {
-                    log.push(AttemptRecord {
-                        trial: event.trial,
-                        attempt: event.attempt,
-                        ok: true,
-                    });
-                    if failures[idx] > 0 {
-                        recovered += 1;
-                    }
-                    results[idx] = Some(value);
-                    settled += 1;
-                }
-                Outcome::Fail(cause, detail) => {
-                    log.push(AttemptRecord {
-                        trial: event.trial,
-                        attempt: event.attempt,
-                        ok: false,
-                    });
-                    failures[idx] += 1;
-                    // Analyze: still within the paper's k-budget?
-                    if failures[idx] >= policy.max_attempts() {
-                        lost.push((event.trial, cause, detail));
-                        settled += 1;
-                    } else {
-                        // Plan: re-dispatch after capped exponential
-                        // backoff.
-                        let eligible = Instant::now() + policy.backoff_for(failures[idx]);
-                        pending.push(std::cmp::Reverse((
-                            eligible,
-                            event.trial,
-                            event.attempt + 1,
-                        )));
-                    }
-                }
-            }
-        }
-        // Execute: release every re-dispatch whose backoff elapsed.
-        let now = Instant::now();
-        let mut released = false;
-        while pending
-            .peek()
-            .is_some_and(|std::cmp::Reverse((at, _, _))| *at <= now)
-        {
-            if let Some(std::cmp::Reverse((_, trial, attempt))) = pending.pop() {
-                queue
-                    .lock()
-                    .expect("work queue mutex poisoned")
-                    .retries
-                    .push_back((trial, attempt));
-                released = true;
-            }
-        }
-        if released {
-            idle.notify_all();
-        }
-    }
-
-    queue.lock().expect("work queue mutex poisoned").done = true;
-    idle.notify_all();
-    SupervisorVerdict {
-        results,
-        log,
-        recovered,
-        lost,
     }
 }
 
@@ -979,9 +775,9 @@ mod tests {
             kept1.len() as u64 + report1.lost.len() as u64,
             report1.trials
         );
-        // The supervisor sees losses in thread-schedule order, and only
-        // a few percent of four-thread schedules reorder them; repeat so
-        // a report that leaks that order fails reliably.
+        // Four workers finish a round's attempts in a different order on
+        // every run; repeat so a report that leaks that order (rather
+        // than adjudicating in trial order) fails reliably.
         for _ in 0..200 {
             let (kept4, report4) = run(4);
             assert_eq!(kept1, kept4);

@@ -1,14 +1,14 @@
 //! Telemetry derivation from supervised-runtime reports.
 //!
-//! The MAPE-K supervisor runs on its own thread and adjudicates worker
-//! events in arrival (wall-clock) order, so emitting trace events
-//! *live* from inside the loop would bake scheduling noise into the
-//! trace. Instead the runtime retains its logical knowledge base — the
-//! attempt log, sorted by `(attempt, trial)` — on the [`RunReport`],
-//! and this module replays it after the fact: every retry, plan, and
-//! loss event is stamped with the attempt number as its logical tick.
-//! The derivation is a pure function of the report, so the trace is
-//! bit-identical for any thread budget by construction.
+//! The supervised runtime executes each attempt round on several worker
+//! threads, so emitting trace events *live* from inside an attempt
+//! would bake scheduling noise into the trace. Instead the runtime
+//! retains its logical knowledge base — the attempt log, sorted by
+//! `(attempt, trial)` — on the [`RunReport`], and this module replays
+//! it after the fact: every retry, plan, and loss event is stamped with
+//! the attempt number as its logical tick. The derivation is a pure
+//! function of the report, so the trace is bit-identical for any thread
+//! budget by construction.
 
 use resilience_core::faults::RunReport;
 
